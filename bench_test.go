@@ -6,7 +6,9 @@
 //
 // The experiment benches report the same quantities as cmd/experiments as
 // per-op metrics (messages, envelopes, relaxations, ...), so the shape
-// comparisons of the paper can be read off `-bench` output directly.
+// comparisons of the paper can be read off `-bench` output directly. Like the
+// experiments they mirror they run experiments.PaperPlan (Direct off, every
+// hop a message), except E7 and E9, which time the engine as shipped.
 package declpat_test
 
 import (
@@ -75,17 +77,17 @@ func runSSSPBench(b *testing.B, cfg am.Config, popts pattern.PlanOptions,
 func BenchmarkE1SSSPStrategies(b *testing.B) {
 	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
 	b.Run("fixed-point", func(b *testing.B) {
-		runSSSPBench(b, cfg, pattern.DefaultPlanOptions(),
+		runSSSPBench(b, cfg, experiments.PaperPlan(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 	})
 	for _, delta := range []int64{8, 64, 512} {
 		b.Run("delta-"+itoa(int(delta)), func(b *testing.B) {
-			runSSSPBench(b, cfg, pattern.DefaultPlanOptions(),
+			runSSSPBench(b, cfg, experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseDelta(u, delta) })
 		})
 	}
 	b.Run("delta-dist-64x2", func(b *testing.B) {
-		runSSSPBench(b, cfg, pattern.DefaultPlanOptions(),
+		runSSSPBench(b, cfg, experiments.PaperPlan(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseDeltaDistributed(u, 64, 2) })
 	})
 }
@@ -122,7 +124,7 @@ func BenchmarkE3CCParallelSearch(b *testing.B) {
 				d := distgraph.NewBlockDist(n, 4)
 				g := distgraph.Build(d, edges, distgraph.Options{Symmetrize: true})
 				lm := pmap.NewLockMap(d, 1)
-				eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
+				eng := pattern.NewEngine(u, g, lm, experiments.PaperPlan())
 				c := algorithms.NewCC(eng, lm)
 				c.FlushEvery = fe
 				u.Run(func(r *am.Rank) { c.Run(r) })
@@ -158,7 +160,7 @@ func BenchmarkE5Coalescing(b *testing.B) {
 	for _, cs := range []int{1, 16, 256} {
 		b.Run("coalesce-"+itoa(cs), func(b *testing.B) {
 			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: cs},
-				pattern.DefaultPlanOptions(),
+				experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
 	}
@@ -209,7 +211,7 @@ func BenchmarkE8Termination(b *testing.B) {
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
 		b.Run(det.String(), func(b *testing.B) {
 			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det},
-				pattern.DefaultPlanOptions(),
+				experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
 	}
@@ -258,7 +260,7 @@ func BenchmarkE11PointerJump(b *testing.B) {
 				d := distgraph.NewBlockDist(L, 4)
 				g := distgraph.Build(d, gen.Path(L, gen.Weights{}, 0), distgraph.Options{})
 				lm := pmap.NewLockMap(d, 1)
-				eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
+				eng := pattern.NewEngine(u, g, lm, experiments.PaperPlan())
 				p := pattern.New("Jump")
 				chg := p.VertexProp("chg")
 				a := p.Action("cc_jump", pattern.None())
@@ -292,12 +294,12 @@ func BenchmarkE11PointerJump(b *testing.B) {
 func BenchmarkE12LightHeavy(b *testing.B) {
 	b.Run("plain-delta-16", func(b *testing.B) {
 		runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
-			pattern.DefaultPlanOptions(),
+			experiments.PaperPlan(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseDelta(u, 16) })
 	})
 	b.Run("light-heavy-16", func(b *testing.B) {
 		runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
-			pattern.DefaultPlanOptions(),
+			experiments.PaperPlan(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseDeltaLightHeavy(u, 16) })
 	})
 }
@@ -318,7 +320,7 @@ func BenchmarkE13PageRank(b *testing.B) {
 				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
 				d := distgraph.NewBlockDist(n, 4)
 				g := distgraph.Build(d, edges, gopts)
-				eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
+				eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), experiments.PaperPlan())
 				pr := algorithms.NewPageRank(eng, mode)
 				pr.MaxIters = 5
 				pr.Tolerance = 0
@@ -346,7 +348,7 @@ func BenchmarkE17Observability(b *testing.B) {
 		{"tracing", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true, TraceCapacity: 1 << 20}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			runSSSPBench(b, v.cfg, pattern.DefaultPlanOptions(),
+			runSSSPBench(b, v.cfg, experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
 	}
@@ -365,7 +367,7 @@ func BenchmarkE19Lineage(b *testing.B) {
 		{"lineage-on", am.Config{Ranks: 4, ThreadsPerRank: 2, TraceCapacity: 1 << 20}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			runSSSPBench(b, v.cfg, pattern.DefaultPlanOptions(),
+			runSSSPBench(b, v.cfg, experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
 	}
@@ -384,7 +386,7 @@ func BenchmarkGobTransport(b *testing.B) {
 			var last *am.Universe
 			for i := 0; i < b.N; i++ {
 				sb := newSSSPBench(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges,
-					pattern.DefaultPlanOptions(),
+					experiments.PaperPlan(), // Direct would bypass the codec being measured
 					func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 				if wire {
 					sb.eng.MsgType().WithGobTransport()

@@ -338,7 +338,10 @@ const (
 // NewPattern creates an empty pattern.
 func NewPattern(name string) *Pattern { return pattern.New(name) }
 
-// DefaultPlanOptions returns the paper's configuration (merge + fold).
+// DefaultPlanOptions returns the paper's configuration (merge, fold, early
+// exit) plus Direct: single-word hops to a co-resident rank are applied in
+// place instead of sent. Set Direct to false to reproduce the paper's message
+// counts on the in-process transport.
 func DefaultPlanOptions() PlanOptions { return pattern.DefaultPlanOptions() }
 
 // NewEngine creates a pattern engine; call before Universe.Run.

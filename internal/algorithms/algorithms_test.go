@@ -12,11 +12,16 @@ import (
 )
 
 func newEngine(cfg am.Config, n int, edges []distgraph.Edge, gopts distgraph.Options) (*am.Universe, *pattern.Engine, *pmap.LockMap) {
+	return newEngineWith(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+}
+
+// newEngineWith is newEngine with explicit plan options.
+func newEngineWith(cfg am.Config, n int, edges []distgraph.Edge, gopts distgraph.Options, popts pattern.PlanOptions) (*am.Universe, *pattern.Engine, *pmap.LockMap) {
 	u := am.NewUniverse(cfg)
 	dist := distgraph.NewBlockDist(n, cfg.Ranks)
 	g := distgraph.Build(dist, edges, gopts)
 	lm := pmap.NewLockMap(dist, 1)
-	return u, pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions()), lm
+	return u, pattern.NewEngine(u, g, lm, popts), lm
 }
 
 func checkDist(t *testing.T, label string, got []int64, want []int64) {

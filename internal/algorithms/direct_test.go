@@ -1,0 +1,258 @@
+package algorithms
+
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"declpat/internal/am"
+	"declpat/internal/distgraph"
+	"declpat/internal/gen"
+	"declpat/internal/pattern"
+	"declpat/internal/pmap"
+	"declpat/internal/seq"
+)
+
+// Tests of co-resident direct application (PlanOptions.Direct): a single-word
+// hop to a rank that shares this address space is applied in place by the
+// sending thread instead of being mailed.
+
+func planOpts(direct bool) pattern.PlanOptions {
+	o := pattern.DefaultPlanOptions()
+	o.Direct = direct
+	return o
+}
+
+// directCase is one algorithm of the differential matrix: build it on an
+// engine, run it, and return its answer plus the direct hops it took (-1
+// when the algorithm does not expose the actions it ran).
+type directCase struct {
+	name  string
+	gopts distgraph.Options
+	// unsure: whether a run takes any direct hop depends on the schedule
+	// (CC: one search may claim everything before a second one starts, and
+	// then nothing conflicts, links or jumps).
+	unsure bool
+	run    func(t *testing.T, u *am.Universe, eng *pattern.Engine, lm *pmap.LockMap) (answer []int64, directHops int64)
+}
+
+func runOrFail(t *testing.T, u *am.Universe, body func(r *am.Rank)) {
+	t.Helper()
+	if err := u.Run(body); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+func ssspCase(name string, mk func(u *am.Universe, s *SSSP)) directCase {
+	return directCase{name: name, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, int64) {
+		s := NewSSSP(eng)
+		mk(u, s)
+		runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
+		return s.Dist.Gather(), s.Relax.Stats.DirectHops.Load()
+	}}
+}
+
+var directCases = []directCase{
+	{name: "bfs", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, int64) {
+		b := NewBFS(eng)
+		runOrFail(t, u, func(r *am.Rank) { b.Run(r, 3) })
+		return b.Level.Gather(), b.Visit.Stats.DirectHops.Load()
+	}},
+	ssspCase("sssp-fixed-point", func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }),
+	ssspCase("sssp-delta", func(u *am.Universe, s *SSSP) { s.UseDelta(u, 30) }),
+	ssspCase("sssp-delta-distributed", func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 30, 2) }),
+	{name: "sssp-delta-light-heavy", unsure: true, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, int64) {
+		s := NewSSSP(eng).UseDeltaLightHeavy(u, 30) // runs its own two actions, not s.Relax
+		runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
+		return s.Dist.Gather(), -1
+	}},
+	{name: "cc", gopts: distgraph.Options{Symmetrize: true}, unsure: true, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, lm *pmap.LockMap) ([]int64, int64) {
+		c := NewCC(eng, lm)
+		runOrFail(t, u, func(r *am.Rank) { c.Run(r) })
+		// Which root labels a component depends on which search got
+		// there first; the partition does not. Name each component by
+		// its smallest vertex so equal partitions compare equal.
+		comp := c.Comp.Gather()
+		least := map[int64]int64{}
+		for v, l := range comp {
+			if _, ok := least[l]; !ok {
+				least[l] = int64(v)
+			}
+		}
+		for v, l := range comp {
+			comp[v] = least[l]
+		}
+		hops := c.Search.Stats.DirectHops.Load() + c.Link.Stats.DirectHops.Load() + c.Jump.Stats.DirectHops.Load()
+		return comp, hops
+	}},
+	{name: "pagerank", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, int64) {
+		pr := NewPageRank(eng, PageRankPush)
+		pr.MaxIters = 5
+		runOrFail(t, u, func(r *am.Rank) { pr.Run(r) })
+		return pr.Rank.Gather(), pr.Action.Stats.DirectHops.Load()
+	}},
+}
+
+// TestDirectDifferential: every algorithm gives bit-identical results with
+// Direct on and off, at every rank and thread count, and Direct engages
+// exactly when there is a second rank to be co-resident with. Run under
+// -race in CI: the directly applied operations are foreign-thread atomics on
+// another rank's shard.
+func TestDirectDifferential(t *testing.T) {
+	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
+	for _, tc := range directCases {
+		for _, ranks := range []int{1, 2, 4} {
+			for _, threads := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%dx%d", tc.name, ranks, threads), func(t *testing.T) {
+					cfg := am.Config{Ranks: ranks, ThreadsPerRank: threads}
+					var answers [2][]int64
+					for i, direct := range []bool{false, true} {
+						u, eng, lm := newEngineWith(cfg, n, edges, tc.gopts, planOpts(direct))
+						var hops int64
+						answers[i], hops = tc.run(t, u, eng, lm)
+						engaged := direct && ranks > 1
+						if (hops > 0 && !engaged) || (hops == 0 && engaged && !tc.unsure) {
+							t.Errorf("direct=%v: %d direct hops", direct, hops)
+						}
+					}
+					if !slices.Equal(answers[0], answers[1]) {
+						t.Fatalf("answers differ between Direct off and on")
+					}
+				})
+			}
+		}
+	}
+}
+
+// crossRankEdges counts the edges whose endpoints live on different ranks:
+// the messages one round of Degree costs when every hop is a message.
+func crossRankEdges(n, ranks int, edges []distgraph.Edge) int64 {
+	d := distgraph.NewBlockDist(n, ranks)
+	var c int64
+	for _, e := range edges {
+		if d.Owner(e.Src) != d.Owner(e.Dst) {
+			c++
+		}
+	}
+	return c
+}
+
+// TestDirectOnlyWhenCoresident: Direct engages on the trusted channel
+// transport and nowhere else. A universe with a socket transport, a fault
+// plan (even one that injects nothing), recovery or lineage keeps every hop
+// a message: no direct hops, and exactly the message count of Direct off —
+// one per rank-crossing edge for Degree's `indeg[trg(e)] += 1`.
+func TestDirectOnlyWhenCoresident(t *testing.T) {
+	const ranks = 3
+	n, edges := gen.RMAT(7, 8, gen.Weights{Min: 1, Max: 9}, 11)
+	cross := crossRankEdges(n, ranks, edges)
+	want := make([]int64, n)
+	for _, e := range edges {
+		want[e.Dst]++
+	}
+	cases := []struct {
+		name       string
+		cfg        func(t *testing.T) am.Config
+		coresident bool
+	}{
+		{"chan-trusted", func(*testing.T) am.Config { return am.Config{} }, true},
+		{"sock-unix", func(t *testing.T) am.Config {
+			return am.Config{Transport: am.SockTransport(am.SockOptions{Network: "unix", Dir: t.TempDir()})}
+		}, false},
+		{"zero-fault-plan", func(*testing.T) am.Config { return am.Config{FaultPlan: &am.FaultPlan{}} }, false},
+		{"recovery", func(*testing.T) am.Config { return am.Config{Recovery: true} }, false},
+		{"lineage", func(*testing.T) am.Config { return am.Config{Lineage: am.LineageOn} }, false},
+		{"traced", func(*testing.T) am.Config { return am.Config{TraceCapacity: 1 << 12} }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, direct := range []bool{false, true} {
+				cfg := tc.cfg(t)
+				cfg.Ranks, cfg.ThreadsPerRank = ranks, 1
+				u, eng, _ := newEngineWith(cfg, n, edges, distgraph.Options{}, planOpts(direct))
+				eng.MsgType().WithWire() // sockets need a wire codec; harmless elsewhere
+				d := NewDegreeCount(eng)
+				runOrFail(t, u, func(r *am.Rank) { d.Run(r) })
+				if got := d.InDeg.Gather(); !slices.Equal(got, want) {
+					t.Fatalf("direct=%v: wrong in-degrees", direct)
+				}
+				hops, msgs := d.Count.Stats.DirectHops.Load(), u.Stats.MsgsSent()
+				if direct && tc.coresident {
+					if hops != cross || msgs != 0 {
+						t.Errorf("direct hops = %d, msgs = %d; want %d hops and no messages", hops, msgs, cross)
+					}
+				} else if hops != 0 || msgs != cross {
+					t.Errorf("direct=%v: direct hops = %d, msgs = %d; want 0 hops and %d messages", direct, hops, msgs, cross)
+				}
+			}
+		})
+	}
+}
+
+// TestDirectConservation: with Direct on, every message sent is handled
+// within its epoch — MsgsSent == HandlersRun at every epoch end, which is the
+// detector's pending == 0 (the two counters move at the same two sites) —
+// and the dependency work hook still runs on the rank that owns the vertex,
+// although another rank's thread changed it.
+func TestDirectConservation(t *testing.T) {
+	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 5)
+	u, eng, _ := newEngineWith(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{}, planOpts(true))
+	g := eng.Graph()
+	s := NewSSSP(eng)
+	var misplaced, fired atomic.Int64
+	s.Relax.SetWork(func(r *am.Rank, v distgraph.Vertex) {
+		fired.Add(1)
+		if g.Owner(v) != r.ID() {
+			misplaced.Add(1)
+		}
+	})
+	var unbalanced atomic.Int64
+	runOrFail(t, u, func(r *am.Rank) {
+		s.ResetLocal(r)
+		s.SeedLocal(r, nil, 3)
+		r.Barrier()
+		locals := LocalVertices(g, r)
+		// Bellman-Ford rounds, one epoch each, the `once` strategy by hand
+		// so the counters can be read between epochs.
+		for changed := true; changed; {
+			s.Relax.ResetModified(r)
+			r.Barrier()
+			r.Epoch(func(*am.Epoch) {
+				for _, v := range locals {
+					s.Relax.Invoke(r, v)
+				}
+			})
+			if snap := u.Stats.Snapshot(); r.ID() == 0 && snap.MsgsSent != snap.HandlersRun {
+				unbalanced.Add(1)
+			}
+			changed = r.AllReduceOr(s.Relax.ModifiedLocal(r))
+		}
+	})
+	checkDist(t, "rounds", s.Dist.Gather(), seq.Dijkstra(n, edges, 3))
+	if unbalanced.Load() != 0 {
+		t.Errorf("%d epochs ended with MsgsSent != HandlersRun", unbalanced.Load())
+	}
+	if misplaced.Load() != 0 {
+		t.Errorf("%d of %d work hooks ran off the owning rank", misplaced.Load(), fired.Load())
+	}
+	if s.Relax.Stats.DirectHops.Load() == 0 || u.Stats.MsgsSent() == 0 {
+		t.Errorf("direct hops = %d, msgs = %d: want both (hops applied in place, news sent as hopFire)",
+			s.Relax.Stats.DirectHops.Load(), u.Stats.MsgsSent())
+	}
+	if got, want := fired.Load(), s.Relax.Stats.WorkItems.Load(); got != want {
+		t.Errorf("hook ran %d times, WorkItems = %d", got, want)
+	}
+
+	// Δ-stepping files a changed vertex into the buckets of the rank the
+	// hook runs on, reading its key through the owner-checked accessor: an
+	// insert on the wrong rank panics, so a correct answer proves placement.
+	u2, eng2, _ := newEngineWith(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{}, planOpts(true))
+	d := NewSSSP(eng2)
+	d.UseDelta(u2, 25)
+	runOrFail(t, u2, func(r *am.Rank) { d.Run(r, 3) })
+	checkDist(t, "delta", d.Dist.Gather(), seq.Dijkstra(n, edges, 3))
+	if d.Relax.Stats.DirectHops.Load() == 0 {
+		t.Error("delta: no direct hops")
+	}
+}

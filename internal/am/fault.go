@@ -60,7 +60,10 @@ type FaultPlan struct {
 	BackoffJitter float64
 	// MaxAttempts bounds transmissions per envelope; exceeding it raises a
 	// structured LinkDead rank fault (at Drop = 0.2 the default ceiling of
-	// 30 is reached with probability 0.2^30 ≈ 1e-21 per envelope). With
+	// 30 is reached with probability 0.2^30 ≈ 1e-21 per envelope). Only
+	// transmissions the destination had a chance to answer count: one is
+	// charged when the destination rank has looked at its inbox since the
+	// previous transmission (see outEnvelope.charged). With
 	// Config.Recovery the damaged epoch rolls back to its checkpoint and
 	// replays; without it Universe.Run returns the fault as an error.
 	// 0 selects the default (30).

@@ -210,7 +210,7 @@ func TestShutdownStress(t *testing.T) {
 			Detector: DetectorFourCounter, FaultPlan: plan})
 		var got atomic.Int64
 		mt := Register(u, "m", func(r *Rank, m int64) { got.Add(1) })
-		u.Run(func(r *Rank) {
+		err := u.Run(func(r *Rank) {
 			// Several tiny epochs so teardown happens right after
 			// termination-detection and retransmit activity.
 			for e := 0; e < 4; e++ {
@@ -221,10 +221,53 @@ func TestShutdownStress(t *testing.T) {
 				})
 			}
 		})
+		// The error is the primary symptom: a rank fault (e.g. a link
+		// declared dead) unwinds the run, and the handler count below is
+		// then merely short.
+		if err != nil {
+			t.Fatalf("iteration %d: Run: %v", i, err)
+		}
 		want := int64(4 * 4 * 4)
 		if got.Load() != want {
 			t.Fatalf("iteration %d: handled %d, want %d", i, got.Load(), want)
 		}
+	}
+}
+
+// TestRetransmitCeilingSparesAnUnpolledReceiver: the retransmit clock ticks
+// per sender poll, so a sender may retransmit far past MaxAttempts while the
+// receiver's only goroutine is busy elsewhere. Transmissions the receiver
+// never had the chance to answer must not be charged against the ceiling:
+// the link is fine, and the envelope is acknowledged as soon as the receiver
+// polls. (A receiver that polls and still never answers is a dead link; see
+// TestLinkDeadWithoutRecoveryFails.)
+func TestRetransmitCeilingSparesAnUnpolledReceiver(t *testing.T) {
+	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 0,
+		FaultPlan: &FaultPlan{RetransmitBase: 1, MaxAttempts: 3}})
+	var got atomic.Int64
+	mt := Register(u, "m", func(r *Rank, m int64) { got.Add(1) })
+	senderDone := make(chan struct{})
+	err := u.Run(func(r *Rank) {
+		r.Epoch(func(ep *Epoch) {
+			if r.ID() == 1 {
+				<-senderDone // in its body, not polling its inbox
+				return
+			}
+			defer close(senderDone) // also when a link fault unwinds this body
+			mt.SendTo(r, 1, 7)
+			for i := 0; i < 1000; i++ {
+				ep.Flush() // every flush ticks the clock and retransmits what is due
+			}
+		})
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got.Load() != 1 || u.Stats.LinkDeaths() != 0 {
+		t.Fatalf("handled %d (want 1), link deaths %d (want 0)", got.Load(), u.Stats.LinkDeaths())
+	}
+	if u.Stats.Retransmits() <= 3 {
+		t.Fatalf("only %d retransmits: the sender never went past the ceiling", u.Stats.Retransmits())
 	}
 }
 

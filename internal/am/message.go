@@ -469,8 +469,9 @@ func (t *MsgType[T]) ship(r *Rank, dest int, batch []T, lin []uint64) {
 		})
 		return
 	}
-	seq := r.nextSeq(dest, t.id, batch, lin)
+	seq, o := r.nextSeq(dest, t.id, batch, lin)
 	t.transmit(r, dest, seq, 0, batch, lin)
+	o.release(t.rec)
 }
 
 // wireSize models the accounted bytes of one envelope: payload plus header,

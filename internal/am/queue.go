@@ -1,6 +1,9 @@
 package am
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // queue is an unbounded multi-producer multi-consumer FIFO of envelopes.
 //
@@ -15,6 +18,11 @@ type queue struct {
 	n      int // number of elements
 	peak   int // high-water mark of n (send-queue depth gauge)
 	closed bool
+	// polls counts the times a consumer looked at the queue: every TryPop,
+	// and every Pop that returned (a consumer parked in Pop is not looking).
+	// The reliable layer reads it to tell a receiver that was given the
+	// chance to acknowledge from one whose goroutines never ran.
+	polls atomic.Uint64
 }
 
 func newQueue() *queue {
@@ -55,6 +63,7 @@ func (q *queue) Pop() (e envelope, ok bool) {
 	for q.n == 0 && !q.closed {
 		q.nonEmp.Wait()
 	}
+	q.polls.Add(1)
 	if q.n == 0 {
 		q.mu.Unlock()
 		return envelope{}, false
@@ -67,6 +76,7 @@ func (q *queue) Pop() (e envelope, ok bool) {
 // TryPop removes and returns the oldest envelope without blocking.
 func (q *queue) TryPop() (e envelope, ok bool) {
 	q.mu.Lock()
+	q.polls.Add(1)
 	if q.n == 0 {
 		q.mu.Unlock()
 		return envelope{}, false
@@ -113,6 +123,9 @@ func (q *queue) Peak() int {
 	q.mu.Unlock()
 	return p
 }
+
+// Polls reports how many times a consumer has looked at the queue.
+func (q *queue) Polls() uint64 { return q.polls.Load() }
 
 // Close wakes all blocked consumers; subsequent Pops drain and then report
 // !ok.

@@ -48,8 +48,18 @@ type outEnvelope struct {
 	data     any      // the original []T batch; re-encoded per attempt for wire types
 	lin      []uint64 // causal lineage per message, preserved across retransmits
 	attempts int      // transmissions performed so far
-	due      uint64
-	sentNs   int64 // first-transmission timestamp (Config.Timing ack RTT)
+	// charged counts the transmissions that count toward
+	// FaultPlan.MaxAttempts: those after which the destination rank looked
+	// at its inbox (destPolls is its queue's poll count at the latest
+	// transmission). On a backend whose retransmit clock ticks per sender
+	// poll, a sender that spins while the receiver's goroutines are
+	// descheduled would otherwise burn the whole budget before one ack could
+	// be written; a link is dead when the receiver keeps looking and still
+	// nothing comes back, which is how an injected DeadLink behaves.
+	charged   int
+	destPolls uint64
+	due       uint64
+	sentNs    int64 // first-transmission timestamp (Config.Timing ack RTT)
 	// refs guards the batch against recycling while still reachable: the
 	// outstanding table holds one reference and every in-flight
 	// retransmission takes one more for the duration of its re-encode.
@@ -137,6 +147,7 @@ func (r *Rank) requeueOutstanding(dest int) int {
 			if o.due != ^uint64(0) {
 				o.due = 0
 				o.attempts = 0
+				o.charged = 0
 				n++
 			}
 		}
@@ -146,14 +157,19 @@ func (r *Rank) requeueOutstanding(dest int) int {
 }
 
 // nextSeq assigns the next sequence number on (r → dest, typ) and records
-// the batch as outstanding.
-func (r *Rank) nextSeq(dest int, typ int32, data any, lin []uint64) uint64 {
+// the batch as outstanding. The returned envelope carries a second reference
+// for the caller's initial transmission, to be released once that has
+// finished encoding: a sibling thread's retransmit can get the envelope
+// acknowledged — and its batch recycled — before a descheduled initial
+// transmission is done reading it.
+func (r *Rank) nextSeq(dest int, typ int32, data any, lin []uint64) (uint64, *outEnvelope) {
 	l := &r.send[dest][typ]
 	o := &outEnvelope{
-		data: data,
-		lin:  lin,
+		data:      data,
+		lin:       lin,
+		destPolls: r.u.ranks[dest].inbox.Polls(),
 	}
-	o.refs.Store(1) // the outstanding table's reference; dropped by handleAck
+	o.refs.Store(2) // the outstanding table's (dropped by handleAck) + the initial transmission's
 	if r.u.ackRTT != nil {
 		o.sentNs = obs.Now()
 	}
@@ -167,7 +183,7 @@ func (r *Rank) nextSeq(dest int, typ int32, data any, lin []uint64) uint64 {
 	l.out[seq] = o
 	l.mu.Unlock()
 	r.relAdd(1)
-	return seq
+	return seq, o
 }
 
 // holdDelayed parks an envelope on the sending link until the rank's tick
@@ -349,7 +365,13 @@ func (r *Rank) pollLinks() bool {
 			for _, seq := range due {
 				o := l.out[seq]
 				o.attempts++
-				if o.attempts > u.fp.MaxAttempts {
+				// A rank hosted by another process has no inbox here to
+				// watch, so every transmission to it is charged.
+				if polls := u.ranks[dest].inbox.Polls(); polls != o.destPolls || !u.isLocal(dest) {
+					o.charged++
+					o.destPolls = polls
+				}
+				if o.charged > u.fp.MaxAttempts {
 					// Retransmit ceiling: declare the link dead. The
 					// envelope is parked (never due again) and the
 					// structured fault aborts the epoch — recovery heals
@@ -363,7 +385,7 @@ func (r *Rank) pollLinks() bool {
 						Kind: FaultLinkDead, Rank: dest, Epoch: u.epochSeq.Load(),
 						Detail: fmt.Sprintf(
 							"link %d->%d type %s seq %d dead after %d attempts (FaultPlan seed %d)",
-							r.id, dest, u.types[typ].name, seq, o.attempts, u.fp.Seed),
+							r.id, dest, u.types[typ].name, seq, o.charged, u.fp.Seed),
 					})
 					return worked
 				}

@@ -72,7 +72,7 @@ func TestBackoffResetsAfterAck(t *testing.T) {
 		defer l.mu.Unlock()
 		return l.out[seq].due
 	}
-	seq := (&Rank{rankState: r}).nextSeq(1, 0, []int64{1}, nil)
+	seq, _ := (&Rank{rankState: r}).nextSeq(1, 0, []int64{1}, nil)
 	base := r.linkTick.Load() + 4
 	if got := firstDue(seq); got != base {
 		t.Fatalf("fresh envelope due at tick %d, want %d", got, base)
@@ -94,7 +94,7 @@ func TestBackoffResetsAfterAck(t *testing.T) {
 	if pend := rk.relPendingNow(); pend != 0 {
 		t.Fatalf("relPending = %d after ack, want 0", pend)
 	}
-	seq2 := (&Rank{rankState: r}).nextSeq(1, 0, []int64{2}, nil)
+	seq2, _ := (&Rank{rankState: r}).nextSeq(1, 0, []int64{2}, nil)
 	if got := firstDue(seq2); got != base {
 		t.Fatalf("post-ack envelope due at tick %d, want base %d (backoff must reset)", got, base)
 	}

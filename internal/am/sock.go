@@ -270,6 +270,7 @@ func (t *sockTransport) Name() string {
 }
 
 func (t *sockTransport) reliable() bool              { return true }
+func (t *sockTransport) shared() bool                { return false }
 func (t *sockTransport) tickInterval() time.Duration { return t.opt.TickInterval }
 
 // processTelemetry implements the optional telemetry-source extension of

@@ -40,6 +40,13 @@ type Transport interface {
 	// reliable backend configured without one.
 	reliable() bool
 
+	// shared reports whether every rank on this backend lives in one address
+	// space the backend itself does not model as separate: true only for the
+	// in-process channel backend. A socket backend answers false even when
+	// all its ranks share a process — its sockets stand in for separate
+	// machines — and so keeps every hop a message (see Rank.Coresident).
+	shared() bool
+
 	// tickInterval paces the retransmit clock: pollLinks advances a rank's
 	// link tick at most once per interval, so tick-denominated timeouts
 	// (RetransmitBase, backoff) correspond to real time on backends with
@@ -86,6 +93,7 @@ func ChanTransport() Transport { return &chanTransport{} }
 
 func (t *chanTransport) Name() string                { return "chan" }
 func (t *chanTransport) reliable() bool              { return false }
+func (t *chanTransport) shared() bool                { return true }
 func (t *chanTransport) tickInterval() time.Duration { return 0 }
 
 func (t *chanTransport) start(u *Universe) error {
@@ -104,6 +112,19 @@ func (t *chanTransport) healEpoch() {}
 func (t *chanTransport) close() error {
 	return nil
 }
+
+// Coresident reports whether rank dest's memory is this rank's to operate on
+// directly: the transport says the two ranks share an address space, and the
+// universe is in trusted mode — no FaultPlan, no Recovery, no lineage, not a
+// multi-process rank host. Outside trusted mode every effect must stay a
+// message, because that is what the fault injector perturbs, the reliable
+// layer sequences, recovery rolls back and replays, and causal tracing
+// stamps. The pattern engine asks this per hop to choose between applying a
+// single-word operation in place and sending it (DESIGN.md, "Co-resident
+// direct application"). The answer is fixed for the life of the universe;
+// today it is also the same for every link, since one transport carries them
+// all.
+func (r *Rank) Coresident(dest int) bool { return r.u.coresident }
 
 // push ships envelope e from rank src to rank dest through the configured
 // transport. Every sender-side hand-off in the message plane (ship, the

@@ -235,8 +235,12 @@ type Universe struct {
 
 	// net is the configured transport backend; tickIntNs its retransmit-
 	// clock pacing interval (0 = advance the tick on every poll).
-	net      Transport
+	net       Transport
 	tickIntNs int64
+
+	// coresident is the answer to Rank.Coresident: a shared-address-space
+	// transport in trusted mode. Fixed at construction.
+	coresident bool
 
 	// pending counts user messages sent but not yet fully handled.
 	// Maintained in all detector modes; consulted only by DetectorAtomic.
@@ -396,6 +400,7 @@ func NewUniverse(cfg Config) *Universe {
 	}
 	u.flight = cfg.Flight
 	u.lineage = cfg.Lineage == LineageOn || (cfg.Lineage == LineageAuto && u.tracer != nil)
+	u.coresident = u.net.shared() && u.fp == nil && !cfg.Recovery && !u.lineage && u.mp == nil
 	u.c = obs.NewCounters(cfg.statShards(), counterNames[:]...)
 	u.Stats = Stats{c: u.c}
 	u.relPending = obs.NewGauge(cfg.Ranks)

@@ -6,7 +6,6 @@ import (
 	"declpat/internal/algorithms"
 	"declpat/internal/am"
 	"declpat/internal/harness"
-	"declpat/internal/pattern"
 )
 
 // E16Chaos measures the cost of the reliable-delivery protocol (acks,
@@ -23,7 +22,7 @@ func E16Chaos(sc Scale) []*harness.Table {
 		"transport", "drop", "messages", "envelopes", "acks", "dropped", "retransmits", "dup-suppressed", "ctrl-msgs", "bytes", "time", "wrong")
 	run := func(name string, plan *am.FaultPlan) {
 		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64, FaultPlan: plan},
-			n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+			n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() {
 			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })

@@ -9,7 +9,6 @@ import (
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
 	"declpat/internal/harness"
-	"declpat/internal/pattern"
 )
 
 // CodecRecord is one E20 measurement: a (algorithm, detector, codec) cell
@@ -80,7 +79,7 @@ func e20Run(sc Scale, algo, detName string, det am.DetectorKind, codec string,
 	}
 	e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64, Detector: det,
 		FaultPlan: &am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e20/"+algo+"/"+detName)}},
-		n, edges, gopts, pattern.DefaultPlanOptions())
+		n, edges, gopts, PaperPlan())
 	switch codec {
 	case "gob":
 		e.eng.MsgType().WithGobTransport()

@@ -23,7 +23,7 @@ func E14Codegen(sc Scale) []*harness.Table {
 
 	// Interpretive engine.
 	{
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })
 		t.Add(row([]any{"engine (interpretive)"}, statCells(e.u, "messages", "handlers"), d,

@@ -42,14 +42,14 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 
 	{ // SSSP fixed point.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
 		add("sssp(fixed_point)", []*pattern.BoundAction{s.Relax}, "Dijkstra",
 			checkSSSP(s.Dist.Gather(), n, edges, 0))
 	}
 	{ // BFS levels.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
 		b := algorithms.NewBFS(e.eng)
 		e.u.Run(func(r *am.Rank) { b.Run(r, 0) })
 		want := seq.BFS(n, edges, 0)
@@ -66,7 +66,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		add("bfs(levels)", []*pattern.BoundAction{b.Visit}, "seq BFS", wrong)
 	}
 	{ // BFS parent tree.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
 		b := algorithms.NewBFSTree(e.eng)
 		e.u.Run(func(r *am.Rank) { b.Run(r, 0) })
 		depths := seq.BFS(n, edges, 0)
@@ -81,7 +81,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		add("bfs(parent-tree)", []*pattern.BoundAction{b.Visit}, "tree validation", wrong)
 	}
 	{ // Widest path.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
 		w := algorithms.NewWidest(e.eng)
 		e.u.Run(func(r *am.Rank) { w.Run(r, 0) })
 		want := seq.WidestPath(n, edges, 0)
@@ -99,7 +99,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // CC.
 		gopts := distgraph.Options{Symmetrize: true}
-		e := newEnv(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, gopts, PaperPlan())
 		c := algorithms.NewCC(e.eng, e.lm)
 		c.FlushEvery = 16
 		e.u.Run(func(r *am.Rank) { c.Run(r) })
@@ -107,7 +107,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 			"union-find", wrongPartition(c.Comp.Gather(), seq.Components(n, edges)))
 	}
 	{ // PageRank push.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
 		pr := algorithms.NewPageRank(e.eng, algorithms.PageRankPush)
 		pr.MaxIters = 10
 		pr.Tolerance = 0
@@ -116,7 +116,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // PageRank pull (agreement with push checked in unit tests).
 		gopts := distgraph.Options{Bidirectional: true}
-		e := newEnv(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, gopts, PaperPlan())
 		pr := algorithms.NewPageRank(e.eng, algorithms.PageRankPull)
 		pr.MaxIters = 10
 		pr.Tolerance = 0
@@ -125,13 +125,13 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // k-core.
 		gopts := distgraph.Options{Symmetrize: true}
-		e := newEnv(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, gopts, PaperPlan())
 		kc := algorithms.NewKCore(e.eng, 4)
 		e.u.Run(func(r *am.Rank) { kc.Run(r) })
 		add("k-core(chained)", []*pattern.BoundAction{kc.Check, kc.Notify}, "seq peeling", 0)
 	}
 	{ // Degree.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
 		dc := algorithms.NewDegreeCount(e.eng)
 		e.u.Run(func(r *am.Rank) { dc.Run(r) })
 		want := make([]int64, n)
@@ -148,7 +148,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // MIS.
 		gopts := distgraph.Options{Symmetrize: true}
-		e := newEnv(cfg, n, clean, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, clean, gopts, PaperPlan())
 		m := algorithms.NewMIS(e.eng)
 		e.u.Run(func(r *am.Rank) { m.Run(r) })
 		add("mis(luby)", []*pattern.BoundAction{m.Block, m.Exclude},
@@ -162,7 +162,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		benchTrack(u)
 		d := distgraph.NewBlockDist(bn, cfg.Ranks)
 		g := distgraph.Build(d, bedges, gopts)
-		eng := pattern.NewEngine(u, g, newLockMap(d), pattern.DefaultPlanOptions())
+		eng := pattern.NewEngine(u, g, newLockMap(d), PaperPlan())
 		b := algorithms.NewBetweenness(eng)
 		u.Run(func(r *am.Rank) { b.Run(r, sources) })
 		want := seq.Betweenness(bn, bedges, sources)

@@ -9,7 +9,6 @@ import (
 	"declpat/internal/distgraph"
 	"declpat/internal/harness"
 	"declpat/internal/obs"
-	"declpat/internal/pattern"
 )
 
 // E19Lineage exercises the causal lineage plane end to end.
@@ -43,7 +42,7 @@ func E19Lineage(sc Scale) []*harness.Table {
 		if name == "cc" {
 			gopts = distgraph.Options{Symmetrize: true}
 		}
-		e := newEnv(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(cfg, n, edges, gopts, PaperPlan())
 		var body func(r *am.Rank)
 		switch name {
 		case "bfs":

@@ -8,7 +8,6 @@ import (
 	"declpat/internal/am"
 	"declpat/internal/harness"
 	"declpat/internal/obs"
-	"declpat/internal/pattern"
 )
 
 // E17Observability quantifies what the observability substrate costs.
@@ -44,7 +43,7 @@ func E17Observability(sc Scale) []*harness.Table {
 	times := make([][]time.Duration, len(configs))
 	iter := func(i int) time.Duration {
 		return harness.Time(func() {
-			e := newEnv(configs[i].cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+			e := newEnv(configs[i].cfg, n, edges, defaultGOpts(), PaperPlan())
 			s := algorithms.NewSSSP(e.eng)
 			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
 			us[i] = e.u

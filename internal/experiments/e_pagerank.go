@@ -5,7 +5,6 @@ import (
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
 	"declpat/internal/harness"
-	"declpat/internal/pattern"
 )
 
 // E13PushPull compares PageRank's push pattern (scatter over out-edges: one
@@ -25,7 +24,7 @@ func E13PushPull(sc Scale) []*harness.Table {
 			gopts.Bidirectional = true
 			name = "pull(in_edges)"
 		}
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, gopts, PaperPlan())
 		pr := algorithms.NewPageRank(e.eng, mode)
 		pr.MaxIters = iters
 		pr.Tolerance = 0

@@ -72,7 +72,8 @@ func runThreeLoc(n int, edges []distgraph.Edge, popts pattern.PlanOptions) (*am.
 // E2Merge reproduces the §IV-A merge optimization: static plan message
 // counts for merged vs unmerged evaluation across the pattern library, plus
 // a runtime comparison on the three-locality relax — the merged plan sends
-// fewer messages and keeps the read-modify-write of the target consistent.
+// fewer messages and keeps the read-modify-write of the target consistent —
+// with and without direct application of its single-word hops.
 func E2Merge(sc Scale) []*harness.Table {
 	plans := harness.NewTable("E2a: compiled plan per condition (merged vs unmerged)",
 		"pattern/action", "cond", "merged-msgs", "merged-sync", "unmerged-msgs", "unmerged-sync")
@@ -94,18 +95,28 @@ func E2Merge(sc Scale) []*harness.Table {
 
 	n, edges := workload(sc)
 	rt := harness.NewTable("E2b: runtime, three-locality relax to fixed point",
-		"mode", "messages", "handlers", "time", "wrong", "invariant-violations")
-	for _, merged := range []bool{true, false} {
-		popts := pattern.PlanOptions{Merge: merged, Fold: true}
-		var u *am.Universe
-		var got []int64
-		d := harness.Time(func() { u, got = runThreeLoc(n, edges, popts) })
-		name := "merged"
-		if !merged {
-			name = "unmerged"
+		"mode", "direct", "messages", "handlers", "time", "wrong", "invariant-violations")
+	// The direct=off rows are the paper's: every hop a message. The
+	// direct=on rows apply the single-word hops in place (the merged plan's
+	// gather and atomic-min eval; the unmerged plan's gathers only — its
+	// eval is under the lock map and its modification is a tail group).
+	for _, direct := range []bool{false, true} {
+		for _, merged := range []bool{true, false} {
+			popts := pattern.PlanOptions{Merge: merged, Fold: true, Direct: direct}
+			var u *am.Universe
+			var got []int64
+			d := harness.Time(func() { u, got = runThreeLoc(n, edges, popts) })
+			name := "merged"
+			if !merged {
+				name = "unmerged"
+			}
+			onOff := "off"
+			if direct {
+				onOff = "on"
+			}
+			rt.Add(row([]any{name, onOff}, statCells(u, "messages", "handlers"), d,
+				checkSSSP(got, n, edges, 0), invariantViolations(got, edges))...)
 		}
-		rt.Add(row([]any{name}, statCells(u, "messages", "handlers"), d,
-			checkSSSP(got, n, edges, 0), invariantViolations(got, edges))...)
 	}
 	return []*harness.Table{plans, rt}
 }
@@ -216,7 +227,7 @@ func E10Folding(sc Scale) []*harness.Table {
 // in logarithmically many rounds.
 func E11PointerJump(Scale) []*harness.Table {
 	plan := harness.NewTable("E11a: cc_jump compiled plan", "metric", "value")
-	pi := compilePlans(algorithms.CCPattern(), pattern.DefaultPlanOptions())
+	pi := compilePlans(algorithms.CCPattern(), PaperPlan())
 	for _, a := range pi {
 		if a.Action == "cc_jump" {
 			plan.Add("messages per application", a.Conds[0].Messages)
@@ -233,7 +244,7 @@ func E11PointerJump(Scale) []*harness.Table {
 		d := distgraph.NewBlockDist(L, 4)
 		g := distgraph.Build(d, gen.Path(L, gen.Weights{}, 0), distgraph.Options{})
 		lm := pmap.NewLockMap(d, 1)
-		eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
+		eng := pattern.NewEngine(u, g, lm, PaperPlan())
 		p := pattern.New("Jump")
 		chg := p.VertexProp("chg")
 		a := p.Action("cc_jump", pattern.None())

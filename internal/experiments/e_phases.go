@@ -7,7 +7,6 @@ import (
 	"declpat/internal/algorithms"
 	"declpat/internal/am"
 	"declpat/internal/harness"
-	"declpat/internal/pattern"
 )
 
 // ObsRecord is one cell of the E22 phase-timer overhead matrix: an
@@ -47,7 +46,7 @@ func E22ObsRecords(sc Scale) []ObsRecord {
 		iter := func(timing bool) time.Duration {
 			cfg := am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: timing}
 			return harness.Time(func() {
-				e := newEnv(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+				e := newEnv(cfg, n, edges, gopts, PaperPlan())
 				var body func(r *am.Rank)
 				switch algo {
 				case "bfs":

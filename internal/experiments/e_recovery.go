@@ -6,7 +6,6 @@ import (
 	"declpat/internal/algorithms"
 	"declpat/internal/am"
 	"declpat/internal/harness"
-	"declpat/internal/pattern"
 )
 
 // E18Recovery measures the cost of epoch-granular checkpoint/restart as the
@@ -37,7 +36,7 @@ func E18Recovery(sc Scale) []*harness.Table {
 			e := newEnv(am.Config{
 				Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64, Detector: det,
 				FaultPlan: plan, Recovery: recovery,
-			}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+			}, n, edges, defaultGOpts(), PaperPlan())
 			s := algorithms.NewSSSP(e.eng)
 			s.UseDelta(e.u, delta)
 			var err error

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"declpat/internal/algorithms"
 	"declpat/internal/am"
+	"declpat/internal/distgraph"
 	"declpat/internal/harness"
 	"declpat/internal/pattern"
 )
@@ -17,7 +19,7 @@ func E1Strategies(sc Scale) []*harness.Table {
 	t := harness.NewTable("E1: SSSP strategies (RMAT scale "+itoa(sc.RMATScale)+", "+itoa(len(edges))+" edges)",
 		"strategy", "delta", "bucket-epochs", "relax-attempts", "relax-success", "messages", "time", "wrong")
 	run := func(name string, delta int64, mk func(u *am.Universe, s *algorithms.SSSP)) {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		mk(e.u, s)
 		var dur string
@@ -48,7 +50,7 @@ func E5Coalescing(sc Scale) []*harness.Table {
 	t := harness.NewTable("E5: coalescing factor (fixed-point SSSP)",
 		"coalesce", "messages", "envelopes", "bytes", "time", "wrong")
 	for _, cs := range []int{1, 4, 16, 64, 256, 1024} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: cs}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: cs}, n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() {
 			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
@@ -88,40 +90,43 @@ func E6Reduction(sc Scale) []*harness.Table {
 }
 
 // E7Scaling sweeps ranks × handler threads (strong scaling shape over the
-// simulated machine).
+// simulated machine), as shipped — single-word hops between co-resident ranks
+// applied in place — and with Direct off, where every hop is a message.
 func E7Scaling(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
-	sssp := harness.NewTable("E7a: strong scaling — fixed-point SSSP",
-		"ranks", "threads", "time", "speedup")
-	var base float64
-	for _, rc := range [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}, {8, 2}} {
-		min, _ := harness.MinMed(3, func() {
-			e := newEnv(am.Config{Ranks: rc[0], ThreadsPerRank: rc[1]}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
-			s := algorithms.NewSSSP(e.eng)
-			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
-		})
-		if base == 0 {
-			base = float64(min)
+	// scale times run at every (ranks, threads) under both plans and adds
+	// one row per configuration; speedups are against each plan's own 1x1.
+	scale := func(t *harness.Table, configs [][2]int, gopts distgraph.Options, run func(e *env)) {
+		var base [2]float64
+		for _, rc := range configs {
+			var min [2]time.Duration
+			for i, popts := range []pattern.PlanOptions{pattern.DefaultPlanOptions(), PaperPlan()} {
+				min[i], _ = harness.MinMed(3, func() {
+					run(newEnv(am.Config{Ranks: rc[0], ThreadsPerRank: rc[1]}, n, edges, gopts, popts))
+				})
+				if base[i] == 0 {
+					base[i] = float64(min[i])
+				}
+			}
+			t.Add(rc[0], rc[1], min[0], harness.Ratio(base[0], float64(min[0])),
+				min[1], harness.Ratio(base[1], float64(min[1])))
 		}
-		sssp.Add(rc[0], rc[1], min, harness.Ratio(base, float64(min)))
 	}
+	sssp := harness.NewTable("E7a: strong scaling — fixed-point SSSP",
+		"ranks", "threads", "time", "speedup", "time(direct off)", "speedup(direct off)")
+	scale(sssp, [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}, {8, 2}}, defaultGOpts(), func(e *env) {
+		s := algorithms.NewSSSP(e.eng)
+		e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+	})
 	cc := harness.NewTable("E7b: strong scaling — CC parallel search",
-		"ranks", "threads", "time", "speedup")
-	var ccBase float64
+		"ranks", "threads", "time", "speedup", "time(direct off)", "speedup(direct off)")
 	ugopts := defaultGOpts()
 	ugopts.Symmetrize = true
-	for _, rc := range [][2]int{{1, 1}, {2, 2}, {4, 2}, {8, 2}} {
-		min, _ := harness.MinMed(3, func() {
-			e := newEnv(am.Config{Ranks: rc[0], ThreadsPerRank: rc[1]}, n, edges, ugopts, pattern.DefaultPlanOptions())
-			c := algorithms.NewCC(e.eng, e.lm)
-			c.FlushEvery = 64
-			e.u.Run(func(r *am.Rank) { c.Run(r) })
-		})
-		if ccBase == 0 {
-			ccBase = float64(min)
-		}
-		cc.Add(rc[0], rc[1], min, harness.Ratio(ccBase, float64(min)))
-	}
+	scale(cc, [][2]int{{1, 1}, {2, 2}, {4, 2}, {8, 2}}, ugopts, func(e *env) {
+		c := algorithms.NewCC(e.eng, e.lm)
+		c.FlushEvery = 64
+		e.u.Run(func(r *am.Rank) { c.Run(r) })
+	})
 	return []*harness.Table{sssp, cc}
 }
 
@@ -133,7 +138,7 @@ func E8Termination(sc Scale) []*harness.Table {
 	t := harness.NewTable("E8: termination detection",
 		"workload", "detector", "ctrl-msgs", "td-waves", "time", "wrong")
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det}, n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() {
 			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
@@ -142,7 +147,7 @@ func E8Termination(sc Scale) []*harness.Table {
 			checkSSSP(s.Dist.Gather(), n, edges, 0))...)
 	}
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det}, n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		s.UseDeltaDistributed(e.u, 64, 2)
 		d := harness.Time(func() {
@@ -155,20 +160,25 @@ func E8Termination(sc Scale) []*harness.Table {
 }
 
 // E9Abstraction compares pattern-engine SSSP/BFS against the hand-written
-// AM++ versions: same results, same message shape, engine dispatch overhead
-// on top.
+// AM++ versions: same results; with Direct off the same message shape with
+// engine dispatch overhead on top, and as shipped a fraction of the messages,
+// because the relax hop is a CAS on the owner's shard, not a mail item.
 func E9Abstraction(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 	t := harness.NewTable("E9: abstraction overhead (pattern engine vs hand-written AM++)",
 		"algorithm", "impl", "messages", "handlers", "time", "wrong")
 	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
+	plans := []struct {
+		impl  string
+		popts pattern.PlanOptions
+	}{{"pattern", pattern.DefaultPlanOptions()}, {"pattern (direct off)", PaperPlan()}}
 
 	// SSSP.
-	{
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+	for _, pl := range plans {
+		e := newEnv(cfg, n, edges, defaultGOpts(), pl.popts)
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })
-		t.Add(row([]any{"sssp", "pattern"}, statCells(e.u, "messages", "handlers"), d,
+		t.Add(row([]any{"sssp", pl.impl}, statCells(e.u, "messages", "handlers"), d,
 			checkSSSP(s.Dist.Gather(), n, edges, 0))...)
 	}
 	{
@@ -181,11 +191,11 @@ func E9Abstraction(sc Scale) []*harness.Table {
 			checkSSSP(h.Dist.Gather(), n, edges, 0))...)
 	}
 	// BFS.
-	{
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+	for _, pl := range plans {
+		e := newEnv(cfg, n, edges, defaultGOpts(), pl.popts)
 		b := algorithms.NewBFS(e.eng)
 		d := harness.Time(func() { e.u.Run(func(r *am.Rank) { b.Run(r, 0) }) })
-		t.Add(row([]any{"bfs", "pattern"}, statCells(e.u, "messages", "handlers"), d, "-")...)
+		t.Add(row([]any{"bfs", pl.impl}, statCells(e.u, "messages", "handlers"), d, "-")...)
 	}
 	{
 		u := am.New(cfg.Ranks, am.WithConfig(cfg))

@@ -7,7 +7,6 @@ import (
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
 	"declpat/internal/harness"
-	"declpat/internal/pattern"
 )
 
 // TransportRecord is one E21 measurement: a (algorithm, detector, transport)
@@ -104,7 +103,7 @@ func e21Run(sc Scale, algo, detName string, det am.DetectorKind, tr string,
 	case "tcp+faults":
 		cfg.Transport = e21SockTransport("tcp", true)
 	}
-	e := newEnv(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+	e := newEnv(cfg, n, edges, gopts, PaperPlan())
 	if got := e.eng.MsgType().WithWire().CodecName(); got != "fixed" {
 		panic("E21: pattern message lost its fixed layout: codec " + got)
 	}

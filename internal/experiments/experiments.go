@@ -63,6 +63,21 @@ func All() []Experiment {
 	}
 }
 
+// PaperPlan is the shipped planner configuration with Direct pinned off. The
+// paper's ranks are separate machines, where every hop of a plan is a
+// message; on this repository's in-process transport the shipped default
+// applies single-word hops in place instead (DESIGN.md, "Co-resident direct
+// application"), which removes most of the traffic the experiments exist to
+// count. Every experiment that reports message counts, or measures the
+// message plane itself (coalescing, detectors, codecs, transports, faults,
+// telemetry), therefore runs PaperPlan; E7 and E9 time the engine as shipped,
+// and E2b shows both.
+func PaperPlan() pattern.PlanOptions {
+	o := pattern.DefaultPlanOptions()
+	o.Direct = false
+	return o
+}
+
 // workload builds the standard weighted RMAT edge list.
 func workload(sc Scale) (n int, edges []distgraph.Edge) {
 	return gen.RMAT(sc.RMATScale, sc.EdgeFactor, gen.Weights{Min: 1, Max: 100}, sc.Seed)

@@ -6,6 +6,7 @@ import (
 
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
+	"declpat/internal/obs"
 	"declpat/internal/pmap"
 )
 
@@ -16,7 +17,7 @@ import (
 type patMsg struct {
 	Action int32
 	Cond   int16
-	Hop    int16 // -1 = entry: run the generator at owner(V)
+	Hop    int16 // hop index within Cond, or hopEntry / hopFire
 	Dest   distgraph.Vertex
 	V      distgraph.Vertex
 	U      distgraph.Vertex
@@ -26,6 +27,18 @@ type patMsg struct {
 	HasE   bool
 	Vals   [MaxSlots]Word
 }
+
+// Negative patMsg.Hop values address something other than a plan hop.
+const (
+	// hopEntry runs the generator at owner(V).
+	hopEntry int16 = -1
+	// hopFire runs the work hook at owner(Dest): a co-resident rank applied
+	// a modification to Dest in place, the value changed, and the action
+	// reads the modified property (§IV-C). Only Action and Dest are set.
+	// The hook still runs on the owning rank, inside the epoch, covered by
+	// the same termination accounting as any other message.
+	hopFire int16 = -2
+)
 
 func (m *patMsg) edgeRef() distgraph.EdgeRef {
 	return distgraph.EdgeRef{S: m.ES, T: m.ET, Slot: m.ESlot, In: m.EIn}
@@ -47,9 +60,13 @@ type Bindings map[string]any
 // graph. Create it (and Bind patterns) before Universe.Run; the engine
 // registers one message type.
 type Engine struct {
-	u       *am.Universe
-	g       *distgraph.Graph
-	lm      *pmap.LockMap
+	u  *am.Universe
+	g  *distgraph.Graph
+	lm *pmap.LockMap
+	// dist and nv cache g's distribution and vertex count for the per-hop
+	// owner lookup.
+	dist    distgraph.Distribution
+	nv      int
 	opts    PlanOptions
 	msg     *am.MsgType[patMsg]
 	actions []*BoundAction
@@ -58,7 +75,7 @@ type Engine struct {
 // NewEngine creates a pattern engine. lm provides §IV-B's lock map (used for
 // multi-value conditions); opts selects the §IV planning optimizations.
 func NewEngine(u *am.Universe, g *distgraph.Graph, lm *pmap.LockMap, opts PlanOptions) *Engine {
-	e := &Engine{u: u, g: g, lm: lm, opts: opts}
+	e := &Engine{u: u, g: g, lm: lm, dist: g.Dist(), nv: g.NumVertices(), opts: opts}
 	e.msg = am.Register(u, "pattern-step", func(r *am.Rank, m patMsg) {
 		e.dispatch(r, m)
 	}).WithAddresser(func(m patMsg) int { return g.Owner(m.Dest) })
@@ -106,6 +123,11 @@ func (e *Engine) Bind(p *Pattern, binds Bindings) (*Bound, error) {
 			if pr.Kind != VertexWordProp {
 				return nil, fmt.Errorf("property %s is %v, bound to VertexWord", pr.Name, pr.Kind)
 			}
+			// The engine resolves (owner, local index) from the graph's
+			// distribution and addresses the map by index.
+			if m.Dist() != e.dist {
+				return nil, fmt.Errorf("property %s: map distribution differs from the graph's", pr.Name)
+			}
 			bd.vw = m
 		case *pmap.EdgeWord:
 			if pr.Kind != EdgeWordProp {
@@ -133,6 +155,11 @@ func (e *Engine) Bind(p *Pattern, binds Bindings) (*Bound, error) {
 			ca:       ca,
 			binds:    resolved,
 			modified: make([]atomic.Bool, e.u.Ranks()),
+			st:       make([]obs.Shard, e.u.Ranks()),
+			Stats:    newStats(e.u.Ranks()),
+		}
+		for rank := range ba.st {
+			ba.st[rank] = ba.Stats.c.Shard(rank)
 		}
 		e.actions = append(e.actions, ba)
 		b.actions[a.Name] = ba
@@ -140,18 +167,89 @@ func (e *Engine) Bind(p *Pattern, binds Bindings) (*Bound, error) {
 	return b, nil
 }
 
-// Stats counts engine-level events per action; all fields are atomic.
+// Counter ids of one bound action's Stats.
+const (
+	sInvocations = iota
+	sItems
+	sTestsTrue
+	sTestsFalse
+	sModsChanged
+	sModsUnchanged
+	sWorkItems
+	sDirectHops
+	numStats
+)
+
+var statNames = [numStats]string{
+	"invocations", "items", "tests_true", "tests_false",
+	"mods_changed", "mods_unchanged", "work_items", "direct_hops",
+}
+
+// Counter is the read side of one engine counter. The write side is sharded
+// per rank (internal/obs): a rank's threads count on the rank's own padded
+// cache lines, and Load sums the shards — exact at quiescent points.
+type Counter struct {
+	c  *obs.Counters
+	id int
+}
+
+// Load returns the counter's value summed over ranks.
+func (c Counter) Load() int64 { return c.c.Total(c.id) }
+
+// Stats counts engine-level events per action.
 type Stats struct {
+	c *obs.Counters
 	// Invocations counts action entries (one per Invoke).
-	Invocations atomic.Int64
+	Invocations Counter
 	// Items counts generated items (edges/vertices fanned out to).
-	Items atomic.Int64
+	Items Counter
 	// TestsTrue / TestsFalse count condition evaluations by outcome.
-	TestsTrue, TestsFalse atomic.Int64
+	TestsTrue, TestsFalse Counter
 	// ModsChanged / ModsUnchanged count modification applications.
-	ModsChanged, ModsUnchanged atomic.Int64
+	ModsChanged, ModsUnchanged Counter
 	// WorkItems counts dependency work-hook firings (§IV-C).
-	WorkItems atomic.Int64
+	WorkItems Counter
+	// DirectHops counts hops executed in place against a co-resident
+	// owner's shard instead of being sent as messages.
+	DirectHops Counter
+}
+
+// newStats allocates one action's counters, sharded per rank.
+func newStats(ranks int) Stats {
+	c := obs.NewCounters(ranks, statNames[:]...)
+	at := func(id int) Counter { return Counter{c: c, id: id} }
+	return Stats{
+		c:           c,
+		Invocations: at(sInvocations), Items: at(sItems),
+		TestsTrue: at(sTestsTrue), TestsFalse: at(sTestsFalse),
+		ModsChanged: at(sModsChanged), ModsUnchanged: at(sModsUnchanged),
+		WorkItems: at(sWorkItems), DirectHops: at(sDirectHops),
+	}
+}
+
+// WriteMetrics emits the bound actions' counters as declpat_pattern_*_total
+// counter families, one sample per action name (actions bound more than once
+// — the query plane's slot pools — are summed). Safe while the universe runs.
+func (e *Engine) WriteMetrics(om *obs.OMWriter) {
+	byAction := map[string]*[numStats]int64{}
+	for _, ba := range e.actions {
+		t := byAction[ba.Name()]
+		if t == nil {
+			t = new([numStats]int64)
+			byAction[ba.Name()] = t
+		}
+		for id := range t {
+			t[id] += ba.Stats.c.Total(id)
+		}
+	}
+	actions := obs.SortedKeys(byAction)
+	for id, name := range statNames {
+		fam := "declpat_pattern_" + name + "_total"
+		om.Family(fam, "counter", "Pattern engine counter "+name+" by action.")
+		for _, a := range actions {
+			om.SampleInt(fam, []string{"action", a}, byAction[a][id])
+		}
+	}
 }
 
 // BoundAction is an action bound to storage, ready to invoke inside epochs.
@@ -161,8 +259,12 @@ type BoundAction struct {
 	binds    map[*Prop]binding
 	work     func(r *am.Rank, v distgraph.Vertex)
 	modified []atomic.Bool
+	st       []obs.Shard // Stats' write side, one shard per rank
 	Stats    Stats
 }
+
+// count adds one to counter id on r's shard.
+func (ba *BoundAction) count(r *am.Rank, id int) { ba.st[r.ID()].Inc(id) }
 
 // Name returns the action's name.
 func (ba *BoundAction) Name() string { return ba.ca.action.Name }
@@ -181,8 +283,11 @@ func (ba *BoundAction) SetWork(fn func(r *am.Rank, v distgraph.Vertex)) { ba.wor
 // strategy).
 func (ba *BoundAction) ResetModified(r *am.Rank) { ba.modified[r.ID()].Store(false) }
 
-// ModifiedLocal reports whether any modification changed a value on this
-// rank since ResetModified.
+// ModifiedLocal reports whether any modification applied by this rank changed
+// a value since ResetModified. With direct application the applying rank is
+// not always the owner of the modified vertex; the flag exists to be
+// or-reduced over all ranks (the `once` strategy), which is indifferent to
+// which rank raised it.
 func (ba *BoundAction) ModifiedLocal(r *am.Rank) bool { return ba.modified[r.ID()].Load() }
 
 // Invoke runs the action at v. If v is local the entry executes inline;
@@ -192,66 +297,80 @@ func (ba *BoundAction) Invoke(r *am.Rank, v distgraph.Vertex) {
 		ba.runEntry(r, v)
 		return
 	}
-	ba.eng.msg.Send(r, patMsg{Action: int32(ba.ca.id), Hop: -1, Dest: v, V: v})
+	ba.InvokeAsync(r, v)
 }
 
 // InvokeAsync enqueues the action at v through the messaging layer even when
 // v is local, bounding stack depth; safe to call from work hooks.
 func (ba *BoundAction) InvokeAsync(r *am.Rank, v distgraph.Vertex) {
-	ba.eng.msg.Send(r, patMsg{Action: int32(ba.ca.id), Hop: -1, Dest: v, V: v})
+	ba.eng.msg.Send(r, patMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v, V: v})
 }
 
 // dispatch routes an incoming engine message.
 func (e *Engine) dispatch(r *am.Rank, m patMsg) {
 	ba := e.actions[m.Action]
-	if m.Hop < 0 {
+	switch m.Hop {
+	case hopEntry:
 		ba.runEntry(r, m.V)
-		return
+	case hopFire:
+		ba.fireWork(r, m.Dest)
+	default:
+		ba.resume(r, &m)
 	}
-	ba.resume(r, &m)
+}
+
+// site is the resolved storage address of a hop's locality vertex: the rank
+// that owns it and its index in that rank's shards. The engine resolves it
+// once per hop and addresses the vertex-word maps by index. rank is this
+// rank, or — on a directly applied hop — a co-resident one.
+type site struct {
+	rank, li int
 }
 
 // runEntry executes the generator at owner(v) and starts every generated
 // item through the condition chain.
 func (ba *BoundAction) runEntry(r *am.Rank, v distgraph.Vertex) {
-	ba.Stats.Invocations.Add(1)
+	ba.count(r, sInvocations)
 	g := ba.eng.g
 	a := ba.ca.action
+	at := site{rank: r.ID(), li: ba.eng.dist.Local(v)}
 	base := patMsg{Action: int32(ba.ca.id), V: v, U: distgraph.NilVertex}
 	switch a.Gen.Kind {
 	case GenNone:
-		ba.startItem(r, base)
+		ba.startItem(r, base, at)
 	case GenOutEdges:
 		g.ForOutEdges(r.ID(), v, func(er distgraph.EdgeRef) {
 			m := base
 			m.HasE, m.ES, m.ET, m.ESlot, m.EIn = true, er.S, er.T, er.Slot, er.In
-			ba.startItem(r, m)
+			ba.startItem(r, m, at)
 		})
 	case GenInEdges:
 		g.ForInEdges(r.ID(), v, func(er distgraph.EdgeRef) {
 			m := base
 			m.HasE, m.ES, m.ET, m.ESlot, m.EIn = true, er.S, er.T, er.Slot, er.In
-			ba.startItem(r, m)
+			ba.startItem(r, m, at)
 		})
 	case GenAdj:
 		g.ForAdj(r.ID(), v, func(u distgraph.Vertex) {
 			m := base
 			m.U = u
-			ba.startItem(r, m)
+			ba.startItem(r, m, at)
 		})
 	case GenPropSet:
 		vs := ba.binds[a.Gen.Set].vs
 		for _, u := range vs.Members(r.ID(), v) {
 			m := base
 			m.U = u
-			ba.startItem(r, m)
+			ba.startItem(r, m, at)
 		}
 	}
 }
 
-func (ba *BoundAction) startItem(r *am.Rank, m patMsg) {
-	ba.Stats.Items.Add(1)
-	ba.execSteps(r, &m, &ba.ca.entry)
+// startItem runs the entry hop (at v, resolved to at) for one generated item
+// and drives it through the condition chain.
+func (ba *BoundAction) startItem(r *am.Rank, m patMsg, at site) {
+	ba.count(r, sItems)
+	ba.execSteps(&m, &ba.ca.entry, at)
 	ba.advance(r, &m, 0, 0)
 }
 
@@ -284,14 +403,18 @@ func (ba *BoundAction) locVertex(m *patMsg, l Loc) distgraph.Vertex {
 	panic("pattern: unresolvable locality " + l.String())
 }
 
-// advance drives the (cond, hop) cursor, executing hops inline while their
-// locality vertex is owned by this rank and sending one message when it is
-// not. Hop indices >= len(hops) address tail modification groups.
+// advance drives the (cond, hop) cursor. A hop whose locality vertex this
+// rank owns executes inline. So does a direct-eligible hop (PlanOptions.Direct)
+// whose owner is co-resident: this thread performs its single-word operation
+// against the owner's shard and the cursor carries on here. Any other hop is
+// sent to its owner as one message. Hop indices >= len(hops) address tail
+// modification groups, which are never direct.
 func (ba *BoundAction) advance(r *am.Rank, m *patMsg, ci, hi int) {
 	ba.advanceFrom(r, m, ci, hi, false)
 }
 
 func (ba *BoundAction) advanceFrom(r *am.Rank, m *patMsg, ci, hi int, fromWire bool) {
+	e := ba.eng
 	for ci >= 0 {
 		first := fromWire
 		fromWire = false
@@ -301,13 +424,14 @@ func (ba *BoundAction) advanceFrom(r *am.Rank, m *patMsg, ci, hi int, fromWire b
 		// the eval-hop message is sent (skipped when this position
 		// arrived over the wire — the sender already checked).
 		if !first && hi == nHops-1 && cp.preTest != nil {
-			if ba.eval(r, m, cp.preTest) == 0 {
-				ba.Stats.TestsFalse.Add(1)
+			if ba.eval(m, cp.preTest) == 0 {
+				ba.count(r, sTestsFalse)
 				ci, hi = ba.ca.nextOnFalse[ci], 0
 				continue
 			}
 		}
-		var at Loc
+		var loc Loc
+		direct := false
 		isTail := hi >= nHops
 		if isTail {
 			ti := hi - nHops
@@ -316,69 +440,76 @@ func (ba *BoundAction) advanceFrom(r *am.Rank, m *patMsg, ci, hi int, fromWire b
 				ci, hi = ba.ca.nextOnTrue[ci], 0
 				continue
 			}
-			at = cp.tailGroups[ti].at
+			loc = cp.tailGroups[ti].at
 		} else {
-			at = cp.hops[hi].at
+			loc, direct = cp.hops[hi].at, cp.hops[hi].direct
 		}
-		dest := ba.locVertex(m, at)
-		if dest == distgraph.NilVertex || int(dest) >= ba.eng.g.NumVertices() {
+		dest := ba.locVertex(m, loc)
+		if dest == distgraph.NilVertex || int(dest) >= e.nv {
 			// A NIL pointer (or an out-of-range word used as a
 			// vertex) in the locality chain: the condition cannot
 			// be evaluated; treat it as false.
-			ba.Stats.TestsFalse.Add(1)
+			ba.count(r, sTestsFalse)
 			ci, hi = ba.ca.nextOnFalse[ci], 0
 			continue
 		}
-		if ba.eng.g.Owner(dest) != r.ID() {
-			m.Dest, m.Cond, m.Hop = dest, int16(ci), int16(hi)
-			ba.eng.msg.Send(r, *m)
-			return
+		owner := e.dist.Owner(dest)
+		if owner != r.ID() {
+			if !direct || !r.Coresident(owner) {
+				m.Dest, m.Cond, m.Hop = dest, int16(ci), int16(hi)
+				e.msg.SendTo(r, owner, *m)
+				return
+			}
+			ba.count(r, sDirectHops)
 		}
+		at := site{rank: owner, li: e.dist.Local(dest)}
 		if isTail {
-			ba.execTail(r, m, cp, hi-nHops, dest)
+			ba.execTail(r, m, cp, hi-nHops, dest, at)
 			hi++
 			continue
 		}
 		if hi == nHops-1 {
 			// Eval hop.
-			if ba.execEval(r, m, cp, dest) {
+			if ba.execEval(r, m, cp, dest, at) {
 				hi = nHops // proceed to tail modification groups
 			} else {
 				ci, hi = ba.ca.nextOnFalse[ci], 0
 			}
 			continue
 		}
-		ba.execSteps(r, m, &cp.hops[hi])
+		ba.execSteps(m, &cp.hops[hi], at)
 		hi++
 	}
 }
 
-// execSteps performs a gather hop: loads then folds.
-func (ba *BoundAction) execSteps(r *am.Rank, m *patMsg, h *hop) {
+// execSteps performs a gather hop at the vertex resolved to at: loads then
+// folds.
+func (ba *BoundAction) execSteps(m *patMsg, h *hop, at site) {
 	for _, acc := range h.loads {
-		m.Vals[acc.slot] = ba.readAccess(r, m, acc)
+		m.Vals[acc.slot] = ba.readAccess(m, acc, at)
 	}
 	for _, f := range h.folds {
-		m.Vals[f.slot] = ba.eval(r, m, f.expr)
+		m.Vals[f.slot] = ba.eval(m, f.expr)
 	}
 }
 
-// readAccess loads one property value; the access's locality vertex must be
-// owned by this rank.
-func (ba *BoundAction) readAccess(r *am.Rank, m *patMsg, acc *Access) Word {
+// readAccess loads one property value of the hop executing at at. Every
+// load of a hop is at the hop's own locality vertex (that is what the
+// planner groups hops by): a vertex word is that vertex's, and an edge word
+// is the generated edge's, stored at its generation vertex.
+func (ba *BoundAction) readAccess(m *patMsg, acc *Access, at site) Word {
 	bd := ba.binds[acc.Prop]
 	switch acc.Prop.Kind {
 	case EdgeWordProp:
-		return bd.ew.Get(r.ID(), m.edgeRef())
+		return bd.ew.Get(at.rank, m.edgeRef())
 	case VertexWordProp:
-		idx := ba.locVertex(m, acc.At)
-		return bd.vw.Get(r.ID(), idx)
+		return bd.vw.GetAt(at.rank, at.li)
 	}
 	panic("pattern: unreadable property " + acc.Prop.Name)
 }
 
 // eval evaluates an expression against the gathered payload.
-func (ba *BoundAction) eval(r *am.Rank, m *patMsg, e Expr) Word {
+func (ba *BoundAction) eval(m *patMsg, e Expr) Word {
 	switch x := e.(type) {
 	case Const:
 		return x.X
@@ -389,13 +520,13 @@ func (ba *BoundAction) eval(r *am.Rank, m *patMsg, e Expr) Word {
 	case tempRef:
 		return m.Vals[x.slot]
 	case NotExpr:
-		if ba.eval(r, m, x.X) != 0 {
+		if ba.eval(m, x.X) != 0 {
 			return 0
 		}
 		return 1
 	case Bin:
-		l := ba.eval(r, m, x.L)
-		rr := ba.eval(r, m, x.R)
+		l := ba.eval(m, x.L)
+		rr := ba.eval(m, x.R)
 		switch x.Op {
 		case OpAdd:
 			return l + rr
@@ -451,54 +582,40 @@ func b2w(b bool) Word {
 	return 0
 }
 
-// execEval runs the eval hop at dest (owned by this rank): deferred loads,
+// execEval runs the eval hop at dest (resolved to at): deferred loads,
 // condition test, and — in merge mode — the first modification group, all
-// synchronized per §IV-B.
-func (ba *BoundAction) execEval(r *am.Rank, m *patMsg, cp *condPlan, dest distgraph.Vertex) bool {
+// synchronized per §IV-B. The atomic kinds may run against a co-resident
+// owner's shard (at.rank != r.ID()); the lock kind always runs on the owner.
+func (ba *BoundAction) execEval(r *am.Rank, m *patMsg, cp *condPlan, dest distgraph.Vertex, at site) bool {
+	if cp.sync != syncLock {
+		mi := cp.mergedMods[0]
+		changed := ba.applyAtomic(m, cp, mi, dest, at)
+		ba.recordMod(r, changed)
+		// For the detected relax shape the condition outcome is whether
+		// the update improved the value.
+		if changed {
+			ba.count(r, sTestsTrue)
+			if cp.cond.Mods[mi].firesDependency {
+				ba.fire(r, dest, at.rank)
+			}
+		} else {
+			ba.count(r, sTestsFalse)
+		}
+		return changed
+	}
 	h := &cp.hops[len(cp.hops)-1]
 	var fired []distgraph.Vertex
-
 	result := false
-	switch cp.sync {
-	case syncAtomicMin, syncAtomicMax, syncAtomicAdd, syncAtomicInsert:
-		mi := cp.mergedMods[0]
-		mod := &cp.cond.Mods[mi]
-		changed := ba.applyAtomic(r, m, cp, mi, dest)
-		ba.recordMod(r, changed)
-		if changed && mod.firesDependency {
-			fired = append(fired, dest)
-		}
-		// For the detected relax shape the condition outcome is
-		// whether the update improved the value.
-		result = changed
-		if changed {
-			ba.Stats.TestsTrue.Add(1)
+	ba.eng.lm.With(r.ID(), dest, func() {
+		ba.execSteps(m, h, at)
+		result = cp.test == nil || ba.eval(m, cp.test) != 0
+		if result {
+			ba.count(r, sTestsTrue)
+			fired = ba.applyMods(r, m, cp, cp.mergedMods, dest, at, fired)
 		} else {
-			ba.Stats.TestsFalse.Add(1)
+			ba.count(r, sTestsFalse)
 		}
-	case syncLock:
-		ba.eng.lm.With(r.ID(), dest, func() {
-			for _, acc := range h.loads {
-				m.Vals[acc.slot] = ba.readAccess(r, m, acc)
-			}
-			for _, f := range h.folds {
-				m.Vals[f.slot] = ba.eval(r, m, f.expr)
-			}
-			result = cp.test == nil || ba.eval(r, m, cp.test) != 0
-			if result {
-				ba.Stats.TestsTrue.Add(1)
-				for _, mi := range cp.mergedMods {
-					changed := ba.applyMod(r, m, cp, mi)
-					ba.recordMod(r, changed)
-					if changed && cp.cond.Mods[mi].firesDependency {
-						fired = append(fired, ba.locVertex(m, cp.cond.Mods[mi].Target.At))
-					}
-				}
-			} else {
-				ba.Stats.TestsFalse.Add(1)
-			}
-		})
-	}
+	})
 	for _, v := range fired {
 		ba.fireWork(r, v)
 	}
@@ -506,76 +623,79 @@ func (ba *BoundAction) execEval(r *am.Rank, m *patMsg, cp *condPlan, dest distgr
 }
 
 // execTail applies one tail modification group at dest (owned by this rank).
-func (ba *BoundAction) execTail(r *am.Rank, m *patMsg, cp *condPlan, ti int, dest distgraph.Vertex) {
-	grp := cp.tailGroups[ti]
+func (ba *BoundAction) execTail(r *am.Rank, m *patMsg, cp *condPlan, ti int, dest distgraph.Vertex, at site) {
 	var fired []distgraph.Vertex
 	ba.eng.lm.With(r.ID(), dest, func() {
-		for _, mi := range grp.mods {
-			changed := ba.applyMod(r, m, cp, mi)
-			ba.recordMod(r, changed)
-			if changed && cp.cond.Mods[mi].firesDependency {
-				fired = append(fired, ba.locVertex(m, cp.cond.Mods[mi].Target.At))
-			}
-		}
+		fired = ba.applyMods(r, m, cp, cp.tailGroups[ti].mods, dest, at, fired)
 	})
 	for _, v := range fired {
 		ba.fireWork(r, v)
 	}
 }
 
-// applyAtomic performs the single-value atomic path (§IV-B).
-func (ba *BoundAction) applyAtomic(r *am.Rank, m *patMsg, cp *condPlan, mi int, dest distgraph.Vertex) bool {
-	mod := &cp.cond.Mods[mi]
-	bd := ba.binds[mod.Target.Prop]
+// applyMods applies one modification group at dest (caller holds dest's
+// lock) and appends dest to fired once per changed modification whose
+// property the action reads.
+func (ba *BoundAction) applyMods(r *am.Rank, m *patMsg, cp *condPlan, mods []int, dest distgraph.Vertex, at site, fired []distgraph.Vertex) []distgraph.Vertex {
+	for _, mi := range mods {
+		changed := ba.applyMod(m, cp, mi, dest, at)
+		ba.recordMod(r, changed)
+		if changed && cp.cond.Mods[mi].firesDependency {
+			fired = append(fired, dest)
+		}
+	}
+	return fired
+}
+
+// applyAtomic performs the single-value atomic path (§IV-B) on dest's value
+// in its owner's shard.
+func (ba *BoundAction) applyAtomic(m *patMsg, cp *condPlan, mi int, dest distgraph.Vertex, at site) bool {
+	bd := ba.binds[cp.cond.Mods[mi].Target.Prop]
+	rhs := ba.eval(m, cp.modRhs[mi])
 	switch cp.sync {
 	case syncAtomicInsert:
-		return bd.vs.Insert(r.ID(), dest, wordVertex(ba.eval(r, m, cp.modRhs[mi])))
+		return bd.vs.Insert(at.rank, dest, wordVertex(rhs))
 	case syncAtomicMin:
-		return bd.vw.Min(r.ID(), dest, ba.eval(r, m, cp.modRhs[mi]))
+		return bd.vw.MinAt(at.rank, at.li, rhs)
 	case syncAtomicMax:
-		return bd.vw.Max(r.ID(), dest, ba.eval(r, m, cp.modRhs[mi]))
+		return bd.vw.MaxAt(at.rank, at.li, rhs)
 	case syncAtomicAdd:
-		delta := ba.eval(r, m, cp.modRhs[mi])
-		bd.vw.Add(r.ID(), dest, delta)
-		return delta != 0
+		bd.vw.AddAt(at.rank, at.li, rhs)
+		return rhs != 0
 	}
 	panic("pattern: applyAtomic on lock-classified condition")
 }
 
-// applyMod applies one modification (caller holds the target's lock) and
-// reports whether the stored value changed.
-func (ba *BoundAction) applyMod(r *am.Rank, m *patMsg, cp *condPlan, mi int) bool {
+// applyMod applies one modification at dest (caller holds dest's lock, on
+// dest's owner) and reports whether the stored value changed.
+func (ba *BoundAction) applyMod(m *patMsg, cp *condPlan, mi int, dest distgraph.Vertex, at site) bool {
 	mod := &cp.cond.Mods[mi]
 	bd := ba.binds[mod.Target.Prop]
+	rhs := ba.eval(m, cp.modRhs[mi])
 	switch mod.Target.Prop.Kind {
 	case VertexSetProp:
-		tv := ba.locVertex(m, mod.Target.At)
-		u := wordVertex(ba.eval(r, m, cp.modRhs[mi]))
 		if bd.vs.Locks() == ba.eng.lm {
-			// The caller (execEval/execTail) already holds tv's
+			// The caller (execEval/execTail) already holds dest's
 			// lock from the engine's lock map; re-locking the same
 			// non-reentrant lock would self-deadlock.
-			return bd.vs.InsertLocked(r.ID(), tv, u)
+			return bd.vs.InsertLocked(at.rank, dest, wordVertex(rhs))
 		}
-		return bd.vs.Insert(r.ID(), tv, u)
+		return bd.vs.Insert(at.rank, dest, wordVertex(rhs))
 	case EdgeWordProp:
-		rhs := ba.eval(r, m, cp.modRhs[mi])
-		old := bd.ew.Get(r.ID(), m.edgeRef())
+		old := bd.ew.Get(at.rank, m.edgeRef())
 		nv := modValue(mod.Op, old, rhs)
 		if nv == old {
 			return false
 		}
-		bd.ew.Set(r.ID(), m.edgeRef(), nv)
+		bd.ew.Set(at.rank, m.edgeRef(), nv)
 		return true
 	case VertexWordProp:
-		tv := ba.locVertex(m, mod.Target.At)
-		rhs := ba.eval(r, m, cp.modRhs[mi])
-		old := bd.vw.Get(r.ID(), tv)
+		old := bd.vw.GetAt(at.rank, at.li)
 		nv := modValue(mod.Op, old, rhs)
 		if nv == old {
 			return false
 		}
-		bd.vw.Set(r.ID(), tv, nv)
+		bd.vw.SetAt(at.rank, at.li, nv)
 		return true
 	}
 	panic("pattern: unapplicable modification")
@@ -603,15 +723,31 @@ func modValue(op ModOp, old, rhs Word) Word {
 
 func (ba *BoundAction) recordMod(r *am.Rank, changed bool) {
 	if changed {
-		ba.Stats.ModsChanged.Add(1)
-		ba.modified[r.ID()].Store(true)
+		ba.count(r, sModsChanged)
+		// The ranks' flags share a cache line: raise it once, then only read.
+		if f := &ba.modified[r.ID()]; !f.Load() {
+			f.Store(true)
+		}
 	} else {
-		ba.Stats.ModsUnchanged.Add(1)
+		ba.count(r, sModsUnchanged)
 	}
 }
 
+// fire runs the dependency work hook for v, whose value this rank just
+// changed in owner's shard. The hook belongs to the owning rank (it files v
+// into that rank's buckets, or re-invokes the action there), so after a
+// direct application it travels as a hopFire message — the only message a
+// directly applied hop ever costs, and only when it carried news.
+func (ba *BoundAction) fire(r *am.Rank, v distgraph.Vertex, owner int) {
+	if owner == r.ID() || ba.work == nil {
+		ba.fireWork(r, v)
+		return
+	}
+	ba.eng.msg.SendTo(r, owner, patMsg{Action: int32(ba.ca.id), Hop: hopFire, Dest: v})
+}
+
 func (ba *BoundAction) fireWork(r *am.Rank, v distgraph.Vertex) {
-	ba.Stats.WorkItems.Add(1)
+	ba.count(r, sWorkItems)
 	if ba.work != nil {
 		ba.work(r, v)
 	}

@@ -30,11 +30,24 @@ type PlanOptions struct {
 	// available" to intra-condition filters (e.g. Δ-stepping's light/heavy
 	// edge split, which guards relaxation with a weight test local to v).
 	EarlyExit bool
+	// Direct marks every hop whose whole effect at its locality vertex is a
+	// single-word atomic operation — a gather hop that only loads words and
+	// folds them, or an eval hop §IV-B classifies atomic (min, max, add,
+	// insert) — as direct-eligible. The engine executes such a hop on the
+	// sending thread, against the owner's shard, when the owner is
+	// co-resident (am.Rank.Coresident), and sends it as a message otherwise;
+	// lock-synchronised eval hops and tail modification groups are always
+	// messages. This is not one of the paper's optimizations (its ranks are
+	// separate machines): turn it off to reproduce the paper's message
+	// counts on the in-process transport.
+	Direct bool
 }
 
-// DefaultPlanOptions returns the paper's configuration: merged evaluation,
-// folding, direct sibling jumps, early exit.
-func DefaultPlanOptions() PlanOptions { return PlanOptions{Merge: true, Fold: true, EarlyExit: true} }
+// DefaultPlanOptions returns the paper's configuration — merged evaluation,
+// folding, direct sibling jumps, early exit — plus Direct.
+func DefaultPlanOptions() PlanOptions {
+	return PlanOptions{Merge: true, Fold: true, EarlyExit: true, Direct: true}
+}
 
 // normalizeLoc maps a locality designator to the vertex it denotes, folding
 // entry-local designators onto LocV (src(e)=v for out-edges, trg(e)=v for
@@ -88,6 +101,11 @@ type hop struct {
 	at    Loc // normalized
 	loads []*Access
 	folds []foldStep
+	// direct: everything this hop does at its vertex is one single-word
+	// atomic operation, so a co-resident sender may execute it in place
+	// (PlanOptions.Direct). Set by markDirect once the condition's
+	// synchronization is classified.
+	direct bool
 }
 
 type foldStep struct {
@@ -666,6 +684,9 @@ func (c *compiler) planCond(a *Action, cond *Cond, loaded map[*Access]bool, ca *
 
 	// Synchronization classification (§IV-B).
 	cp.sync = classifySync(&cp, cond)
+	if c.opts.Direct {
+		markDirect(&cp)
+	}
 
 	// Payload metric: slots written before the eval hop (anywhere in the
 	// action so far) and read at or after it — Fig. 6's per-message
@@ -934,6 +955,19 @@ func classifySync(cp *condPlan, cond *Cond) atomicKind {
 
 func exprEqual(a, b Expr) bool { return a.String() == b.String() }
 
+// markDirect sets hop.direct on the hops of cp that a co-resident sender may
+// execute in place: gather hops, which only load words and fold them (the
+// planner never schedules a set-valued load), and the eval hop when it
+// synchronizes with one atomic instruction. An eval hop under the lock map
+// touches several values in one critical section and stays a message, as do
+// the tail modification groups (which are not hops).
+func markDirect(cp *condPlan) {
+	last := len(cp.hops) - 1
+	for i := range cp.hops {
+		cp.hops[i].direct = i < last || cp.sync != syncLock
+	}
+}
+
 // countLivePayload counts payload slots carried into the eval hop: slots
 // written strictly before it (entry hop, earlier conditions, and this
 // condition's gather hops) and read at or after it.
@@ -1017,6 +1051,10 @@ type CondPlanInfo struct {
 	EarlyExit bool
 	// Route lists hop localities in order.
 	Route []string
+	// Direct lists the hop localities marked direct-eligible
+	// (PlanOptions.Direct): hops a co-resident sender executes in place
+	// instead of sending.
+	Direct []string
 }
 
 func (ca *compiledAction) info() PlanInfo {
@@ -1032,6 +1070,9 @@ func (ca *compiledAction) info() PlanInfo {
 		}
 		for _, h := range cp.hops {
 			ci.Route = append(ci.Route, h.at.String())
+			if h.direct {
+				ci.Direct = append(ci.Direct, h.at.String())
+			}
 		}
 		for _, g := range cp.tailGroups {
 			ci.Route = append(ci.Route, "mod@"+g.at.String())
@@ -1046,8 +1087,12 @@ func (pi PlanInfo) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "action %s:\n", pi.Action)
 	for i, c := range pi.Conds {
-		fmt.Fprintf(&b, "  cond %d: msgs=%d payload=%d sync=%s route=%s\n",
-			i, c.Messages, c.PayloadWords, c.Sync, strings.Join(c.Route, " -> "))
+		direct := "-"
+		if len(c.Direct) > 0 {
+			direct = strings.Join(c.Direct, ",")
+		}
+		fmt.Fprintf(&b, "  cond %d: msgs=%d payload=%d sync=%s route=%s direct=%s\n",
+			i, c.Messages, c.PayloadWords, c.Sync, strings.Join(c.Route, " -> "), direct)
 	}
 	return b.String()
 }

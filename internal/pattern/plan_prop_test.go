@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -89,11 +90,11 @@ func randomPattern(rng *rand.Rand) *Pattern {
 // combination and checks structural invariants of the plans.
 func TestPlannerPropertiesRandom(t *testing.T) {
 	optsList := []PlanOptions{
-		{Merge: true, Fold: true, EarlyExit: true},
+		{Merge: true, Fold: true, EarlyExit: true, Direct: true},
 		{Merge: true, Fold: true},
 		{Merge: true, Fold: false},
-		{Merge: false, Fold: true},
-		{Merge: true, Fold: true, NaiveDFS: true},
+		{Merge: false, Fold: true, Direct: true},
+		{Merge: true, Fold: true, NaiveDFS: true, Direct: true},
 	}
 	compiled := 0
 	for seed := uint64(0); seed < 400; seed++ {
@@ -160,7 +161,11 @@ func containsStr(s, sub string) bool {
 //     modification group's locality;
 //   - every access needed by the (rewritten) test/rhs is loaded at some hop
 //     (entry included) before or at the eval hop;
-//   - condition chaining indices are within range.
+//   - condition chaining indices are within range;
+//   - a hop is marked direct iff Direct is on and the hop has no lock (it is
+//     a gather hop, or an eval hop merged with exactly one modification and
+//     classified atomic), every hop loads only word-sized values, and tail
+//     modification groups are never listed as direct.
 func checkPlanInvariants(t *testing.T, seed uint64, opts PlanOptions, ca *compiledAction) {
 	t.Helper()
 	if ca.nSlots > MaxSlots {
@@ -223,6 +228,25 @@ func checkPlanInvariants(t *testing.T, seed uint64, opts PlanOptions, ca *compil
 			if locKey(finalAt) != locKey(firstTarget) {
 				t.Fatalf("seed %d cond %d: eval hop at %s but first target at %s",
 					seed, ci, finalAt, firstTarget)
+			}
+		}
+		// Direct marks.
+		last := len(cp.hops) - 1
+		for hi, h := range cp.hops {
+			for _, acc := range h.loads {
+				if acc.Prop.Kind == VertexSetProp {
+					t.Fatalf("seed %d cond %d hop %d: loads set-valued %s", seed, ci, hi, acc)
+				}
+			}
+			locked := hi == last && (len(cp.mergedMods) != 1 || !strings.HasPrefix(cp.sync.String(), "atomic-"))
+			if want := opts.Direct && !locked; h.direct != want {
+				t.Fatalf("seed %d opts %+v cond %d hop %d/%d (sync %s, %d merged mods): direct = %v, want %v",
+					seed, opts, ci, hi, last, cp.sync, len(cp.mergedMods), h.direct, want)
+			}
+		}
+		for _, d := range ca.info().Conds[ci].Direct {
+			if strings.HasPrefix(d, "mod@") {
+				t.Fatalf("seed %d cond %d: tail group %s listed as direct", seed, ci, d)
 			}
 		}
 		// Chain indices.

@@ -318,3 +318,46 @@ func TestGatherElisionAcrossConditions(t *testing.T) {
 		t.Errorf("cond1 hops = %d, want 1 (elided gather)\n%s", got, ca.info())
 	}
 }
+
+// TestDirectMarks pins the eligibility rule on the two shapes the random
+// patterns never produce — a set-valued modification and a tail modification
+// group: cc_search's claim is a multi-value condition under the lock map and
+// stays a message; its conflict record is an atomic insert (direct) followed
+// by a second insert at another vertex, a tail group, which is never direct.
+func TestDirectMarks(t *testing.T) {
+	build := func() *Pattern {
+		p := New("CC")
+		pnt := p.VertexProp("pnt")
+		conf := p.VertexSetProp("conf")
+		search := p.Action("cc_search", Adj())
+		pv, pu := pnt.At(V()), pnt.At(U())
+		search.If(Eq(pu, C(NilWord))).Set(pu, pv)
+		search.Elif(Ne(pu, pv)).Insert(conf.AtVal(pu), pv).Insert(conf.AtVal(pv), pu)
+		return p
+	}
+	on := compileOne(t, build(), DefaultPlanOptions()).info()
+	if got := on.Conds[0]; got.Sync != "lock" || len(got.Direct) != 0 {
+		t.Errorf("claim: sync = %s, direct = %v; want lock and no direct hop\n%s", got.Sync, got.Direct, on)
+	}
+	got := on.Conds[1]
+	if got.Sync != "atomic-insert" || len(got.Direct) != 1 || got.Direct[0] != got.Route[0] {
+		t.Errorf("conflict record: sync = %s, direct = %v, route = %v; want the atomic-insert eval hop alone\n%s",
+			got.Sync, got.Direct, got.Route, on)
+	}
+	if !strings.Contains(on.String(), "direct="+got.Route[0]) {
+		t.Errorf("plan text does not show the direct hop:\n%s", on)
+	}
+
+	opts := DefaultPlanOptions()
+	opts.Direct = false
+	off := compileOne(t, build(), opts).info()
+	for i, c := range off.Conds {
+		if len(c.Direct) != 0 {
+			t.Errorf("Direct off: cond %d marks %v", i, c.Direct)
+		}
+		if c.Messages != on.Conds[i].Messages {
+			t.Errorf("cond %d: Messages %d with Direct off, %d with it on; the paper's count must not depend on it",
+				i, c.Messages, on.Conds[i].Messages)
+		}
+	}
+}

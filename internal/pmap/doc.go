@@ -4,6 +4,16 @@
 // owner ("reading from and writing to property maps must be done at the
 // nodes where the values are located", §IV).
 //
+// "At the owner" is a statement about storage, not about threads: every
+// accessor takes the owning rank and acts on that rank's shard, on behalf of
+// the owning rank. The word-valued maps are pure atomics and the set-valued
+// map takes the owner's lock, so the caller may be any of the owner's handler
+// threads or — where the transport says two ranks share an address space — a
+// thread of a co-resident rank applying a single-word operation in place
+// instead of mailing it (DESIGN.md, "Co-resident direct application"). What
+// stays with the owner's threads is everything that is not one word: edge
+// generation, lock-synchronised conditions, work hooks.
+//
 // Two families are provided:
 //
 //   - Word-valued maps (VertexWord, EdgeWord) storing int64 words with

@@ -37,6 +37,30 @@ func TestVertexWordOwnerEnforced(t *testing.T) {
 	m.Get(1-d.Owner(3), 3)
 }
 
+// TestVertexWordIndexAddressed: the *At accessors reach the same word as the
+// vertex-addressed ones once (owner, local index) is resolved from the map's
+// distribution.
+func TestVertexWordIndexAddressed(t *testing.T) {
+	d := distgraph.NewCyclicDist(10, 3)
+	m := NewVertexWord(d, 50)
+	for v := distgraph.Vertex(0); v < 10; v++ {
+		owner, li := d.Owner(v), d.Local(v)
+		if m.MinAt(owner, li, 60) || !m.MinAt(owner, li, 40) || m.Get(owner, v) != 40 {
+			t.Fatalf("MinAt at vertex %d: value %d", v, m.Get(owner, v))
+		}
+		if m.MaxAt(owner, li, 30) || !m.MaxAt(owner, li, 70) || m.GetAt(owner, li) != 70 {
+			t.Fatalf("MaxAt at vertex %d: value %d", v, m.Get(owner, v))
+		}
+		if got := m.AddAt(owner, li, int64(v)); got != 70+int64(v) || m.Get(owner, v) != got {
+			t.Fatalf("AddAt at vertex %d: %d", v, got)
+		}
+		m.SetAt(owner, li, -1)
+		if m.Get(owner, v) != -1 {
+			t.Fatalf("SetAt at vertex %d: value %d", v, m.Get(owner, v))
+		}
+	}
+}
+
 func TestVertexWordMinMaxConcurrent(t *testing.T) {
 	d := distgraph.NewBlockDist(1, 1)
 	m := NewVertexWord(d, 1<<40)

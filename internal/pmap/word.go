@@ -8,8 +8,18 @@ import (
 )
 
 // VertexWord is a distributed vertex property map holding one int64 word per
-// vertex. All accessors must run on the owning rank; they are safe for
-// concurrent use by a rank's handler threads (atomic instructions, §IV-B).
+// vertex. Every accessor acts on behalf of the owning rank: the caller names
+// the owner and the access lands in the owner's shard. The caller is normally
+// one of the owner's own threads; the pattern engine also applies single-word
+// operations from a co-resident rank's thread (DESIGN.md, "Co-resident direct
+// application"). Either way the accessors are pure atomic instructions
+// (§IV-B), safe for any number of concurrent callers.
+//
+// Vertex-addressed accessors (Get, Min, ...) check that rank owns v and
+// panic otherwise. The *At accessors take the owner's local index instead and
+// check nothing: they are for a caller that has already resolved
+// (owner, local index) from the map's distribution, once, for several
+// accesses.
 type VertexWord struct {
 	dist   distgraph.Distribution
 	shards [][]int64
@@ -57,9 +67,8 @@ func (m *VertexWord) SetIfChanged(rank int, v distgraph.Vertex, x int64) bool {
 	return old != x
 }
 
-// Min atomically lowers v's value to x; reports whether it decreased.
-func (m *VertexWord) Min(rank int, v distgraph.Vertex, x int64) bool {
-	p := m.slot(rank, v)
+// atomicMin lowers *p to x; reports whether it decreased.
+func atomicMin(p *int64, x int64) bool {
 	for {
 		cur := atomic.LoadInt64(p)
 		if x >= cur {
@@ -71,9 +80,8 @@ func (m *VertexWord) Min(rank int, v distgraph.Vertex, x int64) bool {
 	}
 }
 
-// Max atomically raises v's value to x; reports whether it increased.
-func (m *VertexWord) Max(rank int, v distgraph.Vertex, x int64) bool {
-	p := m.slot(rank, v)
+// atomicMax raises *p to x; reports whether it increased.
+func atomicMax(p *int64, x int64) bool {
 	for {
 		cur := atomic.LoadInt64(p)
 		if x <= cur {
@@ -85,6 +93,16 @@ func (m *VertexWord) Max(rank int, v distgraph.Vertex, x int64) bool {
 	}
 }
 
+// Min atomically lowers v's value to x; reports whether it decreased.
+func (m *VertexWord) Min(rank int, v distgraph.Vertex, x int64) bool {
+	return atomicMin(m.slot(rank, v), x)
+}
+
+// Max atomically raises v's value to x; reports whether it increased.
+func (m *VertexWord) Max(rank int, v distgraph.Vertex, x int64) bool {
+	return atomicMax(m.slot(rank, v), x)
+}
+
 // Add atomically adds x to v's value and returns the new value.
 func (m *VertexWord) Add(rank int, v distgraph.Vertex, x int64) int64 {
 	return atomic.AddInt64(m.slot(rank, v), x)
@@ -93,6 +111,26 @@ func (m *VertexWord) Add(rank int, v distgraph.Vertex, x int64) int64 {
 // CAS atomically replaces old with new at v; reports success.
 func (m *VertexWord) CAS(rank int, v distgraph.Vertex, old, new int64) bool {
 	return atomic.CompareAndSwapInt64(m.slot(rank, v), old, new)
+}
+
+// GetAt atomically loads the value at local index li of owner's shard.
+func (m *VertexWord) GetAt(owner, li int) int64 { return atomic.LoadInt64(&m.shards[owner][li]) }
+
+// SetAt atomically stores x at local index li of owner's shard.
+func (m *VertexWord) SetAt(owner, li int, x int64) { atomic.StoreInt64(&m.shards[owner][li], x) }
+
+// MinAt atomically lowers the value at local index li of owner's shard to x;
+// reports whether it decreased.
+func (m *VertexWord) MinAt(owner, li int, x int64) bool { return atomicMin(&m.shards[owner][li], x) }
+
+// MaxAt atomically raises the value at local index li of owner's shard to x;
+// reports whether it increased.
+func (m *VertexWord) MaxAt(owner, li int, x int64) bool { return atomicMax(&m.shards[owner][li], x) }
+
+// AddAt atomically adds x at local index li of owner's shard and returns the
+// new value.
+func (m *VertexWord) AddAt(owner, li int, x int64) int64 {
+	return atomic.AddInt64(&m.shards[owner][li], x)
 }
 
 // GetRelaxed loads without atomicity; safe only at quiescent points
@@ -195,16 +233,7 @@ func (m *EdgeWord) Min(rank int, e distgraph.EdgeRef, x int64) bool {
 	if e.In {
 		panic("pmap: EdgeWord.Min through an in-edge mirror")
 	}
-	p := &m.out[rank][e.Slot]
-	for {
-		cur := atomic.LoadInt64(p)
-		if x >= cur {
-			return false
-		}
-		if atomic.CompareAndSwapInt64(p, cur, x) {
-			return true
-		}
-	}
+	return atomicMin(&m.out[rank][e.Slot], x)
 }
 
 // MirrorIn refreshes every in-edge mirror from its canonical copy.

@@ -90,8 +90,9 @@ func (s *Service) Stats() ServiceStats {
 
 // WriteOpenMetrics writes the full exposition for a resident service: the
 // declpat_query_* families (queue depth, admission counters, per-algorithm
-// latency histograms and quantiles, fusion widths) followed by the
-// universe's substrate families and the # EOF terminator. This is the
+// latency histograms and quantiles, fusion widths), the pattern engine's
+// declpat_pattern_* per-action counters, then the universe's substrate
+// families and the # EOF terminator. This is the
 // payload behind declpat-serve's /metrics endpoint.
 func (s *Service) WriteOpenMetrics(w io.Writer) error {
 	st := s.Stats()
@@ -137,6 +138,7 @@ func (s *Service) WriteOpenMetrics(w io.Writer) error {
 	om.Family("declpat_query_batch_max", "gauge", "Largest fusion width observed.")
 	om.SampleInt("declpat_query_batch_max", nil, st.MaxBatch)
 
+	s.eng.WriteMetrics(om)
 	if err := om.Flush(); err != nil {
 		return err
 	}

@@ -363,6 +363,8 @@ func TestValueLookupAndMetrics(t *testing.T) {
 		"declpat_query_latency_seconds_bucket",
 		"declpat_query_latency_quantile_seconds{algo=\"bfs\",q=\"0.5\"}",
 		"declpat_query_batch_size_bucket",
+		"declpat_pattern_items_total{action=\"bfs\"}",
+		"declpat_pattern_direct_hops_total{action=\"relax\"} 0", // no SSSP query ran
 		"declpat_ranks 4",
 		"# EOF",
 	} {
