@@ -26,6 +26,14 @@
 // `experiments -obs-json`) are embedded in the report, so the committed
 // BENCH_*.json carries both the microbenchmark baseline and the
 // end-to-end table.
+//
+// With -e21 and -baseline together the E21 matrix is gated too, cell by
+// (algo, detector, transport) cell: every cell must read wrong == 0, and a
+// cell the baseline also has may not exceed the baseline's msgs or
+// retransmits (both lower-is-better) by more than -tolerance's "msgs" and
+// "retransmits" budgets plus -slack. Both counts drift with scheduling in
+// multi-threaded runs, so the budgets are wide: the gate is for a change that
+// starts mailing what it used not to, not for noise.
 package main
 
 import (
@@ -175,6 +183,62 @@ func compare(current, baseline []Benchmark, filter string, tol tolerances, slack
 	return bad
 }
 
+// e21Cell is what the gate reads of one E21 transport-matrix record
+// (experiments.TransportRecord).
+type e21Cell struct {
+	Algo        string  `json:"algo"`
+	Detector    string  `json:"detector"`
+	Transport   string  `json:"transport"`
+	Msgs        float64 `json:"msgs"`
+	Retransmits float64 `json:"retransmits"`
+	Wrong       int     `json:"wrong"`
+}
+
+func (c e21Cell) key() string { return c.Algo + "/" + c.Detector + "/" + c.Transport }
+
+// compareE21 gates the current E21 matrix against the baseline's and returns
+// the list of violations.
+func compareE21(current, baseline json.RawMessage, tol tolerances, slack float64) ([]string, error) {
+	var cur, ref []e21Cell
+	if err := json.Unmarshal(current, &cur); err != nil {
+		return nil, fmt.Errorf("current e21 matrix: %v", err)
+	}
+	if len(baseline) > 0 { // a baseline without a matrix matches nothing, below
+		if err := json.Unmarshal(baseline, &ref); err != nil {
+			return nil, fmt.Errorf("baseline e21 matrix: %v", err)
+		}
+	}
+	base := map[string]e21Cell{}
+	for _, c := range ref {
+		base[c.key()] = c
+	}
+	var bad []string
+	matched := 0
+	for _, c := range cur {
+		if c.Wrong != 0 {
+			bad = append(bad, fmt.Sprintf("e21 %s: wrong = %d, want 0", c.key(), c.Wrong))
+		}
+		was, ok := base[c.key()]
+		if !ok {
+			continue // new cell: no baseline yet
+		}
+		matched++
+		for _, m := range []struct {
+			name     string
+			cur, was float64
+		}{{"msgs", c.Msgs, was.Msgs}, {"retransmits", c.Retransmits, was.Retransmits}} {
+			if limit := m.was*(1+tol.of(m.name)) + slack; m.cur > limit {
+				bad = append(bad, fmt.Sprintf("e21 %s %s: %.0f > limit %.0f (baseline %.0f, +%.0f%% + %.0f slack)",
+					c.key(), m.name, m.cur, limit, m.was, tol.of(m.name)*100, slack))
+			}
+		}
+	}
+	if matched == 0 {
+		bad = append(bad, "no current e21 cell had a baseline entry — empty matrix or a baseline without one?")
+	}
+	return bad, nil
+}
+
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "benchcheck:", err)
 	os.Exit(1)
@@ -183,13 +247,13 @@ func fail(err error) {
 func main() {
 	in := flag.String("in", "", "bench output file (default: stdin)")
 	e20 := flag.String("e20", "", "E20 codec-matrix JSON to embed in the report")
-	e21 := flag.String("e21", "", "E21 transport-matrix JSON to embed in the report")
+	e21 := flag.String("e21", "", "E21 transport-matrix JSON to embed in the report and, with -baseline, gate")
 	e22 := flag.String("e22", "", "E22 phase-timer-matrix JSON to embed in the report")
 	jsonOut := flag.String("json", "", "write the parsed report to this file")
 	baseline := flag.String("baseline", "", "compare against this committed report")
 	filter := flag.String("filter", "fixed", "substring of benchmark names to gate")
 	maxRegress := flag.Float64("max-regress", 0.20, "allowed fractional regression vs baseline (fallback when -tolerance is unset)")
-	tolerance := flag.String("tolerance", "", `allowed regression in percent: "20" for all gated metrics, or per-metric "B/op=20,allocs/op=5"`)
+	tolerance := flag.String("tolerance", "", `allowed regression in percent: "20" for all gated metrics, or per-metric "B/op=20,allocs/op=5" (the E21 gate reads "msgs" and "retransmits")`)
 	slack := flag.Float64("slack", 64, "absolute slack added to each limit (absorbs noise on near-zero baselines)")
 	flag.Parse()
 
@@ -245,7 +309,15 @@ func main() {
 		if err := json.Unmarshal(raw, &ref); err != nil {
 			fail(fmt.Errorf("%s: %v", *baseline, err))
 		}
-		if bad := compare(benches, ref.Benchmarks, *filter, tol, *slack); len(bad) > 0 {
+		bad := compare(benches, ref.Benchmarks, *filter, tol, *slack)
+		if rep.E21 != nil {
+			e21Bad, err := compareE21(rep.E21, ref.E21, tol, *slack)
+			if err != nil {
+				fail(fmt.Errorf("%s: %v", *baseline, err))
+			}
+			bad = append(bad, e21Bad...)
+		}
+		if len(bad) > 0 {
 			for _, m := range bad {
 				fmt.Fprintln(os.Stderr, "REGRESSION:", m)
 			}

@@ -89,3 +89,43 @@ func TestParseTolerance(t *testing.T) {
 		t.Fatalf("per-metric gate: %v", bad)
 	}
 }
+
+func TestCompareE21(t *testing.T) {
+	tol, err := parseTolerance("25,msgs=10,retransmits=100", 0.20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []byte(`[
+		{"algo":"bfs","detector":"atomic","transport":"unix","msgs":5000,"retransmits":3,"wrong":0},
+		{"algo":"cc","detector":"4ctr","transport":"tcp","msgs":16000,"retransmits":900,"wrong":0}]`)
+	check := func(name, cur string, want int) {
+		t.Helper()
+		bad, err := compareE21([]byte(cur), base, tol, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(bad) != want {
+			t.Fatalf("%s: %d violations, want %d: %v", name, len(bad), want, bad)
+		}
+	}
+	// Within budget: msgs +10% + 64, retransmits +100% + 64; lower is always fine;
+	// a cell the baseline lacks is gated on wrong alone.
+	check("within", `[
+		{"algo":"bfs","detector":"atomic","transport":"unix","msgs":5500,"retransmits":60,"wrong":0},
+		{"algo":"cc","detector":"4ctr","transport":"tcp","msgs":9000,"retransmits":0,"wrong":0},
+		{"algo":"bfs","detector":"atomic","transport":"unix+shipped","msgs":99999,"retransmits":99999,"wrong":0}]`, 0)
+	check("msgs", `[{"algo":"bfs","detector":"atomic","transport":"unix","msgs":5600,"retransmits":0,"wrong":0}]`, 1)
+	check("retransmits", `[{"algo":"cc","detector":"4ctr","transport":"tcp","msgs":16000,"retransmits":1900,"wrong":0}]`, 1)
+	check("wrong", `[{"algo":"bfs","detector":"atomic","transport":"unix","msgs":5000,"retransmits":0,"wrong":7}]`, 1)
+	check("wrong-in-new-cell", `[
+		{"algo":"bfs","detector":"atomic","transport":"unix","msgs":5000,"retransmits":0,"wrong":0},
+		{"algo":"bfs","detector":"atomic","transport":"new","msgs":1,"retransmits":0,"wrong":1}]`, 1)
+	// Nothing to compare must fail loudly, not pass silently.
+	check("no-overlap", `[{"algo":"x","detector":"y","transport":"z","msgs":1,"retransmits":0,"wrong":0}]`, 1)
+	if bad, err := compareE21([]byte(`[{"algo":"bfs","detector":"atomic","transport":"unix"}]`), nil, tol, 64); err != nil || len(bad) != 1 {
+		t.Fatalf("baseline without a matrix: bad=%v err=%v", bad, err)
+	}
+	if _, err := compareE21([]byte(`{`), base, tol, 64); err == nil {
+		t.Fatal("malformed current matrix accepted")
+	}
+}

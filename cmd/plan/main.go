@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	plan [-merge=false] [-fold=false] [-naive] [-earlyexit=false] [-direct=false] [SSSP|CC|BFS|Widest|Degree|PageRankPush|PageRankPull]
+//	plan [-merge=false] [-fold=false] [-naive] [-earlyexit=false] [-direct=false] [-filter=false] [SSSP|CC|BFS|Widest|Degree|PageRankPush|PageRankPull]
 package main
 
 import (
@@ -26,6 +26,7 @@ func main() {
 	naive := flag.Bool("naive", false, "naive depth-first gather order with backtracking (Fig. 5)")
 	earlyExit := flag.Bool("earlyexit", true, "evaluate entry-decidable test conjuncts before sending")
 	direct := flag.Bool("direct", true, "mark single-word hops for in-place application on co-resident ranks")
+	filter := flag.Bool("filter", true, "mark monotone eval hops for the send-side filter")
 	dot := flag.Bool("dot", false, "emit Graphviz digraphs of the plans instead of text")
 	flag.Parse()
 
@@ -45,7 +46,7 @@ func main() {
 	if len(names) == 0 {
 		names = []string{"SSSP", "CC", "BFS", "Widest", "Degree", "BFSTree", "PageRankPush", "PageRankPull", "LightHeavy", "KCore"}
 	}
-	opts := pattern.PlanOptions{Merge: *merge, Fold: *fold, NaiveDFS: *naive, EarlyExit: *earlyExit, Direct: *direct}
+	opts := pattern.PlanOptions{Merge: *merge, Fold: *fold, NaiveDFS: *naive, EarlyExit: *earlyExit, Direct: *direct, Filter: *filter}
 	fmt.Printf("planner options: %+v\n\n", opts)
 	for _, name := range names {
 		mk, ok := library[name]

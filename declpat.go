@@ -339,9 +339,11 @@ const (
 func NewPattern(name string) *Pattern { return pattern.New(name) }
 
 // DefaultPlanOptions returns the paper's configuration (merge, fold, early
-// exit) plus Direct: single-word hops to a co-resident rank are applied in
-// place instead of sent. Set Direct to false to reproduce the paper's message
-// counts on the in-process transport.
+// exit) plus Direct — single-word hops to a co-resident rank are applied in
+// place instead of sent — and Filter — a min/max relaxation that has to be
+// sent is not, when this rank already offered the vertex a value at least as
+// good in the same epoch. Set both to false to reproduce the paper's message
+// counts.
 func DefaultPlanOptions() PlanOptions { return pattern.DefaultPlanOptions() }
 
 // NewEngine creates a pattern engine; call before Universe.Run.

@@ -24,17 +24,18 @@ func planOpts(direct bool) pattern.PlanOptions {
 	return o
 }
 
-// directCase is one algorithm of the differential matrix: build it on an
-// engine, run it, and return its answer plus the direct hops it took (-1
-// when the algorithm does not expose the actions it ran).
-type directCase struct {
+// diffCase is one algorithm of the differential matrices (Direct on/off here,
+// Filter on/off in filter_test.go): build it on an engine, run it, and return
+// its answer plus the bound actions it ran (nil when the algorithm does not
+// expose them).
+type diffCase struct {
 	name  string
 	gopts distgraph.Options
-	// unsure: whether a run takes any direct hop depends on the schedule
-	// (CC: one search may claim everything before a second one starts, and
-	// then nothing conflicts, links or jumps).
+	// unsure: whether a run takes any direct (or filtered) hop depends on the
+	// schedule (CC: one search may claim everything before a second one
+	// starts, and then nothing conflicts, links or jumps).
 	unsure bool
-	run    func(t *testing.T, u *am.Universe, eng *pattern.Engine, lm *pmap.LockMap) (answer []int64, directHops int64)
+	run    func(t *testing.T, u *am.Universe, eng *pattern.Engine, lm *pmap.LockMap) (answer []int64, acts []*pattern.BoundAction)
 }
 
 func runOrFail(t *testing.T, u *am.Universe, body func(r *am.Rank)) {
@@ -44,30 +45,35 @@ func runOrFail(t *testing.T, u *am.Universe, body func(r *am.Rank)) {
 	}
 }
 
-func ssspCase(name string, mk func(u *am.Universe, s *SSSP)) directCase {
-	return directCase{name: name, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, int64) {
+func ssspCase(name string, mk func(u *am.Universe, s *SSSP)) diffCase {
+	return diffCase{name: name, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
 		s := NewSSSP(eng)
 		mk(u, s)
 		runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
-		return s.Dist.Gather(), s.Relax.Stats.DirectHops.Load()
+		return s.Dist.Gather(), []*pattern.BoundAction{s.Relax}
 	}}
 }
 
-var directCases = []directCase{
-	{name: "bfs", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, int64) {
+var diffCases = []diffCase{
+	{name: "bfs", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
 		b := NewBFS(eng)
 		runOrFail(t, u, func(r *am.Rank) { b.Run(r, 3) })
-		return b.Level.Gather(), b.Visit.Stats.DirectHops.Load()
+		return b.Level.Gather(), []*pattern.BoundAction{b.Visit}
 	}},
 	ssspCase("sssp-fixed-point", func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }),
 	ssspCase("sssp-delta", func(u *am.Universe, s *SSSP) { s.UseDelta(u, 30) }),
 	ssspCase("sssp-delta-distributed", func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 30, 2) }),
-	{name: "sssp-delta-light-heavy", unsure: true, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, int64) {
+	{name: "sssp-delta-light-heavy", unsure: true, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
 		s := NewSSSP(eng).UseDeltaLightHeavy(u, 30) // runs its own two actions, not s.Relax
 		runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
-		return s.Dist.Gather(), -1
+		return s.Dist.Gather(), nil
 	}},
-	{name: "cc", gopts: distgraph.Options{Symmetrize: true}, unsure: true, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, lm *pmap.LockMap) ([]int64, int64) {
+	{name: "widest", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
+		w := NewWidest(eng)
+		runOrFail(t, u, func(r *am.Rank) { w.Run(r, 3) })
+		return w.Cap.Gather(), []*pattern.BoundAction{w.Widen}
+	}},
+	{name: "cc", gopts: distgraph.Options{Symmetrize: true}, unsure: true, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, lm *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
 		c := NewCC(eng, lm)
 		runOrFail(t, u, func(r *am.Rank) { c.Run(r) })
 		// Which root labels a component depends on which search got
@@ -83,14 +89,13 @@ var directCases = []directCase{
 		for v, l := range comp {
 			comp[v] = least[l]
 		}
-		hops := c.Search.Stats.DirectHops.Load() + c.Link.Stats.DirectHops.Load() + c.Jump.Stats.DirectHops.Load()
-		return comp, hops
+		return comp, []*pattern.BoundAction{c.Search, c.Link, c.Jump}
 	}},
-	{name: "pagerank", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, int64) {
+	{name: "pagerank", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
 		pr := NewPageRank(eng, PageRankPush)
 		pr.MaxIters = 5
 		runOrFail(t, u, func(r *am.Rank) { pr.Run(r) })
-		return pr.Rank.Gather(), pr.Action.Stats.DirectHops.Load()
+		return pr.Rank.Gather(), []*pattern.BoundAction{pr.Action}
 	}},
 }
 
@@ -101,7 +106,7 @@ var directCases = []directCase{
 // another rank's shard.
 func TestDirectDifferential(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
-	for _, tc := range directCases {
+	for _, tc := range diffCases {
 		for _, ranks := range []int{1, 2, 4} {
 			for _, threads := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%dx%d", tc.name, ranks, threads), func(t *testing.T) {
@@ -109,8 +114,12 @@ func TestDirectDifferential(t *testing.T) {
 					var answers [2][]int64
 					for i, direct := range []bool{false, true} {
 						u, eng, lm := newEngineWith(cfg, n, edges, tc.gopts, planOpts(direct))
+						var acts []*pattern.BoundAction
+						answers[i], acts = tc.run(t, u, eng, lm)
 						var hops int64
-						answers[i], hops = tc.run(t, u, eng, lm)
+						for _, a := range acts {
+							hops += a.Stats.DirectHops.Load()
+						}
 						engaged := direct && ranks > 1
 						if (hops > 0 && !engaged) || (hops == 0 && engaged && !tc.unsure) {
 							t.Errorf("direct=%v: %d direct hops", direct, hops)

@@ -1,0 +1,184 @@
+package algorithms
+
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"declpat/internal/am"
+	"declpat/internal/distgraph"
+	"declpat/internal/gen"
+	"declpat/internal/pattern"
+	"declpat/internal/seq"
+)
+
+// Tests of the send-side filter (PlanOptions.Filter): a monotone eval hop that
+// has to travel as a message is answered false at the sender when this rank
+// already offered the vertex a value at least as good in the same epoch
+// attempt.
+
+func filterOpts(filter bool) pattern.PlanOptions {
+	o := pattern.DefaultPlanOptions()
+	o.Filter = filter
+	return o
+}
+
+// filterEligible reports whether the engine filters any of a's eval hops.
+func filterEligible(a *pattern.BoundAction) bool {
+	for _, c := range a.PlanInfo().Conds {
+		if c.Filter != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// filteredActions names the library actions whose eval hop the planner marks
+// and Bind keeps: min/max relaxations whose offer is known at the sender.
+var filteredActions = map[string]bool{"bfs": true, "relax": true, "widen": true, "cc_link": true}
+
+// messageTransports are the two ways every hop stays a message although all
+// ranks share a process: the reliable protocol over channels (a zero-valued
+// fault plan injects nothing) and real Unix sockets.
+var messageTransports = []struct {
+	name string
+	cfg  func(t *testing.T) am.Config
+}{
+	{"chan-reliable", func(*testing.T) am.Config { return am.Config{FaultPlan: &am.FaultPlan{}} }},
+	{"unix", func(t *testing.T) am.Config {
+		return am.Config{Transport: am.SockTransport(am.SockOptions{Network: "unix", Dir: t.TempDir()})}
+	}},
+}
+
+// TestFilterDifferential: every algorithm gives bit-identical results with
+// Filter on and off, at every rank and thread count, on both message
+// transports; an action suppresses hops exactly when the engine marks one of
+// its eval hops (min/max relaxations: BFS, SSSP, widest path, CC's link) and
+// there is a second rank to send to, and never otherwise (CC's claim is
+// lock-synchronized, PageRank accumulates). Run under -race in CI: a rank's
+// body and handler threads share its filter table.
+func TestFilterDifferential(t *testing.T) {
+	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
+	for _, tc := range diffCases {
+		for _, tr := range messageTransports {
+			for _, ranks := range []int{1, 2, 4} {
+				for _, threads := range []int{1, 2} {
+					t.Run(fmt.Sprintf("%s/%s/%dx%d", tc.name, tr.name, ranks, threads), func(t *testing.T) {
+						var answers [2][]int64
+						for i, filter := range []bool{false, true} {
+							cfg := tr.cfg(t)
+							cfg.Ranks, cfg.ThreadsPerRank = ranks, threads
+							u, eng, lm := newEngineWith(cfg, n, edges, tc.gopts, filterOpts(filter))
+							eng.MsgType().WithWire() // sockets need a wire codec; harmless on channels
+							var acts []*pattern.BoundAction
+							answers[i], acts = tc.run(t, u, eng, lm)
+							for _, a := range acts {
+								hops, eligible := a.Stats.FilteredHops.Load(), filterEligible(a)
+								if eligible != (filter && filteredActions[a.Name()]) {
+									t.Errorf("filter=%v: action %s eligible = %v\n%s", filter, a.Name(), eligible, a.PlanInfo())
+								}
+								engaged := eligible && ranks > 1
+								if (hops > 0 && !engaged) || (hops == 0 && engaged && !tc.unsure) {
+									t.Errorf("filter=%v: action %s filtered %d hops (eligible %v)", filter, a.Name(), hops, eligible)
+								}
+							}
+						}
+						if !slices.Equal(answers[0], answers[1]) {
+							t.Fatalf("answers differ between Filter off and on")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestFilterNotConsultedWhenCoresident: on the trusted channel transport with
+// Direct on, a relaxation to another rank is applied in place; nothing is
+// sent, so nothing is filtered.
+func TestFilterNotConsultedWhenCoresident(t *testing.T) {
+	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
+	u, eng, _ := newEngineWith(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{}, pattern.DefaultPlanOptions())
+	s := NewSSSP(eng)
+	runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
+	checkDist(t, "coresident", s.Dist.Gather(), seq.Dijkstra(n, edges, 3))
+	if f, d := s.Relax.Stats.FilteredHops.Load(), s.Relax.Stats.DirectHops.Load(); f != 0 || d == 0 {
+		t.Errorf("filtered hops = %d, direct hops = %d; want none filtered, some direct", f, d)
+	}
+}
+
+// TestFilterConservation: with the filter on, every message sent is handled
+// within its epoch (MsgsSent == HandlersRun at every epoch end), a filtered
+// hop is counted as a false test and nothing else, and the filter removes
+// messages: Bellman-Ford rounds relax every edge every round, so after the
+// first offer to a vertex most of a round's offers cannot win.
+func TestFilterConservation(t *testing.T) {
+	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 5)
+	var msgs [2]int64
+	for i, filter := range []bool{false, true} {
+		cfg := am.Config{Ranks: 4, ThreadsPerRank: 2, FaultPlan: &am.FaultPlan{}}
+		u, eng, _ := newEngineWith(cfg, n, edges, distgraph.Options{}, filterOpts(filter))
+		g := eng.Graph()
+		s := NewSSSP(eng)
+		var unbalanced atomic.Int64
+		runOrFail(t, u, func(r *am.Rank) {
+			s.ResetLocal(r)
+			s.SeedLocal(r, nil, 3)
+			r.Barrier()
+			locals := LocalVertices(g, r)
+			for changed := true; changed; {
+				s.Relax.ResetModified(r)
+				r.Barrier()
+				r.Epoch(func(*am.Epoch) {
+					for _, v := range locals {
+						s.Relax.Invoke(r, v)
+					}
+				})
+				if snap := u.Stats.Snapshot(); r.ID() == 0 && snap.MsgsSent != snap.HandlersRun {
+					unbalanced.Add(1)
+				}
+				changed = r.AllReduceOr(s.Relax.ModifiedLocal(r))
+			}
+		})
+		checkDist(t, fmt.Sprintf("filter=%v", filter), s.Dist.Gather(), seq.Dijkstra(n, edges, 3))
+		if unbalanced.Load() != 0 {
+			t.Errorf("filter=%v: %d epochs ended with MsgsSent != HandlersRun", filter, unbalanced.Load())
+		}
+		st := &s.Relax.Stats
+		if got, want := st.TestsTrue.Load()+st.TestsFalse.Load(), st.Items.Load(); got != want {
+			t.Errorf("filter=%v: %d tests for %d items: a filtered hop must count as exactly one false test", filter, got, want)
+		}
+		if f := st.FilteredHops.Load(); (f > 0) != filter {
+			t.Errorf("filter=%v: %d filtered hops", filter, f)
+		}
+		msgs[i] = u.Stats.MsgsSent()
+	}
+	if msgs[1] >= msgs[0] {
+		t.Errorf("messages: %d with the filter, %d without", msgs[1], msgs[0])
+	}
+}
+
+// TestFilterForgetsOnRollback: a rolled-back epoch replays from restored maps,
+// so what a rank offered during the aborted attempt proves nothing about
+// them. Rank 1 dies after handling a few relaxations; on replay rank 0 must
+// offer the same values again. A filter that remembered them across the
+// rollback would suppress every one and leave rank 1's vertices unreached.
+// The replay's new am.Rank.EpochAttempt stamp is the only thing that empties
+// the table (moving r.attempt.Add out of EpochThreaded's retry loop fails this
+// test). Zero handler threads make the schedule — and so the failure — exact.
+func TestFilterForgetsOnRollback(t *testing.T) {
+	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
+	cfg := am.Config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 4, Recovery: true,
+		FaultPlan: &am.FaultPlan{Seed: 1, Crashes: []am.Crash{{Rank: 1, Epoch: 0, AfterHandled: 12}}}}
+	u, eng, _ := newEngineWith(cfg, n, edges, distgraph.Options{}, pattern.DefaultPlanOptions())
+	b := NewBFS(eng)
+	runOrFail(t, u, func(r *am.Rank) { b.Run(r, 3) })
+	if snap := u.Stats.Snapshot(); snap.RankCrashes != 1 || snap.Recoveries != 1 {
+		t.Fatalf("crashes = %d, recoveries = %d; want one of each", snap.RankCrashes, snap.Recoveries)
+	}
+	if b.Visit.Stats.FilteredHops.Load() == 0 {
+		t.Fatal("the filter never engaged")
+	}
+	checkDist(t, "replayed", b.Level.Gather(), seq.BFS(n, edges, 3))
+}

@@ -79,11 +79,15 @@ var encBufPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 1
 
 // wirePayload is the wire form of an envelope of a codec-equipped message
 // type: the encoded batch plus a checksum computed over the clean bytes at
-// the sender. eb, when non-nil, is the pooled buffer backing b.
+// the sender. eb, when non-nil, is the pooled buffer backing b. verified
+// marks bytes the transport has already checked end to end (a socket frame's
+// CRC covers them and nothing alters them between sealing and framing), so
+// delivery does not checksum them a second time.
 type wirePayload struct {
-	b   []byte
-	sum uint64
-	eb  *encBuf
+	b        []byte
+	sum      uint64
+	eb       *encBuf
+	verified bool
 }
 
 // release returns one delivery reference; the last reference recycles the

@@ -3,6 +3,7 @@ package am
 import (
 	"runtime"
 	"sync"
+	"time"
 
 	"declpat/internal/obs"
 )
@@ -118,6 +119,7 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 		r.st.Inc(cCheckpoints)
 	}
 	for {
+		r.attempt.Add(1)
 		r.totalBodies.Store(int32(nthreads))
 		r.idleBodies.Store(0)
 		r.handledInEpoch.Store(0)
@@ -136,7 +138,7 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 		kernel := r.Phase(obs.PhaseKernel)
 		r.runBodies(nthreads, body)
 		kernel.End() // the attempt's body+drain span: the epoch's kernel phase
-		r.Barrier() // every rank observed the same commit-or-abort outcome
+		r.Barrier()  // every rank observed the same commit-or-abort outcome
 		if u.epochState.Load() != epochAborting {
 			break
 		}
@@ -173,6 +175,17 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 	r.fc = nil
 	r.Barrier()
 }
+
+// EpochAttempt returns a stamp that identifies the epoch attempt this rank is
+// in: it changes every time the rank enters an epoch and every time a
+// rolled-back epoch replays, and is stable from the attempt's opening barrier
+// until its closing one — the window in which the rank's bodies and handlers
+// send. A layer that remembers what it has already sent (the pattern engine's
+// send-side filter) keys that memory on the stamp: everything sent under an
+// earlier stamp has either been handled (the epoch guarantee) or discarded
+// (the rollback), and the state it was sent to may have been reset since. The
+// value is never 0 inside an epoch.
+func (r *Rank) EpochAttempt() uint64 { return r.attempt.Load() }
 
 // runBodies runs one epoch attempt: the body participants plus the rank
 // main's progress loop, returning once the epoch has globally finished or
@@ -231,6 +244,7 @@ func (r *Rank) runBody(tid int, body func(int, *Epoch)) {
 func (r *Rank) progressUntilDone() {
 	r = r.facet()
 	u := r.u
+	quiet := 0
 	for u.epochState.Load() == epochRunning {
 		if r.crashed.Load() {
 			// Crash-stop: a dead rank neither flushes nor delivers; it
@@ -242,6 +256,7 @@ func (r *Rank) progressUntilDone() {
 		worked := r.drainSome(64)
 		if flushed || worked {
 			u.touchProgress()
+			quiet = 0
 			continue
 		}
 		switch u.cfg.Detector {
@@ -255,7 +270,8 @@ func (r *Rank) progressUntilDone() {
 			}
 		}
 		r.checkWatchdog()
-		runtime.Gosched()
+		quiet++
+		r.idle(quiet)
 	}
 	if u.epochState.Load() == epochAborting {
 		return // recovery scrubs the leftovers
@@ -356,10 +372,41 @@ func (ep *Epoch) TryFinish() bool {
 			}
 		}
 		r.checkWatchdog()
-		runtime.Gosched()
+		if i == tryFinishSpins {
+			// Leaving for the body, whose next TryFinish flushes and polls at
+			// once: yield, never park.
+			runtime.Gosched()
+		} else {
+			r.idle(i)
+		}
 	}
 	r.idleBodies.Add(-1)
 	return false
+}
+
+// idlePark is how long an idle progress loop sleeps on a transport whose
+// frames arrive through the runtime's network poller.
+const idlePark = 20 * time.Microsecond
+
+// idleSpins is how many quiet passes in a row yield before the loop parks.
+const idleSpins = 16
+
+// idle gives up the processor after a progress-loop pass that found nothing
+// to do. On the in-process transport that is a plain yield. On a socket
+// transport a yield is not enough: a yielding goroutine stays runnable, so no
+// processor ever runs out of work, and the Go scheduler polls the network
+// only when one does (or from sysmon, every 10 ms) — the reader goroutines
+// holding data and acks would wait for that while the senders' retransmit
+// clocks run. Parking briefly lets a processor go idle and poll. quiet counts
+// the caller's consecutive passes without work; the first idleSpins of them
+// only yield, because an epoch with nothing to wait for ends within a few
+// passes and parking at once would add the sleep to every such epoch.
+func (r *Rank) idle(quiet int) {
+	if r.u.net.shared() || quiet < idleSpins {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(idlePark)
 }
 
 // totalAux sums the per-rank deferred-work counters.

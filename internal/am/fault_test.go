@@ -271,6 +271,53 @@ func TestRetransmitCeilingSparesAnUnpolledReceiver(t *testing.T) {
 	}
 }
 
+// TestRetransmitCeilingSparesABackloggedReceiver: a receiver that is polling —
+// but is still working through what was queued ahead of a transmission — has
+// not had the chance to answer it either. Rank 1 handles one envelope per 20
+// sender ticks, so the last of 48 envelopes waits ~1000 ticks in its inbox
+// while the sender retransmits it far past MaxAttempts. None of that may be
+// charged: the link is fine, the inbox is long.
+func TestRetransmitCeilingSparesABackloggedReceiver(t *testing.T) {
+	const envelopes = 48
+	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 1,
+		FaultPlan: &FaultPlan{RetransmitBase: 1, MaxAttempts: 3}})
+	var got atomic.Int64
+	tokens := make(chan struct{}, 1)
+	mt := Register(u, "m", func(r *Rank, m int64) {
+		<-tokens
+		got.Add(1)
+	})
+	err := u.Run(func(r *Rank) {
+		r.Epoch(func(ep *Epoch) {
+			if r.ID() == 1 {
+				return // handles in its progress loop, one envelope per token
+			}
+			defer close(tokens) // also when a link fault unwinds this body
+			for i := 0; i < envelopes; i++ {
+				mt.SendTo(r, 1, int64(i))
+			}
+			for i := 0; got.Load() < envelopes && i < 1_000_000; i++ {
+				ep.Flush() // every flush ticks the clock and retransmits what is due
+				if i%20 == 0 {
+					select {
+					case tokens <- struct{}{}:
+					default:
+					}
+				}
+			}
+		})
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got.Load() != envelopes || u.Stats.LinkDeaths() != 0 {
+		t.Fatalf("handled %d (want %d), link deaths %d (want 0)", got.Load(), envelopes, u.Stats.LinkDeaths())
+	}
+	if u.Stats.Retransmits() <= 3*envelopes {
+		t.Fatalf("only %d retransmits: the sender never went past the ceiling", u.Stats.Retransmits())
+	}
+}
+
 // TestTrustedShutdownStress is the same teardown stress without a fault
 // plan, guarding the original transport's shutdown ordering.
 func TestTrustedShutdownStress(t *testing.T) {

@@ -127,6 +127,15 @@ func (q *queue) Peak() int {
 // Polls reports how many times a consumer has looked at the queue.
 func (q *queue) Polls() uint64 { return q.polls.Load() }
 
+// drainedBy returns the poll count at which an envelope pushed right now will
+// have been taken: every poll of a non-empty queue takes one envelope, so
+// that is one poll per envelope already queued, plus its own.
+func (q *queue) drainedBy() uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.polls.Load() + uint64(q.n) + 1
+}
+
 // Close wakes all blocked consumers; subsequent Pops drain and then report
 // !ok.
 func (q *queue) Close() {

@@ -49,13 +49,16 @@ type outEnvelope struct {
 	lin      []uint64 // causal lineage per message, preserved across retransmits
 	attempts int      // transmissions performed so far
 	// charged counts the transmissions that count toward
-	// FaultPlan.MaxAttempts: those after which the destination rank looked
-	// at its inbox (destPolls is its queue's poll count at the latest
-	// transmission). On a backend whose retransmit clock ticks per sender
-	// poll, a sender that spins while the receiver's goroutines are
-	// descheduled would otherwise burn the whole budget before one ack could
-	// be written; a link is dead when the receiver keeps looking and still
-	// nothing comes back, which is how an injected DeadLink behaves.
+	// FaultPlan.MaxAttempts: those the destination rank had the chance to
+	// answer, i.e. after which it polled its inbox more often than the inbox
+	// held envelopes when the transmission was made (destPolls is the poll
+	// count that proves it — see queue.drainedBy). On a backend whose
+	// retransmit clock ticks per sender poll, a sender that spins while the
+	// receiver's goroutines are descheduled, or still working through a long
+	// inbox, would otherwise burn the whole budget before one ack could be
+	// written; a link is dead when the receiver gets past everything it was
+	// sent and still nothing comes back, which is how an injected DeadLink
+	// behaves.
 	charged   int
 	destPolls uint64
 	due       uint64
@@ -167,7 +170,7 @@ func (r *Rank) nextSeq(dest int, typ int32, data any, lin []uint64) (uint64, *ou
 	o := &outEnvelope{
 		data:      data,
 		lin:       lin,
-		destPolls: r.u.ranks[dest].inbox.Polls(),
+		destPolls: r.u.ranks[dest].inbox.drainedBy(),
 	}
 	o.refs.Store(2) // the outstanding table's (dropped by handleAck) + the initial transmission's
 	if r.u.ackRTT != nil {
@@ -367,9 +370,9 @@ func (r *Rank) pollLinks() bool {
 				o.attempts++
 				// A rank hosted by another process has no inbox here to
 				// watch, so every transmission to it is charged.
-				if polls := u.ranks[dest].inbox.Polls(); polls != o.destPolls || !u.isLocal(dest) {
+				if q := u.ranks[dest].inbox; q.Polls() >= o.destPolls || !u.isLocal(dest) {
 					o.charged++
-					o.destPolls = polls
+					o.destPolls = q.drainedBy()
 				}
 				if o.charged > u.fp.MaxAttempts {
 					// Retransmit ceiling: declare the link dead. The

@@ -652,15 +652,18 @@ func (t *sockTransport) deliverFrame(r *Rank, src int, body []byte) bool {
 			return false
 		}
 		// The payload outlives the frame buffer: copy it into a pooled
-		// encode buffer and hand the receiver a single-reference payload —
-		// deliverEnvelope verifies the end-to-end codec checksum (sum) and
-		// releases the buffer on every exit path.
+		// encode buffer and hand the receiver a single-reference payload,
+		// which deliverEnvelope releases on every exit path. The frame CRC
+		// serveConn just verified covers these bytes, so the end-to-end
+		// codec checksum (sum) need not be recomputed — unless the fault
+		// plan corrupts payloads, which it does after sealing sum and before
+		// the frame is built: then sum is the only check that sees it.
 		eb := encBufPool.Get().(*encBuf)
 		eb.b = append(eb.b[:0], b[4:]...)
 		eb.refs.Store(1)
 		r.inbox.Push(envelope{
 			typeID: typ, src: int32(src), seq: seq, gen: gen, qid: qid,
-			data: wirePayload{b: eb.b, sum: sum, eb: eb}, lin: lin,
+			data: wirePayload{b: eb.b, sum: sum, eb: eb, verified: u.fp.Corrupt == 0}, lin: lin,
 		})
 		return true
 	default:

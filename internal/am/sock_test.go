@@ -131,6 +131,27 @@ func TestSockDisconnectReconnect(t *testing.T) {
 	}
 }
 
+// TestSockInjectedCorruptionStillDetected: a payload that arrives inside a
+// CRC-verified frame is not checksummed a second time — except under a fault
+// plan that corrupts payloads, which flips its byte after the payload
+// checksum is sealed and before the frame CRC is computed, so the frame
+// verifies and only the payload checksum can tell. The corrupted envelopes
+// must still be caught and retransmitted, never decoded.
+func TestSockInjectedCorruptionStillDetected(t *testing.T) {
+	requireLoopback(t)
+	const seed = 9
+	cfg := Config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 4,
+		FaultPlan: &FaultPlan{Seed: seed, Corrupt: 0.3},
+		Transport: SockTransport(fastSockOptions("unix"))}
+	counts, u := runSockChatter(t, cfg, 64)
+	checkExactlyOnce(t, counts, seed)
+	s := u.Stats.Snapshot()
+	if s.CorruptionsDetected == 0 || s.DecodeErrors != 0 {
+		t.Fatalf("corruptions detected = %d, decode errors = %d; want every injected corruption caught by the checksum",
+			s.CorruptionsDetected, s.DecodeErrors)
+	}
+}
+
 // sockRingSum runs a one-epoch ring workload over a socket transport with a
 // checkpointed per-rank accumulator (handler results survive epoch rollback
 // and replay exactly once). gate, when non-nil, is waited on by rank 0's

@@ -496,6 +496,11 @@ type rankState struct {
 
 	inEpoch atomic.Bool
 
+	// attempt numbers this rank's epoch attempts (see EpochAttempt): advanced
+	// by the rank main before each attempt's opening barrier, read by any of
+	// the rank's threads.
+	attempt atomic.Uint64
+
 	// nextQID is the query context the rank's next epoch will run under
 	// (EpochCtx sets it, EpochThreaded consumes it). Written and read only
 	// by the goroutine entering the epoch, between epochs, so it needs no
@@ -737,9 +742,10 @@ func (u *Universe) Run(body func(r *Rank)) error {
 }
 
 // deliverEnvelope runs the handlers for every message in e on rank r. In
-// reliable mode it first verifies the wire checksum (codec-equipped types),
-// decodes, suppresses duplicates, and acknowledges the envelope; corrupted
-// or undecodable envelopes are discarded unacknowledged so the sender's
+// reliable mode it first verifies the wire checksum (codec-equipped types,
+// unless the transport already verified the bytes inside a frame), decodes,
+// suppresses duplicates, and acknowledges the envelope; corrupted or
+// undecodable envelopes are discarded unacknowledged so the sender's
 // retransmit recovers them. Every exit path releases the envelope's pooled
 // wire buffer exactly once, and decoded batches the receiver exclusively
 // owns return to the type's batch pool after delivery.
@@ -800,7 +806,7 @@ func (r *Rank) deliverEnvelope(e envelope) {
 	data := e.data
 	fromWire := false
 	if wp, ok := data.(wirePayload); ok {
-		if crc64Sum(wp.b) != wp.sum {
+		if !wp.verified && crc64Sum(wp.b) != wp.sum {
 			wp.release()
 			if u.fp == nil {
 				panic("am: wire corruption on trusted transport: " + mt.name)

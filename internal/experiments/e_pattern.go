@@ -73,7 +73,8 @@ func runThreeLoc(n int, edges []distgraph.Edge, popts pattern.PlanOptions) (*am.
 // counts for merged vs unmerged evaluation across the pattern library, plus
 // a runtime comparison on the three-locality relax — the merged plan sends
 // fewer messages and keeps the read-modify-write of the target consistent —
-// with and without direct application of its single-word hops.
+// with and without direct application of its single-word hops, and with and
+// without the send-side filter on its eval hop.
 func E2Merge(sc Scale) []*harness.Table {
 	plans := harness.NewTable("E2a: compiled plan per condition (merged vs unmerged)",
 		"pattern/action", "cond", "merged-msgs", "merged-sync", "unmerged-msgs", "unmerged-sync")
@@ -95,14 +96,18 @@ func E2Merge(sc Scale) []*harness.Table {
 
 	n, edges := workload(sc)
 	rt := harness.NewTable("E2b: runtime, three-locality relax to fixed point",
-		"mode", "direct", "messages", "handlers", "time", "wrong", "invariant-violations")
-	// The direct=off rows are the paper's: every hop a message. The
-	// direct=on rows apply the single-word hops in place (the merged plan's
-	// gather and atomic-min eval; the unmerged plan's gathers only — its
-	// eval is under the lock map and its modification is a tail group).
-	for _, direct := range []bool{false, true} {
+		"mode", "direct", "filter", "messages", "handlers", "time", "wrong", "invariant-violations")
+	// The direct=off filter=off rows are the paper's: every hop a message.
+	// The direct=on rows apply the single-word hops in place (the merged
+	// plan's gather and atomic-min eval; the unmerged plan's gathers only —
+	// its eval is under the lock map and its modification is a tail group).
+	// The filter=on rows keep every hop a message but decline to send a
+	// merged eval hop that cannot beat what the sending rank already offered
+	// the vertex; the unmerged eval is not one monotone word, so its rows
+	// repeat the paper's.
+	for _, v := range []struct{ direct, filter bool }{{false, false}, {true, false}, {false, true}} {
 		for _, merged := range []bool{true, false} {
-			popts := pattern.PlanOptions{Merge: merged, Fold: true, Direct: direct}
+			popts := pattern.PlanOptions{Merge: merged, Fold: true, Direct: v.direct, Filter: v.filter}
 			var u *am.Universe
 			var got []int64
 			d := harness.Time(func() { u, got = runThreeLoc(n, edges, popts) })
@@ -110,11 +115,7 @@ func E2Merge(sc Scale) []*harness.Table {
 			if !merged {
 				name = "unmerged"
 			}
-			onOff := "off"
-			if direct {
-				onOff = "on"
-			}
-			rt.Add(row([]any{name, onOff}, statCells(u, "messages", "handlers"), d,
+			rt.Add(row([]any{name, onOff[v.direct], onOff[v.filter]}, statCells(u, "messages", "handlers"), d,
 				checkSSSP(got, n, edges, 0), invariantViolations(got, edges))...)
 		}
 	}

@@ -63,7 +63,8 @@ func E5Coalescing(sc Scale) []*harness.Table {
 
 // E6Reduction measures the caching/reduction layer (§IV: "caching allows to
 // avoid unnecessary message sends ... in algorithms that produce potentially
-// large amounts of repetitive work") on the hand-written SSSP.
+// large amounts of repetitive work") on the hand-written SSSP, and the
+// pattern engine's send-side filter beside it.
 func E6Reduction(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 	t := harness.NewTable("E6: reduction cache (hand-written AM++ SSSP)",
@@ -86,7 +87,26 @@ func E6Reduction(sc Scale) []*harness.Table {
 		t.Add(row([]any{name}, statCells(u, "accepted", "suppressed", "handlers", "envelopes"),
 			d, checkSSSP(h.Dist.Gather(), n, edges, 0))...)
 	}
-	return []*harness.Table{t}
+
+	// The pattern engine's counterpart (PlanOptions.Filter): the same machine,
+	// every hop a message (Direct off). Where the cache merges relaxations
+	// that meet in one coalescing buffer, the filter declines to send one
+	// that cannot beat what the rank already offered the vertex this epoch.
+	pt := harness.NewTable("E6b: send-side filter (pattern SSSP, fixed point, Direct off)",
+		"filter", "messages", "filtered", "handlers", "envelopes", "time", "wrong")
+	for _, filter := range []bool{false, true} {
+		popts := PaperPlan()
+		popts.Filter = filter
+		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 256}, n, edges, defaultGOpts(), popts)
+		s := algorithms.NewSSSP(e.eng)
+		d := harness.Time(func() {
+			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+		})
+		cells := statCells(e.u, "messages", "handlers", "envelopes")
+		pt.Add(onOff[filter], cells[0], s.Relax.Stats.FilteredHops.Load(), cells[1], cells[2],
+			d, checkSSSP(s.Dist.Gather(), n, edges, 0))
+	}
+	return []*harness.Table{t, pt}
 }
 
 // E7Scaling sweeps ranks × handler threads (strong scaling shape over the

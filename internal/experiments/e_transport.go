@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"strings"
 	"time"
 
 	"declpat/internal/algorithms"
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
 	"declpat/internal/harness"
+	"declpat/internal/pattern"
 )
 
 // TransportRecord is one E21 measurement: a (algorithm, detector, transport)
@@ -33,8 +35,10 @@ type TransportRecord struct {
 // e21Transports: "chan" is the in-process channel backend in reliable wire
 // mode (the floor every socket cell is compared against), then Unix-domain
 // sockets and TCP loopback, and TCP again under a seeded disconnect + flap
-// schedule.
-var e21Transports = []string{"chan", "unix", "tcp", "tcp+faults"}
+// schedule — all under PaperPlan, every relaxation a message. The "+shipped"
+// cells run the sockets with the planner as shipped: the send-side filter
+// declines relaxations that cannot win.
+var e21Transports = []string{"chan", "unix", "tcp", "tcp+faults", "unix+shipped", "tcp+shipped"}
 
 // E21TransportRecords runs the BFS/SSSP/CC x detector x transport matrix.
 // Results of every transport are compared against the same
@@ -91,6 +95,7 @@ func e21Run(sc Scale, algo, detName string, det am.DetectorKind, tr string,
 		gopts.Symmetrize = true
 	}
 	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64, Detector: det}
+	popts := PaperPlan()
 	switch tr {
 	case "chan":
 		// Reliable wire mode on the channel backend, so the comparison
@@ -102,8 +107,11 @@ func e21Run(sc Scale, algo, detName string, det am.DetectorKind, tr string,
 		cfg.Transport = e21SockTransport("tcp", false)
 	case "tcp+faults":
 		cfg.Transport = e21SockTransport("tcp", true)
+	case "unix+shipped", "tcp+shipped":
+		cfg.Transport = e21SockTransport(strings.TrimSuffix(tr, "+shipped"), false)
+		popts = pattern.DefaultPlanOptions()
 	}
-	e := newEnv(cfg, n, edges, gopts, PaperPlan())
+	e := newEnv(cfg, n, edges, gopts, popts)
 	if got := e.eng.MsgType().WithWire().CodecName(); got != "fixed" {
 		panic("E21: pattern message lost its fixed layout: codec " + got)
 	}
@@ -123,7 +131,13 @@ func e21Run(sc Scale, algo, detName string, det am.DetectorKind, tr string,
 		body = func(r *am.Rank) { c.Run(r) }
 		gather = func() []int64 { return canonicalize(c.Comp.Gather()) }
 	}
-	d := harness.Time(func() { e.u.Run(body) })
+	d := harness.Time(func() {
+		// No cell injects a fault the substrate cannot absorb: an error here
+		// is a finding, and a partial answer must not pass for a wrong one.
+		if err := e.u.Run(body); err != nil {
+			panic("E21 " + algo + "/" + detName + "/" + tr + ": " + err.Error())
+		}
+	})
 	s := e.u.Stats.Snapshot()
 	rec := TransportRecord{
 		Algo: algo, Detector: detName, Transport: tr,

@@ -63,18 +63,20 @@ func All() []Experiment {
 	}
 }
 
-// PaperPlan is the shipped planner configuration with Direct pinned off. The
-// paper's ranks are separate machines, where every hop of a plan is a
-// message; on this repository's in-process transport the shipped default
-// applies single-word hops in place instead (DESIGN.md, "Co-resident direct
-// application"), which removes most of the traffic the experiments exist to
-// count. Every experiment that reports message counts, or measures the
-// message plane itself (coalescing, detectors, codecs, transports, faults,
-// telemetry), therefore runs PaperPlan; E7 and E9 time the engine as shipped,
-// and E2b shows both.
+// PaperPlan is the shipped planner configuration with Direct and Filter
+// pinned off. The paper's ranks are separate machines, where every hop of a
+// plan is a message; on this repository's in-process transport the shipped
+// default applies single-word hops in place instead (DESIGN.md, "Co-resident
+// direct application"), and on every other transport it declines to send a
+// relaxation that cannot win ("Send-side filter") — each removes most of the
+// traffic the experiments exist to count. Every experiment that reports
+// message counts, or measures the message plane itself (coalescing,
+// detectors, codecs, transports, faults, telemetry), therefore runs
+// PaperPlan; E7 and E9 time the engine as shipped, E2b shows each toggle, and
+// E6 and E21 carry as-shipped rows beside the paper's.
 func PaperPlan() pattern.PlanOptions {
 	o := pattern.DefaultPlanOptions()
-	o.Direct = false
+	o.Direct, o.Filter = false, false
 	return o
 }
 

@@ -41,6 +41,9 @@ func statCells(u *am.Universe, cols ...string) []any {
 	return out
 }
 
+// onOff labels a toggle's rows.
+var onOff = map[bool]string{false: "off", true: "on"}
+
 // row concatenates leading experiment-specific cells, substrate cells, and
 // trailing cells into one table row for Table.Add.
 func row(lead []any, stats []any, tail ...any) []any {

@@ -4,8 +4,10 @@ package pattern
 // only mutable per-rank state outside the user's property maps is each bound
 // action's modification flag (the `once` strategy's changed-anything bit);
 // everything else — compiled actions, bindings, work hooks — is frozen
-// before Run. Action-level Stats counters are diagnostics, not algorithm
-// state, and are deliberately not rewound.
+// before Run, and the send-side filter's tables describe one epoch attempt:
+// the replay runs under a new am.Rank.EpochAttempt stamp, which empties them.
+// Action-level Stats counters are diagnostics, not algorithm state, and are
+// deliberately not rewound.
 
 // SnapshotRank saves every bound action's modification flag for one rank
 // (am.Checkpointer).

@@ -70,12 +70,16 @@ type Engine struct {
 	opts    PlanOptions
 	msg     *am.MsgType[patMsg]
 	actions []*BoundAction
+	// filters is the send-side filter state of every vertex-word map a bound
+	// action writes (filter.go).
+	filters map[*pmap.VertexWord]*filter
 }
 
 // NewEngine creates a pattern engine. lm provides §IV-B's lock map (used for
 // multi-value conditions); opts selects the §IV planning optimizations.
 func NewEngine(u *am.Universe, g *distgraph.Graph, lm *pmap.LockMap, opts PlanOptions) *Engine {
-	e := &Engine{u: u, g: g, lm: lm, dist: g.Dist(), nv: g.NumVertices(), opts: opts}
+	e := &Engine{u: u, g: g, lm: lm, dist: g.Dist(), nv: g.NumVertices(), opts: opts,
+		filters: map[*pmap.VertexWord]*filter{}}
 	e.msg = am.Register(u, "pattern-step", func(r *am.Rank, m patMsg) {
 		e.dispatch(r, m)
 	}).WithAddresser(func(m patMsg) int { return g.Owner(m.Dest) })
@@ -161,6 +165,7 @@ func (e *Engine) Bind(p *Pattern, binds Bindings) (*Bound, error) {
 		for rank := range ba.st {
 			ba.st[rank] = ba.Stats.c.Shard(rank)
 		}
+		e.bindFilters(ba)
 		e.actions = append(e.actions, ba)
 		b.actions[a.Name] = ba
 	}
@@ -177,12 +182,14 @@ const (
 	sModsUnchanged
 	sWorkItems
 	sDirectHops
+	sFilteredHops
 	numStats
 )
 
 var statNames = [numStats]string{
 	"invocations", "items", "tests_true", "tests_false",
 	"mods_changed", "mods_unchanged", "work_items", "direct_hops",
+	"filtered_hops",
 }
 
 // Counter is the read side of one engine counter. The write side is sharded
@@ -212,6 +219,11 @@ type Stats struct {
 	// DirectHops counts hops executed in place against a co-resident
 	// owner's shard instead of being sent as messages.
 	DirectHops Counter
+	// FilteredHops counts eval hops the send-side filter answered false at
+	// the sender instead of sending: this rank had already offered the
+	// vertex a value at least as good in the same epoch attempt. Each is
+	// also counted in TestsFalse.
+	FilteredHops Counter
 }
 
 // newStats allocates one action's counters, sharded per rank.
@@ -224,6 +236,7 @@ func newStats(ranks int) Stats {
 		TestsTrue: at(sTestsTrue), TestsFalse: at(sTestsFalse),
 		ModsChanged: at(sModsChanged), ModsUnchanged: at(sModsUnchanged),
 		WorkItems: at(sWorkItems), DirectHops: at(sDirectHops),
+		FilteredHops: at(sFilteredHops),
 	}
 }
 
@@ -259,8 +272,11 @@ type BoundAction struct {
 	binds    map[*Prop]binding
 	work     func(r *am.Rank, v distgraph.Vertex)
 	modified []atomic.Bool
-	st       []obs.Shard // Stats' write side, one shard per rank
-	Stats    Stats
+	// filters[ci] is the send-side filter of condition ci's eval hop, nil
+	// when the planner did not mark the hop filter-eligible.
+	filters []*filter
+	st      []obs.Shard // Stats' write side, one shard per rank
+	Stats   Stats
 }
 
 // count adds one to counter id on r's shard.
@@ -269,8 +285,18 @@ func (ba *BoundAction) count(r *am.Rank, id int) { ba.st[r.ID()].Inc(id) }
 // Name returns the action's name.
 func (ba *BoundAction) Name() string { return ba.ca.action.Name }
 
-// PlanInfo returns the compiled message plan for inspection.
-func (ba *BoundAction) PlanInfo() PlanInfo { return ba.ca.info() }
+// PlanInfo returns the compiled message plan for inspection. Filter is shown
+// only where the engine filters: Bind declines an eligible hop whose map some
+// bound action writes another way.
+func (ba *BoundAction) PlanInfo() PlanInfo {
+	pi := ba.ca.info()
+	for ci := range pi.Conds {
+		if !ba.filtered(ci) {
+			pi.Conds[ci].Filter = ""
+		}
+	}
+	return pi
+}
 
 // SetWork installs the work hook called at the owner of a dependent vertex
 // when a modification read by the action changes its value (§IV-C). The
@@ -407,8 +433,10 @@ func (ba *BoundAction) locVertex(m *patMsg, l Loc) distgraph.Vertex {
 // rank owns executes inline. So does a direct-eligible hop (PlanOptions.Direct)
 // whose owner is co-resident: this thread performs its single-word operation
 // against the owner's shard and the cursor carries on here. Any other hop is
-// sent to its owner as one message. Hop indices >= len(hops) address tail
-// modification groups, which are never direct.
+// sent to its owner as one message — unless it is a filtered eval hop that
+// cannot beat what this rank already sent the vertex, which is answered false
+// here (filter.go). Hop indices >= len(hops) address tail modification groups,
+// which are never direct.
 func (ba *BoundAction) advance(r *am.Rank, m *patMsg, ci, hi int) {
 	ba.advanceFrom(r, m, ci, hi, false)
 }
@@ -456,6 +484,13 @@ func (ba *BoundAction) advanceFrom(r *am.Rank, m *patMsg, ci, hi int, fromWire b
 		owner := e.dist.Owner(dest)
 		if owner != r.ID() {
 			if !direct || !r.Coresident(owner) {
+				if hi == nHops-1 && ba.filtered(ci) &&
+					!ba.filters[ci].offer(r, dest, ba.eval(m, cp.modRhs[cp.mergedMods[0]])) {
+					ba.count(r, sFilteredHops)
+					ba.count(r, sTestsFalse)
+					ci, hi = ba.ca.nextOnFalse[ci], 0
+					continue
+				}
 				m.Dest, m.Cond, m.Hop = dest, int16(ci), int16(hi)
 				e.msg.SendTo(r, owner, *m)
 				return

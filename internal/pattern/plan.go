@@ -41,12 +41,22 @@ type PlanOptions struct {
 	// separate machines): turn it off to reproduce the paper's message
 	// counts on the in-process transport.
 	Direct bool
+	// Filter marks an eval hop whose whole effect is one monotone word
+	// update — §IV-B's atomic-min or atomic-max with nothing after it and a
+	// right-hand side known before the hop — as filter-eligible. When such a
+	// hop has to travel as a message, the sending rank first checks the best
+	// value it has already offered to that vertex in the current epoch
+	// attempt and, if this one cannot beat it, takes the condition's false
+	// branch at once instead of sending (the engine's send-side filter; see
+	// DESIGN.md). Like Direct it is not one of the paper's optimizations:
+	// turn it off to reproduce the paper's message counts.
+	Filter bool
 }
 
 // DefaultPlanOptions returns the paper's configuration — merged evaluation,
-// folding, direct sibling jumps, early exit — plus Direct.
+// folding, direct sibling jumps, early exit — plus Direct and Filter.
 func DefaultPlanOptions() PlanOptions {
-	return PlanOptions{Merge: true, Fold: true, EarlyExit: true, Direct: true}
+	return PlanOptions{Merge: true, Fold: true, EarlyExit: true, Direct: true, Filter: true}
 }
 
 // normalizeLoc maps a locality designator to the vertex it denotes, folding
@@ -151,6 +161,10 @@ type condPlan struct {
 
 	sync         atomicKind
 	payloadWords int // live slots carried into the eval hop (E10 metric)
+	// filter: the eval hop is one monotone word update a sender can decide
+	// hopeless from what it has already sent (PlanOptions.Filter). Set by
+	// markFilter; the engine may still decline it at Bind (see bindFilters).
+	filter bool
 }
 
 // messages returns the per-generated-item message count of this condition's
@@ -687,6 +701,9 @@ func (c *compiler) planCond(a *Action, cond *Cond, loaded map[*Access]bool, ca *
 	if c.opts.Direct {
 		markDirect(&cp)
 	}
+	if c.opts.Filter {
+		markFilter(&cp, availBefore)
+	}
 
 	// Payload metric: slots written before the eval hop (anywhere in the
 	// action so far) and read at or after it — Fig. 6's per-message
@@ -968,6 +985,23 @@ func markDirect(cp *condPlan) {
 	}
 }
 
+// markFilter sets cp.filter when the eval hop is a relaxation a sender can
+// suppress: it synchronizes as one atomic min or max on a vertex word, no
+// tail modification group follows it (a suppressed hop takes the false
+// branch, which would skip them), and the value it offers is computable
+// before the hop — so the sender holds exactly the word the owner would
+// compare. Add accumulates (every message counts), insert and lock-
+// synchronized hops are not one ordered word, and none of them is eligible.
+func markFilter(cp *condPlan, availBefore map[*Access]bool) {
+	if cp.sync != syncAtomicMin && cp.sync != syncAtomicMax {
+		return
+	}
+	mi := cp.mergedMods[0]
+	cp.filter = len(cp.tailGroups) == 0 &&
+		cp.cond.Mods[mi].Target.Prop.Kind == VertexWordProp &&
+		foldable(cp.modRhs[mi], availBefore)
+}
+
 // countLivePayload counts payload slots carried into the eval hop: slots
 // written strictly before it (entry hop, earlier conditions, and this
 // condition's gather hops) and read at or after it.
@@ -1055,6 +1089,9 @@ type CondPlanInfo struct {
 	// (PlanOptions.Direct): hops a co-resident sender executes in place
 	// instead of sending.
 	Direct []string
+	// Filter is the eval hop's locality when the hop is filter-eligible
+	// (PlanOptions.Filter), "" otherwise.
+	Filter string
 }
 
 func (ca *compiledAction) info() PlanInfo {
@@ -1074,6 +1111,9 @@ func (ca *compiledAction) info() PlanInfo {
 				ci.Direct = append(ci.Direct, h.at.String())
 			}
 		}
+		if cp.filter {
+			ci.Filter = cp.hops[len(cp.hops)-1].at.String()
+		}
 		for _, g := range cp.tailGroups {
 			ci.Route = append(ci.Route, "mod@"+g.at.String())
 		}
@@ -1091,8 +1131,12 @@ func (pi PlanInfo) String() string {
 		if len(c.Direct) > 0 {
 			direct = strings.Join(c.Direct, ",")
 		}
-		fmt.Fprintf(&b, "  cond %d: msgs=%d payload=%d sync=%s route=%s direct=%s\n",
-			i, c.Messages, c.PayloadWords, c.Sync, strings.Join(c.Route, " -> "), direct)
+		filter := "-"
+		if c.Filter != "" {
+			filter = c.Filter
+		}
+		fmt.Fprintf(&b, "  cond %d: msgs=%d payload=%d sync=%s route=%s direct=%s filter=%s\n",
+			i, c.Messages, c.PayloadWords, c.Sync, strings.Join(c.Route, " -> "), direct, filter)
 	}
 	return b.String()
 }

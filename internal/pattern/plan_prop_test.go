@@ -90,10 +90,10 @@ func randomPattern(rng *rand.Rand) *Pattern {
 // combination and checks structural invariants of the plans.
 func TestPlannerPropertiesRandom(t *testing.T) {
 	optsList := []PlanOptions{
-		{Merge: true, Fold: true, EarlyExit: true, Direct: true},
+		{Merge: true, Fold: true, EarlyExit: true, Direct: true, Filter: true},
 		{Merge: true, Fold: true},
-		{Merge: true, Fold: false},
-		{Merge: false, Fold: true, Direct: true},
+		{Merge: true, Fold: false, Filter: true},
+		{Merge: false, Fold: true, Direct: true, Filter: true},
 		{Merge: true, Fold: true, NaiveDFS: true, Direct: true},
 	}
 	compiled := 0
@@ -165,7 +165,12 @@ func containsStr(s, sub string) bool {
 //   - a hop is marked direct iff Direct is on and the hop has no lock (it is
 //     a gather hop, or an eval hop merged with exactly one modification and
 //     classified atomic), every hop loads only word-sized values, and tail
-//     modification groups are never listed as direct.
+//     modification groups are never listed as direct;
+//   - a condition is filter-eligible only with Filter on, and then its eval
+//     hop is one atomic min or max (never lock, add or insert) on a vertex
+//     word, merged with exactly one modification, followed by no tail group,
+//     offering a value that reads nothing loaded at the eval hop itself; the
+//     entry hop is not a condition's hop and is never the one marked.
 func checkPlanInvariants(t *testing.T, seed uint64, opts PlanOptions, ca *compiledAction) {
 	t.Helper()
 	if ca.nSlots > MaxSlots {
@@ -248,6 +253,34 @@ func checkPlanInvariants(t *testing.T, seed uint64, opts PlanOptions, ca *compil
 			if strings.HasPrefix(d, "mod@") {
 				t.Fatalf("seed %d cond %d: tail group %s listed as direct", seed, ci, d)
 			}
+		}
+		// Filter mark.
+		if cp.filter {
+			mod := ca.action.Conds[ci].Mods[0]
+			switch {
+			case !opts.Filter:
+				t.Fatalf("seed %d opts %+v cond %d: filter marked with Filter off", seed, opts, ci)
+			case cp.sync != syncAtomicMin && cp.sync != syncAtomicMax:
+				t.Fatalf("seed %d cond %d: filter on a %s eval hop", seed, ci, cp.sync)
+			case len(cp.mergedMods) != 1 || cp.mergedMods[0] != 0 || len(cp.tailGroups) != 0:
+				t.Fatalf("seed %d cond %d: filter with merged mods %v and %d tail groups", seed, ci, cp.mergedMods, len(cp.tailGroups))
+			case mod.Target.Prop.Kind != VertexWordProp:
+				t.Fatalf("seed %d cond %d: filter on a %v target", seed, ci, mod.Target.Prop.Kind)
+			}
+			atEval := map[*Access]bool{}
+			for _, acc := range cp.hops[last].loads {
+				atEval[acc] = true
+			}
+			walkAccesses(cp.modRhs[0], func(a *Access) {
+				if atEval[a] {
+					t.Fatalf("seed %d cond %d: filtered offer %s reads %s, loaded at the eval hop", seed, ci, cp.modRhs[0], a)
+				}
+			})
+			if got := ca.info().Conds[ci].Filter; got != cp.hops[last].at.String() {
+				t.Fatalf("seed %d cond %d: filter listed at %q, eval hop at %s", seed, ci, got, cp.hops[last].at)
+			}
+		} else if f := ca.info().Conds[ci].Filter; f != "" {
+			t.Fatalf("seed %d cond %d: unmarked condition lists filter %q", seed, ci, f)
 		}
 		// Chain indices.
 		if nt := ca.nextOnTrue[ci]; nt != -1 && (nt <= ci || nt >= len(ca.conds)) {

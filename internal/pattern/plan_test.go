@@ -319,22 +319,26 @@ func TestGatherElisionAcrossConditions(t *testing.T) {
 	}
 }
 
+// buildCCSearch is CC's search action: a claim under the lock map, then a
+// conflict record that is an atomic insert followed by a tail group.
+func buildCCSearch() *Pattern {
+	p := New("CC")
+	pnt := p.VertexProp("pnt")
+	conf := p.VertexSetProp("conf")
+	search := p.Action("cc_search", Adj())
+	pv, pu := pnt.At(V()), pnt.At(U())
+	search.If(Eq(pu, C(NilWord))).Set(pu, pv)
+	search.Elif(Ne(pu, pv)).Insert(conf.AtVal(pu), pv).Insert(conf.AtVal(pv), pu)
+	return p
+}
+
 // TestDirectMarks pins the eligibility rule on the two shapes the random
 // patterns never produce — a set-valued modification and a tail modification
 // group: cc_search's claim is a multi-value condition under the lock map and
 // stays a message; its conflict record is an atomic insert (direct) followed
 // by a second insert at another vertex, a tail group, which is never direct.
 func TestDirectMarks(t *testing.T) {
-	build := func() *Pattern {
-		p := New("CC")
-		pnt := p.VertexProp("pnt")
-		conf := p.VertexSetProp("conf")
-		search := p.Action("cc_search", Adj())
-		pv, pu := pnt.At(V()), pnt.At(U())
-		search.If(Eq(pu, C(NilWord))).Set(pu, pv)
-		search.Elif(Ne(pu, pv)).Insert(conf.AtVal(pu), pv).Insert(conf.AtVal(pv), pu)
-		return p
-	}
+	build := buildCCSearch
 	on := compileOne(t, build(), DefaultPlanOptions()).info()
 	if got := on.Conds[0]; got.Sync != "lock" || len(got.Direct) != 0 {
 		t.Errorf("claim: sync = %s, direct = %v; want lock and no direct hop\n%s", got.Sync, got.Direct, on)
@@ -359,5 +363,72 @@ func TestDirectMarks(t *testing.T) {
 			t.Errorf("cond %d: Messages %d with Direct off, %d with it on; the paper's count must not depend on it",
 				i, c.Messages, on.Conds[i].Messages)
 		}
+	}
+}
+
+// TestFilterMarks pins the send-side filter's eligibility rule shape by shape:
+// the relax shape and its max dual are marked at their eval hop; an
+// accumulation, an insert, a lock-synchronized condition, a relaxation
+// followed by a tail modification group, and a relaxation whose offer reads
+// the target are not; and the paper's message count does not depend on it.
+func TestFilterMarks(t *testing.T) {
+	type build func(x, y *Prop, a *Action)
+	shapes := []struct {
+		name   string
+		build  build
+		sync   string
+		filter string
+	}{
+		{"relax", func(x, _ *Prop, a *Action) {
+			d := Add(x.At(V()), C(1))
+			a.If(Lt(d, x.At(Trg()))).Set(x.At(Trg()), d)
+		}, "atomic-min", "trg(e)"},
+		{"set-min", func(x, _ *Prop, a *Action) { a.Do().SetMin(x.At(Trg()), x.At(V())) }, "atomic-min", "trg(e)"},
+		{"widen", func(x, _ *Prop, a *Action) {
+			a.If(Gt(x.At(V()), x.At(Trg()))).Set(x.At(Trg()), x.At(V()))
+		}, "atomic-max", "trg(e)"},
+		{"add", func(x, _ *Prop, a *Action) { a.Do().AddTo(x.At(Trg()), C(1)) }, "atomic-add", ""},
+		{"two-values", func(x, y *Prop, a *Action) {
+			a.If(Lt(x.At(V()), y.At(Trg()))).Set(x.At(Trg()), x.At(V()))
+		}, "lock", ""},
+		{"tail-group", func(x, y *Prop, a *Action) {
+			d := Add(x.At(V()), C(1))
+			a.If(Lt(d, x.At(Trg()))).Set(x.At(Trg()), d).Set(y.At(V()), C(1))
+		}, "atomic-min", ""},
+		{"offer-reads-target", func(x, _ *Prop, a *Action) {
+			a.Do().SetMin(x.At(Trg()), Sub(x.At(Trg()), C(1)))
+		}, "atomic-min", ""},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			mk := func() *Pattern {
+				p := New("F")
+				x, y := p.VertexProp("x"), p.VertexProp("y")
+				sh.build(x, y, p.Action("act", OutEdges()))
+				return p
+			}
+			on := compileOne(t, mk(), DefaultPlanOptions()).info()
+			if got := on.Conds[0]; got.Sync != sh.sync || got.Filter != sh.filter {
+				t.Errorf("sync = %s, filter = %q; want %s, %q\n%s", got.Sync, got.Filter, sh.sync, sh.filter, on)
+			}
+			want := "filter=-"
+			if sh.filter != "" {
+				want = "filter=" + sh.filter
+			}
+			if !strings.Contains(on.String(), want) {
+				t.Errorf("plan text does not show %s:\n%s", want, on)
+			}
+			opts := DefaultPlanOptions()
+			opts.Filter = false
+			off := compileOne(t, mk(), opts).info()
+			if off.Conds[0].Filter != "" || off.Conds[0].Messages != on.Conds[0].Messages {
+				t.Errorf("Filter off: filter = %q, Messages %d (on: %d)", off.Conds[0].Filter, off.Conds[0].Messages, on.Conds[0].Messages)
+			}
+		})
+	}
+	// The library's set-valued shape: cc_search's conflict record is an atomic
+	// insert with a tail group — direct-eligible, never filtered.
+	if cc := compileOne(t, buildCCSearch(), DefaultPlanOptions()).info(); cc.Conds[0].Filter != "" || cc.Conds[1].Filter != "" {
+		t.Errorf("cc_search marks a filter:\n%s", cc)
 	}
 }
