@@ -334,15 +334,13 @@ func BenchmarkE13PageRank(b *testing.B) {
 }
 
 // BenchmarkE17Observability measures the observability substrate on the
-// fixed-point SSSP: the legacy single-shard counter layout vs per-rank
-// shards, then the optional timing histograms and span tracing on top.
-// Sharded must be no slower than unsharded.
+// fixed-point SSSP: the per-rank sharded counters alone, then the optional
+// timing histograms and span tracing on top.
 func BenchmarkE17Observability(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		cfg  am.Config
 	}{
-		{"unsharded", am.Config{Ranks: 4, ThreadsPerRank: 2, UnshardedStats: true}},
 		{"sharded", am.Config{Ranks: 4, ThreadsPerRank: 2}},
 		{"timing", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true}},
 		{"tracing", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true, TraceCapacity: 1 << 20}},

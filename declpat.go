@@ -40,9 +40,6 @@ type (
 	// Universe is a simulated distributed machine of message-connected
 	// ranks.
 	Universe = am.Universe
-	// Config configures ranks, handler threads, coalescing, the
-	// termination detector, and the optional fault plan.
-	Config = am.Config
 	// FaultPlan injects seeded transport faults (drop, duplication,
 	// delay/reordering, corruption) and switches the universe onto the
 	// ack/retransmit reliable-delivery protocol.
@@ -67,17 +64,16 @@ type (
 	EpochHandle = am.Epoch
 	// DetectorKind selects the termination-detection protocol.
 	DetectorKind = am.DetectorKind
-	// LineageMode controls causal message lineage (Config.Lineage).
+	// LineageMode controls causal message lineage (WithLineage).
 	LineageMode = am.LineageMode
 	// MessageStats is the universe-wide message accounting.
 	MessageStats = am.Stats
-	// Transport is the message-plane backend seam (Config.Transport): the
+	// Transport is the message-plane backend seam (WithTransport): the
 	// in-process channel backend, or real sockets via SockTransport.
 	Transport = am.Transport
 	// SockOptions configures the socket transport: network (tcp/unix),
-	// heartbeat and liveness deadlines, reconnect backoff and budget, an
-	// optional relay (cmd/declpat-worker) address, and socket-level fault
-	// injection.
+	// heartbeat and liveness deadlines, reconnect backoff and budget, and
+	// socket-level fault injection.
 	SockOptions = am.SockOptions
 	// SockFaultPlan injects deterministic socket-level failures into a
 	// socket transport: connection kills, one-way partitions, link flaps.
@@ -98,7 +94,7 @@ const (
 	DetectorFourCounter = am.DetectorFourCounter
 )
 
-// Lineage modes (Config.Lineage): LineageAuto stamps causal lineage exactly
+// Lineage modes (WithLineage): LineageAuto stamps causal lineage exactly
 // when tracing is enabled; LineageOn forces stamping without tracing;
 // LineageOff disables it even in traced runs.
 const (
@@ -151,8 +147,6 @@ var (
 	WithLineage = am.WithLineage
 	// WithTiming enables latency histograms.
 	WithTiming = am.WithTiming
-	// WithUnshardedStats collapses metric shards (measurement only).
-	WithUnshardedStats = am.WithUnshardedStats
 	// WithWatchdog arms the stuck-epoch watchdog.
 	WithWatchdog = am.WithWatchdog
 	// WithTransport selects the message transport backend.
@@ -230,13 +224,6 @@ func GobCodec[T any]() Codec[T] { return am.GobCodec[T]() }
 
 // HasFixedLayout reports whether FixedCodec[T] would succeed.
 func HasFixedLayout[T any]() bool { return am.HasFixedLayout[T]() }
-
-// NewUniverse creates a simulated machine from a Config literal.
-//
-// Deprecated: use New with functional options. NewUniverse remains only so
-// existing Config-literal callers keep compiling during the migration window;
-// it will be removed once the window closes (see README "API stability").
-func NewUniverse(cfg Config) *Universe { return am.NewUniverse(cfg) }
 
 // Distributed graph (internal/distgraph).
 type (
@@ -557,11 +544,10 @@ func PathGraph(n int, w WeightSpec, seed uint64) []Edge { return gen.Path(n, w, 
 // HTTP server behind /metrics. See DESIGN.md "Telemetry plane".
 type (
 	// Metrics is the full observability snapshot (Universe.Metrics): counters,
-	// per-rank breakdowns, per-type traffic, phase histograms, and the
-	// per-process telemetry merge.
+	// per-rank breakdowns, per-type traffic, and phase histograms.
 	Metrics = am.Metrics
-	// ProcessTelemetry is one process's telemetry export — what a
-	// declpat-worker ships back to the coordinator over a telemetry frame.
+	// ProcessTelemetry is this process's telemetry export
+	// (Universe.Telemetry): what /metrics is rendered from.
 	ProcessTelemetry = obs.ProcessTelemetry
 	// HistSnapshot is a plain histogram view (bounds, counts, sum, max).
 	HistSnapshot = obs.HistSnapshot
@@ -584,7 +570,7 @@ type (
 )
 
 // Epoch phase identifiers (Rank.Phase). The substrate times kernel, barrier,
-// and recovery automatically under Config.Timing; strategies and algorithm
+// and recovery automatically under WithTiming; strategies and algorithm
 // drivers mark collect/build_csr/emit sections explicitly.
 const (
 	PhaseCollect  = obs.PhaseCollect
@@ -610,14 +596,6 @@ func NewSampler(size int, src func() map[string]int64) *Sampler { return obs.New
 //	defer d.Close()
 //	d.HandleMetrics(u.WriteOpenMetrics)
 func NewDebugServer(addr string) (*DebugServer, error) { return harness.NewDebugServer(addr) }
-
-// MergeTelemetry folds src's counters, gauges, and phase histograms into
-// dst (how the coordinator builds Metrics.Merged from the per-process
-// entries). Histogram bound mismatches skip that phase and surface as the
-// returned error; the rest of the merge still happens.
-func MergeTelemetry(dst *ProcessTelemetry, src *ProcessTelemetry) error {
-	return obs.MergeTelemetry(dst, src)
-}
 
 // Multi-process SPMD: run algorithms across real OS worker processes, with
 // barriers, gathers, termination waves, and checkpoint-commit votes carried

@@ -2,19 +2,7 @@
 // timers, a counter sampler, and an OpenMetrics /metrics endpoint served
 // while the run is in flight.
 //
-// Single process:
-//
 //	go run ./examples/telemetry
-//
-// Two processes (the README quickstart): start the relay worker, then point
-// -relay at it. The universe's data plane splices through the worker over
-// Unix-domain sockets, and the worker's connection counters and splice-phase
-// histograms are queried over the same address and merged into the
-// coordinator's telemetry — visible in the printed per-process breakdown and
-// on /metrics under process="relay":
-//
-//	go run ./cmd/declpat-worker -listen unix:///tmp/declpat-relay.sock &
-//	go run ./examples/telemetry -relay unix:///tmp/declpat-relay.sock
 //
 // With -hold the process keeps serving /metrics after the run finishes, so
 // a scraper (curl, Prometheus) can collect the final state:
@@ -27,23 +15,18 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"declpat"
 )
 
 func main() {
-	relay := ""
 	listen := "127.0.0.1:9140"
 	scale := 10
 	hold := time.Duration(0)
 	args := os.Args[1:]
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
-		case "-relay":
-			i++
-			relay = args[i]
 		case "-listen":
 			i++
 			listen = args[i]
@@ -56,32 +39,18 @@ func main() {
 			}
 			hold = d
 		default:
-			fmt.Fprintf(os.Stderr, "telemetry: unknown flag %q (want -relay ADDR, -listen ADDR, -hold DUR)\n", args[i])
+			fmt.Fprintf(os.Stderr, "telemetry: unknown flag %q (want -listen ADDR, -hold DUR)\n", args[i])
 			os.Exit(2)
 		}
 	}
 
 	const ranks = 4
-	opts := []declpat.Option{declpat.WithThreads(2), declpat.WithTiming()}
-	if relay != "" {
-		// The socket transport needs a scheme-matched network; the relay
-		// address decides it (unix:// or tcp://).
-		network := "tcp"
-		if strings.HasPrefix(relay, "unix://") {
-			network = "unix"
-		}
-		opts = append(opts, declpat.WithTransport(declpat.SockTransport(
-			declpat.SockOptions{Network: network, Relay: relay})))
-	}
-	u := declpat.New(ranks, opts...)
+	u := declpat.New(ranks, declpat.WithThreads(2), declpat.WithTiming())
 
 	n, edges := declpat.RMAT(scale, 8, declpat.WeightSpec{}, 42)
 	dist := declpat.NewBlockDist(n, ranks)
 	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})
 	eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
-	if relay != "" {
-		eng.MsgType().WithWire() // sockets need a wire codec
-	}
 	bfs := declpat.NewBFS(eng)
 
 	// The /metrics endpoint serves the live universe for the whole run.
@@ -111,14 +80,9 @@ func main() {
 	fmt.Printf("sampler: %d ticks, peak msgs_sent rate %.0f/s\n",
 		sampler.Len(), sampler.Rate("msgs_sent"))
 
-	fmt.Println("\nper-process telemetry:")
-	for _, p := range m.Processes {
-		fmt.Printf("  %-12s pid=%-7d counters=%-3d phases=%v\n",
-			p.Process, p.PID, len(p.Counters), sortedPhaseNames(p.Phases))
-	}
-	fmt.Println("\nmerged phase totals:")
-	for _, name := range sortedPhaseNames(m.Merged.Phases) {
-		h := m.Merged.Phases[name]
+	fmt.Println("\nphase totals:")
+	for _, name := range sortedPhaseNames(m.Phases) {
+		h := m.Phases[name]
 		fmt.Printf("  %-10s %6d spans  %12s total\n",
 			name, h.Count, time.Duration(h.Sum))
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc64"
 	"math"
 	"math/bits"
 	"reflect"
@@ -55,12 +54,6 @@ type Codec[T any] interface {
 	Append(dst []byte, batch []T) ([]byte, error)
 	Decode(dst []T, b []byte) ([]T, error)
 }
-
-// crcTable is the checksum polynomial for wire payloads.
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
-// crc64Sum computes the wire checksum of an encoded batch.
-func crc64Sum(b []byte) uint64 { return crc64.Checksum(b, crcTable) }
 
 // encBuf is a pooled wire-encode buffer plus the delivery refcount of the
 // envelope(s) currently sharing it (a duplicated envelope is pushed twice

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 
+	"declpat/internal/frame"
 	"declpat/internal/obs"
 )
 
@@ -450,7 +451,7 @@ func (t *MsgType[T]) ship(r *Rank, dest int, batch []T, lin []uint64) {
 	u := r.u
 	r.st.Inc(cEnvelopes)
 	r.tst.Inc(int(t.id)*tcPerType + tcEnvelopes)
-	u.batchHist[t.id].Observe(r.shard, int64(len(batch)))
+	u.batchHist[t.id].Observe(r.id, int64(len(batch)))
 	u.trace(r.id, TraceShip, int64(t.id), int64(len(batch)))
 	if u.fp == nil {
 		r.st.Add(cBytesSent, t.wireSize(len(batch)))
@@ -499,7 +500,7 @@ func (t *MsgType[T]) encode(r *Rank, batch []T) wirePayload {
 		panic(fmt.Sprintf("am: %s encode %s: %v", t.codec.Name(), t.name, err))
 	}
 	r.st.Add(cWireBytes, int64(len(b)))
-	return wirePayload{b: b, sum: crc64Sum(b), eb: eb}
+	return wirePayload{b: b, sum: frame.Checksum(b), eb: eb}
 }
 
 // transmit performs one transmission attempt of envelope (r→dest, t, seq)

@@ -42,8 +42,7 @@ type Metrics struct {
 	// that died without one (heartbeat expiry, connection loss). Both zero
 	// in single-process runs.
 	Departures DepartureStats
-	// PerRank is the per-shard counter breakdown (one entry per rank, or a
-	// single entry under Config.UnshardedStats).
+	// PerRank is the per-rank counter breakdown.
 	PerRank []Snapshot
 	// Types is the per-message-type traffic, in registration order.
 	Types []TypeMetrics
@@ -66,20 +65,6 @@ type Metrics struct {
 	// Config.Timing is set. RankPhases is the same per rank.
 	Phases     map[string]obs.HistSnapshot
 	RankPhases []map[string]obs.HistSnapshot
-	// Processes is the per-process telemetry breakdown: this process
-	// ("coordinator") first, then every external process the transport can
-	// reach (the declpat-worker relay, queried over its own listener).
-	// Merged folds them into one export — worker counters and phase
-	// histograms combined with the coordinator's.
-	Processes []obs.ProcessTelemetry
-	Merged    obs.ProcessTelemetry
-}
-
-// telemetrySource is the optional Transport extension behind the
-// per-process breakdown: a backend with external processes on its data path
-// returns their telemetry exports.
-type telemetrySource interface {
-	processTelemetry() []obs.ProcessTelemetry
 }
 
 // DepartureStats is the fleet-departure block of Metrics.
@@ -139,17 +124,6 @@ func (u *Universe) Metrics() Metrics {
 	}
 	m.Phases = u.phases.Snapshot()
 	m.RankPhases = u.RankPhases()
-	m.Processes = []obs.ProcessTelemetry{u.Telemetry()}
-	if ts, ok := u.net.(telemetrySource); ok {
-		m.Processes = append(m.Processes, ts.processTelemetry()...)
-	}
-	for i := range m.Processes {
-		// Bound mismatches cannot happen between same-build processes and
-		// degrade to a partial merge otherwise; the per-process entries
-		// always carry the unmerged truth.
-		obs.MergeTelemetry(&m.Merged, &m.Processes[i])
-	}
-	m.Merged.Process = "merged"
 	if u.typeC == nil {
 		return m // before Run: no type-dimensioned state yet
 	}
@@ -167,8 +141,7 @@ func (u *Universe) Metrics() Metrics {
 	return m
 }
 
-// Telemetry returns this process's telemetry export — the same unit a
-// declpat-worker ships over a telemetry frame, built locally: the substrate
+// Telemetry returns this process's telemetry export: the substrate
 // counters, the outstanding-retransmit gauge, and the per-phase histograms
 // (empty unless Config.Timing is set).
 func (u *Universe) Telemetry() obs.ProcessTelemetry {
@@ -213,10 +186,10 @@ func (u *Universe) CounterSeries() map[string]int64 {
 
 // WriteOpenMetrics writes the universe's current metrics in the
 // OpenMetrics / Prometheus text exposition format: one counter family per
-// substrate counter (labelled per process), gauge families with peaks, and
-// the per-phase duration histograms in seconds, labelled per process and
-// phase. Safe to call while the universe runs — this is the payload behind
-// a live /metrics endpoint (harness.DebugServer.HandleMetrics).
+// substrate counter, gauge families with peaks, and the per-phase duration
+// histograms in seconds, each labelled with this process's name. Safe to
+// call while the universe runs — this is the payload behind a live /metrics
+// endpoint (harness.DebugServer.HandleMetrics).
 func (u *Universe) WriteOpenMetrics(w io.Writer) error {
 	m := u.Metrics()
 	om := obs.NewOMWriter(w)
@@ -225,68 +198,36 @@ func (u *Universe) WriteOpenMetrics(w io.Writer) error {
 	om.Family("declpat_ranks", "gauge", "Number of ranks in the universe.")
 	om.SampleInt("declpat_ranks", nil, int64(u.cfg.Ranks))
 
-	// Counter families: the union of every process's counter names, one
-	// family per name, one sample per process that reports it.
-	names := map[string]bool{}
-	for _, p := range m.Processes {
-		for k := range p.Counters {
-			names[k] = true
+	// Counter families, one per non-zero counter. The departure counters get
+	// dedicated always-emitted families below; emitting them here too (they
+	// appear once non-zero) would duplicate the family.
+	p := u.Telemetry()
+	process := []string{"process", p.Process}
+	for _, name := range obs.SortedKeys(p.Counters) {
+		if name == "clean_departures" || name == "crash_departures" {
+			continue
 		}
-	}
-	// The departure counters get dedicated always-emitted families below;
-	// emitting them here too (they appear once non-zero) would duplicate the
-	// family.
-	delete(names, "clean_departures")
-	delete(names, "crash_departures")
-	for _, name := range obs.SortedKeys(names) {
 		fam := "declpat_" + obs.MetricName(name) + "_total"
 		om.Family(fam, "counter", "Substrate counter "+name+".")
-		for _, p := range m.Processes {
-			if v, ok := p.Counters[name]; ok {
-				om.SampleInt(fam, []string{"process", p.Process}, v)
-			}
-		}
+		om.SampleInt(fam, process, p.Counters[name])
 	}
 
 	// Gauge families: current value and peak as separate series.
-	gnames := map[string]bool{}
-	for _, p := range m.Processes {
-		for k := range p.Gauges {
-			gnames[k] = true
-		}
-	}
-	for _, name := range obs.SortedKeys(gnames) {
+	for _, name := range obs.SortedKeys(p.Gauges) {
 		fam := "declpat_" + obs.MetricName(name)
 		om.Family(fam, "gauge", "Substrate gauge "+name+" (current value).")
-		for _, p := range m.Processes {
-			if v, ok := p.Gauges[name]; ok {
-				om.SampleInt(fam, []string{"process", p.Process}, v.Cur)
-			}
-		}
+		om.SampleInt(fam, process, p.Gauges[name].Cur)
 		om.Family(fam+"_peak", "gauge", "Substrate gauge "+name+" (high-water mark).")
-		for _, p := range m.Processes {
-			if v, ok := p.Gauges[name]; ok {
-				om.SampleInt(fam+"_peak", []string{"process", p.Process}, v.Max)
-			}
-		}
+		om.SampleInt(fam+"_peak", process, p.Gauges[name].Max)
 	}
 
-	// Phase histograms: one family, labelled by process and phase,
-	// nanosecond observations exported in seconds.
-	hasPhases := false
-	for _, p := range m.Processes {
-		if len(p.Phases) > 0 {
-			hasPhases = true
-			break
-		}
-	}
-	if hasPhases {
+	// Phase histograms: one family labelled by process and phase, nanosecond
+	// observations exported in seconds.
+	if len(p.Phases) > 0 {
 		const fam = "declpat_phase_duration_seconds"
 		om.Family(fam, "histogram", "Epoch phase durations by process and phase (collect/build_csr/kernel/emit/barrier/recovery).")
-		for _, p := range m.Processes {
-			for _, phase := range obs.SortedKeys(p.Phases) {
-				om.Hist(fam, []string{"process", p.Process, "phase", phase}, p.Phases[phase], 1e-9)
-			}
+		for _, phase := range obs.SortedKeys(p.Phases) {
+			om.Hist(fam, []string{"process", p.Process, "phase", phase}, p.Phases[phase], 1e-9)
 		}
 	}
 

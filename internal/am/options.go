@@ -74,10 +74,6 @@ func WithLineage(m LineageMode) Option { return func(c *Config) { c.Lineage = m 
 // WithTiming enables clock-based latency histograms (Config.Timing).
 func WithTiming() Option { return func(c *Config) { c.Timing = true } }
 
-// WithUnshardedStats collapses the metric shards into one
-// (Config.UnshardedStats; measurement only — see E17).
-func WithUnshardedStats() Option { return func(c *Config) { c.UnshardedStats = true } }
-
 // WithWatchdog arms the stuck-epoch watchdog (Config.Watchdog).
 func WithWatchdog(d time.Duration) Option { return func(c *Config) { c.Watchdog = d } }
 

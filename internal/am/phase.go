@@ -50,7 +50,7 @@ func (s PhaseScope) End() {
 	r, u := s.r, s.r.u
 	end := obs.Now()
 	dur := end - s.start
-	u.phases.Observe(s.phase, r.shard, dur)
+	u.phases.Observe(s.phase, r.id, dur)
 	if u.flight != nil {
 		u.flight.PhaseExit(r.id)
 	}
@@ -64,18 +64,14 @@ func (s PhaseScope) End() {
 func (u *Universe) Phases() map[string]obs.HistSnapshot { return u.phases.Snapshot() }
 
 // RankPhases returns each rank's per-phase duration histograms, or nil
-// unless Config.Timing is set. With Config.UnshardedStats every rank shares
-// shard 0, so index 0 carries the combined view and the rest are empty.
+// unless Config.Timing is set.
 func (u *Universe) RankPhases() []map[string]obs.HistSnapshot {
 	if u.phases == nil {
 		return nil
 	}
 	out := make([]map[string]obs.HistSnapshot, u.cfg.Ranks)
-	shards := u.cfg.statShards()
 	for i := range out {
-		if i < shards {
-			out[i] = u.phases.ShardSnapshot(i)
-		}
+		out[i] = u.phases.ShardSnapshot(i)
 	}
 	return out
 }

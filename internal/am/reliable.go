@@ -269,7 +269,7 @@ func (r *Rank) handleAck(e envelope) {
 		if r.u.ackRTT != nil && o.sentNs != 0 {
 			// RTT from the first transmission, so a retransmitted
 			// envelope's RTT includes the recovery latency.
-			r.u.ackRTT.Observe(r.shard, obs.Now()-o.sentNs)
+			r.u.ackRTT.Observe(r.id, obs.Now()-o.sentNs)
 		}
 		r.relAdd(-1)
 		o.release(r.u.types[ab.typ])

@@ -3,6 +3,7 @@ package am
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -11,8 +12,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"declpat/internal/frame"
 	"declpat/internal/obs"
-	"declpat/internal/relay"
 )
 
 // Socket transport backend: envelopes cross real TCP or Unix-domain sockets
@@ -36,12 +37,12 @@ import (
 // FaultTransport rank fault aborts the epoch, and recovery (healEpoch)
 // grants the link a fresh budget before the replay.
 //
-// Scope: all ranks still live in one OS process — the control plane
-// (barriers, detectors, collectives) stays shared-memory, which is what
-// makes the chaos matrix's bit-identity comparison meaningful. The data
-// plane genuinely leaves the process: with SockOptions.Relay every frame is
-// tunneled through an external declpat-worker process (cmd/declpat-worker),
-// so kill -9 on the worker is a real connection failure.
+// Scope: in a single-process universe every rank binds its listener here and
+// the control plane (barriers, detectors, collectives) stays shared-memory,
+// which is what makes the chaos matrix's bit-identity comparison meaningful.
+// Under a control plane (Config.MP) the same transport serves one rank
+// host's slice of the ranks and dials the other hosts' listeners, so kill -9
+// on a rank host is a real connection failure.
 
 // Handshake constants. The dialer opens every connection with
 // magic, version, src rank, dest rank, and the universe's instance id; the
@@ -81,10 +82,6 @@ type SockOptions struct {
 	// Dir is the directory for Unix socket files; "" creates (and owns) a
 	// temporary directory removed at close. Ignored for TCP.
 	Dir string
-	// Relay, when set ("tcp://host:port" or "unix:///path"), routes every
-	// dialed connection through a frame-relay process (cmd/declpat-worker)
-	// at that address, putting a second OS process on the data path.
-	Relay string
 	// Heartbeat is the idle interval after which a link's writer emits a
 	// heartbeat frame, keeping the peer's liveness deadline fed on quiet
 	// links. 0 selects the default (50ms).
@@ -206,11 +203,13 @@ type sockTransport struct {
 	u   *Universe
 	id  uint64 // handshake instance id
 
-	network  string
-	dir      string // unix socket dir
-	ownDir   bool
-	relayNet string // parsed SockOptions.Relay ("" = direct dial)
-	relayAdr string
+	network string
+	dir     string // unix socket dir
+	ownDir  bool
+	// dial opens a link's connection; nil means net.DialTimeout. Tests
+	// substitute one that fails, to stage an outage that outlasts
+	// ReconnectBudget.
+	dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 	addrs []string       // per-rank listen address
 	lns   []net.Listener // per-rank listener
@@ -273,26 +272,6 @@ func (t *sockTransport) reliable() bool              { return true }
 func (t *sockTransport) shared() bool                { return false }
 func (t *sockTransport) tickInterval() time.Duration { return t.opt.TickInterval }
 
-// processTelemetry implements the optional telemetry-source extension of
-// Transport (see Universe.Metrics): when a relay (declpat-worker) sits on
-// the data path, query its telemetry over the same listener the tunnels
-// use. Best-effort — an unreachable or pre-telemetry relay contributes no
-// entry rather than an error, so Metrics() never fails because a worker
-// died mid-scrape.
-func (t *sockTransport) processTelemetry() []obs.ProcessTelemetry {
-	if t.relayAdr == "" {
-		return nil
-	}
-	pt, err := relay.QueryTelemetry(t.relayNet, t.relayAdr, t.opt.DialTimeout)
-	if err != nil {
-		return nil
-	}
-	if pt.Addr == "" {
-		pt.Addr = t.opt.Relay
-	}
-	return []obs.ProcessTelemetry{pt}
-}
-
 func (t *sockTransport) start(u *Universe) error {
 	if t.u != nil {
 		return errTransportReused
@@ -307,13 +286,6 @@ func (t *sockTransport) start(u *Universe) error {
 		if !mt.wire {
 			return fmt.Errorf("message type %q has no wire codec; every type on a socket transport needs one (WithWire or WithCodec)", mt.name)
 		}
-	}
-	if t.opt.Relay != "" {
-		rn, ra, err := relay.SplitAddr(t.opt.Relay)
-		if err != nil {
-			return err
-		}
-		t.relayNet, t.relayAdr = rn, ra
 	}
 	t.u = u
 	n := u.cfg.Ranks
@@ -390,8 +362,8 @@ func (t *sockTransport) start(u *Universe) error {
 				l.flapFired = make([]int, len(fp.Flaps))
 			}
 			t.links[src][dest] = l
-			// Eager synchronous dial: a misconfiguration (unreachable relay,
-			// bad address) fails the run before it starts instead of
+			// Eager synchronous dial: a misconfiguration (bad address,
+			// unreachable host) fails the run before it starts instead of
 			// surfacing as a reconnect storm mid-epoch.
 			conn, err := t.dialLink(src, dest)
 			if err != nil {
@@ -406,16 +378,13 @@ func (t *sockTransport) start(u *Universe) error {
 	return nil
 }
 
-// dialLink establishes and handshakes one (src → dest) connection,
-// optionally through the relay.
+// dialLink establishes and handshakes one (src → dest) connection.
 func (t *sockTransport) dialLink(src, dest int) (net.Conn, error) {
-	var conn net.Conn
-	var err error
-	if t.relayNet != "" {
-		conn, err = relay.Dial(t.relayNet, t.relayAdr, t.network, t.addrs[dest], t.opt.DialTimeout)
-	} else {
-		conn, err = net.DialTimeout(t.network, t.addrs[dest], t.opt.DialTimeout)
+	dial := t.dial
+	if dial == nil {
+		dial = net.DialTimeout
 	}
+	conn, err := dial(t.network, t.addrs[dest], t.opt.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -559,46 +528,30 @@ func (t *sockTransport) serveConn(conn net.Conn, src, dest int) {
 	u := t.u
 	r := u.ranks[dest]
 	br := bufio.NewReaderSize(conn, 64<<10)
-	var lenBuf [4]byte
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
 	for {
 		conn.SetReadDeadline(time.Now().Add(t.opt.Liveness))
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !t.closed.Load() {
-				// Liveness expiry: the peer wrote nothing — not even a
-				// heartbeat — within the deadline. Declare the connection
-				// dead; the peer's writer will notice and reconnect.
-				r.st.Inc(cHeartbeatMisses)
-				u.trace(dest, TraceHeartbeatMiss, int64(src), 0)
-			}
-			return
+		body, buf, err := frame.Read(br, *bp, maxFrameLen)
+		*bp = buf
+		if err == nil && t.deliverFrame(r, src, body) {
+			continue
 		}
-		frameLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if frameLen < 9 || frameLen > maxFrameLen {
-			r.st.Inc(cCorruptionsDetected)
-			u.trace(dest, TraceCorrupt, int64(ackTypeID), int64(frameLen))
-			return // stream desynced; only a fresh connection recovers
-		}
-		bp := framePool.Get().(*[]byte)
-		frame := (*bp)[:0]
-		if cap(frame) < int(frameLen) {
-			frame = make([]byte, frameLen)
-		} else {
-			frame = frame[:frameLen]
-		}
-		if _, err := io.ReadFull(br, frame); err != nil {
-			framePool.Put(bp)
-			return
-		}
-		body := frame[:frameLen-8]
-		ok := crc64Sum(body) == binary.LittleEndian.Uint64(frame[frameLen-8:]) &&
-			t.deliverFrame(r, src, body)
-		*bp = frame[:0]
-		framePool.Put(bp)
-		if !ok {
+		var ne net.Error
+		switch {
+		case err == nil || errors.Is(err, frame.ErrCorrupt):
+			// Stream desynced or body malformed; only a fresh connection
+			// recovers.
 			r.st.Inc(cCorruptionsDetected)
 			u.trace(dest, TraceCorrupt, int64(ackTypeID), 0)
-			return
+		case errors.As(err, &ne) && ne.Timeout() && !t.closed.Load():
+			// Liveness expiry: the peer wrote nothing — not even a
+			// heartbeat — within the deadline. Declare the connection
+			// dead; the peer's writer will notice and reconnect.
+			r.st.Inc(cHeartbeatMisses)
+			u.trace(dest, TraceHeartbeatMiss, int64(src), 0)
 		}
+		return
 	}
 }
 
@@ -688,40 +641,37 @@ func (t *sockTransport) send(src, dest int, e envelope) {
 		return
 	}
 	bp := framePool.Get().(*[]byte)
-	frame := (*bp)[:0]
-	frame = append(frame, 0, 0, 0, 0) // length prefix, patched below
+	var f []byte
 	switch data := e.data.(type) {
 	case ackBody:
-		frame = append(frame, frameAck)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(data.typ))
-		frame = binary.LittleEndian.AppendUint64(frame, e.seq)
-		frame = binary.LittleEndian.AppendUint64(frame, e.gen)
+		f = frame.Begin((*bp)[:0], frameAck)
+		f = binary.LittleEndian.AppendUint32(f, uint32(data.typ))
+		f = binary.LittleEndian.AppendUint64(f, e.seq)
+		f = binary.LittleEndian.AppendUint64(f, e.gen)
 	case wirePayload:
-		frame = append(frame, frameData)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(e.typeID))
-		frame = binary.LittleEndian.AppendUint64(frame, e.seq)
-		frame = binary.LittleEndian.AppendUint64(frame, e.gen)
-		frame = binary.LittleEndian.AppendUint64(frame, uint64(e.qid))
-		frame = binary.LittleEndian.AppendUint64(frame, data.sum)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(e.lin)))
+		f = frame.Begin((*bp)[:0], frameData)
+		f = binary.LittleEndian.AppendUint32(f, uint32(e.typeID))
+		f = binary.LittleEndian.AppendUint64(f, e.seq)
+		f = binary.LittleEndian.AppendUint64(f, e.gen)
+		f = binary.LittleEndian.AppendUint64(f, uint64(e.qid))
+		f = binary.LittleEndian.AppendUint64(f, data.sum)
+		f = binary.LittleEndian.AppendUint32(f, uint32(len(e.lin)))
 		for _, id := range e.lin {
-			frame = binary.LittleEndian.AppendUint64(frame, id)
+			f = binary.LittleEndian.AppendUint64(f, id)
 		}
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(data.b)))
-		frame = append(frame, data.b...)
+		f = binary.LittleEndian.AppendUint32(f, uint32(len(data.b)))
+		f = append(f, data.b...)
 		data.release() // the frame now carries the bytes; the sender's reference is spent
 	default:
 		// Unencodable payload (a non-wire batch); unreachable — start()
 		// validates every type — but never panic on the send path.
-		*bp = frame[:0]
 		framePool.Put(bp)
 		t.u.ranks[src].st.Inc(cFramesDropped)
 		return
 	}
-	frame = binary.LittleEndian.AppendUint64(frame, crc64Sum(frame[4:]))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	t.links[src][dest].write(frame, false)
-	*bp = frame[:0]
+	f = frame.Seal(f)
+	t.links[src][dest].write(f, false)
+	*bp = f[:0]
 	framePool.Put(bp)
 }
 
@@ -929,9 +879,7 @@ func (l *sockLink) backoff(attempt int) time.Duration {
 func (t *sockTransport) heartbeatLoop() {
 	defer t.wg.Done()
 	// One static heartbeat frame serves every link.
-	frame := []byte{0, 0, 0, 0, frameHeartbeat}
-	frame = binary.LittleEndian.AppendUint64(frame, crc64Sum(frame[4:]))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	hb := frame.Seal(frame.Begin(nil, frameHeartbeat))
 	ticker := time.NewTicker(t.opt.Heartbeat / 2)
 	defer ticker.Stop()
 	for {
@@ -950,7 +898,7 @@ func (t *sockTransport) heartbeatLoop() {
 				idle := l.conn != nil && now-l.lastWriteNs >= int64(t.opt.Heartbeat)
 				l.mu.Unlock()
 				if idle {
-					l.write(frame, true)
+					l.write(hb, true)
 				}
 			}
 		}

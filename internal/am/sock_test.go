@@ -1,14 +1,13 @@
 package am
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"declpat/internal/relay"
 )
 
 // requireLoopback skips socket tests in environments that forbid binding
@@ -249,102 +248,56 @@ func TestSockHeartbeatsKeepQuietLinksAlive(t *testing.T) {
 	}
 }
 
-// killableRelay is an in-process stand-in for a declpat-worker process: it
-// serves the relay protocol on a TCP listener and can be killed (listener
-// and every spliced connection closed at once) and later restarted on the
-// same address.
-type killableRelay struct {
-	addr string
-
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
-}
-
-func startKillableRelay(t *testing.T, addr string) *killableRelay {
-	t.Helper()
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("relay listen: %v", err)
-	}
-	kr := &killableRelay{addr: ln.Addr().String(), ln: ln, conns: make(map[net.Conn]struct{})}
-	go relay.Serve(trackListener{ln, kr})
-	return kr
-}
-
-// kill severs the relay: no new tunnels, and every live tunnel's client side
-// is closed (the relay's splice then closes the target side), so the
-// transport sees the same outage a killed worker process causes.
-func (kr *killableRelay) kill() {
-	kr.mu.Lock()
-	defer kr.mu.Unlock()
-	kr.ln.Close()
-	for c := range kr.conns {
-		c.Close()
-	}
-	kr.conns = make(map[net.Conn]struct{})
-}
-
-// restart brings a fresh relay up on the same address (SO_REUSEADDR makes
-// the rebind race-free on loopback). Safe to call from any goroutine: test
-// failures are reported with Errorf, never FailNow.
-func (kr *killableRelay) restart(t *testing.T) {
-	ln, err := net.Listen("tcp", kr.addr)
-	if err != nil {
-		t.Errorf("relay restart on %s: %v", kr.addr, err)
-		return
-	}
-	kr.mu.Lock()
-	kr.ln = ln
-	kr.conns = make(map[net.Conn]struct{})
-	kr.mu.Unlock()
-	go relay.Serve(trackListener{ln, kr})
-}
-
-// trackListener records accepted connections on the relay for kill().
-type trackListener struct {
-	net.Listener
-	kr *killableRelay
-}
-
-func (tl trackListener) Accept() (net.Conn, error) {
-	c, err := tl.Listener.Accept()
-	if err == nil {
-		tl.kr.mu.Lock()
-		tl.kr.conns[c] = struct{}{}
-		tl.kr.mu.Unlock()
-	}
-	return c, err
-}
-
-// TestSockRelayKillEscalatesAndRecovers is the reconnect-budget acceptance
-// test: every inter-rank connection runs through a relay (the in-process
-// twin of cmd/declpat-worker), which is killed mid-epoch. Rank 0 then sends
-// a burst that can only cross the dead relay, so reconnect attempts fail
-// until the budget is exhausted, which must escalate to a FaultTransport
-// rank fault and checkpoint/restart — not a hung epoch. A fresh relay then
-// comes up on the same address and a replay attempt reconnects through it
-// and completes exactly once.
-func TestSockRelayKillEscalatesAndRecovers(t *testing.T) {
+// TestSockDialFailureEscalatesAndRecovers is the reconnect-budget acceptance
+// test: mid-epoch every live connection is cut and dials start failing (what
+// a dead host looks like to its peers). Rank 0 then sends a burst that can
+// only cross the outage, so reconnect attempts fail until the budget is
+// exhausted, which must escalate to a FaultTransport rank fault and
+// checkpoint/restart — not a hung epoch. Dials then succeed again and a
+// replay attempt reconnects and completes exactly once.
+func TestSockDialFailureEscalatesAndRecovers(t *testing.T) {
 	requireLoopback(t)
-	kr := startKillableRelay(t, "")
-	defer kr.kill()
-
 	opt := fastSockOptions("tcp")
-	opt.Relay = "tcp://" + kr.addr
 	opt.ReconnectBudget = 3
+	tr := SockTransport(opt).(*sockTransport)
 	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		Recovery: true, MaxRecoveries: 1000,
 		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12, BackoffJitter: 0.25},
-		Transport: SockTransport(opt)}
+		Transport: tr}
+
+	// The outage: while down, dials fail; going down also closes every
+	// connection dialed so far (the reader side sees the close too).
+	var (
+		mu    sync.Mutex
+		down  bool
+		conns []net.Conn
+	)
+	tr.dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if down {
+			return nil, errors.New("injected outage")
+		}
+		c, err := net.DialTimeout(network, addr, timeout)
+		if err == nil {
+			conns = append(conns, c)
+		}
+		return c, err
+	}
+	setDown := func(d bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		down = d
+		for _, c := range conns {
+			c.Close()
+		}
+		conns = nil
+	}
 
 	// Event-driven failure injection: rank 0 signals once its epoch is live
-	// (so the kill always lands after the eager dials), the relay dies, and
+	// (so the outage always lands after the eager dials), the links die, and
 	// only then does rank 0 send its second burst — those frames are
-	// guaranteed to face a dead relay no matter how the scheduler raced the
+	// guaranteed to face a dead link no matter how the scheduler raced the
 	// first batch's delivery.
 	const per, burst = 64, 16
 	var startedOnce sync.Once
@@ -352,10 +305,10 @@ func TestSockRelayKillEscalatesAndRecovers(t *testing.T) {
 	gate := make(chan struct{})
 	go func() {
 		<-started
-		kr.kill()
+		setDown(true)
 		close(gate)
 		time.Sleep(60 * time.Millisecond * raceTimingScale)
-		kr.restart(t)
+		setDown(false)
 	}()
 
 	u := NewUniverse(cfg)
@@ -387,14 +340,14 @@ func TestSockRelayKillEscalatesAndRecovers(t *testing.T) {
 	}
 	want := ringWant(2, per) + int64(burst)*int64(2*per+burst+1)/2
 	if got := ck.sum(); got != want {
-		t.Fatalf("ring sum = %d after relay kill + recovery, want %d", got, want)
+		t.Fatalf("ring sum = %d after outage + recovery, want %d", got, want)
 	}
 	s := u.Stats.Snapshot()
 	if s.Recoveries < 1 || s.EpochAborts < 1 {
-		t.Fatalf("a dead relay must cost an epoch attempt, got %+v", s)
+		t.Fatalf("an outage past the budget must cost an epoch attempt, got %+v", s)
 	}
 	if s.Reconnects < 1 {
-		t.Fatalf("the replay must have reconnected through the fresh relay, got %+v", s)
+		t.Fatalf("the replay must have reconnected once dials succeed, got %+v", s)
 	}
 	var sawTransportFault bool
 	for _, f := range u.FaultLog() {

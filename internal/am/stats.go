@@ -268,9 +268,8 @@ func (s *Stats) Snapshot() Snapshot {
 	return snapshotOf(s.c.Total)
 }
 
-// PerRank returns one Snapshot per shard. With the default per-rank sharding
-// this is the per-rank accounting (who sent, who handled); under
-// Config.UnshardedStats it has a single entry.
+// PerRank returns one Snapshot per rank: the per-rank accounting (who sent,
+// who handled).
 func (s *Stats) PerRank() []Snapshot {
 	out := make([]Snapshot, s.c.Shards())
 	for i := range out {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"declpat/internal/frame"
 	"declpat/internal/obs"
 )
 
@@ -117,11 +118,6 @@ type Config struct {
 	// adds two monotonic clock reads per delivered envelope (and per phase
 	// scope) to the hot path.
 	Timing bool
-	// UnshardedStats collapses the per-rank metric shards into a single
-	// shard, reproducing the old globally-shared-atomics layout where
-	// every rank contends on the same cache lines. It exists so the cost
-	// of that contention can be measured (experiment E17); leave it off.
-	UnshardedStats bool
 	// FaultPlan, when non-nil, switches the transport into reliable mode
 	// (sequence numbers, acks, dedup, retransmit — see fault.go and
 	// reliable.go) and injects the configured faults. A zero-valued plan
@@ -330,14 +326,6 @@ type Universe struct {
 	phases *obs.PhaseSet
 }
 
-// statShards returns the shard count of the metric write path.
-func (c Config) statShards() int {
-	if c.UnshardedStats {
-		return 1
-	}
-	return c.Ranks
-}
-
 // NewUniverse creates a machine with the given configuration.
 func NewUniverse(cfg Config) *Universe {
 	cfg = cfg.withDefaults()
@@ -401,7 +389,7 @@ func NewUniverse(cfg Config) *Universe {
 	u.flight = cfg.Flight
 	u.lineage = cfg.Lineage == LineageOn || (cfg.Lineage == LineageAuto && u.tracer != nil)
 	u.coresident = u.net.shared() && u.fp == nil && !cfg.Recovery && !u.lineage && u.mp == nil
-	u.c = obs.NewCounters(cfg.statShards(), counterNames[:]...)
+	u.c = obs.NewCounters(cfg.Ranks, counterNames[:]...)
 	u.Stats = Stats{c: u.c}
 	u.relPending = obs.NewGauge(cfg.Ranks)
 	u.ranks = make([]*Rank, cfg.Ranks)
@@ -411,8 +399,7 @@ func NewUniverse(cfg Config) *Universe {
 			id:    i,
 			inbox: newQueue(),
 			ctrl:  make(chan ctrlProbe, cfg.Ranks+1),
-			st:    u.c.Shard(i % cfg.statShards()),
-			shard: i % cfg.statShards(),
+			st:    u.c.Shard(i),
 		}}
 		u.ranks[i].crashAfter.Store(-1)
 	}
@@ -464,10 +451,8 @@ type rankState struct {
 	// st / tst are this rank's shards of the universe counters and the
 	// per-message-type counters: every hot-path count lands on this rank's
 	// padded cache lines (tst is assigned in Run, once types are frozen).
-	// shard is the backing shard index, also used for histogram writes.
-	st    obs.Shard
-	tst   obs.Shard
-	shard int
+	st  obs.Shard
+	tst obs.Shard
 
 	// buffers indexed by message type id; element is *typedBufs[T].
 	bufs []any
@@ -559,7 +544,7 @@ var (
 // initObs allocates the type-dimensioned metric state; called from Run once
 // the type set is frozen.
 func (u *Universe) initObs() {
-	shards := u.cfg.statShards()
+	shards := u.cfg.Ranks
 	names := make([]string, 0, 3*len(u.types))
 	for _, mt := range u.types {
 		names = append(names, mt.name+"/sent", mt.name+"/handled", mt.name+"/envelopes")
@@ -580,7 +565,7 @@ func (u *Universe) initObs() {
 		u.phases = obs.NewPhaseSet(shards)
 	}
 	for _, r := range u.ranks {
-		r.tst = u.typeC.Shard(r.shard)
+		r.tst = u.typeC.Shard(r.id)
 	}
 }
 
@@ -806,7 +791,7 @@ func (r *Rank) deliverEnvelope(e envelope) {
 	data := e.data
 	fromWire := false
 	if wp, ok := data.(wirePayload); ok {
-		if !wp.verified && crc64Sum(wp.b) != wp.sum {
+		if !wp.verified && frame.Checksum(wp.b) != wp.sum {
 			wp.release()
 			if u.fp == nil {
 				panic("am: wire corruption on trusted transport: " + mt.name)
@@ -863,7 +848,7 @@ func (r *Rank) deliverEnvelope(e envelope) {
 		n := int64(mt.batchLen(data))
 		u.traceSpan(r.id, TraceDeliver, int64(e.typeID), n, end, end-start)
 		if u.latHist != nil {
-			u.latHist[e.typeID].Observe(r.shard, end-start)
+			u.latHist[e.typeID].Observe(r.id, end-start)
 		}
 	}
 	// The receiver exclusively owns wire-decoded batches, and on the trusted

@@ -47,9 +47,6 @@ type Scenario struct {
 	// "gob" (the reflective fallback), "fixed" (the zero-reflection
 	// word-schema codec), or "" for the in-memory reference transport.
 	WireCodec string
-	// GobWire routes the pattern engine's message type through the gob
-	// wire transport. Deprecated: set WireCodec to "gob".
-	GobWire bool
 	// Recovery enables epoch-granular checkpoint/restart: rank faults
 	// (injected crashes, dead links, contained panics) roll the damaged
 	// epoch back and replay it instead of failing the run.
@@ -74,8 +71,6 @@ func (sc Scenario) String() string {
 	wire := ""
 	if sc.WireCodec != "" {
 		wire = "/wire=" + sc.WireCodec
-	} else if sc.GobWire {
-		wire = "/wire=gob"
 	}
 	if sc.Transport != "" && sc.Transport != "chan" {
 		wire += "/transport=" + sc.Transport
@@ -142,9 +137,6 @@ func engine(w Workload, sc Scenario, gopts distgraph.Options) (*am.Universe, *pa
 	lm := pmap.NewLockMap(d, 1)
 	eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
 	codec := sc.WireCodec
-	if codec == "" && sc.GobWire {
-		codec = "gob"
-	}
 	if codec == "" && sc.Transport != "" && sc.Transport != "chan" {
 		// Socket backends refuse codec-less types; the zero-reflection
 		// fixed codec is the natural default for the engine's message.

@@ -123,9 +123,9 @@ func TestCorruptionUnderChaos(t *testing.T) {
 		Corrupt: 0.15,
 	}
 	sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: am.DetectorAtomic,
-		Plan: plan, GobWire: true}
+		Plan: plan, WireCodec: "gob"}
 	base := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: am.DetectorAtomic,
-		GobWire: true}
+		WireCodec: "gob"}
 	want, _ := RunBFS(w, base, src)
 	got, stats := RunBFS(w, sc, src)
 	check(t, "BFS+gob", sc, got, want)

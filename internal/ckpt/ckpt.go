@@ -15,10 +15,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
-	"math"
 	"os"
 	"path/filepath"
+
+	"declpat/internal/frame"
 )
 
 // Magic identifies a checkpoint file ("DeclPat ChecKpoint").
@@ -27,11 +27,6 @@ const Magic = "DPCK"
 // Version is the current checkpoint file format version. Readers reject
 // files with a different version rather than guessing.
 const Version uint16 = 1
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
-// Checksum is the CRC-64/ECMA checksum used by every ckpt seal.
-func Checksum(b []byte) uint64 { return crc64.Checksum(b, crcTable) }
 
 // ErrCorrupt is wrapped by ReadFile when the file fails structural or CRC
 // validation.
@@ -158,11 +153,23 @@ func (d *Dec) Bytes() []byte {
 // String reads a u32 length-prefixed string.
 func (d *Dec) String() string { return string(d.Bytes()) }
 
+// Count reads a u32 element count and fails unless the bytes that remain
+// can hold that many elements of at least elemMin bytes each, so the caller
+// may size an allocation by the result: a count is never trusted before the
+// bytes that would back it. Returns 0 on failure.
+func (d *Dec) Count(elemMin int) int {
+	n := int(d.U32())
+	if d.Err != nil || n < 0 || n > (len(d.B)-d.Off)/elemMin {
+		d.fail("count")
+		return 0
+	}
+	return n
+}
+
 // I64Slice reads a u32 count followed by the values.
 func (d *Dec) I64Slice() []int64 {
-	n := int(d.U32())
-	if d.Err != nil || n < 0 || d.Off+8*n > len(d.B) {
-		d.fail("i64 slice")
+	n := d.Count(8)
+	if d.Err != nil {
 		return nil
 	}
 	vs := make([]int64, n)
@@ -215,7 +222,7 @@ func (s *Snapshot) Encode() []byte {
 			e.Bytes(b)
 		}
 	}
-	e.U64(crc64.Checksum(e.B, crcTable))
+	e.U64(frame.Checksum(e.B))
 	return e.B
 }
 
@@ -229,7 +236,7 @@ func Decode(b []byte) (*Snapshot, error) {
 	}
 	body, trailer := b[:len(b)-8], b[len(b)-8:]
 	want := binary.LittleEndian.Uint64(trailer)
-	if got := crc64.Checksum(body, crcTable); got != want {
+	if got := frame.Checksum(body); got != want {
 		return nil, fmt.Errorf("%w: CRC mismatch (got %016x want %016x)", ErrCorrupt, got, want)
 	}
 	d := Dec{B: body, Off: len(Magic)}
@@ -237,12 +244,11 @@ func Decode(b []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("ckpt: unsupported checkpoint version %d (want %d)", v, Version)
 	}
 	s := &Snapshot{RunID: d.U64(), Epoch: d.I64(), Lo: d.U32(), Hi: d.U32()}
-	nRanks := int(d.U32())
-	if d.Err == nil && nRanks > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: absurd rank count %d", ErrCorrupt, nRanks)
-	}
+	// A rank entry is at least its blob count and a blob at least its
+	// length prefix: 4 bytes each.
+	nRanks := d.Count(4)
 	for i := 0; i < nRanks && d.Err == nil; i++ {
-		nBlobs := int(d.U32())
+		nBlobs := d.Count(4)
 		blobs := make([][]byte, 0, nBlobs)
 		for j := 0; j < nBlobs && d.Err == nil; j++ {
 			blobs = append(blobs, d.Bytes())
@@ -255,17 +261,21 @@ func Decode(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// WriteFile atomically writes the snapshot to path: the encoding goes to a
-// temp file in the same directory which is fsynced and renamed over the
-// target, so readers only ever see the old complete file or the new one.
+// WriteFile atomically writes the snapshot to path.
 func WriteFile(path string, s *Snapshot) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	return WriteFileAtomic(path, s.Encode())
+}
+
+// WriteFileAtomic writes data to a temp file in path's directory, fsyncs it
+// and renames it over path, so readers only ever see the old complete file
+// or the new one — never a torn write, whenever the process dies.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("ckpt: create temp: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(s.Encode()); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("ckpt: write: %w", err)
 	}

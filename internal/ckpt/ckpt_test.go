@@ -2,9 +2,13 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"declpat/internal/frame"
 )
 
 func TestEncDecRoundTrip(t *testing.T) {
@@ -124,9 +128,44 @@ func TestSnapshotVersionReject(t *testing.T) {
 	body := enc[:len(enc)-8]
 	var e Enc
 	e.B = append(e.B, body...)
-	e.U64(Checksum(body))
+	e.U64(frame.Checksum(body))
 	if _, err := Decode(e.B); err == nil {
 		t.Fatal("future version accepted")
+	}
+}
+
+// TestDecodeBoundsCountsByBytes: a CRC-valid file whose counts promise more
+// than its bytes can hold is rejected before anything is sized by the count.
+func TestDecodeBoundsCountsByBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		nRanks, nBlobs uint32
+	}{
+		{"blob count", 1, 1 << 22}, // 96 MiB of slice headers if trusted
+		{"rank count", 1 << 22, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var e Enc
+			e.B = append(e.B, Magic...)
+			e.U16(Version)
+			e.U64(1) // RunID
+			e.I64(0) // Epoch
+			e.U32(0) // Lo
+			e.U32(1) // Hi
+			e.U32(tc.nRanks)
+			e.U32(tc.nBlobs)
+			e.U64(frame.Checksum(e.B))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(e.B)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Decode = %v, want ErrCorrupt", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Fatalf("Decode allocated %d bytes for a %d-byte file", got, len(e.B))
+			}
+		})
 	}
 }
 

@@ -1,0 +1,119 @@
+package frame
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"testing"
+)
+
+func seal(kind byte, body []byte) []byte {
+	return Seal(append(Begin(nil, kind), body...))
+}
+
+func TestRoundTripAndLayout(t *testing.T) {
+	body := []byte("hello, rank 3")
+	wire := seal(7, body)
+	// u32 length | u8 kind | body | u64 crc, length covering kind+body+crc.
+	if got, want := binary.LittleEndian.Uint32(wire), uint32(1+len(body)+8); got != want {
+		t.Fatalf("length prefix = %d, want %d", got, want)
+	}
+	if wire[4] != 7 || !bytes.Equal(wire[5:5+len(body)], body) {
+		t.Fatalf("kind/body misplaced: %x", wire)
+	}
+	if got, want := binary.LittleEndian.Uint64(wire[len(wire)-8:]), Checksum(wire[4:len(wire)-8]); got != want {
+		t.Fatalf("trailer = %016x, want CRC of kind|body %016x", got, want)
+	}
+	payload, _, err := Read(bytes.NewReader(wire), nil, 1<<10)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if payload[0] != 7 || !bytes.Equal(payload[1:], body) {
+		t.Fatalf("payload = %x, want kind 7 + %q", payload, body)
+	}
+	if empty := seal(3, nil); binary.LittleEndian.Uint32(empty) != MinLen {
+		t.Fatalf("bodyless frame announces %d, want MinLen", binary.LittleEndian.Uint32(empty))
+	}
+}
+
+func TestReadRejects(t *testing.T) {
+	good := seal(1, []byte{1, 2, 3, 4})
+	length := func(n uint32) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b, n)
+		return b
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[6] ^= 0x40
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"below MinLen", length(MinLen - 1), ErrCorrupt},
+		{"zero length", length(0), ErrCorrupt},
+		{"above max", length(65), ErrCorrupt},
+		{"huge length", length(1 << 31), ErrCorrupt},
+		{"flipped body bit", flipped, ErrCorrupt},
+		{"truncated body", good[:len(good)-3], io.ErrUnexpectedEOF},
+		{"truncated header", good[:2], io.ErrUnexpectedEOF},
+		{"empty stream", nil, io.EOF},
+	} {
+		_, buf, err := Read(bytes.NewReader(tc.in), nil, 64)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		if cap(buf) > 64 {
+			t.Errorf("%s: Read grew its buffer to %d bytes past max 64", tc.name, cap(buf))
+		}
+	}
+}
+
+// TestReadReusesBuffer: the socket read loop hands Read the buffer it got
+// back, and a frame that fits costs no allocation.
+func TestReadReusesBuffer(t *testing.T) {
+	wire := seal(1, bytes.Repeat([]byte{0xab}, 300))
+	r := bytes.NewReader(wire)
+	_, buf, err := Read(r, nil, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(wire)
+		if _, buf, err = Read(r, buf, 1<<10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Read into a large-enough buffer allocated %.0f times per frame", allocs)
+	}
+}
+
+// FuzzRead feeds the reader arbitrary streams: it must never panic, never
+// size a buffer past max whatever the length prefix claims, fail only with
+// ErrCorrupt or the stream's own EOF, and accept exactly the frames Seal
+// produces.
+func FuzzRead(f *testing.F) {
+	const max = 1 << 12
+	f.Add(seal(1, []byte("body")))
+	f.Add(seal(3, nil))
+	f.Add(seal(2, bytes.Repeat([]byte{7}, 200))[:100])
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		payload, buf, err := Read(bytes.NewReader(b), nil, max)
+		if cap(buf) > max {
+			t.Fatalf("buffer grew to %d bytes, max is %d", cap(buf), max)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && err != io.EOF && err != io.ErrUnexpectedEOF {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			return
+		}
+		if want := seal(payload[0], payload[1:]); !bytes.HasPrefix(b, want) {
+			t.Fatalf("accepted a frame Seal would not produce: payload %x from %x", payload, b)
+		}
+	})
+}

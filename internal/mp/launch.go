@@ -436,9 +436,9 @@ const (
 	// ExitRestart: the fleet aborted (a peer died or a fault was reported);
 	// the worker exited so the launcher can respawn it.
 	ExitRestart = 3
-	// ExitPeerClosed: the control (or relay) peer closed the connection.
+	// ExitPeerClosed: the control peer closed the connection.
 	ExitPeerClosed = 4
-	// ExitDecode: a control (or relay) frame failed to decode — protocol
+	// ExitDecode: a control frame failed to decode — protocol
 	// damage, distinct from a dead peer.
 	ExitDecode = 5
 )

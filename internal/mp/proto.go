@@ -18,7 +18,6 @@
 package mp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -26,15 +25,12 @@ import (
 
 	"declpat/internal/am"
 	"declpat/internal/ckpt"
+	"declpat/internal/frame"
 )
 
-// Wire format: every frame is
-//
-//	u32 length | u8 kind | body | u64 crc
-//
-// with length covering kind+body+crc and crc = ckpt.Checksum(kind|body)
-// (CRC-64/ECMA, the same integrity seal the checkpoint files use). The
-// control plane is low-rate — a handful of frames per epoch — so frames
+// Wire format: every frame is an internal/frame frame (u32 length | u8 kind
+// | body | u64 CRC-64/ECMA, the layout the data plane's socket frames share).
+// The control plane is low-rate — a handful of frames per epoch — so frames
 // favor explicitness over compactness; bodies are encoded with the ckpt
 // package's deterministic little-endian primitives.
 
@@ -109,15 +105,8 @@ var ErrDecode = errors.New("mp: control frame decode failure")
 
 // writeFrame writes one frame. The caller serializes writers per connection.
 func writeFrame(w io.Writer, kind byte, body []byte) error {
-	payload := make([]byte, 0, 1+len(body)+8)
-	payload = append(payload, kind)
-	payload = append(payload, body...)
-	crc := ckpt.Checksum(payload)
-	buf := make([]byte, 0, 4+len(payload)+8)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)+8))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint64(buf, crc)
-	if _, err := w.Write(buf); err != nil {
+	f := frame.Begin(make([]byte, 0, 4+1+len(body)+8), kind)
+	if _, err := w.Write(frame.Seal(append(f, body...))); err != nil {
 		return classifyIOErr(err)
 	}
 	return nil
@@ -125,22 +114,12 @@ func writeFrame(w io.Writer, kind byte, body []byte) error {
 
 // readFrame reads and verifies one frame.
 func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	payload, _, err := frame.Read(r, nil, maxFrame)
+	if errors.Is(err, frame.ErrCorrupt) {
+		return 0, nil, fmt.Errorf("%w: %v", ErrDecode, err)
+	}
+	if err != nil {
 		return 0, nil, classifyIOErr(err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 9 || n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: frame length %d out of range", ErrDecode, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, classifyIOErr(err)
-	}
-	payload, crcB := buf[:n-8], buf[n-8:]
-	if got, want := ckpt.Checksum(payload), binary.LittleEndian.Uint64(crcB); got != want {
-		return 0, nil, fmt.Errorf("%w: %s frame checksum mismatch (got %016x want %016x)",
-			ErrDecode, kindName(payload[0]), got, want)
 	}
 	return payload[0], payload[1:], nil
 }
@@ -256,10 +235,7 @@ func decodeWelcome(b []byte) (welcome, error) {
 	w.Hi = int(d.U32())
 	w.RestartEpoch = d.I64()
 	w.HaveCkpt = d.U8() == 1
-	n := int(d.U32())
-	if d.Err == nil && n > maxFrame/8 {
-		return w, fmt.Errorf("%w: welcome log has %d entries", ErrDecode, n)
-	}
+	n := d.Count(4) // a log entry is at least its 4-byte count
 	for i := 0; i < n && d.Err == nil; i++ {
 		w.Log = append(w.Log, d.I64Slice())
 	}
@@ -285,10 +261,7 @@ func encodeStrings(ss []string) []byte {
 
 func decodeStrings(b []byte) ([]string, error) {
 	d := ckpt.Dec{B: b}
-	n := int(d.U32())
-	if d.Err == nil && n > maxFrame {
-		return nil, fmt.Errorf("%w: string table has %d entries", ErrDecode, n)
-	}
+	n := d.Count(4) // an entry is at least its 4-byte length
 	out := make([]string, 0, n)
 	for i := 0; i < n && d.Err == nil; i++ {
 		out = append(out, d.String())

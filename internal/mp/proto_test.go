@@ -3,9 +3,11 @@ package mp
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"declpat/internal/am"
+	"declpat/internal/ckpt"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -60,6 +62,38 @@ func TestFrameTruncationIsPeerClosed(t *testing.T) {
 	_, _, err = readFrame(bytes.NewReader(nil))
 	if !errors.Is(err, ErrPeerClosed) {
 		t.Fatalf("empty stream: got %v, want ErrPeerClosed", err)
+	}
+}
+
+// TestDecodersBoundCountsByBytes: a body whose count field promises more
+// entries than its bytes can hold is a decode error, reported before
+// anything is sized by the count — a four-byte addr-set body must not
+// reserve a gigabyte.
+func TestDecodersBoundCountsByBytes(t *testing.T) {
+	count := func(n uint32) []byte {
+		var e ckpt.Enc
+		e.U32(n)
+		return e.B
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"string table", func() error { _, err := decodeStrings(count(1 << 22)); return err }},
+		{"gather values", func() error { _, err := decodeGather(append(make([]byte, 8), count(1<<22)...)); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.decode()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("got %v, want ErrDecode", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Fatalf("decoder allocated %d bytes for a count it could not back", got)
+			}
+		})
 	}
 }
 

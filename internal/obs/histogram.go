@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
@@ -128,41 +127,6 @@ type HistSnapshot struct {
 	Count  int64
 	Sum    int64
 	Max    int64
-}
-
-// Merge folds o into s: bucket counts, totals, and max combine so the result
-// is the histogram both sides would have produced recording into one set of
-// buckets. An empty receiver adopts o's bounds; an empty o is a no-op. The
-// bucket bounds must otherwise match exactly — telemetry frames carry their
-// bounds on the wire, so a mismatch means the peer runs a different bucket
-// layout and the merge would misattribute counts.
-func (s *HistSnapshot) Merge(o HistSnapshot) error {
-	if o.Count == 0 && o.Max == 0 && o.Sum == 0 {
-		return nil
-	}
-	if s.Bounds == nil && s.Count == 0 {
-		s.Bounds = append([]int64(nil), o.Bounds...)
-		s.Counts = append([]int64(nil), o.Counts...)
-		s.Count, s.Sum, s.Max = o.Count, o.Sum, o.Max
-		return nil
-	}
-	if len(s.Bounds) != len(o.Bounds) {
-		return fmt.Errorf("obs: histogram merge: bound count mismatch (%d vs %d)", len(s.Bounds), len(o.Bounds))
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != o.Bounds[i] {
-			return fmt.Errorf("obs: histogram merge: bound %d mismatch (%d vs %d)", i, s.Bounds[i], o.Bounds[i])
-		}
-	}
-	for i := range o.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	return nil
 }
 
 // Mean returns the mean observation, or 0 when empty.

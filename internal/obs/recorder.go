@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"declpat/internal/ckpt"
+	"declpat/internal/frame"
 )
 
 // Flight recorder: an always-on, bounded black box. Where the trace rings
@@ -81,7 +82,7 @@ type FlightDump struct {
 //
 //	"DPFR" | u8 version | u32 bodyLen | body (JSON) | u64 crc
 //
-// with crc = ckpt.Checksum over everything before it.
+// with crc = frame.Checksum over everything before it.
 const (
 	flightMagic   = "DPFR"
 	flightVersion = 1
@@ -272,26 +273,8 @@ func (f *FlightRecorder) Dump(path, reason string) error {
 	buf = append(buf, flightVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
 	buf = append(buf, body...)
-	buf = binary.LittleEndian.AppendUint64(buf, ckpt.Checksum(buf))
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	buf = binary.LittleEndian.AppendUint64(buf, frame.Checksum(buf))
+	return ckpt.WriteFileAtomic(path, buf)
 }
 
 // Persist dumps to the configured path (flight-<worker>.dpfr naming is the
@@ -344,7 +327,7 @@ func LoadFlightDump(path string) (*FlightDump, error) {
 		return nil, fmt.Errorf("obs: flight dump %s: body length %d does not match file size %d", path, n, len(b))
 	}
 	want := binary.LittleEndian.Uint64(b[hdr+n:])
-	if got := ckpt.Checksum(b[:hdr+n]); got != want {
+	if got := frame.Checksum(b[:hdr+n]); got != want {
 		return nil, fmt.Errorf("obs: flight dump %s: checksum mismatch (got %016x want %016x)", path, got, want)
 	}
 	var d FlightDump

@@ -1,119 +1,19 @@
 package obs
 
-import (
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
-// TelemetryVersion is the telemetry frame schema version. Readers reject
-// frames from a newer major version instead of guessing at their shape.
-const TelemetryVersion = 1
-
-// maxTelemetryFrame bounds a telemetry frame's JSON body. Telemetry is a
-// handful of counters and small fixed-bucket histograms; anything near this
-// size is a corrupt length prefix, not a metric export.
-const maxTelemetryFrame = 4 << 20
-
 // GaugeValue is a gauge's current value plus its high-water mark.
 type GaugeValue struct {
 	Cur int64 `json:"cur"`
 	Max int64 `json:"max"`
 }
 
-// ProcessTelemetry is one process's metric export: the unit shipped over a
-// telemetry control frame and merged into the coordinator's metrics. All
-// maps are keyed by series name; histograms carry their bucket bounds so the
-// receiver can merge (or reject) without out-of-band schema agreement.
+// ProcessTelemetry is one process's metric export: what Universe.Telemetry
+// returns and the /metrics exposition walks. All maps are keyed by series
+// name; histograms carry their bucket bounds.
 type ProcessTelemetry struct {
-	Process  string                  `json:"process"`             // e.g. "coordinator", "relay"
-	Addr     string                  `json:"addr,omitempty"`      // listen address, when the process has one
-	PID      int                     `json:"pid,omitempty"`       // OS pid, for per-process breakdowns
+	Process  string                  `json:"process"`             // "coordinator": the process hosting the universe
+	PID      int                     `json:"pid,omitempty"`       // OS pid
 	UptimeNS int64                   `json:"uptime_ns,omitempty"` // ns since the process's obs clock started
 	Counters map[string]int64        `json:"counters,omitempty"`
 	Gauges   map[string]GaugeValue   `json:"gauges,omitempty"`
 	Phases   map[string]HistSnapshot `json:"phases,omitempty"` // phase name -> histogram
-}
-
-// WriteTelemetryFrame writes t as one length-prefixed versioned JSON frame:
-// u32 body length, then a body of u16 version followed by the JSON document.
-// JSON (not the fixed-layout codec) because telemetry frames are rare, small,
-// and cross version boundaries: an old coordinator scraping a new worker
-// should degrade to ignoring unknown fields, not misparse them.
-func WriteTelemetryFrame(w io.Writer, t ProcessTelemetry) error {
-	doc, err := json.Marshal(t)
-	if err != nil {
-		return fmt.Errorf("obs: telemetry encode: %w", err)
-	}
-	frame := make([]byte, 4+2+len(doc))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(2+len(doc)))
-	binary.BigEndian.PutUint16(frame[4:6], TelemetryVersion)
-	copy(frame[6:], doc)
-	_, err = w.Write(frame)
-	return err
-}
-
-// ReadTelemetryFrame reads one frame written by WriteTelemetryFrame.
-func ReadTelemetryFrame(r io.Reader) (ProcessTelemetry, error) {
-	var t ProcessTelemetry
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return t, fmt.Errorf("obs: telemetry frame length: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 2 || n > maxTelemetryFrame {
-		return t, fmt.Errorf("obs: telemetry frame length %d out of range", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return t, fmt.Errorf("obs: telemetry frame body: %w", err)
-	}
-	if v := binary.BigEndian.Uint16(body[0:2]); v > TelemetryVersion {
-		return t, fmt.Errorf("obs: telemetry frame version %d newer than %d", v, TelemetryVersion)
-	}
-	if err := json.Unmarshal(body[2:], &t); err != nil {
-		return t, fmt.Errorf("obs: telemetry decode: %w", err)
-	}
-	return t, nil
-}
-
-// MergeTelemetry folds src into dst in place: counters add, gauges add
-// current values and take the max of peaks, and phase histograms merge
-// bucket-wise. Histograms whose bounds disagree are skipped and reported in
-// the returned error (the rest of the merge still happens — partial
-// telemetry beats none when scraping a mixed-version fleet).
-func MergeTelemetry(dst, src *ProcessTelemetry) error {
-	if len(src.Counters) > 0 && dst.Counters == nil {
-		dst.Counters = make(map[string]int64, len(src.Counters))
-	}
-	for k, v := range src.Counters {
-		dst.Counters[k] += v
-	}
-	if len(src.Gauges) > 0 && dst.Gauges == nil {
-		dst.Gauges = make(map[string]GaugeValue, len(src.Gauges))
-	}
-	for k, v := range src.Gauges {
-		g := dst.Gauges[k]
-		g.Cur += v.Cur
-		if v.Max > g.Max {
-			g.Max = v.Max
-		}
-		dst.Gauges[k] = g
-	}
-	var firstErr error
-	if len(src.Phases) > 0 && dst.Phases == nil {
-		dst.Phases = make(map[string]HistSnapshot, len(src.Phases))
-	}
-	for k, v := range src.Phases {
-		h := dst.Phases[k]
-		if err := h.Merge(v); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("phase %s: %w", k, err)
-			}
-			continue
-		}
-		dst.Phases[k] = h
-	}
-	return firstErr
 }
