@@ -181,7 +181,7 @@ func BenchmarkE6ReductionCache(b *testing.B) {
 				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 256})
 				d := distgraph.NewBlockDist(n, 4)
 				g := distgraph.Build(d, edges, distgraph.Options{})
-				h := algorithms.NewHandSSSP(u, g)
+				h := algorithms.NewHandSSSP(u, g).Naive()
 				if cached {
 					h.WithReductionCache()
 				}

@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strconv"
 	"syscall"
 	"time"
@@ -49,6 +50,16 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "default per-query deadline (0 = none)")
 	retain := flag.Int("retain", 256, "finished results retained for lookups")
 	flag.Parse()
+
+	// The heap is the retention ring: -retain finished vectors of 8·n bytes,
+	// pointer-free, each becoming garbage the moment a newer result evicts
+	// it. At the runtime's default target that garbage may grow as large as
+	// the ring again before it is collected. Marking pointer-free vectors
+	// costs next to nothing, so collect when it reaches a quarter of the
+	// live heap instead. A GOGC in the environment overrides this.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(25)
+	}
 
 	n, edges := declpat.RMAT(*scale, *ef, declpat.WeightSpec{Min: 1, Max: 100}, *seed)
 	u := declpat.New(*ranks, declpat.WithThreads(*threads))

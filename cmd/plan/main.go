@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	plan [-merge=false] [-fold=false] [-naive] [-earlyexit=false] [-direct=false] [-filter=false] [SSSP|CC|BFS|Widest|Degree|PageRankPush|PageRankPull]
+//	plan [-merge=false] [-fold=false] [-naive] [-earlyexit=false] [-direct=false] [-filter=false] [-coalesce=false] [SSSP|CC|BFS|Widest|Degree|PageRankPush|PageRankPull]
 package main
 
 import (
@@ -27,6 +27,7 @@ func main() {
 	earlyExit := flag.Bool("earlyexit", true, "evaluate entry-decidable test conjuncts before sending")
 	direct := flag.Bool("direct", true, "mark single-word hops for in-place application on co-resident ranks")
 	filter := flag.Bool("filter", true, "mark monotone eval hops for the send-side filter")
+	coalesce := flag.Bool("coalesce", true, "mark actions with no add modification for coalesced re-invocation")
 	dot := flag.Bool("dot", false, "emit Graphviz digraphs of the plans instead of text")
 	flag.Parse()
 
@@ -46,7 +47,7 @@ func main() {
 	if len(names) == 0 {
 		names = []string{"SSSP", "CC", "BFS", "Widest", "Degree", "BFSTree", "PageRankPush", "PageRankPull", "LightHeavy", "KCore"}
 	}
-	opts := pattern.PlanOptions{Merge: *merge, Fold: *fold, NaiveDFS: *naive, EarlyExit: *earlyExit, Direct: *direct, Filter: *filter}
+	opts := pattern.PlanOptions{Merge: *merge, Fold: *fold, NaiveDFS: *naive, EarlyExit: *earlyExit, Direct: *direct, Filter: *filter, Coalesce: *coalesce}
 	fmt.Printf("planner options: %+v\n\n", opts)
 	for _, name := range names {
 		mk, ok := library[name]

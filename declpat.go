@@ -327,10 +327,11 @@ func NewPattern(name string) *Pattern { return pattern.New(name) }
 
 // DefaultPlanOptions returns the paper's configuration (merge, fold, early
 // exit) plus Direct — single-word hops to a co-resident rank are applied in
-// place instead of sent — and Filter — a min/max relaxation that has to be
-// sent is not, when this rank already offered the vertex a value at least as
-// good in the same epoch. Set both to false to reproduce the paper's message
-// counts.
+// place instead of sent — Filter — a min/max relaxation that has to be sent is
+// not, when this rank already offered the vertex a value at least as good in
+// the same epoch — and Coalesce — fixed_point mails a re-run of a changed
+// vertex only when none is waiting to start. Set all three to false to
+// reproduce the paper's message counts.
 func DefaultPlanOptions() PlanOptions { return pattern.DefaultPlanOptions() }
 
 // NewEngine creates a pattern engine; call before Universe.Run.

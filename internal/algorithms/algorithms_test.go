@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"testing"
 
 	"declpat/internal/am"
@@ -211,23 +212,44 @@ func TestWidestMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestHandWrittenBaselines: both forms of the hand-written pair are exact,
+// with and without the reduction cache, and the in-queue word removes
+// expansions — without the cache the disciplined form sends fewer messages
+// than the naive one on a graph where vertices improve repeatedly.
 func TestHandWrittenBaselines(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 23)
 	wantD := seq.Dijkstra(n, edges, 0)
 	wantB := seq.BFS(n, edges, 0)
-	u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 2})
-	dist := distgraph.NewBlockDist(n, 3)
-	g := distgraph.Build(dist, edges, distgraph.Options{})
-	hs := NewHandSSSP(u, g).WithReductionCache()
-	hb := NewHandBFS(u, g)
-	u.Run(func(r *am.Rank) {
-		hs.Run(r, 0)
-		hb.Run(r, 0)
-	})
-	checkDist(t, "hand-sssp", hs.Dist.Gather(), wantD)
-	checkDist(t, "hand-bfs", hb.Level.Gather(), wantB)
-	if u.Stats.MsgsSuppressed() == 0 {
-		t.Error("reduction cache suppressed nothing on an RMAT graph")
+	msgs := map[bool]int64{}
+	for _, cached := range []bool{false, true} {
+		for _, naive := range []bool{false, true} {
+			name := fmt.Sprintf("cached=%v naive=%v", cached, naive)
+			u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 2})
+			g := distgraph.Build(distgraph.NewBlockDist(n, 3), edges, distgraph.Options{})
+			hs, hb := NewHandSSSP(u, g), NewHandBFS(u, g)
+			if cached {
+				hs.WithReductionCache()
+			}
+			if naive {
+				hs.Naive()
+				hb.Naive()
+			}
+			runOrFail(t, u, func(r *am.Rank) {
+				hs.Run(r, 0)
+				hb.Run(r, 0)
+			})
+			checkDist(t, "hand-sssp "+name, hs.Dist.Gather(), wantD)
+			checkDist(t, "hand-bfs "+name, hb.Level.Gather(), wantB)
+			if cached && u.Stats.MsgsSuppressed() == 0 {
+				t.Errorf("%s: reduction cache suppressed nothing on an RMAT graph", name)
+			}
+			if !cached {
+				msgs[naive] = u.Stats.MsgsSent()
+			}
+		}
+	}
+	if msgs[false] >= msgs[true] {
+		t.Errorf("messages: %d with the in-queue word, %d naive", msgs[false], msgs[true])
 	}
 }
 

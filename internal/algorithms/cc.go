@@ -109,7 +109,7 @@ func NewCC(eng *pattern.Engine, lm *pmap.LockMap) *CC {
 	c.Jump = bound.Action("cc_jump")
 	// The paper's work hook: continue the search from newly claimed
 	// vertices.
-	c.Search.SetWork(func(r *am.Rank, v distgraph.Vertex) { c.Search.InvokeAsync(r, v) })
+	c.Search.SetWorkRerun()
 	// searchesStarted is a metric, not algorithm state; it is not
 	// checkpointed.
 	u := eng.Universe()

@@ -202,8 +202,11 @@ func TestDirectOnlyWhenCoresident(t *testing.T) {
 // TestDirectConservation: with Direct on, every message sent is handled
 // within its epoch — MsgsSent == HandlersRun at every epoch end, which is the
 // detector's pending == 0 (the two counters move at the same two sites) —
-// and the dependency work hook still runs on the rank that owns the vertex,
-// although another rank's thread changed it.
+// and a dependency work hook function (SetWork: here a counter, below the
+// Δ-stepping bucket insert) still runs on the rank that owns the vertex,
+// although another rank's thread changed it. The coalesced rerun hook
+// (SetWorkRerun) is not a function and runs nowhere: the applying thread
+// requests the re-run and counts the firing (TestCoalesceFoldsTheFiring).
 func TestDirectConservation(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 5)
 	u, eng, _ := newEngineWith(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{}, planOpts(true))

@@ -59,7 +59,7 @@ func E14Codegen(sc Scale) []*harness.Table {
 		u := am.New(cfg.Ranks, am.WithConfig(cfg))
 		benchTrack(u)
 		g := buildGraph(u, n, edges, defaultGOpts())
-		h := algorithms.NewHandSSSP(u, g)
+		h := algorithms.NewHandSSSP(u, g).Naive() // the paper's shape, like PaperPlan beside it
 		dur := harness.Time(func() { u.Run(func(r *am.Rank) { h.Run(r, 0) }) })
 		t.Add(row([]any{"hand-written"}, statCells(u, "messages", "handlers"), dur,
 			checkSSSP(h.Dist.Gather(), n, edges, 0))...)

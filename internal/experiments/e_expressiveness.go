@@ -52,18 +52,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
 		b := algorithms.NewBFS(e.eng)
 		e.u.Run(func(r *am.Rank) { b.Run(r, 0) })
-		want := seq.BFS(n, edges, 0)
-		wrong := 0
-		for v, got := range b.Level.Gather() {
-			w := want[v]
-			if w == seq.Inf {
-				w = pattern.Inf
-			}
-			if got != w {
-				wrong++
-			}
-		}
-		add("bfs(levels)", []*pattern.BoundAction{b.Visit}, "seq BFS", wrong)
+		add("bfs(levels)", []*pattern.BoundAction{b.Visit}, "seq BFS", checkBFS(b.Level.Gather(), n, edges, 0))
 	}
 	{ // BFS parent tree.
 		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())

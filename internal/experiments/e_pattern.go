@@ -73,8 +73,8 @@ func runThreeLoc(n int, edges []distgraph.Edge, popts pattern.PlanOptions) (*am.
 // counts for merged vs unmerged evaluation across the pattern library, plus
 // a runtime comparison on the three-locality relax — the merged plan sends
 // fewer messages and keeps the read-modify-write of the target consistent —
-// with and without direct application of its single-word hops, and with and
-// without the send-side filter on its eval hop.
+// with and without direct application of its single-word hops, the send-side
+// filter on its eval hop, and coalesced re-invocation.
 func E2Merge(sc Scale) []*harness.Table {
 	plans := harness.NewTable("E2a: compiled plan per condition (merged vs unmerged)",
 		"pattern/action", "cond", "merged-msgs", "merged-sync", "unmerged-msgs", "unmerged-sync")
@@ -96,18 +96,21 @@ func E2Merge(sc Scale) []*harness.Table {
 
 	n, edges := workload(sc)
 	rt := harness.NewTable("E2b: runtime, three-locality relax to fixed point",
-		"mode", "direct", "filter", "messages", "handlers", "time", "wrong", "invariant-violations")
-	// The direct=off filter=off rows are the paper's: every hop a message.
-	// The direct=on rows apply the single-word hops in place (the merged
-	// plan's gather and atomic-min eval; the unmerged plan's gathers only —
-	// its eval is under the lock map and its modification is a tail group).
-	// The filter=on rows keep every hop a message but decline to send a
-	// merged eval hop that cannot beat what the sending rank already offered
+		"mode", "direct", "filter", "coalesce", "messages", "handlers", "time", "wrong", "invariant-violations")
+	// The all-off rows are the paper's: every hop a message, one re-run per
+	// change. The direct=on rows apply the single-word hops in place (the
+	// merged plan's gather and atomic-min eval; the unmerged plan's gathers
+	// only — its eval is under the lock map and its modification is a tail
+	// group). The filter=on rows keep every hop a message but decline to send
+	// a merged eval hop that cannot beat what the sending rank already offered
 	// the vertex; the unmerged eval is not one monotone word, so its rows
-	// repeat the paper's.
-	for _, v := range []struct{ direct, filter bool }{{false, false}, {true, false}, {false, true}} {
+	// repeat the paper's. The coalesce=on rows mail a re-run of a changed
+	// vertex only when none is waiting to start, whatever the plan's shape.
+	for _, v := range []struct{ direct, filter, coalesce bool }{
+		{false, false, false}, {true, false, false}, {false, true, false}, {false, false, true},
+	} {
 		for _, merged := range []bool{true, false} {
-			popts := pattern.PlanOptions{Merge: merged, Fold: true, Direct: v.direct, Filter: v.filter}
+			popts := pattern.PlanOptions{Merge: merged, Fold: true, Direct: v.direct, Filter: v.filter, Coalesce: v.coalesce}
 			var u *am.Universe
 			var got []int64
 			d := harness.Time(func() { u, got = runThreeLoc(n, edges, popts) })
@@ -115,7 +118,7 @@ func E2Merge(sc Scale) []*harness.Table {
 			if !merged {
 				name = "unmerged"
 			}
-			rt.Add(row([]any{name, onOff[v.direct], onOff[v.filter]}, statCells(u, "messages", "handlers"), d,
+			rt.Add(row([]any{name, onOff[v.direct], onOff[v.filter], onOff[v.coalesce]}, statCells(u, "messages", "handlers"), d,
 				checkSSSP(got, n, edges, 0), invariantViolations(got, edges))...)
 		}
 	}

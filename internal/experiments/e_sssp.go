@@ -63,8 +63,10 @@ func E5Coalescing(sc Scale) []*harness.Table {
 
 // E6Reduction measures the caching/reduction layer (§IV: "caching allows to
 // avoid unnecessary message sends ... in algorithms that produce potentially
-// large amounts of repetitive work") on the hand-written SSSP, and the
-// pattern engine's send-side filter beside it.
+// large amounts of repetitive work") on the hand-written SSSP (its naive form:
+// one expansion per improving delivery, the repetitive work the cache is for),
+// and beside it the pattern engine's two ways of not doing repetitive work:
+// the send-side filter and coalesced re-invocation.
 func E6Reduction(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 	t := harness.NewTable("E6: reduction cache (hand-written AM++ SSSP)",
@@ -73,7 +75,7 @@ func E6Reduction(sc Scale) []*harness.Table {
 		u := am.New(4, am.WithThreads(2), am.WithCoalesce(256))
 		benchTrack(u)
 		g := buildGraph(u, n, edges, defaultGOpts())
-		h := algorithms.NewHandSSSP(u, g)
+		h := algorithms.NewHandSSSP(u, g).Naive()
 		if cached {
 			h.WithReductionCache()
 		}
@@ -106,7 +108,25 @@ func E6Reduction(sc Scale) []*harness.Table {
 		pt.Add(onOff[filter], cells[0], s.Relax.Stats.FilteredHops.Load(), cells[1], cells[2],
 			d, checkSSSP(s.Dist.Gather(), n, edges, 0))
 	}
-	return []*harness.Table{t, pt}
+
+	// Coalesced re-invocation (PlanOptions.Coalesce), same machine, every hop
+	// a message and no filter: fixed_point mails a re-run of an improved
+	// vertex only when none is waiting to start, so a vertex that improves k
+	// times before its re-run starts expands its edges once, not k times.
+	ct := harness.NewTable("E6c: coalesced re-invocation (pattern SSSP and BFS, fixed point, Direct off)",
+		"algorithm", "coalesce", "invocations", "items", "messages", "time", "wrong")
+	for _, algo := range []string{"sssp", "bfs"} {
+		for _, coalesce := range []bool{false, true} {
+			popts := PaperPlan()
+			popts.Coalesce = coalesce
+			e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 256}, n, edges, defaultGOpts(), popts)
+			act, run, answer := patternSolver(e, algo)
+			d := harness.Time(func() { e.u.Run(run) })
+			ct.Add(algo, onOff[coalesce], act.Stats.Invocations.Load(), act.Stats.Items.Load(),
+				statCells(e.u, "messages")[0], d, checkAlgo(algo, answer(), n, edges))
+		}
+	}
+	return []*harness.Table{t, pt, ct}
 }
 
 // E7Scaling sweeps ranks × handler threads (strong scaling shape over the
@@ -180,50 +200,83 @@ func E8Termination(sc Scale) []*harness.Table {
 }
 
 // E9Abstraction compares pattern-engine SSSP/BFS against the hand-written
-// AM++ versions: same results; with Direct off the same message shape with
-// engine dispatch overhead on top, and as shipped a fraction of the messages,
-// because the relax hop is a CAS on the owner's shard, not a mail item.
+// AM++ versions: same results. As shipped the engine sends a fraction of the
+// messages, because the relax hop is a CAS on the owner's shard, not a mail
+// item. The two like-for-like pairs measure interpretation cost: with Direct
+// and Filter off the engine and the hand-written code have the same message
+// shape (one relax per edge expanded, one expansion per vertex however often
+// it improved meanwhile); PaperPlan and the naive hand-written form are the
+// paper's shape, one expansion per improvement.
 func E9Abstraction(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 	t := harness.NewTable("E9: abstraction overhead (pattern engine vs hand-written AM++)",
 		"algorithm", "impl", "messages", "handlers", "time", "wrong")
 	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
-	plans := []struct {
-		impl  string
-		popts pattern.PlanOptions
-	}{{"pattern", pattern.DefaultPlanOptions()}, {"pattern (direct off)", PaperPlan()}}
-
-	// SSSP.
-	for _, pl := range plans {
-		e := newEnv(cfg, n, edges, defaultGOpts(), pl.popts)
-		s := algorithms.NewSSSP(e.eng)
-		d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })
-		t.Add(row([]any{"sssp", pl.impl}, statCells(e.u, "messages", "handlers"), d,
-			checkSSSP(s.Dist.Gather(), n, edges, 0))...)
+	mailed := pattern.DefaultPlanOptions()
+	mailed.Direct, mailed.Filter = false, false
+	rows := []struct {
+		impl        string
+		popts       pattern.PlanOptions // the engine's plan; unused by the hand-written rows
+		hand, naive bool
+	}{
+		{impl: "pattern", popts: pattern.DefaultPlanOptions()},
+		{impl: "pattern (direct, filter off)", popts: mailed},
+		{impl: "hand-written", hand: true},
+		{impl: "pattern (paper plan)", popts: PaperPlan()},
+		{impl: "hand-written (naive)", hand: true, naive: true},
 	}
-	{
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
-		benchTrack(u)
-		g := buildGraph(u, n, edges, defaultGOpts())
-		h := algorithms.NewHandSSSP(u, g)
-		d := harness.Time(func() { u.Run(func(r *am.Rank) { h.Run(r, 0) }) })
-		t.Add(row([]any{"sssp", "hand-written"}, statCells(u, "messages", "handlers"), d,
-			checkSSSP(h.Dist.Gather(), n, edges, 0))...)
-	}
-	// BFS.
-	for _, pl := range plans {
-		e := newEnv(cfg, n, edges, defaultGOpts(), pl.popts)
-		b := algorithms.NewBFS(e.eng)
-		d := harness.Time(func() { e.u.Run(func(r *am.Rank) { b.Run(r, 0) }) })
-		t.Add(row([]any{"bfs", pl.impl}, statCells(e.u, "messages", "handlers"), d, "-")...)
-	}
-	{
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
-		benchTrack(u)
-		g := buildGraph(u, n, edges, defaultGOpts())
-		h := algorithms.NewHandBFS(u, g)
-		d := harness.Time(func() { u.Run(func(r *am.Rank) { h.Run(r, 0) }) })
-		t.Add(row([]any{"bfs", "hand-written"}, statCells(u, "messages", "handlers"), d, "-")...)
+	for _, algo := range []string{"sssp", "bfs"} {
+		for _, rw := range rows {
+			var u *am.Universe
+			var run func(r *am.Rank)
+			var answer func() []int64
+			switch {
+			case !rw.hand:
+				e := newEnv(cfg, n, edges, defaultGOpts(), rw.popts)
+				u = e.u
+				_, run, answer = patternSolver(e, algo)
+			case algo == "sssp":
+				u = am.New(cfg.Ranks, am.WithConfig(cfg))
+				benchTrack(u)
+				h := algorithms.NewHandSSSP(u, buildGraph(u, n, edges, defaultGOpts()))
+				if rw.naive {
+					h.Naive()
+				}
+				run, answer = func(r *am.Rank) { h.Run(r, 0) }, h.Dist.Gather
+			default:
+				u = am.New(cfg.Ranks, am.WithConfig(cfg))
+				benchTrack(u)
+				h := algorithms.NewHandBFS(u, buildGraph(u, n, edges, defaultGOpts()))
+				if rw.naive {
+					h.Naive()
+				}
+				run, answer = func(r *am.Rank) { h.Run(r, 0) }, h.Level.Gather
+			}
+			d := harness.Time(func() { u.Run(run) })
+			t.Add(row([]any{algo, rw.impl}, statCells(u, "messages", "handlers"), d,
+				checkAlgo(algo, answer(), n, edges))...)
+		}
 	}
 	return []*harness.Table{t}
+}
+
+// patternSolver binds the pattern engine's fixed-point SSSP ("sssp") or BFS
+// ("bfs") on e: the bound action, the SPMD body that solves from vertex 0, and
+// the answer.
+func patternSolver(e *env, algo string) (act *pattern.BoundAction, run func(r *am.Rank), answer func() []int64) {
+	if algo == "sssp" {
+		s := algorithms.NewSSSP(e.eng)
+		return s.Relax, func(r *am.Rank) { s.Run(r, 0) }, s.Dist.Gather
+	}
+	b := algorithms.NewBFS(e.eng)
+	return b.Visit, func(r *am.Rank) { b.Run(r, 0) }, b.Level.Gather
+}
+
+// checkAlgo counts the labels of an "sssp" or "bfs" answer from vertex 0 that
+// differ from the sequential reference's.
+func checkAlgo(algo string, got []int64, n int, edges []distgraph.Edge) int {
+	if algo == "sssp" {
+		return checkSSSP(got, n, edges, 0)
+	}
+	return checkBFS(got, n, edges, 0)
 }

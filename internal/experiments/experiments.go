@@ -63,12 +63,14 @@ func All() []Experiment {
 	}
 }
 
-// PaperPlan is the shipped planner configuration with Direct and Filter
-// pinned off. The paper's ranks are separate machines, where every hop of a
-// plan is a message; on this repository's in-process transport the shipped
-// default applies single-word hops in place instead (DESIGN.md, "Co-resident
-// direct application"), and on every other transport it declines to send a
-// relaxation that cannot win ("Send-side filter") — each removes most of the
+// PaperPlan is the shipped planner configuration with Direct, Filter and
+// Coalesce pinned off. The paper's ranks are separate machines, where every
+// hop of a plan is a message and fixed_point re-runs a vertex once per change;
+// on this repository's in-process transport the shipped default applies
+// single-word hops in place instead (DESIGN.md, "Co-resident direct
+// application"), on every other transport it declines to send a relaxation
+// that cannot win ("Send-side filter"), and everywhere it mails a re-run only
+// when none is waiting ("Coalesced re-invocation") — each removes most of the
 // traffic the experiments exist to count. Every experiment that reports
 // message counts, or measures the message plane itself (coalescing,
 // detectors, codecs, transports, faults, telemetry), therefore runs
@@ -76,7 +78,7 @@ func All() []Experiment {
 // E6 and E21 carry as-shipped rows beside the paper's.
 func PaperPlan() pattern.PlanOptions {
 	o := pattern.DefaultPlanOptions()
-	o.Direct, o.Filter = false, false
+	o.Direct, o.Filter, o.Coalesce = false, false, false
 	return o
 }
 
@@ -109,7 +111,17 @@ func newEnv(cfg am.Config, n int, edges []distgraph.Edge, gopts distgraph.Option
 
 // checkSSSP counts vertices whose distance differs from Dijkstra's answer.
 func checkSSSP(got []int64, n int, edges []distgraph.Edge, src distgraph.Vertex) int {
-	want := seq.Dijkstra(n, edges, src)
+	return countWrong(got, seq.Dijkstra(n, edges, src))
+}
+
+// checkBFS counts vertices whose level differs from the sequential BFS's.
+func checkBFS(got []int64, n int, edges []distgraph.Edge, src distgraph.Vertex) int {
+	return countWrong(got, seq.BFS(n, edges, src))
+}
+
+// countWrong counts vertices whose label differs from the sequential
+// reference's (whose unreached label is seq.Inf, the engine's pattern.Inf).
+func countWrong(got, want []int64) int {
 	bad := 0
 	for v := range want {
 		w := want[v]

@@ -36,7 +36,8 @@ const (
 	// a modification to Dest in place, the value changed, and the action
 	// reads the modified property (§IV-C). Only Action and Dest are set.
 	// The hook still runs on the owning rank, inside the epoch, covered by
-	// the same termination accounting as any other message.
+	// the same termination accounting as any other message. A coalesced
+	// rerun hook (rerun.go) needs no owner thread and is never sent as one.
 	hopFire int16 = -2
 )
 
@@ -267,10 +268,14 @@ func (e *Engine) WriteMetrics(om *obs.OMWriter) {
 
 // BoundAction is an action bound to storage, ready to invoke inside epochs.
 type BoundAction struct {
-	eng      *Engine
-	ca       *compiledAction
-	binds    map[*Prop]binding
-	work     func(r *am.Rank, v distgraph.Vertex)
+	eng   *Engine
+	ca    *compiledAction
+	binds map[*Prop]binding
+	work  func(r *am.Rank, v distgraph.Vertex)
+	// pending[rank][li] is the coalesced rerun hook's word for the vertex at
+	// local index li of rank's shard (rerun.go); nil unless SetWorkRerun
+	// installed the hook on a coalescible action.
+	pending  [][]atomic.Uint32
 	modified []atomic.Bool
 	// filters[ci] is the send-side filter of condition ci's eval hop, nil
 	// when the planner did not mark the hop filter-eligible.
@@ -287,7 +292,8 @@ func (ba *BoundAction) Name() string { return ba.ca.action.Name }
 
 // PlanInfo returns the compiled message plan for inspection. Filter is shown
 // only where the engine filters: Bind declines an eligible hop whose map some
-// bound action writes another way.
+// bound action writes another way. Coalesced is the planner's mark; it takes
+// effect once SetWorkRerun makes the action its own work hook.
 func (ba *BoundAction) PlanInfo() PlanInfo {
 	pi := ba.ca.info()
 	for ci := range pi.Conds {
@@ -301,9 +307,11 @@ func (ba *BoundAction) PlanInfo() PlanInfo {
 // SetWork installs the work hook called at the owner of a dependent vertex
 // when a modification read by the action changes its value (§IV-C). The
 // paper's `a.work(Vertex v) = {...}` customization point. The hook runs in
-// handler context and must not block; to re-run the action use InvokeAsync,
-// not Invoke.
-func (ba *BoundAction) SetWork(fn func(r *am.Rank, v distgraph.Vertex)) { ba.work = fn }
+// handler context and must not block; to re-run the action itself declare
+// SetWorkRerun, and to run another action use InvokeAsync, not Invoke.
+func (ba *BoundAction) SetWork(fn func(r *am.Rank, v distgraph.Vertex)) {
+	ba.work, ba.pending = fn, nil
+}
 
 // ResetModified clears this rank's modification flag (used by the `once`
 // strategy).
@@ -360,6 +368,11 @@ func (ba *BoundAction) runEntry(r *am.Rank, v distgraph.Vertex) {
 	g := ba.eng.g
 	a := ba.ca.action
 	at := site{rank: r.ID(), li: ba.eng.dist.Local(v)}
+	if ba.pending != nil {
+		// This run reads v's values from here on: a change that lands later
+		// must request a run of its own.
+		ba.pending[at.rank][at.li].Store(0)
+	}
 	base := patMsg{Action: int32(ba.ca.id), V: v, U: distgraph.NilVertex}
 	switch a.Gen.Kind {
 	case GenNone:
@@ -631,7 +644,7 @@ func (ba *BoundAction) execEval(r *am.Rank, m *patMsg, cp *condPlan, dest distgr
 		if changed {
 			ba.count(r, sTestsTrue)
 			if cp.cond.Mods[mi].firesDependency {
-				ba.fire(r, dest, at.rank)
+				ba.fire(r, dest, at)
 			}
 		} else {
 			ba.count(r, sTestsFalse)
@@ -769,16 +782,22 @@ func (ba *BoundAction) recordMod(r *am.Rank, changed bool) {
 }
 
 // fire runs the dependency work hook for v, whose value this rank just
-// changed in owner's shard. The hook belongs to the owning rank (it files v
-// into that rank's buckets, or re-invokes the action there), so after a
-// direct application it travels as a hopFire message — the only message a
-// directly applied hop ever costs, and only when it carried news.
-func (ba *BoundAction) fire(r *am.Rank, v distgraph.Vertex, owner int) {
-	if owner == r.ID() || ba.work == nil {
+// changed in the shard of at.rank. A hook function belongs to the owning rank
+// (it files v into that rank's buckets), so after a direct application it
+// travels as a hopFire message — the only message a directly applied hop ever
+// costs, and only when it carried news. A coalesced rerun hook is a word in
+// the owner's memory and an entry message: this thread requests the re-run
+// itself, and the firing is counted where it happened.
+func (ba *BoundAction) fire(r *am.Rank, v distgraph.Vertex, at site) {
+	switch {
+	case at.rank == r.ID() || ba.work == nil:
 		ba.fireWork(r, v)
-		return
+	case ba.pending != nil:
+		ba.count(r, sWorkItems)
+		ba.requestRerun(r, v, at)
+	default:
+		ba.eng.msg.SendTo(r, at.rank, patMsg{Action: int32(ba.ca.id), Hop: hopFire, Dest: v})
 	}
-	ba.eng.msg.SendTo(r, owner, patMsg{Action: int32(ba.ca.id), Hop: hopFire, Dest: v})
 }
 
 func (ba *BoundAction) fireWork(r *am.Rank, v distgraph.Vertex) {

@@ -22,10 +22,18 @@ type filterEnv struct {
 
 func newFilterEnv(t *testing.T, cfg am.Config, n int, edges []distgraph.Edge) filterEnv {
 	t.Helper()
+	return newFilterEnvWith(t, cfg, n, edges, func(*PlanOptions) {})
+}
+
+// newFilterEnvWith is newFilterEnv with the shipped plan options adjusted.
+func newFilterEnvWith(t *testing.T, cfg am.Config, n int, edges []distgraph.Edge, adjust func(*PlanOptions)) filterEnv {
+	t.Helper()
 	u := am.NewUniverse(cfg)
 	dist := distgraph.NewBlockDist(n, cfg.Ranks)
 	g := distgraph.Build(dist, edges, distgraph.Options{})
-	eng := NewEngine(u, g, pmap.NewLockMap(dist, 1), DefaultPlanOptions())
+	popts := DefaultPlanOptions()
+	adjust(&popts)
+	eng := NewEngine(u, g, pmap.NewLockMap(dist, 1), popts)
 	dmap := pmap.NewVertexWord(dist, Inf)
 	bound, err := eng.Bind(buildSSSP(), Bindings{"dist": dmap, "weight": pmap.WeightMap(g)})
 	if err != nil {

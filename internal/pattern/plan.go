@@ -51,12 +51,23 @@ type PlanOptions struct {
 	// DESIGN.md). Like Direct it is not one of the paper's optimizations:
 	// turn it off to reproduce the paper's message counts.
 	Filter bool
+	// Coalesce marks an action whose modifications all repeat harmlessly
+	// (assign, min, max, insert — anything but `+=`) as coalescible. When such
+	// an action's work hook is the action itself (BoundAction.SetWorkRerun,
+	// the fixed_point strategy), the engine keeps one pending word per vertex
+	// and mails a re-run of v only when none is already waiting to start:
+	// the waiting one reads v's values when it starts and so sees every
+	// change that lands before then (the engine's coalesced re-invocation;
+	// see DESIGN.md). Not one of the paper's optimizations: turn it off to
+	// reproduce the paper's one re-run per change.
+	Coalesce bool
 }
 
 // DefaultPlanOptions returns the paper's configuration — merged evaluation,
-// folding, direct sibling jumps, early exit — plus Direct and Filter.
+// folding, direct sibling jumps, early exit — plus Direct, Filter and
+// Coalesce.
 func DefaultPlanOptions() PlanOptions {
-	return PlanOptions{Merge: true, Fold: true, EarlyExit: true, Direct: true, Filter: true}
+	return PlanOptions{Merge: true, Fold: true, EarlyExit: true, Direct: true, Filter: true, Coalesce: true}
 }
 
 // normalizeLoc maps a locality designator to the vertex it denotes, folding
@@ -184,6 +195,10 @@ type compiledAction struct {
 	// if/elif/else chaining.
 	nextOnTrue  []int
 	nextOnFalse []int
+	// coalesce: running the action twice back to back at a vertex leaves what
+	// one run leaves, so a requested re-run may be merged into one that has
+	// not started yet (PlanOptions.Coalesce). Set by markIdempotent.
+	coalesce bool
 }
 
 // compiler holds per-pattern compile state.
@@ -324,6 +339,9 @@ func compileAction(a *Action, id int, opts PlanOptions) (*compiledAction, error)
 		} else {
 			ca.nextOnFalse[ci] = -1
 		}
+	}
+	if opts.Coalesce {
+		markIdempotent(ca)
 	}
 	return ca, nil
 }
@@ -1002,6 +1020,24 @@ func markFilter(cp *condPlan, availBefore map[*Access]bool) {
 		foldable(cp.modRhs[mi], availBefore)
 }
 
+// markIdempotent sets ca.coalesce when no modification of the action
+// accumulates. Assign, min, max and insert write a function of the values the
+// run read: a second run that reads the same values writes the same words
+// again and changes nothing, so dropping a re-run request while another re-run
+// of the vertex is still waiting to start is the legal schedule "both re-runs
+// back to back, the second a no-op". `+=` adds on every run (PageRank's push
+// counts each one), so an action with an add is never coalescible.
+func markIdempotent(ca *compiledAction) {
+	for ci := range ca.action.Conds {
+		for mi := range ca.action.Conds[ci].Mods {
+			if ca.action.Conds[ci].Mods[mi].Op == OpAssignAdd {
+				return
+			}
+		}
+	}
+	ca.coalesce = true
+}
+
 // countLivePayload counts payload slots carried into the eval hop: slots
 // written strictly before it (entry hop, earlier conditions, and this
 // condition's gather hops) and read at or after it.
@@ -1065,7 +1101,11 @@ func countLivePayload(cp *condPlan, ca *compiledAction, written map[int]bool) in
 // PlanInfo describes an action's compiled plan for tests and experiments.
 type PlanInfo struct {
 	Action string
-	Conds  []CondPlanInfo
+	// Coalesced reports whether re-runs of the action requested through
+	// SetWorkRerun are coalesced per vertex (PlanOptions.Coalesce and no `+=`
+	// modification); false means one re-run per request.
+	Coalesced bool
+	Conds     []CondPlanInfo
 }
 
 // CondPlanInfo summarizes one condition's plan.
@@ -1095,7 +1135,7 @@ type CondPlanInfo struct {
 }
 
 func (ca *compiledAction) info() PlanInfo {
-	pi := PlanInfo{Action: ca.action.Name}
+	pi := PlanInfo{Action: ca.action.Name, Coalesced: ca.coalesce}
 	for i := range ca.conds {
 		cp := &ca.conds[i]
 		ci := CondPlanInfo{
@@ -1125,7 +1165,11 @@ func (ca *compiledAction) info() PlanInfo {
 // String renders the plan compactly.
 func (pi PlanInfo) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "action %s:\n", pi.Action)
+	rerun := "each"
+	if pi.Coalesced {
+		rerun = "coalesced"
+	}
+	fmt.Fprintf(&b, "action %s: rerun=%s\n", pi.Action, rerun)
 	for i, c := range pi.Conds {
 		direct := "-"
 		if len(c.Direct) > 0 {

@@ -90,10 +90,10 @@ func randomPattern(rng *rand.Rand) *Pattern {
 // combination and checks structural invariants of the plans.
 func TestPlannerPropertiesRandom(t *testing.T) {
 	optsList := []PlanOptions{
-		{Merge: true, Fold: true, EarlyExit: true, Direct: true, Filter: true},
+		{Merge: true, Fold: true, EarlyExit: true, Direct: true, Filter: true, Coalesce: true},
 		{Merge: true, Fold: true},
 		{Merge: true, Fold: false, Filter: true},
-		{Merge: false, Fold: true, Direct: true, Filter: true},
+		{Merge: false, Fold: true, Direct: true, Filter: true, Coalesce: true},
 		{Merge: true, Fold: true, NaiveDFS: true, Direct: true},
 	}
 	compiled := 0
@@ -170,11 +170,23 @@ func containsStr(s, sub string) bool {
 //     hop is one atomic min or max (never lock, add or insert) on a vertex
 //     word, merged with exactly one modification, followed by no tail group,
 //     offering a value that reads nothing loaded at the eval hop itself; the
-//     entry hop is not a condition's hop and is never the one marked.
+//     entry hop is not a condition's hop and is never the one marked;
+//   - an action is coalesced iff Coalesce is on and none of its modifications
+//     is an add, whatever the other options, and the plan text says so.
 func checkPlanInvariants(t *testing.T, seed uint64, opts PlanOptions, ca *compiledAction) {
 	t.Helper()
 	if ca.nSlots > MaxSlots {
 		t.Fatalf("seed %d: %d slots", seed, ca.nSlots)
+	}
+	adds := false
+	for _, c := range ca.action.Conds {
+		for _, m := range c.Mods {
+			adds = adds || m.Op == OpAssignAdd
+		}
+	}
+	if want := opts.Coalesce && !adds; ca.coalesce != want || ca.info().Coalesced != want {
+		t.Fatalf("seed %d opts %+v: coalesce = %v (listed %v), want %v (action adds: %v)",
+			seed, opts, ca.coalesce, ca.info().Coalesced, want, adds)
 	}
 	loaded := map[int]bool{}
 	for _, acc := range ca.entry.loads {

@@ -432,3 +432,67 @@ func TestFilterMarks(t *testing.T) {
 		t.Errorf("cc_search marks a filter:\n%s", cc)
 	}
 }
+
+// TestCoalesceMarks: an action is coalescible when every modification repeats
+// harmlessly — assign, min, max, insert — and never when one of them adds;
+// Coalesce off marks nothing; the plan text names the mark; and the paper's
+// message count does not depend on it.
+func TestCoalesceMarks(t *testing.T) {
+	shapes := []struct {
+		name      string
+		build     func(x, y *Prop, s *Prop, a *Action)
+		coalesced bool
+	}{
+		{"relax", func(x, _, _ *Prop, a *Action) {
+			d := Add(x.At(V()), C(1))
+			a.If(Lt(d, x.At(Trg()))).Set(x.At(Trg()), d)
+		}, true},
+		{"set-min", func(x, _, _ *Prop, a *Action) { a.Do().SetMin(x.At(Trg()), x.At(V())) }, true},
+		{"set-max", func(x, _, _ *Prop, a *Action) { a.Do().SetMax(x.At(Trg()), x.At(V())) }, true},
+		{"insert", func(x, _, s *Prop, a *Action) { a.Do().Insert(s.At(Trg()), Vtx(V())) }, true},
+		{"lock-assign", func(x, y, _ *Prop, a *Action) {
+			a.If(Lt(x.At(V()), y.At(Trg()))).Set(x.At(Trg()), x.At(V())).Set(y.At(V()), C(1))
+		}, true},
+		{"add", func(x, _, _ *Prop, a *Action) { a.Do().AddTo(x.At(Trg()), C(1)) }, false},
+		{"min-then-add", func(x, y, _ *Prop, a *Action) {
+			a.Do().SetMin(x.At(Trg()), x.At(V())).AddTo(y.At(V()), C(1))
+		}, false},
+		{"add-in-a-later-condition", func(x, y, _ *Prop, a *Action) {
+			a.If(Lt(x.At(V()), C(5))).SetMin(x.At(Trg()), x.At(V()))
+			a.Elif(Gt(x.At(V()), C(9))).AddTo(y.At(Trg()), C(1))
+		}, false},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			mk := func() *Pattern {
+				p := New("C")
+				sh.build(p.VertexProp("x"), p.VertexProp("y"), p.VertexSetProp("s"), p.Action("act", OutEdges()))
+				return p
+			}
+			on := compileOne(t, mk(), DefaultPlanOptions()).info()
+			want := "rerun=each"
+			if sh.coalesced {
+				want = "rerun=coalesced"
+			}
+			if on.Coalesced != sh.coalesced || !strings.Contains(on.String(), "action act: "+want+"\n") {
+				t.Errorf("coalesced = %v, want %v and %q in\n%s", on.Coalesced, sh.coalesced, want, on)
+			}
+			opts := DefaultPlanOptions()
+			opts.Coalesce = false
+			off := compileOne(t, mk(), opts).info()
+			if off.Coalesced || !strings.Contains(off.String(), "rerun=each") {
+				t.Errorf("Coalesce off still marks the action:\n%s", off)
+			}
+			for ci := range on.Conds {
+				if off.Conds[ci].Messages != on.Conds[ci].Messages {
+					t.Errorf("cond %d: Messages %d with Coalesce off, %d on", ci, off.Conds[ci].Messages, on.Conds[ci].Messages)
+				}
+			}
+		})
+	}
+	// The library: CC's search (assign under the lock map, then two inserts)
+	// is coalescible; its hook is the action itself.
+	if cc := compileOne(t, buildCCSearch(), DefaultPlanOptions()).info(); !cc.Coalesced {
+		t.Errorf("cc_search is not coalesced:\n%s", cc)
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"declpat/internal/distgraph"
 	"declpat/internal/obs"
 	"declpat/internal/pattern"
+	"declpat/internal/pmap"
 )
 
 // Algo identifies a served algorithm.
@@ -254,12 +255,14 @@ type batch struct {
 	qid  int64 // representative query context: the first member's id
 }
 
-// prStep is one scheduling turn of the shared PageRank job. converged is
+// prStep is one scheduling turn of the shared PageRank job. last marks the
+// job's final permitted iteration (decided under mu in lead). converged is
 // written by rank 0 during the step and read by rank 0 in finishRound (same
 // goroutine).
 type prStep struct {
 	qid       int64
 	begin     bool
+	last      bool
 	converged bool
 }
 
@@ -300,6 +303,9 @@ type Service struct {
 	bfsSlots  []*algorithms.BFS
 	ssspSlots []*algorithms.SSSP
 	pr        *algorithms.PageRank
+	// gather copies a finished slot's property vector; finishRound calls it
+	// before taking mu. A field so a test can watch where it runs.
+	gather func(*pmap.VertexWord) []int64
 
 	met metrics
 
@@ -331,6 +337,7 @@ func New(eng *pattern.Engine, opts ...Option) *Service {
 		queueDepth: 256,
 		retain:     256,
 		byID:       map[int64]*job{},
+		gather:     (*pmap.VertexWord).Gather,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, o := range opts {
@@ -552,7 +559,8 @@ func (s *Service) lead() roundPlan {
 		p.sssp = s.takeBatchLocked(SSSP)
 		s.attachPRLocked()
 		if s.prJob != nil {
-			p.pr = &prStep{qid: s.prJob.members[0].id, begin: !s.prJob.begun}
+			p.pr = &prStep{qid: s.prJob.members[0].id, begin: !s.prJob.begun,
+				last: s.prJob.rounds+1 >= s.pr.MaxIters}
 			s.prJob.begun = true
 		}
 		if p.bfs != nil || p.sssp != nil || p.pr != nil {
@@ -688,33 +696,52 @@ func (s *Service) runPRStep(r *am.Rank, st *prStep) {
 	}
 }
 
-// finishRound completes the round's finished jobs on rank 0: gathers each
-// member's property vector (the round-end barrier ordered every rank's
-// writes before this), stamps results, and closes tickets.
+// finishRound completes the round's finished jobs on rank 0. The members'
+// property vectors are gathered first, outside mu — the round-end barrier
+// ordered every rank's writes before this and nothing writes the slots until
+// rank 0 plans the next round, while a gather copies |V| words per member and
+// would stall every Submit, Status and Value behind a wide round's worth of
+// them. Then, under mu, results are stamped and tickets closed.
 func (s *Service) finishRound(p roundPlan) {
-	now := time.Now()
+	var bfsVals, ssspVals [][]int64
+	var prVals []int64
+	if p.bfs != nil {
+		for i := range p.bfs.jobs {
+			bfsVals = append(bfsVals, s.gather(s.bfsSlots[i].Level))
+		}
+	}
+	if p.sssp != nil {
+		for i := range p.sssp.jobs {
+			ssspVals = append(ssspVals, s.gather(s.ssspSlots[i].Dist))
+		}
+	}
+	prDone := p.pr != nil && (p.pr.converged || p.pr.last)
+	if prDone {
+		prVals = s.gather(s.pr.Rank)
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	now := time.Now()
 	if p.bfs != nil {
 		s.met.observeBatch(len(p.bfs.jobs))
 		for i, j := range p.bfs.jobs {
-			s.completeLocked(j, s.bfsSlots[i].Level.Gather(), 0, len(p.bfs.jobs), now)
+			s.completeLocked(j, bfsVals[i], 0, len(p.bfs.jobs), now)
 		}
 	}
 	if p.sssp != nil {
 		s.met.observeBatch(len(p.sssp.jobs))
 		for i, j := range p.sssp.jobs {
-			s.completeLocked(j, s.ssspSlots[i].Dist.Gather(), 0, len(p.sssp.jobs), now)
+			s.completeLocked(j, ssspVals[i], 0, len(p.sssp.jobs), now)
 		}
 	}
 	if p.pr != nil && s.prJob != nil {
 		s.prJob.rounds++
-		if p.pr.converged || s.prJob.rounds >= s.pr.MaxIters {
-			vals := s.pr.Rank.Gather()
+		if prDone {
 			members := s.prJob.members
 			s.met.observeBatch(len(members))
 			for _, j := range members {
-				s.completeLocked(j, vals, s.prJob.rounds, len(members), now)
+				s.completeLocked(j, prVals, s.prJob.rounds, len(members), now)
 			}
 			s.prJob = nil
 		}

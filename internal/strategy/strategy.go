@@ -36,7 +36,7 @@ type FixedPoint struct {
 // NewFixedPoint installs the rerun-on-dependency work hook on a. Call before
 // Universe.Run.
 func NewFixedPoint(a *pattern.BoundAction) *FixedPoint {
-	a.SetWork(func(r *am.Rank, v distgraph.Vertex) { a.InvokeAsync(r, v) })
+	a.SetWorkRerun()
 	return &FixedPoint{a: a}
 }
 
@@ -137,7 +137,7 @@ func (d *Delta) Run(r *am.Rank, seeds []distgraph.Vertex) {
 			b.BeginBucket(idx)
 			for {
 				for {
-					v, ok := b.Pop(idx)
+					v, ok := popLive(b, idx, d.keys, r.ID())
 					if !ok {
 						break
 					}
@@ -149,6 +149,20 @@ func (d *Delta) Run(r *am.Rank, seeds []distgraph.Vertex) {
 			}
 		})
 		b.EndBucket()
+	}
+}
+
+// popLive pops bucket idx until it yields a vertex whose key still files it
+// there. Insert files a vertex again on every change of its key, so an entry
+// whose key has since moved to another bucket is stale: the hook filed the
+// vertex there too, and that entry is (or was) expanded with a value at least
+// as new — expanding this one would offer the same values again.
+func popLive(b *Buckets, idx int, keys *pmap.VertexWord, rank int) (distgraph.Vertex, bool) {
+	for {
+		v, ok := b.Pop(idx)
+		if !ok || b.Index(keys.Get(rank, v)) == idx {
+			return v, ok
+		}
 	}
 }
 
@@ -207,7 +221,7 @@ func (d *DeltaLightHeavy) Run(r *am.Rank, seeds []distgraph.Vertex) {
 			b.BeginBucket(idx)
 			for {
 				for {
-					v, ok := b.Pop(idx)
+					v, ok := popLive(b, idx, d.keys, r.ID())
 					if !ok {
 						break
 					}
@@ -299,7 +313,7 @@ func (d *DeltaDistributed) Run(r *am.Rank, seeds []distgraph.Vertex) {
 			lb.BeginBucket(idx)
 			for {
 				for {
-					v, ok := lb.Pop(idx)
+					v, ok := popLive(lb, idx, d.keys, r.ID())
 					if !ok {
 						break
 					}
