@@ -48,6 +48,10 @@ func NewBlockDist(n, ranks int) BlockDist {
 	return BlockDist{n: n, ranks: ranks, block: block}
 }
 
+// BlockSize returns the number of consecutive vertices per rank, ⌈n/ranks⌉
+// (at least 1): Owner(v) = v / BlockSize(), Local(v) = v % BlockSize().
+func (d BlockDist) BlockSize() int { return d.block }
+
 func (d BlockDist) Owner(v Vertex) int { return int(v) / d.block }
 func (d BlockDist) Local(v Vertex) int { return int(v) % d.block }
 func (d BlockDist) Global(owner, local int) Vertex {

@@ -36,8 +36,10 @@
 // experiment suite can reproduce the message-count comparisons of Figs. 5
 // and 6.
 //
-// The Engine executes compiled patterns over the am substrate: hops become
-// active messages addressed by locality vertex (object-based addressing,
-// §IV-D), executed inline when the destination vertex is owned by the
-// current rank.
+// Engine.Bind resolves a compiled plan against storage into a bound program
+// (prog.go) — property maps held directly, expressions as closures over
+// payload slots — and the Engine executes that program over the am substrate:
+// hops become active messages addressed by locality vertex (object-based
+// addressing, §IV-D), executed inline when the destination vertex is owned by
+// the current rank.
 package pattern

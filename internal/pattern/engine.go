@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"declpat/internal/am"
@@ -64,10 +65,11 @@ type Engine struct {
 	u  *am.Universe
 	g  *distgraph.Graph
 	lm *pmap.LockMap
-	// dist and nv cache g's distribution and vertex count for the per-hop
-	// owner lookup.
+	// dist and nv cache g's distribution and vertex count; site is dist's
+	// (Owner, Local) pair as one call, for the per-hop owner lookup (prog.go).
 	dist    distgraph.Distribution
 	nv      int
+	site    siteFn
 	opts    PlanOptions
 	msg     *am.MsgType[patMsg]
 	actions []*BoundAction
@@ -79,11 +81,10 @@ type Engine struct {
 // NewEngine creates a pattern engine. lm provides §IV-B's lock map (used for
 // multi-value conditions); opts selects the §IV planning optimizations.
 func NewEngine(u *am.Universe, g *distgraph.Graph, lm *pmap.LockMap, opts PlanOptions) *Engine {
-	e := &Engine{u: u, g: g, lm: lm, dist: g.Dist(), nv: g.NumVertices(), opts: opts,
+	e := &Engine{u: u, g: g, lm: lm, dist: g.Dist(), nv: g.NumVertices(), site: newSiteFn(g.Dist()), opts: opts,
 		filters: map[*pmap.VertexWord]*filter{}}
-	e.msg = am.Register(u, "pattern-step", func(r *am.Rank, m patMsg) {
-		e.dispatch(r, m)
-	}).WithAddresser(func(m patMsg) int { return g.Owner(m.Dest) })
+	e.msg = am.Register(u, "pattern-step", e.dispatch).
+		WithAddresser(func(m patMsg) int { return g.Owner(m.Dest) })
 	u.RegisterCheckpointer(e)
 	return e
 }
@@ -113,8 +114,9 @@ func (b *Bound) Action(name string) *BoundAction {
 	return ba
 }
 
-// Bind compiles p's actions against the engine's plan options and resolves
-// its property declarations to storage. Must be called before Universe.Run.
+// Bind compiles p's actions against the engine's plan options, resolves its
+// property declarations to storage, and interprets each plan — once — into the
+// program the engine runs (prog.go). Must be called before Universe.Run.
 func (e *Engine) Bind(p *Pattern, binds Bindings) (*Bound, error) {
 	resolved := map[*Prop]binding{}
 	for _, pr := range p.Props {
@@ -158,7 +160,7 @@ func (e *Engine) Bind(p *Pattern, binds Bindings) (*Bound, error) {
 		ba := &BoundAction{
 			eng:      e,
 			ca:       ca,
-			binds:    resolved,
+			prog:     compileProgram(ca, resolved, e.lm),
 			modified: make([]atomic.Bool, e.u.Ranks()),
 			st:       make([]obs.Shard, e.u.Ranks()),
 			Stats:    newStats(e.u.Ranks()),
@@ -166,7 +168,7 @@ func (e *Engine) Bind(p *Pattern, binds Bindings) (*Bound, error) {
 		for rank := range ba.st {
 			ba.st[rank] = ba.Stats.c.Shard(rank)
 		}
-		e.bindFilters(ba)
+		e.bindFilters(ba, resolved)
 		e.actions = append(e.actions, ba)
 		b.actions[a.Name] = ba
 	}
@@ -268,24 +270,19 @@ func (e *Engine) WriteMetrics(om *obs.OMWriter) {
 
 // BoundAction is an action bound to storage, ready to invoke inside epochs.
 type BoundAction struct {
-	eng   *Engine
-	ca    *compiledAction
-	binds map[*Prop]binding
-	work  func(r *am.Rank, v distgraph.Vertex)
+	eng *Engine
+	ca  *compiledAction
+	// prog is ca resolved against the bound storage: what the engine runs.
+	prog *program
+	work func(r *am.Rank, v distgraph.Vertex)
 	// pending[rank][li] is the coalesced rerun hook's word for the vertex at
 	// local index li of rank's shard (rerun.go); nil unless SetWorkRerun
 	// installed the hook on a coalescible action.
 	pending  [][]atomic.Uint32
 	modified []atomic.Bool
-	// filters[ci] is the send-side filter of condition ci's eval hop, nil
-	// when the planner did not mark the hop filter-eligible.
-	filters []*filter
-	st      []obs.Shard // Stats' write side, one shard per rank
-	Stats   Stats
+	st       []obs.Shard // Stats' write side, one shard per rank
+	Stats    Stats
 }
-
-// count adds one to counter id on r's shard.
-func (ba *BoundAction) count(r *am.Rank, id int) { ba.st[r.ID()].Inc(id) }
 
 // Name returns the action's name.
 func (ba *BoundAction) Name() string { return ba.ca.action.Name }
@@ -327,8 +324,8 @@ func (ba *BoundAction) ModifiedLocal(r *am.Rank) bool { return ba.modified[r.ID(
 // Invoke runs the action at v. If v is local the entry executes inline;
 // otherwise an entry message is sent. Must be called inside an epoch.
 func (ba *BoundAction) Invoke(r *am.Rank, v distgraph.Vertex) {
-	if ba.eng.g.Owner(v) == r.ID() {
-		ba.runEntry(r, v)
+	if at := ba.eng.site(v); at.rank == r.ID() {
+		ba.enter(r, v, at)
 		return
 	}
 	ba.InvokeAsync(r, v)
@@ -347,7 +344,8 @@ func (e *Engine) dispatch(r *am.Rank, m patMsg) {
 	case hopEntry:
 		ba.runEntry(r, m.V)
 	case hopFire:
-		ba.fireWork(r, m.Dest)
+		ba.st[r.ID()].Inc(sWorkItems)
+		ba.runHook(r, m.Dest)
 	default:
 		ba.resume(r, &m)
 	}
@@ -361,424 +359,238 @@ type site struct {
 	rank, li int
 }
 
-// runEntry executes the generator at owner(v) and starts every generated
-// item through the condition chain.
+// cursor is the state of one run of the bound program: the item being
+// executed, and the Stats it has counted so far. m holds the generator
+// bindings and the payload words, and is the message when a hop is mailed.
+// An entry takes one cursor for all its items and a resumed message takes one
+// for its continuation; both add n to the rank's shard before they return
+// (release), so the counters are exact whenever nothing is running — at every
+// epoch end in particular, since a handler returns before its message counts
+// as handled.
+//
+// Expression closures take the cursor's message by pointer, so a cursor
+// declared in runEntry would escape to the heap once per entry; the pool keeps
+// the item path allocation-free.
+type cursor struct {
+	m patMsg
+	n [numStats]int64
+}
+
+var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
+
+// release adds c's counts to r's shard, raises the rank's modification flag
+// if the run changed anything, and returns c to the pool.
+func (ba *BoundAction) release(r *am.Rank, c *cursor) {
+	if c.n[sModsChanged] != 0 {
+		// The ranks' flags share a cache line: raise it once, then only read.
+		if f := &ba.modified[r.ID()]; !f.Load() {
+			f.Store(true)
+		}
+	}
+	st := ba.st[r.ID()]
+	for id, d := range c.n {
+		if d != 0 {
+			st.Add(id, d)
+			c.n[id] = 0
+		}
+	}
+	cursorPool.Put(c)
+}
+
+// runEntry executes the generator at v, which r must own, and runs every
+// generated item through the condition chain.
 func (ba *BoundAction) runEntry(r *am.Rank, v distgraph.Vertex) {
-	ba.count(r, sInvocations)
-	g := ba.eng.g
-	a := ba.ca.action
-	at := site{rank: r.ID(), li: ba.eng.dist.Local(v)}
+	at := ba.eng.site(v)
+	if at.rank != r.ID() {
+		panic(fmt.Sprintf("pattern: action %s entered at vertex %d on rank %d but owner is %d — remote access must go through messages",
+			ba.Name(), v, r.ID(), at.rank))
+	}
+	ba.enter(r, v, at)
+}
+
+// enter is runEntry with v already resolved to at, on this rank. The items of
+// one entry share a cursor: the generator rewrites only the bindings that
+// differ from item to item, and item clears the payload.
+func (ba *BoundAction) enter(r *am.Rank, v distgraph.Vertex, at site) {
 	if ba.pending != nil {
 		// This run reads v's values from here on: a change that lands later
 		// must request a run of its own.
 		ba.pending[at.rank][at.li].Store(0)
 	}
-	base := patMsg{Action: int32(ba.ca.id), V: v, U: distgraph.NilVertex}
-	switch a.Gen.Kind {
+	c := cursorPool.Get().(*cursor)
+	c.n[sInvocations]++
+	m := &c.m
+	*m = patMsg{Action: int32(ba.ca.id), V: v, U: distgraph.NilVertex}
+	lg := ba.eng.g.Local(at.rank)
+	switch ba.prog.gen {
 	case GenNone:
-		ba.startItem(r, base, at)
+		ba.item(r, c, at)
 	case GenOutEdges:
-		g.ForOutEdges(r.ID(), v, func(er distgraph.EdgeRef) {
-			m := base
-			m.HasE, m.ES, m.ET, m.ESlot, m.EIn = true, er.S, er.T, er.Slot, er.In
-			ba.startItem(r, m, at)
-		})
+		m.HasE, m.ES = true, v
+		for slot := lg.OutIndex[at.li]; slot < lg.OutIndex[at.li+1]; slot++ {
+			m.ET, m.ESlot = lg.OutDst[slot], slot
+			ba.item(r, c, at)
+		}
 	case GenInEdges:
-		g.ForInEdges(r.ID(), v, func(er distgraph.EdgeRef) {
-			m := base
-			m.HasE, m.ES, m.ET, m.ESlot, m.EIn = true, er.S, er.T, er.Slot, er.In
-			ba.startItem(r, m, at)
-		})
+		if lg.InIndex == nil {
+			panic("pattern: in_edges generator on a graph built without Bidirectional")
+		}
+		m.HasE, m.EIn, m.ET = true, true, v
+		for slot := lg.InIndex[at.li]; slot < lg.InIndex[at.li+1]; slot++ {
+			m.ES, m.ESlot = lg.InSrc[slot], slot
+			ba.item(r, c, at)
+		}
 	case GenAdj:
-		g.ForAdj(r.ID(), v, func(u distgraph.Vertex) {
-			m := base
-			m.U = u
-			ba.startItem(r, m, at)
-		})
+		for slot := lg.OutIndex[at.li]; slot < lg.OutIndex[at.li+1]; slot++ {
+			m.U = lg.OutDst[slot]
+			ba.item(r, c, at)
+		}
 	case GenPropSet:
-		vs := ba.binds[a.Gen.Set].vs
-		for _, u := range vs.Members(r.ID(), v) {
-			m := base
+		for _, u := range ba.prog.genSet.Members(at.rank, v) {
 			m.U = u
-			ba.startItem(r, m, at)
+			ba.item(r, c, at)
 		}
 	}
+	ba.release(r, c)
 }
 
-// startItem runs the entry hop (at v, resolved to at) for one generated item
-// and drives it through the condition chain.
-func (ba *BoundAction) startItem(r *am.Rank, m patMsg, at site) {
-	ba.count(r, sItems)
-	ba.execSteps(&m, &ba.ca.entry, at)
-	ba.advance(r, &m, 0, 0)
+// item runs the entry step (at v, resolved to at) for the item the generator
+// just bound in c and drives it through the condition chain. The payload is
+// zeroed first — all of it, a handful of constant-size stores — so a slot the
+// item never writes reads zero, in a message as in an expression, whatever the
+// cursor's previous item left there.
+func (ba *BoundAction) item(r *am.Rank, c *cursor, at site) {
+	c.n[sItems]++
+	c.m.Vals = [MaxSlots]Word{}
+	ba.prog.entry.gather(&c.m, at)
+	ba.run(r, c, 0, 0, false)
 }
 
-// resume continues execution at an incoming hop message. The sender already
-// evaluated the condition's early-exit preTest, so it is skipped here.
+// resume continues an item at the step an incoming hop message addresses. The
+// sender already evaluated the condition's early-exit test.
 func (ba *BoundAction) resume(r *am.Rank, m *patMsg) {
-	ba.advanceFrom(r, m, int(m.Cond), int(m.Hop), true)
+	c := cursorPool.Get().(*cursor)
+	c.m = *m
+	ba.run(r, c, int(m.Cond), int(m.Hop), true)
+	ba.release(r, c)
 }
 
-// locVertex resolves a normalized locality to a concrete vertex in the
-// context of m. Returns NilVertex for NIL pointer chains.
-func (ba *BoundAction) locVertex(m *patMsg, l Loc) distgraph.Vertex {
-	switch l.Kind {
-	case LocV:
-		return m.V
-	case LocU:
-		return m.U
-	case LocTrg:
-		return m.ET
-	case LocSrc:
-		return m.ES
-	case LocAccess:
-		return wordVertex(m.Vals[l.A.slot])
-	case LocE:
-		// The generated edge's locality is its generation vertex
-		// (Def. 1); reached for raw (unnormalized) edge-property
-		// targets, e.g. when firing dependencies.
-		return m.edgeRef().GenVertex()
-	}
-	panic("pattern: unresolvable locality " + l.String())
-}
-
-// advance drives the (cond, hop) cursor. A hop whose locality vertex this
-// rank owns executes inline. So does a direct-eligible hop (PlanOptions.Direct)
-// whose owner is co-resident: this thread performs its single-word operation
-// against the owner's shard and the cursor carries on here. Any other hop is
-// sent to its owner as one message — unless it is a filtered eval hop that
-// cannot beat what this rank already sent the vertex, which is answered false
-// here (filter.go). Hop indices >= len(hops) address tail modification groups,
-// which are never direct.
-func (ba *BoundAction) advance(r *am.Rank, m *patMsg, ci, hi int) {
-	ba.advanceFrom(r, m, ci, hi, false)
-}
-
-func (ba *BoundAction) advanceFrom(r *am.Rank, m *patMsg, ci, hi int, fromWire bool) {
+// run drives c's item from step hi of condition ci to the end of the
+// condition chain, or to the first step that has to travel. A step whose
+// locality vertex this rank owns executes inline. So does a direct step
+// (PlanOptions.Direct) whose owner is co-resident: this thread performs its
+// single-word operation against the owner's shard and carries on here. Any
+// other step is sent to its owner as one message — unless it is a filtered
+// eval hop that cannot beat what this rank already sent the vertex, which is
+// answered false here (filter.go). resumed: the position arrived in a message,
+// whose sender has checked the step's early-exit test already.
+func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 	e := ba.eng
+	m := &c.m
+	rank := r.ID()
 	for ci >= 0 {
-		first := fromWire
-		fromWire = false
-		cp := &ba.ca.conds[ci]
-		nHops := len(cp.hops)
-		// Early exit: the pre-decidable conjuncts are evaluated before
-		// the eval-hop message is sent (skipped when this position
-		// arrived over the wire — the sender already checked).
-		if !first && hi == nHops-1 && cp.preTest != nil {
-			if ba.eval(m, cp.preTest) == 0 {
-				ba.count(r, sTestsFalse)
-				ci, hi = ba.ca.nextOnFalse[ci], 0
-				continue
-			}
-		}
-		var loc Loc
-		direct := false
-		isTail := hi >= nHops
-		if isTail {
-			ti := hi - nHops
-			if ti >= len(cp.tailGroups) {
-				// Condition complete (true path): next if-group.
-				ci, hi = ba.ca.nextOnTrue[ci], 0
-				continue
-			}
-			loc = cp.tailGroups[ti].at
-		} else {
-			loc, direct = cp.hops[hi].at, cp.hops[hi].direct
-		}
-		dest := ba.locVertex(m, loc)
-		if dest == distgraph.NilVertex || int(dest) >= e.nv {
-			// A NIL pointer (or an out-of-range word used as a
-			// vertex) in the locality chain: the condition cannot
-			// be evaluated; treat it as false.
-			ba.count(r, sTestsFalse)
-			ci, hi = ba.ca.nextOnFalse[ci], 0
+		pc := &ba.prog.conds[ci]
+		if hi == len(pc.steps) {
+			// Condition complete (true path): next if-group.
+			ci, hi = pc.nextTrue, 0
 			continue
 		}
-		owner := e.dist.Owner(dest)
-		if owner != r.ID() {
-			if !direct || !r.Coresident(owner) {
-				if hi == nHops-1 && ba.filtered(ci) &&
-					!ba.filters[ci].offer(r, dest, ba.eval(m, cp.modRhs[cp.mergedMods[0]])) {
-					ba.count(r, sFilteredHops)
-					ba.count(r, sTestsFalse)
-					ci, hi = ba.ca.nextOnFalse[ci], 0
+		st := &pc.steps[hi]
+		// Early exit: the pre-decidable conjuncts are evaluated before the
+		// eval-hop message is sent.
+		if st.pre != nil && !resumed && st.pre(m) == 0 {
+			c.n[sTestsFalse]++
+			ci, hi = pc.nextFalse, 0
+			continue
+		}
+		resumed = false
+		dest := st.at.vertex(m)
+		if dest == distgraph.NilVertex || int(dest) >= e.nv {
+			// A NIL pointer (or an out-of-range word used as a vertex) in
+			// the locality chain: the condition cannot be evaluated; treat
+			// it as false.
+			c.n[sTestsFalse]++
+			ci, hi = pc.nextFalse, 0
+			continue
+		}
+		at := e.site(dest)
+		if at.rank != rank {
+			if !st.direct || !r.Coresident(at.rank) {
+				if f := st.filter; f != nil && f.kind != syncLock && !f.offer(r, dest, st.mods[0].rhs(m)) {
+					c.n[sFilteredHops]++
+					c.n[sTestsFalse]++
+					ci, hi = pc.nextFalse, 0
 					continue
 				}
 				m.Dest, m.Cond, m.Hop = dest, int16(ci), int16(hi)
-				e.msg.SendTo(r, owner, *m)
+				e.msg.SendTo(r, at.rank, *m)
 				return
 			}
-			ba.count(r, sDirectHops)
+			c.n[sDirectHops]++
 		}
-		at := site{rank: owner, li: e.dist.Local(dest)}
-		if isTail {
-			ba.execTail(r, m, cp, hi-nHops, dest, at)
-			hi++
-			continue
-		}
-		if hi == nHops-1 {
-			// Eval hop.
-			if ba.execEval(r, m, cp, dest, at) {
-				hi = nHops // proceed to tail modification groups
+		held := true
+		switch st.kind {
+		case stepGather:
+			st.gather(m, at)
+		case stepAtomic:
+			// The condition's outcome is whether the update moved the value
+			// (for the detected relax shape: whether it improved it).
+			if held = st.atomic(m, dest, at); held {
+				c.n[sModsChanged]++
+				c.n[sTestsTrue]++
+				if st.mods[0].fires {
+					ba.fire(r, c, dest, at)
+				}
 			} else {
-				ci, hi = ba.ca.nextOnFalse[ci], 0
+				c.n[sModsUnchanged]++
+				c.n[sTestsFalse]++
 			}
-			continue
+		case stepLock, stepTail:
+			held = ba.locked(r, c, st, dest, at)
 		}
-		ba.execSteps(m, &cp.hops[hi], at)
-		hi++
-	}
-}
-
-// execSteps performs a gather hop at the vertex resolved to at: loads then
-// folds.
-func (ba *BoundAction) execSteps(m *patMsg, h *hop, at site) {
-	for _, acc := range h.loads {
-		m.Vals[acc.slot] = ba.readAccess(m, acc, at)
-	}
-	for _, f := range h.folds {
-		m.Vals[f.slot] = ba.eval(m, f.expr)
-	}
-}
-
-// readAccess loads one property value of the hop executing at at. Every
-// load of a hop is at the hop's own locality vertex (that is what the
-// planner groups hops by): a vertex word is that vertex's, and an edge word
-// is the generated edge's, stored at its generation vertex.
-func (ba *BoundAction) readAccess(m *patMsg, acc *Access, at site) Word {
-	bd := ba.binds[acc.Prop]
-	switch acc.Prop.Kind {
-	case EdgeWordProp:
-		return bd.ew.Get(at.rank, m.edgeRef())
-	case VertexWordProp:
-		return bd.vw.GetAt(at.rank, at.li)
-	}
-	panic("pattern: unreadable property " + acc.Prop.Name)
-}
-
-// eval evaluates an expression against the gathered payload.
-func (ba *BoundAction) eval(m *patMsg, e Expr) Word {
-	switch x := e.(type) {
-	case Const:
-		return x.X
-	case VertexVal:
-		return vertexWord(ba.locVertex(m, x.L))
-	case AccessExpr:
-		return m.Vals[x.A.slot]
-	case tempRef:
-		return m.Vals[x.slot]
-	case NotExpr:
-		if ba.eval(m, x.X) != 0 {
-			return 0
-		}
-		return 1
-	case Bin:
-		l := ba.eval(m, x.L)
-		rr := ba.eval(m, x.R)
-		switch x.Op {
-		case OpAdd:
-			return l + rr
-		case OpSub:
-			return l - rr
-		case OpMul:
-			return l * rr
-		case OpDiv:
-			if rr == 0 {
-				return 0
-			}
-			return l / rr
-		case OpMod:
-			if rr == 0 {
-				return 0
-			}
-			return l % rr
-		case OpMin:
-			if l < rr {
-				return l
-			}
-			return rr
-		case OpMax:
-			if l > rr {
-				return l
-			}
-			return rr
-		case OpLt:
-			return b2w(l < rr)
-		case OpLe:
-			return b2w(l <= rr)
-		case OpGt:
-			return b2w(l > rr)
-		case OpGe:
-			return b2w(l >= rr)
-		case OpEq:
-			return b2w(l == rr)
-		case OpNe:
-			return b2w(l != rr)
-		case OpAnd:
-			return b2w(l != 0 && rr != 0)
-		case OpOr:
-			return b2w(l != 0 || rr != 0)
-		}
-	}
-	panic("pattern: unevaluable expression")
-}
-
-func b2w(b bool) Word {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// execEval runs the eval hop at dest (resolved to at): deferred loads,
-// condition test, and — in merge mode — the first modification group, all
-// synchronized per §IV-B. The atomic kinds may run against a co-resident
-// owner's shard (at.rank != r.ID()); the lock kind always runs on the owner.
-func (ba *BoundAction) execEval(r *am.Rank, m *patMsg, cp *condPlan, dest distgraph.Vertex, at site) bool {
-	if cp.sync != syncLock {
-		mi := cp.mergedMods[0]
-		changed := ba.applyAtomic(m, cp, mi, dest, at)
-		ba.recordMod(r, changed)
-		// For the detected relax shape the condition outcome is whether
-		// the update improved the value.
-		if changed {
-			ba.count(r, sTestsTrue)
-			if cp.cond.Mods[mi].firesDependency {
-				ba.fire(r, dest, at)
-			}
+		if held {
+			hi++
 		} else {
-			ba.count(r, sTestsFalse)
+			ci, hi = pc.nextFalse, 0
 		}
-		return changed
 	}
-	h := &cp.hops[len(cp.hops)-1]
-	var fired []distgraph.Vertex
-	result := false
-	ba.eng.lm.With(r.ID(), dest, func() {
-		ba.execSteps(m, h, at)
-		result = cp.test == nil || ba.eval(m, cp.test) != 0
-		if result {
-			ba.count(r, sTestsTrue)
-			fired = ba.applyMods(r, m, cp, cp.mergedMods, dest, at, fired)
-		} else {
-			ba.count(r, sTestsFalse)
+}
+
+// locked holds dest's lock (on this rank, dest's owner) around st's
+// modification group, then runs the work hook once per changed modification
+// whose property the action reads. For an eval hop (stepLock) the hop's loads
+// and the condition test come first, in the same critical section (§IV-B), and
+// a false test applies nothing. It reports whether the group was applied.
+func (ba *BoundAction) locked(r *am.Rank, c *cursor, st *progStep, dest distgraph.Vertex, at site) bool {
+	m := &c.m
+	fired := 0
+	held := true
+	ba.eng.lm.With(at.rank, dest, func() {
+		if st.kind == stepLock {
+			st.gather(m, at)
+			if held = st.test == nil || st.test(m) != 0; !held {
+				c.n[sTestsFalse]++
+				return
+			}
+			c.n[sTestsTrue]++
+		}
+		for i := range st.mods {
+			mod := &st.mods[i]
+			if !mod.apply(m, dest, at) {
+				c.n[sModsUnchanged]++
+				continue
+			}
+			c.n[sModsChanged]++
+			if mod.fires {
+				fired++
+			}
 		}
 	})
-	for _, v := range fired {
-		ba.fireWork(r, v)
+	for ; fired > 0; fired-- {
+		c.n[sWorkItems]++
+		ba.runHook(r, dest)
 	}
-	return result
-}
-
-// execTail applies one tail modification group at dest (owned by this rank).
-func (ba *BoundAction) execTail(r *am.Rank, m *patMsg, cp *condPlan, ti int, dest distgraph.Vertex, at site) {
-	var fired []distgraph.Vertex
-	ba.eng.lm.With(r.ID(), dest, func() {
-		fired = ba.applyMods(r, m, cp, cp.tailGroups[ti].mods, dest, at, fired)
-	})
-	for _, v := range fired {
-		ba.fireWork(r, v)
-	}
-}
-
-// applyMods applies one modification group at dest (caller holds dest's
-// lock) and appends dest to fired once per changed modification whose
-// property the action reads.
-func (ba *BoundAction) applyMods(r *am.Rank, m *patMsg, cp *condPlan, mods []int, dest distgraph.Vertex, at site, fired []distgraph.Vertex) []distgraph.Vertex {
-	for _, mi := range mods {
-		changed := ba.applyMod(m, cp, mi, dest, at)
-		ba.recordMod(r, changed)
-		if changed && cp.cond.Mods[mi].firesDependency {
-			fired = append(fired, dest)
-		}
-	}
-	return fired
-}
-
-// applyAtomic performs the single-value atomic path (§IV-B) on dest's value
-// in its owner's shard.
-func (ba *BoundAction) applyAtomic(m *patMsg, cp *condPlan, mi int, dest distgraph.Vertex, at site) bool {
-	bd := ba.binds[cp.cond.Mods[mi].Target.Prop]
-	rhs := ba.eval(m, cp.modRhs[mi])
-	switch cp.sync {
-	case syncAtomicInsert:
-		return bd.vs.Insert(at.rank, dest, wordVertex(rhs))
-	case syncAtomicMin:
-		return bd.vw.MinAt(at.rank, at.li, rhs)
-	case syncAtomicMax:
-		return bd.vw.MaxAt(at.rank, at.li, rhs)
-	case syncAtomicAdd:
-		bd.vw.AddAt(at.rank, at.li, rhs)
-		return rhs != 0
-	}
-	panic("pattern: applyAtomic on lock-classified condition")
-}
-
-// applyMod applies one modification at dest (caller holds dest's lock, on
-// dest's owner) and reports whether the stored value changed.
-func (ba *BoundAction) applyMod(m *patMsg, cp *condPlan, mi int, dest distgraph.Vertex, at site) bool {
-	mod := &cp.cond.Mods[mi]
-	bd := ba.binds[mod.Target.Prop]
-	rhs := ba.eval(m, cp.modRhs[mi])
-	switch mod.Target.Prop.Kind {
-	case VertexSetProp:
-		if bd.vs.Locks() == ba.eng.lm {
-			// The caller (execEval/execTail) already holds dest's
-			// lock from the engine's lock map; re-locking the same
-			// non-reentrant lock would self-deadlock.
-			return bd.vs.InsertLocked(at.rank, dest, wordVertex(rhs))
-		}
-		return bd.vs.Insert(at.rank, dest, wordVertex(rhs))
-	case EdgeWordProp:
-		old := bd.ew.Get(at.rank, m.edgeRef())
-		nv := modValue(mod.Op, old, rhs)
-		if nv == old {
-			return false
-		}
-		bd.ew.Set(at.rank, m.edgeRef(), nv)
-		return true
-	case VertexWordProp:
-		old := bd.vw.GetAt(at.rank, at.li)
-		nv := modValue(mod.Op, old, rhs)
-		if nv == old {
-			return false
-		}
-		bd.vw.SetAt(at.rank, at.li, nv)
-		return true
-	}
-	panic("pattern: unapplicable modification")
-}
-
-func modValue(op ModOp, old, rhs Word) Word {
-	switch op {
-	case OpAssign:
-		return rhs
-	case OpAssignMin:
-		if rhs < old {
-			return rhs
-		}
-		return old
-	case OpAssignMax:
-		if rhs > old {
-			return rhs
-		}
-		return old
-	case OpAssignAdd:
-		return old + rhs
-	}
-	panic("pattern: bad mod op")
-}
-
-func (ba *BoundAction) recordMod(r *am.Rank, changed bool) {
-	if changed {
-		ba.count(r, sModsChanged)
-		// The ranks' flags share a cache line: raise it once, then only read.
-		if f := &ba.modified[r.ID()]; !f.Load() {
-			f.Store(true)
-		}
-	} else {
-		ba.count(r, sModsUnchanged)
-	}
+	return held
 }
 
 // fire runs the dependency work hook for v, whose value this rank just
@@ -788,20 +600,21 @@ func (ba *BoundAction) recordMod(r *am.Rank, changed bool) {
 // costs, and only when it carried news. A coalesced rerun hook is a word in
 // the owner's memory and an entry message: this thread requests the re-run
 // itself, and the firing is counted where it happened.
-func (ba *BoundAction) fire(r *am.Rank, v distgraph.Vertex, at site) {
+func (ba *BoundAction) fire(r *am.Rank, c *cursor, v distgraph.Vertex, at site) {
 	switch {
 	case at.rank == r.ID() || ba.work == nil:
-		ba.fireWork(r, v)
+		c.n[sWorkItems]++
+		ba.runHook(r, v)
 	case ba.pending != nil:
-		ba.count(r, sWorkItems)
+		c.n[sWorkItems]++
 		ba.requestRerun(r, v, at)
 	default:
 		ba.eng.msg.SendTo(r, at.rank, patMsg{Action: int32(ba.ca.id), Hop: hopFire, Dest: v})
 	}
 }
 
-func (ba *BoundAction) fireWork(r *am.Rank, v distgraph.Vertex) {
-	ba.count(r, sWorkItems)
+// runHook runs the work hook, if one is installed, at v, owned by this rank.
+func (ba *BoundAction) runHook(r *am.Rank, v distgraph.Vertex) {
 	if ba.work != nil {
 		ba.work(r, v)
 	}

@@ -66,12 +66,11 @@ func writeKind(cp *condPlan, mi int) atomicKind {
 // table and attaches the filter of each filter-eligible condition. A write
 // that breaks a map's monotone-writers rule turns the map's filter off for
 // the actions bound earlier as well.
-func (e *Engine) bindFilters(ba *BoundAction) {
-	ba.filters = make([]*filter, len(ba.ca.conds))
+func (e *Engine) bindFilters(ba *BoundAction, binds map[*Prop]binding) {
 	for ci := range ba.ca.conds {
 		cp := &ba.ca.conds[ci]
 		for mi := range cp.cond.Mods {
-			vw := ba.binds[cp.cond.Mods[mi].Target.Prop].vw
+			vw := binds[cp.cond.Mods[mi].Target.Prop].vw
 			if vw == nil {
 				continue
 			}
@@ -84,7 +83,7 @@ func (e *Engine) bindFilters(ba *BoundAction) {
 				f.kind = syncLock
 			}
 			if cp.filter && mi == cp.mergedMods[0] {
-				ba.filters[ci] = f
+				ba.prog.conds[ci].evalHop().filter = f
 			}
 		}
 	}
@@ -92,7 +91,7 @@ func (e *Engine) bindFilters(ba *BoundAction) {
 
 // filtered reports whether condition ci's eval hop is filtered at the sender.
 func (ba *BoundAction) filtered(ci int) bool {
-	f := ba.filters[ci]
+	f := ba.prog.conds[ci].evalHop().filter
 	return f != nil && f.kind != syncLock
 }
 

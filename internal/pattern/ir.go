@@ -499,10 +499,11 @@ func vertexWord(v distgraph.Vertex) Word {
 	return Word(v)
 }
 
-// wordVertex converts a word back to a vertex; negative words map to
-// NilVertex.
+// wordVertex converts a word back to a vertex. A word that is no vertex id —
+// negative, or too large to be one — maps to NilVertex rather than being
+// truncated onto some real vertex.
 func wordVertex(w Word) distgraph.Vertex {
-	if w < 0 {
+	if w < 0 || w >= Word(distgraph.NilVertex) {
 		return distgraph.NilVertex
 	}
 	return distgraph.Vertex(w)

@@ -419,8 +419,10 @@ func (c *compiler) canonExpr(e Expr) Expr {
 			if rc, ok := r.(Const); ok {
 				// Constant folding: evaluate at compile time so
 				// constant subexpressions neither occupy payload
-				// slots nor cost per-item evaluation.
-				return Const{X: evalConstBin(x.Op, lc.X, rc.X)}
+				// slots nor cost per-item evaluation. The value is the
+				// engine's own: the closure it would run per item,
+				// which reads nothing of the item it is not given.
+				return Const{X: compileExpr(Bin{Op: x.Op, L: lc, R: rc})(nil)}
 			}
 		}
 		return Bin{Op: x.Op, L: l, R: r}
@@ -436,62 +438,6 @@ func (c *compiler) canonExpr(e Expr) Expr {
 	default:
 		return e
 	}
-}
-
-// evalConstBin mirrors the engine's operator semantics for compile-time
-// folding.
-func evalConstBin(op BinOp, l, r Word) Word {
-	b := func(v bool) Word {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case OpAdd:
-		return l + r
-	case OpSub:
-		return l - r
-	case OpMul:
-		return l * r
-	case OpDiv:
-		if r == 0 {
-			return 0
-		}
-		return l / r
-	case OpMod:
-		if r == 0 {
-			return 0
-		}
-		return l % r
-	case OpMin:
-		if l < r {
-			return l
-		}
-		return r
-	case OpMax:
-		if l > r {
-			return l
-		}
-		return r
-	case OpLt:
-		return b(l < r)
-	case OpLe:
-		return b(l <= r)
-	case OpGt:
-		return b(l > r)
-	case OpGe:
-		return b(l >= r)
-	case OpEq:
-		return b(l == r)
-	case OpNe:
-		return b(l != r)
-	case OpAnd:
-		return b(l != 0 && r != 0)
-	case OpOr:
-		return b(l != 0 || r != 0)
-	}
-	panic("pattern: unknown operator in constant folding")
 }
 
 func walkAccesses(e Expr, fn func(*Access)) {

@@ -43,7 +43,7 @@ func (ba *BoundAction) SetWorkRerun() {
 		ba.pending[rank] = make([]atomic.Uint32, dist.LocalCount(rank))
 	}
 	ba.work = func(r *am.Rank, v distgraph.Vertex) {
-		ba.requestRerun(r, v, site{rank: r.ID(), li: dist.Local(v)})
+		ba.requestRerun(r, v, ba.eng.site(v))
 	}
 }
 
