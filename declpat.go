@@ -49,9 +49,11 @@ type (
 	Crash = am.Crash
 	// DeadLink permanently severs one directed link from a given epoch on.
 	DeadLink = am.DeadLink
-	// Checkpointer is rank-sharded state that can snapshot/restore at
-	// epoch boundaries; register with Universe.RegisterCheckpointer to
-	// participate in Recovery rollback/replay.
+	// Checkpointer is rank-sharded state that snapshots to bytes at epoch
+	// boundaries (SnapshotRank, deterministic) and restores from them
+	// (RestoreRank, an error for bytes that do not fit); register with
+	// Universe.RegisterCheckpointer to take part in Recovery rollback/replay
+	// and multi-process restart, which restore from the same bytes.
 	Checkpointer = am.Checkpointer
 	// RankFault describes a contained rank failure (crash, handler panic,
 	// dead link, watchdog) in Run errors and the fault log.

@@ -438,8 +438,9 @@ func (u *Universe) mpOpenLeader(epoch int64) error {
 	return nil
 }
 
-// mpCheckpoint serializes every registered checkpointer's state for every
-// local rank into this epoch's slot file (atomic write).
+// mpCheckpoint writes every local rank's checkpoint blobs — the rows an
+// in-process rollback keeps in memory — into this epoch's slot file (atomic
+// write).
 func (u *Universe) mpCheckpoint(epoch int64) error {
 	mp := u.mp
 	snap := &ckpt.Snapshot{
@@ -449,16 +450,7 @@ func (u *Universe) mpCheckpoint(epoch int64) error {
 		Hi:    uint32(mp.hi),
 	}
 	for rank := mp.lo; rank < mp.hi; rank++ {
-		blobs := make([][]byte, len(u.checkpointers))
-		for i, c := range u.checkpointers {
-			sc := c.(SerializedCheckpointer) // validated at Run start
-			b, err := sc.EncodeSnapshot(c.SnapshotRank(rank))
-			if err != nil {
-				return fmt.Errorf("am: encoding checkpoint (rank %d, checkpointer %d): %w", rank, i, err)
-			}
-			blobs[i] = b
-		}
-		snap.Blobs = append(snap.Blobs, blobs)
+		snap.Blobs = append(snap.Blobs, u.takeBlobs(rank))
 	}
 	if err := ckpt.WriteFile(mp.slotPath(epoch), snap); err != nil {
 		return fmt.Errorf("am: writing checkpoint for epoch %d: %w", epoch, err)
@@ -466,8 +458,8 @@ func (u *Universe) mpCheckpoint(epoch int64) error {
 	return nil
 }
 
-// mpRestore reloads every registered checkpointer for every local rank
-// from the committed slot file written before the crash.
+// mpRestore validates the committed slot file written before the crash
+// against this worker and restores every local rank from its blobs.
 func (u *Universe) mpRestore(epoch int64) error {
 	mp := u.mp
 	path := mp.slotPath(epoch)
@@ -486,17 +478,8 @@ func (u *Universe) mpRestore(epoch int64) error {
 		return fmt.Errorf("am: checkpoint %s has %d rank entries, want %d", path, len(snap.Blobs), mp.hi-mp.lo)
 	}
 	for rank := mp.lo; rank < mp.hi; rank++ {
-		blobs := snap.Blobs[rank-mp.lo]
-		if len(blobs) != len(u.checkpointers) {
-			return fmt.Errorf("am: checkpoint %s rank %d has %d blobs, want %d", path, rank, len(blobs), len(u.checkpointers))
-		}
-		for i, c := range u.checkpointers {
-			sc := c.(SerializedCheckpointer)
-			v, err := sc.DecodeSnapshot(blobs[i])
-			if err != nil {
-				return fmt.Errorf("am: decoding checkpoint (rank %d, checkpointer %d): %w", rank, i, err)
-			}
-			c.RestoreRank(rank, v)
+		if err := u.restoreBlobs(rank, snap.Blobs[rank-mp.lo]); err != nil {
+			return fmt.Errorf("%w (checkpoint %s)", err, path)
 		}
 	}
 	return nil

@@ -115,7 +115,7 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 		// file, and vote it committed via the epoch-tagged wire barrier.
 		u.mpEpochOpen(r, epochSeq)
 	} else if u.cfg.Recovery {
-		u.snapshotRank(r.id)
+		u.blobs[r.id] = u.takeBlobs(r.id)
 		r.st.Inc(cCheckpoints)
 	}
 	for {

@@ -38,18 +38,23 @@ import (
 
 // Checkpointer is per-rank state that participates in epoch-granular
 // checkpoint/restart. Register implementations with
-// Universe.RegisterCheckpointer before Run; when Config.Recovery is set the
-// universe calls SnapshotRank on every rank at each epoch boundary and
-// RestoreRank when an epoch is rolled back.
+// Universe.RegisterCheckpointer before Run. A snapshot is bytes: at every
+// epoch boundary (Config.Recovery or multi-process mode) the universe calls
+// SnapshotRank for each rank, and it hands those bytes back to RestoreRank
+// when an in-process rollback replays the epoch or a replacement process
+// restarts it from the DPCK slot file. Both paths go through the same blobs
+// (takeBlobs / restoreBlobs).
 //
-// SnapshotRank must deep-copy: the snapshot is retained across the epoch
-// while the live state mutates, and one snapshot may be restored several
-// times (repeated faults in one epoch). RestoreRank must leave the live
-// state equal to the snapshot and must tolerate the snapshot value it
-// returned itself (including nil). Both are called with the rest of the
-// universe quiescent with respect to rank — SnapshotRank before the epoch's
-// opening barrier, RestoreRank between recovery barriers — so no locking
-// against handlers is needed beyond the structure's own invariants.
+// SnapshotRank must be deterministic — identical state yields identical
+// bytes — and must not alias live state. RestoreRank must leave the live
+// state equal to the one the bytes were taken from; it may be handed the same
+// bytes several times (repeated faults in one epoch). It must return an
+// error, not panic, for bytes that do not decode or do not fit the live
+// structure, and leave the live state untouched when it does. Both are called
+// with the rest of the universe quiescent with respect to rank —
+// SnapshotRank before the epoch's opening barrier, RestoreRank between
+// recovery barriers or before a restarted epoch — so no locking against
+// handlers is needed beyond the structure's own invariants.
 //
 // For recovery to be sound, *all* state a replayed epoch body or handler
 // reads and writes must be registered (property maps, frontiers, bucket
@@ -57,26 +62,8 @@ import (
 // monotonic diagnostics, not algorithm state, and recovery does not rewind
 // them.
 type Checkpointer interface {
-	SnapshotRank(rank int) any
-	RestoreRank(rank int, snap any)
-}
-
-// SerializedCheckpointer extends Checkpointer with a byte encoding of its
-// snapshots, so a checkpoint can be written to disk and reloaded by a
-// *replacement process* (multi-process crash recovery, WithControlPlane).
-// EncodeSnapshot/DecodeSnapshot must round-trip exactly: for any snap from
-// SnapshotRank, RestoreRank(rank, DecodeSnapshot(EncodeSnapshot(snap)))
-// leaves the rank's state equal to restoring snap directly. Both must
-// handle the implementation's nil/empty snapshot representation. Encodings
-// should be deterministic (sorted iteration over maps) so identical state
-// yields identical checkpoint files.
-//
-// Every checkpointer registered on a multi-process universe must implement
-// this interface; Run fails fast otherwise.
-type SerializedCheckpointer interface {
-	Checkpointer
-	EncodeSnapshot(snap any) ([]byte, error)
-	DecodeSnapshot(data []byte) (any, error)
+	SnapshotRank(rank int) []byte
+	RestoreRank(rank int, b []byte) error
 }
 
 // RegisterCheckpointer registers per-rank state for epoch-granular
@@ -356,19 +343,29 @@ func (u *Universe) healLinks() {
 	}
 }
 
-// snapshotRank checkpoints every registered Checkpointer for one rank.
-func (u *Universe) snapshotRank(rank int) {
+// takeBlobs snapshots every registered Checkpointer for one rank, in
+// registration order: one row of ckpt.Snapshot.Blobs.
+func (u *Universe) takeBlobs(rank int) [][]byte {
+	blobs := make([][]byte, len(u.checkpointers))
 	for i, c := range u.checkpointers {
-		u.ckpts[rank][i] = c.SnapshotRank(rank)
+		blobs[i] = c.SnapshotRank(rank)
 	}
+	return blobs
 }
 
-// restoreRank rolls every registered Checkpointer for one rank back to the
-// last epoch boundary.
-func (u *Universe) restoreRank(rank int) {
-	for i, c := range u.checkpointers {
-		c.RestoreRank(rank, u.ckpts[rank][i])
+// restoreBlobs rolls every registered Checkpointer for one rank back to the
+// blobs takeBlobs took, in this process (rollback) or in the process a
+// replacement worker replaced (restart).
+func (u *Universe) restoreBlobs(rank int, blobs [][]byte) error {
+	if len(blobs) != len(u.checkpointers) {
+		return fmt.Errorf("am: rank %d checkpoint has %d blobs, want %d", rank, len(blobs), len(u.checkpointers))
 	}
+	for i, c := range u.checkpointers {
+		if err := c.RestoreRank(rank, blobs[i]); err != nil {
+			return fmt.Errorf("am: restoring checkpoint (rank %d, checkpointer %d): %w", rank, i, err)
+		}
+	}
+	return nil
 }
 
 // maxRecoveries returns the per-epoch recovery budget.
@@ -396,7 +393,8 @@ const defaultMaxRecoveries = 8
 //     unwinds via runAbort;
 //  3. scrub: each rank drops its inbox, clears its coalescing buffers,
 //     re-initializes its link tables, zeroes its detector counters, and
-//     restores its registered checkpoints; the dead rank is restarted by
+//     restores its registered checkpoints from the boundary's blobs (a blob
+//     that does not restore fails the run); the dead rank is restarted by
 //     clearing its crashed flag;
 //  4. reset (rank 0): the shared pending counter is zeroed, dead links are
 //     healed, the fault is cleared, and epochState returns to running —
@@ -444,9 +442,14 @@ func (r *Rank) recoverEpoch() {
 	r.auxWork.Store(0)
 	r.handledInEpoch.Store(0)
 	r.crashAfter.Store(-1)
-	u.restoreRank(r.id)
+	if err := u.restoreBlobs(r.id, u.blobs[r.id]); err != nil {
+		u.failRun(err)
+	}
 	r.crashed.Store(false) // restart the dead rank
 	r.Barrier()            // all ranks scrubbed and restored
+	if u.runFailed.Load() {
+		panic(runAbort{})
+	}
 
 	if r.id == 0 {
 		u.pending.Store(0)

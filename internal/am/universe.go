@@ -277,12 +277,12 @@ type Universe struct {
 	lineage bool
 
 	// Rank-fault containment and checkpoint/restart state (recovery.go).
-	// ckpts[rank][i] is checkpointers[i]'s snapshot for rank, retaken at
+	// blobs[rank] is rank's row of checkpoint blobs (takeBlobs), retaken at
 	// every epoch boundary when Config.Recovery is on. faultMu guards
 	// fault (the aborting epoch's deciding fault), faultLog, and runErr;
 	// recoveries (rank-0-only) counts rollbacks of the current epoch.
 	checkpointers []Checkpointer
-	ckpts         [][]any
+	blobs         [][][]byte
 	faultMu       sync.Mutex
 	fault         *RankFault
 	faultLog      []RankFault
@@ -585,21 +585,7 @@ func (u *Universe) Run(body func(r *Rank)) error {
 		panic("am: Universe.Run called twice")
 	}
 	u.initObs()
-	if u.mp != nil {
-		// A replacement process can only reload state that round-trips
-		// through bytes, so every checkpointer must speak the serialized
-		// contract before the run starts (failing mid-epoch would strand
-		// the fleet).
-		for i, c := range u.checkpointers {
-			if _, ok := c.(SerializedCheckpointer); !ok {
-				return fmt.Errorf("am: multi-process mode requires SerializedCheckpointer; checkpointer %d (%T) only implements Checkpointer", i, c)
-			}
-		}
-	}
-	u.ckpts = make([][]any, u.cfg.Ranks)
-	for i := range u.ckpts {
-		u.ckpts[i] = make([]any, len(u.checkpointers))
-	}
+	u.blobs = make([][][]byte, u.cfg.Ranks)
 	// Allocate per-rank typed coalescing buffers now that the type set is
 	// final.
 	for _, r := range u.ranks {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"declpat/internal/algorithms"
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
 	"declpat/internal/harness"
@@ -84,6 +85,22 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				gotC, statsC := RunCC(w, sc)
 				check(t, "CC", sc, gotC, wantC)
 				checkRecovered(t, "CC", sc, statsC)
+
+				if name != "mid-epoch" {
+					return
+				}
+				// The other two Δ-stepping strategies' bucket checkpoints:
+				// light/heavy's settled set is not saved, distributed's
+				// buckets are per body thread.
+				for alg, mode := range map[string]algorithms.SSSPMode{
+					"SSSP(light-heavy)": algorithms.SSSPDeltaLightHeavy,
+					"SSSP(distributed)": algorithms.SSSPDeltaDistributed,
+				} {
+					want, _ := RunSSSPMode(w, base, src, 30, mode)
+					got, stats := RunSSSPMode(w, sc, src, 30, mode)
+					check(t, alg, sc, got, want)
+					checkRecovered(t, alg, sc, stats)
+				}
 			})
 		}
 	}

@@ -66,6 +66,15 @@ func (e *Enc) String(s string) {
 	e.B = append(e.B, s...)
 }
 
+// Bool appends one byte, 1 for true and 0 for false.
+func (e *Enc) Bool(v bool) {
+	if v {
+		e.U8(1)
+	} else {
+		e.U8(0)
+	}
+}
+
 // I64Slice appends a u32 count followed by the values.
 func (e *Enc) I64Slice(vs []int64) {
 	e.U32(uint32(len(vs)))
@@ -137,6 +146,22 @@ func (d *Dec) U64() uint64 {
 // I64 reads a little-endian int64.
 func (d *Dec) I64() int64 { return int64(d.U64()) }
 
+// Bool reads one byte that must be 0 or 1.
+func (d *Dec) Bool() bool {
+	v := d.U8()
+	d.Check(v <= 1, "bool")
+	return v == 1
+}
+
+// Check fails the decode unless ok: for bytes that are present but that the
+// format forbids, such as an unsorted set or an empty bucket. Decoders that
+// reject every non-canonical input accept exactly what their encoder writes.
+func (d *Dec) Check(ok bool, what string) {
+	if !ok && d.Err == nil {
+		d.Err = fmt.Errorf("%w: bad %s before offset %d", ErrCorrupt, what, d.Off)
+	}
+}
+
 // Bytes reads a u32 length prefix and returns a subslice of the input (no
 // copy; callers that retain it past the buffer's life must copy).
 func (d *Dec) Bytes() []byte {
@@ -164,6 +189,29 @@ func (d *Dec) Count(elemMin int) int {
 		return 0
 	}
 	return n
+}
+
+// CountIs reads a count, as Count, that must equal want: the length of the
+// live structure a snapshot restores into.
+func (d *Dec) CountIs(elemMin, want int) {
+	if n := d.Count(elemMin); d.Err == nil && n != want {
+		d.Err = fmt.Errorf("%w: %d elements where the live state has %d", ErrCorrupt, n, want)
+	}
+}
+
+// Apply restores live state from a snapshot blob. It runs decode twice: a
+// dry run (write false) that reads every byte and makes every check, then,
+// only if that consumed b exactly without error, the run that writes. A blob
+// that does not fit leaves the live state as it was.
+func Apply(b []byte, decode func(d *Dec, write bool)) error {
+	d := Dec{B: b}
+	decode(&d, false)
+	if err := d.Done(true); err != nil {
+		return err
+	}
+	d = Dec{B: b}
+	decode(&d, true)
+	return nil
 }
 
 // I64Slice reads a u32 count followed by the values.

@@ -326,7 +326,8 @@ func writeTrace(u *am.Universe, cl *Client, dir string, worker int) error {
 func shipResults(cl *Client, d distgraph.BlockDist, vecs []*pmap.VertexWord, lo, hi int) error {
 	for vi, vec := range vecs {
 		for rank := lo; rank < hi; rank++ {
-			vals, _ := vec.SnapshotRank(rank).([]int64)
+			var vals []int64
+			vec.ForEachLocal(rank, func(_ distgraph.Vertex, x int64) { vals = append(vals, x) })
 			if len(vals) == 0 {
 				continue
 			}

@@ -1,5 +1,7 @@
 package pattern
 
+import "declpat/internal/ckpt"
+
 // Epoch-granular checkpoint/restart support (am.Checkpointer). The engine's
 // mutable per-rank state outside the user's property maps is each bound
 // action's modification flag (the `once` strategy's changed-anything bit) and
@@ -12,27 +14,30 @@ package pattern
 // Stats counters are diagnostics, not algorithm state, and are deliberately
 // not rewound.
 
-// SnapshotRank saves every bound action's modification flag for one rank
-// (am.Checkpointer).
-func (e *Engine) SnapshotRank(rank int) any {
-	flags := make([]bool, len(e.actions))
-	for i, ba := range e.actions {
-		flags[i] = ba.modified[rank].Load()
+// SnapshotRank encodes every bound action's modification flag for one rank:
+// a u32 action count, then one byte per action (am.Checkpointer).
+func (e *Engine) SnapshotRank(rank int) []byte {
+	var enc ckpt.Enc
+	enc.U32(uint32(len(e.actions)))
+	for _, ba := range e.actions {
+		enc.Bool(ba.modified[rank].Load())
 	}
-	return flags
+	return enc.B
 }
 
 // RestoreRank rolls every bound action's modification flag back for one rank
 // and forgets the re-runs the aborted attempt had requested there
 // (am.Checkpointer).
-func (e *Engine) RestoreRank(rank int, snap any) {
-	for i, f := range snap.([]bool) {
-		ba := e.actions[i]
-		ba.modified[rank].Store(f)
-		if ba.pending != nil {
-			for li := range ba.pending[rank] {
-				ba.pending[rank][li].Store(0)
+func (e *Engine) RestoreRank(rank int, b []byte) error {
+	return ckpt.Apply(b, func(d *ckpt.Dec, write bool) {
+		d.CountIs(1, len(e.actions))
+		for _, ba := range e.actions {
+			if f := d.Bool(); write {
+				ba.modified[rank].Store(f)
+				if ba.pending != nil {
+					clear(ba.pending[rank])
+				}
 			}
 		}
-	}
+	})
 }

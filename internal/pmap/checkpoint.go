@@ -1,87 +1,118 @@
 package pmap
 
-import "declpat/internal/distgraph"
+import (
+	"math"
+	"sort"
+
+	"declpat/internal/ckpt"
+	"declpat/internal/distgraph"
+)
 
 // Epoch-granular checkpoint/restart support (am.Checkpointer). Each map type
-// snapshots one rank's shard by deep copy and restores by copying back, so a
-// snapshot survives arbitrary mutation of the live shard and may be restored
-// several times (repeated faults in one epoch). Both methods run at quiescent
-// points — SnapshotRank at the epoch boundary, RestoreRank between recovery
-// barriers — so no synchronization against handlers is needed.
+// encodes one rank's shard straight from the live slots and restores by
+// decoding straight back into them. Encodings are deterministic (set members
+// sorted), so identical state yields identical bytes, and decoders accept
+// exactly what the encoder writes; a blob whose shape differs from the live
+// shard is an error that leaves the shard untouched (ckpt.Apply). Both
+// methods run at quiescent points — SnapshotRank at the epoch boundary,
+// RestoreRank between recovery barriers or before a restarted epoch — so no
+// synchronization against handlers is needed.
 
-// SnapshotRank deep-copies rank's shard (am.Checkpointer).
-func (m *VertexWord) SnapshotRank(rank int) any {
-	s := m.shards[rank]
-	snap := make([]int64, len(s))
-	copy(snap, s)
-	return snap
+// words restores a u32 count, which must equal len(dst), and that many words.
+func words(d *ckpt.Dec, dst []int64, write bool) {
+	d.CountIs(8, len(dst))
+	for i := range dst {
+		if v := d.I64(); write {
+			dst[i] = v
+		}
+	}
 }
 
-// RestoreRank copies the snapshot back over rank's shard (am.Checkpointer).
-func (m *VertexWord) RestoreRank(rank int, snap any) {
-	copy(m.shards[rank], snap.([]int64))
+// SnapshotRank encodes rank's shard (am.Checkpointer).
+func (m *VertexWord) SnapshotRank(rank int) []byte {
+	var e ckpt.Enc
+	e.I64Slice(m.shards[rank])
+	return e.B
 }
 
-// SnapshotRank deep-copies rank's shard, sets included (am.Checkpointer).
-func (m *VertexSet) SnapshotRank(rank int) any {
+// RestoreRank decodes a snapshot over rank's shard (am.Checkpointer).
+func (m *VertexWord) RestoreRank(rank int, b []byte) error {
+	return ckpt.Apply(b, func(d *ckpt.Dec, write bool) { words(d, m.shards[rank], write) })
+}
+
+// SnapshotRank encodes rank's shard: a u32 slot count, then per slot a
+// presence byte and, when present, the sorted member list
+// (am.Checkpointer). Nil and empty sets are distinct states — an empty set
+// allocates on first touch — and both survive the round trip.
+func (m *VertexSet) SnapshotRank(rank int) []byte {
+	var e ckpt.Enc
 	s := m.shards[rank]
-	snap := make([]map[distgraph.Vertex]struct{}, len(s))
-	for i, set := range s {
+	e.U32(uint32(len(s)))
+	for _, set := range s {
+		e.Bool(set != nil)
 		if set == nil {
 			continue
 		}
-		cp := make(map[distgraph.Vertex]struct{}, len(set))
-		for u := range set {
-			cp[u] = struct{}{}
+		members := make([]int64, 0, len(set))
+		for v := range set {
+			members = append(members, int64(v))
 		}
-		snap[i] = cp
+		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		e.I64Slice(members)
 	}
-	return snap
+	return e.B
 }
 
-// RestoreRank rebuilds rank's shard from the snapshot (am.Checkpointer).
-// The snapshot's sets are cloned again on restore, so one snapshot can seed
-// several replays.
-func (m *VertexSet) RestoreRank(rank int, snap any) {
-	sets := snap.([]map[distgraph.Vertex]struct{})
+// RestoreRank rebuilds rank's sets from a snapshot (am.Checkpointer).
+func (m *VertexSet) RestoreRank(rank int, b []byte) error {
 	s := m.shards[rank]
-	for i := range s {
-		if sets[i] == nil {
-			s[i] = nil
-			continue
+	return ckpt.Apply(b, func(d *ckpt.Dec, write bool) {
+		d.CountIs(1, len(s))
+		for i := 0; i < len(s) && d.Err == nil; i++ {
+			var set map[distgraph.Vertex]struct{}
+			if d.Bool() {
+				n := d.Count(8)
+				if write {
+					set = make(map[distgraph.Vertex]struct{}, n)
+				}
+				for j, prev := 0, int64(-1); j < n && d.Err == nil; j++ {
+					v := d.I64()
+					d.Check(v > prev && v <= math.MaxUint32, "set member")
+					prev = v
+					if write {
+						set[distgraph.Vertex(v)] = struct{}{}
+					}
+				}
+			}
+			if write {
+				s[i] = set
+			}
 		}
-		cp := make(map[distgraph.Vertex]struct{}, len(sets[i]))
-		for u := range sets[i] {
-			cp[u] = struct{}{}
+	})
+}
+
+// SnapshotRank encodes rank's edge values: the out-edge values plus a
+// presence byte for the in-edge mirrors (am.Checkpointer). Mirrors are
+// restored too, so a replay sees the same possibly-stale mirror state the
+// original attempt saw.
+func (m *EdgeWord) SnapshotRank(rank int) []byte {
+	var e ckpt.Enc
+	e.I64Slice(m.out[rank])
+	e.Bool(m.in[rank] != nil)
+	if m.in[rank] != nil {
+		e.I64Slice(m.in[rank])
+	}
+	return e.B
+}
+
+// RestoreRank decodes a snapshot over rank's edge values (am.Checkpointer).
+func (m *EdgeWord) RestoreRank(rank int, b []byte) error {
+	out, in := m.out[rank], m.in[rank]
+	return ckpt.Apply(b, func(d *ckpt.Dec, write bool) {
+		words(d, out, write)
+		d.Check(d.Bool() == (in != nil), "in-edge mirror presence")
+		if in != nil {
+			words(d, in, write)
 		}
-		s[i] = cp
-	}
-}
-
-// edgeWordSnap is one rank's EdgeWord snapshot: canonical out-edge values
-// plus the in-edge mirrors (mirrors are restored too, so a replay sees the
-// same possibly-stale mirror state the original attempt saw).
-type edgeWordSnap struct {
-	out, in []int64
-}
-
-// SnapshotRank deep-copies rank's edge values (am.Checkpointer).
-func (m *EdgeWord) SnapshotRank(rank int) any {
-	snap := edgeWordSnap{out: make([]int64, len(m.out[rank]))}
-	copy(snap.out, m.out[rank])
-	if m.in[rank] != nil {
-		snap.in = make([]int64, len(m.in[rank]))
-		copy(snap.in, m.in[rank])
-	}
-	return snap
-}
-
-// RestoreRank copies the snapshot back over rank's edge values
-// (am.Checkpointer).
-func (m *EdgeWord) RestoreRank(rank int, snap any) {
-	s := snap.(edgeWordSnap)
-	copy(m.out[rank], s.out)
-	if m.in[rank] != nil {
-		copy(m.in[rank], s.in)
-	}
+	})
 }

@@ -94,10 +94,10 @@ func OnceOver(r *am.Rank, a *pattern.BoundAction, rootsOf func() []distgraph.Ver
 // the active bucket keep the epoch alive via the deferred-work counter, and
 // inserts into later buckets carry over to later epochs.
 type Delta struct {
-	a       *pattern.BoundAction
-	keys    *pmap.VertexWord
-	delta   int64
-	buckets []*Buckets
+	a     *pattern.BoundAction
+	keys  *pmap.VertexWord
+	delta int64
+	rankBuckets
 
 	// BucketEpochs counts per-bucket epochs executed (experiment metric).
 	BucketEpochs int
@@ -107,9 +107,9 @@ type Delta struct {
 // map providing each vertex's numeric key (the paper's m); delta is the
 // bucket width. Call before Universe.Run.
 func NewDelta(u *am.Universe, a *pattern.BoundAction, keys *pmap.VertexWord, delta int64) *Delta {
-	d := &Delta{a: a, keys: keys, delta: delta, buckets: make([]*Buckets, u.Ranks())}
+	d := &Delta{a: a, keys: keys, delta: delta, rankBuckets: make(rankBuckets, u.Ranks())}
 	a.SetWork(func(r *am.Rank, v distgraph.Vertex) {
-		d.buckets[r.ID()].Insert(v, keys.Get(r.ID(), v))
+		d.rankBuckets[r.ID()].Insert(v, keys.Get(r.ID(), v))
 	})
 	u.RegisterCheckpointer(d)
 	return d
@@ -119,7 +119,7 @@ func NewDelta(u *am.Universe, a *pattern.BoundAction, keys *pmap.VertexWord, del
 func (d *Delta) Run(r *am.Rank, seeds []distgraph.Vertex) {
 	ph := r.Phase(obs.PhaseBuildCSR)
 	b := NewBuckets(r, d.delta)
-	d.buckets[r.ID()] = b
+	d.rankBuckets[r.ID()] = b
 	for _, v := range seeds {
 		b.Insert(v, d.keys.Get(r.ID(), v))
 	}
@@ -179,7 +179,7 @@ type DeltaLightHeavy struct {
 	light, heavy *pattern.BoundAction
 	keys         *pmap.VertexWord
 	delta        int64
-	buckets      []*Buckets
+	rankBuckets
 
 	// BucketEpochs counts light-phase epochs executed.
 	BucketEpochs int
@@ -188,9 +188,9 @@ type DeltaLightHeavy struct {
 // NewDeltaLightHeavy installs bucket-insert work hooks on both actions.
 // Call before Universe.Run.
 func NewDeltaLightHeavy(u *am.Universe, light, heavy *pattern.BoundAction, keys *pmap.VertexWord, delta int64) *DeltaLightHeavy {
-	d := &DeltaLightHeavy{light: light, heavy: heavy, keys: keys, delta: delta, buckets: make([]*Buckets, u.Ranks())}
+	d := &DeltaLightHeavy{light: light, heavy: heavy, keys: keys, delta: delta, rankBuckets: make(rankBuckets, u.Ranks())}
 	hook := func(r *am.Rank, v distgraph.Vertex) {
-		d.buckets[r.ID()].Insert(v, keys.Get(r.ID(), v))
+		d.rankBuckets[r.ID()].Insert(v, keys.Get(r.ID(), v))
 	}
 	light.SetWork(hook)
 	heavy.SetWork(hook)
@@ -202,7 +202,7 @@ func NewDeltaLightHeavy(u *am.Universe, light, heavy *pattern.BoundAction, keys 
 func (d *DeltaLightHeavy) Run(r *am.Rank, seeds []distgraph.Vertex) {
 	ph := r.Phase(obs.PhaseBuildCSR)
 	b := NewBuckets(r, d.delta)
-	d.buckets[r.ID()] = b
+	d.rankBuckets[r.ID()] = b
 	for _, v := range seeds {
 		b.Insert(v, d.keys.Get(r.ID(), v))
 	}
