@@ -371,13 +371,13 @@ func BenchmarkE19Lineage(b *testing.B) {
 	}
 }
 
-// BenchmarkGobTransport measures the cost of real serialization on the
-// engine's messages.
-func BenchmarkGobTransport(b *testing.B) {
+// BenchmarkWireTransport measures the cost of real serialization (the
+// fixed codec) on the engine's messages.
+func BenchmarkWireTransport(b *testing.B) {
 	for _, wire := range []bool{false, true} {
 		name := "in-memory"
 		if wire {
-			name = "gob-wire"
+			name = "fixed-wire"
 		}
 		b.Run(name, func(b *testing.B) {
 			n, edges := benchGraph(b)
@@ -387,7 +387,7 @@ func BenchmarkGobTransport(b *testing.B) {
 					experiments.PaperPlan(), // Direct would bypass the codec being measured
 					func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 				if wire {
-					sb.eng.MsgType().WithGobTransport()
+					sb.eng.MsgType().WithWire()
 				}
 				sb.u.Run(func(r *am.Rank) { sb.s.Run(r, 0) })
 				last = sb.u

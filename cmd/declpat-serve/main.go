@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -76,7 +77,7 @@ func main() {
 	served := make(chan error, 1)
 	go func() { served <- svc.Serve() }()
 
-	srv := &http.Server{Addr: *listen, Handler: routes(svc)}
+	srv := &http.Server{Addr: *listen, Handler: routes(svc, n)}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("declpat-serve: listen: %v", err)
@@ -110,13 +111,13 @@ func main() {
 	}
 }
 
-// routes wires the HTTP API over the query service.
-func routes(svc *declpat.QueryService) http.Handler {
+// routes wires the HTTP API over the query service of an n-vertex graph.
+func routes(svc *declpat.QueryService, n int) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) { handleSubmit(svc, w, r) })
+	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) { handleSubmit(svc, n, w, r) })
 	mux.HandleFunc("GET /query/{id}", func(w http.ResponseWriter, r *http.Request) { handleStatus(svc, w, r) })
 	mux.HandleFunc("GET /query/{id}/wait", func(w http.ResponseWriter, r *http.Request) { handleWait(svc, w, r) })
-	mux.HandleFunc("GET /query/{id}/value", func(w http.ResponseWriter, r *http.Request) { handleValue(svc, w, r) })
+	mux.HandleFunc("GET /query/{id}/value", func(w http.ResponseWriter, r *http.Request) { handleValue(svc, n, w, r) })
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 		if err := svc.WriteOpenMetrics(w); err != nil {
@@ -136,7 +137,7 @@ type submitBody struct {
 	DeadlineMS int64  `json:"deadline_ms"`
 }
 
-func handleSubmit(svc *declpat.QueryService, w http.ResponseWriter, r *http.Request) {
+func handleSubmit(svc *declpat.QueryService, n int, w http.ResponseWriter, r *http.Request) {
 	var body submitBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
@@ -147,10 +148,19 @@ func handleSubmit(svc *declpat.QueryService, w http.ResponseWriter, r *http.Requ
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	if err := checkVertex(body.Source, n); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	deadline, err := millis("deadline_ms", body.DeadlineMS)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	t, err := svc.Submit(declpat.QueryRequest{
 		Algo:     algo,
 		Source:   declpat.Vertex(body.Source),
-		Deadline: time.Duration(body.DeadlineMS) * time.Millisecond,
+		Deadline: deadline,
 	})
 	if err != nil {
 		httpError(w, submitCode(err), err)
@@ -185,12 +195,13 @@ func handleWait(svc *declpat.QueryService, w http.ResponseWriter, r *http.Reques
 	wait := t.Done()
 	var timeout <-chan time.Time
 	if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
-		d, err := strconv.ParseInt(ms, 10, 64)
-		if err != nil || d < 0 {
+		v, err := strconv.ParseInt(ms, 10, 64)
+		d, err2 := millis("timeout_ms", v)
+		if err != nil || err2 != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad timeout_ms %q", ms))
 			return
 		}
-		timeout = time.After(time.Duration(d) * time.Millisecond)
+		timeout = time.After(d)
 	}
 	select {
 	case <-wait:
@@ -208,7 +219,7 @@ func handleWait(svc *declpat.QueryService, w http.ResponseWriter, r *http.Reques
 	writeJSON(w, http.StatusOK, statusJSON(st))
 }
 
-func handleValue(svc *declpat.QueryService, w http.ResponseWriter, r *http.Request) {
+func handleValue(svc *declpat.QueryService, n int, w http.ResponseWriter, r *http.Request) {
 	id, ok := pathID(w, r)
 	if !ok {
 		return
@@ -216,6 +227,10 @@ func handleValue(svc *declpat.QueryService, w http.ResponseWriter, r *http.Reque
 	v, err := strconv.ParseInt(r.URL.Query().Get("v"), 10, 64)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad vertex %q", r.URL.Query().Get("v")))
+		return
+	}
+	if err := checkVertex(v, n); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	val, err := svc.Value(id, declpat.Vertex(v))
@@ -243,6 +258,24 @@ func statusJSON(st declpat.QueryStatus) map[string]any {
 		out["latency_ms"] = float64(st.Done.Sub(st.Queued).Microseconds()) / 1000
 	}
 	return out
+}
+
+// checkVertex range-checks a vertex id from the wire while it is still an
+// int64: declpat.Vertex is 32 bits, and casting first would alias 2³²+v to v.
+func checkVertex(v int64, n int) error {
+	if v < 0 || v >= int64(n) {
+		return fmt.Errorf("%w: %d not in [0, %d)", declpat.ErrQueryBadSource, v, n)
+	}
+	return nil
+}
+
+// millis converts a millisecond count from the wire to a duration, refusing
+// a negative one or one past the largest duration.
+func millis(name string, ms int64) (time.Duration, error) {
+	if ms < 0 || ms > int64(math.MaxInt64/time.Millisecond) {
+		return 0, fmt.Errorf("bad %s %d", name, ms)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // pathID parses the {id} path segment, answering 400 itself on failure.

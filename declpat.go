@@ -184,9 +184,10 @@ func WithCodec[T any](c Codec[T]) MsgOption[T] {
 	return func(t *MsgType[T]) { t.WithCodec(c) }
 }
 
-// WithWire routes the message type through the wire transport with the best
-// bundled codec: the zero-reflection fixed word-schema codec when T is a
-// fixed-layout type, the gob fallback otherwise.
+// WithWire routes the message type through the wire transport with the
+// zero-reflection fixed word-schema codec. Registration panics, naming T,
+// when T is not a fixed-layout type; give such a type a codec of its own
+// (WithCodec).
 func WithWire[T any]() MsgOption[T] {
 	return func(t *MsgType[T]) { t.WithWire() }
 }
@@ -217,12 +218,8 @@ func RegisterMsgType[T any](u *Universe, name string, handler func(r *Rank, m T)
 }
 
 // FixedCodec constructs the zero-reflection fixed word-schema codec for T,
-// or an error when T contains reference or complex components (use GobCodec
-// for those).
+// or an error when T contains reference or complex components.
 func FixedCodec[T any]() (Codec[T], error) { return am.FixedCodec[T]() }
-
-// GobCodec returns the encoding/gob fallback codec for T.
-func GobCodec[T any]() Codec[T] { return am.GobCodec[T]() }
 
 // HasFixedLayout reports whether FixedCodec[T] would succeed.
 func HasFixedLayout[T any]() bool { return am.HasFixedLayout[T]() }

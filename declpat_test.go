@@ -1,6 +1,7 @@
 package declpat_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -142,8 +143,9 @@ func TestPublicAPIStats(t *testing.T) {
 }
 
 // TestPublicAPICodecSeam exercises the exported message-type and codec
-// surface: RegisterMsgType with options, the fixed/gob codec constructors,
-// and a custom Codec implementation, all without touching internal/am.
+// surface: RegisterMsgType with options, the fixed codec constructor, and
+// WithWire's refusal of a type the fixed codec cannot carry, all without
+// touching internal/am.
 func TestPublicAPICodecSeam(t *testing.T) {
 	type pair struct {
 		V declpat.Vertex
@@ -191,10 +193,19 @@ func TestPublicAPICodecSeam(t *testing.T) {
 	for name, opt := range map[string]declpat.MsgOption[pair]{
 		"wire-auto":   declpat.WithWire[pair](),
 		"codec-fixed": declpat.WithCodec(fixed),
-		"codec-gob":   declpat.WithCodec(declpat.GobCodec[pair]()),
 	} {
 		if got := run(opt); got != base {
 			t.Fatalf("%s: sum = %d, want %d", name, got, base)
 		}
 	}
+
+	// WithWire refuses a non-fixed-layout payload at registration, before
+	// Run, and the panic names the payload type.
+	type tagged struct{ Tag string }
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "tagged") {
+			t.Fatalf("WithWire on a string payload: recovered %v, want a panic naming the type", r)
+		}
+	}()
+	declpat.RegisterMsgType(declpat.New(1), "notes", func(*declpat.Rank, tagged) {}, declpat.WithWire[tagged]())
 }

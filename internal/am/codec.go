@@ -1,9 +1,7 @@
 package am
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/bits"
@@ -16,25 +14,19 @@ import (
 // Wire codecs.
 //
 // A Codec[T] turns a coalesced batch []T into wire bytes and back. Message
-// types that ship through the wire transport (WithWire / WithCodec /
-// WithGobTransport) encode every envelope with their registered codec, seal
-// it with a CRC-64 checksum, account the true serialized size in
-// Stats.WireBytes, and decode on arrival.
+// types that ship through the wire transport (WithWire / WithCodec) encode
+// every envelope with their registered codec, seal it with a CRC-64
+// checksum, account the true serialized size in Stats.WireBytes, and decode
+// on arrival.
 //
-// Two codecs are bundled:
-//
-//   - FixedCodec: a zero-reflection fixed word-schema encoding for
-//     pointer-free payload types (the vertex/distance/component structs every
-//     bundled algorithm ships). The schema — the flattened sequence of
-//     primitive lanes of T — is computed once at construction with
-//     reflection; encoding and decoding then run over a precomputed offset
-//     table with no reflection, no type metadata on the wire, and no
-//     allocation (buffers come from pools).
-//   - GobCodec: the encoding/gob fallback. It handles any gob-encodable T
-//     (including reference types FixedCodec rejects) at the cost of
-//     reflection and a full type descriptor retransmitted per envelope.
-//
-// WithWire auto-selects: FixedCodec when T qualifies, GobCodec otherwise.
+// One codec ships: FixedCodec, a zero-reflection fixed word-schema encoding
+// for pointer-free payload types (the vertex/distance/component structs
+// every bundled algorithm ships). The schema — the flattened sequence of
+// primitive lanes of T — is computed once at construction with reflection;
+// encoding and decoding then run over a precomputed offset table with no
+// reflection, no type metadata on the wire, and no allocation (buffers come
+// from pools). WithWire selects it and rejects a T it cannot encode;
+// WithCodec plugs in any other Codec[T].
 
 // Codec serializes batches of one message type for the wire transport.
 // Implementations must be safe for concurrent use: one codec instance
@@ -49,7 +41,7 @@ import (
 // malformed bytes it returns an error and the transport routes the envelope
 // through the corruption→retransmit path instead of crashing the rank.
 type Codec[T any] interface {
-	// Name identifies the codec in diagnostics ("fixed", "gob", ...).
+	// Name identifies the codec in diagnostics ("fixed", ...).
 	Name() string
 	Append(dst []byte, batch []T) ([]byte, error)
 	Decode(dst []T, b []byte) ([]T, error)
@@ -94,9 +86,9 @@ func (wp wirePayload) release() {
 
 // --- fixed word-schema codec ---------------------------------------------
 
-// The fixed codec's wire format (version 1):
+// The fixed codec's wire format:
 //
-//	envelope := version(1 byte = 0x01) uvarint(count) message*
+//	envelope := uvarint(count) message*
 //	message  := bitmap( ceil(lanes/8) bytes ) word*
 //
 // The schema flattens T into an ordered list of primitive lanes (struct
@@ -104,12 +96,11 @@ func (wp wirePayload) release() {
 // lane i is non-zero; bool lanes are carried entirely by their bit, every
 // other set lane appends one uvarint word in lane order. Transforms make
 // common values small: signed lanes are zigzag-encoded, float lanes are
-// bit-reversed (as in gob, so round float values keep leading zeros).
-// Zero-heavy payloads — the common case for coalesced algorithm traffic —
-// cost one bitmap bit per absent field instead of gob's per-field tags and
-// per-envelope type descriptor.
-
-const fixedWireVersion = 1
+// bit-reversed (so round float values keep leading zeros). Zero-heavy
+// payloads — the common case for coalesced algorithm traffic — cost one
+// bitmap bit per absent field. The envelope carries no version: envelopes
+// cross a process boundary only on a socket, whose hello carries
+// frame.Version.
 
 // laneKind classifies one primitive lane of a fixed-layout schema.
 type laneKind uint8
@@ -175,9 +166,9 @@ type fixedCodec[T any] struct {
 
 // FixedCodec constructs the fixed word-schema codec for T. It returns an
 // error when T is not a fixed-layout type (contains pointers, slices, maps,
-// strings, interfaces, chans, funcs, or complex numbers); such types must
-// use GobCodec. All reflection happens here, once; the returned codec's
-// encode and decode paths are reflection-free.
+// strings, interfaces, chans, funcs, or complex numbers); such types need a
+// codec of their own (WithCodec). All reflection happens here, once; the
+// returned codec's encode and decode paths are reflection-free.
 func FixedCodec[T any]() (Codec[T], error) {
 	var zero T
 	t := reflect.TypeOf(zero)
@@ -303,7 +294,6 @@ func storeLane(base unsafe.Pointer, ln lane, w uint64) bool {
 }
 
 func (c *fixedCodec[T]) Append(dst []byte, batch []T) ([]byte, error) {
-	dst = append(dst, fixedWireVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
 	for i := range batch {
 		base := unsafe.Pointer(&batch[i])
@@ -327,10 +317,6 @@ func (c *fixedCodec[T]) Append(dst []byte, batch []T) ([]byte, error) {
 }
 
 func (c *fixedCodec[T]) Decode(dst []T, b []byte) ([]T, error) {
-	if len(b) < 1 || b[0] != fixedWireVersion {
-		return nil, fmt.Errorf("am: fixed codec: bad wire version")
-	}
-	b = b[1:]
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, fmt.Errorf("am: fixed codec: truncated count")
@@ -381,37 +367,4 @@ func (c *fixedCodec[T]) Decode(dst []T, b []byte) ([]T, error) {
 		return nil, fmt.Errorf("am: fixed codec: %d trailing bytes", len(b))
 	}
 	return dst, nil
-}
-
-// --- gob fallback codec ----------------------------------------------------
-
-// gobCodec wraps encoding/gob as a Codec. It is the registered fallback:
-// reflective, allocation-heavy, and it retransmits the full type descriptor
-// with every envelope, but it accepts any gob-encodable payload type.
-type gobCodec[T any] struct{}
-
-// GobCodec returns the encoding/gob fallback codec for T. Payload type T
-// must be gob-encodable (exported fields).
-func GobCodec[T any]() Codec[T] { return gobCodec[T]{} }
-
-func (gobCodec[T]) Name() string { return "gob" }
-
-func (gobCodec[T]) Append(dst []byte, batch []T) ([]byte, error) {
-	buf := bytes.NewBuffer(dst)
-	if err := gob.NewEncoder(buf).Encode(batch); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func (gobCodec[T]) Decode(dst []T, b []byte) ([]T, error) {
-	// gob omits zero-valued fields on the wire and leaves the corresponding
-	// destination memory untouched on decode, so a recycled batch's stale
-	// elements must be zeroed before gob writes into them.
-	clear(dst[:cap(dst)])
-	decoded := dst[:0]
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&decoded); err != nil {
-		return nil, err
-	}
-	return decoded, nil
 }

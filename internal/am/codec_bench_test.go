@@ -27,62 +27,58 @@ func benchBatch(n int) []benchMsg {
 	return batch
 }
 
-func benchCodecs(b *testing.B) map[string]Codec[benchMsg] {
+func benchCodec(b *testing.B) Codec[benchMsg] {
 	fixed, err := FixedCodec[benchMsg]()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return map[string]Codec[benchMsg]{"fixed": fixed, "gob": GobCodec[benchMsg]()}
+	return fixed
 }
 
 // BenchmarkCodecEncode measures encoding a coalesced 64-message batch into a
 // reused buffer. wire_B reports the encoded size.
 func BenchmarkCodecEncode(b *testing.B) {
-	batch := benchBatch(64)
-	for name, c := range benchCodecs(b) {
-		b.Run(name, func(b *testing.B) {
-			var buf []byte
-			var n int
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var err error
-				buf, err = c.Append(buf[:0], batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(buf)
+	batch, c := benchBatch(64), benchCodec(b)
+	b.Run("fixed", func(b *testing.B) {
+		var buf []byte
+		var n int
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			buf, err = c.Append(buf[:0], batch)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(n), "wire_B")
-		})
-	}
+			n = len(buf)
+		}
+		b.ReportMetric(float64(n), "wire_B")
+	})
 }
 
 // BenchmarkCodecDecode measures decoding into a reused destination slice —
 // the receive-side pool pattern.
 func BenchmarkCodecDecode(b *testing.B) {
-	batch := benchBatch(64)
-	for name, c := range benchCodecs(b) {
-		b.Run(name, func(b *testing.B) {
-			wire, err := c.Append(nil, batch)
+	batch, c := benchBatch(64), benchCodec(b)
+	b.Run("fixed", func(b *testing.B) {
+		wire, err := c.Append(nil, batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst := make([]benchMsg, 0, len(batch))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, err := c.Decode(dst[:0], wire)
 			if err != nil {
 				b.Fatal(err)
 			}
-			dst := make([]benchMsg, 0, len(batch))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, err := c.Decode(dst[:0], wire)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dst = out[:0]
-			}
-		})
-	}
+			dst = out[:0]
+		}
+	})
 }
 
 // BenchmarkCodecTransport runs a full wire-encoded epoch (encode, checksum,
-// decode, pooled buffers, reliable delivery) under each codec, plus the
-// trusted in-memory transport as the floor.
+// decode, pooled buffers, reliable delivery) under the fixed codec, beside
+// the same epoch shipping batches in memory as the floor.
 func BenchmarkCodecTransport(b *testing.B) {
 	const ranks, per = 2, 256
 	run := func(b *testing.B, mk func(*MsgType[benchMsg])) {
@@ -108,5 +104,4 @@ func BenchmarkCodecTransport(b *testing.B) {
 	}
 	b.Run("reference", func(b *testing.B) { run(b, nil) })
 	b.Run("fixed", func(b *testing.B) { run(b, func(mt *MsgType[benchMsg]) { mt.WithWire() }) })
-	b.Run("gob", func(b *testing.B) { run(b, func(mt *MsgType[benchMsg]) { mt.WithGobTransport() }) })
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // codecPayload exercises every lane kind: unsigned and signed integers of
@@ -107,17 +108,16 @@ func TestFixedCodecMalformedInputs(t *testing.T) {
 	valid, _ := c.Append(nil, samplePayloads())
 	cases := map[string][]byte{
 		"empty":           {},
-		"bad version":     {0x7f, 0x01},
-		"truncated count": {fixedWireVersion},
-		"absurd count":    {fixedWireVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-		"count past end":  {fixedWireVersion, 0x10},
+		"truncated count": {0x80},
+		"absurd count":    {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"count past end":  {0x10},
 		"truncated tail":  valid[:len(valid)-1],
 		"trailing bytes":  append(append([]byte{}, valid...), 0x00),
 	}
 	// A word that overflows its lane: one message, bitmap selecting U8
 	// (lane 0), carrying a 2-byte varint value 300 > MaxUint8.
 	cu8, _ := FixedCodec[struct{ V uint8 }]()
-	cases["lane overflow"] = []byte{fixedWireVersion, 0x01, 0x01, 0xac, 0x02}
+	cases["lane overflow"] = []byte{0x01, 0x01, 0xac, 0x02}
 	for name, b := range cases {
 		dec := c
 		if name == "lane overflow" {
@@ -129,49 +129,6 @@ func TestFixedCodecMalformedInputs(t *testing.T) {
 		if _, err := dec.Decode(nil, b); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
 		}
-	}
-}
-
-func TestGobCodecRoundTrip(t *testing.T) {
-	type refPayload struct {
-		ID  uint64
-		Tag string
-		Vs  []int64
-	}
-	c := GobCodec[refPayload]()
-	batch := []refPayload{{ID: 1, Tag: "a", Vs: []int64{1, 2}}, {}, {ID: 3, Tag: "z"}}
-	b, err := c.Append(nil, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Decode(nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, batch) {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if _, err := c.Decode(nil, b[:len(b)/2]); err == nil {
-		t.Error("truncated gob accepted")
-	}
-	if _, err := c.Decode(nil, []byte{0xde, 0xad}); err == nil {
-		t.Error("garbage gob accepted")
-	}
-}
-
-// TestGobCodecDirtyDestination pins the regression where gob's omitted
-// zero-valued fields left stale data in recycled batch elements.
-func TestGobCodecDirtyDestination(t *testing.T) {
-	type p struct{ A, B int64 }
-	c := GobCodec[p]()
-	b, _ := c.Append(nil, []p{{A: 0, B: 5}})
-	dirty := []p{{A: 96, B: 96}}
-	got, err := c.Decode(dirty[:0], b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].A != 0 || got[0].B != 5 {
-		t.Fatalf("stale field survived decode: %+v", got[0])
 	}
 }
 
@@ -235,10 +192,10 @@ func TestDecodeErrorRoutesThroughRetransmit(t *testing.T) {
 	}
 }
 
-// TestWireTransportBothCodecsIdentical ships the same workload through the
-// fixed and gob codecs under faults and checks the handler-observed results
+// TestWireTransportMatchesInMemory ships the same workload through the fixed
+// codec and in memory under faults and checks the handler-observed results
 // agree.
-func TestWireTransportBothCodecsIdentical(t *testing.T) {
+func TestWireTransportMatchesInMemory(t *testing.T) {
 	type msg struct {
 		V uint32
 		D int64
@@ -265,16 +222,15 @@ func TestWireTransportBothCodecsIdentical(t *testing.T) {
 			t.Fatal("expected fixed codec")
 		}
 	})
-	gob := run(func(mt *MsgType[msg]) { mt.WithGobTransport() })
-	if fixed != gob {
-		t.Fatalf("fixed=%d gob=%d", fixed, gob)
+	if mem := run(func(*MsgType[msg]) {}); fixed != mem {
+		t.Fatalf("fixed=%d in-memory=%d", fixed, mem)
 	}
 }
 
-// TestFixedCodecSmallerThanGob pins the size win that motivates the codec:
-// a coalesced batch of zero-heavy word structs must encode smaller under the
-// fixed codec than under gob.
-func TestFixedCodecSmallerThanGob(t *testing.T) {
+// TestFixedCodecSmallerThanStructs pins the size win that motivates the
+// codec: a coalesced batch of zero-heavy word structs must encode in a small
+// fraction of the structs' in-memory bytes.
+func TestFixedCodecSmallerThanStructs(t *testing.T) {
 	type pat struct {
 		Action int32
 		Dest   uint32
@@ -291,9 +247,9 @@ func TestFixedCodecSmallerThanGob(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb, _ := fc.Append(nil, batch)
-	gb, _ := GobCodec[pat]().Append(nil, batch)
-	if len(fb) >= len(gb) {
-		t.Fatalf("fixed %d B >= gob %d B for a zero-heavy batch", len(fb), len(gb))
+	raw := len(batch) * int(unsafe.Sizeof(pat{}))
+	if len(fb)*8 > raw {
+		t.Fatalf("fixed %d B > 1/8 of the structs' %d B for a zero-heavy batch", len(fb), raw)
 	}
-	t.Logf("fixed=%d B, gob=%d B (%.1fx)", len(fb), len(gb), float64(len(gb))/float64(len(fb)))
+	t.Logf("fixed=%d B, structs=%d B (%.1fx)", len(fb), raw, float64(raw)/float64(len(fb)))
 }

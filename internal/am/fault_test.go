@@ -17,7 +17,7 @@ type chatterPayload struct {
 // forwards the message once (Hop 0 → Hop 1), exercising handler sends,
 // multiple epochs, and every rank pair. It returns per-message delivery
 // counts (index = message ID) and the number of user messages sent.
-func runChatter(t *testing.T, cfg Config, perRank int, gobWire bool) ([]int64, int64) {
+func runChatter(t *testing.T, cfg Config, perRank int) ([]int64, int64) {
 	t.Helper()
 	u := NewUniverse(cfg)
 	n := cfg.Ranks
@@ -30,9 +30,6 @@ func runChatter(t *testing.T, cfg Config, perRank int, gobWire bool) ([]int64, i
 			mt.SendTo(r, (r.ID()+1)%r.N(), chatterPayload{ID: m.ID + int64(n*perRank), Hop: 1})
 		}
 	})
-	if gobWire {
-		mt.WithGobTransport()
-	}
 	u.Run(func(r *Rank) {
 		for epoch := 0; epoch < 2; epoch++ {
 			r.Epoch(func(ep *Epoch) {
@@ -67,7 +64,7 @@ func TestReliableExactlyOnceUnderFaults(t *testing.T) {
 				plan := &FaultPlan{Seed: seed, Drop: 0.2, Dup: 0.1, Delay: 0.1}
 				cfg := Config{Ranks: 4, ThreadsPerRank: threads, CoalesceSize: 4,
 					Detector: det, FaultPlan: plan}
-				counts, sent := runChatter(t, cfg, 64, false)
+				counts, sent := runChatter(t, cfg, 64)
 				checkExactlyOnce(t, counts, seed)
 				if sent != int64(len(counts)) {
 					t.Fatalf("MsgsSent = %d, want %d", sent, len(counts))
@@ -119,15 +116,15 @@ func TestFourCounterPollOnlyUnderDrops(t *testing.T) {
 	plan := &FaultPlan{Seed: seed, Drop: 0.2, Dup: 0.1, Delay: 0.15}
 	cfg := Config{Ranks: 3, ThreadsPerRank: 0, CoalesceSize: 3,
 		Detector: DetectorFourCounter, FaultPlan: plan}
-	counts, _ := runChatter(t, cfg, 60, false)
+	counts, _ := runChatter(t, cfg, 60)
 	checkExactlyOnce(t, counts, seed)
 }
 
-// TestGobCorruptionDetectedAndRecovered injects payload corruption into a
-// gob-wire type: every corrupted envelope must be detected by the wire
-// checksum, counted, and recovered by retransmission, with no handler ever
-// observing damaged data.
-func TestGobCorruptionDetectedAndRecovered(t *testing.T) {
+// TestWireCorruptionDetectedAndRecovered injects payload corruption into a
+// wire type: every corrupted envelope must be detected by the wire checksum,
+// counted, and recovered by retransmission, with no handler ever observing
+// damaged data.
+func TestWireCorruptionDetectedAndRecovered(t *testing.T) {
 	const seed = 5150
 	plan := &FaultPlan{Seed: seed, Corrupt: 0.3}
 	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, FaultPlan: plan}
@@ -139,7 +136,7 @@ func TestGobCorruptionDetectedAndRecovered(t *testing.T) {
 		if m.Hop != m.ID*3 {
 			bad.Add(1)
 		}
-	}).WithGobTransport()
+	}).WithWire()
 	const per = 300
 	u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
@@ -166,7 +163,7 @@ func TestGobCorruptionDetectedAndRecovered(t *testing.T) {
 // fault rates zero: pure protocol overhead, no faults, exact delivery.
 func TestReliableZeroRatesProtocolOnly(t *testing.T) {
 	cfg := Config{Ranks: 3, ThreadsPerRank: 2, FaultPlan: &FaultPlan{Seed: 1}}
-	counts, _ := runChatter(t, cfg, 40, false)
+	counts, _ := runChatter(t, cfg, 40)
 	checkExactlyOnce(t, counts, 1)
 }
 

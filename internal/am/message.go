@@ -316,14 +316,16 @@ func (t *MsgType[T]) WithCodec(c Codec[T]) *MsgType[T] {
 	return t
 }
 
-// WithWire enables the wire transport with the best available codec: the
-// zero-reflection fixed word-schema codec when T qualifies (no reference
-// types), the gob fallback otherwise.
+// WithWire enables the wire transport with the zero-reflection fixed
+// word-schema codec. It panics, naming T, when T is not a fixed-layout type
+// (it holds a reference or complex component): such a type needs a codec of
+// its own (WithCodec).
 func (t *MsgType[T]) WithWire() *MsgType[T] {
-	if c, err := FixedCodec[T](); err == nil {
-		return t.WithCodec(c)
+	c, err := FixedCodec[T]()
+	if err != nil {
+		panic(fmt.Sprintf("am: WithWire on message type %q: %v", t.name, err))
 	}
-	return t.WithCodec(GobCodec[T]())
+	return t.WithCodec(c)
 }
 
 // CodecName reports the wire codec in use ("" when the type ships in-memory).
@@ -332,16 +334,6 @@ func (t *MsgType[T]) CodecName() string {
 		return ""
 	}
 	return t.codec.Name()
-}
-
-// WithGobTransport routes this type's envelopes through the encoding/gob
-// wire codec. Payload type T must be gob-encodable (exported fields).
-//
-// Deprecated: use WithWire (auto-selects the fixed codec when T qualifies)
-// or WithCodec. WithGobTransport remains for measuring the gob fallback and
-// for types that need gob's self-describing stream.
-func (t *MsgType[T]) WithGobTransport() *MsgType[T] {
-	return t.WithCodec(GobCodec[T]())
 }
 
 // Name returns the registration name.

@@ -44,14 +44,12 @@ import (
 // host's slice of the ranks and dials the other hosts' listeners, so kill -9
 // on a rank host is a real connection failure.
 
-// Handshake constants. The dialer opens every connection with
-// magic, version, src rank, dest rank, and the universe's instance id; the
-// acceptor validates all five and answers one status byte.
+// Handshake. The dialer opens every connection with a hello frame
+// (frame.Hello with magic sockMagic, then u32 src rank, u32 dest rank and the
+// universe's u64 instance id); the acceptor validates all of it and answers
+// one status byte.
 const (
-	sockMagic   = "DPS1"
-	sockVersion = 1
-
-	helloLen  = 4 + 2 + 4 + 4 + 8
+	sockMagic = "DPS1"
 	statusOK  = 0
 	statusBad = 1
 )
@@ -400,15 +398,12 @@ func (t *sockTransport) dialLink(src, dest int) (net.Conn, error) {
 
 // handshake runs the dialer side: hello out, status byte back.
 func (t *sockTransport) handshake(conn net.Conn, src, dest int) error {
-	hello := make([]byte, 0, helloLen)
-	hello = append(hello, sockMagic...)
-	hello = binary.LittleEndian.AppendUint16(hello, sockVersion)
+	hello := frame.Hello(frame.Begin(nil, frame.KindHello), sockMagic)
 	hello = binary.LittleEndian.AppendUint32(hello, uint32(src))
 	hello = binary.LittleEndian.AppendUint32(hello, uint32(dest))
 	hello = binary.LittleEndian.AppendUint64(hello, t.id)
-	deadline := time.Now().Add(t.opt.DialTimeout)
-	conn.SetDeadline(deadline)
-	if _, err := conn.Write(hello); err != nil {
+	conn.SetDeadline(time.Now().Add(t.opt.DialTimeout))
+	if _, err := conn.Write(frame.Seal(hello)); err != nil {
 		return fmt.Errorf("handshake write: %w", err)
 	}
 	var status [1]byte
@@ -447,44 +442,49 @@ func (t *sockTransport) acceptLoop(rank int, ln net.Listener) {
 }
 
 // handleConn validates the acceptor side of the handshake, registers the
-// connection as the link's reader, and runs the frame-read loop.
+// connection as the link's reader, and runs the frame-read loop. A hello
+// that does not arrive whole within DialTimeout, or fails any check, is
+// refused with statusBad and the connection closed.
 func (t *sockTransport) handleConn(rank int, conn net.Conn) {
 	defer t.wg.Done()
-	reject := func() {
-		conn.Write([]byte{statusBad})
-		t.unregister(conn, -1, -1)
-		conn.Close()
-	}
 	conn.SetDeadline(time.Now().Add(t.opt.DialTimeout))
-	hello := make([]byte, helloLen)
-	if _, err := io.ReadFull(conn, hello); err != nil {
-		t.unregister(conn, -1, -1)
-		conn.Close()
-		return
+	src, ok := t.acceptHello(conn, rank)
+	status := byte(statusOK)
+	if !ok {
+		status = statusBad
 	}
-	src := int(binary.LittleEndian.Uint32(hello[6:]))
-	dest := int(binary.LittleEndian.Uint32(hello[10:]))
-	uid := binary.LittleEndian.Uint64(hello[14:])
-	if string(hello[:4]) != sockMagic ||
-		binary.LittleEndian.Uint16(hello[4:]) != sockVersion ||
-		uid != t.id || dest != rank ||
-		src < 0 || src >= t.u.cfg.Ranks || src == dest {
-		reject()
-		return
-	}
-	if _, err := conn.Write([]byte{statusOK}); err != nil {
+	if _, err := conn.Write([]byte{status}); !ok || err != nil {
 		t.unregister(conn, -1, -1)
 		conn.Close()
 		return
 	}
 	conn.SetDeadline(time.Time{})
-	if !t.register(conn, src, dest) {
+	if !t.register(conn, src, rank) {
 		conn.Close()
 		return
 	}
-	t.serveConn(conn, src, dest)
-	t.unregister(conn, src, dest)
+	t.serveConn(conn, src, rank)
+	t.unregister(conn, src, rank)
 	conn.Close()
+}
+
+// acceptHello reads the dialer's hello frame and checks it against this
+// transport and the listening rank, returning the dialing rank.
+func (t *sockTransport) acceptHello(conn net.Conn, rank int) (src int, ok bool) {
+	// A hello frame announces 31 bytes; a stray announcing more is refused
+	// unread.
+	payload, _, err := frame.Read(conn, nil, 64)
+	if err != nil || payload[0] != frame.KindHello {
+		return 0, false
+	}
+	body, err := frame.CheckHello(payload[1:], sockMagic)
+	if err != nil || len(body) != 4+4+8 {
+		return 0, false
+	}
+	src = int(binary.LittleEndian.Uint32(body))
+	dest := int(binary.LittleEndian.Uint32(body[4:]))
+	return src, dest == rank && src >= 0 && src < t.u.cfg.Ranks && src != dest &&
+		binary.LittleEndian.Uint64(body[8:]) == t.id
 }
 
 // register promotes a handshaken connection to the (src → dest) reader slot,

@@ -1,13 +1,18 @@
 package am
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"declpat/internal/frame"
 )
 
 // requireLoopback skips socket tests in environments that forbid binding
@@ -99,6 +104,99 @@ func TestSockExactlyOnce(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSockHandshakeRejects dials rank 1's listener of a running socket
+// universe with hand-built hellos, each followed by a data frame that rank 1
+// would deliver if the connection were admitted. Every bad hello must be
+// answered statusBad and closed with nothing delivered; the good one is
+// answered statusOK and its frame reaches rank 1's inbox.
+func TestSockHandshakeRejects(t *testing.T) {
+	requireLoopback(t)
+	tr := SockTransport(fastSockOptions("tcp")).(*sockTransport)
+	// No handler threads and no epoch: whatever a connection delivers stays
+	// in the inbox for the test to count.
+	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 0, Transport: tr})
+	mt := Register(u, "val", func(r *Rank, m chatterPayload) {}).WithWire()
+
+	hello := func(magic string, version uint16, src, dest uint32, id uint64) []byte {
+		f := binary.LittleEndian.AppendUint16(append(frame.Begin(nil, frame.KindHello), magic...), version)
+		f = binary.LittleEndian.AppendUint32(f, src)
+		f = binary.LittleEndian.AppendUint32(f, dest)
+		return frame.Seal(binary.LittleEndian.AppendUint64(f, id))
+	}
+	payload, _ := mt.codec.Append(nil, []chatterPayload{{ID: 7}})
+	data := frame.Begin(nil, frameData)
+	data = binary.LittleEndian.AppendUint32(data, uint32(mt.id))
+	data = append(data, make([]byte, 8+8+8)...) // seq, gen, qid
+	data = binary.LittleEndian.AppendUint64(data, frame.Checksum(payload))
+	data = binary.LittleEndian.AppendUint32(data, 0) // no lineage
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(payload)))
+	data = frame.Seal(append(data, payload...))
+
+	// dial sends in (then half-closes when truncated) and returns everything
+	// the acceptor answers before closing.
+	dial := func(in []byte, truncated bool) []byte {
+		conn, err := net.Dial("tcp", tr.addrs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.Write(in)
+		if truncated {
+			conn.(*net.TCPConn).CloseWrite()
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got, _ := io.ReadAll(conn)
+		return got
+	}
+	good := hello(sockMagic, frame.Version, 0, 1, tr.id)
+	err := u.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			for _, tc := range []struct {
+				name string
+				in   []byte
+			}{
+				{"wrong magic", hello("DPCP", frame.Version, 0, 1, tr.id)},
+				{"wrong version", hello(sockMagic, frame.Version+1, 0, 1, tr.id)},
+				{"wrong run id", hello(sockMagic, frame.Version, 0, 1, tr.id+1)},
+				{"wrong dest rank", hello(sockMagic, frame.Version, 0, 0, tr.id)},
+				{"data before hello", data},
+			} {
+				if got := dial(append(append([]byte(nil), tc.in...), data...), false); !bytes.Equal(got, []byte{statusBad}) {
+					t.Errorf("%s: acceptor answered %v, want [statusBad] then close", tc.name, got)
+				}
+			}
+			if got := dial(good[:len(good)/2], true); !bytes.Equal(got, []byte{statusBad}) {
+				t.Errorf("truncated hello: acceptor answered %v, want [statusBad] then close", got)
+			}
+			if n := u.ranks[0].inbox.Len() + u.ranks[1].inbox.Len(); n != 0 {
+				t.Errorf("%d envelopes delivered through refused connections", n)
+			}
+
+			conn, err := net.Dial("tcp", tr.addrs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.Write(append(append([]byte(nil), good...), data...))
+			var status [1]byte
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := io.ReadFull(conn, status[:]); err != nil || status[0] != statusOK {
+				t.Fatalf("good hello: status %v, %v; want statusOK", status, err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); u.ranks[1].inbox.Len() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the admitted connection's data frame never reached rank 1")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		r.Barrier()
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 

@@ -92,7 +92,7 @@ func (s *Stats) Envelopes() int64 { return s.c.Total(cEnvelopes) }
 // BytesSent counts payload bytes (message size × messages, exact).
 func (s *Stats) BytesSent() int64 { return s.c.Total(cBytesSent) }
 
-// WireBytes counts serialized envelope bytes for message types using the gob
+// WireBytes counts serialized envelope bytes for message types using the
 // wire transport (0 for in-memory transport).
 func (s *Stats) WireBytes() int64 { return s.c.Total(cWireBytes) }
 

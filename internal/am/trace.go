@@ -40,7 +40,7 @@ const (
 	// TraceRetransmit: the sender retransmitted an unacknowledged
 	// envelope (Arg = type id, Arg2 = seq).
 	TraceRetransmit
-	// TraceCorrupt: a gob-wire envelope failed its checksum at the
+	// TraceCorrupt: a wire envelope failed its checksum at the
 	// receiver and was discarded (Arg = type id, Arg2 = seq).
 	TraceCorrupt
 	// TraceSuppress: the receiver's dedup window discarded a duplicate

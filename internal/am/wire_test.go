@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-func TestGobTransportDeliversIntact(t *testing.T) {
+func TestWireTransportDeliversIntact(t *testing.T) {
 	type payload struct {
 		ID   uint64
 		Vals [4]int64
-		Tag  string
+		Tag  byte
 	}
 	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 8})
 	var sum atomic.Int64
@@ -17,16 +17,16 @@ func TestGobTransportDeliversIntact(t *testing.T) {
 	mt := Register(u, "wire", func(r *Rank, m payload) {
 		handled.Add(1)
 		sum.Add(int64(m.ID) + m.Vals[0] + m.Vals[3])
-		if m.Tag != "x" {
+		if m.Tag != 'x' {
 			t.Errorf("tag corrupted: %q", m.Tag)
 		}
-	}).WithGobTransport()
+	}).WithWire()
 	const per = 100
 	u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			for i := 0; i < per; i++ {
 				mt.SendTo(r, 1-r.ID(), payload{
-					ID: uint64(i), Vals: [4]int64{int64(i), 0, 0, 7}, Tag: "x",
+					ID: uint64(i), Vals: [4]int64{int64(i), 0, 0, 7}, Tag: 'x',
 				})
 			}
 		})
@@ -46,7 +46,7 @@ func TestGobTransportDeliversIntact(t *testing.T) {
 	}
 }
 
-func TestGobTransportWithReduction(t *testing.T) {
+func TestWireTransportWithReduction(t *testing.T) {
 	type upd struct {
 		K uint64
 		V int64
@@ -54,7 +54,7 @@ func TestGobTransportWithReduction(t *testing.T) {
 	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
 	var handled atomic.Int64
 	mt := Register(u, "upd", func(r *Rank, m upd) { handled.Add(1) }).
-		WithGobTransport().
+		WithWire().
 		WithReduction(
 			func(m upd) uint64 { return m.K },
 			func(old, in upd) (upd, bool) { return old, false },

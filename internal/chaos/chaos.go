@@ -42,11 +42,10 @@ type Scenario struct {
 	// Plan is the fault plan; nil runs the trusted transport (the
 	// fault-free baseline).
 	Plan *am.FaultPlan
-	// WireCodec routes the pattern engine's message type through the wire
-	// transport (so Corrupt faults apply to it) with the named codec:
-	// "gob" (the reflective fallback), "fixed" (the zero-reflection
-	// word-schema codec), or "" for the in-memory reference transport.
-	WireCodec string
+	// Wire routes the pattern engine's message type through the wire
+	// transport with the fixed codec (so Corrupt faults apply to it); false
+	// ships it in memory (the reference transport).
+	Wire bool
 	// Recovery enables epoch-granular checkpoint/restart: rank faults
 	// (injected crashes, dead links, contained panics) roll the damaged
 	// epoch back and replay it instead of failing the run.
@@ -56,8 +55,8 @@ type Scenario struct {
 	// Transport selects the message backend: "" or "chan" for the
 	// in-process channel transport, "unix" or "tcp" for real sockets
 	// (loopback), where every envelope is framed, CRC-sealed, and crosses a
-	// kernel socket. Socket scenarios default WireCodec to "fixed" — the
-	// backend refuses codec-less types.
+	// kernel socket. Socket scenarios always ship on the wire — the backend
+	// refuses codec-less types.
 	Transport string
 	// SockFaults injects socket-level failures (connection kills, one-way
 	// partitions, link flaps) into a socket transport; ignored on "chan".
@@ -69,8 +68,8 @@ type Scenario struct {
 // String names the scenario for test output.
 func (sc Scenario) String() string {
 	wire := ""
-	if sc.WireCodec != "" {
-		wire = "/wire=" + sc.WireCodec
+	if sc.Wire {
+		wire = "/wire=fixed"
 	}
 	if sc.Transport != "" && sc.Transport != "chan" {
 		wire += "/transport=" + sc.Transport
@@ -136,26 +135,9 @@ func engine(w Workload, sc Scenario, gopts distgraph.Options) (*am.Universe, *pa
 	g := distgraph.Build(d, w.Edges, gopts)
 	lm := pmap.NewLockMap(d, 1)
 	eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
-	codec := sc.WireCodec
-	if codec == "" && sc.Transport != "" && sc.Transport != "chan" {
-		// Socket backends refuse codec-less types; the zero-reflection
-		// fixed codec is the natural default for the engine's message.
-		codec = "fixed"
-	}
-	switch codec {
-	case "":
-	case "gob":
-		eng.MsgType().WithGobTransport()
-	case "fixed":
-		// WithWire auto-selects the fixed codec for the engine's
-		// pointer-free message type; the assertion pins that property so a
-		// future reference-typed field can't silently demote the chaos
-		// matrix to the gob fallback.
-		if eng.MsgType().WithWire().CodecName() != "fixed" {
-			panic("chaos: pattern message type no longer has a fixed layout")
-		}
-	default:
-		panic(fmt.Sprintf("chaos: unknown WireCodec %q", codec))
+	if sc.Wire || (sc.Transport != "" && sc.Transport != "chan") {
+		// Socket backends refuse codec-less types.
+		eng.MsgType().WithWire()
 	}
 	return u, eng, lm
 }

@@ -112,8 +112,8 @@ func TestCCUnderChaos(t *testing.T) {
 }
 
 // TestCorruptionUnderChaos routes the pattern engine's messages through the
-// gob wire transport and corrupts payloads in flight: the checksum must
-// catch every corruption and retransmits must recover exact results.
+// wire transport and corrupts payloads in flight: the checksum must catch
+// every corruption and retransmits must recover exact results.
 func TestCorruptionUnderChaos(t *testing.T) {
 	w := workload(t, 8, 6)
 	src := distgraph.Vertex(1)
@@ -123,21 +123,21 @@ func TestCorruptionUnderChaos(t *testing.T) {
 		Corrupt: 0.15,
 	}
 	sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: am.DetectorAtomic,
-		Plan: plan, WireCodec: "gob"}
+		Plan: plan, Wire: true}
 	base := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: am.DetectorAtomic,
-		WireCodec: "gob"}
+		Wire: true}
 	want, _ := RunBFS(w, base, src)
 	got, stats := RunBFS(w, sc, src)
-	check(t, "BFS+gob", sc, got, want)
+	check(t, "BFS+wire", sc, got, want)
 	if stats.CorruptionsDetected == 0 {
 		t.Fatalf("no corruptions detected at 15%% corruption (seed %d)", plan.Seed)
 	}
 }
 
-// TestWireCodecsUnderChaos runs BFS/SSSP/CC through both wire codecs under
-// drop+dup+delay+corrupt faults on both detectors: every codec's result must
-// be bit-identical to the in-memory fault-free run (and therefore to the
-// other codec's), and the corruption checksum must actually fire.
+// TestWireCodecsUnderChaos runs BFS/SSSP/CC through the fixed wire codec
+// under drop+dup+delay+corrupt faults on both detectors: every result must be
+// bit-identical to the in-memory fault-free run, and the corruption checksum
+// must actually fire.
 func TestWireCodecsUnderChaos(t *testing.T) {
 	w := workload(t, 8, 6)
 	src := distgraph.Vertex(3)
@@ -149,28 +149,24 @@ func TestWireCodecsUnderChaos(t *testing.T) {
 		Corrupt: 0.10,
 	}
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		for _, codec := range []string{"gob", "fixed"} {
-			sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: det,
-				Plan: plan, WireCodec: codec}
-			base := sc
-			base.Plan = nil
-			base.WireCodec = ""
+		sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: det, Plan: plan, Wire: true}
+		base := sc
+		base.Plan, base.Wire = nil, false
 
-			want, _ := RunBFS(w, base, src)
-			got, stats := RunBFS(w, sc, src)
-			check(t, "BFS+"+codec, sc, got, want)
-			if stats.CorruptionsDetected == 0 {
-				t.Fatalf("BFS under %s: no corruptions detected at 10%% corruption", sc)
-			}
-
-			wantD, _ := RunSSSP(w, base, src, 30)
-			gotD, _ := RunSSSP(w, sc, src, 30)
-			check(t, "SSSP+"+codec, sc, gotD, wantD)
-
-			wantC, _ := RunCC(w, base)
-			gotC, _ := RunCC(w, sc)
-			check(t, "CC+"+codec, sc, gotC, wantC)
+		want, _ := RunBFS(w, base, src)
+		got, stats := RunBFS(w, sc, src)
+		check(t, "BFS+fixed", sc, got, want)
+		if stats.CorruptionsDetected == 0 {
+			t.Fatalf("BFS under %s: no corruptions detected at 10%% corruption", sc)
 		}
+
+		wantD, _ := RunSSSP(w, base, src, 30)
+		gotD, _ := RunSSSP(w, sc, src, 30)
+		check(t, "SSSP+fixed", sc, gotD, wantD)
+
+		wantC, _ := RunCC(w, base)
+		gotC, _ := RunCC(w, sc)
+		check(t, "CC+fixed", sc, gotC, wantC)
 	}
 }
 
@@ -182,10 +178,10 @@ func TestWireCodecCrashRecovery(t *testing.T) {
 	src := distgraph.Vertex(3)
 	for name, plan := range crashSchedules() {
 		for _, sc := range recoveryScenarios(plan) {
-			sc.WireCodec = "fixed"
+			sc.Wire = true
 			t.Run(fmt.Sprintf("%s/%s", name, sc.Detector), func(t *testing.T) {
 				base := sc
-				base.Plan, base.Recovery, base.WireCodec = nil, false, ""
+				base.Plan, base.Recovery, base.Wire = nil, false, false
 				want, _ := RunBFS(w, base, src)
 				got, stats := RunBFS(w, sc, src)
 				check(t, "BFS+fixed", sc, got, want)

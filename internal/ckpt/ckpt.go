@@ -1,14 +1,15 @@
 // Package ckpt is the serialized checkpoint layer behind multi-process
 // crash recovery: a tiny append-style binary codec (Enc/Dec) shared by the
 // property-map / Δ-bucket / engine snapshot encoders and the control-plane
-// wire frames, plus the versioned on-disk checkpoint file a replacement
-// worker process reloads after a crash.
+// wire frames, plus the on-disk checkpoint file a replacement worker process
+// reloads after a crash.
 //
-// The file format (magic "DPCK") is deliberately dumb: a fixed header
-// identifying the run, epoch and rank range, one length-prefixed blob per
-// (local rank, registered checkpointer) pair in registration order, and a
-// CRC-64 trailer over everything before it. Files are written atomically
-// (temp + rename) so a crash mid-write can never corrupt the previous slot.
+// The file format is deliberately dumb: one internal/frame hello frame
+// (magic "DPCK", so frame.Version versions it) whose body is a fixed header
+// identifying the run, epoch and rank range, then one length-prefixed blob
+// per (local rank, registered checkpointer) pair in registration order; the
+// frame's CRC seals it. Files are written atomically (temp + rename) so a
+// crash mid-write can never corrupt the previous slot.
 package ckpt
 
 import (
@@ -24,12 +25,9 @@ import (
 // Magic identifies a checkpoint file ("DeclPat ChecKpoint").
 const Magic = "DPCK"
 
-// Version is the current checkpoint file format version. Readers reject
-// files with a different version rather than guessing.
-const Version uint16 = 1
-
-// ErrCorrupt is wrapped by ReadFile when the file fails structural or CRC
-// validation.
+// ErrCorrupt is wrapped by Decode and ReadFile when the file fails
+// structural or CRC validation. A file of another frame.Version fails with
+// frame.ErrHello instead.
 var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 
 // Enc is an append-style binary encoder. The zero value is ready to use;
@@ -41,9 +39,6 @@ type Enc struct {
 
 // U8 appends one byte.
 func (e *Enc) U8(v uint8) { e.B = append(e.B, v) }
-
-// U16 appends a little-endian uint16.
-func (e *Enc) U16(v uint16) { e.B = binary.LittleEndian.AppendUint16(e.B, v) }
 
 // U32 appends a little-endian uint32.
 func (e *Enc) U32(v uint32) { e.B = binary.LittleEndian.AppendUint32(e.B, v) }
@@ -107,17 +102,6 @@ func (d *Dec) U8() uint8 {
 	}
 	v := d.B[d.Off]
 	d.Off++
-	return v
-}
-
-// U16 reads a little-endian uint16.
-func (d *Dec) U16() uint16 {
-	if d.Err != nil || d.Off+2 > len(d.B) {
-		d.fail("u16")
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.B[d.Off:])
-	d.Off += 2
 	return v
 }
 
@@ -253,12 +237,10 @@ type Snapshot struct {
 	Blobs [][][]byte
 }
 
-// Encode serializes the snapshot, including the magic, version and CRC-64
-// trailer, ready to be written to disk or shipped over a frame.
+// Encode serializes the snapshot as a sealed DPCK hello frame, ready to be
+// written to disk.
 func (s *Snapshot) Encode() []byte {
-	var e Enc
-	e.B = append(e.B, Magic...)
-	e.U16(Version)
+	e := Enc{B: frame.Hello(frame.Begin(nil, frame.KindHello), Magic)}
 	e.U64(s.RunID)
 	e.I64(s.Epoch)
 	e.U32(s.Lo)
@@ -270,27 +252,20 @@ func (s *Snapshot) Encode() []byte {
 			e.Bytes(b)
 		}
 	}
-	e.U64(frame.Checksum(e.B))
-	return e.B
+	return frame.Seal(e.B)
 }
 
-// Decode parses and validates an encoded snapshot.
+// Decode parses and validates an encoded snapshot: the whole buffer must be
+// one DPCK frame of this frame.Version.
 func Decode(b []byte) (*Snapshot, error) {
-	if len(b) < len(Magic)+2+8 {
-		return nil, fmt.Errorf("%w: short file (%d bytes)", ErrCorrupt, len(b))
+	body, err := frame.Open(b, Magic)
+	if errors.Is(err, frame.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	if string(b[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:len(Magic)])
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	body, trailer := b[:len(b)-8], b[len(b)-8:]
-	want := binary.LittleEndian.Uint64(trailer)
-	if got := frame.Checksum(body); got != want {
-		return nil, fmt.Errorf("%w: CRC mismatch (got %016x want %016x)", ErrCorrupt, got, want)
-	}
-	d := Dec{B: body, Off: len(Magic)}
-	if v := d.U16(); v != Version {
-		return nil, fmt.Errorf("ckpt: unsupported checkpoint version %d (want %d)", v, Version)
-	}
+	d := Dec{B: body}
 	s := &Snapshot{RunID: d.U64(), Epoch: d.I64(), Lo: d.U32(), Hi: d.U32()}
 	// A rank entry is at least its blob count and a blob at least its
 	// length prefix: 4 bytes each.

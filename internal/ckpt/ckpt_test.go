@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,7 +15,6 @@ import (
 func TestEncDecRoundTrip(t *testing.T) {
 	var e Enc
 	e.U8(7)
-	e.U16(65500)
 	e.U32(1 << 30)
 	e.U64(1 << 60)
 	e.I64(-42)
@@ -26,9 +26,6 @@ func TestEncDecRoundTrip(t *testing.T) {
 	d := Dec{B: e.B}
 	if got := d.U8(); got != 7 {
 		t.Fatalf("u8 = %d", got)
-	}
-	if got := d.U16(); got != 65500 {
-		t.Fatalf("u16 = %d", got)
 	}
 	if got := d.U32(); got != 1<<30 {
 		t.Fatalf("u32 = %d", got)
@@ -120,17 +117,34 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersionReject: a sealed frame of another frame.Version or
+// magic, and a slot file in the layout before checkpoints became frames
+// (bare magic, u16 version 1, header, CRC trailer), are version errors —
+// frame.ErrHello, not corruption.
 func TestSnapshotVersionReject(t *testing.T) {
-	enc := testSnapshot().Encode()
-	// Bump the version field and re-seal the CRC: version mismatches must be
-	// reported as such, not as corruption.
-	enc[len(Magic)] = 99
-	body := enc[:len(enc)-8]
-	var e Enc
-	e.B = append(e.B, body...)
-	e.U64(frame.Checksum(body))
-	if _, err := Decode(e.B); err == nil {
-		t.Fatal("future version accepted")
+	header := func(e *Enc) {
+		e.U64(1) // RunID
+		e.I64(0) // Epoch
+		e.U32(0) // Lo
+		e.U32(1) // Hi
+		e.U32(0) // rank entries
+	}
+	other := Enc{B: binary.LittleEndian.AppendUint16(append(frame.Begin(nil, frame.KindHello), Magic...), frame.Version+1)}
+	header(&other)
+	foreign := Enc{B: frame.Hello(frame.Begin(nil, frame.KindHello), "DPFR")}
+	header(&foreign)
+	old := Enc{B: append([]byte(Magic), 1, 0)} // u16 version 1
+	header(&old)
+	old.U64(0) // CRC trailer: never reached, the bare magic gives the file away
+	for name, b := range map[string][]byte{
+		"future version":   frame.Seal(other.B),
+		"other magic":      frame.Seal(foreign.B),
+		"pre-frame layout": old.B,
+	} {
+		_, err := Decode(b)
+		if !errors.Is(err, frame.ErrHello) || errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode = %v, want a version error (frame.ErrHello)", name, err)
+		}
 	}
 }
 
@@ -145,25 +159,23 @@ func TestDecodeBoundsCountsByBytes(t *testing.T) {
 		{"rank count", 1 << 22, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var e Enc
-			e.B = append(e.B, Magic...)
-			e.U16(Version)
+			e := Enc{B: frame.Hello(frame.Begin(nil, frame.KindHello), Magic)}
 			e.U64(1) // RunID
 			e.I64(0) // Epoch
 			e.U32(0) // Lo
 			e.U32(1) // Hi
 			e.U32(tc.nRanks)
 			e.U32(tc.nBlobs)
-			e.U64(frame.Checksum(e.B))
+			file := frame.Seal(e.B)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := Decode(e.B)
+			_, err := Decode(file)
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Decode = %v, want ErrCorrupt", err)
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-				t.Fatalf("Decode allocated %d bytes for a %d-byte file", got, len(e.B))
+				t.Fatalf("Decode allocated %d bytes for a %d-byte file", got, len(file))
 			}
 		})
 	}

@@ -112,9 +112,7 @@ func e21Run(sc Scale, algo, detName string, det am.DetectorKind, tr string,
 		popts = pattern.DefaultPlanOptions()
 	}
 	e := newEnv(cfg, n, edges, gopts, popts)
-	if got := e.eng.MsgType().WithWire().CodecName(); got != "fixed" {
-		panic("E21: pattern message lost its fixed layout: codec " + got)
-	}
+	e.eng.MsgType().WithWire()
 	var body func(r *am.Rank)
 	var gather func() []int64
 	switch algo {

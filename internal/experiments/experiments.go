@@ -57,7 +57,7 @@ func All() []Experiment {
 		{"E17", "observability — sharded counters, timing, and tracing overhead", E17Observability},
 		{"E18", "robustness — checkpoint/recovery overhead vs crash rate", E18Recovery},
 		{"E19", "observability — causal lineage: critical paths, chain depth, overhead", E19Lineage},
-		{"E20", "performance — wire codec: bytes & allocations, fixed vs gob", E20Codec},
+		{"E20", "performance — wire codec: bytes & allocations, fixed vs in-memory reference", E20Codec},
 		{"E21", "robustness — transport seam: chan vs unix vs tcp loopback, faulted links", E21Transport},
 		{"E22", "observability — phase-timer overhead: telemetry plane off vs on", E22PhaseTimers},
 	}

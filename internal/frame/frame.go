@@ -1,15 +1,19 @@
-// Package frame is the one framing layer under the socket data plane
-// (internal/am) and the multi-process control plane (internal/mp):
+// Package frame is the module's one wire and file format. Every socket
+// connection (the data plane in internal/am, the control plane in
+// internal/mp) is a stream of frames, and every file (DPCK checkpoint
+// slots, DPFR flight dumps) is exactly one:
 //
 //	u32 length | u8 kind | body | u64 crc
 //
 // all little-endian, with length covering kind+body+crc (so at least MinLen)
-// and crc the CRC-64/ECMA of kind|body. It also owns the module's single
-// CRC table; the DPCK checkpoint and DPFR flight-dump files seal themselves
-// with the same Checksum.
+// and crc the CRC-64/ECMA of kind|body. A connection's first frame and a
+// file's only frame is a hello — kind KindHello, body opening with a 4-byte
+// magic and Version — so one number versions every format of a build. The
+// package also owns the module's single CRC table.
 package frame
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,6 +25,16 @@ import (
 // plus the checksum.
 const MinLen = 1 + 8
 
+// Version is the format version every hello carries: bumped on any
+// incompatible change to a frame kind or body, a hello, or a file layout.
+// Both ends of a connection, and a file's writer and reader, must match
+// exactly — a fleet runs one binary, so a mismatch means a stale peer or a
+// file from another build.
+const Version uint16 = 2
+
+// KindHello is the kind of a hello frame.
+const KindHello byte = 0
+
 var table = crc64.MakeTable(crc64.ECMA)
 
 // Checksum is the CRC-64/ECMA every seal in the module uses.
@@ -30,6 +44,11 @@ func Checksum(b []byte) uint64 { return crc64.Checksum(b, table) }
 // not a frame: a length prefix out of range or a checksum mismatch. Only a
 // fresh connection recovers a stream that returned it.
 var ErrCorrupt = errors.New("frame: corrupt")
+
+// ErrHello is wrapped by CheckHello and Open when an intact frame is not a
+// hello of the expected magic and Version: a stray from another protocol, or
+// a peer or file from another build.
+var ErrHello = errors.New("frame: bad hello")
 
 // Begin starts a frame of the given kind in dst (usually buf[:0] of a reused
 // buffer): a length placeholder followed by the kind byte. The caller appends
@@ -43,6 +62,24 @@ func Seal(f []byte) []byte {
 	f = binary.LittleEndian.AppendUint64(f, Checksum(f[4:]))
 	binary.LittleEndian.PutUint32(f, uint32(len(f)-4))
 	return f
+}
+
+// Hello appends the opening of a hello body to dst: the 4-byte magic naming
+// the protocol or file, then Version as a u16.
+func Hello(dst []byte, magic string) []byte {
+	return binary.LittleEndian.AppendUint16(append(dst, magic...), Version)
+}
+
+// CheckHello verifies that body opens as Hello(nil, magic) writes it and
+// returns the rest.
+func CheckHello(body []byte, magic string) ([]byte, error) {
+	if len(body) < 4+2 || string(body[:4]) != magic {
+		return nil, fmt.Errorf("%w: want magic %q, got %q", ErrHello, magic, body[:min(len(body), 4)])
+	}
+	if v := binary.LittleEndian.Uint16(body[4:]); v != Version {
+		return nil, fmt.Errorf("%w: %s version %d, want %d", ErrHello, magic, v, Version)
+	}
+	return body[4+2:], nil
 }
 
 // Read reads one frame from r. The announced length is checked against
@@ -70,9 +107,38 @@ func Read(r io.Reader, buf []byte, max uint32) (payload, next []byte, err error)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, buf, err
 	}
-	payload = buf[:n-8]
-	if got, want := Checksum(payload), binary.LittleEndian.Uint64(buf[n-8:]); got != want {
-		return nil, buf, fmt.Errorf("%w: kind %d checksum mismatch (got %016x want %016x)", ErrCorrupt, payload[0], got, want)
+	payload, err = verify(buf)
+	return payload, buf, err
+}
+
+// verify checks the checksum of a frame read whole after its length prefix
+// and returns the payload.
+func verify(f []byte) ([]byte, error) {
+	payload := f[:len(f)-8]
+	if got, want := Checksum(payload), binary.LittleEndian.Uint64(f[len(f)-8:]); got != want {
+		return nil, fmt.Errorf("%w: kind %d checksum mismatch (got %016x want %016x)", ErrCorrupt, payload[0], got, want)
 	}
-	return payload, buf, nil
+	return payload, nil
+}
+
+// Open parses b as a file: exactly one hello frame of the given magic, no
+// byte before or after it. It returns the body after the hello, aliasing b.
+// Damage wraps ErrCorrupt; another magic or Version — including a file
+// written before its format became a frame, which opens with the bare
+// magic — wraps ErrHello.
+func Open(b []byte, magic string) ([]byte, error) {
+	if len(b) < 4+MinLen || int(binary.LittleEndian.Uint32(b)) != len(b)-4 {
+		if bytes.HasPrefix(b, []byte(magic)) {
+			return nil, fmt.Errorf("%w: %s file predates frame version %d", ErrHello, magic, Version)
+		}
+		return nil, fmt.Errorf("%w: %d bytes are not one frame", ErrCorrupt, len(b))
+	}
+	payload, err := verify(b[4:])
+	if err != nil {
+		return nil, err
+	}
+	if payload[0] != KindHello {
+		return nil, fmt.Errorf("%w: frame kind %d, want a hello", ErrHello, payload[0])
+	}
+	return CheckHello(payload[1:], magic)
 }

@@ -90,6 +90,65 @@ func TestReadReusesBuffer(t *testing.T) {
 	}
 }
 
+func TestHelloCheck(t *testing.T) {
+	h := append(Hello(nil, "TEST"), 9, 8)
+	if len(h) != 4+2+2 || binary.LittleEndian.Uint16(h[4:]) != Version {
+		t.Fatalf("hello layout %x: want magic, u16 Version, rest", h)
+	}
+	rest, err := CheckHello(h, "TEST")
+	if err != nil || !bytes.Equal(rest, []byte{9, 8}) {
+		t.Fatalf("CheckHello = %x, %v; want the rest 0908", rest, err)
+	}
+	otherVersion := append([]byte(nil), h...)
+	binary.LittleEndian.PutUint16(otherVersion[4:], Version-1)
+	for name, b := range map[string][]byte{
+		"wrong magic":   Hello(nil, "TESU"),
+		"wrong version": otherVersion,
+		"magic only":    []byte("TEST"),
+		"empty":         nil,
+	} {
+		if _, err := CheckHello(b, "TEST"); !errors.Is(err, ErrHello) {
+			t.Errorf("%s: got %v, want ErrHello", name, err)
+		}
+	}
+}
+
+// TestOpen: a file is exactly one hello frame; damage is ErrCorrupt, another
+// magic, kind or Version is ErrHello, and so is a file in a pre-frame layout
+// that opens with the bare magic.
+func TestOpen(t *testing.T) {
+	file := Seal(append(Hello(Begin(nil, KindHello), "FILE"), "body"...))
+	body, err := Open(file, "FILE")
+	if err != nil || string(body) != "body" {
+		t.Fatalf("Open = %q, %v", body, err)
+	}
+	flipped := append([]byte(nil), file...)
+	flipped[len(flipped)/2] ^= 0x40
+	notHello := Seal(append(Hello(Begin(nil, 1), "FILE"), "body"...))
+	preFrame := append(Hello(nil, "FILE"), "body and an old trailer"...)
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"trailing byte", append(append([]byte(nil), file...), 0), ErrCorrupt},
+		{"truncated", file[:len(file)-1], ErrCorrupt},
+		{"flipped bit", flipped, ErrCorrupt},
+		{"empty", nil, ErrCorrupt},
+		{"other magic", file, ErrHello},
+		{"not a hello", notHello, ErrHello},
+		{"pre-frame layout", preFrame, ErrHello},
+	} {
+		magic := "FILE"
+		if tc.name == "other magic" {
+			magic = "ELIF"
+		}
+		if _, err := Open(tc.in, magic); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // FuzzRead feeds the reader arbitrary streams: it must never panic, never
 // size a buffer past max whatever the length prefix claims, fail only with
 // ErrCorrupt or the stream's own EOF, and accept exactly the frames Seal

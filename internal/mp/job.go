@@ -3,7 +3,6 @@ package mp
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 )
 
 // JobSpec describes the algorithm run a launched fleet executes. Every
@@ -20,8 +19,8 @@ type JobSpec struct {
 	Scale      int    `json:"scale"`
 	EdgeFactor int    `json:"edge_factor"`
 	Seed       uint64 `json:"seed"`
-	WMin int64 `json:"wmin,omitempty"`
-	WMax int64 `json:"wmax,omitempty"`
+	WMin       int64  `json:"wmin,omitempty"`
+	WMax       int64  `json:"wmax,omitempty"`
 	// Ranks is the global rank count, split contiguously over the workers;
 	// Threads is handler threads per rank; Coalesce the coalescing factor
 	// (0 = universe default).
@@ -42,13 +41,6 @@ type JobSpec struct {
 	Dup     float64 `json:"dup,omitempty"`
 	Delay   float64 `json:"delay,omitempty"`
 	Corrupt float64 `json:"corrupt,omitempty"`
-	// Data-plane failure-machinery timings (0 = package defaults tuned for
-	// tests; production fleets should raise them).
-	HeartbeatMS     int `json:"heartbeat_ms,omitempty"`
-	LivenessMS      int `json:"liveness_ms,omitempty"`
-	ReconnectBaseMS int `json:"reconnect_base_ms,omitempty"`
-	ReconnectMaxMS  int `json:"reconnect_max_ms,omitempty"`
-	TickIntervalUS  int `json:"tick_interval_us,omitempty"`
 	// TraceDir, when set, makes each worker capture a timed trace and write
 	// it as JSONL to TraceDir/worker-<idx>.trace.jsonl before exiting
 	// (declpat-trace -phases consumes it).
@@ -98,28 +90,6 @@ func (j *JobSpec) Normalize() error {
 		j.TraceCap = 1 << 18
 	}
 	return nil
-}
-
-// sockTimings converts the spec's millisecond knobs into durations,
-// defaulting to the chaos harness's test-speed settings: a launched fleet is
-// expected to notice a killed worker in tens of milliseconds, not seconds.
-func (j *JobSpec) sockTimings() (heartbeat, liveness, reconnBase, reconnMax, tick time.Duration) {
-	ms := func(v, def int) time.Duration {
-		if v <= 0 {
-			return time.Duration(def) * time.Millisecond
-		}
-		return time.Duration(v) * time.Millisecond
-	}
-	heartbeat = ms(j.HeartbeatMS, 10)
-	liveness = ms(j.LivenessMS, 100)
-	reconnBase = ms(j.ReconnectBaseMS, 1)
-	reconnMax = ms(j.ReconnectMaxMS, 10)
-	if j.TickIntervalUS <= 0 {
-		tick = 200 * time.Microsecond
-	} else {
-		tick = time.Duration(j.TickIntervalUS) * time.Microsecond
-	}
-	return
 }
 
 func (j *JobSpec) marshal() ([]byte, error) { return json.Marshal(j) }

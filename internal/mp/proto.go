@@ -34,14 +34,10 @@ import (
 // favor explicitness over compactness; bodies are encoded with the ckpt
 // package's deterministic little-endian primitives.
 
-// protoMagic opens the hello body; a connection speaking anything else (a
-// stray data-plane dial, an old binary) is rejected at the handshake.
+// protoMagic opens the hello body (frame.Hello); a connection speaking
+// anything else (a stray data-plane dial, a worker from another build) is
+// rejected at the handshake.
 const protoMagic = "DPCP"
-
-// protoVersion is bumped on any incompatible frame change; coordinator and
-// client must match exactly (a launched fleet runs one binary, so a mismatch
-// means a stale worker from a previous build).
-const protoVersion = 1
 
 // maxFrame bounds a control frame. Gather releases carry one i64 per global
 // rank and welcomes carry the committed collective log, both far below this.
@@ -50,7 +46,7 @@ const maxFrame = 1 << 26
 // Frame kinds. Client→coordinator kinds and coordinator→client kinds share
 // one numbering so a misrouted frame is unmistakable in errors.
 const (
-	fHello          byte = 1  // c→s: magic, version, worker index
+	fHello          byte = 0  // c→s: hello DPCP (kind frame.KindHello), worker index
 	fWelcome        byte = 2  // s→c: fleet config, job, restart state
 	fAddrSet        byte = 3  // c→s: data-plane listener addrs of local ranks
 	fAddrTable      byte = 4  // s→c: full address table, indexed by global rank
@@ -150,26 +146,17 @@ type hello struct {
 }
 
 func (h hello) encode() []byte {
-	var e ckpt.Enc
-	e.String(protoMagic)
-	e.U8(protoVersion)
+	e := ckpt.Enc{B: frame.Hello(nil, protoMagic)}
 	e.U32(uint32(h.Worker))
 	return e.B
 }
 
 func decodeHello(b []byte) (hello, error) {
-	d := ckpt.Dec{B: b}
-	magic := d.String()
-	ver := d.U8()
+	rest, err := frame.CheckHello(b, protoMagic)
+	d := ckpt.Dec{B: rest, Err: err}
 	h := hello{Worker: int(d.U32())}
 	if err := d.Done(true); err != nil {
-		return h, fmt.Errorf("%w: hello: %v", ErrDecode, err)
-	}
-	if magic != protoMagic {
-		return h, fmt.Errorf("%w: hello magic %q, want %q", ErrDecode, magic, protoMagic)
-	}
-	if ver != protoVersion {
-		return h, fmt.Errorf("%w: hello protocol version %d, want %d", ErrDecode, ver, protoVersion)
+		return h, fmt.Errorf("%w: hello: %w", ErrDecode, err)
 	}
 	return h, nil
 }

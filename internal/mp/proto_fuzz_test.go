@@ -47,8 +47,8 @@ func FuzzBodyDecoders(f *testing.F) {
 				t.Fatalf("%s: accepted %x, which re-encodes as %x", name, b, reenc)
 			}
 		}
-		_, err := decodeHello(b)
-		check("hello", err, 0, nil)
+		h, err := decodeHello(b)
+		check("hello", err, 0, h.encode())
 		w, err := decodeWelcome(b)
 		check("welcome", err, len(w.Log), nil)
 		ss, err := decodeStrings(b)

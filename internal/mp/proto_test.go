@@ -2,12 +2,14 @@ package mp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
 
 	"declpat/internal/am"
 	"declpat/internal/ckpt"
+	"declpat/internal/frame"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -97,16 +99,36 @@ func TestDecodersBoundCountsByBytes(t *testing.T) {
 	}
 }
 
+// TestHelloValidation: the control hello is frame.Hello("DPCP") plus the
+// worker index, checked by the shared frame.CheckHello. A foreign magic or
+// another build's version is a decode error that names the hello.
 func TestHelloValidation(t *testing.T) {
 	h := hello{Worker: 2}
-	got, err := decodeHello(h.encode())
+	good := h.encode()
+	got, err := decodeHello(good)
 	if err != nil || got != h {
 		t.Fatalf("hello round trip: got %+v, %v", got, err)
 	}
-	bad := h.encode()
-	bad[len(bad)-5] = protoVersion + 1 // version byte precedes the worker u32
-	if _, err := decodeHello(bad); !errors.Is(err, ErrDecode) {
-		t.Fatalf("version mismatch: got %v, want ErrDecode", err)
+	if !bytes.Equal(good, binary.LittleEndian.AppendUint32(frame.Hello(nil, protoMagic), 2)) {
+		t.Fatalf("hello body %x is not frame.Hello(DPCP) + u32 worker", good)
+	}
+	otherVersion := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint16(otherVersion[4:], frame.Version+1)
+	for _, tc := range []struct {
+		name  string
+		body  []byte
+		hello bool // the shared check, not the worker field, refuses it
+	}{
+		{"wrong version", otherVersion, true},
+		{"wrong magic", binary.LittleEndian.AppendUint32(frame.Hello(nil, "DPS1"), 2), true},
+		{"truncated hello", good[:3], true},
+		{"truncated worker", good[:len(good)-1], false},
+		{"trailing byte", append(append([]byte(nil), good...), 0), false},
+	} {
+		_, err := decodeHello(tc.body)
+		if !errors.Is(err, ErrDecode) || errors.Is(err, frame.ErrHello) != tc.hello {
+			t.Errorf("%s: got %v, want ErrDecode (frame.ErrHello %v)", tc.name, err, tc.hello)
+		}
 	}
 }
 

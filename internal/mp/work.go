@@ -75,19 +75,21 @@ func RunWorker(addr string, worker int) int {
 	}
 
 	n, edges := gen.RMAT(job.Scale, job.EdgeFactor, gen.Weights{Min: job.WMin, Max: job.WMax}, job.Seed)
-	hb, live, rbase, rmax, tick := job.sockTimings()
 	opts := []am.Option{
 		am.WithThreads(job.Threads),
 		am.WithCoalesce(job.Coalesce),
 		am.WithDetector(am.DetectorFourCounter),
 		am.WithControlPlane(cl.MPConfig()),
+		// The chaos harness's test-speed failure machinery: a launched fleet
+		// is expected to notice a killed worker in tens of milliseconds, not
+		// seconds.
 		am.WithTransport(am.SockTransport(am.SockOptions{
 			Network:       job.Network,
-			Heartbeat:     hb,
-			Liveness:      live,
-			ReconnectBase: rbase,
-			ReconnectMax:  rmax,
-			TickInterval:  tick,
+			Heartbeat:     10 * time.Millisecond,
+			Liveness:      100 * time.Millisecond,
+			ReconnectBase: time.Millisecond,
+			ReconnectMax:  10 * time.Millisecond,
+			TickInterval:  200 * time.Microsecond,
 		})),
 	}
 	if job.Drop > 0 || job.Dup > 0 || job.Delay > 0 || job.Corrupt > 0 {

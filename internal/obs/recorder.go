@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -78,15 +78,9 @@ type FlightDump struct {
 	Notes         []string         `json:"notes,omitempty"`
 }
 
-// flightMagic / flightVersion seal a dump file:
-//
-//	"DPFR" | u8 version | u32 bodyLen | body (JSON) | u64 crc
-//
-// with crc = frame.Checksum over everything before it.
-const (
-	flightMagic   = "DPFR"
-	flightVersion = 1
-)
+// flightMagic names a dump file: one internal/frame hello frame (magic
+// "DPFR", so frame.Version versions it) whose body is the FlightDump's JSON.
+const flightMagic = "DPFR"
 
 // flightPhaseState is one rank's open-phase cell. phase holds phase-id+1 (0 =
 // no open phase) so the zero value means idle.
@@ -264,17 +258,48 @@ func (f *FlightRecorder) snapshot(reason string) *FlightDump {
 // fsync, rename — the same sealing discipline as the checkpoint slots, so a
 // dump is either the previous complete one or the new complete one.
 func (f *FlightRecorder) Dump(path, reason string) error {
-	body, err := json.Marshal(f.snapshot(reason))
+	b, err := encodeFlightDump(f.snapshot(reason))
 	if err != nil {
-		return fmt.Errorf("obs: flight dump encode: %w", err)
+		return err
 	}
-	buf := make([]byte, 0, len(flightMagic)+1+4+len(body)+8)
-	buf = append(buf, flightMagic...)
-	buf = append(buf, flightVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	buf = binary.LittleEndian.AppendUint64(buf, frame.Checksum(buf))
-	return ckpt.WriteFileAtomic(path, buf)
+	return ckpt.WriteFileAtomic(path, b)
+}
+
+// encodeFlightDump seals d as the bytes of a dump file.
+func encodeFlightDump(d *FlightDump) ([]byte, error) {
+	body, err := json.Marshal(d)
+	if err == nil && bytes.Contains(body, []byte(`\ufffd`)) {
+		// Marshal writes an invalid UTF-8 byte as \ufffd, which decodes to
+		// U+FFFD and re-encodes raw: write the decoded form, the one
+		// decodeFlightDump accepts.
+		var c FlightDump
+		if err = json.Unmarshal(body, &c); err == nil {
+			body, err = json.Marshal(&c)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("obs: flight dump encode: %w", err)
+	}
+	return frame.Seal(append(frame.Hello(frame.Begin(nil, frame.KindHello), flightMagic), body...)), nil
+}
+
+// decodeFlightDump parses the bytes of a dump file. It accepts exactly what
+// encodeFlightDump writes: JSON spells one dump many ways (spacing, key
+// order and case, escapes, duplicate keys), and only Marshal's spelling is a
+// dump.
+func decodeFlightDump(b []byte) (*FlightDump, error) {
+	body, err := frame.Open(b, flightMagic)
+	if err != nil {
+		return nil, err
+	}
+	var d FlightDump
+	if err := json.Unmarshal(body, &d); err != nil {
+		return nil, fmt.Errorf("%w: body: %w", frame.ErrCorrupt, err)
+	}
+	if re, err := json.Marshal(&d); err != nil || !bytes.Equal(re, body) {
+		return nil, fmt.Errorf("%w: body is not a dump's JSON encoding", frame.ErrCorrupt)
+	}
+	return &d, nil
 }
 
 // Persist dumps to the configured path (flight-<worker>.dpfr naming is the
@@ -312,29 +337,11 @@ func LoadFlightDump(path string) (*FlightDump, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := len(flightMagic) + 1 + 4
-	if len(b) < hdr+8 {
-		return nil, fmt.Errorf("obs: flight dump %s: truncated (%d bytes)", path, len(b))
+	d, err := decodeFlightDump(b)
+	if err != nil {
+		return nil, fmt.Errorf("obs: flight dump %s: %w", path, err)
 	}
-	if string(b[:4]) != flightMagic {
-		return nil, fmt.Errorf("obs: flight dump %s: bad magic %q", path, b[:4])
-	}
-	if b[4] != flightVersion {
-		return nil, fmt.Errorf("obs: flight dump %s: version %d, want %d", path, b[4], flightVersion)
-	}
-	n := int(binary.LittleEndian.Uint32(b[5:9]))
-	if len(b) != hdr+n+8 {
-		return nil, fmt.Errorf("obs: flight dump %s: body length %d does not match file size %d", path, n, len(b))
-	}
-	want := binary.LittleEndian.Uint64(b[hdr+n:])
-	if got := frame.Checksum(b[:hdr+n]); got != want {
-		return nil, fmt.Errorf("obs: flight dump %s: checksum mismatch (got %016x want %016x)", path, got, want)
-	}
-	var d FlightDump
-	if err := json.Unmarshal(b[hdr:hdr+n], &d); err != nil {
-		return nil, fmt.Errorf("obs: flight dump %s: body: %w", path, err)
-	}
-	return &d, nil
+	return d, nil
 }
 
 // LoadFlightDir loads every flight-*.dpfr in dir, sorted by worker index.

@@ -5,9 +5,14 @@ package obs
 // rejection of truncated, corrupted, and mislabeled files.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"declpat/internal/frame"
 )
 
 func testRecorder(path string) *FlightRecorder {
@@ -115,7 +120,7 @@ func TestFlightRecorderEpochWindowBounded(t *testing.T) {
 	}
 }
 
-func writeDump(t *testing.T, dir string) string {
+func writeDump(t testing.TB, dir string) string {
 	t.Helper()
 	path := filepath.Join(dir, "flight-0.dpfr")
 	f := testRecorder(path)
@@ -126,50 +131,120 @@ func writeDump(t *testing.T, dir string) string {
 	return path
 }
 
+// TestFlightDumpRejectsTruncated: a dump is exactly one frame, so a short
+// file and one with a byte appended are both corrupt.
 func TestFlightDumpRejectsTruncated(t *testing.T) {
 	path := writeDump(t, t.TempDir())
 	b, _ := os.ReadFile(path)
-	for _, n := range []int{0, 4, len(b) / 2, len(b) - 1} {
-		if err := os.WriteFile(path, b[:n], 0o644); err != nil {
+	for _, in := range [][]byte{b[:0], b[:4], b[:len(b)/2], b[:len(b)-1], append(append([]byte(nil), b...), '\n')} {
+		if err := os.WriteFile(path, in, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadFlightDump(path); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
+		if _, err := LoadFlightDump(path); !errors.Is(err, frame.ErrCorrupt) {
+			t.Fatalf("%d of %d bytes: got %v, want frame.ErrCorrupt", len(in), len(b), err)
 		}
 	}
 }
 
+// TestFlightDumpRejectsCorruption: damage anywhere in the frame — length
+// prefix, hello, JSON — is corruption; an intact frame of another Version or
+// magic, or a dump in the layout before dumps became frames ("DPFR", u8
+// version 1, u32 length, JSON, CRC), is a version error.
 func TestFlightDumpRejectsCorruption(t *testing.T) {
 	path := writeDump(t, t.TempDir())
 	orig, _ := os.ReadFile(path)
-
-	flip := func(i int) {
-		b := append([]byte(nil), orig...)
-		b[i] ^= 0x40
+	load := func(b []byte) error {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		_, err := LoadFlightDump(path)
+		return err
 	}
-	flip(len(orig) / 2) // body byte: checksum must catch it
-	if _, err := LoadFlightDump(path); err == nil {
-		t.Fatal("corrupt body accepted")
+	flip := func(i int) []byte {
+		b := append([]byte(nil), orig...)
+		b[i] ^= 0x40
+		return b
 	}
-	flip(0) // magic byte
-	if _, err := LoadFlightDump(path); err == nil {
-		t.Fatal("bad magic accepted")
+	// reseal rewrites the hello behind the length prefix and kind byte and
+	// seals the frame again, CRC and all.
+	reseal := func(hello []byte) []byte {
+		body := orig[4+1+4+2 : len(orig)-8]
+		return frame.Seal(append(append(frame.Begin(nil, frame.KindHello), hello...), body...))
 	}
-	flip(4) // version byte
-	if _, err := LoadFlightDump(path); err == nil {
-		t.Fatal("unknown version accepted")
+	otherVersion := frame.Hello(nil, flightMagic)
+	binary.LittleEndian.PutUint16(otherVersion[4:], frame.Version+1)
+	body := orig[4+1+4+2 : len(orig)-8]
+	preFrame := binary.LittleEndian.AppendUint32(append([]byte(flightMagic), 1), uint32(len(body)))
+	preFrame = append(append(preFrame, body...), make([]byte, 8)...)
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"length prefix", flip(0), frame.ErrCorrupt},
+		{"magic byte", flip(5), frame.ErrCorrupt},
+		{"version byte", flip(9), frame.ErrCorrupt},
+		{"body byte", flip(len(orig) / 2), frame.ErrCorrupt},
+		{"other version", reseal(otherVersion), frame.ErrHello},
+		{"other magic", reseal(frame.Hello(nil, "DPCK")), frame.ErrHello},
+		{"pre-frame layout", preFrame, frame.ErrHello},
+	} {
+		if err := load(tc.in); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
 	}
 	// The untouched original still loads — the checks reject damage, not the
 	// format.
-	if err := os.WriteFile(path, orig, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFlightDump(path); err != nil {
+	if err := load(orig); err != nil {
 		t.Fatalf("pristine dump rejected: %v", err)
 	}
+}
+
+// TestFlightDumpLoadsWhatDumpWrites: the loader's canonical-JSON check must
+// accept every dump Dump writes, including strings that JSON escapes — HTML
+// characters, line separators, and bytes that are not UTF-8.
+func TestFlightDumpLoadsWhatDumpWrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight-0.dpfr")
+	for _, note := range []string{"plain", "<a & b>", "line\u2028sep", "bad \xff byte", `literal \ufffd`} {
+		f := testRecorder(path)
+		f.Note(note)
+		f.Record(4, FlightEvent{TS: 1, Kind: "fault", Note: note})
+		if err := f.Persist(note); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFlightDump(path); err != nil {
+			t.Errorf("note %q: %v", note, err)
+		}
+	}
+}
+
+// FuzzLoadFlightDump runs the dump decoder over arbitrary file contents: it
+// must never panic, and it must accept exactly what Dump writes — anything it
+// accepts re-encodes to the same bytes.
+func FuzzLoadFlightDump(f *testing.F) {
+	dir := f.TempDir()
+	orig, err := os.ReadFile(writeDump(f, dir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, _ := encodeFlightDump(&FlightDump{})
+	f.Add(orig)
+	f.Add(empty)
+	f.Add(orig[:len(orig)-1])
+	f.Add([]byte("DPFRgarbage"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d, err := decodeFlightDump(b)
+		if err != nil {
+			if !errors.Is(err, frame.ErrCorrupt) && !errors.Is(err, frame.ErrHello) {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			return
+		}
+		if re, err := encodeFlightDump(d); err != nil || !bytes.Equal(re, b) {
+			t.Fatalf("accepted %q, which re-encodes as %q (%v)", b, re, err)
+		}
+	})
 }
 
 // TestLoadFlightDirPartial pins the postmortem contract: corrupt dumps are

@@ -10,11 +10,11 @@ import (
 	"declpat/internal/seq"
 )
 
-// TestEngineOverGobTransport runs SSSP with the engine's message type routed
-// through a real serialization round trip: the entire pattern-engine message
-// protocol must be wire-safe (a distributed deployment could ship patMsg
-// as-is), and results must stay exact.
-func TestEngineOverGobTransport(t *testing.T) {
+// TestEngineOverWireTransport runs SSSP with the engine's message type routed
+// through a real serialization round trip (the fixed codec): the entire
+// pattern-engine message protocol must be wire-safe (a distributed
+// deployment could ship patMsg as-is), and results must stay exact.
+func TestEngineOverWireTransport(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 30}, 13)
 	want := seq.Dijkstra(n, edges, 0)
 
@@ -23,7 +23,7 @@ func TestEngineOverGobTransport(t *testing.T) {
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	lm := pmap.NewLockMap(d, 1)
 	eng := NewEngine(u, g, lm, DefaultPlanOptions())
-	eng.MsgType().WithGobTransport()
+	eng.MsgType().WithWire()
 
 	dmap := pmap.NewVertexWord(d, Inf)
 	bound, err := eng.Bind(buildSSSP(), Bindings{"dist": dmap, "weight": pmap.WeightMap(g)})
@@ -55,7 +55,7 @@ func TestEngineOverGobTransport(t *testing.T) {
 		}
 	}
 	if u.Stats.WireBytes() == 0 {
-		t.Fatal("no serialized bytes — gob transport not exercised")
+		t.Fatal("no serialized bytes — wire transport not exercised")
 	}
 	t.Logf("wire bytes: %d for %d messages (%d raw payload bytes)",
 		u.Stats.WireBytes(), u.Stats.MsgsSent(), u.Stats.BytesSent())

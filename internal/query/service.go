@@ -365,7 +365,7 @@ func (s *Service) Universe() *am.Universe { return s.u }
 // goroutine, before or during Serve. Rejections (full queue, bad source,
 // stopped service) return a nil ticket and the sentinel error.
 func (s *Service) Submit(req Request) (*Ticket, error) {
-	if req.Algo != PageRank && (req.Source < 0 || int(req.Source) >= s.g.NumVertices()) {
+	if req.Algo != PageRank && int(req.Source) >= s.g.NumVertices() {
 		s.met.rejected.Add(1)
 		return nil, ErrBadSource
 	}
@@ -459,7 +459,7 @@ func (s *Service) Value(id int64, v distgraph.Vertex) (int64, error) {
 	if j.res == nil {
 		return 0, ErrNotDone
 	}
-	if v < 0 || int(v) >= len(j.res.Values) {
+	if int(v) >= len(j.res.Values) {
 		return 0, ErrBadSource
 	}
 	return j.res.Values[v], nil
