@@ -12,7 +12,9 @@
 package declpat_test
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"declpat"
 	"declpat/internal/algorithms"
@@ -204,6 +206,45 @@ func BenchmarkE7Scaling(b *testing.B) {
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
 	}
+}
+
+// BenchmarkHostParallelism measures the parallel throughput the host gives:
+// the same work on private data run by one goroutine, then by two at once.
+// pair/solo near 1 means two free cores; near 2 means the pair shares one
+// core's worth, and a rank thread that spins slows the one with work. Read
+// every "ranks × threads" number (E7, the bench ledger) against it.
+func BenchmarkHostParallelism(b *testing.B) {
+	work := func(buf []uint64) {
+		x := uint64(88172645463325252)
+		for round := 0; round < 64; round++ {
+			for i := range buf {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				buf[i] += x
+			}
+		}
+	}
+	bufs := [2][]uint64{make([]uint64, 1<<16), make([]uint64, 1<<16)}
+	var solo, pair time.Duration
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		work(bufs[0])
+		solo += time.Since(start)
+		start = time.Now()
+		var wg sync.WaitGroup
+		for _, buf := range bufs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(buf)
+			}()
+		}
+		wg.Wait()
+		pair += time.Since(start)
+	}
+	b.ReportMetric(float64(pair)/float64(solo), "pair/solo")
+	b.ReportMetric(float64(solo)/float64(b.N)/1e6, "solo-ms/op")
 }
 
 // BenchmarkE8Termination — atomic vs four-counter detectors.

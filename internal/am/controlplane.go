@@ -352,12 +352,18 @@ func (r *Rank) mpAllGather(x int64) []int64 {
 }
 
 // finishEpoch flips the running epoch to finished after a successful
-// termination wave; in multi-process mode it also announces the finish so
-// the coordinator can release every other worker's epoch. Returns whether
-// this caller won the flip.
+// termination wave and, on a parking universe, wakes every parked rank main;
+// in multi-process mode it also announces the finish so the coordinator can
+// release every other worker's epoch. Returns whether this caller won the
+// flip.
 func (u *Universe) finishEpoch() bool {
 	if !u.epochState.CompareAndSwap(epochRunning, epochFinished) {
 		return false
+	}
+	if u.park {
+		for _, r := range u.ranks {
+			r.inbox.Wake()
+		}
 	}
 	if u.mp != nil {
 		if err := u.mp.plane.AnnounceFinish(); err != nil {

@@ -34,6 +34,25 @@ func (u *Universe) atomicQuiesced() bool {
 	return u.pending.Load() == 0 && u.totalAux() == 0 && u.totalRelPending() == 0
 }
 
+// settle finishes the epoch if the universe is quiescent. The progress loop
+// calls it on every quiet pass; on a parking universe that loop sleeps, so the
+// two events that can make the universe quiescent call it too: a handler
+// whose completion takes pending to 0 (both deliver paths in message.go) and
+// a body participant going idle (runBodies; in the one-body path the
+// participant is the rank main, whose quiet pass comes before it parks).
+// Whoever finishes wakes the parked mains (finishEpoch).
+//
+// A handler thread may still be inside this call when the epoch it served
+// has finished by another path. Its check must not land in the next epoch,
+// where totalBodies is still 0 between the closing and opening barriers and
+// the predicate reads true: progressUntilDone waits for the rank's deliveries
+// to retire (activeH) before the rank leaves the epoch.
+func (u *Universe) settle() {
+	if u.atomicQuiesced() {
+		u.finishEpoch()
+	}
+}
+
 func (u *Universe) bodiesIdle() bool {
 	for _, r := range u.ranks {
 		if r.idleBodies.Load() < r.totalBodies.Load() {

@@ -190,6 +190,11 @@ func (r *Rank) EpochAttempt() uint64 { return r.attempt.Load() }
 // runBodies runs one epoch attempt: the body participants plus the rank
 // main's progress loop, returning once the epoch has globally finished or
 // is rolling back (with every participant goroutine joined either way).
+//
+// With one body the rank main is the participant: its progress loop flushes
+// what the body buffered and checks for quiescence before it parks. With
+// several, a participant that goes idle while the main may be parked does
+// both itself (parking universes only; elsewhere the polling main does).
 func (r *Rank) runBodies(nthreads int, body func(tid int, ep *Epoch)) {
 	if nthreads == 1 {
 		r.runBody(0, body)
@@ -197,13 +202,20 @@ func (r *Rank) runBodies(nthreads int, body func(tid int, ep *Epoch)) {
 		r.progressUntilDone()
 		return
 	}
+	u := r.u
 	var wg sync.WaitGroup
 	for t := 0; t < nthreads; t++ {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
 			r.runBody(t, body)
+			if u.park {
+				r.flushAll()
+			}
 			r.idleBodies.Add(1)
+			if u.park {
+				u.settle()
+			}
 		}(t)
 	}
 	// The rank main participates in progress while bodies run.
@@ -241,6 +253,12 @@ func (r *Rank) runBody(tid int, body func(int, *Epoch)) {
 // detection until the epoch is globally finished or rolling back. It runs on
 // its own facet: the deliveries of drainSome need a lineage context separate
 // from the body participants'.
+//
+// A pass that finds nothing to do ends in idle on a polling universe. On a
+// parking one (Universe.park) it blocks instead, until a push into the inbox
+// or the end of the epoch wakes it: the event that makes the universe
+// quiescent finishes the epoch itself (settle) and finishEpoch wakes every
+// parked main, so no check here has to be repeated to be seen.
 func (r *Rank) progressUntilDone() {
 	r = r.facet()
 	u := r.u
@@ -261,15 +279,18 @@ func (r *Rank) progressUntilDone() {
 		}
 		switch u.cfg.Detector {
 		case DetectorAtomic:
-			if u.atomicQuiesced() {
-				u.finishEpoch()
-			}
+			u.settle()
 		case DetectorFourCounter:
 			if r.fc != nil && r.fc.wave() {
 				u.finishEpoch()
 			}
 		}
 		r.checkWatchdog()
+		r.quietPasses++
+		if u.park {
+			r.inbox.Await(func() bool { return u.epochState.Load() != epochRunning })
+			continue
+		}
 		quiet++
 		r.idle(quiet)
 	}
@@ -284,6 +305,13 @@ func (r *Rank) progressUntilDone() {
 	// arrive; their handler is a no-op, and this sweep keeps the inbox
 	// empty for the next epoch.
 	for r.drainSome(64) {
+	}
+	if u.park {
+		// A handler thread that took pending to 0 may still be in settle:
+		// let it retire inside this epoch (see settle).
+		for r.activeH.Load() != 0 {
+			runtime.Gosched()
+		}
 	}
 }
 

@@ -171,7 +171,9 @@ func Register[T any](u *Universe, name string, handler func(r *Rank, m T)) *MsgT
 					r.st.Inc(cHandlersRun)
 					r.tst.Inc(int(mt.id)*tcPerType + tcHandled)
 					r.recvC.Add(1)
-					u.pending.Add(-1)
+					if u.pending.Add(-1) == 0 && u.park {
+						u.settle()
+					}
 				}
 				return
 			}
@@ -200,7 +202,9 @@ func Register[T any](u *Universe, name string, handler func(r *Rank, m T)) *MsgT
 				r.st.Inc(cHandlersRun)
 				r.tst.Inc(int(mt.id)*tcPerType + tcHandled)
 				r.recvC.Add(1)
-				u.pending.Add(-1)
+				if u.pending.Add(-1) == 0 && u.park {
+					u.settle()
+				}
 			}
 			r.cur = 0
 		},

@@ -73,6 +73,27 @@ func (q *queue) Pop() (e envelope, ok bool) {
 	return e, true
 }
 
+// Await blocks until the queue is non-empty or closed, or done reports true.
+// It takes nothing: the caller pops after it returns. done runs under the
+// queue's lock, so a waker that makes it true and then calls Wake cannot slip
+// between the check and the wait. A push wakes one blocked consumer (an Await
+// or a Pop), and whichever it wakes takes the envelope.
+func (q *queue) Await(done func() bool) {
+	q.mu.Lock()
+	for q.n == 0 && !q.closed && !done() {
+		q.nonEmp.Wait()
+	}
+	q.mu.Unlock()
+}
+
+// Wake wakes every blocked consumer to re-check its condition. Taking the
+// lock orders the caller's earlier state change before any re-check.
+func (q *queue) Wake() {
+	q.mu.Lock()
+	q.mu.Unlock()
+	q.nonEmp.Broadcast()
+}
+
 // TryPop removes and returns the oldest envelope without blocking.
 func (q *queue) TryPop() (e envelope, ok bool) {
 	q.mu.Lock()

@@ -235,8 +235,13 @@ type Universe struct {
 	tickIntNs int64
 
 	// coresident is the answer to Rank.Coresident: a shared-address-space
-	// transport in trusted mode. Fixed at construction.
+	// transport in trusted mode, without lineage. Fixed at construction.
 	coresident bool
+	// park says idle rank mains block instead of polling (epoch.go,
+	// progressUntilDone): a shared-address-space transport in trusted mode
+	// under the atomic detector and no watchdog, where nothing in progress
+	// depends on a clock. Fixed at construction.
+	park bool
 
 	// pending counts user messages sent but not yet fully handled.
 	// Maintained in all detector modes; consulted only by DetectorAtomic.
@@ -388,7 +393,8 @@ func NewUniverse(cfg Config) *Universe {
 	}
 	u.flight = cfg.Flight
 	u.lineage = cfg.Lineage == LineageOn || (cfg.Lineage == LineageAuto && u.tracer != nil)
-	u.coresident = u.net.shared() && u.fp == nil && !cfg.Recovery && !u.lineage && u.mp == nil
+	u.coresident = u.trusted() && u.net.shared() && !u.lineage
+	u.park = u.trusted() && u.net.shared() && cfg.Detector == DetectorAtomic && cfg.Watchdog <= 0
 	u.c = obs.NewCounters(cfg.Ranks, counterNames[:]...)
 	u.Stats = Stats{c: u.c}
 	u.relPending = obs.NewGauge(cfg.Ranks)
@@ -404,6 +410,14 @@ func NewUniverse(cfg Config) *Universe {
 		u.ranks[i].crashAfter.Store(-1)
 	}
 	return u
+}
+
+// trusted reports whether nothing stands between ranks that a message must
+// answer to: no fault plan (so no reliable layer and no socket backend, which
+// synthesizes one), no Recovery, and not a multi-process rank host. Valid once
+// NewUniverse has resolved the fault plan.
+func (u *Universe) trusted() bool {
+	return u.fp == nil && !u.cfg.Recovery && u.mp == nil
 }
 
 // Config returns the (defaulted) configuration.
@@ -495,6 +509,12 @@ type rankState struct {
 	// epochBeginNs closes the rank's epoch span at TraceEpochEnd; written
 	// and read only by the rank main goroutine.
 	epochBeginNs int64
+
+	// quietPasses counts the progress loop's passes that found nothing to
+	// do (progressUntilDone): one per wakeup on a parking universe, one per
+	// yield on a polling one. Written and read only by the rank main
+	// goroutine.
+	quietPasses int64
 
 	// fc is rank 0's four-counter driver for the current epoch (nil on
 	// other ranks and in atomic-detector mode).
@@ -616,6 +636,16 @@ func (u *Universe) Run(body func(r *Rank)) error {
 				defer workers.Done()
 				r = r.facet() // this worker's own lineage context
 				for {
+					if u.park {
+						// Flush before blocking: the rank main may be parked,
+						// and a message left in a coalescing buffer while
+						// every thread of its rank sleeps would never ship.
+						if e, ok := r.inbox.TryPop(); ok {
+							r.deliverEnvelope(e)
+							continue
+						}
+						r.flushAll()
+					}
 					e, ok := r.inbox.Pop()
 					if !ok {
 						return

@@ -365,13 +365,13 @@ func (s *Service) Universe() *am.Universe { return s.u }
 // goroutine, before or during Serve. Rejections (full queue, bad source,
 // stopped service) return a nil ticket and the sentinel error.
 func (s *Service) Submit(req Request) (*Ticket, error) {
-	if req.Algo != PageRank && int(req.Source) >= s.g.NumVertices() {
-		s.met.rejected.Add(1)
-		return nil, ErrBadSource
-	}
 	if req.Algo < 0 || req.Algo >= numAlgos {
 		s.met.rejected.Add(1)
 		return nil, fmt.Errorf("query: unknown algorithm %d", int(req.Algo))
+	}
+	if req.Algo != PageRank && int(req.Source) >= s.g.NumVertices() {
+		s.met.rejected.Add(1)
+		return nil, ErrBadSource
 	}
 	now := time.Now()
 	s.mu.Lock()

@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -243,8 +244,8 @@ func TestDeadlineExpiry(t *testing.T) {
 // the service starts, and a long PageRank run canceled between rounds while
 // its epochs are in flight.
 func TestCancel(t *testing.T) {
-	// PageRank tuned to grind: tolerance 1 never converges before the round
-	// cap, so the job runs many scheduling rounds.
+	// PageRank is the one multi-round job: on this graph the integer fixed
+	// point is reached after ~24 scheduling rounds, about 2 ms.
 	s := buildService(t, query.WithPageRank(400, 1))
 	queued, err := s.Submit(query.Request{Algo: query.SSSP, Source: 3})
 	if err != nil {
@@ -264,6 +265,8 @@ func TestCancel(t *testing.T) {
 		t.Fatalf("submit long PR: %v", err)
 	}
 	// Wait until the job is demonstrably mid-run, then cancel between rounds.
+	// Poll without sleeping: a millisecond timer sleep overshoots the whole
+	// run often enough to make this test flaky.
 	for {
 		st, err := s.Status(long.ID())
 		if err != nil {
@@ -275,7 +278,7 @@ func TestCancel(t *testing.T) {
 		if st.State == query.StateDone || st.State == query.StateFailed {
 			t.Fatalf("long PR finished (%s) before cancel — tune it slower", st.State)
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	long.Cancel()
 	if _, err := long.Wait(); !errors.Is(err, query.ErrCanceled) {
@@ -296,8 +299,8 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl covers submit-time rejections: a full queue and an
-// out-of-range source.
+// TestAdmissionControl covers submit-time rejections: a full queue, an
+// out-of-range source, and an unknown algorithm.
 func TestAdmissionControl(t *testing.T) {
 	s := buildService(t, query.WithQueueDepth(2))
 	if _, err := s.Submit(query.Request{Algo: query.BFS, Source: 1}); err != nil {
@@ -312,8 +315,14 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := s.Submit(query.Request{Algo: query.BFS, Source: 1 << 30}); !errors.Is(err, query.ErrBadSource) {
 		t.Errorf("bad source: err = %v, want ErrBadSource", err)
 	}
-	if st := s.Stats(); st.Rejected != 2 {
-		t.Errorf("rejected counter = %d, want 2", st.Rejected)
+	// The algorithm is checked before the source: a source can only be out
+	// of range for an algorithm that takes one.
+	_, err := s.Submit(query.Request{Algo: 7, Source: 1 << 30})
+	if err == nil || errors.Is(err, query.ErrBadSource) || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Errorf("unknown algorithm with a bad source: err = %v, want the unknown-algorithm error", err)
+	}
+	if st := s.Stats(); st.Rejected != 3 {
+		t.Errorf("rejected counter = %d, want 3", st.Rejected)
 	}
 }
 
