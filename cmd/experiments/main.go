@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -73,16 +74,19 @@ func main() {
 	}
 
 	if *debug != "" {
-		addr, err := harness.ServeDebug(*debug)
+		srv, err := harness.NewDebugServer(*debug)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
-		// The process-wide server holds the listener until the suite ends;
-		// releasing it on exit keeps repeated in-process invocations (tests,
-		// drivers) from leaking ports.
-		defer harness.StopDebug()
-		fmt.Printf("debug server: http://%s/debug/pprof/ (expvar at /debug/vars)\n\n", addr)
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments: debug server:", err)
+			}
+		}()
+		fmt.Printf("debug server: http://%s/debug/pprof/ (expvar at /debug/vars)\n\n", srv.Addr())
 	}
 
 	want := map[string]bool{}

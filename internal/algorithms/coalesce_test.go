@@ -157,28 +157,57 @@ func TestCoalesceFoldsTheFiring(t *testing.T) {
 	}
 }
 
-// TestCoalesceForgetsOnRollback: a rolled-back epoch drops the inboxes, and
-// with them the entries that would have cleared the words their firings set.
-// Rank 1 dies with entries queued; the replay must request those re-runs
-// again. A word that survived the rollback (Engine.RestoreRank is what clears
-// them) would swallow every later request for its vertex and leave the
-// vertices behind it unreached. Zero handler threads make the schedule — and
-// so the failure — exact.
-func TestCoalesceForgetsOnRollback(t *testing.T) {
+// TestForgetsOnRollback: a rolled-back epoch replays from restored maps and
+// drops the inboxes, so engine state that records what a rank sent during
+// the aborted attempt must not survive into the replay. Rank 1 dies after
+// handling a few messages; zero handler threads make the schedule — and so
+// each failure — exact.
+//
+//   - filter: what rank 0 offered during the aborted attempt proves nothing
+//     about the restored maps, and it must offer the same values again. A
+//     filter that remembered them would suppress every one and leave rank 1's
+//     vertices unreached. The replay's new am.Rank.EpochAttempt stamp is the
+//     only thing that empties the table (moving r.attempt.Add out of
+//     EpochThreaded's retry loop fails this row).
+//   - coalesce: the dropped inboxes held the entries that would have cleared
+//     the pending words their firings set, and the replay must request those
+//     re-runs again. A word that survived the rollback would swallow every
+//     later request for its vertex and leave the vertices behind it unreached
+//     (dropping Engine.RestoreRank's clear fails this row).
+func TestForgetsOnRollback(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
-	cfg := am.Config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 4, Recovery: true,
-		FaultPlan: &am.FaultPlan{Seed: 1, Crashes: []am.Crash{{Rank: 1, Epoch: 0, AfterHandled: 12}}}}
-	u, eng, _ := newEngineWith(cfg, n, edges, distgraph.Options{}, pattern.DefaultPlanOptions())
-	s := NewSSSP(eng)
-	runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
-	if snap := u.Stats.Snapshot(); snap.RankCrashes != 1 || snap.Recoveries != 1 {
-		t.Fatalf("crashes = %d, recoveries = %d; want one of each", snap.RankCrashes, snap.Recoveries)
-	}
-	if !s.Relax.PlanInfo().Coalesced {
-		t.Fatal("relax is not coalesced")
-	}
-	checkDist(t, "replayed", s.Dist.Gather(), seq.Dijkstra(n, edges, 3))
-	if p := pendingWords(u, s.Relax); p != 0 {
-		t.Errorf("%d pending words left set", p)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, u *am.Universe, eng *pattern.Engine)
+	}{
+		{"filter", func(t *testing.T, u *am.Universe, eng *pattern.Engine) {
+			b := NewBFS(eng)
+			runOrFail(t, u, func(r *am.Rank) { b.Run(r, 3) })
+			if b.Visit.Stats.FilteredHops.Load() == 0 {
+				t.Fatal("the filter never engaged")
+			}
+			checkDist(t, "replayed", b.Level.Gather(), seq.BFS(n, edges, 3))
+		}},
+		{"coalesce", func(t *testing.T, u *am.Universe, eng *pattern.Engine) {
+			s := NewSSSP(eng)
+			runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
+			if !s.Relax.PlanInfo().Coalesced {
+				t.Fatal("relax is not coalesced")
+			}
+			checkDist(t, "replayed", s.Dist.Gather(), seq.Dijkstra(n, edges, 3))
+			if p := pendingWords(u, s.Relax); p != 0 {
+				t.Errorf("%d pending words left set", p)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := am.Config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 4, Recovery: true,
+				FaultPlan: &am.FaultPlan{Seed: 1, Crashes: []am.Crash{{Rank: 1, Epoch: 0, AfterHandled: 12}}}}
+			u, eng, _ := newEngineWith(cfg, n, edges, distgraph.Options{}, pattern.DefaultPlanOptions())
+			tc.run(t, u, eng)
+			if snap := u.Stats.Snapshot(); snap.RankCrashes != 1 || snap.Recoveries != 1 {
+				t.Fatalf("crashes = %d, recoveries = %d; want one of each", snap.RankCrashes, snap.Recoveries)
+			}
+		})
 	}
 }

@@ -158,27 +158,3 @@ func TestFilterConservation(t *testing.T) {
 		t.Errorf("messages: %d with the filter, %d without", msgs[1], msgs[0])
 	}
 }
-
-// TestFilterForgetsOnRollback: a rolled-back epoch replays from restored maps,
-// so what a rank offered during the aborted attempt proves nothing about
-// them. Rank 1 dies after handling a few relaxations; on replay rank 0 must
-// offer the same values again. A filter that remembered them across the
-// rollback would suppress every one and leave rank 1's vertices unreached.
-// The replay's new am.Rank.EpochAttempt stamp is the only thing that empties
-// the table (moving r.attempt.Add out of EpochThreaded's retry loop fails this
-// test). Zero handler threads make the schedule — and so the failure — exact.
-func TestFilterForgetsOnRollback(t *testing.T) {
-	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
-	cfg := am.Config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 4, Recovery: true,
-		FaultPlan: &am.FaultPlan{Seed: 1, Crashes: []am.Crash{{Rank: 1, Epoch: 0, AfterHandled: 12}}}}
-	u, eng, _ := newEngineWith(cfg, n, edges, distgraph.Options{}, pattern.DefaultPlanOptions())
-	b := NewBFS(eng)
-	runOrFail(t, u, func(r *am.Rank) { b.Run(r, 3) })
-	if snap := u.Stats.Snapshot(); snap.RankCrashes != 1 || snap.Recoveries != 1 {
-		t.Fatalf("crashes = %d, recoveries = %d; want one of each", snap.RankCrashes, snap.Recoveries)
-	}
-	if b.Visit.Stats.FilteredHops.Load() == 0 {
-		t.Fatal("the filter never engaged")
-	}
-	checkDist(t, "replayed", b.Level.Gather(), seq.BFS(n, edges, 3))
-}

@@ -86,8 +86,8 @@ const PlainBarrier int64 = -1
 // polls or broadcasts. Obtain them with Universe.ControlHooks after
 // construction.
 type ControlHooks struct {
-	// SampleWave probes the local ranks and returns this process's wave
-	// sample. ok is false once the universe is shutting down (the caller
+	// SampleWave reads the local ranks' counters into this process's wave
+	// sample. ok is false once every local rank main has returned (the caller
 	// should report an empty, non-quiescent sample upstream or fail the
 	// poll).
 	SampleWave func() (sample WaveSample, ok bool)
@@ -136,8 +136,7 @@ type MPConfig struct {
 // mpState is the universe's runtime view of MPConfig plus the local
 // synchronization the wire protocol needs: a process-local barrier that
 // elects the leader rank (Lo) to perform each wire round on behalf of all
-// local ranks, the collective-replay cursor, and the probe channel for
-// coordinator-initiated wave polls.
+// local ranks, and the collective-replay cursor.
 type mpState struct {
 	cfg      MPConfig
 	plane    ControlPlane
@@ -151,16 +150,6 @@ type mpState struct {
 
 	dir    string
 	worker int
-
-	// waveCh serves coordinator wave polls; capacity hi-lo so local probes
-	// never block the responders.
-	waveCh chan ctrlReply
-
-	// ctrlMu orders coordinator-initiated ctrl-channel probes against
-	// shutdown: Run closes the ctrl channels after the rank mains exit, and
-	// the client's reader goroutine must not send into a closed channel.
-	ctrlMu     sync.RWMutex
-	ctrlClosed bool
 
 	// wireErr latches the first control-plane failure for diagnostics.
 	wireMu  sync.Mutex
@@ -179,7 +168,6 @@ func newMPState(cfg MPConfig) *mpState {
 		log:      cfg.CollectiveLog,
 		dir:      cfg.CheckpointDir,
 		worker:   cfg.WorkerIndex,
-		waveCh:   make(chan ctrlReply, cfg.Hi-cfg.Lo),
 	}
 }
 
@@ -225,32 +213,15 @@ func (u *Universe) ControlHooks() ControlHooks {
 	}
 }
 
-// sampleWave probes every local rank's ctrl channel and sums the replies
-// into this process's wave sample. Runs on the control-plane client's
-// reader goroutine, concurrent with the rank mains; the ctrl responders
-// answer until Run closes the channels, at which point ok is false.
+// sampleWave answers a coordinator wave poll with this process's sample. It
+// runs on the control-plane client's reader goroutine, concurrent with the
+// rank mains; once they have all returned, ok is false (another worker can
+// lag an epoch behind and still poll this one).
 func (u *Universe) sampleWave() (WaveSample, bool) {
-	mp := u.mp
-	mp.ctrlMu.RLock()
-	defer mp.ctrlMu.RUnlock()
-	if mp.ctrlClosed {
+	if u.runExited.Load() {
 		return WaveSample{}, false
 	}
-	for _, r := range u.localRanks() {
-		r.ctrl <- ctrlProbe{reply: mp.waveCh}
-	}
-	var s WaveSample
-	for i := mp.lo; i < mp.hi; i++ {
-		rep := <-mp.waveCh
-		s.Sent += rep.sent
-		s.Recv += rep.recv
-		s.Aux += rep.aux
-		s.Rel += rep.rel
-		s.Active += rep.active
-		s.Idle += rep.idle
-		s.Total += rep.total
-	}
-	return s, true
+	return u.waveSample(), true
 }
 
 // remoteFinish ends the running epoch: another worker's detector proved
@@ -489,13 +460,4 @@ func (u *Universe) mpRestore(epoch int64) error {
 		}
 	}
 	return nil
-}
-
-// mpMarkCtrlClosed blocks new coordinator-initiated ctrl probes before Run
-// closes the ctrl channels.
-func (u *Universe) mpMarkCtrlClosed() {
-	mp := u.mp
-	mp.ctrlMu.Lock()
-	mp.ctrlClosed = true
-	mp.ctrlMu.Unlock()
 }

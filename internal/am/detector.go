@@ -62,52 +62,26 @@ func (u *Universe) bodiesIdle() bool {
 	return true
 }
 
-// ctrlProbe is a termination-detection control message; the receiving rank
-// replies with a snapshot of its counters.
-type ctrlProbe struct {
-	reply chan ctrlReply
-}
-
-type ctrlReply struct {
-	// qid echoes the query context the replying rank observed (the current
-	// epoch's tag). The driver invalidates any wave whose replies disagree
-	// with its own context: counters sampled under another query must never
-	// terminate this query's epoch.
-	qid             int64
-	sent, recv, aux int64
-	// rel is the rank's count of unacknowledged + delayed envelopes
-	// (always 0 on the trusted transport). Requiring the global sum to be
-	// zero keeps the four-counter protocol exact under injected faults: a
-	// dropped or in-flight envelope holds rel > 0 at its sender until the
-	// retransmit is delivered and acknowledged, and sentC/recvC count
-	// user messages exactly once (retransmits re-ship an envelope without
-	// touching sentC; the dedup window keeps duplicates away from
-	// handlers and recvC).
-	rel         int64
-	active      int32
-	idle, total int32
-}
-
 // fourCounterDriver implements Mattern-style four-counter termination
 // detection. Rank 0 owns the driver for the duration of one epoch; wave()
-// probes every rank and reports termination after two consecutive identical
+// samples every rank and reports termination after two consecutive identical
 // quiescent snapshots (the second wave proves no message was in flight
 // during the first).
+//
+// A wave cannot mix two query contexts: rank 0 samples between its epoch's
+// opening and closing barriers, so every rank it samples has entered that
+// epoch, and none can leave it — let alone store the next epoch's context —
+// before rank 0 reaches the closing barrier too.
 type fourCounterDriver struct {
 	u                  *Universe
 	mu                 sync.Mutex
-	replyCh            chan ctrlReply
 	prevSent, prevRecv int64
 	havePrev           bool
 }
 
-func newFourCounterDriver(u *Universe) *fourCounterDriver {
-	return &fourCounterDriver{u: u, replyCh: make(chan ctrlReply, u.cfg.Ranks)}
-}
-
 // wave runs one probe wave and reports whether the epoch has terminated.
 // Safe for concurrent callers (waves serialize). In multi-process mode only
-// the local ranks are probed directly; the sample ships over the control
+// the local ranks are sampled directly; the sample ships over the control
 // plane, the coordinator polls every other worker, and the merged global
 // sample comes back — rank 0 (the only rank with a driver) then applies the
 // same two-identical-quiescent-waves predicate to global totals.
@@ -119,52 +93,48 @@ func (d *fourCounterDriver) wave() bool {
 		return true
 	}
 	u.ranks[0].st.Inc(cTDWaves) // waves are driven from rank 0 only
-	want := u.curQuery.Load()
-	for _, r := range u.localRanks() {
-		r.ctrl <- ctrlProbe{reply: d.replyCh}
-	}
-	var sent, recv, aux, rel int64
-	var active int32
-	quiet := true
-	stale := false
-	var local WaveSample
-	for range u.localRanks() {
-		rep := <-d.replyCh
-		if rep.qid != want {
-			stale = true
-		}
-		local.Sent += rep.sent
-		local.Recv += rep.recv
-		local.Aux += rep.aux
-		local.Rel += rep.rel
-		local.Active += rep.active
-		local.Idle += rep.idle
-		local.Total += rep.total
-	}
-	if stale {
-		// A reply tagged with another query context is a sample of the wrong
-		// epoch; the whole wave (and any snapshot history) is void.
-		d.havePrev = false
-		return false
-	}
+	s := u.waveSample()
 	if mp := u.mp; mp != nil {
-		global, err := mp.plane.WireWave(local)
+		global, err := mp.plane.WireWave(s)
 		if err != nil {
 			// The fleet is aborting; the abort path ends the epoch.
 			return false
 		}
-		local = global
+		s = global
 	}
-	sent, recv, aux, rel = local.Sent, local.Recv, local.Aux, local.Rel
-	active = local.Active
-	quiet = local.Idle >= local.Total
-	ok := quiet && active == 0 && aux == 0 && rel == 0 && sent == recv &&
-		d.havePrev && sent == d.prevSent && recv == d.prevRecv
-	d.prevSent, d.prevRecv, d.havePrev = sent, recv, true
+	ok := s.Idle >= s.Total && s.Active == 0 && s.Aux == 0 && s.Rel == 0 && s.Sent == s.Recv &&
+		d.havePrev && s.Sent == d.prevSent && s.Recv == d.prevRecv
+	d.prevSent, d.prevRecv, d.havePrev = s.Sent, s.Recv, true
 	if ok {
-		u.trace(0, TraceTDWave, 1, sent)
+		u.trace(0, TraceTDWave, 1, s.Sent)
 	} else {
-		u.trace(0, TraceTDWave, 0, sent)
+		u.trace(0, TraceTDWave, 0, s.Sent)
 	}
 	return ok
+}
+
+// waveSample reads every local rank's termination counters into this
+// process's wave sample. The read stands for a probe and a reply per rank,
+// which CtrlMsgs counts. Rel is a rank's count of unacknowledged + delayed
+// envelopes (always 0 on the trusted transport): requiring the global sum to
+// be zero keeps the four-counter protocol exact under injected faults — a
+// dropped or in-flight envelope holds it above zero at its sender until the
+// retransmit is delivered and acknowledged, and sentC/recvC count user
+// messages exactly once (retransmits re-ship an envelope without touching
+// sentC; the dedup window keeps duplicates away from handlers and recvC).
+func (u *Universe) waveSample() WaveSample {
+	var s WaveSample
+	for _, r := range u.localRanks() {
+		r.st.Add(cCtrlMsgs, 2)
+		s.Add(WaveSample{
+			Sent:   r.sentC.Load(),
+			Recv:   r.recvC.Load(),
+			Aux:    r.auxWork.Load(),
+			Rel:    r.relPendingNow(),
+			Active: r.activeH.Load(),
+			Idle:   r.idleBodies.Load(),
+			Total:  r.totalBodies.Load(),
+		})
+	}
+	return s
 }

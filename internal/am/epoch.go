@@ -126,7 +126,7 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 		if u.cfg.Detector == DetectorFourCounter && r.id == 0 {
 			// A fresh driver per attempt: a rolled-back epoch must not
 			// inherit wave snapshots from the aborted attempt.
-			r.fc = newFourCounterDriver(u)
+			r.fc = &fourCounterDriver{u: u}
 		}
 		u.touchProgress()
 		// Arm (or fire) injected crashes before the barrier: an

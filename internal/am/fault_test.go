@@ -195,10 +195,10 @@ func TestReliableDeterministicSchedule(t *testing.T) {
 }
 
 // TestShutdownStress hammers the Universe.Run teardown path — four-counter
-// probes, handler threads, and the reliable layer's retransmit polling all
+// waves, handler threads, and the reliable layer's retransmit polling all
 // winding down at epoch end — to demonstrate the absence of a
-// send-on-closed-channel race between the ctrl responder teardown and late
-// probe/retransmit activity. Run with -race.
+// send-on-closed-channel race between the inbox teardown and late
+// retransmit activity. Run with -race.
 func TestShutdownStress(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		plan := &FaultPlan{Seed: uint64(i), Drop: 0.15, Dup: 0.1, Delay: 0.1,

@@ -259,8 +259,8 @@ type Universe struct {
 	// plain untagged epochs). Every rank stores its nextQID here at epoch
 	// entry — a collective EpochCtx call stores the same value from every
 	// rank, and the opening barrier orders the stores before any send — so
-	// sends stamp envelopes with it, deliveries validate against it, trace
-	// events attribute to it, and detector-wave replies echo it.
+	// sends stamp envelopes with it, deliveries validate against it, and trace
+	// events attribute to it.
 	curQuery atomic.Int64
 
 	barrier *Barrier
@@ -297,7 +297,8 @@ type Universe struct {
 	// runExited flips once every rank main has returned: the algorithm is
 	// complete and its results are final. Transport failures observed after
 	// this point (peers tearing down data-plane sockets at slightly
-	// different times in multi-process mode) must not fault a finished run.
+	// different times in multi-process mode) must not fault a finished run,
+	// and a coordinator wave poll is answered ok=false (sampleWave).
 	runExited atomic.Bool
 
 	// Injected-fault bookkeeping: one fired/healed flag per
@@ -404,7 +405,6 @@ func NewUniverse(cfg Config) *Universe {
 			u:     u,
 			id:    i,
 			inbox: newQueue(),
-			ctrl:  make(chan ctrlProbe, cfg.Ranks+1),
 			st:    u.c.Shard(i),
 		}}
 		u.ranks[i].crashAfter.Store(-1)
@@ -456,7 +456,6 @@ type rankState struct {
 	u     *Universe
 	id    int
 	inbox *queue
-	ctrl  chan ctrlProbe
 
 	// linSeq numbers this rank's handler invocations for lineage ids
 	// (first invocation gets 1, so no handler id collides with 0 = none).
@@ -636,48 +635,23 @@ func (u *Universe) Run(body func(r *Rank)) error {
 				defer workers.Done()
 				r = r.facet() // this worker's own lineage context
 				for {
-					if u.park {
-						// Flush before blocking: the rank main may be parked,
-						// and a message left in a coalescing buffer while
-						// every thread of its rank sleeps would never ship.
-						if e, ok := r.inbox.TryPop(); ok {
-							r.deliverEnvelope(e)
-							continue
-						}
-						r.flushAll()
-					}
 					e, ok := r.inbox.Pop()
 					if !ok {
 						return
 					}
 					r.deliverEnvelope(e)
+					if u.park && r.inbox.Len() == 0 {
+						// Flush before blocking: the rank main may be parked,
+						// and a message left in a coalescing buffer while
+						// every thread of its rank sleeps would never ship.
+						// Only after a delivery: before it the thread has sent
+						// nothing, and a flush would cut short the buffers the
+						// body is still filling.
+						r.flushAll()
+					}
 				}
 			}(r)
 		}
-	}
-
-	var responders sync.WaitGroup
-	for _, r := range u.ranks {
-		if !u.isLocal(r.id) {
-			continue
-		}
-		responders.Add(1)
-		go func(r *Rank) {
-			defer responders.Done()
-			for p := range r.ctrl {
-				r.st.Add(cCtrlMsgs, 2) // probe + reply
-				p.reply <- ctrlReply{
-					qid:    u.curQuery.Load(),
-					sent:   r.sentC.Load(),
-					recv:   r.recvC.Load(),
-					aux:    r.auxWork.Load(),
-					rel:    r.relPendingNow(),
-					active: r.activeH.Load(),
-					idle:   r.idleBodies.Load(),
-					total:  r.totalBodies.Load(),
-				}
-			}
-		}(r)
 	}
 
 	var mains sync.WaitGroup
@@ -705,22 +679,19 @@ func (u *Universe) Run(body func(r *Rank)) error {
 	mains.Wait()
 	u.runExited.Store(true)
 
-	// Shutdown audit (no send-on-closed-channel window). Sends on r.ctrl
-	// come only from fourCounterDriver.wave, which runs exclusively on
-	// epoch-body goroutines and rank mains — all of which have returned by
-	// the time mains.Wait() does — so close(r.ctrl) below cannot race a
-	// probe. The reliable-delivery layer preserves this: retransmits and
-	// delayed-envelope releases are poll-driven from flushAll (bodies and
-	// progress loops only, never a timer goroutine), and both detectors
-	// require totalRelPending() == 0 before ending an epoch, so no
-	// retransmit can fire after the last epoch ends. The only post-epoch
-	// traffic is a redundant duplicate ack, and inbox.Push on a closed
-	// queue is a safe no-op sink (queues are not Go channels).
-	// TestShutdownStress exercises this window under -race. A socket
-	// backend adds goroutines of its own (readers, heartbeats,
-	// reconnectors); closing it here — after every rank main has returned,
-	// before the inboxes close — joins them all, and its post-close sends
-	// are safe no-ops, so the audit holds for every backend.
+	// Shutdown audit (no send-on-closed-channel window). Once the rank mains
+	// have returned nothing can send or retransmit: the reliable-delivery
+	// layer's retransmits and delayed-envelope releases are poll-driven from
+	// flushAll (bodies and progress loops only, never a timer goroutine), and
+	// both detectors require totalRelPending() == 0 before ending an epoch, so
+	// no retransmit can fire after the last epoch ends. The only post-epoch
+	// traffic is a redundant duplicate ack, and inbox.Push on a closed queue
+	// is a safe no-op sink (queues are not Go channels). A socket backend adds
+	// goroutines of its own (readers, heartbeats, reconnectors); closing it
+	// here — before the inboxes close — joins them all, and its post-close
+	// sends are safe no-ops. Wave samples read counters and send nothing, so a
+	// coordinator poll that outlives the mains is answered from runExited.
+	// TestShutdownStress exercises this window under -race.
 	if err := u.net.close(); err != nil {
 		u.failRun(fmt.Errorf("am: transport %s close: %w", u.net.Name(), err))
 	}
@@ -728,17 +699,6 @@ func (u *Universe) Run(body func(r *Rank)) error {
 		r.inbox.Close()
 	}
 	workers.Wait()
-	if u.mp != nil {
-		// The coordinator may still poll this worker for wave samples after
-		// the local mains exit (another worker can lag an epoch behind);
-		// latch the control channels closed so sampleWave answers zeros
-		// instead of sending on a closed channel.
-		u.mpMarkCtrlClosed()
-	}
-	for _, r := range u.ranks {
-		close(r.ctrl)
-	}
-	responders.Wait()
 	return u.runError()
 }
 

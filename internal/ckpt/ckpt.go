@@ -1,8 +1,7 @@
 // Package ckpt is the serialized checkpoint layer behind multi-process
 // crash recovery: a tiny append-style binary codec (Enc/Dec) shared by the
-// property-map / Δ-bucket / engine snapshot encoders and the control-plane
-// wire frames, plus the on-disk checkpoint file a replacement worker process
-// reloads after a crash.
+// property-map / Δ-bucket / engine snapshot encoders, plus the on-disk
+// checkpoint file a replacement worker process reloads after a crash.
 //
 // The file format is deliberately dumb: one internal/frame hello frame
 // (magic "DPCK", so frame.Version versions it) whose body is a fixed header
@@ -53,12 +52,6 @@ func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 func (e *Enc) Bytes(b []byte) {
 	e.U32(uint32(len(b)))
 	e.B = append(e.B, b...)
-}
-
-// String appends a u32 length prefix followed by the string bytes.
-func (e *Enc) String(s string) {
-	e.U32(uint32(len(s)))
-	e.B = append(e.B, s...)
 }
 
 // Bool appends one byte, 1 for true and 0 for false.
@@ -159,9 +152,6 @@ func (d *Dec) Bytes() []byte {
 	return v
 }
 
-// String reads a u32 length-prefixed string.
-func (d *Dec) String() string { return string(d.Bytes()) }
-
 // Count reads a u32 element count and fails unless the bytes that remain
 // can hold that many elements of at least elemMin bytes each, so the caller
 // may size an allocation by the result: a count is never trusted before the
@@ -196,19 +186,6 @@ func Apply(b []byte, decode func(d *Dec, write bool)) error {
 	d = Dec{B: b}
 	decode(&d, true)
 	return nil
-}
-
-// I64Slice reads a u32 count followed by the values.
-func (d *Dec) I64Slice() []int64 {
-	n := d.Count(8)
-	if d.Err != nil {
-		return nil
-	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = d.I64()
-	}
-	return vs
 }
 
 // Done returns the sticky decode error, or an error if trailing bytes

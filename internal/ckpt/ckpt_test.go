@@ -19,7 +19,6 @@ func TestEncDecRoundTrip(t *testing.T) {
 	e.U64(1 << 60)
 	e.I64(-42)
 	e.Bytes([]byte{1, 2, 3})
-	e.String("hello")
 	e.I64Slice([]int64{-1, 0, 9})
 	e.I64Slice(nil)
 
@@ -39,15 +38,11 @@ func TestEncDecRoundTrip(t *testing.T) {
 	if got := d.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("bytes = %v", got)
 	}
-	if got := d.String(); got != "hello" {
-		t.Fatalf("string = %q", got)
+	if n := d.Count(8); n != 3 || d.I64() != -1 || d.I64() != 0 || d.I64() != 9 {
+		t.Fatalf("i64slice of %d", n)
 	}
-	got := d.I64Slice()
-	if len(got) != 3 || got[0] != -1 || got[2] != 9 {
-		t.Fatalf("i64slice = %v", got)
-	}
-	if got := d.I64Slice(); len(got) != 0 {
-		t.Fatalf("empty i64slice = %v", got)
+	if n := d.Count(8); n != 0 {
+		t.Fatalf("empty i64slice of %d", n)
 	}
 	if err := d.Done(true); err != nil {
 		t.Fatalf("done: %v", err)
@@ -56,10 +51,10 @@ func TestEncDecRoundTrip(t *testing.T) {
 
 func TestDecTruncation(t *testing.T) {
 	var e Enc
-	e.String("payload")
+	e.Bytes([]byte("payload"))
 	for cut := 0; cut < len(e.B); cut++ {
 		d := Dec{B: e.B[:cut]}
-		_ = d.String()
+		_ = d.Bytes()
 		if d.Err == nil && cut < len(e.B) {
 			t.Fatalf("cut=%d: expected sticky error", cut)
 		}
@@ -129,15 +124,19 @@ func TestSnapshotVersionReject(t *testing.T) {
 		e.U32(1) // Hi
 		e.U32(0) // rank entries
 	}
-	other := Enc{B: binary.LittleEndian.AppendUint16(append(frame.Begin(nil, frame.KindHello), Magic...), frame.Version+1)}
-	header(&other)
+	version := func(v uint16) []byte {
+		e := Enc{B: binary.LittleEndian.AppendUint16(append(frame.Begin(nil, frame.KindHello), Magic...), v)}
+		header(&e)
+		return frame.Seal(e.B)
+	}
 	foreign := Enc{B: frame.Hello(frame.Begin(nil, frame.KindHello), "DPFR")}
 	header(&foreign)
 	old := Enc{B: append([]byte(Magic), 1, 0)} // u16 version 1
 	header(&old)
 	old.U64(0) // CRC trailer: never reached, the bare magic gives the file away
 	for name, b := range map[string][]byte{
-		"future version":   frame.Seal(other.B),
+		"future version":   version(frame.Version + 1),
+		"version 2":        version(2),
 		"other magic":      frame.Seal(foreign.B),
 		"pre-frame layout": old.B,
 	} {

@@ -8,17 +8,20 @@
 // all little-endian, with length covering kind+body+crc (so at least MinLen)
 // and crc the CRC-64/ECMA of kind|body. A connection's first frame and a
 // file's only frame is a hello — kind KindHello, body opening with a 4-byte
-// magic and Version — so one number versions every format of a build. The
-// package also owns the module's single CRC table.
+// magic and Version — so one number versions every format of a build. A body
+// that is not laid out by hand for speed is canonical JSON (AppendJSON,
+// DecodeJSON). The package also owns the module's single CRC table.
 package frame
 
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
+	"reflect"
 )
 
 // MinLen is the smallest length prefix a frame can announce: the kind byte
@@ -30,7 +33,7 @@ const MinLen = 1 + 8
 // Both ends of a connection, and a file's writer and reader, must match
 // exactly — a fleet runs one binary, so a mismatch means a stale peer or a
 // file from another build.
-const Version uint16 = 2
+const Version uint16 = 3
 
 // KindHello is the kind of a hello frame.
 const KindHello byte = 0
@@ -141,4 +144,37 @@ func Open(b []byte, magic string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame kind %d, want a hello", ErrHello, payload[0])
 	}
 	return CheckHello(payload[1:], magic)
+}
+
+// AppendJSON appends v's canonical JSON encoding to dst: json.Marshal's
+// spelling of the value DecodeJSON would return for it. The two differ only
+// where a string holds bytes that are not UTF-8: Marshal writes each such
+// byte as \ufffd, which decodes to U+FFFD and re-encodes raw, so AppendJSON
+// writes the decoded form.
+func AppendJSON(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err == nil && bytes.Contains(b, []byte(`\ufffd`)) {
+		c := reflect.New(reflect.TypeOf(v)).Interface()
+		if err = json.Unmarshal(b, c); err == nil {
+			b, err = json.Marshal(c)
+		}
+	}
+	if err != nil {
+		return dst, fmt.Errorf("frame: JSON body: %w", err)
+	}
+	return append(dst, b...), nil
+}
+
+// DecodeJSON parses b into v, a pointer to a zero value, and accepts exactly
+// what AppendJSON writes: JSON spells one value many ways (spacing, key order
+// and case, escapes, number forms, duplicate or unknown keys), and only
+// Marshal's spelling is a body. Anything else wraps ErrCorrupt.
+func DecodeJSON(b []byte, v any) error {
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("%w: JSON body: %v", ErrCorrupt, err)
+	}
+	if re, err := json.Marshal(v); err != nil || !bytes.Equal(re, b) {
+		return fmt.Errorf("%w: body is not its value's JSON encoding", ErrCorrupt)
+	}
+	return nil
 }

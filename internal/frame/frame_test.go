@@ -149,6 +149,43 @@ func TestOpen(t *testing.T) {
 	}
 }
 
+// TestJSONCanonical: DecodeJSON accepts what AppendJSON writes, strings JSON
+// escapes and bytes that are not UTF-8 included, and refuses every other
+// spelling of the same value.
+func TestJSONCanonical(t *testing.T) {
+	type body struct {
+		N    int32
+		OK   bool
+		S    string
+		Vals []int64
+	}
+	for _, s := range []string{"plain", "<a & b>", "line\u2028sep", "bad \xff byte", `literal \ufffd`} {
+		b, err := AppendJSON([]byte("pre"), body{N: -3, OK: true, S: s, Vals: []int64{1 << 62}})
+		if err != nil || !bytes.HasPrefix(b, []byte("pre")) {
+			t.Fatalf("%q: AppendJSON = %q, %v", s, b, err)
+		}
+		var got body
+		if err := DecodeJSON(b[3:], &got); err != nil {
+			t.Errorf("%q: DecodeJSON(%s): %v", s, b[3:], err)
+		}
+	}
+	for _, in := range []string{
+		`{"N":1,"OK":false,"S":"","Vals":null} `,         // trailing space
+		`{"OK":false,"N":1,"S":"","Vals":null}`,          // key order
+		`{"n":1,"OK":false,"S":"","Vals":null}`,          // key case
+		`{"N":1.0,"OK":false,"S":"","Vals":null}`,        // number form
+		`{"N":1,"OK":false,"S":"\u0061","Vals":null}`,    // escape
+		`{"N":1,"OK":false,"S":"","Vals":null,"X":0}`,    // unknown key
+		`{"N":4294967296,"OK":false,"S":"","Vals":null}`, // out of int32 range
+		`{"N":1,"OK":2,"S":"","Vals":null}`,              // not a bool
+	} {
+		var got body
+		if err := DecodeJSON([]byte(in), &got); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", in, err)
+		}
+	}
+}
+
 // FuzzRead feeds the reader arbitrary streams: it must never panic, never
 // size a buffer past max whatever the length prefix claims, fail only with
 // ErrCorrupt or the stream's own EOF, and accept exactly the frames Seal

@@ -9,16 +9,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
-	"time"
 )
 
 // DebugServer is the diagnostic HTTP server: pprof profiles under
 // /debug/pprof/, expvar JSON under /debug/vars, and — when a metrics source
 // is registered — an OpenMetrics/Prometheus scrape endpoint under /metrics.
-// Unlike the old ServeDebug it owns its mux (so two servers in one process
-// don't fight over the default mux's pprof routes), and it shuts down
-// gracefully: Shutdown drains in-flight scrapes, Close drops them, and both
-// release the listener — experiments that exit no longer leak it.
+// It owns its mux (so two servers in one process don't fight over the
+// default mux's pprof routes), and it shuts down gracefully: Shutdown drains
+// in-flight scrapes, Close drops them, and both release the listener.
 type DebugServer struct {
 	srv *http.Server
 	ln  net.Listener
@@ -104,66 +102,4 @@ func (d *DebugServer) Close() error {
 		err = nil
 	}
 	return err
-}
-
-// defaultDebug backs the package-level ServeDebug/HandleMetrics
-// compatibility layer: one process-wide server, like the old default-mux
-// behavior, but with its shutdown reachable via StopDebug.
-var (
-	defaultDebugMu sync.Mutex
-	defaultDebug   *DebugServer
-)
-
-// ServeDebug starts the process-wide diagnostic server on addr and returns
-// the bound address. Use ":0" for an ephemeral port. Successive calls reuse
-// the first server (its address is returned; addr is ignored). Prefer
-// NewDebugServer in new code — it makes shutdown explicit.
-func ServeDebug(addr string) (string, error) {
-	defaultDebugMu.Lock()
-	defer defaultDebugMu.Unlock()
-	if defaultDebug != nil {
-		return defaultDebug.Addr(), nil
-	}
-	d, err := NewDebugServer(addr)
-	if err != nil {
-		return "", err
-	}
-	defaultDebug = d
-	return d.Addr(), nil
-}
-
-// HandleMetrics registers the /metrics source on the process-wide server
-// (starting it on an ephemeral port if ServeDebug was never called).
-func HandleMetrics(fn func(io.Writer) error) (string, error) {
-	addr, err := ServeDebug(":0")
-	if err != nil {
-		return "", err
-	}
-	defaultDebugMu.Lock()
-	defaultDebug.HandleMetrics(fn)
-	defaultDebugMu.Unlock()
-	return addr, nil
-}
-
-// StopDebug gracefully shuts down the process-wide diagnostic server (a
-// 2-second drain), releasing its listener. No-op when it never started.
-func StopDebug() {
-	defaultDebugMu.Lock()
-	d := defaultDebug
-	defaultDebug = nil
-	defaultDebugMu.Unlock()
-	if d == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	d.Shutdown(ctx)
-}
-
-// Publish exposes fn's result as JSON at /debug/vars under name, via expvar.
-// Use it to publish live substrate metrics (e.g. a Universe.Metrics closure)
-// while a long run is in flight. Each name can be published once per process;
-// a second Publish with the same name panics (expvar semantics).
-func Publish(name string, fn func() any) {
-	expvar.Publish(name, expvar.Func(fn))
 }

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -59,36 +56,5 @@ func TestMinMed(t *testing.T) {
 	}
 	if min > med {
 		t.Fatalf("min %v > med %v", min, med)
-	}
-}
-
-func TestServeDebug(t *testing.T) {
-	addr, err := ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	Publish("harness_test", func() any { return map[string]int{"x": 1} })
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if string(vars["harness_test"]) != `{"x":1}` {
-		t.Fatalf("published var = %s", vars["harness_test"])
-	}
-	if resp, err = http.Get("http://" + addr + "/debug/pprof/cmdline"); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof endpoint returned %d", resp.StatusCode)
 	}
 }

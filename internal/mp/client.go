@@ -86,7 +86,7 @@ func Dial(addr string, worker int) (*Client, error) {
 		return nil, fmt.Errorf("mp: dialing coordinator %s: %w", addr, err)
 	}
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeFrame(conn, fHello, hello{Worker: worker}.encode()); err != nil {
+	if err := writeFrame(conn, fHello, hello{Worker: worker}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("mp: hello: %w", err)
 	}
@@ -96,7 +96,8 @@ func Dial(addr string, worker int) (*Client, error) {
 		return nil, fmt.Errorf("mp: reading welcome: %w", err)
 	}
 	if kind == fAbort {
-		a, _ := decodeAbort(body)
+		var a abortMsg
+		decodeBody(kind, body, &a)
 		conn.Close()
 		return nil, fmt.Errorf("mp: coordinator rejected worker %d: %s", worker, a.Reason)
 	}
@@ -104,8 +105,8 @@ func Dial(addr string, worker int) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("%w: expected welcome, got %s", ErrDecode, kindName(kind))
 	}
-	w, err := decodeWelcome(body)
-	if err != nil {
+	var w welcome
+	if err := decodeBody(kind, body, &w); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -141,7 +142,7 @@ func Dial(addr string, worker int) (*Client, error) {
 
 // sendPing writes one clock probe stamped with the local monotonic clock.
 func (c *Client) sendPing() error {
-	return c.write(fClockPing, clockMsg{T1: obs.Now()}.encode())
+	return c.write(fClockPing, clockMsg{T1: obs.Now()})
 }
 
 // ClockEstimate returns the current coordinator-clock offset estimate
@@ -155,7 +156,7 @@ func (c *Client) ClockEstimate() (offset, errBound int64, ok bool) {
 // the merged fleet timeline. Best-effort: a failed write means the connection
 // is down and the run is ending anyway.
 func (c *Client) SendTrace(m traceMsg) error {
-	return c.write(fTrace, m.encode())
+	return c.write(fTrace, m)
 }
 
 // Welcome returns the coordinator's fleet configuration for this worker.
@@ -218,7 +219,7 @@ func (c *Client) fail(err error) {
 	c.downOnce.Do(func() { close(c.down) })
 }
 
-func (c *Client) write(kind byte, body []byte) error {
+func (c *Client) write(kind byte, body any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.conn.SetWriteDeadline(time.Now().Add(c.liveness))
@@ -266,40 +267,30 @@ func (c *Client) readLoop() {
 		switch kind {
 		case fHeartbeat:
 		case fClockPong:
-			m, err := decodeClock(body)
-			if err != nil {
-				c.protoFail(err)
-				return
+			var m clockMsg
+			if err = decodeBody(kind, body, &m); err == nil {
+				c.clk.sample(m.T1, m.Remote, obs.Now())
 			}
-			c.clk.sample(m.T1, m.Remote, obs.Now())
 		case fAddrTable:
-			table, err := decodeStrings(body)
-			if err != nil {
-				c.protoFail(err)
-				return
+			var table []string
+			if err = decodeBody(kind, body, &table); err == nil {
+				c.addrCh <- table
 			}
-			c.addrCh <- table
 		case fBarrierRelease:
-			tag, err := decodeTag(body)
-			if err != nil {
-				c.protoFail(err)
-				return
+			var tag int64
+			if err = decodeBody(kind, body, &tag); err == nil {
+				c.barCh <- tag
 			}
-			c.barCh <- tag
 		case fGatherRelease:
-			g, err := decodeGather(body)
-			if err != nil {
-				c.protoFail(err)
-				return
+			var g gatherMsg
+			if err = decodeBody(kind, body, &g); err == nil {
+				c.gatCh <- g
 			}
-			c.gatCh <- g
 		case fWaveResult:
-			s, err := decodeWave(body)
-			if err != nil {
-				c.protoFail(err)
-				return
+			var s am.WaveSample
+			if err = decodeBody(kind, body, &s); err == nil {
+				c.wavCh <- s
 			}
-			c.wavCh <- s
 		case fWavePoll:
 			c.answerPoll()
 		case fFinish:
@@ -310,19 +301,20 @@ func (c *Client) readLoop() {
 			default:
 			}
 		case fAbort:
-			a, err := decodeAbort(body)
-			if err != nil {
-				c.protoFail(err)
-				return
+			var a abortMsg
+			if err = decodeBody(kind, body, &a); err == nil {
+				abort := fmt.Errorf("mp: fleet aborting: %s", a.Reason)
+				c.fail(abort)
+				c.deliverAbort(a, abort)
+				// Keep reading: the goodbye ack can legitimately follow the
+				// abort broadcast (a departing worker's goodbye aborts the
+				// rest of the fleet, itself included).
 			}
-			err = fmt.Errorf("mp: fleet aborting: %s", a.Reason)
-			c.fail(err)
-			c.deliverAbort(a, err)
-			// Keep reading: the goodbye ack can legitimately follow the
-			// abort broadcast (a departing worker's goodbye aborts the rest
-			// of the fleet, itself included).
 		default:
-			c.protoFail(fmt.Errorf("%w: unexpected %s frame from coordinator", ErrDecode, kindName(kind)))
+			err = fmt.Errorf("%w: unexpected %s frame from coordinator", ErrDecode, kindName(kind))
+		}
+		if err != nil {
+			c.protoFail(err)
 			return
 		}
 	}
@@ -375,7 +367,7 @@ func (c *Client) answerPoll() {
 			rep = waveReply{OK: true, Sample: s}
 		}
 	}
-	c.write(fWaveReply, rep.encode())
+	c.write(fWaveReply, rep)
 }
 
 // downErr is the error a parked op returns when the connection went down.
@@ -388,7 +380,7 @@ func (c *Client) downErr() error {
 
 // ExchangeAddrs implements am.ControlPlane.
 func (c *Client) ExchangeAddrs(local []string) ([]string, error) {
-	if err := c.write(fAddrSet, encodeStrings(local)); err != nil {
+	if err := c.write(fAddrSet, local); err != nil {
 		return nil, err
 	}
 	select {
@@ -404,7 +396,7 @@ func (c *Client) ExchangeAddrs(local []string) ([]string, error) {
 // completed (the checkpoint is the restart point) and the epoch body is
 // about to run — the harshest moment to die.
 func (c *Client) WireBarrier(epoch int64) error {
-	if err := c.write(fBarrier, encodeTag(epoch)); err != nil {
+	if err := c.write(fBarrier, epoch); err != nil {
 		return err
 	}
 	select {
@@ -427,7 +419,7 @@ func (c *Client) WireBarrier(epoch int64) error {
 // WireGather implements am.ControlPlane.
 func (c *Client) WireGather(local []int64) ([]int64, error) {
 	seq := c.gatherSeq.Add(1)
-	if err := c.write(fGather, gatherMsg{Seq: seq, Vals: local}.encode()); err != nil {
+	if err := c.write(fGather, gatherMsg{Seq: seq, Vals: local}); err != nil {
 		return nil, err
 	}
 	select {
@@ -446,7 +438,7 @@ func (c *Client) WireGather(local []int64) ([]int64, error) {
 // WireWave implements am.ControlPlane. Only the worker hosting global rank 0
 // calls this (it owns the four-counter driver).
 func (c *Client) WireWave(local am.WaveSample) (am.WaveSample, error) {
-	if err := c.write(fWaveStart, encodeWave(local)); err != nil {
+	if err := c.write(fWaveStart, local); err != nil {
 		return am.WaveSample{}, err
 	}
 	select {
@@ -467,7 +459,7 @@ func (c *Client) AnnounceFinish() error {
 // ReportFault implements am.ControlPlane. Best-effort: if the write fails
 // the connection is already down and the coordinator has (or will) notice.
 func (c *Client) ReportFault(f am.RankFault) {
-	c.write(fFault, encodeFault(f))
+	c.write(fFault, f)
 }
 
 // Goodbye performs the graceful-departure handshake (SIGTERM drain): the

@@ -104,12 +104,15 @@ type round struct {
 	opened  time.Time
 }
 
+// coordEvent is one input to the event loop: an admitted worker's frame, a
+// new connection's hello (conn set), a reader's dead connection (down), or a
+// frame the reader refused (err set, down not).
 type coordEvent struct {
 	worker int
 	kind   byte
 	body   []byte
-	conn   net.Conn // fHello only
-	err    error    // evtDown only
+	conn   net.Conn
+	err    error
 	down   bool
 }
 
@@ -175,8 +178,9 @@ func newCoordinator(spec coordSpec) (*coordinator, error) {
 func (c *coordinator) addr() string { return c.ln.Addr().String() }
 
 // acceptLoop admits connections and forwards their hellos to the event
-// loop. Connections beyond the worker count (or with bad hellos) are
-// dropped; the join-phase timer catches a fleet that never fills up.
+// loop. A connection that does not open with a valid hello is answered with
+// an abort naming why and dropped; the join-phase timer catches a fleet that
+// never fills up.
 func (c *coordinator) acceptLoop() {
 	for {
 		conn, err := c.ln.Accept()
@@ -184,19 +188,21 @@ func (c *coordinator) acceptLoop() {
 			return
 		}
 		go func(conn net.Conn) {
-			conn.SetReadDeadline(time.Now().Add(c.spec.RoundTimeout))
+			conn.SetDeadline(time.Now().Add(c.spec.RoundTimeout))
 			kind, body, err := readFrame(conn)
-			if err != nil || kind != fHello {
-				conn.Close()
-				return
+			var h hello
+			if err == nil && kind != fHello {
+				err = fmt.Errorf("%w: expected hello, got %s", ErrDecode, kindName(kind))
 			}
-			h, err := decodeHello(body)
+			if err == nil {
+				err = decodeBody(kind, body, &h)
+			}
 			if err != nil {
-				writeFrame(conn, fAbort, abortMsg{Reason: err.Error()}.encode())
+				writeFrame(conn, fAbort, abortMsg{Reason: err.Error()})
 				conn.Close()
 				return
 			}
-			conn.SetReadDeadline(time.Time{})
+			conn.SetDeadline(time.Time{})
 			c.events <- coordEvent{worker: h.Worker, kind: fHello, conn: conn}
 		}(conn)
 	}
@@ -219,10 +225,13 @@ func (c *coordinator) readerLoop(worker int, conn net.Conn) {
 			// usefulness is its tight RTT, and writeFrame issues exactly one
 			// conn.Write per frame, so this write cannot interleave with the
 			// event loop's (net.Conn serializes concurrent writes).
-			if m, err := decodeClock(body); err == nil {
-				conn.SetWriteDeadline(time.Now().Add(c.spec.Liveness))
-				writeFrame(conn, fClockPong, clockMsg{T1: m.T1, Remote: obs.Now()}.encode())
+			var m clockMsg
+			if err := decodeBody(kind, body, &m); err != nil {
+				c.events <- coordEvent{worker: worker, err: err}
+				return
 			}
+			conn.SetWriteDeadline(time.Now().Add(c.spec.Liveness))
+			writeFrame(conn, fClockPong, clockMsg{T1: m.T1, Remote: obs.Now()})
 			continue
 		}
 		c.events <- coordEvent{worker: worker, kind: kind, body: body}
@@ -273,7 +282,7 @@ func (c *coordinator) run() attemptOutcome {
 	}
 }
 
-func (c *coordinator) send(wc *wconn, kind byte, body []byte) {
+func (c *coordinator) send(wc *wconn, kind byte, body any) {
 	wc.conn.SetWriteDeadline(time.Now().Add(c.spec.Liveness))
 	if err := writeFrame(wc.conn, kind, body); err != nil {
 		// The reader will surface the dead connection; just stop writing.
@@ -281,7 +290,7 @@ func (c *coordinator) send(wc *wconn, kind byte, body []byte) {
 	}
 }
 
-func (c *coordinator) broadcast(kind byte, body []byte) {
+func (c *coordinator) broadcast(kind byte, body any) {
 	for _, wc := range c.conns {
 		if wc != nil && wc.alive {
 			c.send(wc, kind, body)
@@ -291,12 +300,18 @@ func (c *coordinator) broadcast(kind byte, body []byte) {
 
 // handle processes one event; done=true ends the attempt with out.
 func (c *coordinator) handle(ev coordEvent) (out attemptOutcome, done bool) {
-	if ev.down {
+	switch {
+	case ev.down:
 		return c.workerDown(ev)
-	}
-	switch ev.kind {
-	case fHello:
+	case ev.err != nil:
+		return c.abortFleet(false, fmt.Errorf("mp: worker %d: %w", ev.worker, ev.err)), true
+	case ev.conn != nil:
 		c.admit(ev)
+		return attemptOutcome{}, false
+	}
+	// A hello from an admitted worker lands in the default case: its
+	// connection is already welcomed, and a second hello is protocol damage.
+	switch ev.kind {
 	case fAddrSet:
 		return c.addrSet(ev)
 	case fBarrier:
@@ -310,8 +325,8 @@ func (c *coordinator) handle(ev coordEvent) (out attemptOutcome, done bool) {
 	case fFinish:
 		c.broadcast(fFinish, nil)
 	case fFault:
-		f, err := decodeFault(ev.body)
-		if err != nil {
+		var f am.RankFault
+		if err := decodeBody(ev.kind, ev.body, &f); err != nil {
 			return c.abortFleet(false, err), true
 		}
 		c.spec.Logf("mp: worker %d reported fault: %v", ev.worker, &f)
@@ -324,14 +339,14 @@ func (c *coordinator) handle(ev coordEvent) (out attemptOutcome, done bool) {
 		c.spec.Logf("mp: worker %d departed cleanly (goodbye)", ev.worker)
 		return c.abortFleet(true, fmt.Errorf("mp: worker %d departed cleanly", ev.worker)), true
 	case fTrace:
-		tm, err := decodeTrace(ev.body)
-		if err != nil {
+		var tm traceMsg
+		if err := decodeBody(ev.kind, ev.body, &tm); err != nil {
 			return c.abortFleet(false, err), true
 		}
 		c.foldTrace(tm)
 	case fResult:
-		r, err := decodeResult(ev.body)
-		if err != nil {
+		var r resultMsg
+		if err := decodeBody(ev.kind, ev.body, &r); err != nil {
 			return c.abortFleet(false, err), true
 		}
 		c.placeResult(r)
@@ -357,7 +372,7 @@ func (c *coordinator) handle(ev coordEvent) (out attemptOutcome, done bool) {
 func (c *coordinator) admit(ev coordEvent) {
 	w := ev.worker
 	if w < 0 || w >= c.spec.Workers || c.conns[w] != nil {
-		writeFrame(ev.conn, fAbort, abortMsg{Reason: fmt.Sprintf("worker index %d invalid or already joined", w)}.encode())
+		writeFrame(ev.conn, fAbort, abortMsg{Reason: fmt.Sprintf("worker index %d invalid or already joined", w)})
 		ev.conn.Close()
 		return
 	}
@@ -375,7 +390,7 @@ func (c *coordinator) admit(ev coordEvent) {
 		WorkerSeed:   harness.WorkerSeed(c.spec.RootSeed, w, lo, hi),
 		KillEpoch:    -1,
 		KillMode:     killNone,
-		JobJSON:      c.spec.JobJSON,
+		Job:          c.spec.JobJSON,
 	}
 	if c.armKill && c.spec.Kill.Mode == "body" && c.spec.Kill.Worker == w {
 		wel.KillEpoch = c.spec.Kill.Epoch
@@ -383,7 +398,7 @@ func (c *coordinator) admit(ev coordEvent) {
 	}
 	wc := &wconn{conn: ev.conn, alive: true}
 	c.conns[w] = wc
-	c.send(wc, fWelcome, wel.encode())
+	c.send(wc, fWelcome, wel)
 	c.joined++
 	go c.readerLoop(w, ev.conn)
 }
@@ -392,8 +407,8 @@ func (c *coordinator) admit(ev coordEvent) {
 // in, the concatenated table (worker order = global rank order, since rank
 // ranges are contiguous and ascending) broadcasts to everyone.
 func (c *coordinator) addrSet(ev coordEvent) (attemptOutcome, bool) {
-	addrs, err := decodeStrings(ev.body)
-	if err != nil {
+	var addrs []string
+	if err := decodeBody(ev.kind, ev.body, &addrs); err != nil {
 		return c.abortFleet(false, err), true
 	}
 	lo, hi := rankRange(c.spec.Ranks, c.spec.Workers, ev.worker)
@@ -410,7 +425,7 @@ func (c *coordinator) addrSet(ev coordEvent) (attemptOutcome, bool) {
 		for w := 0; w < c.spec.Workers; w++ {
 			table = append(table, c.addrs[w]...)
 		}
-		c.broadcast(fAddrTable, encodeStrings(table))
+		c.broadcast(fAddrTable, table)
 		c.addrsDone = true
 	}
 	return attemptOutcome{}, false
@@ -446,8 +461,8 @@ func (c *coordinator) enter(worker int) error {
 }
 
 func (c *coordinator) barrierEntry(ev coordEvent) (attemptOutcome, bool) {
-	tag, err := decodeTag(ev.body)
-	if err != nil {
+	var tag int64
+	if err := decodeBody(ev.kind, ev.body, &tag); err != nil {
 		return c.abortFleet(false, err), true
 	}
 	if err := c.openRound(fBarrier, tag, 0, ev.worker); err != nil {
@@ -477,7 +492,7 @@ func (c *coordinator) barrierEntry(ev coordEvent) (attemptOutcome, bool) {
 		c.commitLen = len(c.log)
 	}
 	c.round = nil
-	c.broadcast(fBarrierRelease, encodeTag(tag))
+	c.broadcast(fBarrierRelease, tag)
 	if tag >= 0 && c.armKill && c.spec.Kill.Mode == "term" && tag == c.spec.Kill.Epoch {
 		// Graceful-departure schedule: release normally, then SIGTERM the
 		// target so it drains and says goodbye mid-epoch.
@@ -489,8 +504,8 @@ func (c *coordinator) barrierEntry(ev coordEvent) (attemptOutcome, bool) {
 }
 
 func (c *coordinator) gatherEntry(ev coordEvent) (attemptOutcome, bool) {
-	g, err := decodeGather(ev.body)
-	if err != nil {
+	var g gatherMsg
+	if err := decodeBody(ev.kind, ev.body, &g); err != nil {
 		return c.abortFleet(false, err), true
 	}
 	if err := c.openRound(fGather, 0, g.Seq, ev.worker); err != nil {
@@ -515,13 +530,13 @@ func (c *coordinator) gatherEntry(ev coordEvent) (attemptOutcome, bool) {
 	c.log = append(c.log, full)
 	seq := c.round.seq
 	c.round = nil
-	c.broadcast(fGatherRelease, gatherMsg{Seq: seq, Vals: full}.encode())
+	c.broadcast(fGatherRelease, gatherMsg{Seq: seq, Vals: full})
 	return attemptOutcome{}, false
 }
 
 func (c *coordinator) waveStart(ev coordEvent) (attemptOutcome, bool) {
-	s, err := decodeWave(ev.body)
-	if err != nil {
+	var s am.WaveSample
+	if err := decodeBody(ev.kind, ev.body, &s); err != nil {
 		return c.abortFleet(false, err), true
 	}
 	if err := c.openRound(fWaveStart, 0, 0, ev.worker); err != nil {
@@ -544,8 +559,8 @@ func (c *coordinator) waveStart(ev coordEvent) (attemptOutcome, bool) {
 }
 
 func (c *coordinator) waveReply(ev coordEvent) (attemptOutcome, bool) {
-	rep, err := decodeWaveReply(ev.body)
-	if err != nil {
+	var rep waveReply
+	if err := decodeBody(ev.kind, ev.body, &rep); err != nil {
 		return c.abortFleet(false, err), true
 	}
 	if c.round == nil || c.round.kind != fWaveStart {
@@ -574,7 +589,7 @@ func (c *coordinator) finishWave() {
 	merged := c.round.wave
 	c.round = nil
 	if wc := c.conns[starter]; wc != nil && wc.alive {
-		c.send(wc, fWaveResult, encodeWave(merged))
+		c.send(wc, fWaveResult, merged)
 	}
 }
 
@@ -649,17 +664,16 @@ func (c *coordinator) workerDown(ev coordEvent) (attemptOutcome, bool) {
 // abortFleet broadcasts the abort, trims the gather log to the committed
 // prefix, and returns the attempt's outcome.
 func (c *coordinator) abortFleet(clean bool, err error) attemptOutcome {
-	c.broadcast(fAbort, abortMsg{Clean: clean, Reason: err.Error()}.encode())
+	c.broadcast(fAbort, abortMsg{Clean: clean, Reason: err.Error()})
 	// Drain trace batches already queued behind this event before the reply
 	// channels close: aborted attempts are exactly the ones whose timeline
 	// matters most. Bounded — only what is in the channel right now.
 	for {
 		select {
 		case ev := <-c.events:
-			if !ev.down && ev.kind == fTrace {
-				if tm, err := decodeTrace(ev.body); err == nil {
-					c.foldTrace(tm)
-				}
+			var tm traceMsg
+			if !ev.down && ev.kind == fTrace && decodeBody(ev.kind, ev.body, &tm) == nil {
+				c.foldTrace(tm)
 			}
 		default:
 			return attemptOutcome{

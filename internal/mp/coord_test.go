@@ -8,6 +8,7 @@ package mp
 // result, so every test runs under a hard deadline.
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -52,18 +53,15 @@ func dialFake(t *testing.T, addr string, worker int) *fakeWorker {
 	}
 	t.Cleanup(func() { conn.Close() })
 	f := &fakeWorker{t: t, conn: conn}
-	f.send(fHello, hello{Worker: worker}.encode())
-	kind, body := f.recv(fWelcome)
-	_ = kind
-	w, err := decodeWelcome(body)
-	if err != nil {
+	f.send(fHello, hello{Worker: worker})
+	_, body := f.recv(fWelcome)
+	if err := decodeBody(fWelcome, body, &f.w); err != nil {
 		t.Fatal(err)
 	}
-	f.w = w
 	return f
 }
 
-func (f *fakeWorker) send(kind byte, body []byte) {
+func (f *fakeWorker) send(kind byte, body any) {
 	f.t.Helper()
 	if err := writeFrame(f.conn, kind, body); err != nil {
 		f.t.Fatalf("send %s: %v", kindName(kind), err)
@@ -99,7 +97,7 @@ func registerAddrs(t *testing.T, fws ...*fakeWorker) {
 		for i := range addrs {
 			addrs[i] = "stub"
 		}
-		f.send(fAddrSet, encodeStrings(addrs))
+		f.send(fAddrSet, addrs)
 	}
 	for _, f := range fws {
 		f.recv(fAddrTable)
@@ -132,8 +130,8 @@ func TestCoordDuplicateBarrierEntryAborts(t *testing.T) {
 
 	// A duplicated barrier-entry frame (retransmission bug, confused worker)
 	// is a protocol violation, not a hang.
-	f0.send(fBarrier, encodeTag(-1))
-	f0.send(fBarrier, encodeTag(-1))
+	f0.send(fBarrier, int64(-1))
+	f0.send(fBarrier, int64(-1))
 	waitOutcome(t, outc, "entered a barrier round twice")
 	f1.recv(fAbort)
 }
@@ -146,7 +144,7 @@ func TestCoordLostBarrierFrameTimesOut(t *testing.T) {
 
 	// Worker 1's barrier entry is "lost": it never arrives. The round timer
 	// must end the attempt; worker 0 must see the abort, not wait forever.
-	f0.send(fBarrier, encodeTag(0))
+	f0.send(fBarrier, int64(0))
 	waitOutcome(t, outc, "round timed out")
 	f0.recv(fAbort)
 	_ = f1
@@ -161,8 +159,8 @@ func TestCoordReorderedRoundsAbort(t *testing.T) {
 	// Reordered frames: worker 1 joins the open barrier round with a gather
 	// entry. SPMD lockstep makes this impossible in a correct fleet, so the
 	// coordinator treats it as protocol damage.
-	f0.send(fBarrier, encodeTag(2))
-	f1.send(fGather, gatherMsg{Seq: 0, Vals: []int64{1, 1}}.encode())
+	f0.send(fBarrier, int64(2))
+	f1.send(fGather, gatherMsg{Seq: 0, Vals: []int64{1, 1}})
 	waitOutcome(t, outc, "round is open")
 }
 
@@ -174,8 +172,8 @@ func TestCoordMismatchedBarrierTagsAbort(t *testing.T) {
 
 	// Divergent epoch tags on the same vote round: the fleet is no longer
 	// in lockstep (e.g. a worker replayed a stale frame).
-	f0.send(fBarrier, encodeTag(3))
-	f1.send(fBarrier, encodeTag(4))
+	f0.send(fBarrier, int64(3))
+	f1.send(fBarrier, int64(4))
 	waitOutcome(t, outc, "round is open")
 }
 
@@ -189,10 +187,38 @@ func TestCoordOneWayPartitionDuringWave(t *testing.T) {
 	// frames reach the coordinator, the poll reaches worker 1, but worker
 	// 1's reply path is dead (it stays silent). The wave round must time
 	// out; quiescence must never be declared from a partial sample.
-	f0.send(fWaveStart, encodeWave(am.WaveSample{Sent: 5, Recv: 5}))
+	f0.send(fWaveStart, am.WaveSample{Sent: 5, Recv: 5})
 	f1.recv(fWavePoll)
 	waitOutcome(t, outc, "round timed out")
 	f0.recv(fAbort)
+}
+
+// TestCoordMalformedFramesAbort: an admitted worker's second hello and a
+// clock ping whose body does not decode are protocol damage that aborts the
+// attempt with ErrDecode. (A second hello used to reach admit, which wrote
+// the welcome to a connection the event did not carry and panicked.)
+func TestCoordMalformedFramesAbort(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind byte
+		body any
+		want string
+	}{
+		{"second hello", fHello, hello{Worker: 0}, "unexpected hello frame from worker 0"},
+		{"bad clock ping", fClockPing, gatherMsg{Seq: 1}, "clock-ping body"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, outc := testCoord(t, 2, 4)
+			f0 := dialFake(t, c.addr(), 0)
+			f1 := dialFake(t, c.addr(), 1)
+			registerAddrs(t, f0, f1)
+			f0.send(tc.kind, tc.body)
+			if out := waitOutcome(t, outc, tc.want); !errors.Is(out.err, ErrDecode) {
+				t.Fatalf("attempt error %v does not wrap ErrDecode", out.err)
+			}
+			f1.recv(fAbort)
+		})
+	}
 }
 
 func TestCoordCommitVoteAdvancesOnlyOnFullEntry(t *testing.T) {
@@ -204,8 +230,8 @@ func TestCoordCommitVoteAdvancesOnlyOnFullEntry(t *testing.T) {
 	// Epoch 0 commit vote completes: both slot files are (notionally) on
 	// disk, so the release must carry the tag and the outcome must record
 	// the commit even though the attempt later dies.
-	f0.send(fBarrier, encodeTag(0))
-	f1.send(fBarrier, encodeTag(0))
+	f0.send(fBarrier, int64(0))
+	f1.send(fBarrier, int64(0))
 	if _, body := f0.recv(fBarrierRelease); mustTag(t, body) != 0 {
 		t.Fatal("release tag != 0")
 	}
@@ -213,7 +239,7 @@ func TestCoordCommitVoteAdvancesOnlyOnFullEntry(t *testing.T) {
 
 	// Next epoch's vote never completes (worker 1 dies mid-vote): the
 	// commit must stay at epoch 0.
-	f0.send(fBarrier, encodeTag(1))
+	f0.send(fBarrier, int64(1))
 	f1.conn.Close()
 	out := waitOutcome(t, outc, "connection lost")
 	if out.committed != 0 {
@@ -223,8 +249,8 @@ func TestCoordCommitVoteAdvancesOnlyOnFullEntry(t *testing.T) {
 
 func mustTag(t *testing.T, body []byte) int64 {
 	t.Helper()
-	tag, err := decodeTag(body)
-	if err != nil {
+	var tag int64
+	if err := decodeBody(fBarrierRelease, body, &tag); err != nil {
 		t.Fatal(err)
 	}
 	return tag

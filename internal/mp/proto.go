@@ -18,21 +18,22 @@
 package mp
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 
 	"declpat/internal/am"
-	"declpat/internal/ckpt"
 	"declpat/internal/frame"
 )
 
 // Wire format: every frame is an internal/frame frame (u32 length | u8 kind
 // | body | u64 CRC-64/ECMA, the layout the data plane's socket frames share).
-// The control plane is low-rate — a handful of frames per epoch — so frames
-// favor explicitness over compactness; bodies are encoded with the ckpt
-// package's deterministic little-endian primitives.
+// The control plane is low-rate — a handful of frames per epoch — so a body
+// is the canonical JSON of a plain value (frame.AppendJSON): writeFrame is
+// the one encoder and decodeBody the one decoder, and a hello's JSON follows
+// its frame.Hello opening.
 
 // protoMagic opens the hello body (frame.Hello); a connection speaking
 // anything else (a stray data-plane dial, a worker from another build) is
@@ -99,16 +100,27 @@ var ErrPeerClosed = errors.New("mp: control peer closed connection")
 // corruption (cmd/declpat-worker exits 4 vs 5).
 var ErrDecode = errors.New("mp: control frame decode failure")
 
-// writeFrame writes one frame. The caller serializes writers per connection.
-func writeFrame(w io.Writer, kind byte, body []byte) error {
-	f := frame.Begin(make([]byte, 0, 4+1+len(body)+8), kind)
-	if _, err := w.Write(frame.Seal(append(f, body...))); err != nil {
+// writeFrame writes one frame whose body is v's canonical JSON, or empty when
+// v is nil. The caller serializes writers per connection.
+func writeFrame(w io.Writer, kind byte, v any) error {
+	f := frame.Begin(nil, kind)
+	if kind == fHello {
+		f = frame.Hello(f, protoMagic)
+	}
+	if v != nil {
+		var err error
+		if f, err = frame.AppendJSON(f, v); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(frame.Seal(f)); err != nil {
 		return classifyIOErr(err)
 	}
 	return nil
 }
 
-// readFrame reads and verifies one frame.
+// readFrame reads and verifies one frame and returns its kind and body; a
+// hello's body is what follows its checked opening.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	payload, _, err := frame.Read(r, nil, maxFrame)
 	if errors.Is(err, frame.ErrCorrupt) {
@@ -117,7 +129,22 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, classifyIOErr(err)
 	}
-	return payload[0], payload[1:], nil
+	kind, body := payload[0], payload[1:]
+	if kind == fHello {
+		if body, err = frame.CheckHello(body, protoMagic); err != nil {
+			return kind, nil, fmt.Errorf("%w: hello: %w", ErrDecode, err)
+		}
+	}
+	return kind, body, nil
+}
+
+// decodeBody parses a frame body into v, a pointer to a zero value. A body
+// writeFrame would not have written for that value is ErrDecode.
+func decodeBody(kind byte, body []byte, v any) error {
+	if err := frame.DecodeJSON(body, v); err != nil {
+		return fmt.Errorf("%w: %s body: %v", ErrDecode, kindName(kind), err)
+	}
+	return nil
 }
 
 // classifyIOErr folds transport-level errors into the two sentinels: clean
@@ -139,26 +166,14 @@ func isConnReset(err error) bool {
 }
 
 // --- frame bodies ---
+//
+// addr-set and addr-table carry a []string, barrier and barrier-release an
+// int64 tag, wave-start and wave-result an am.WaveSample, fault an
+// am.RankFault; the kinds below carry a struct, and the rest no body.
 
 // hello is the client's opening frame.
 type hello struct {
 	Worker int
-}
-
-func (h hello) encode() []byte {
-	e := ckpt.Enc{B: frame.Hello(nil, protoMagic)}
-	e.U32(uint32(h.Worker))
-	return e.B
-}
-
-func decodeHello(b []byte) (hello, error) {
-	rest, err := frame.CheckHello(b, protoMagic)
-	d := ckpt.Dec{B: rest, Err: err}
-	h := hello{Worker: int(d.U32())}
-	if err := d.Done(true); err != nil {
-		return h, fmt.Errorf("%w: hello: %w", ErrDecode, err)
-	}
-	return h, nil
 }
 
 // Kill modes a welcome can arm on the target worker (client-side arming is
@@ -184,94 +199,7 @@ type welcome struct {
 	WorkerSeed   uint64
 	KillEpoch    int64 // meaningful when KillMode != killNone
 	KillMode     byte
-	JobJSON      []byte
-}
-
-func (w welcome) encode() []byte {
-	var e ckpt.Enc
-	e.U64(w.RunID)
-	e.U32(uint32(w.Workers))
-	e.U32(uint32(w.Ranks))
-	e.U32(uint32(w.Lo))
-	e.U32(uint32(w.Hi))
-	e.I64(w.RestartEpoch)
-	if w.HaveCkpt {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.U32(uint32(len(w.Log)))
-	for _, v := range w.Log {
-		e.I64Slice(v)
-	}
-	e.String(w.CkptDir)
-	e.U64(w.WorkerSeed)
-	e.I64(w.KillEpoch)
-	e.U8(w.KillMode)
-	e.Bytes(w.JobJSON)
-	return e.B
-}
-
-func decodeWelcome(b []byte) (welcome, error) {
-	d := ckpt.Dec{B: b}
-	var w welcome
-	w.RunID = d.U64()
-	w.Workers = int(d.U32())
-	w.Ranks = int(d.U32())
-	w.Lo = int(d.U32())
-	w.Hi = int(d.U32())
-	w.RestartEpoch = d.I64()
-	w.HaveCkpt = d.U8() == 1
-	n := d.Count(4) // a log entry is at least its 4-byte count
-	for i := 0; i < n && d.Err == nil; i++ {
-		w.Log = append(w.Log, d.I64Slice())
-	}
-	w.CkptDir = d.String()
-	w.WorkerSeed = d.U64()
-	w.KillEpoch = d.I64()
-	w.KillMode = d.U8()
-	w.JobJSON = d.Bytes()
-	if err := d.Done(true); err != nil {
-		return w, fmt.Errorf("%w: welcome: %v", ErrDecode, err)
-	}
-	return w, nil
-}
-
-func encodeStrings(ss []string) []byte {
-	var e ckpt.Enc
-	e.U32(uint32(len(ss)))
-	for _, s := range ss {
-		e.String(s)
-	}
-	return e.B
-}
-
-func decodeStrings(b []byte) ([]string, error) {
-	d := ckpt.Dec{B: b}
-	n := d.Count(4) // an entry is at least its 4-byte length
-	out := make([]string, 0, n)
-	for i := 0; i < n && d.Err == nil; i++ {
-		out = append(out, d.String())
-	}
-	if err := d.Done(true); err != nil {
-		return nil, fmt.Errorf("%w: string table: %v", ErrDecode, err)
-	}
-	return out, nil
-}
-
-func encodeTag(tag int64) []byte {
-	var e ckpt.Enc
-	e.I64(tag)
-	return e.B
-}
-
-func decodeTag(b []byte) (int64, error) {
-	d := ckpt.Dec{B: b}
-	tag := d.I64()
-	if err := d.Done(true); err != nil {
-		return 0, fmt.Errorf("%w: barrier tag: %v", ErrDecode, err)
-	}
-	return tag, nil
+	Job          json.RawMessage // the JobSpec
 }
 
 // gatherMsg carries one direction of an all-gather round: the worker's local
@@ -282,104 +210,12 @@ type gatherMsg struct {
 	Vals []int64
 }
 
-func (g gatherMsg) encode() []byte {
-	var e ckpt.Enc
-	e.U64(g.Seq)
-	e.I64Slice(g.Vals)
-	return e.B
-}
-
-func decodeGather(b []byte) (gatherMsg, error) {
-	d := ckpt.Dec{B: b}
-	g := gatherMsg{Seq: d.U64(), Vals: d.I64Slice()}
-	if err := d.Done(true); err != nil {
-		return g, fmt.Errorf("%w: gather: %v", ErrDecode, err)
-	}
-	return g, nil
-}
-
-func encodeSample(e *ckpt.Enc, s am.WaveSample) {
-	e.I64(s.Sent)
-	e.I64(s.Recv)
-	e.I64(s.Aux)
-	e.I64(s.Rel)
-	e.I64(int64(s.Active))
-	e.I64(int64(s.Idle))
-	e.I64(int64(s.Total))
-}
-
-func decodeSample(d *ckpt.Dec) am.WaveSample {
-	return am.WaveSample{
-		Sent: d.I64(), Recv: d.I64(), Aux: d.I64(), Rel: d.I64(),
-		Active: int32(d.I64()), Idle: int32(d.I64()), Total: int32(d.I64()),
-	}
-}
-
-func encodeWave(s am.WaveSample) []byte {
-	var e ckpt.Enc
-	encodeSample(&e, s)
-	return e.B
-}
-
-func decodeWave(b []byte) (am.WaveSample, error) {
-	d := ckpt.Dec{B: b}
-	s := decodeSample(&d)
-	if err := d.Done(true); err != nil {
-		return s, fmt.Errorf("%w: wave sample: %v", ErrDecode, err)
-	}
-	return s, nil
-}
-
 // waveReply is a worker's answer to a wave poll; OK is false when the worker
 // is shutting down and cannot sample (the coordinator treats that as
 // non-quiescent, never as an error).
 type waveReply struct {
 	OK     bool
 	Sample am.WaveSample
-}
-
-func (r waveReply) encode() []byte {
-	var e ckpt.Enc
-	if r.OK {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	encodeSample(&e, r.Sample)
-	return e.B
-}
-
-func decodeWaveReply(b []byte) (waveReply, error) {
-	d := ckpt.Dec{B: b}
-	r := waveReply{OK: d.U8() == 1}
-	r.Sample = decodeSample(&d)
-	if err := d.Done(true); err != nil {
-		return r, fmt.Errorf("%w: wave reply: %v", ErrDecode, err)
-	}
-	return r, nil
-}
-
-func encodeFault(f am.RankFault) []byte {
-	var e ckpt.Enc
-	e.I64(int64(f.Kind))
-	e.I64(int64(f.Rank))
-	e.I64(f.Epoch)
-	e.String(f.Detail)
-	return e.B
-}
-
-func decodeFault(b []byte) (am.RankFault, error) {
-	d := ckpt.Dec{B: b}
-	f := am.RankFault{
-		Kind:  am.FaultKind(d.I64()),
-		Rank:  int(d.I64()),
-		Epoch: d.I64(),
-	}
-	f.Detail = d.String()
-	if err := d.Done(true); err != nil {
-		return f, fmt.Errorf("%w: fault report: %v", ErrDecode, err)
-	}
-	return f, nil
 }
 
 // abortMsg tells a worker the fleet is going down. Clean distinguishes a
@@ -389,50 +225,13 @@ type abortMsg struct {
 	Reason string
 }
 
-func (a abortMsg) encode() []byte {
-	var e ckpt.Enc
-	if a.Clean {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.String(a.Reason)
-	return e.B
-}
-
-func decodeAbort(b []byte) (abortMsg, error) {
-	d := ckpt.Dec{B: b}
-	a := abortMsg{Clean: d.U8() == 1}
-	a.Reason = d.String()
-	if err := d.Done(true); err != nil {
-		return a, fmt.Errorf("%w: abort: %v", ErrDecode, err)
-	}
-	return a, nil
-}
-
-// clockPing carries the worker's local monotonic send time; the pong echoes
+// clockMsg carries the worker's local monotonic send time; the pong echoes
 // it back together with the coordinator's clock reading so the worker can run
 // the midpoint-of-RTT offset estimate (see clock.go). Both directions share
 // one body shape — the pong simply fills Remote in.
 type clockMsg struct {
 	T1     int64 // worker's obs.Now() at ping send
 	Remote int64 // coordinator's obs.Now() at pong send (0 in the ping)
-}
-
-func (m clockMsg) encode() []byte {
-	var e ckpt.Enc
-	e.I64(m.T1)
-	e.I64(m.Remote)
-	return e.B
-}
-
-func decodeClock(b []byte) (clockMsg, error) {
-	d := ckpt.Dec{B: b}
-	m := clockMsg{T1: d.I64(), Remote: d.I64()}
-	if err := d.Done(true); err != nil {
-		return m, fmt.Errorf("%w: clock: %v", ErrDecode, err)
-	}
-	return m, nil
 }
 
 // traceMsg streams one bounded batch of trace records from a worker to the
@@ -446,40 +245,7 @@ type traceMsg struct {
 	Offset   int64
 	ErrBound int64
 	Final    bool // last batch of this worker's run (drain flush)
-	Records  []byte
-}
-
-func (m traceMsg) encode() []byte {
-	var e ckpt.Enc
-	e.U32(uint32(m.Worker))
-	e.U32(uint32(m.Lo))
-	e.U32(uint32(m.Hi))
-	e.I64(m.Offset)
-	e.I64(m.ErrBound)
-	if m.Final {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.Bytes(m.Records)
-	return e.B
-}
-
-func decodeTrace(b []byte) (traceMsg, error) {
-	d := ckpt.Dec{B: b}
-	m := traceMsg{
-		Worker: int(d.U32()),
-		Lo:     int(d.U32()),
-		Hi:     int(d.U32()),
-	}
-	m.Offset = d.I64()
-	m.ErrBound = d.I64()
-	m.Final = d.U8() == 1
-	m.Records = d.Bytes()
-	if err := d.Done(true); err != nil {
-		return m, fmt.Errorf("%w: trace batch: %v", ErrDecode, err)
-	}
-	return m, nil
+	Records  json.RawMessage
 }
 
 // resultMsg ships one result-vector shard: the values of one local rank of
@@ -488,22 +254,4 @@ type resultMsg struct {
 	Vec      int
 	VertexLo uint64
 	Vals     []int64
-}
-
-func (r resultMsg) encode() []byte {
-	var e ckpt.Enc
-	e.U32(uint32(r.Vec))
-	e.U64(r.VertexLo)
-	e.I64Slice(r.Vals)
-	return e.B
-}
-
-func decodeResult(b []byte) (resultMsg, error) {
-	d := ckpt.Dec{B: b}
-	r := resultMsg{Vec: int(d.U32()), VertexLo: d.U64()}
-	r.Vals = d.I64Slice()
-	if err := d.Done(true); err != nil {
-		return r, fmt.Errorf("%w: result shard: %v", ErrDecode, err)
-	}
-	return r, nil
 }

@@ -3,23 +3,24 @@ package mp
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"declpat/internal/am"
-	"declpat/internal/ckpt"
 	"declpat/internal/frame"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	bodies := map[byte][]byte{
-		fHello:      hello{Worker: 3}.encode(),
-		fBarrier:    encodeTag(-1),
-		fGather:     gatherMsg{Seq: 7, Vals: []int64{1, -2, 3}}.encode(),
-		fWaveStart:  encodeWave(am.WaveSample{Sent: 10, Recv: 9, Active: 1}),
-		fAbort:      abortMsg{Clean: true, Reason: "worker 1 departed cleanly"}.encode(),
-		fResult:     resultMsg{Vec: 1, VertexLo: 64, Vals: []int64{5, 6}}.encode(),
+	bodies := map[byte]any{
+		fHello:      hello{Worker: 3},
+		fBarrier:    int64(-1),
+		fGather:     gatherMsg{Seq: 7, Vals: []int64{1, -2, 3}},
+		fWaveStart:  am.WaveSample{Sent: 10, Recv: 9, Active: 1},
+		fAbort:      abortMsg{Clean: true, Reason: "worker 1 departed cleanly"},
+		fResult:     resultMsg{Vec: 1, VertexLo: 64, Vals: []int64{5, 6}},
 		fResultDone: nil,
 	}
 	var buf bytes.Buffer
@@ -32,15 +33,25 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read %s: %v", kindName(kind), err)
 		}
-		if gotKind != kind || !bytes.Equal(gotBody, body) {
-			t.Fatalf("%s round trip: got kind %s body %v, want body %v", kindName(kind), kindName(gotKind), gotBody, body)
+		if gotKind != kind {
+			t.Fatalf("%s round trip: got kind %s", kindName(kind), kindName(gotKind))
+		}
+		if body == nil {
+			if len(gotBody) != 0 {
+				t.Fatalf("%s: bodyless frame read back %q", kindName(kind), gotBody)
+			}
+			continue
+		}
+		got := reflect.New(reflect.TypeOf(body))
+		if err := decodeBody(kind, gotBody, got.Interface()); err != nil || !reflect.DeepEqual(got.Elem().Interface(), body) {
+			t.Fatalf("%s round trip: got %+v (%v), want %+v", kindName(kind), got.Elem(), err, body)
 		}
 	}
 }
 
 func TestFrameCorruptionIsDecodeError(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, fBarrier, encodeTag(4)); err != nil {
+	if err := writeFrame(&buf, fBarrier, int64(4)); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -53,7 +64,7 @@ func TestFrameCorruptionIsDecodeError(t *testing.T) {
 
 func TestFrameTruncationIsPeerClosed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, fGather, gatherMsg{Seq: 1, Vals: []int64{9}}.encode()); err != nil {
+	if err := writeFrame(&buf, fGather, gatherMsg{Seq: 1, Vals: []int64{9}}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -67,65 +78,79 @@ func TestFrameTruncationIsPeerClosed(t *testing.T) {
 	}
 }
 
-// TestDecodersBoundCountsByBytes: a body whose count field promises more
-// entries than its bytes can hold is a decode error, reported before
-// anything is sized by the count — a four-byte addr-set body must not
-// reserve a gigabyte.
+// TestDecodersBoundCountsByBytes: a body cut off inside a long array is a
+// decode error, reported before anything is sized by what the array would
+// have held — a short addr-set or gather body must not reserve a gigabyte.
 func TestDecodersBoundCountsByBytes(t *testing.T) {
-	count := func(n uint32) []byte {
-		var e ckpt.Enc
-		e.U32(n)
-		return e.B
+	long := func(prefix string) []byte {
+		return append([]byte(prefix), bytes.Repeat([]byte(`0,`), 1<<16)...)
 	}
 	for _, tc := range []struct {
-		name   string
-		decode func() error
+		name string
+		kind byte
+		body []byte
+		v    any
 	}{
-		{"string table", func() error { _, err := decodeStrings(count(1 << 22)); return err }},
-		{"gather values", func() error { _, err := decodeGather(append(make([]byte, 8), count(1<<22)...)); return err }},
+		{"string table", fAddrSet, bytes.Replace(long(`[`), []byte(`0`), []byte(`""`), -1), new([]string)},
+		{"gather values", fGather, long(`{"Seq":1,"Vals":[`), new(gatherMsg)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := tc.decode()
+			err := decodeBody(tc.kind, tc.body, tc.v)
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrDecode) {
 				t.Fatalf("got %v, want ErrDecode", err)
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-				t.Fatalf("decoder allocated %d bytes for a count it could not back", got)
+				t.Fatalf("decoder allocated %d bytes for an array it could not back", got)
 			}
 		})
 	}
 }
 
 // TestHelloValidation: the control hello is frame.Hello("DPCP") plus the
-// worker index, checked by the shared frame.CheckHello. A foreign magic or
-// another build's version is a decode error that names the hello.
+// worker's JSON, checked by the shared frame.CheckHello. A foreign magic or
+// another build's version — frame.Version 2, the layout before control bodies
+// became JSON, included — is a decode error that names the hello.
 func TestHelloValidation(t *testing.T) {
-	h := hello{Worker: 2}
-	good := h.encode()
-	got, err := decodeHello(good)
-	if err != nil || got != h {
-		t.Fatalf("hello round trip: got %+v, %v", got, err)
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, fHello, hello{Worker: 2}); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(good, binary.LittleEndian.AppendUint32(frame.Hello(nil, protoMagic), 2)) {
-		t.Fatalf("hello body %x is not frame.Hello(DPCP) + u32 worker", good)
+	good := buf.Bytes()[4+1 : buf.Len()-8]
+	if want := append(frame.Hello(nil, protoMagic), `{"Worker":2}`...); !bytes.Equal(good, want) {
+		t.Fatalf("hello body %q, want %q", good, want)
 	}
-	otherVersion := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint16(otherVersion[4:], frame.Version+1)
+	read := func(body []byte) (hello, error) {
+		kind, rest, err := readFrame(bytes.NewReader(frame.Seal(append(frame.Begin(nil, fHello), body...))))
+		var h hello
+		if err == nil {
+			err = decodeBody(kind, rest, &h)
+		}
+		return h, err
+	}
+	if h, err := read(good); err != nil || h.Worker != 2 {
+		t.Fatalf("hello round trip: got %+v, %v", h, err)
+	}
+	version := func(v uint16) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint16(b[4:], v)
+		return b
+	}
 	for _, tc := range []struct {
 		name  string
 		body  []byte
 		hello bool // the shared check, not the worker field, refuses it
 	}{
-		{"wrong version", otherVersion, true},
-		{"wrong magic", binary.LittleEndian.AppendUint32(frame.Hello(nil, "DPS1"), 2), true},
+		{"next version", version(frame.Version + 1), true},
+		{"version 2", binary.LittleEndian.AppendUint32(version(2)[:6], 2), true},
+		{"wrong magic", append(frame.Hello(nil, "DPS1"), `{"Worker":2}`...), true},
 		{"truncated hello", good[:3], true},
 		{"truncated worker", good[:len(good)-1], false},
-		{"trailing byte", append(append([]byte(nil), good...), 0), false},
+		{"trailing byte", append(append([]byte(nil), good...), ' '), false},
 	} {
-		_, err := decodeHello(tc.body)
+		_, err := read(tc.body)
 		if !errors.Is(err, ErrDecode) || errors.Is(err, frame.ErrHello) != tc.hello {
 			t.Errorf("%s: got %v, want ErrDecode (frame.ErrHello %v)", tc.name, err, tc.hello)
 		}
@@ -139,18 +164,21 @@ func TestWelcomeRoundTrip(t *testing.T) {
 		Log:        [][]int64{{1, 2}, {3}},
 		CkptDir:    "/tmp/ckpt",
 		WorkerSeed: 99, KillEpoch: 2, KillMode: killBody,
-		JobJSON: []byte(`{"algo":"bfs"}`),
+		Job: json.RawMessage(`{"algo":"bfs"}`),
 	}
-	got, err := decodeWelcome(w.encode())
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, fWelcome, w); err != nil {
+		t.Fatal(err)
+	}
+	kind, body, err := readFrame(&buf)
+	var got welcome
+	if err == nil {
+		err = decodeBody(kind, body, &got)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RunID != w.RunID || got.Lo != w.Lo || got.Hi != w.Hi ||
-		got.RestartEpoch != w.RestartEpoch || !got.HaveCkpt ||
-		len(got.Log) != 2 || got.Log[0][1] != 2 ||
-		got.CkptDir != w.CkptDir || got.WorkerSeed != w.WorkerSeed ||
-		got.KillEpoch != 2 || got.KillMode != killBody ||
-		string(got.JobJSON) != string(w.JobJSON) {
+	if !reflect.DeepEqual(got, w) {
 		t.Fatalf("welcome round trip: got %+v, want %+v", got, w)
 	}
 }

@@ -68,7 +68,7 @@ func RunWorker(addr string, worker int) int {
 	}
 	defer cl.Close()
 	w := cl.Welcome()
-	job, err := unmarshalJob(w.JobJSON)
+	job, err := unmarshalJob(w.Job)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mp worker %d: %v\n", worker, err)
 		return exitForErr(err, ExitFatal)
@@ -333,7 +333,7 @@ func shipResults(cl *Client, d distgraph.BlockDist, vecs []*pmap.VertexWord, lo,
 			if len(vals) == 0 {
 				continue
 			}
-			body := resultMsg{Vec: vi, VertexLo: uint64(d.Global(rank, 0)), Vals: vals}.encode()
+			body := resultMsg{Vec: vi, VertexLo: uint64(d.Global(rank, 0)), Vals: vals}
 			if err := cl.write(fResult, body); err != nil {
 				return err
 			}

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -79,7 +77,8 @@ type FlightDump struct {
 }
 
 // flightMagic names a dump file: one internal/frame hello frame (magic
-// "DPFR", so frame.Version versions it) whose body is the FlightDump's JSON.
+// "DPFR", so frame.Version versions it) whose body is the FlightDump's
+// canonical JSON (frame.AppendJSON).
 const flightMagic = "DPFR"
 
 // flightPhaseState is one rank's open-phase cell. phase holds phase-id+1 (0 =
@@ -267,37 +266,23 @@ func (f *FlightRecorder) Dump(path, reason string) error {
 
 // encodeFlightDump seals d as the bytes of a dump file.
 func encodeFlightDump(d *FlightDump) ([]byte, error) {
-	body, err := json.Marshal(d)
-	if err == nil && bytes.Contains(body, []byte(`\ufffd`)) {
-		// Marshal writes an invalid UTF-8 byte as \ufffd, which decodes to
-		// U+FFFD and re-encodes raw: write the decoded form, the one
-		// decodeFlightDump accepts.
-		var c FlightDump
-		if err = json.Unmarshal(body, &c); err == nil {
-			body, err = json.Marshal(&c)
-		}
-	}
+	f, err := frame.AppendJSON(frame.Hello(frame.Begin(nil, frame.KindHello), flightMagic), d)
 	if err != nil {
 		return nil, fmt.Errorf("obs: flight dump encode: %w", err)
 	}
-	return frame.Seal(append(frame.Hello(frame.Begin(nil, frame.KindHello), flightMagic), body...)), nil
+	return frame.Seal(f), nil
 }
 
 // decodeFlightDump parses the bytes of a dump file. It accepts exactly what
-// encodeFlightDump writes: JSON spells one dump many ways (spacing, key
-// order and case, escapes, duplicate keys), and only Marshal's spelling is a
-// dump.
+// encodeFlightDump writes.
 func decodeFlightDump(b []byte) (*FlightDump, error) {
 	body, err := frame.Open(b, flightMagic)
 	if err != nil {
 		return nil, err
 	}
 	var d FlightDump
-	if err := json.Unmarshal(body, &d); err != nil {
-		return nil, fmt.Errorf("%w: body: %w", frame.ErrCorrupt, err)
-	}
-	if re, err := json.Marshal(&d); err != nil || !bytes.Equal(re, body) {
-		return nil, fmt.Errorf("%w: body is not a dump's JSON encoding", frame.ErrCorrupt)
+	if err := frame.DecodeJSON(body, &d); err != nil {
+		return nil, err
 	}
 	return &d, nil
 }

@@ -171,8 +171,11 @@ func TestFlightDumpRejectsCorruption(t *testing.T) {
 		body := orig[4+1+4+2 : len(orig)-8]
 		return frame.Seal(append(append(frame.Begin(nil, frame.KindHello), hello...), body...))
 	}
-	otherVersion := frame.Hello(nil, flightMagic)
-	binary.LittleEndian.PutUint16(otherVersion[4:], frame.Version+1)
+	version := func(v uint16) []byte {
+		h := frame.Hello(nil, flightMagic)
+		binary.LittleEndian.PutUint16(h[4:], v)
+		return reseal(h)
+	}
 	body := orig[4+1+4+2 : len(orig)-8]
 	preFrame := binary.LittleEndian.AppendUint32(append([]byte(flightMagic), 1), uint32(len(body)))
 	preFrame = append(append(preFrame, body...), make([]byte, 8)...)
@@ -185,7 +188,8 @@ func TestFlightDumpRejectsCorruption(t *testing.T) {
 		{"magic byte", flip(5), frame.ErrCorrupt},
 		{"version byte", flip(9), frame.ErrCorrupt},
 		{"body byte", flip(len(orig) / 2), frame.ErrCorrupt},
-		{"other version", reseal(otherVersion), frame.ErrHello},
+		{"other version", version(frame.Version + 1), frame.ErrHello},
+		{"version 2", version(2), frame.ErrHello},
 		{"other magic", reseal(frame.Hello(nil, "DPCK")), frame.ErrHello},
 		{"pre-frame layout", preFrame, frame.ErrHello},
 	} {

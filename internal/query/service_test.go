@@ -28,11 +28,12 @@ func testEdges() (int, []distgraph.Edge) {
 	return gen.RMAT(tScale, tEF, gen.Weights{Min: 1, Max: 100}, tSeed)
 }
 
-// buildService assembles a resident service over the shared test graph.
-func buildService(t *testing.T, opts ...query.Option) *query.Service {
+// buildService assembles a resident service over the shared test graph,
+// its universe terminating epochs with the given detector.
+func buildService(t *testing.T, det am.DetectorKind, opts ...query.Option) *query.Service {
 	t.Helper()
 	n, edges := testEdges()
-	u := am.New(tRanks, am.WithThreads(2))
+	u := am.New(tRanks, am.WithThreads(2), am.WithDetector(det))
 	dist := distgraph.NewBlockDist(n, tRanks)
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(dist, 1), pattern.DefaultPlanOptions())
@@ -95,70 +96,75 @@ func eqVec(a, b []int64) bool {
 
 // TestConcurrentMixedBitIdentical floods one resident universe with >= 64
 // concurrent mixed BFS/SSSP/PageRank queries from many goroutines and checks
-// every result is bit-identical to its one-shot equivalent.
+// every result is bit-identical to its one-shot equivalent, under both
+// termination detectors: no detector wave may end one query context's epoch
+// on counters sampled under another.
 func TestConcurrentMixedBitIdentical(t *testing.T) {
 	sources := []distgraph.Vertex{1, 7, 33, 64, 100, 150, 200, 250}
 	wantBFS, wantSSSP, wantPR, wantRounds := oneShot(t, sources)
+	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
+		t.Run(det.String(), func(t *testing.T) {
+			s := buildService(t, det, query.WithMaxFusion(8), query.WithQueueDepth(1024), query.WithRetain(1024))
+			serveDone := make(chan error, 1)
+			go func() { serveDone <- s.Serve() }()
 
-	s := buildService(t, query.WithMaxFusion(8), query.WithQueueDepth(1024), query.WithRetain(1024))
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve() }()
+			const goroutines = 24
+			const perG = 3 // 72 queries total, mixed across the three algorithms
+			tickets := make([]*query.Ticket, goroutines*perG)
+			var wg sync.WaitGroup
+			for gi := 0; gi < goroutines; gi++ {
+				wg.Add(1)
+				go func(gi int) {
+					defer wg.Done()
+					for k := 0; k < perG; k++ {
+						idx := gi*perG + k
+						req := query.Request{Algo: query.Algo(idx % 3), Source: sources[idx%len(sources)]}
+						tk, err := s.Submit(req)
+						if err != nil {
+							t.Errorf("submit %d: %v", idx, err)
+							return
+						}
+						tickets[idx] = tk
+					}
+				}(gi)
+			}
+			wg.Wait()
 
-	const goroutines = 24
-	const perG = 3 // 72 queries total, mixed across the three algorithms
-	tickets := make([]*query.Ticket, goroutines*perG)
-	var wg sync.WaitGroup
-	for gi := 0; gi < goroutines; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			for k := 0; k < perG; k++ {
-				idx := gi*perG + k
-				req := query.Request{Algo: query.Algo(idx % 3), Source: sources[idx%len(sources)]}
-				tk, err := s.Submit(req)
-				if err != nil {
-					t.Errorf("submit %d: %v", idx, err)
-					return
+			for idx, tk := range tickets {
+				if tk == nil {
+					continue
 				}
-				tickets[idx] = tk
+				res, err := tk.Wait()
+				if err != nil {
+					t.Fatalf("query %d failed: %v", idx, err)
+				}
+				switch res.Algo {
+				case query.BFS:
+					if !eqVec(res.Values, wantBFS[res.Source]) {
+						t.Errorf("BFS from %d: values differ from one-shot run", res.Source)
+					}
+				case query.SSSP:
+					if !eqVec(res.Values, wantSSSP[res.Source]) {
+						t.Errorf("SSSP from %d: values differ from one-shot run", res.Source)
+					}
+				case query.PageRank:
+					if !eqVec(res.Values, wantPR) {
+						t.Errorf("PageRank: values differ from one-shot run")
+					}
+					if res.Rounds != wantRounds {
+						t.Errorf("PageRank rounds = %d, one-shot ran %d", res.Rounds, wantRounds)
+					}
+				}
 			}
-		}(gi)
-	}
-	wg.Wait()
 
-	for idx, tk := range tickets {
-		if tk == nil {
-			continue
-		}
-		res, err := tk.Wait()
-		if err != nil {
-			t.Fatalf("query %d failed: %v", idx, err)
-		}
-		switch res.Algo {
-		case query.BFS:
-			if !eqVec(res.Values, wantBFS[res.Source]) {
-				t.Errorf("BFS from %d: values differ from one-shot run", res.Source)
+			if n := s.Universe().Stats.Snapshot().QueryMismatches; n != 0 {
+				t.Errorf("substrate observed %d query-context mismatches on a trusted transport", n)
 			}
-		case query.SSSP:
-			if !eqVec(res.Values, wantSSSP[res.Source]) {
-				t.Errorf("SSSP from %d: values differ from one-shot run", res.Source)
+			s.Stop()
+			if err := <-serveDone; err != nil {
+				t.Fatalf("serve: %v", err)
 			}
-		case query.PageRank:
-			if !eqVec(res.Values, wantPR) {
-				t.Errorf("PageRank: values differ from one-shot run")
-			}
-			if res.Rounds != wantRounds {
-				t.Errorf("PageRank rounds = %d, one-shot ran %d", res.Rounds, wantRounds)
-			}
-		}
-	}
-
-	if n := s.Universe().Stats.Snapshot().QueryMismatches; n != 0 {
-		t.Errorf("substrate observed %d query-context mismatches on a trusted transport", n)
-	}
-	s.Stop()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("serve: %v", err)
+		})
 	}
 }
 
@@ -168,7 +174,7 @@ func TestFusionBatch(t *testing.T) {
 	sources := []distgraph.Vertex{1, 7, 33, 64, 100, 150, 200, 250}
 	wantBFS, _, _, _ := oneShot(t, sources)
 
-	s := buildService(t, query.WithMaxFusion(8))
+	s := buildService(t, am.DetectorAtomic, query.WithMaxFusion(8))
 	var tickets []*query.Ticket
 	for i := 0; i < 16; i++ {
 		tk, err := s.Submit(query.Request{Algo: query.BFS, Source: sources[i%len(sources)]})
@@ -209,7 +215,7 @@ func TestFusionBatch(t *testing.T) {
 // first fails with ErrDeadline at the admission boundary, the second
 // completes.
 func TestDeadlineExpiry(t *testing.T) {
-	s := buildService(t)
+	s := buildService(t, am.DetectorAtomic)
 	expired, err := s.Submit(query.Request{Algo: query.BFS, Source: 1, Deadline: -time.Millisecond})
 	if err != nil {
 		t.Fatalf("submit expired: %v", err)
@@ -246,7 +252,7 @@ func TestDeadlineExpiry(t *testing.T) {
 func TestCancel(t *testing.T) {
 	// PageRank is the one multi-round job: on this graph the integer fixed
 	// point is reached after ~24 scheduling rounds, about 2 ms.
-	s := buildService(t, query.WithPageRank(400, 1))
+	s := buildService(t, am.DetectorAtomic, query.WithPageRank(400, 1))
 	queued, err := s.Submit(query.Request{Algo: query.SSSP, Source: 3})
 	if err != nil {
 		t.Fatalf("submit queued: %v", err)
@@ -302,7 +308,7 @@ func TestCancel(t *testing.T) {
 // TestAdmissionControl covers submit-time rejections: a full queue, an
 // out-of-range source, and an unknown algorithm.
 func TestAdmissionControl(t *testing.T) {
-	s := buildService(t, query.WithQueueDepth(2))
+	s := buildService(t, am.DetectorAtomic, query.WithQueueDepth(2))
 	if _, err := s.Submit(query.Request{Algo: query.BFS, Source: 1}); err != nil {
 		t.Fatalf("submit 1: %v", err)
 	}
@@ -332,7 +338,7 @@ func TestValueLookupAndMetrics(t *testing.T) {
 	sources := []distgraph.Vertex{9}
 	wantBFS, _, _, _ := oneShot(t, sources)
 
-	s := buildService(t)
+	s := buildService(t, am.DetectorAtomic)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve() }()
 
