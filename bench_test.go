@@ -45,10 +45,9 @@ type ssspBench struct {
 	eng *pattern.Engine
 }
 
-func newSSSPBench(cfg am.Config, n int, edges []distgraph.Edge, popts pattern.PlanOptions,
+func newSSSPBench(u *am.Universe, n int, edges []distgraph.Edge, popts pattern.PlanOptions,
 	mk func(u *am.Universe, s *algorithms.SSSP)) *ssspBench {
-	u := am.NewUniverse(cfg)
-	d := distgraph.NewBlockDist(n, cfg.Ranks)
+	d := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), popts)
 	s := algorithms.NewSSSP(eng)
@@ -56,15 +55,16 @@ func newSSSPBench(cfg am.Config, n int, edges []distgraph.Edge, popts pattern.Pl
 	return &ssspBench{u: u, s: s, eng: eng}
 }
 
-// runSSSPBench rebuilds the universe per iteration (universes are
-// single-Run) and reports message metrics from the final iteration.
-func runSSSPBench(b *testing.B, cfg am.Config, popts pattern.PlanOptions,
+// runSSSPBench rebuilds the universe, am.New(ranks, opts...), per iteration
+// (universes are single-Run) and reports message metrics from the final
+// iteration.
+func runSSSPBench(b *testing.B, ranks int, opts []am.Option, popts pattern.PlanOptions,
 	mk func(u *am.Universe, s *algorithms.SSSP)) {
 	n, edges := benchGraph(b)
 	b.ResetTimer()
 	var last *ssspBench
 	for i := 0; i < b.N; i++ {
-		sb := newSSSPBench(cfg, n, edges, popts, mk)
+		sb := newSSSPBench(am.New(ranks, opts...), n, edges, popts, mk)
 		sb.u.Run(func(r *am.Rank) { sb.s.Run(r, 0) })
 		last = sb
 	}
@@ -77,19 +77,19 @@ func runSSSPBench(b *testing.B, cfg am.Config, popts pattern.PlanOptions,
 // BenchmarkE1SSSPStrategies — Fig. 1: fixed-point vs Δ-stepping work
 // profiles.
 func BenchmarkE1SSSPStrategies(b *testing.B) {
-	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
+	opts := []am.Option{am.WithThreads(2)}
 	b.Run("fixed-point", func(b *testing.B) {
-		runSSSPBench(b, cfg, experiments.PaperPlan(),
+		runSSSPBench(b, 4, opts, experiments.PaperPlan(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 	})
 	for _, delta := range []int64{8, 64, 512} {
 		b.Run("delta-"+itoa(int(delta)), func(b *testing.B) {
-			runSSSPBench(b, cfg, experiments.PaperPlan(),
+			runSSSPBench(b, 4, opts, experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseDelta(u, delta) })
 		})
 	}
 	b.Run("delta-dist-64x2", func(b *testing.B) {
-		runSSSPBench(b, cfg, experiments.PaperPlan(),
+		runSSSPBench(b, 4, opts, experiments.PaperPlan(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseDeltaDistributed(u, 64, 2) })
 	})
 }
@@ -103,7 +103,7 @@ func BenchmarkE2MergeOptimization(b *testing.B) {
 			name = "unmerged"
 		}
 		b.Run(name, func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+			runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 				pattern.PlanOptions{Merge: merged, Fold: true},
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -122,7 +122,7 @@ func BenchmarkE3CCParallelSearch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last *am.Universe
 			for i := 0; i < b.N; i++ {
-				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+				u := am.New(4, am.WithThreads(2))
 				d := distgraph.NewBlockDist(n, 4)
 				g := distgraph.Build(d, edges, distgraph.Options{Symmetrize: true})
 				lm := pmap.NewLockMap(d, 1)
@@ -161,7 +161,7 @@ func BenchmarkE4PlannerModes(b *testing.B) {
 func BenchmarkE5Coalescing(b *testing.B) {
 	for _, cs := range []int{1, 16, 256} {
 		b.Run("coalesce-"+itoa(cs), func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: cs},
+			runSSSPBench(b, 4, []am.Option{am.WithThreads(2), am.WithCoalesce(cs)},
 				experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -180,7 +180,7 @@ func BenchmarkE6ReductionCache(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last *am.Universe
 			for i := 0; i < b.N; i++ {
-				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 256})
+				u := am.New(4, am.WithThreads(2), am.WithCoalesce(256))
 				d := distgraph.NewBlockDist(n, 4)
 				g := distgraph.Build(d, edges, distgraph.Options{})
 				h := algorithms.NewHandSSSP(u, g).Naive()
@@ -201,7 +201,7 @@ func BenchmarkE6ReductionCache(b *testing.B) {
 func BenchmarkE7Scaling(b *testing.B) {
 	for _, rc := range [][2]int{{1, 1}, {2, 2}, {4, 2}, {8, 2}} {
 		b.Run("ranks-"+itoa(rc[0])+"x"+itoa(rc[1]), func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: rc[0], ThreadsPerRank: rc[1]},
+			runSSSPBench(b, rc[0], []am.Option{am.WithThreads(rc[1])},
 				pattern.DefaultPlanOptions(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -251,7 +251,7 @@ func BenchmarkHostParallelism(b *testing.B) {
 func BenchmarkE8Termination(b *testing.B) {
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
 		b.Run(det.String(), func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det},
+			runSSSPBench(b, 4, []am.Option{am.WithThreads(2), am.WithDetector(det)},
 				experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -262,13 +262,13 @@ func BenchmarkE8Termination(b *testing.B) {
 func BenchmarkE9AbstractionOverhead(b *testing.B) {
 	n, edges := benchGraph(b)
 	b.Run("pattern", func(b *testing.B) {
-		runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+		runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 			pattern.DefaultPlanOptions(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 	})
 	b.Run("hand-written", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+			u := am.New(4, am.WithThreads(2))
 			d := distgraph.NewBlockDist(n, 4)
 			g := distgraph.Build(d, edges, distgraph.Options{})
 			h := algorithms.NewHandSSSP(u, g)
@@ -285,7 +285,7 @@ func BenchmarkE10Folding(b *testing.B) {
 			name = "fold-off"
 		}
 		b.Run(name, func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+			runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 				pattern.PlanOptions{Merge: true, Fold: fold},
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -297,7 +297,7 @@ func BenchmarkE11PointerJump(b *testing.B) {
 	for _, L := range []int{64, 512} {
 		b.Run("chain-"+itoa(L), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 1})
+				u := am.New(4, am.WithThreads(1))
 				d := distgraph.NewBlockDist(L, 4)
 				g := distgraph.Build(d, gen.Path(L, gen.Weights{}, 0), distgraph.Options{})
 				lm := pmap.NewLockMap(d, 1)
@@ -334,12 +334,12 @@ func BenchmarkE11PointerJump(b *testing.B) {
 // split.
 func BenchmarkE12LightHeavy(b *testing.B) {
 	b.Run("plain-delta-16", func(b *testing.B) {
-		runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+		runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 			experiments.PaperPlan(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseDelta(u, 16) })
 	})
 	b.Run("light-heavy-16", func(b *testing.B) {
-		runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+		runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 			experiments.PaperPlan(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseDeltaLightHeavy(u, 16) })
 	})
@@ -358,7 +358,7 @@ func BenchmarkE13PageRank(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last *am.Universe
 			for i := 0; i < b.N; i++ {
-				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+				u := am.New(4, am.WithThreads(2))
 				d := distgraph.NewBlockDist(n, 4)
 				g := distgraph.Build(d, edges, gopts)
 				eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), experiments.PaperPlan())
@@ -380,14 +380,14 @@ func BenchmarkE13PageRank(b *testing.B) {
 func BenchmarkE17Observability(b *testing.B) {
 	for _, v := range []struct {
 		name string
-		cfg  am.Config
+		opts []am.Option
 	}{
-		{"sharded", am.Config{Ranks: 4, ThreadsPerRank: 2}},
-		{"timing", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true}},
-		{"tracing", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true, TraceCapacity: 1 << 20}},
+		{"sharded", []am.Option{am.WithThreads(2)}},
+		{"timing", []am.Option{am.WithThreads(2), am.WithTiming()}},
+		{"tracing", []am.Option{am.WithThreads(2), am.WithTiming(), am.WithTraceCapacity(1 << 20)}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			runSSSPBench(b, v.cfg, experiments.PaperPlan(),
+			runSSSPBench(b, 4, v.opts, experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
 	}
@@ -400,13 +400,13 @@ func BenchmarkE17Observability(b *testing.B) {
 func BenchmarkE19Lineage(b *testing.B) {
 	for _, v := range []struct {
 		name string
-		cfg  am.Config
+		opts []am.Option
 	}{
-		{"lineage-off", am.Config{Ranks: 4, ThreadsPerRank: 2, TraceCapacity: 1 << 20, Lineage: am.LineageOff}},
-		{"lineage-on", am.Config{Ranks: 4, ThreadsPerRank: 2, TraceCapacity: 1 << 20}},
+		{"lineage-off", []am.Option{am.WithThreads(2), am.WithTraceCapacity(1 << 20), am.WithLineage(am.LineageOff)}},
+		{"lineage-on", []am.Option{am.WithThreads(2), am.WithTraceCapacity(1 << 20)}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			runSSSPBench(b, v.cfg, experiments.PaperPlan(),
+			runSSSPBench(b, 4, v.opts, experiments.PaperPlan(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
 	}
@@ -424,7 +424,7 @@ func BenchmarkWireTransport(b *testing.B) {
 			n, edges := benchGraph(b)
 			var last *am.Universe
 			for i := 0; i < b.N; i++ {
-				sb := newSSSPBench(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges,
+				sb := newSSSPBench(am.New(4, am.WithThreads(2)), n, edges,
 					experiments.PaperPlan(), // Direct would bypass the codec being measured
 					func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 				if wire {
@@ -446,7 +446,7 @@ func BenchmarkWireTransport(b *testing.B) {
 func BenchmarkMessageThroughput(b *testing.B) {
 	for _, cs := range []int{1, 64} {
 		b.Run("coalesce-"+itoa(cs), func(b *testing.B) {
-			u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 2, CoalesceSize: cs})
+			u := am.New(2, am.WithThreads(2), am.WithCoalesce(cs))
 			mt := am.Register(u, "m", func(r *am.Rank, m int64) {})
 			b.ResetTimer()
 			u.Run(func(r *am.Rank) {
@@ -468,7 +468,7 @@ func BenchmarkMessageThroughput(b *testing.B) {
 func BenchmarkEpochOverhead(b *testing.B) {
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
 		b.Run(det.String(), func(b *testing.B) {
-			u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 1, Detector: det})
+			u := am.New(4, am.WithThreads(1), am.WithDetector(det))
 			am.Register(u, "m", func(r *am.Rank, m int64) {})
 			b.ResetTimer()
 			u.Run(func(r *am.Rank) {
@@ -482,7 +482,7 @@ func BenchmarkEpochOverhead(b *testing.B) {
 
 // BenchmarkBuckets measures the Δ-stepping bucket structure.
 func BenchmarkBuckets(b *testing.B) {
-	u := am.NewUniverse(am.Config{Ranks: 1})
+	u := am.New(1)
 	u.Run(func(r *am.Rank) {
 		bk := strategy.NewBuckets(r, 16)
 		b.ResetTimer()
@@ -519,7 +519,7 @@ func BenchmarkPatternCompile(b *testing.B) {
 	n := 16
 	edges := gen.Path(n, gen.Weights{}, 0)
 	for i := 0; i < b.N; i++ {
-		u := am.NewUniverse(am.Config{Ranks: 1})
+		u := am.New(1)
 		d := distgraph.NewBlockDist(n, 1)
 		g := distgraph.Build(d, edges, distgraph.Options{})
 		lm := pmap.NewLockMap(d, 1)

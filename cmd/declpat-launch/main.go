@@ -28,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -66,6 +67,10 @@ func main() {
 	if *ranks <= 0 {
 		*ranks = 2 * *workers
 	}
+	if *source > math.MaxUint32 {
+		fmt.Fprintf(os.Stderr, "declpat-launch: -source %d is not a vertex id (ids are 32-bit)\n", *source)
+		os.Exit(2)
+	}
 	spec := mp.LaunchSpec{
 		Job: mp.JobSpec{
 			Algo:       *algo,
@@ -93,6 +98,10 @@ func main() {
 	}
 	if *killWorker >= 0 {
 		spec.Kill = &mp.KillSpec{Worker: *killWorker, Epoch: *killEpoch, Mode: *killMode}
+	}
+	if err := spec.Job.Normalize(); err != nil {
+		fmt.Fprintln(os.Stderr, "declpat-launch:", err)
+		os.Exit(2)
 	}
 
 	mon := mp.NewFleetMonitor()

@@ -23,7 +23,7 @@
 // With -phases the tool reports the phase-timer breakdown instead: per
 // epoch, the distribution of collect/build_csr/kernel/emit/barrier/recovery
 // spans across ranks, and per rank, the total time in each phase (the
-// straggler view). Requires a trace captured with Config.Timing on. With
+// straggler view). Requires a trace captured with timing on. With
 // -json any table report is emitted as a JSON array for downstream tooling:
 //
 //	declpat-trace -run sssp -phases
@@ -74,8 +74,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "with -run: generator seed")
 	ranks := flag.Int("ranks", 4, "with -run: simulated ranks")
 	threads := flag.Int("threads", 2, "with -run: handler threads per rank")
-	capacity := flag.Int("cap", 1<<20, "with -run: trace ring capacity (events, split across ranks)")
-	ring := flag.Int("ring", 0, "with -run: per-rank trace ring size in events (0 = derive from -cap)")
+	capacity := flag.Int("cap", 1<<20, "with -run: trace ring capacity (events, split evenly across ranks)")
 	critPath := flag.Bool("critical-path", false, "reconstruct the causal lineage DAG and report per-epoch critical paths")
 	pathEpoch := flag.Int64("path-epoch", -1, "with -critical-path: print the chain of this epoch (-1 = slowest)")
 	pathMax := flag.Int("path-max", 48, "with -critical-path: elide chain rows beyond this many hops (0 = no limit)")
@@ -98,7 +97,7 @@ func main() {
 	var recs []obs.Record
 	switch {
 	case *run != "":
-		u, err := runWorkload(*run, *scale, *ef, *seed, *ranks, *threads, *capacity, *ring)
+		u, err := runWorkload(*run, *scale, *ef, *seed, *ranks, *threads, *capacity)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "declpat-trace:", err)
 			fmt.Fprintln(os.Stderr, "usage: declpat-trace -run WORKLOAD [-scale N] [-ranks N] [-out FILE] [-chrome FILE]")
@@ -164,7 +163,7 @@ func main() {
 		fmt.Fprintf(banner, " (cross-process alignment ±%.1fµs)", float64(meta.ClockErrNS)/1e3)
 	}
 	if meta.Dropped > 0 {
-		fmt.Fprintf(banner, " (%d events overwritten by the ring — raise -cap or TraceCapacity)", meta.Dropped)
+		fmt.Fprintf(banner, " (%d events overwritten by the ring — raise -cap or WithTraceCapacity)", meta.Dropped)
 	}
 	fmt.Fprintln(banner)
 	if *critPath {
@@ -179,7 +178,7 @@ func main() {
 	if *phases {
 		tables = obs.PhaseTables(meta, recs)
 		if tables[0].Rows() == 0 && tables[1].Rows() == 0 {
-			fmt.Fprintln(os.Stderr, "declpat-trace: trace has no phase spans (captured with Config.Timing off?)")
+			fmt.Fprintln(os.Stderr, "declpat-trace: trace has no phase spans (captured with timing off?)")
 			os.Exit(1)
 		}
 	} else {
@@ -215,7 +214,7 @@ func criticalPathReport(w io.Writer, meta obs.Meta, recs []obs.Record, epochSel 
 		return fmt.Errorf("no epoch yielded a critical path")
 	}
 	if !lin.Connected() {
-		fmt.Fprintf(w, "warning: %d handler events have unresolvable parents (ring overwrote their producers — raise -cap/-ring); paths may be truncated\n\n", lin.Orphans)
+		fmt.Fprintf(w, "warning: %d handler events have unresolvable parents (ring overwrote their producers — raise -cap); paths may be truncated\n\n", lin.Orphans)
 	}
 	obs.CriticalPathTable(lin).Fprint(w)
 	fmt.Fprintln(w)
@@ -262,11 +261,10 @@ func writeFile(path string, write func(*os.File) error) error {
 }
 
 // runWorkload executes one traced built-in workload and returns its universe.
-func runWorkload(name string, scale, ef int, seed uint64, ranks, threads, capacity, ring int) (*declpat.Universe, error) {
+func runWorkload(name string, scale, ef int, seed uint64, ranks, threads, capacity int) (*declpat.Universe, error) {
 	u := declpat.New(ranks,
 		declpat.WithThreads(threads),
 		declpat.WithTraceCapacity(capacity),
-		declpat.WithTraceRingSize(ring),
 		declpat.WithTiming())
 	dist := declpat.NewBlockDist(1<<scale, ranks)
 	var err error

@@ -12,7 +12,7 @@ import (
 // recorded parent, and each epoch's critical path starts at a root send and
 // ends in the epoch's final quiescence.
 func TestTracedBFSLineageConnected(t *testing.T) {
-	u, err := runWorkload("bfs", 8, 8, 42, 2, 1, 1<<18, 0)
+	u, err := runWorkload("bfs", 8, 8, 42, 2, 1, 1<<18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestTracedBFSLineageConnected(t *testing.T) {
 // TestCriticalPathReport drives the CLI's -critical-path mode end to end on
 // traced workloads and on lineage-free input.
 func TestCriticalPathReport(t *testing.T) {
-	u, err := runWorkload("bfs", 8, 8, 42, 2, 1, 1<<18, 0)
+	u, err := runWorkload("bfs", 8, 8, 42, 2, 1, 1<<18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +87,17 @@ func TestCriticalPathReport(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadRing checks the -ring plumb-through: a tiny per-rank ring
-// bounds retention and reports drops.
+// TestRunWorkloadRing checks the -cap plumb-through: a tiny capacity, split
+// into a 128-event ring per rank, bounds retention and reports drops.
 func TestRunWorkloadRing(t *testing.T) {
-	u, err := runWorkload("cc", 7, 4, 1, 2, 1, 0, 128)
+	u, err := runWorkload("cc", 7, 4, 1, 2, 1, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.TraceDropped() == 0 {
-		t.Fatal("tiny ring did not overflow; -ring not wired through")
+		t.Fatal("tiny ring did not overflow; -cap not wired through")
 	}
 	if evs := u.Trace(); len(evs) > 2*128 {
-		t.Fatalf("retained %d events with -ring 128", len(evs))
+		t.Fatalf("retained %d events with -cap 256 over 2 ranks", len(evs))
 	}
 }

@@ -32,6 +32,10 @@ func main() {
 	flag.Parse()
 
 	n, edges := declpat.RMAT(*scale, *ef, declpat.WeightSpec{Min: 1, Max: 100}, *seed)
+	if *src >= uint(n) {
+		fmt.Fprintf(os.Stderr, "sssp: -src %d outside the %d vertices of a scale-%d graph\n", *src, n, *scale)
+		os.Exit(2)
+	}
 	u := declpat.New(*ranks, declpat.WithThreads(*threads), declpat.WithTraceCapacity(*trace))
 	dist := declpat.NewBlockDist(n, *ranks)
 	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})

@@ -74,8 +74,8 @@ type (
 	// in-process channel backend, or real sockets via SockTransport.
 	Transport = am.Transport
 	// SockOptions configures the socket transport: network (tcp/unix),
-	// heartbeat and liveness deadlines, reconnect backoff and budget, and
-	// socket-level fault injection.
+	// heartbeat and liveness deadlines, reconnect backoff, retransmit-clock
+	// pacing, and socket-level fault injection.
 	SockOptions = am.SockOptions
 	// SockFaultPlan injects deterministic socket-level failures into a
 	// socket transport: connection kills, one-way partitions, link flaps.
@@ -97,11 +97,9 @@ const (
 )
 
 // Lineage modes (WithLineage): LineageAuto stamps causal lineage exactly
-// when tracing is enabled; LineageOn forces stamping without tracing;
-// LineageOff disables it even in traced runs.
+// when tracing is enabled; LineageOff disables it even in traced runs.
 const (
 	LineageAuto = am.LineageAuto
-	LineageOn   = am.LineageOn
 	LineageOff  = am.LineageOff
 )
 
@@ -123,11 +121,11 @@ var (
 	SockTransport = am.SockTransport
 )
 
-// Option configures a Universe built with New.
+// Option configures a Universe built with New, the only constructor.
 type Option = am.Option
 
-// Universe construction options (see internal/am's Config fields for the
-// full semantics of each knob).
+// Universe construction options (see the same-named functions of
+// internal/am for the full semantics and default of each).
 var (
 	// WithThreads sets message-handler threads per rank.
 	WithThreads = am.WithThreads
@@ -141,17 +139,17 @@ var (
 	WithRecovery = am.WithRecovery
 	// WithMaxRecoveries bounds recovery attempts per epoch.
 	WithMaxRecoveries = am.WithMaxRecoveries
-	// WithTraceCapacity enables event tracing (total events across ranks).
+	// WithTraceCapacity enables event tracing: per-rank rings totalling the
+	// given number of events, split evenly across ranks.
 	WithTraceCapacity = am.WithTraceCapacity
-	// WithTraceRingSize pins each rank's trace ring size.
-	WithTraceRingSize = am.WithTraceRingSize
 	// WithLineage sets the causal-lineage mode.
 	WithLineage = am.WithLineage
 	// WithTiming enables latency histograms.
 	WithTiming = am.WithTiming
 	// WithWatchdog arms the stuck-epoch watchdog.
 	WithWatchdog = am.WithWatchdog
-	// WithTransport selects the message transport backend.
+	// WithTransport selects the message transport backend; a socket backend
+	// always runs reliable delivery with jittered retransmit backoff.
 	WithTransport = am.WithTransport
 )
 
@@ -545,10 +543,8 @@ func PathGraph(n int, w WeightSpec, seed uint64) []Edge { return gen.Path(n, w, 
 type (
 	// Metrics is the full observability snapshot (Universe.Metrics): counters,
 	// per-rank breakdowns, per-type traffic, and phase histograms.
+	// Universe.WriteOpenMetrics renders the same counters for /metrics.
 	Metrics = am.Metrics
-	// ProcessTelemetry is this process's telemetry export
-	// (Universe.Telemetry): what /metrics is rendered from.
-	ProcessTelemetry = obs.ProcessTelemetry
 	// HistSnapshot is a plain histogram view (bounds, counts, sum, max).
 	HistSnapshot = obs.HistSnapshot
 	// Phase identifies one epoch phase of the timer taxonomy

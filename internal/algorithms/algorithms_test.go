@@ -12,17 +12,18 @@ import (
 	"declpat/internal/seq"
 )
 
-func newEngine(cfg am.Config, n int, edges []distgraph.Edge, gopts distgraph.Options) (*am.Universe, *pattern.Engine, *pmap.LockMap) {
-	return newEngineWith(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+// newEngine builds a block-distributed graph over u's ranks and an engine
+// with the shipped plan options on it.
+func newEngine(u *am.Universe, n int, edges []distgraph.Edge, gopts distgraph.Options) (*pattern.Engine, *pmap.LockMap) {
+	return newEngineWith(u, n, edges, gopts, pattern.DefaultPlanOptions())
 }
 
 // newEngineWith is newEngine with explicit plan options.
-func newEngineWith(cfg am.Config, n int, edges []distgraph.Edge, gopts distgraph.Options, popts pattern.PlanOptions) (*am.Universe, *pattern.Engine, *pmap.LockMap) {
-	u := am.NewUniverse(cfg)
-	dist := distgraph.NewBlockDist(n, cfg.Ranks)
+func newEngineWith(u *am.Universe, n int, edges []distgraph.Edge, gopts distgraph.Options, popts pattern.PlanOptions) (*pattern.Engine, *pmap.LockMap) {
+	dist := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(dist, edges, gopts)
 	lm := pmap.NewLockMap(dist, 1)
-	return u, pattern.NewEngine(u, g, lm, popts), lm
+	return pattern.NewEngine(u, g, lm, popts), lm
 }
 
 func checkDist(t *testing.T, label string, got []int64, want []int64) {
@@ -42,19 +43,21 @@ func TestSSSPAllStrategies(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{Min: 1, Max: 100}, 77)
 	want := seq.Dijkstra(n, edges, 3)
 	cases := []struct {
-		name string
-		cfg  am.Config
-		mk   func(u *am.Universe, s *SSSP)
+		name  string
+		ranks int
+		opts  []am.Option
+		mk    func(u *am.Universe, s *SSSP)
 	}{
-		{"fixed-point/1x0", am.Config{Ranks: 1, ThreadsPerRank: 0}, func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }},
-		{"fixed-point/4x2", am.Config{Ranks: 4, ThreadsPerRank: 2}, func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }},
-		{"delta/3x1", am.Config{Ranks: 3, ThreadsPerRank: 1}, func(u *am.Universe, s *SSSP) { s.UseDelta(u, 30) }},
-		{"delta-dist/2x2", am.Config{Ranks: 2, ThreadsPerRank: 2}, func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 30, 2) }},
-		{"delta-dist/fourcounter", am.Config{Ranks: 2, ThreadsPerRank: 1, Detector: am.DetectorFourCounter}, func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 50, 2) }},
+		{"fixed-point/1x0", 1, nil, func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }},
+		{"fixed-point/4x2", 4, []am.Option{am.WithThreads(2)}, func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }},
+		{"delta/3x1", 3, []am.Option{am.WithThreads(1)}, func(u *am.Universe, s *SSSP) { s.UseDelta(u, 30) }},
+		{"delta-dist/2x2", 2, []am.Option{am.WithThreads(2)}, func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 30, 2) }},
+		{"delta-dist/fourcounter", 2, []am.Option{am.WithThreads(1), am.WithDetector(am.DetectorFourCounter)}, func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 50, 2) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			u, eng, _ := newEngine(tc.cfg, n, edges, distgraph.Options{})
+			u := am.New(tc.ranks, tc.opts...)
+			eng, _ := newEngine(u, n, edges, distgraph.Options{})
 			s := NewSSSP(eng)
 			tc.mk(u, s)
 			u.Run(func(r *am.Rank) { s.Run(r, 3) })
@@ -66,7 +69,8 @@ func TestSSSPAllStrategies(t *testing.T) {
 func TestSSSPRunTwice(t *testing.T) {
 	// Run resets state: two runs from different sources in one universe.
 	n, edges := gen.RMAT(7, 8, gen.Weights{Min: 1, Max: 9}, 5)
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 1}, n, edges, distgraph.Options{})
+	u := am.New(2, am.WithThreads(1))
+	eng, _ := newEngine(u, n, edges, distgraph.Options{})
 	s := NewSSSP(eng)
 	var got0, got7 []int64
 	u.Run(func(r *am.Rank) {
@@ -115,11 +119,9 @@ func sameComponents(t *testing.T, label string, comp []int64, want []distgraph.V
 func TestCCDisjointCycles(t *testing.T) {
 	n, edges := gen.Components([]int{5, 1, 8, 3, 1}, 0)
 	want := seq.Components(n, edges)
-	for _, cfg := range []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 3, ThreadsPerRank: 2},
-	} {
-		u, eng, lm := newEngine(cfg, n, edges, distgraph.Options{Symmetrize: true})
+	for _, sh := range []struct{ ranks, threads int }{{1, 0}, {3, 2}} {
+		u := am.New(sh.ranks, am.WithThreads(sh.threads))
+		eng, lm := newEngine(u, n, edges, distgraph.Options{Symmetrize: true})
 		c := NewCC(eng, lm)
 		u.Run(func(r *am.Rank) { c.Run(r) })
 		sameComponents(t, "cycles", c.Comp.Gather(), want)
@@ -132,7 +134,8 @@ func TestCCRandomGraphs(t *testing.T) {
 		n := 256
 		edges := gen.ER(n, 180, gen.Weights{}, seed)
 		want := seq.Components(n, edges)
-		u, eng, lm := newEngine(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{Symmetrize: true})
+		u := am.New(4, am.WithThreads(2))
+		eng, lm := newEngine(u, n, edges, distgraph.Options{Symmetrize: true})
 		c := NewCC(eng, lm)
 		u.Run(func(r *am.Rank) { c.Run(r) })
 		sameComponents(t, "er", c.Comp.Gather(), want)
@@ -146,7 +149,8 @@ func TestCCFlushPacing(t *testing.T) {
 	want := seq.Components(n, edges)
 	var conflictsSerial, conflictsBulk int64
 	for _, fe := range []int{1, 1 << 30} {
-		u, eng, lm := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, distgraph.Options{Symmetrize: true})
+		u := am.New(3, am.WithThreads(1))
+		eng, lm := newEngine(u, n, edges, distgraph.Options{Symmetrize: true})
 		c := NewCC(eng, lm)
 		c.FlushEvery = fe
 		u.Run(func(r *am.Rank) { c.Run(r) })
@@ -165,7 +169,8 @@ func TestCCFlushPacing(t *testing.T) {
 
 func TestCCSingleComponent(t *testing.T) {
 	n, edges := gen.Torus2D(8, 8, gen.Weights{}, 0)
-	u, eng, lm := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 2}, n, edges, distgraph.Options{Symmetrize: true})
+	u := am.New(2, am.WithThreads(2))
+	eng, lm := newEngine(u, n, edges, distgraph.Options{Symmetrize: true})
 	c := NewCC(eng, lm)
 	u.Run(func(r *am.Rank) { c.Run(r) })
 	comp := c.Comp.Gather()
@@ -179,7 +184,8 @@ func TestCCSingleComponent(t *testing.T) {
 func TestBFSMatchesSequential(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 5}, 3)
 	want := seq.BFS(n, edges, 0)
-	u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, distgraph.Options{})
+	u := am.New(3, am.WithThreads(1))
+	eng, _ := newEngine(u, n, edges, distgraph.Options{})
 	b := NewBFS(eng)
 	u.Run(func(r *am.Rank) { b.Run(r, 0) })
 	checkDist(t, "bfs", b.Level.Gather(), want)
@@ -194,7 +200,8 @@ func TestBFSMatchesSequential(t *testing.T) {
 func TestWidestMatchesSequential(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 50}, 19)
 	wantRaw := seq.WidestPath(n, edges, 0)
-	u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, distgraph.Options{})
+	u := am.New(3, am.WithThreads(1))
+	eng, _ := newEngine(u, n, edges, distgraph.Options{})
 	w := NewWidest(eng)
 	u.Run(func(r *am.Rank) { w.Run(r, 0) })
 	got := w.Cap.Gather()
@@ -224,7 +231,7 @@ func TestHandWrittenBaselines(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		for _, naive := range []bool{false, true} {
 			name := fmt.Sprintf("cached=%v naive=%v", cached, naive)
-			u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 2})
+			u := am.New(3, am.WithThreads(2))
 			g := distgraph.Build(distgraph.NewBlockDist(n, 3), edges, distgraph.Options{})
 			hs, hb := NewHandSSSP(u, g), NewHandBFS(u, g)
 			if cached {
@@ -257,7 +264,8 @@ func TestHandWrittenBaselines(t *testing.T) {
 // the same universe on the same graph (E9's correctness leg).
 func TestPatternVsHandSameResults(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 30}, 31)
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 2}, n, edges, distgraph.Options{})
+	u := am.New(2, am.WithThreads(2))
+	eng, _ := newEngine(u, n, edges, distgraph.Options{})
 	s := NewSSSP(eng)
 	h := NewHandSSSP(u, eng.Graph())
 	u.Run(func(r *am.Rank) {

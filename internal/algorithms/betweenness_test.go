@@ -25,11 +25,9 @@ func TestBetweennessTorus(t *testing.T) {
 	n, edges := gen.Torus2D(5, 5, gen.Weights{}, 0)
 	sources := []distgraph.Vertex{0, 7, 13}
 	want := seq.Betweenness(n, edges, sources)
-	for _, cfg := range []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 3, ThreadsPerRank: 2},
-	} {
-		u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{Bidirectional: true})
+	for _, sh := range []struct{ ranks, threads int }{{1, 0}, {3, 2}} {
+		u := am.New(sh.ranks, am.WithThreads(sh.threads))
+		eng, _ := newEngine(u, n, edges, distgraph.Options{Bidirectional: true})
 		b := NewBetweenness(eng)
 		u.Run(func(r *am.Rank) { b.Run(r, sources) })
 		checkBC(t, "torus", b.BC.Gather(), want)
@@ -42,7 +40,8 @@ func TestBetweennessRandom(t *testing.T) {
 		edges := gen.ER(n, 150, gen.Weights{}, seed)
 		sources := []distgraph.Vertex{0, 5, 11, 23}
 		want := seq.Betweenness(n, edges, sources)
-		u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 2}, n, edges, distgraph.Options{Bidirectional: true})
+		u := am.New(2, am.WithThreads(2))
+		eng, _ := newEngine(u, n, edges, distgraph.Options{Bidirectional: true})
 		b := NewBetweenness(eng)
 		u.Run(func(r *am.Rank) { b.Run(r, sources) })
 		checkBC(t, "er", b.BC.Gather(), want)
@@ -54,7 +53,8 @@ func TestBetweennessPath(t *testing.T) {
 	// dependency (number of targets beyond it): bc[1]=3, bc[2]=2, bc[3]=1.
 	n := 5
 	edges := gen.Path(n, gen.Weights{}, 0)
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 1}, n, edges, distgraph.Options{Bidirectional: true})
+	u := am.New(2, am.WithThreads(1))
+	eng, _ := newEngine(u, n, edges, distgraph.Options{Bidirectional: true})
 	b := NewBetweenness(eng)
 	u.Run(func(r *am.Rank) { b.Run(r, []distgraph.Vertex{0}) })
 	got := b.BC.Gather()
@@ -69,7 +69,7 @@ func TestBetweennessPath(t *testing.T) {
 func TestBetweennessRequiresBidirectional(t *testing.T) {
 	n := 4
 	edges := gen.Path(n, gen.Weights{}, 0)
-	_, eng, _ := newEngine(am.Config{Ranks: 1}, n, edges, distgraph.Options{})
+	eng, _ := newEngine(am.New(1), n, edges, distgraph.Options{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for non-bidirectional graph")

@@ -45,8 +45,8 @@ func TestCoalesceDifferential(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
 	transports := append([]struct {
 		name string
-		cfg  func(t *testing.T) am.Config
-	}{{"chan", func(*testing.T) am.Config { return am.Config{} }}}, messageTransports...)
+		opts func(t *testing.T) []am.Option
+	}{{"chan", func(*testing.T) []am.Option { return nil }}}, messageTransports...)
 	for _, tc := range diffCases {
 		for _, tr := range transports {
 			for _, ranks := range []int{1, 2, 4} {
@@ -54,9 +54,8 @@ func TestCoalesceDifferential(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/%dx%d", tc.name, tr.name, ranks, threads), func(t *testing.T) {
 						var answers [2][]int64
 						for i, coalesce := range []bool{false, true} {
-							cfg := tr.cfg(t)
-							cfg.Ranks, cfg.ThreadsPerRank = ranks, threads
-							u, eng, lm := newEngineWith(cfg, n, edges, tc.gopts, coalesceOpts(coalesce))
+							u := am.New(ranks, append(tr.opts(t), am.WithThreads(threads))...)
+							eng, lm := newEngineWith(u, n, edges, tc.gopts, coalesceOpts(coalesce))
 							eng.MsgType().WithWire() // sockets need a wire codec; harmless on channels
 							var acts []*pattern.BoundAction
 							answers[i], acts = tc.run(t, u, eng, lm)
@@ -89,7 +88,8 @@ func TestCoalesceConservation(t *testing.T) {
 	sources := []distgraph.Vertex{0, 3, 17, 100}
 	var items [2]int64
 	for i, coalesce := range []bool{false, true} {
-		u, eng, _ := newEngineWith(am.Config{Ranks: 2, ThreadsPerRank: 1}, n, edges, distgraph.Options{}, coalesceOpts(coalesce))
+		u := am.New(2, am.WithThreads(1))
+		eng, _ := newEngineWith(u, n, edges, distgraph.Options{}, coalesceOpts(coalesce))
 		s := NewSSSP(eng)
 		var unbalanced, leftSet atomic.Int64
 		last := make([]int64, n)
@@ -138,7 +138,8 @@ func TestCoalesceConservation(t *testing.T) {
 func TestCoalesceFoldsTheFiring(t *testing.T) {
 	n, edges := gen.RMAT(10, 8, gen.Weights{Min: 1, Max: 100}, 9)
 	for _, coalesce := range []bool{false, true} {
-		u, eng, _ := newEngineWith(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{}, coalesceOpts(coalesce))
+		u := am.New(4, am.WithThreads(2))
+		eng, _ := newEngineWith(u, n, edges, distgraph.Options{}, coalesceOpts(coalesce))
 		s := NewSSSP(eng)
 		runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
 		checkDist(t, fmt.Sprintf("coalesce=%v", coalesce), s.Dist.Gather(), seq.Dijkstra(n, edges, 3))
@@ -201,9 +202,9 @@ func TestForgetsOnRollback(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := am.Config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 4, Recovery: true,
-				FaultPlan: &am.FaultPlan{Seed: 1, Crashes: []am.Crash{{Rank: 1, Epoch: 0, AfterHandled: 12}}}}
-			u, eng, _ := newEngineWith(cfg, n, edges, distgraph.Options{}, pattern.DefaultPlanOptions())
+			u := am.New(2, am.WithCoalesce(4), am.WithRecovery(),
+				am.WithFaultPlan(&am.FaultPlan{Seed: 1, Crashes: []am.Crash{{Rank: 1, Epoch: 0, AfterHandled: 12}}}))
+			eng, _ := newEngine(u, n, edges, distgraph.Options{})
 			tc.run(t, u, eng)
 			if snap := u.Stats.Snapshot(); snap.RankCrashes != 1 || snap.Recoveries != 1 {
 				t.Fatalf("crashes = %d, recoveries = %d; want one of each", snap.RankCrashes, snap.Recoveries)

@@ -110,10 +110,10 @@ func TestDirectDifferential(t *testing.T) {
 		for _, ranks := range []int{1, 2, 4} {
 			for _, threads := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%dx%d", tc.name, ranks, threads), func(t *testing.T) {
-					cfg := am.Config{Ranks: ranks, ThreadsPerRank: threads}
 					var answers [2][]int64
 					for i, direct := range []bool{false, true} {
-						u, eng, lm := newEngineWith(cfg, n, edges, tc.gopts, planOpts(direct))
+						u := am.New(ranks, am.WithThreads(threads))
+						eng, lm := newEngineWith(u, n, edges, tc.gopts, planOpts(direct))
 						var acts []*pattern.BoundAction
 						answers[i], acts = tc.run(t, u, eng, lm)
 						var hops int64
@@ -149,9 +149,10 @@ func crossRankEdges(n, ranks int, edges []distgraph.Edge) int64 {
 
 // TestDirectOnlyWhenCoresident: Direct engages on the trusted channel
 // transport and nowhere else. A universe with a socket transport, a fault
-// plan (even one that injects nothing), recovery or lineage keeps every hop
-// a message: no direct hops, and exactly the message count of Direct off —
-// one per rank-crossing edge for Degree's `indeg[trg(e)] += 1`.
+// plan (even one that injects nothing), recovery or lineage (on whenever
+// tracing is, unless LineageOff) keeps every hop a message: no direct hops,
+// and exactly the message count of Direct off — one per rank-crossing edge
+// for Degree's `indeg[trg(e)] += 1`. Tracing without lineage does not.
 func TestDirectOnlyWhenCoresident(t *testing.T) {
 	const ranks = 3
 	n, edges := gen.RMAT(7, 8, gen.Weights{Min: 1, Max: 9}, 11)
@@ -162,24 +163,25 @@ func TestDirectOnlyWhenCoresident(t *testing.T) {
 	}
 	cases := []struct {
 		name       string
-		cfg        func(t *testing.T) am.Config
+		opts       func(t *testing.T) []am.Option
 		coresident bool
 	}{
-		{"chan-trusted", func(*testing.T) am.Config { return am.Config{} }, true},
-		{"sock-unix", func(t *testing.T) am.Config {
-			return am.Config{Transport: am.SockTransport(am.SockOptions{Network: "unix", Dir: t.TempDir()})}
+		{"chan-trusted", func(*testing.T) []am.Option { return nil }, true},
+		{"sock-unix", func(t *testing.T) []am.Option {
+			return []am.Option{am.WithTransport(am.SockTransport(am.SockOptions{Network: "unix", Dir: t.TempDir()}))}
 		}, false},
-		{"zero-fault-plan", func(*testing.T) am.Config { return am.Config{FaultPlan: &am.FaultPlan{}} }, false},
-		{"recovery", func(*testing.T) am.Config { return am.Config{Recovery: true} }, false},
-		{"lineage", func(*testing.T) am.Config { return am.Config{Lineage: am.LineageOn} }, false},
-		{"traced", func(*testing.T) am.Config { return am.Config{TraceCapacity: 1 << 12} }, false},
+		{"zero-fault-plan", func(*testing.T) []am.Option { return []am.Option{am.WithFaultPlan(&am.FaultPlan{})} }, false},
+		{"recovery", func(*testing.T) []am.Option { return []am.Option{am.WithRecovery()} }, false},
+		{"lineage", func(*testing.T) []am.Option { return []am.Option{am.WithTraceCapacity(1 << 12)} }, false},
+		{"traced", func(*testing.T) []am.Option {
+			return []am.Option{am.WithTraceCapacity(1 << 12), am.WithLineage(am.LineageOff)}
+		}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, direct := range []bool{false, true} {
-				cfg := tc.cfg(t)
-				cfg.Ranks, cfg.ThreadsPerRank = ranks, 1
-				u, eng, _ := newEngineWith(cfg, n, edges, distgraph.Options{}, planOpts(direct))
+				u := am.New(ranks, append(tc.opts(t), am.WithThreads(1))...)
+				eng, _ := newEngineWith(u, n, edges, distgraph.Options{}, planOpts(direct))
 				eng.MsgType().WithWire() // sockets need a wire codec; harmless elsewhere
 				d := NewDegreeCount(eng)
 				runOrFail(t, u, func(r *am.Rank) { d.Run(r) })
@@ -209,7 +211,8 @@ func TestDirectOnlyWhenCoresident(t *testing.T) {
 // requests the re-run and counts the firing (TestCoalesceFoldsTheFiring).
 func TestDirectConservation(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 5)
-	u, eng, _ := newEngineWith(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{}, planOpts(true))
+	u := am.New(4, am.WithThreads(2))
+	eng, _ := newEngineWith(u, n, edges, distgraph.Options{}, planOpts(true))
 	g := eng.Graph()
 	s := NewSSSP(eng)
 	var misplaced, fired atomic.Int64
@@ -259,7 +262,8 @@ func TestDirectConservation(t *testing.T) {
 	// Δ-stepping files a changed vertex into the buckets of the rank the
 	// hook runs on, reading its key through the owner-checked accessor: an
 	// insert on the wrong rank panics, so a correct answer proves placement.
-	u2, eng2, _ := newEngineWith(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{}, planOpts(true))
+	u2 := am.New(4, am.WithThreads(2))
+	eng2, _ := newEngineWith(u2, n, edges, distgraph.Options{}, planOpts(true))
 	d := NewSSSP(eng2)
 	d.UseDelta(u2, 25)
 	runOrFail(t, u2, func(r *am.Rank) { d.Run(r, 3) })

@@ -27,7 +27,7 @@ func TestAlgorithmsAcrossDistributions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const ranks = 4
 			{
-				u := am.NewUniverse(am.Config{Ranks: ranks, ThreadsPerRank: 2})
+				u := am.New(ranks, am.WithThreads(2))
 				d := mk(ranks)
 				g := distgraph.Build(d, edges, distgraph.Options{})
 				eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
@@ -36,7 +36,7 @@ func TestAlgorithmsAcrossDistributions(t *testing.T) {
 				checkDist(t, name+"/sssp", s.Dist.Gather(), wantD)
 			}
 			{
-				u := am.NewUniverse(am.Config{Ranks: ranks, ThreadsPerRank: 2})
+				u := am.New(ranks, am.WithThreads(2))
 				d := mk(ranks)
 				g := distgraph.Build(d, edges, distgraph.Options{Symmetrize: true})
 				lm := pmap.NewLockMap(d, 1)
@@ -57,7 +57,7 @@ func TestAlgorithmsAcrossDistributions(t *testing.T) {
 func TestSSSPDialLabelSetting(t *testing.T) {
 	n, edges := gen.Torus2D(12, 12, gen.Weights{Min: 1, Max: 3}, 2)
 	want := seq.Dijkstra(n, edges, 0)
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 1})
+	u := am.New(2, am.WithThreads(1))
 	d := distgraph.NewBlockDist(n, 2)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())

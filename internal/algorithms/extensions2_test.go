@@ -44,8 +44,9 @@ func TestPageRankPushMatchesReference(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{}, 61)
 	const iters = 20
 	want := seqPageRank(n, edges, 0.85, iters)
-	for _, cfg := range []am.Config{{Ranks: 1, ThreadsPerRank: 0}, {Ranks: 4, ThreadsPerRank: 2}} {
-		u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{})
+	for _, sh := range []struct{ ranks, threads int }{{1, 0}, {4, 2}} {
+		u := am.New(sh.ranks, am.WithThreads(sh.threads))
+		eng, _ := newEngine(u, n, edges, distgraph.Options{})
 		pr := NewPageRank(eng, PageRankPush)
 		pr.MaxIters = iters
 		pr.Tolerance = 0 // run all iterations like the reference
@@ -54,7 +55,7 @@ func TestPageRankPushMatchesReference(t *testing.T) {
 		for v := range want {
 			gf := float64(got[v]) / float64(PRScale)
 			if math.Abs(gf-want[v]) > 1e-5 {
-				t.Fatalf("cfg %+v: rank[%d] = %g, want %g", cfg, v, gf, want[v])
+				t.Fatalf("%dx%d: rank[%d] = %g, want %g", sh.ranks, sh.threads, v, gf, want[v])
 			}
 		}
 	}
@@ -64,7 +65,8 @@ func TestPageRankPullMatchesPush(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{}, 62)
 	const iters = 15
 	run := func(mode PageRankMode, gopts distgraph.Options) []int64 {
-		u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, gopts)
+		u := am.New(3, am.WithThreads(1))
+		eng, _ := newEngine(u, n, edges, gopts)
 		pr := NewPageRank(eng, mode)
 		pr.MaxIters = iters
 		pr.Tolerance = 0
@@ -84,7 +86,7 @@ func TestPageRankPullMatchesPush(t *testing.T) {
 // pull is a two-hop gather over in-edges.
 func TestPageRankPlanShapes(t *testing.T) {
 	n, edges := gen.Torus2D(4, 4, gen.Weights{}, 0)
-	_, eng, _ := newEngine(am.Config{Ranks: 1}, n, edges, distgraph.Options{Bidirectional: true})
+	eng, _ := newEngine(am.New(1), n, edges, distgraph.Options{Bidirectional: true})
 	push := NewPageRank(eng, PageRankPush)
 	pull := NewPageRank(eng, PageRankPull)
 	pc := push.Action.PlanInfo().Conds[0]
@@ -136,14 +138,15 @@ func TestKCoreMatchesSequential(t *testing.T) {
 	n, edges := gen.RMAT(8, 6, gen.Weights{}, 71)
 	for _, k := range []int64{2, 4, 8} {
 		want := seqKCore(n, edges, k)
-		for _, cfg := range []am.Config{{Ranks: 1, ThreadsPerRank: 0}, {Ranks: 4, ThreadsPerRank: 2}} {
-			u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{Symmetrize: true})
+		for _, sh := range []struct{ ranks, threads int }{{1, 0}, {4, 2}} {
+			u := am.New(sh.ranks, am.WithThreads(sh.threads))
+			eng, _ := newEngine(u, n, edges, distgraph.Options{Symmetrize: true})
 			kc := NewKCore(eng, k)
 			u.Run(func(r *am.Rank) { kc.Run(r) })
 			got := kc.Alive.Gather()
 			for v := range want {
 				if (got[v] == 1) != want[v] {
-					t.Fatalf("k=%d cfg %+v: alive[%d]=%d want %v", k, cfg, v, got[v], want[v])
+					t.Fatalf("k=%d %dx%d: alive[%d]=%d want %v", k, sh.ranks, sh.threads, v, got[v], want[v])
 				}
 			}
 		}
@@ -155,7 +158,8 @@ func TestKCoreChainedWorkHooks(t *testing.T) {
 	// check->notify->check work items.
 	n := 32
 	edges := gen.Path(n, gen.Weights{}, 0)
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 1}, n, edges, distgraph.Options{Symmetrize: true})
+	u := am.New(2, am.WithThreads(1))
+	eng, _ := newEngine(u, n, edges, distgraph.Options{Symmetrize: true})
 	kc := NewKCore(eng, 2)
 	u.Run(func(r *am.Rank) { kc.Run(r) })
 	for v, a := range kc.Alive.Gather() {
@@ -168,7 +172,8 @@ func TestKCoreChainedWorkHooks(t *testing.T) {
 	}
 	// A cycle IS its own 2-core: nothing peels.
 	n2, edges2 := gen.Components([]int{16}, 0)
-	u2, eng2, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 1}, n2, edges2, distgraph.Options{Symmetrize: true})
+	u2 := am.New(2, am.WithThreads(1))
+	eng2, _ := newEngine(u2, n2, edges2, distgraph.Options{Symmetrize: true})
 	kc2 := NewKCore(eng2, 2)
 	u2.Run(func(r *am.Rank) { kc2.Run(r) })
 	for v, a := range kc2.Alive.Gather() {
@@ -185,12 +190,13 @@ func TestBFSTreeValid(t *testing.T) {
 	for v := range depths {
 		reachable[v] = depths[v] != seq.Inf
 	}
-	for _, cfg := range []am.Config{{Ranks: 1, ThreadsPerRank: 0}, {Ranks: 4, ThreadsPerRank: 2}} {
-		u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{})
+	for _, sh := range []struct{ ranks, threads int }{{1, 0}, {4, 2}} {
+		u := am.New(sh.ranks, am.WithThreads(sh.threads))
+		eng, _ := newEngine(u, n, edges, distgraph.Options{})
 		b := NewBFSTree(eng)
 		u.Run(func(r *am.Rank) { b.Run(r, 0) })
 		if err := ValidateTree(n, edges, 0, b.Parent.Gather(), reachable); err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
+			t.Fatalf("%dx%d: %v", sh.ranks, sh.threads, err)
 		}
 	}
 }

@@ -15,7 +15,8 @@ func TestSSSPLightHeavy(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{Min: 1, Max: 100}, 101)
 	want := seq.Dijkstra(n, edges, 0)
 	for _, delta := range []int64{10, 50, 1000} {
-		u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 2}, n, edges, distgraph.Options{})
+		u := am.New(3, am.WithThreads(2))
+		eng, _ := newEngine(u, n, edges, distgraph.Options{})
 		s := NewSSSP(eng)
 		s.UseDeltaLightHeavy(u, delta)
 		u.Run(func(r *am.Rank) { s.Run(r, 0) })
@@ -28,7 +29,7 @@ func TestSSSPLightHeavy(t *testing.T) {
 // shape — so heavy edges cost no messages during the light phase and light
 // relaxations stay lock-free.
 func TestLightHeavyEarlyExitPlan(t *testing.T) {
-	_, eng, _ := newEngine(am.Config{Ranks: 1}, 4, gen.Path(4, gen.Weights{Min: 1, Max: 9}, 0), distgraph.Options{})
+	eng, _ := newEngine(am.New(1), 4, gen.Path(4, gen.Weights{Min: 1, Max: 9}, 0), distgraph.Options{})
 	bound, err := eng.Bind(SSSPLightHeavyPattern(50), pattern.Bindings{
 		"dist":   pmap.NewVertexWord(eng.Graph().Dist(), pattern.Inf),
 		"weight": pmap.WeightMap(eng.Graph()),
@@ -56,7 +57,7 @@ func TestEarlyExitSavesMessages(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{Min: 1, Max: 100}, 17)
 	counts := map[bool]int64{}
 	for _, ee := range []bool{true, false} {
-		u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 1})
+		u := am.New(4, am.WithThreads(1))
 		d := distgraph.NewBlockDist(n, 4)
 		g := distgraph.Build(d, edges, distgraph.Options{})
 		popts := pattern.DefaultPlanOptions()
@@ -116,14 +117,15 @@ func TestDegreeCount(t *testing.T) {
 	for _, e := range edges {
 		want[e.Dst]++
 	}
-	for _, cfg := range []am.Config{{Ranks: 1, ThreadsPerRank: 0}, {Ranks: 4, ThreadsPerRank: 2}} {
-		u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{})
+	for _, sh := range []struct{ ranks, threads int }{{1, 0}, {4, 2}} {
+		u := am.New(sh.ranks, am.WithThreads(sh.threads))
+		eng, _ := newEngine(u, n, edges, distgraph.Options{})
 		dc := NewDegreeCount(eng)
 		u.Run(func(r *am.Rank) { dc.Run(r) })
 		got := dc.InDeg.Gather()
 		for v := range want {
 			if got[v] != want[v] {
-				t.Fatalf("cfg %+v: indeg[%d]=%d want %d", cfg, v, got[v], want[v])
+				t.Fatalf("%dx%d: indeg[%d]=%d want %d", sh.ranks, sh.threads, v, got[v], want[v])
 			}
 		}
 		// The unconditional remote add must classify as atomic-add.

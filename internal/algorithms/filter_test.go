@@ -43,11 +43,11 @@ var filteredActions = map[string]bool{"bfs": true, "relax": true, "widen": true,
 // fault plan injects nothing) and real Unix sockets.
 var messageTransports = []struct {
 	name string
-	cfg  func(t *testing.T) am.Config
+	opts func(t *testing.T) []am.Option
 }{
-	{"chan-reliable", func(*testing.T) am.Config { return am.Config{FaultPlan: &am.FaultPlan{}} }},
-	{"unix", func(t *testing.T) am.Config {
-		return am.Config{Transport: am.SockTransport(am.SockOptions{Network: "unix", Dir: t.TempDir()})}
+	{"chan-reliable", func(*testing.T) []am.Option { return []am.Option{am.WithFaultPlan(&am.FaultPlan{})} }},
+	{"unix", func(t *testing.T) []am.Option {
+		return []am.Option{am.WithTransport(am.SockTransport(am.SockOptions{Network: "unix", Dir: t.TempDir()}))}
 	}},
 }
 
@@ -67,9 +67,8 @@ func TestFilterDifferential(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/%dx%d", tc.name, tr.name, ranks, threads), func(t *testing.T) {
 						var answers [2][]int64
 						for i, filter := range []bool{false, true} {
-							cfg := tr.cfg(t)
-							cfg.Ranks, cfg.ThreadsPerRank = ranks, threads
-							u, eng, lm := newEngineWith(cfg, n, edges, tc.gopts, filterOpts(filter))
+							u := am.New(ranks, append(tr.opts(t), am.WithThreads(threads))...)
+							eng, lm := newEngineWith(u, n, edges, tc.gopts, filterOpts(filter))
 							eng.MsgType().WithWire() // sockets need a wire codec; harmless on channels
 							var acts []*pattern.BoundAction
 							answers[i], acts = tc.run(t, u, eng, lm)
@@ -99,7 +98,8 @@ func TestFilterDifferential(t *testing.T) {
 // sent, so nothing is filtered.
 func TestFilterNotConsultedWhenCoresident(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
-	u, eng, _ := newEngineWith(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{}, pattern.DefaultPlanOptions())
+	u := am.New(4, am.WithThreads(2))
+	eng, _ := newEngineWith(u, n, edges, distgraph.Options{}, pattern.DefaultPlanOptions())
 	s := NewSSSP(eng)
 	runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
 	checkDist(t, "coresident", s.Dist.Gather(), seq.Dijkstra(n, edges, 3))
@@ -117,8 +117,8 @@ func TestFilterConservation(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 5)
 	var msgs [2]int64
 	for i, filter := range []bool{false, true} {
-		cfg := am.Config{Ranks: 4, ThreadsPerRank: 2, FaultPlan: &am.FaultPlan{}}
-		u, eng, _ := newEngineWith(cfg, n, edges, distgraph.Options{}, filterOpts(filter))
+		u := am.New(4, am.WithThreads(2), am.WithFaultPlan(&am.FaultPlan{}))
+		eng, _ := newEngineWith(u, n, edges, distgraph.Options{}, filterOpts(filter))
 		g := eng.Graph()
 		s := NewSSSP(eng)
 		var unbalanced atomic.Int64

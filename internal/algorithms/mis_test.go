@@ -56,11 +56,9 @@ func TestMISCorrect(t *testing.T) {
 				clean = append(clean, e)
 			}
 		}
-		for _, cfg := range []am.Config{
-			{Ranks: 1, ThreadsPerRank: 0},
-			{Ranks: 4, ThreadsPerRank: 2},
-		} {
-			u, eng, _ := newEngine(cfg, n, clean, distgraph.Options{Symmetrize: true})
+		for _, sh := range []struct{ ranks, threads int }{{1, 0}, {4, 2}} {
+			u := am.New(sh.ranks, am.WithThreads(sh.threads))
+			eng, _ := newEngine(u, n, clean, distgraph.Options{Symmetrize: true})
 			m := NewMIS(eng)
 			u.Run(func(r *am.Rank) { m.Run(r) })
 			checkMIS(t, "er", m.State.Gather(), n, clean)
@@ -71,7 +69,8 @@ func TestMISCorrect(t *testing.T) {
 func TestMISDeterministic(t *testing.T) {
 	n, edges := gen.Torus2D(8, 8, gen.Weights{}, 0)
 	run := func(ranks int) []int64 {
-		u, eng, _ := newEngine(am.Config{Ranks: ranks, ThreadsPerRank: 2}, n, edges, distgraph.Options{Symmetrize: true})
+		u := am.New(ranks, am.WithThreads(2))
+		eng, _ := newEngine(u, n, edges, distgraph.Options{Symmetrize: true})
 		m := NewMIS(eng)
 		u.Run(func(r *am.Rank) { m.Run(r) })
 		return m.State.Gather()
@@ -92,7 +91,8 @@ func TestMISRoundsLogarithmic(t *testing.T) {
 			clean = append(clean, e)
 		}
 	}
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 2}, n, clean, distgraph.Options{Symmetrize: true})
+	u := am.New(2, am.WithThreads(2))
+	eng, _ := newEngine(u, n, clean, distgraph.Options{Symmetrize: true})
 	m := NewMIS(eng)
 	u.Run(func(r *am.Rank) { m.Run(r) })
 	checkMIS(t, "rmat", m.State.Gather(), n, clean)
@@ -106,7 +106,8 @@ func TestBellmanFordRounds(t *testing.T) {
 	want := seq.Dijkstra(n, edges, 0)
 	wantDist, seqPasses := seq.BellmanFord(n, edges, 0)
 	_ = wantDist
-	u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, distgraph.Options{})
+	u := am.New(3, am.WithThreads(1))
+	eng, _ := newEngine(u, n, edges, distgraph.Options{})
 	s := NewSSSP(eng)
 	var rounds [3]int
 	u.Run(func(r *am.Rank) {

@@ -7,8 +7,8 @@ import (
 )
 
 // configs exercised by the matrix tests.
-func testConfigs() []Config {
-	return []Config{
+func testConfigs() []config {
+	return []config{
 		{Ranks: 1, ThreadsPerRank: 0},
 		{Ranks: 1, ThreadsPerRank: 2},
 		{Ranks: 2, ThreadsPerRank: 1},
@@ -23,7 +23,7 @@ func TestEpochDeliversAll(t *testing.T) {
 	for _, cfg := range testConfigs() {
 		cfg := cfg
 		t.Run(cfg.Detector.String()+"/"+itoa(cfg.Ranks)+"x"+itoa(cfg.ThreadsPerRank), func(t *testing.T) {
-			u := NewUniverse(cfg)
+			u := newUniverse(cfg)
 			var handled atomic.Int64
 			mt := Register(u, "ping", func(r *Rank, m int64) {
 				handled.Add(1)
@@ -71,7 +71,7 @@ func TestHandlerChains(t *testing.T) {
 	for _, cfg := range testConfigs() {
 		cfg := cfg
 		t.Run(cfg.Detector.String()+"/"+itoa(cfg.Ranks)+"x"+itoa(cfg.ThreadsPerRank), func(t *testing.T) {
-			u := NewUniverse(cfg)
+			u := newUniverse(cfg)
 			var handled atomic.Int64
 			var mt *MsgType[int64]
 			mt = Register(u, "ttl", func(r *Rank, ttl int64) {
@@ -97,7 +97,7 @@ func TestHandlerChains(t *testing.T) {
 // TestHandlerFanout: each handled message fans out to two more until depth
 // exhausts; total must be exactly 2^(d+1)-1 per root.
 func TestHandlerFanout(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 2})
+	u := newUniverse(config{Ranks: 4, ThreadsPerRank: 2})
 	var handled atomic.Int64
 	var mt *MsgType[int32]
 	mt = Register(u, "fan", func(r *Rank, depth int32) {
@@ -121,7 +121,7 @@ func TestHandlerFanout(t *testing.T) {
 }
 
 func TestMultipleEpochs(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 3, ThreadsPerRank: 1})
+	u := newUniverse(config{Ranks: 3, ThreadsPerRank: 1})
 	var handled atomic.Int64
 	mt := Register(u, "m", func(r *Rank, m int32) { handled.Add(1) })
 	const epochs = 5
@@ -145,7 +145,7 @@ func TestMultipleEpochs(t *testing.T) {
 }
 
 func TestObjectAddressing(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 1})
+	u := newUniverse(config{Ranks: 4, ThreadsPerRank: 1})
 	var wrongRank atomic.Int64
 	mt := Register(u, "obj", func(r *Rank, m int64) {
 		if int(m%4) != r.ID() {
@@ -169,7 +169,7 @@ func TestCoalescingEnvelopeCounts(t *testing.T) {
 	// With coalescing factor c, rank 0 sending n messages to rank 1 in
 	// one epoch ships ceil(n/c) envelopes.
 	for _, c := range []int{1, 16, 64, 1000, 4096} {
-		u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: c})
+		u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: c})
 		mt := Register(u, "m", func(r *Rank, m int64) {})
 		u.Run(func(r *Rank) {
 			r.Epoch(func(ep *Epoch) {
@@ -195,7 +195,7 @@ func TestCoalescingEnvelopeCounts(t *testing.T) {
 // are combined, so at most one handler invocation per key per flush, and the
 // surviving payload is the minimum.
 func TestReduction(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
 	type upd struct {
 		Key uint64
 		Val int64
@@ -240,7 +240,7 @@ func TestReduction(t *testing.T) {
 }
 
 func TestSendOutsideEpochPanics(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1, ThreadsPerRank: 0})
+	u := newUniverse(config{Ranks: 1, ThreadsPerRank: 0})
 	mt := Register(u, "m", func(r *Rank, m int64) {})
 	u.Run(func(r *Rank) {
 		defer func() {
@@ -256,7 +256,7 @@ func TestFlushMakesProgress(t *testing.T) {
 	// With zero handler threads, messages are only handled at Flush or
 	// epoch end — Flush must deliver everything buffered so far,
 	// including handler-generated follow-ups.
-	u := NewUniverse(Config{Ranks: 1, ThreadsPerRank: 0})
+	u := newUniverse(config{Ranks: 1, ThreadsPerRank: 0})
 	var handled atomic.Int64
 	var mt *MsgType[int64]
 	mt = Register(u, "m", func(r *Rank, ttl int64) {
@@ -285,7 +285,7 @@ func TestTryFinishWithAuxWork(t *testing.T) {
 	// empty. The epoch must not terminate while deposited work remains.
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{Ranks: 3, ThreadsPerRank: 1, Detector: det})
+			u := newUniverse(config{Ranks: 3, ThreadsPerRank: 1, Detector: det})
 			type unit = struct{}
 			_ = unit{}
 			var deposited [3]atomic.Int64 // per-rank local "buckets"
@@ -329,7 +329,7 @@ func TestTryFinishWithAuxWork(t *testing.T) {
 }
 
 func TestFourCounterUsesControlMessages(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, Detector: DetectorFourCounter})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, Detector: DetectorFourCounter})
 	mt := Register(u, "m", func(r *Rank, m int64) {})
 	u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
@@ -343,7 +343,7 @@ func TestFourCounterUsesControlMessages(t *testing.T) {
 }
 
 func TestTypeStats(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4})
 	a := Register(u, "alpha", func(r *Rank, m int64) {})
 	b := Register(u, "beta", func(r *Rank, m int32) {})
 	u.Run(func(r *Rank) {
@@ -374,7 +374,7 @@ func TestTypeStats(t *testing.T) {
 }
 
 func TestBarrierAndCollectives(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 5, ThreadsPerRank: 0})
+	u := newUniverse(config{Ranks: 5, ThreadsPerRank: 0})
 	u.Run(func(r *Rank) {
 		sum := r.AllReduceSum(int64(r.ID()))
 		if sum != 0+1+2+3+4 {
@@ -404,7 +404,7 @@ func TestBarrierAndCollectives(t *testing.T) {
 }
 
 func TestRunTwicePanics(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1})
+	u := newUniverse(config{Ranks: 1})
 	u.Run(func(r *Rank) {})
 	defer func() {
 		if recover() == nil {
@@ -415,7 +415,7 @@ func TestRunTwicePanics(t *testing.T) {
 }
 
 func TestRegisterAfterRunPanics(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1})
+	u := newUniverse(config{Ranks: 1})
 	u.Run(func(r *Rank) {})
 	defer func() {
 		if recover() == nil {
@@ -433,7 +433,7 @@ func TestRegisterAfterRunPanics(t *testing.T) {
 func TestDelayInjection(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{Ranks: 3, ThreadsPerRank: 2, Detector: det, CoalesceSize: 4})
+			u := newUniverse(config{Ranks: 3, ThreadsPerRank: 2, Detector: det, CoalesceSize: 4})
 			var handled atomic.Int64
 			var mt *MsgType[uint64]
 			mt = Register(u, "slow", func(r *Rank, x uint64) {
@@ -480,7 +480,7 @@ func TestDelayInjection(t *testing.T) {
 func TestStressDiffusion(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 3, Detector: det, CoalesceSize: 8})
+			u := newUniverse(config{Ranks: 4, ThreadsPerRank: 3, Detector: det, CoalesceSize: 8})
 			var handled atomic.Int64
 			var mt *MsgType[uint64]
 			mt = Register(u, "diff", func(r *Rank, x uint64) {

@@ -84,7 +84,7 @@ func BenchmarkCodecTransport(b *testing.B) {
 	run := func(b *testing.B, mk func(*MsgType[benchMsg])) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			u := NewUniverse(Config{Ranks: ranks, ThreadsPerRank: 2, CoalesceSize: 32,
+			u := newUniverse(config{Ranks: ranks, ThreadsPerRank: 2, CoalesceSize: 32,
 				FaultPlan: &FaultPlan{Seed: 1}})
 			var sum atomic.Int64
 			mt := Register(u, "bench", func(r *Rank, m benchMsg) { sum.Add(m.Vals[0]) })

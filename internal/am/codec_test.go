@@ -166,7 +166,7 @@ func TestDecodeErrorRoutesThroughRetransmit(t *testing.T) {
 	}
 	fc := &flakyCodec{Codec: inner}
 	fc.remaining.Store(3)
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		FaultPlan: &FaultPlan{Seed: 9}})
 	var sum atomic.Int64
 	mt := Register(u, "flaky", func(r *Rank, m uint64) { sum.Add(int64(m)) }).WithCodec(fc)
@@ -201,7 +201,7 @@ func TestWireTransportMatchesInMemory(t *testing.T) {
 		D int64
 	}
 	run := func(mk func(*MsgType[msg])) int64 {
-		u := NewUniverse(Config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 8,
+		u := newUniverse(config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 8,
 			FaultPlan: &FaultPlan{Seed: 5, Drop: 0.1, Dup: 0.1, Delay: 0.1, Corrupt: 0.1}})
 		var sum atomic.Int64
 		mt := Register(u, "m", func(r *Rank, m msg) { sum.Add(int64(m.V)*31 + m.D) })

@@ -75,7 +75,7 @@ func (c *collectives) init(n int) {
 // Barrier synchronizes all rank main goroutines. Collective: every rank must
 // call it. Must not be called from message handlers or extra body threads.
 // Time spent blocked here lands in the rank's barrier-phase histogram when
-// Config.Timing is set (the wait is the substrate's load-imbalance signal).
+// WithTiming is set (the wait is the substrate's load-imbalance signal).
 func (r *Rank) Barrier() {
 	ph := r.Phase(obs.PhaseBarrier)
 	if r.u.mp != nil {

@@ -67,7 +67,7 @@ func (r *Rank) EpochThreadedCtx(qid int64, nthreads int, body func(tid int, ep *
 // it finishes handling, and unregistered when consumed; otherwise the epoch
 // can terminate while work remains.
 //
-// With Config.Recovery the epoch boundary entered here is also the recovery
+// Under WithRecovery the epoch boundary entered here is also the recovery
 // point: registered checkpointers are snapshotted before the opening
 // barrier (the previous epoch ended acknowledged-quiet, so the state is a
 // consistent cut), and a rank fault inside the epoch rolls every rank back

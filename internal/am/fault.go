@@ -3,7 +3,7 @@ package am
 import "fmt"
 
 // FaultPlan configures deterministic fault injection on the simulated
-// network. Setting a non-nil FaultPlan on Config switches the transport into
+// network. Setting one with WithFaultPlan switches the transport into
 // *reliable* mode: every shipped envelope carries a per-(src, dest, type)
 // sequence number, the receiver deduplicates and acknowledges envelopes, and
 // the sender retransmits unacknowledged envelopes with exponential backoff.
@@ -32,13 +32,10 @@ type FaultPlan struct {
 	// Dup is the probability that the network delivers an envelope twice.
 	Dup float64
 	// Delay is the probability that an envelope is held back by the
-	// network and released out of order (after ~DelayTicks sender progress
-	// ticks), reordering it behind envelopes shipped later.
+	// network and released out of order (after 1 to 2·delayTicks sender
+	// progress ticks — a tick elapses each time the sending rank polls its
+	// links), reordering it behind envelopes shipped later.
 	Delay float64
-	// DelayTicks is the mean hold time of a delayed envelope, measured in
-	// sender progress ticks (a tick elapses each time the sending rank
-	// polls its links). 0 selects the default (8).
-	DelayTicks int
 	// Corrupt is the probability that the payload of an envelope of a
 	// wire (codec-equipped) type is corrupted in flight (a byte of the
 	// encoded stream is flipped after the wire checksum is computed, so the
@@ -47,24 +44,17 @@ type FaultPlan struct {
 	// reference and cannot be corrupted.
 	Corrupt float64
 	// RetransmitBase is the initial retransmit timeout in sender progress
-	// ticks; attempt n waits RetransmitBase << min(n, 6) ticks. 0 selects
-	// the default (8).
+	// ticks; attempt n waits RetransmitBase << min(n, 6) ticks, spread by
+	// ±25 % on a socket transport (see Universe.backoffTicks). 0 selects the
+	// default (8).
 	RetransmitBase int
-	// BackoffJitter, when in (0, 1], spreads every retransmit timeout by a
-	// deterministic factor drawn uniformly from
-	// [1-BackoffJitter, 1+BackoffJitter) — a pure function of
-	// (Seed, link, seq, attempt), so schedules stay reproducible. 0 (the
-	// default) keeps the exact exponential timeouts; socket transports
-	// default it on (via their synthesized plan) to desynchronize the
-	// retransmit burst that follows a reconnect.
-	BackoffJitter float64
 	// MaxAttempts bounds transmissions per envelope; exceeding it raises a
 	// structured LinkDead rank fault (at Drop = 0.2 the default ceiling of
 	// 30 is reached with probability 0.2^30 ≈ 1e-21 per envelope). Only
 	// transmissions the destination had a chance to answer count: one is
 	// charged when the destination rank has looked at its inbox since the
-	// previous transmission (see outEnvelope.charged). With
-	// Config.Recovery the damaged epoch rolls back to its checkpoint and
+	// previous transmission (see outEnvelope.charged). Under
+	// WithRecovery the damaged epoch rolls back to its checkpoint and
 	// replays; without it Universe.Run returns the fault as an error.
 	// 0 selects the default (30).
 	MaxAttempts int
@@ -72,7 +62,7 @@ type FaultPlan struct {
 	// kills one rank during one epoch (at entry, or after its k-th handled
 	// message). A crashed rank stops handling, drops its inbox, and goes
 	// silent; peers observe it only through missing acknowledgements. Each
-	// entry fires at most once per run. Requires Config.Recovery for the
+	// entry fires at most once per run. Requires WithRecovery for the
 	// run to survive.
 	Crashes []Crash
 	// DeadLinks severs directed links for one epoch each: every
@@ -103,16 +93,13 @@ type DeadLink struct {
 
 func (fp *FaultPlan) withDefaults() *FaultPlan {
 	c := *fp
-	if c.DelayTicks <= 0 {
-		c.DelayTicks = 8
-	}
 	if c.RetransmitBase <= 0 {
 		c.RetransmitBase = 8
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 30
 	}
-	for _, p := range []float64{c.Drop, c.Dup, c.Delay, c.Corrupt, c.BackoffJitter} {
+	for _, p := range []float64{c.Drop, c.Dup, c.Delay, c.Corrupt} {
 		if p < 0 || p > 1 {
 			panic(fmt.Sprintf("am: FaultPlan probability %v outside [0,1]", p))
 		}
@@ -120,9 +107,14 @@ func (fp *FaultPlan) withDefaults() *FaultPlan {
 	return &c
 }
 
-// defaultSockBackoffJitter is the BackoffJitter a socket transport's
-// synthesized fault plan uses (see NewUniverse).
-const defaultSockBackoffJitter = 0.25
+// delayTicks is the mean hold time of a delayed envelope, in sender progress
+// ticks.
+const delayTicks = 8
+
+// sockBackoffJitter is how far a socket transport spreads every retransmit
+// timeout (±25 %), desynchronizing the retransmit burst that follows a
+// reconnect. In-process transports keep the exact exponential timeouts.
+const sockBackoffJitter = 0.25
 
 // Fault decision kinds, mixed into the hash so each decision on the same
 // (link, seq, attempt) is independent.

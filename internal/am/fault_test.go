@@ -17,9 +17,9 @@ type chatterPayload struct {
 // forwards the message once (Hop 0 → Hop 1), exercising handler sends,
 // multiple epochs, and every rank pair. It returns per-message delivery
 // counts (index = message ID) and the number of user messages sent.
-func runChatter(t *testing.T, cfg Config, perRank int) ([]int64, int64) {
+func runChatter(t *testing.T, cfg config, perRank int) ([]int64, int64) {
 	t.Helper()
-	u := NewUniverse(cfg)
+	u := newUniverse(cfg)
 	n := cfg.Ranks
 	total := 2 * n * perRank // each seed message is forwarded once
 	counts := make([]int64, total)
@@ -62,7 +62,7 @@ func TestReliableExactlyOnceUnderFaults(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				const seed = 1234
 				plan := &FaultPlan{Seed: seed, Drop: 0.2, Dup: 0.1, Delay: 0.1}
-				cfg := Config{Ranks: 4, ThreadsPerRank: threads, CoalesceSize: 4,
+				cfg := config{Ranks: 4, ThreadsPerRank: threads, CoalesceSize: 4,
 					Detector: det, FaultPlan: plan}
 				counts, sent := runChatter(t, cfg, 64)
 				checkExactlyOnce(t, counts, seed)
@@ -80,8 +80,8 @@ func TestReliableExactlyOnceUnderFaults(t *testing.T) {
 func TestFaultCountersObservable(t *testing.T) {
 	const seed = 7
 	plan := &FaultPlan{Seed: seed, Drop: 0.2, Dup: 0.15, Delay: 0.1}
-	cfg := Config{Ranks: 3, ThreadsPerRank: 1, CoalesceSize: 2, FaultPlan: plan}
-	u := NewUniverse(cfg)
+	cfg := config{Ranks: 3, ThreadsPerRank: 1, CoalesceSize: 2, FaultPlan: plan}
+	u := newUniverse(cfg)
 	mt := Register(u, "ping", func(r *Rank, m int64) {})
 	u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
@@ -114,7 +114,7 @@ func TestFaultCountersObservable(t *testing.T) {
 func TestFourCounterPollOnlyUnderDrops(t *testing.T) {
 	const seed = 99
 	plan := &FaultPlan{Seed: seed, Drop: 0.2, Dup: 0.1, Delay: 0.15}
-	cfg := Config{Ranks: 3, ThreadsPerRank: 0, CoalesceSize: 3,
+	cfg := config{Ranks: 3, ThreadsPerRank: 0, CoalesceSize: 3,
 		Detector: DetectorFourCounter, FaultPlan: plan}
 	counts, _ := runChatter(t, cfg, 60)
 	checkExactlyOnce(t, counts, seed)
@@ -127,8 +127,8 @@ func TestFourCounterPollOnlyUnderDrops(t *testing.T) {
 func TestWireCorruptionDetectedAndRecovered(t *testing.T) {
 	const seed = 5150
 	plan := &FaultPlan{Seed: seed, Corrupt: 0.3}
-	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, FaultPlan: plan}
-	u := NewUniverse(cfg)
+	cfg := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, FaultPlan: plan}
+	u := newUniverse(cfg)
 	var bad atomic.Int64
 	var handled atomic.Int64
 	mt := Register(u, "wire", func(r *Rank, m chatterPayload) {
@@ -162,7 +162,7 @@ func TestWireCorruptionDetectedAndRecovered(t *testing.T) {
 // TestReliableZeroRatesProtocolOnly runs the reliable protocol with all
 // fault rates zero: pure protocol overhead, no faults, exact delivery.
 func TestReliableZeroRatesProtocolOnly(t *testing.T) {
-	cfg := Config{Ranks: 3, ThreadsPerRank: 2, FaultPlan: &FaultPlan{Seed: 1}}
+	cfg := config{Ranks: 3, ThreadsPerRank: 2, FaultPlan: &FaultPlan{Seed: 1}}
 	counts, _ := runChatter(t, cfg, 40)
 	checkExactlyOnce(t, counts, 1)
 }
@@ -174,7 +174,7 @@ func TestReliableZeroRatesProtocolOnly(t *testing.T) {
 func TestReliableDeterministicSchedule(t *testing.T) {
 	run := func() Snapshot {
 		plan := &FaultPlan{Seed: 42, Drop: 0.25, Dup: 0.2, Delay: 0.2}
-		u := NewUniverse(Config{Ranks: 1, ThreadsPerRank: 0, CoalesceSize: 2, FaultPlan: plan})
+		u := newUniverse(config{Ranks: 1, ThreadsPerRank: 0, CoalesceSize: 2, FaultPlan: plan})
 		mt := Register(u, "self", func(r *Rank, m int64) {})
 		u.Run(func(r *Rank) {
 			r.Epoch(func(ep *Epoch) {
@@ -203,7 +203,7 @@ func TestShutdownStress(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		plan := &FaultPlan{Seed: uint64(i), Drop: 0.15, Dup: 0.1, Delay: 0.1,
 			RetransmitBase: 1}
-		u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 1,
+		u := newUniverse(config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 1,
 			Detector: DetectorFourCounter, FaultPlan: plan})
 		var got atomic.Int64
 		mt := Register(u, "m", func(r *Rank, m int64) { got.Add(1) })
@@ -239,7 +239,7 @@ func TestShutdownStress(t *testing.T) {
 // polls. (A receiver that polls and still never answers is a dead link; see
 // TestLinkDeadWithoutRecoveryFails.)
 func TestRetransmitCeilingSparesAnUnpolledReceiver(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 0,
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 0,
 		FaultPlan: &FaultPlan{RetransmitBase: 1, MaxAttempts: 3}})
 	var got atomic.Int64
 	mt := Register(u, "m", func(r *Rank, m int64) { got.Add(1) })
@@ -276,7 +276,7 @@ func TestRetransmitCeilingSparesAnUnpolledReceiver(t *testing.T) {
 // charged: the link is fine, the inbox is long.
 func TestRetransmitCeilingSparesABackloggedReceiver(t *testing.T) {
 	const envelopes = 48
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 1,
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 1,
 		FaultPlan: &FaultPlan{RetransmitBase: 1, MaxAttempts: 3}})
 	var got atomic.Int64
 	tokens := make(chan struct{}, 1)
@@ -319,7 +319,7 @@ func TestRetransmitCeilingSparesABackloggedReceiver(t *testing.T) {
 // plan, guarding the original transport's shutdown ordering.
 func TestTrustedShutdownStress(t *testing.T) {
 	for i := 0; i < 30; i++ {
-		u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 1,
+		u := newUniverse(config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 1,
 			Detector: DetectorFourCounter})
 		var got atomic.Int64
 		mt := Register(u, "m", func(r *Rank, m int64) { got.Add(1) })
@@ -344,7 +344,7 @@ func TestTrustedShutdownStress(t *testing.T) {
 func TestReliableWithReduction(t *testing.T) {
 	const seed = 31337
 	plan := &FaultPlan{Seed: seed, Drop: 0.2, Dup: 0.1}
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20, FaultPlan: plan})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20, FaultPlan: plan})
 	var handled atomic.Int64
 	mt := Register(u, "upd", func(r *Rank, m chatterPayload) { handled.Add(1) }).
 		WithReduction(

@@ -39,7 +39,7 @@ func (u *Universe) flightEvent(rank int, kind TraceKind, arg, arg2, ts, dur int6
 	})
 }
 
-// FlightRecorder returns the attached recorder (nil unless Config.Flight).
+// FlightRecorder returns the attached recorder (nil unless WithFlightRecorder).
 func (u *Universe) FlightRecorder() *obs.FlightRecorder { return u.flight }
 
 // flightPersist persists the black box with the given reason; a no-op

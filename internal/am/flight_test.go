@@ -16,7 +16,7 @@ func TestFlightRecorderCapturesLandmarks(t *testing.T) {
 	fr := obs.NewFlightRecorder(obs.FlightConfig{
 		Path: path, Label: "am-test", RankLo: 0, RankHi: 2,
 	})
-	u := NewUniverse(Config{Ranks: 2, Flight: fr})
+	u := newUniverse(config{Ranks: 2, Flight: fr})
 	err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {})
 		ph := r.Phase(obs.PhaseEmit)
@@ -87,7 +87,7 @@ func BenchmarkFlightRecorder(b *testing.B) {
 	// of a launched worker pays.
 	b.Run("phase-scope", func(b *testing.B) {
 		fr := obs.NewFlightRecorder(obs.FlightConfig{RankLo: 0, RankHi: 1})
-		u := NewUniverse(Config{Ranks: 1, Flight: fr})
+		u := newUniverse(config{Ranks: 1, Flight: fr})
 		b.ReportAllocs()
 		b.ResetTimer()
 		err := u.Run(func(r *Rank) {

@@ -1,6 +1,7 @@
 package am
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 type hop struct{ TTL int64 }
 
 // chainUniverse registers the forwarding type on a fresh universe.
-func chainUniverse(cfg Config) (*Universe, *MsgType[hop]) {
-	u := NewUniverse(cfg)
+func chainUniverse(cfg config) (*Universe, *MsgType[hop]) {
+	u := newUniverse(cfg)
 	var mt *MsgType[hop]
 	mt = Register(u, "hop", func(r *Rank, m hop) {
 		if m.TTL > 0 {
@@ -47,7 +48,7 @@ func runChains(t *testing.T, u *Universe, mt *MsgType[hop], epochs, chains int, 
 // walks parent links hop by hop.
 func TestLineageConnectedChains(t *testing.T) {
 	const ttl = 6
-	u, mt := chainUniverse(Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 4, TraceCapacity: 1 << 16})
+	u, mt := chainUniverse(config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 4, TraceCapacity: 1 << 16})
 	runChains(t, u, mt, 3, 4, ttl)
 
 	meta, recs := u.ExportTrace("chains")
@@ -127,7 +128,7 @@ func TestLineageConnectedChains(t *testing.T) {
 // transport: drops, duplicates, and delays force retransmissions, and the
 // lineage riding the outstanding table must come through intact.
 func TestLineageSurvivesRetransmit(t *testing.T) {
-	u, mt := chainUniverse(Config{
+	u, mt := chainUniverse(config{
 		Ranks: 3, ThreadsPerRank: 0, CoalesceSize: 2, TraceCapacity: 1 << 16,
 		FaultPlan: &FaultPlan{Seed: 7, Drop: 0.15, Dup: 0.1, Delay: 0.1},
 	})
@@ -149,7 +150,7 @@ func TestLineageSurvivesRetransmit(t *testing.T) {
 // the committed replay's lineage must be connected, and its critical path
 // must land in the replay attempt, not the aborted one.
 func TestLineageRecoveryReplay(t *testing.T) {
-	u, mt := chainUniverse(Config{
+	u, mt := chainUniverse(config{
 		Ranks: 3, ThreadsPerRank: 0, CoalesceSize: 2, TraceCapacity: 1 << 16,
 		Recovery: true,
 		FaultPlan: &FaultPlan{
@@ -177,7 +178,7 @@ func TestLineageRecoveryReplay(t *testing.T) {
 // TestLineageOff checks the off switch: a traced run with LineageOff records
 // no handler events and stamps no ids.
 func TestLineageOff(t *testing.T) {
-	u, mt := chainUniverse(Config{
+	u, mt := chainUniverse(config{
 		Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		TraceCapacity: 1 << 14, Lineage: LineageOff,
 	})
@@ -194,26 +195,17 @@ func TestLineageOff(t *testing.T) {
 	}
 }
 
-// TestLineageOnWithoutTracing checks that forced stamping without a tracer
-// runs cleanly (ids propagate, nothing is recorded).
-func TestLineageOnWithoutTracing(t *testing.T) {
-	u, mt := chainUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, Lineage: LineageOn})
-	runChains(t, u, mt, 1, 4, 3)
-	if evs := u.Trace(); evs != nil {
-		t.Fatalf("untraced run returned %d events", len(evs))
-	}
-}
-
-// TestTraceRingSize covers the satellite's memory control: an explicit
-// per-rank ring size enables tracing by itself, bounds retention exactly, and
-// absurd values fail loudly at construction.
+// TestTraceRingSize covers the memory control: WithTraceCapacity splits
+// evenly into per-rank rings that bound retention exactly, and a capacity
+// whose per-rank ring exceeds maxTraceRing fails loudly at construction
+// instead of attempting the allocation.
 func TestTraceRingSize(t *testing.T) {
 	const per = 64
-	u, mt := chainUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1, TraceRingSize: per})
+	u, mt := chainUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1, TraceCapacity: 2 * per})
 	runChains(t, u, mt, 2, 40, 3)
 	evs := u.Trace()
 	if len(evs) == 0 {
-		t.Fatal("TraceRingSize alone did not enable tracing")
+		t.Fatal("TraceCapacity did not enable tracing")
 	}
 	if len(evs) > 2*per {
 		t.Fatalf("retained %d events, ring bound is %d", len(evs), 2*per)
@@ -222,18 +214,18 @@ func TestTraceRingSize(t *testing.T) {
 		t.Fatal("workload did not overflow the ring; bound untested")
 	}
 
-	for _, bad := range []int{-1, maxTraceRingSize + 1} {
+	for _, bad := range []int{1 << 43, math.MaxInt} {
 		func() {
 			defer func() {
 				p := recover()
 				if p == nil {
-					t.Fatalf("TraceRingSize %d did not panic", bad)
+					t.Fatalf("WithTraceCapacity(%d) did not panic", bad)
 				}
-				if msg, ok := p.(string); !ok || !strings.Contains(msg, "TraceRingSize") {
-					t.Fatalf("TraceRingSize %d: unclear panic %v", bad, p)
+				if msg, ok := p.(string); !ok || !strings.Contains(msg, "WithTraceCapacity") {
+					t.Fatalf("WithTraceCapacity(%d): unclear panic %v", bad, p)
 				}
 			}()
-			NewUniverse(Config{Ranks: 1, TraceRingSize: bad})
+			New(1, WithTraceCapacity(bad))
 		}()
 	}
 }
@@ -243,7 +235,7 @@ func TestTraceRingSize(t *testing.T) {
 // non-decreasing, spans well-formed) and the reconstructor degrades to
 // reporting orphans instead of failing.
 func TestLineageRingOverflow(t *testing.T) {
-	u, mt := chainUniverse(Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 2, TraceRingSize: 48})
+	u, mt := chainUniverse(config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 2, TraceCapacity: 4 * 48})
 	runChains(t, u, mt, 3, 16, 5)
 	if u.TraceDropped() == 0 {
 		t.Fatal("ring did not wrap; overflow untested")

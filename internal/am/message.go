@@ -364,7 +364,7 @@ func (t *MsgType[T]) SendTo(r *Rank, dest int, m T) {
 	if !r.inEpoch.Load() {
 		panic("am: SendTo(" + t.name + ") outside an epoch")
 	}
-	if r.u.resilient() && (r.crashed.Load() || r.u.epochState.Load() == epochAborting) {
+	if !r.u.trusted() && (r.crashed.Load() || r.u.epochState.Load() == epochAborting) {
 		// A crashed rank sends nothing (crash-stop silence), and sends
 		// into a rolling-back epoch are moot — the attempt's effects are
 		// discarded and the restored state replays. Dropping here (not
@@ -552,7 +552,7 @@ func (t *MsgType[T]) transmit(r *Rank, dest int, seq uint64, attempt int, batch 
 		u.push(r.id, dest, e)
 	}
 	if fp.roll(faultDelay, r.id, dest, int(t.id), seq, attempt) < fp.Delay {
-		jitter := fp.rollN(faultDelayTicks, r.id, dest, int(t.id), seq, attempt, 2*fp.DelayTicks)
+		jitter := fp.rollN(faultDelayTicks, r.id, dest, int(t.id), seq, attempt, 2*delayTicks)
 		r.st.Inc(cEnvelopesDelayed)
 		u.trace(r.id, TraceDelay, int64(t.id), int64(seq))
 		r.holdDelayed(dest, e, r.linkTick.Load()+uint64(jitter))

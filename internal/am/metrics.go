@@ -2,7 +2,6 @@ package am
 
 import (
 	"io"
-	"os"
 
 	"declpat/internal/obs"
 )
@@ -15,7 +14,7 @@ type GaugeSnapshot struct {
 
 // TypeMetrics extends TypeStats with the type's histograms: envelope batch
 // size (always collected) and handler latency in nanoseconds (zero unless
-// Config.Timing is set).
+// WithTiming is set).
 type TypeMetrics struct {
 	TypeStats
 	BatchSize      obs.HistSnapshot
@@ -33,15 +32,6 @@ type Metrics struct {
 	Transport string
 	// Counters is the aggregated counter snapshot (same as Stats.Snapshot).
 	Counters Snapshot
-	// Wire surfaces the wire-health counters from Counters at the top
-	// level: envelope decode failures plus the socket backends' link-state
-	// events (all zero on the in-process backend).
-	Wire WireHealth
-	// Departures surfaces the multi-process fleet-departure counters at the
-	// top level: peers that left gracefully (goodbye acknowledged) vs peers
-	// that died without one (heartbeat expiry, connection loss). Both zero
-	// in single-process runs.
-	Departures DepartureStats
 	// PerRank is the per-rank counter breakdown.
 	PerRank []Snapshot
 	// Types is the per-message-type traffic, in registration order.
@@ -58,32 +48,13 @@ type Metrics struct {
 	// transport).
 	RelPending []GaugeSnapshot
 	// AckRTT is the ack round-trip histogram in nanoseconds (zero unless
-	// Config.Timing is set and the transport is reliable).
+	// WithTiming is set and the transport is reliable).
 	AckRTT obs.HistSnapshot
 	// Phases is the per-phase epoch duration breakdown aggregated over
 	// ranks (phase name -> histogram, durations in ns); nil unless
-	// Config.Timing is set. RankPhases is the same per rank.
+	// WithTiming is set. RankPhases is the same per rank.
 	Phases     map[string]obs.HistSnapshot
 	RankPhases []map[string]obs.HistSnapshot
-}
-
-// DepartureStats is the fleet-departure block of Metrics.
-type DepartureStats struct {
-	Clean int64
-	Crash int64
-}
-
-// WireHealth is the wire-facing health block of Metrics: what the link
-// layer detected (corruption, undecodable envelopes) and what the socket
-// backends did about connection failures (liveness expiries, reconnects,
-// requeued and dropped frames).
-type WireHealth struct {
-	CorruptionsDetected int64
-	DecodeErrors        int64
-	HeartbeatMisses     int64
-	Reconnects          int64
-	FramesRequeued      int64
-	FramesDropped       int64
 }
 
 // Metrics returns a full observability snapshot. Callable once Run has
@@ -94,18 +65,6 @@ func (u *Universe) Metrics() Metrics {
 		Transport: u.net.Name(),
 		Counters:  u.Stats.Snapshot(),
 		PerRank:   u.Stats.PerRank(),
-	}
-	m.Wire = WireHealth{
-		CorruptionsDetected: m.Counters.CorruptionsDetected,
-		DecodeErrors:        m.Counters.DecodeErrors,
-		HeartbeatMisses:     m.Counters.HeartbeatMisses,
-		Reconnects:          m.Counters.Reconnects,
-		FramesRequeued:      m.Counters.FramesRequeued,
-		FramesDropped:       m.Counters.FramesDropped,
-	}
-	m.Departures = DepartureStats{
-		Clean: m.Counters.CleanDepartures,
-		Crash: m.Counters.CrashDepartures,
 	}
 	m.InboxDepth = make([]GaugeSnapshot, len(u.ranks))
 	m.CoalesceBuffered = make([]int64, len(u.ranks))
@@ -139,28 +98,6 @@ func (u *Universe) Metrics() Metrics {
 		m.AckRTT = u.ackRTT.Snapshot()
 	}
 	return m
-}
-
-// Telemetry returns this process's telemetry export: the substrate
-// counters, the outstanding-retransmit gauge, and the per-phase histograms
-// (empty unless Config.Timing is set).
-func (u *Universe) Telemetry() obs.ProcessTelemetry {
-	t := obs.ProcessTelemetry{
-		Process:  "coordinator",
-		PID:      os.Getpid(),
-		UptimeNS: obs.Now(),
-		Counters: make(map[string]int64, len(u.c.Names())),
-	}
-	for id, name := range u.c.Names() {
-		if v := u.c.Total(id); v != 0 {
-			t.Counters[name] = v
-		}
-	}
-	t.Gauges = map[string]obs.GaugeValue{
-		"rel_pending": {Cur: u.relPending.Value(), Max: u.relPending.Max()},
-	}
-	t.Phases = u.phases.Snapshot()
-	return t
 }
 
 // CounterSeries returns the cumulative counter series a live sampler diffs:
@@ -198,46 +135,46 @@ func (u *Universe) WriteOpenMetrics(w io.Writer) error {
 	om.Family("declpat_ranks", "gauge", "Number of ranks in the universe.")
 	om.SampleInt("declpat_ranks", nil, int64(u.cfg.Ranks))
 
-	// Counter families, one per non-zero counter. The departure counters get
-	// dedicated always-emitted families below; emitting them here too (they
-	// appear once non-zero) would duplicate the family.
-	p := u.Telemetry()
-	process := []string{"process", p.Process}
-	for _, name := range obs.SortedKeys(p.Counters) {
-		if name == "clean_departures" || name == "crash_departures" {
-			continue
+	// Counter families, one per non-zero substrate counter. The departure
+	// counters get dedicated always-emitted families below; emitting them here
+	// too (they appear once non-zero) would duplicate the family.
+	process := []string{"process", "coordinator"}
+	counters := make(map[string]int64, len(u.c.Names()))
+	for id, name := range u.c.Names() {
+		if v := u.c.Total(id); v != 0 && name != "clean_departures" && name != "crash_departures" {
+			counters[name] = v
 		}
+	}
+	for _, name := range obs.SortedKeys(counters) {
 		fam := "declpat_" + obs.MetricName(name) + "_total"
 		om.Family(fam, "counter", "Substrate counter "+name+".")
-		om.SampleInt(fam, process, p.Counters[name])
+		om.SampleInt(fam, process, counters[name])
 	}
 
-	// Gauge families: current value and peak as separate series.
-	for _, name := range obs.SortedKeys(p.Gauges) {
-		fam := "declpat_" + obs.MetricName(name)
-		om.Family(fam, "gauge", "Substrate gauge "+name+" (current value).")
-		om.SampleInt(fam, process, p.Gauges[name].Cur)
-		om.Family(fam+"_peak", "gauge", "Substrate gauge "+name+" (high-water mark).")
-		om.SampleInt(fam+"_peak", process, p.Gauges[name].Max)
-	}
+	// The outstanding-retransmit gauge: current value and peak as separate
+	// series.
+	om.Family("declpat_rel_pending", "gauge", "Substrate gauge rel_pending (current value).")
+	om.SampleInt("declpat_rel_pending", process, u.relPending.Value())
+	om.Family("declpat_rel_pending_peak", "gauge", "Substrate gauge rel_pending (high-water mark).")
+	om.SampleInt("declpat_rel_pending_peak", process, u.relPending.Max())
 
 	// Phase histograms: one family labelled by process and phase, nanosecond
 	// observations exported in seconds.
-	if len(p.Phases) > 0 {
+	if len(m.Phases) > 0 {
 		const fam = "declpat_phase_duration_seconds"
 		om.Family(fam, "histogram", "Epoch phase durations by process and phase (collect/build_csr/kernel/emit/barrier/recovery).")
-		for _, phase := range obs.SortedKeys(p.Phases) {
-			om.Hist(fam, []string{"process", p.Process, "phase", phase}, p.Phases[phase], 1e-9)
+		for _, phase := range obs.SortedKeys(m.Phases) {
+			om.Hist(fam, []string{"process", "coordinator", "phase", phase}, m.Phases[phase], 1e-9)
 		}
 	}
 
 	// Departure counters are emitted unconditionally: their zero values are
-	// the signal ("no one has died") and the counter-union loop above only
-	// sees non-zero counters.
+	// the signal ("no one has died") and the counter loop above only sees
+	// non-zero counters.
 	om.Family("declpat_clean_departures_total", "counter", "Fleet peers that departed gracefully (goodbye acknowledged).")
-	om.SampleInt("declpat_clean_departures_total", nil, m.Departures.Clean)
+	om.SampleInt("declpat_clean_departures_total", nil, m.Counters.CleanDepartures)
 	om.Family("declpat_crash_departures_total", "counter", "Fleet peers that died without a goodbye (heartbeat expiry or connection loss).")
-	om.SampleInt("declpat_crash_departures_total", nil, m.Departures.Crash)
+	om.SampleInt("declpat_crash_departures_total", nil, m.Counters.CrashDepartures)
 
 	om.Family("declpat_inbox_depth", "gauge", "Per-rank inbox queue depth.")
 	for i, g := range m.InboxDepth {

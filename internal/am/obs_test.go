@@ -14,7 +14,7 @@ import (
 // atomic-indexed ring made this a documented torn-read hazard; the per-rank
 // mutex rings make it race-free by construction. Run under -race in CI.
 func TestTraceConcurrentWithRecording(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 2, TraceCapacity: 512})
+	u := newUniverse(config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 2, TraceCapacity: 512})
 	mt := Register(u, "ping", func(r *Rank, m int64) {})
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
@@ -59,11 +59,11 @@ func TestTraceConcurrentWithRecording(t *testing.T) {
 
 // obsWorkload runs a deterministic (ThreadsPerRank 0) multi-epoch exchange
 // and returns the universe for counter comparison.
-func obsWorkload(t *testing.T, cfg Config) *Universe {
+func obsWorkload(t *testing.T, cfg config) *Universe {
 	t.Helper()
 	cfg.ThreadsPerRank = 0
 	cfg.CoalesceSize = 4
-	u := NewUniverse(cfg)
+	u := newUniverse(cfg)
 	relax := Register(u, "relax", func(r *Rank, m int64) {})
 	probe := Register(u, "probe", func(r *Rank, m int32) {})
 	u.Run(func(r *Rank) {
@@ -85,7 +85,7 @@ func obsWorkload(t *testing.T, cfg Config) *Universe {
 // TestPerRankShardsSumToAggregate: sharding changes where counts land, never
 // what is counted.
 func TestPerRankShardsSumToAggregate(t *testing.T) {
-	sharded := obsWorkload(t, Config{Ranks: 4})
+	sharded := obsWorkload(t, config{Ranks: 4})
 	var sum Snapshot
 	for _, pr := range sharded.Stats.PerRank() {
 		sum.MsgsSent += pr.MsgsSent
@@ -104,7 +104,7 @@ func TestPerRankShardsSumToAggregate(t *testing.T) {
 // type-name table resolves, epoch begin/end pairs fold into spans, and the
 // Chrome conversion is schema-valid.
 func TestExportTraceRoundTrip(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, TraceCapacity: 4096})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, TraceCapacity: 4096})
 	mt := Register(u, "relax", func(r *Rank, m int64) {})
 	u.Run(func(r *Rank) {
 		for e := 0; e < 2; e++ {
@@ -194,7 +194,7 @@ func TestExportTraceRoundTrip(t *testing.T) {
 // histogram counts tie out against the counters, gauges saw traffic, and
 // everything is quiet at the end.
 func TestMetricsSnapshot(t *testing.T) {
-	u := NewUniverse(Config{
+	u := newUniverse(config{
 		Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		Timing:    true,
 		FaultPlan: &FaultPlan{}, // full reliable protocol, no injected faults

@@ -14,20 +14,20 @@ import (
 func TestParkOnlyWhenTrusted(t *testing.T) {
 	cases := []struct {
 		name             string
-		cfg              Config
+		cfg              config
 		park, coresident bool
 	}{
-		{"chan", Config{Ranks: 2, ThreadsPerRank: 1}, true, true},
-		{"lineage", Config{Ranks: 2, Lineage: LineageOn}, true, false},
-		{"traced", Config{Ranks: 2, TraceCapacity: 64}, true, false},
-		{"fault-plan", Config{Ranks: 2, FaultPlan: &FaultPlan{}}, false, false},
-		{"recovery", Config{Ranks: 2, Recovery: true}, false, false},
-		{"four-counter", Config{Ranks: 2, Detector: DetectorFourCounter}, false, true},
-		{"watchdog", Config{Ranks: 2, Watchdog: time.Second}, false, true},
-		{"sock", Config{Ranks: 2, Transport: SockTransport(SockOptions{Network: "unix"})}, false, false},
+		{"chan", config{Ranks: 2, ThreadsPerRank: 1}, true, true},
+		{"lineage", config{Ranks: 2, TraceCapacity: 64}, true, false},
+		{"traced", config{Ranks: 2, TraceCapacity: 64, Lineage: LineageOff}, true, true},
+		{"fault-plan", config{Ranks: 2, FaultPlan: &FaultPlan{}}, false, false},
+		{"recovery", config{Ranks: 2, Recovery: true}, false, false},
+		{"four-counter", config{Ranks: 2, Detector: DetectorFourCounter}, false, true},
+		{"watchdog", config{Ranks: 2, Watchdog: time.Second}, false, true},
+		{"sock", config{Ranks: 2, Transport: SockTransport(SockOptions{Network: "unix"})}, false, false},
 	}
 	for _, c := range cases {
-		u := NewUniverse(c.cfg)
+		u := newUniverse(c.cfg)
 		if u.park != c.park || u.coresident != c.coresident {
 			t.Errorf("%s: park=%v coresident=%v, want %v %v", c.name, u.park, u.coresident, c.park, c.coresident)
 		}
@@ -78,9 +78,9 @@ func TestParkWakeMatrix(t *testing.T) {
 		for _, threads := range []int{0, 1, 2} {
 			for _, bodies := range []int{1, 3} {
 				for _, traced := range []bool{false, true} {
-					cfg := Config{Ranks: ranks, ThreadsPerRank: threads, Lineage: LineageOff}
+					cfg := config{Ranks: ranks, ThreadsPerRank: threads, Lineage: LineageOff}
 					if traced {
-						cfg = Config{Ranks: ranks, ThreadsPerRank: threads, TraceRingSize: 256}
+						cfg = config{Ranks: ranks, ThreadsPerRank: threads, TraceCapacity: ranks * 256}
 					}
 					name := fmt.Sprintf("%dx%d/bodies=%d/traced=%v", ranks, threads, bodies, traced)
 					t.Run(name, func(t *testing.T) {
@@ -92,8 +92,8 @@ func TestParkWakeMatrix(t *testing.T) {
 	}
 }
 
-func runParkMatrix(t *testing.T, cfg Config, bodies, epochs int, timeout time.Duration) {
-	u := NewUniverse(cfg)
+func runParkMatrix(t *testing.T, cfg config, bodies, epochs int, timeout time.Duration) {
+	u := newUniverse(cfg)
 	if !u.park {
 		t.Fatalf("configuration does not park")
 	}
@@ -179,7 +179,7 @@ func runParkMatrix(t *testing.T, cfg Config, bodies, epochs int, timeout time.Du
 // epoch ends; a polling one would yield thousands of times.
 func TestIdleRankDoesNotSpin(t *testing.T) {
 	for _, threads := range []int{0, 1} {
-		u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: threads})
+		u := newUniverse(config{Ranks: 2, ThreadsPerRank: threads})
 		slow := Register(u, "slow", func(r *Rank, _ int64) { time.Sleep(20 * time.Millisecond) })
 		var passes int64
 		if err := u.Run(func(r *Rank) {

@@ -24,7 +24,7 @@ type PhaseScope struct {
 	start int64
 }
 
-// Phase opens a phase scope on this rank. Gated like Config.Timing: with
+// Phase opens a phase scope on this rank. Gated like WithTiming: with
 // timing, tracing, and the flight recorder all off the scope is inert and
 // free. With a flight recorder attached the scope also marks the rank's
 // open-phase cell, so a process killed mid-phase dumps with the phase named.
@@ -41,7 +41,7 @@ func (r *Rank) Phase(p obs.Phase) PhaseScope {
 }
 
 // End closes the scope: the elapsed time lands in the rank's per-phase
-// histogram (Config.Timing) and, when tracing or the flight recorder is on,
+// histogram (WithTiming) and, when tracing or the flight recorder is on,
 // as a TracePhase span (Arg = phase id, Arg2 = epoch sequence at close).
 func (s PhaseScope) End() {
 	if s.r == nil {
@@ -60,11 +60,11 @@ func (s PhaseScope) End() {
 }
 
 // Phases returns the per-phase duration histograms aggregated over ranks
-// (phase name -> snapshot), or nil unless Config.Timing is set.
+// (phase name -> snapshot), or nil unless WithTiming is set.
 func (u *Universe) Phases() map[string]obs.HistSnapshot { return u.phases.Snapshot() }
 
 // RankPhases returns each rank's per-phase duration histograms, or nil
-// unless Config.Timing is set.
+// unless WithTiming is set.
 func (u *Universe) RankPhases() []map[string]obs.HistSnapshot {
 	if u.phases == nil {
 		return nil

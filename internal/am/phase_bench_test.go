@@ -18,7 +18,7 @@ func BenchmarkPhaseScope(b *testing.B) {
 		timing bool
 	}{{"off", false}, {"on", true}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			u := NewUniverse(Config{Ranks: 1, Timing: cfg.timing})
+			u := newUniverse(config{Ranks: 1, Timing: cfg.timing})
 			b.ReportAllocs()
 			b.ResetTimer()
 			err := u.Run(func(r *Rank) {

@@ -26,7 +26,7 @@ import (
 // an epoch commit while any envelope is unacknowledged, a mid-epoch fault
 // can only delay the epoch, never corrupt a committed one.
 //
-// Recovery (Config.Recovery) aborts the damaged epoch: the shared epoch
+// Recovery (WithRecovery) aborts the damaged epoch: the shared epoch
 // state moves running→aborting, every body participant unwinds at its next
 // Flush/TryFinish, in-flight handlers retire, and then — under barriers —
 // every rank scrubs its transport state (inbox, coalescing buffers, link
@@ -39,7 +39,7 @@ import (
 // Checkpointer is per-rank state that participates in epoch-granular
 // checkpoint/restart. Register implementations with
 // Universe.RegisterCheckpointer before Run. A snapshot is bytes: at every
-// epoch boundary (Config.Recovery or multi-process mode) the universe calls
+// epoch boundary (WithRecovery or multi-process mode) the universe calls
 // SnapshotRank for each rank, and it hands those bytes back to RestoreRank
 // when an in-process rollback replays the epoch or a replacement process
 // restarts it from the DPCK slot file. Both paths go through the same blobs
@@ -88,7 +88,7 @@ const (
 	// was exceeded; the destination rank is suspected dead.
 	FaultLinkDead
 	// FaultWatchdog: the stuck-epoch watchdog saw no progress for
-	// Config.Watchdog. Watchdog faults are fatal — replaying a wedged
+	// WithWatchdog. Watchdog faults are fatal — replaying a wedged
 	// epoch would wedge again — and always fail the run.
 	FaultWatchdog
 	// FaultTransport: a socket transport exhausted a link's reconnect
@@ -148,14 +148,6 @@ type epochAbort struct{}
 // failed; recovered at the top of each rank-main goroutine in Run, which
 // then reports Universe.Run's error.
 type runAbort struct{}
-
-// resilient reports whether rank faults are contained (converted into
-// RankFaults) rather than propagated as process panics. Containment is on
-// whenever a fault plan is installed or recovery is enabled; the plain
-// trusted transport keeps the original fail-fast behavior.
-func (u *Universe) resilient() bool {
-	return u.cfg.Recovery || u.fp != nil
-}
 
 // raiseFault records f and tries to move the current epoch running→aborting.
 // It reports whether f became the epoch's deciding fault; a fault raised
@@ -368,16 +360,6 @@ func (u *Universe) restoreBlobs(rank int, blobs [][]byte) error {
 	return nil
 }
 
-// maxRecoveries returns the per-epoch recovery budget.
-func (u *Universe) maxRecoveries() int {
-	if u.cfg.MaxRecoveries > 0 {
-		return u.cfg.MaxRecoveries
-	}
-	return defaultMaxRecoveries
-}
-
-const defaultMaxRecoveries = 8
-
 // recoverEpoch rolls the universe back to the checkpoint taken at the
 // current epoch's boundary. On entry every rank sits behind the post-attempt
 // barrier with epochState == epochAborting: bodies have unwound and
@@ -417,8 +399,8 @@ func (r *Rank) recoverEpoch() {
 		case fault.Kind == FaultWatchdog:
 			u.failRun(fmt.Errorf("am: stuck-epoch watchdog: %w", fault))
 		case !u.cfg.Recovery:
-			u.failRun(fmt.Errorf("am: unrecoverable rank fault (Config.Recovery disabled): %w", fault))
-		case u.recoveries > u.maxRecoveries():
+			u.failRun(fmt.Errorf("am: unrecoverable rank fault (Recovery disabled): %w", fault))
+		case u.recoveries > u.cfg.MaxRecoveries:
 			u.failRun(fmt.Errorf("am: epoch %d still failing after %d recoveries: %w",
 				u.epochSeq.Load(), u.recoveries-1, fault))
 		}
@@ -484,7 +466,7 @@ func (u *Universe) touchProgress() {
 }
 
 // checkWatchdog fires the stuck-epoch watchdog when no progress has been
-// observed for Config.Watchdog. The watchdog converts a silent hang — a
+// observed for WithWatchdog. The watchdog converts a silent hang — a
 // body spinning on TryFinish over deferred work nobody consumes, a lost
 // wakeup — into a diagnostic failure: the raised fault is fatal (replay
 // would wedge again) and carries a dump of the detector counters and the
@@ -534,7 +516,7 @@ func (u *Universe) diagnose() string {
 			fmt.Fprintf(&b, "    %s\n", ev)
 		}
 	} else {
-		b.WriteString("  trace: disabled (set Config.TraceCapacity for event history)\n")
+		b.WriteString("  trace: disabled (set WithTraceCapacity for event history)\n")
 	}
 	return b.String()
 }

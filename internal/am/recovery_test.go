@@ -70,7 +70,7 @@ func ringWant(ranks, per int) int64 { return int64(ranks) * int64(per) * int64(p
 func TestHandlerPanicRecovered(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{
+			u := newUniverse(config{
 				Ranks: 3, ThreadsPerRank: 2, Detector: det,
 				FaultPlan: &FaultPlan{Seed: 42}, Recovery: true,
 			})
@@ -105,7 +105,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 // but recovery off, a handler panic must surface as a descriptive Run error
 // — not a process abort.
 func TestHandlerPanicWithoutRecoveryFails(t *testing.T) {
-	u := NewUniverse(Config{
+	u := newUniverse(config{
 		Ranks: 2, ThreadsPerRank: 1,
 		FaultPlan: &FaultPlan{Seed: 7},
 	})
@@ -136,7 +136,7 @@ func TestCrashRecovered(t *testing.T) {
 	}
 	for name, crashes := range cases {
 		t.Run(name, func(t *testing.T) {
-			u := NewUniverse(Config{
+			u := newUniverse(config{
 				Ranks: 3, ThreadsPerRank: 2,
 				FaultPlan: &FaultPlan{Seed: 11, Crashes: crashes},
 				Recovery:  true,
@@ -159,7 +159,7 @@ func TestCrashRecovered(t *testing.T) {
 // TestCrashWithoutRecoveryFails: an injected crash with recovery disabled
 // must fail the run with a descriptive error.
 func TestCrashWithoutRecoveryFails(t *testing.T) {
-	u := NewUniverse(Config{
+	u := newUniverse(config{
 		Ranks:     2,
 		FaultPlan: &FaultPlan{Seed: 3, Crashes: []Crash{{Rank: 1, Epoch: 0}}},
 	})
@@ -176,7 +176,7 @@ func TestCrashWithoutRecoveryFails(t *testing.T) {
 // ceiling into a structured error — the panic this path used to be — when
 // recovery is off.
 func TestLinkDeadWithoutRecoveryFails(t *testing.T) {
-	u := NewUniverse(Config{
+	u := newUniverse(config{
 		Ranks: 2, ThreadsPerRank: 1,
 		FaultPlan: &FaultPlan{
 			Seed: 5, RetransmitBase: 1, MaxAttempts: 3,
@@ -198,7 +198,7 @@ func TestLinkDeadWithoutRecoveryFails(t *testing.T) {
 // TestLinkDeadRecovered: the same dead link with recovery on must heal the
 // link during rollback and complete exactly.
 func TestLinkDeadRecovered(t *testing.T) {
-	u := NewUniverse(Config{
+	u := newUniverse(config{
 		Ranks: 2, ThreadsPerRank: 1,
 		FaultPlan: &FaultPlan{
 			Seed: 5, RetransmitBase: 1, MaxAttempts: 3,
@@ -226,7 +226,7 @@ func TestLinkDeadRecovered(t *testing.T) {
 func TestWatchdogConvertsWedge(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{
+			u := newUniverse(config{
 				Ranks: 2, ThreadsPerRank: 1, Detector: det,
 				Watchdog: 200 * time.Millisecond, TraceCapacity: 256,
 			})
@@ -264,7 +264,7 @@ func TestWatchdogConvertsWedge(t *testing.T) {
 // every replay must fail the run once the per-epoch recovery budget is
 // spent, not loop forever.
 func TestRecoveryBudgetExhausted(t *testing.T) {
-	u := NewUniverse(Config{
+	u := newUniverse(config{
 		Ranks: 2, ThreadsPerRank: 1,
 		FaultPlan: &FaultPlan{Seed: 9}, Recovery: true, MaxRecoveries: 2,
 	})
@@ -290,7 +290,7 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 // into one or two envelopes, rank 2's 100 messages of epoch 1 could be
 // handled without the 5th ever starting an envelope (6 in 30 -race runs).
 func TestRecoveryMultiEpoch(t *testing.T) {
-	u := NewUniverse(Config{
+	u := newUniverse(config{
 		Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 1,
 		FaultPlan: &FaultPlan{Seed: 21, Crashes: []Crash{{Rank: 2, Epoch: 1, AfterHandled: 5}}},
 		Recovery:  true,

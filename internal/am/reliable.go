@@ -9,7 +9,8 @@ import (
 	"declpat/internal/obs"
 )
 
-// Reliable-delivery layer (active when Config.FaultPlan != nil).
+// Reliable-delivery layer (active when a fault plan is set: WithFaultPlan, or
+// any socket transport).
 //
 // Sender side: each (dest, type) link assigns consecutive sequence numbers
 // to shipped envelopes and keeps every envelope in an outstanding table
@@ -62,7 +63,7 @@ type outEnvelope struct {
 	charged   int
 	destPolls uint64
 	due       uint64
-	sentNs    int64 // first-transmission timestamp (Config.Timing ack RTT)
+	sentNs    int64 // first-transmission timestamp (WithTiming ack RTT)
 	// refs guards the batch against recycling while still reachable: the
 	// outstanding table holds one reference and every in-flight
 	// retransmission takes one more for the duration of its re-encode.
@@ -179,7 +180,7 @@ func (r *Rank) nextSeq(dest int, typ int32, data any, lin []uint64) (uint64, *ou
 	l.mu.Lock()
 	l.nextSeq++
 	seq := l.nextSeq
-	o.due = r.linkTick.Load() + r.u.fp.backoffTicks(r.id, dest, int(typ), seq, 0)
+	o.due = r.linkTick.Load() + r.u.backoffTicks(r.id, dest, int(typ), seq, 0)
 	if l.out == nil {
 		l.out = make(map[uint64]*outEnvelope)
 	}
@@ -282,20 +283,16 @@ const backoffShiftCap = 6
 
 // backoffTicks returns the retransmit timeout after `attempts`
 // transmissions on link (src → dest, typ, seq): exponential in attempts,
-// capped at RetransmitBase << backoffShiftCap, and — when
-// FaultPlan.BackoffJitter is set — spread deterministically by up to
-// ±BackoffJitter of the nominal value (never below one tick). The jitter is
+// capped at RetransmitBase << backoffShiftCap, and spread deterministically by
+// up to ±u.jitter of the nominal value (never below one tick). The jitter is
 // a pure function of (seed, link, seq, attempts), so a fixed seed still
 // yields a reproducible schedule; an acknowledged envelope leaves the table,
 // so a later envelope on the same link restarts from attempts = 0.
-func (fp *FaultPlan) backoffTicks(src, dest, typ int, seq uint64, attempts int) uint64 {
-	shift := attempts
-	if shift > backoffShiftCap {
-		shift = backoffShiftCap
-	}
-	t := uint64(fp.RetransmitBase) << shift
-	if fp.BackoffJitter > 0 {
-		f := 1 - fp.BackoffJitter + 2*fp.BackoffJitter*fp.roll(faultBackoffJitter, src, dest, typ, seq, attempts)
+func (u *Universe) backoffTicks(src, dest, typ int, seq uint64, attempts int) uint64 {
+	fp := u.fp
+	t := uint64(fp.RetransmitBase) << min(attempts, backoffShiftCap)
+	if j := u.jitter; j > 0 {
+		f := 1 - j + 2*j*fp.roll(faultBackoffJitter, src, dest, typ, seq, attempts)
 		if t = uint64(float64(t) * f); t < 1 {
 			t = 1
 		}
@@ -392,7 +389,7 @@ func (r *Rank) pollLinks() bool {
 					})
 					return worked
 				}
-				o.due = now + u.fp.backoffTicks(r.id, dest, typ, seq, o.attempts)
+				o.due = now + u.backoffTicks(r.id, dest, typ, seq, o.attempts)
 				// Pin the batch across the retransmission: a concurrent ack
 				// must not recycle it while xmit is still re-encoding.
 				o.refs.Add(1)

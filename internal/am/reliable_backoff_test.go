@@ -3,31 +3,49 @@ package am
 import "testing"
 
 // TestBackoffTicksExponentialAndCapped pins the retransmit backoff schedule:
-// without jitter, attempt n waits RetransmitBase << n ticks, capped at
-// RetransmitBase << backoffShiftCap and constant beyond.
+// without jitter (the in-process transport), attempt n waits
+// RetransmitBase << n ticks, capped at RetransmitBase << backoffShiftCap and
+// constant beyond.
 func TestBackoffTicksExponentialAndCapped(t *testing.T) {
-	fp := (&FaultPlan{RetransmitBase: 8}).withDefaults()
+	u := New(2, WithFaultPlan(&FaultPlan{RetransmitBase: 8}))
 	for n := 0; n <= backoffShiftCap+4; n++ {
 		want := uint64(8) << min(n, backoffShiftCap)
-		if got := fp.backoffTicks(0, 1, 0, 7, n); got != want {
+		if got := u.backoffTicks(0, 1, 0, 7, n); got != want {
 			t.Fatalf("backoffTicks(attempt=%d) = %d, want %d", n, got, want)
 		}
 	}
 }
 
-// TestBackoffTicksJitterBounds: with BackoffJitter j, every timeout lies in
+// TestBackoffTicksJitterBounds: with jitter j, every timeout lies in
 // [(1-j)·nominal, (1+j)·nominal), never below one tick, is a pure function
 // of its coordinates (deterministic across calls), and actually varies
 // across sequence numbers (the whole point of desynchronizing retransmit
-// storms after a reconnect).
+// storms after a reconnect). The socket transport's own j is checked here
+// beside a wider one and full jitter on a one-tick base.
 func TestBackoffTicksJitterBounds(t *testing.T) {
-	const j = 0.3
-	fp := (&FaultPlan{Seed: 99, RetransmitBase: 16, BackoffJitter: j}).withDefaults()
+	u := New(2, WithTransport(SockTransport(SockOptions{Network: "unix"})),
+		WithFaultPlan(&FaultPlan{Seed: 99, RetransmitBase: 16}))
+	for _, j := range []float64{sockBackoffJitter, 0.3} {
+		u.jitter = j
+		checkJitterBounds(t, u, j)
+	}
+	// A tiny base must still jitter to at least one tick, never zero.
+	tiny := New(2, WithFaultPlan(&FaultPlan{RetransmitBase: 1}))
+	tiny.jitter = 1
+	for seq := uint64(1); seq <= 100; seq++ {
+		if got := tiny.backoffTicks(0, 1, 0, seq, 0); got < 1 {
+			t.Fatalf("base-1 full-jitter backoff hit zero at seq %d", seq)
+		}
+	}
+}
+
+func checkJitterBounds(t *testing.T, u *Universe, j float64) {
+	t.Helper()
 	distinct := make(map[uint64]bool)
 	for seq := uint64(1); seq <= 200; seq++ {
 		for n := 0; n <= backoffShiftCap+1; n++ {
 			nominal := float64(uint64(16) << min(n, backoffShiftCap))
-			got := fp.backoffTicks(0, 1, 0, seq, n)
+			got := u.backoffTicks(0, 1, 0, seq, n)
 			if got < 1 {
 				t.Fatalf("backoff of 0 ticks at seq %d attempt %d", seq, n)
 			}
@@ -35,7 +53,7 @@ func TestBackoffTicksJitterBounds(t *testing.T) {
 				t.Fatalf("backoffTicks(seq=%d, attempt=%d) = %d outside [%v, %v)",
 					seq, n, got, (1-j)*nominal, (1+j)*nominal)
 			}
-			if again := fp.backoffTicks(0, 1, 0, seq, n); again != got {
+			if again := u.backoffTicks(0, 1, 0, seq, n); again != got {
 				t.Fatalf("backoffTicks not deterministic: %d then %d", got, again)
 			}
 			if n == 0 {
@@ -44,14 +62,7 @@ func TestBackoffTicksJitterBounds(t *testing.T) {
 		}
 	}
 	if len(distinct) < 2 {
-		t.Fatalf("jittered backoff never varied across %d sequence numbers", 200)
-	}
-	// A tiny base must still jitter to at least one tick, never zero.
-	tiny := (&FaultPlan{RetransmitBase: 1, BackoffJitter: 1}).withDefaults()
-	for seq := uint64(1); seq <= 100; seq++ {
-		if got := tiny.backoffTicks(0, 1, 0, seq, 0); got < 1 {
-			t.Fatalf("base-1 full-jitter backoff hit zero at seq %d", seq)
-		}
+		t.Fatalf("jitter %v: backoff never varied across %d sequence numbers", j, 200)
 	}
 }
 
@@ -60,7 +71,7 @@ func TestBackoffTicksJitterBounds(t *testing.T) {
 // envelope on the same link starts over at the base timeout — deep backoff
 // from one bad stretch never taxes later traffic.
 func TestBackoffResetsAfterAck(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, FaultPlan: &FaultPlan{RetransmitBase: 4}})
+	u := newUniverse(config{Ranks: 2, FaultPlan: &FaultPlan{RetransmitBase: 4}})
 	Register(u, "x", func(r *Rank, m int64) {})
 	rk := u.ranks[0]
 	rk.initReliability(1)
@@ -82,7 +93,7 @@ func TestBackoffResetsAfterAck(t *testing.T) {
 	l := &r.send[1][0]
 	l.mu.Lock()
 	l.out[seq].attempts = 5
-	l.out[seq].due = r.linkTick.Load() + u.fp.backoffTicks(0, 1, 0, seq, 5)
+	l.out[seq].due = r.linkTick.Load() + u.backoffTicks(0, 1, 0, seq, 5)
 	l.mu.Unlock()
 	(&Rank{rankState: r}).handleAck(envelope{src: 1, seq: seq, data: ackBody{typ: 0}})
 	l.mu.Lock()

@@ -40,7 +40,7 @@ import (
 // Scope: in a single-process universe every rank binds its listener here and
 // the control plane (barriers, detectors, collectives) stays shared-memory,
 // which is what makes the chaos matrix's bit-identity comparison meaningful.
-// Under a control plane (Config.MP) the same transport serves one rank
+// Under a control plane (WithControlPlane) the same transport serves one rank
 // host's slice of the ranks and dials the other hosts' listeners, so kill -9
 // on a rank host is a real connection failure.
 
@@ -60,6 +60,15 @@ const (
 	frameAck       = 2
 	frameHeartbeat = 3
 )
+
+// ioTimeout bounds each connection attempt (including the handshake round
+// trip) and each frame write; an expired write kills the connection, and the
+// reliable layer recovers the frame.
+const ioTimeout = 2 * time.Second
+
+// reconnectBudget is the number of reconnect attempts per outage before a
+// link escalates to a FaultTransport rank fault (crash-stop path).
+const reconnectBudget = 10
 
 // maxFrameLen bounds a frame announced by the length prefix; anything larger
 // marks the stream corrupt (a desynced or hostile peer).
@@ -88,23 +97,11 @@ type SockOptions struct {
 	// (data, ack, or heartbeat) arrives within it is declared dead and
 	// closed, counted as a heartbeat miss. 0 selects 10×Heartbeat.
 	Liveness time.Duration
-	// DialTimeout bounds each connection attempt (including the handshake
-	// round trip). 0 selects the default (2s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write; an expired write kills the
-	// connection (the reliable layer recovers the frame). 0 selects the
-	// default (2s).
-	WriteTimeout time.Duration
 	// ReconnectBase / ReconnectMax shape the reconnect backoff: attempt n
 	// sleeps ReconnectBase << (n-1), capped at ReconnectMax, spread by a
 	// deterministic ±50% jitter. 0 selects 1ms / 100ms.
 	ReconnectBase time.Duration
 	ReconnectMax  time.Duration
-	// ReconnectBudget is the number of reconnect attempts per outage before
-	// the link escalates to a FaultTransport rank fault (crash-stop path).
-	// 0 selects the default (10); negative disables reconnection entirely
-	// (the first connection death escalates immediately).
-	ReconnectBudget int
 	// TickInterval paces the retransmit clock (Transport.tickInterval): the
 	// link tick advances at most once per interval, so RetransmitBase ticks
 	// correspond to real socket latency. 0 selects the default (1ms);
@@ -125,23 +122,11 @@ func (o SockOptions) withDefaults() SockOptions {
 	if o.Liveness <= 0 {
 		o.Liveness = 10 * o.Heartbeat
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 2 * time.Second
-	}
 	if o.ReconnectBase <= 0 {
 		o.ReconnectBase = time.Millisecond
 	}
 	if o.ReconnectMax <= 0 {
 		o.ReconnectMax = 100 * time.Millisecond
-	}
-	switch {
-	case o.ReconnectBudget == 0:
-		o.ReconnectBudget = 10
-	case o.ReconnectBudget < 0:
-		o.ReconnectBudget = 0 // escalate on first death, no reconnect attempts
 	}
 	switch {
 	case o.TickInterval == 0:
@@ -204,10 +189,11 @@ type sockTransport struct {
 	network string
 	dir     string // unix socket dir
 	ownDir  bool
-	// dial opens a link's connection; nil means net.DialTimeout. Tests
-	// substitute one that fails, to stage an outage that outlasts
-	// ReconnectBudget.
-	dial func(network, addr string, timeout time.Duration) (net.Conn, error)
+	// dial opens a link's connection; nil means net.DialTimeout. budget is
+	// reconnectBudget. Tests substitute a dial that fails and a smaller
+	// budget, to stage an outage that outlasts it.
+	dial   func(network, addr string, timeout time.Duration) (net.Conn, error)
+	budget int
 
 	addrs []string       // per-rank listen address
 	lns   []net.Listener // per-rank listener
@@ -252,6 +238,7 @@ type sockLink struct {
 func SockTransport(opts SockOptions) Transport {
 	return &sockTransport{
 		opt:     opts.withDefaults(),
+		budget:  reconnectBudget,
 		id:      uint64(os.Getpid())<<32 ^ sockUniverseSeq.Add(1),
 		readers: make(map[[2]int]net.Conn),
 		pending: make(map[net.Conn]struct{}),
@@ -266,7 +253,6 @@ func (t *sockTransport) Name() string {
 	return "sock-tcp"
 }
 
-func (t *sockTransport) reliable() bool              { return true }
 func (t *sockTransport) shared() bool                { return false }
 func (t *sockTransport) tickInterval() time.Duration { return t.opt.TickInterval }
 
@@ -382,7 +368,7 @@ func (t *sockTransport) dialLink(src, dest int) (net.Conn, error) {
 	if dial == nil {
 		dial = net.DialTimeout
 	}
-	conn, err := dial(t.network, t.addrs[dest], t.opt.DialTimeout)
+	conn, err := dial(t.network, t.addrs[dest], ioTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +388,7 @@ func (t *sockTransport) handshake(conn net.Conn, src, dest int) error {
 	hello = binary.LittleEndian.AppendUint32(hello, uint32(src))
 	hello = binary.LittleEndian.AppendUint32(hello, uint32(dest))
 	hello = binary.LittleEndian.AppendUint64(hello, t.id)
-	conn.SetDeadline(time.Now().Add(t.opt.DialTimeout))
+	conn.SetDeadline(time.Now().Add(ioTimeout))
 	if _, err := conn.Write(frame.Seal(hello)); err != nil {
 		return fmt.Errorf("handshake write: %w", err)
 	}
@@ -443,11 +429,11 @@ func (t *sockTransport) acceptLoop(rank int, ln net.Listener) {
 
 // handleConn validates the acceptor side of the handshake, registers the
 // connection as the link's reader, and runs the frame-read loop. A hello
-// that does not arrive whole within DialTimeout, or fails any check, is
+// that does not arrive whole within ioTimeout, or fails any check, is
 // refused with statusBad and the connection closed.
 func (t *sockTransport) handleConn(rank int, conn net.Conn) {
 	defer t.wg.Done()
-	conn.SetDeadline(time.Now().Add(t.opt.DialTimeout))
+	conn.SetDeadline(time.Now().Add(ioTimeout))
 	src, ok := t.acceptHello(conn, rank)
 	status := byte(statusOK)
 	if !ok {
@@ -718,7 +704,7 @@ func (l *sockLink) write(frame []byte, hb bool) {
 		drop()
 		return
 	}
-	conn.SetWriteDeadline(time.Now().Add(t.opt.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(ioTimeout))
 	_, err := conn.Write(frame)
 	if err == nil {
 		l.lastWriteNs = obs.Now()
@@ -811,7 +797,7 @@ func (l *sockLink) reconnect() {
 			stop()
 			return
 		}
-		if attempt > t.opt.ReconnectBudget {
+		if attempt > t.budget {
 			l.mu.Lock()
 			l.dead = true
 			l.reconnecting = false
@@ -821,7 +807,7 @@ func (l *sockLink) reconnect() {
 			u.raiseFault(RankFault{
 				Kind: FaultTransport, Rank: l.dest, Epoch: u.epochSeq.Load(),
 				Detail: fmt.Sprintf("link %d->%d: reconnect budget (%d attempts) exhausted on %s transport",
-					l.src, l.dest, t.opt.ReconnectBudget, t.Name()),
+					l.src, l.dest, t.budget, t.Name()),
 			})
 			return
 		}

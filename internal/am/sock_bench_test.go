@@ -16,7 +16,7 @@ func BenchmarkTransport(b *testing.B) {
 		b.ReportAllocs()
 		var wireBytes int64
 		for i := 0; i < b.N; i++ {
-			cfg := Config{Ranks: ranks, ThreadsPerRank: 2, CoalesceSize: 32}
+			cfg := config{Ranks: ranks, ThreadsPerRank: 2, CoalesceSize: 32}
 			if mkTransport != nil {
 				cfg.Transport = mkTransport()
 			} else {
@@ -24,7 +24,7 @@ func BenchmarkTransport(b *testing.B) {
 				// comparison isolates the socket hop, not the encoding.
 				cfg.FaultPlan = &FaultPlan{Seed: 1}
 			}
-			u := NewUniverse(cfg)
+			u := newUniverse(cfg)
 			var sum atomic.Int64
 			mt := Register(u, "bench", func(r *Rank, m benchMsg) { sum.Add(m.Vals[0]) }).WithWire()
 			if err := u.Run(func(r *Rank) {

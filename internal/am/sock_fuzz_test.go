@@ -28,7 +28,7 @@ func dataBody(typ uint32, seq, gen, qid, sum uint64, lin []uint64, payload []byt
 // as exactly one envelope whose fields are the ones the body spells, with
 // the payload copied out of the frame buffer.
 func FuzzDeliverFrame(f *testing.F) {
-	u := NewUniverse(Config{Ranks: 2, Transport: SockTransport(SockOptions{})})
+	u := newUniverse(config{Ranks: 2, Transport: SockTransport(SockOptions{})})
 	Register(u, "a", func(r *Rank, m chatterPayload) {}).WithWire()
 	Register(u, "b", func(r *Rank, m chatterPayload) {}).WithWire()
 	tr := u.net.(*sockTransport)

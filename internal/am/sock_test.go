@@ -48,9 +48,9 @@ func fastSockOptions(network string) SockOptions {
 // over the given config (the chatter type registered with the fixed wire
 // codec, as the socket backend requires) and returns per-message handle
 // counts plus the finished universe.
-func runSockChatter(t *testing.T, cfg Config, perRank int) ([]int64, *Universe) {
+func runSockChatter(t *testing.T, cfg config, perRank int) ([]int64, *Universe) {
 	t.Helper()
-	u := NewUniverse(cfg)
+	u := newUniverse(cfg)
 	n := cfg.Ranks
 	total := 2 * n * perRank
 	counts := make([]int64, total)
@@ -87,7 +87,7 @@ func TestSockExactlyOnce(t *testing.T) {
 	for _, network := range []string{"tcp", "unix"} {
 		for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 			t.Run(fmt.Sprintf("%s/%s", network, det), func(t *testing.T) {
-				cfg := Config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 4, Detector: det,
+				cfg := config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 4, Detector: det,
 					Transport: SockTransport(fastSockOptions(network))}
 				counts, u := runSockChatter(t, cfg, 48)
 				checkExactlyOnce(t, counts, 0)
@@ -117,7 +117,7 @@ func TestSockHandshakeRejects(t *testing.T) {
 	tr := SockTransport(fastSockOptions("tcp")).(*sockTransport)
 	// No handler threads and no epoch: whatever a connection delivers stays
 	// in the inbox for the test to count.
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 0, Transport: tr})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 0, Transport: tr})
 	mt := Register(u, "val", func(r *Rank, m chatterPayload) {}).WithWire()
 
 	hello := func(magic string, version uint16, src, dest uint32, id uint64) []byte {
@@ -211,7 +211,7 @@ func TestSockDisconnectReconnect(t *testing.T) {
 		Disconnects: []SockDisconnect{{Src: 0, Dest: 1, AfterFrames: 3}},
 		Flaps:       []SockFlap{{Src: 1, Dest: 2, Period: 5, Count: 3}},
 	}
-	cfg := Config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 4,
+	cfg := config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 4,
 		Transport: SockTransport(opt)}
 	counts, u := runSockChatter(t, cfg, 64)
 	checkExactlyOnce(t, counts, 0)
@@ -221,10 +221,6 @@ func TestSockDisconnectReconnect(t *testing.T) {
 	}
 	if s.FramesDropped < 1 {
 		t.Fatalf("killed frames must be counted dropped, got %+v", s)
-	}
-	m := u.Metrics()
-	if m.Wire.Reconnects != s.Reconnects || m.Wire.FramesRequeued != s.FramesRequeued {
-		t.Fatalf("Metrics().Wire out of sync with counters: %+v vs %+v", m.Wire, s)
 	}
 }
 
@@ -237,7 +233,7 @@ func TestSockDisconnectReconnect(t *testing.T) {
 func TestSockInjectedCorruptionStillDetected(t *testing.T) {
 	requireLoopback(t)
 	const seed = 9
-	cfg := Config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 4,
+	cfg := config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 4,
 		FaultPlan: &FaultPlan{Seed: seed, Corrupt: 0.3},
 		Transport: SockTransport(fastSockOptions("unix"))}
 	counts, u := runSockChatter(t, cfg, 64)
@@ -255,9 +251,9 @@ func TestSockInjectedCorruptionStillDetected(t *testing.T) {
 // epoch body, holding the epoch open until the test has injected its
 // failure. Returns the universe and the accumulated total; the fault-free
 // expectation is ringWant(ranks, per).
-func sockRingSum(t *testing.T, cfg Config, per int, gate <-chan struct{}) (*Universe, int64) {
+func sockRingSum(t *testing.T, cfg config, per int, gate <-chan struct{}) (*Universe, int64) {
 	t.Helper()
-	u := NewUniverse(cfg)
+	u := newUniverse(cfg)
 	ck := newSliceCkpt(u.Ranks())
 	u.RegisterCheckpointer(ck)
 	mt := Register(u, "val", func(r *Rank, m chatterPayload) {
@@ -302,9 +298,9 @@ func TestSockPartitionEscalatesToRecovery(t *testing.T) {
 	// worst-case reconnect cycle — liveness expiry on the receiver, a write
 	// error surfacing on the sender, capped backoff, dial, handshake,
 	// requeue — or the post-heal replay re-faults and burns recoveries.
-	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
+	cfg := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		Recovery: true, MaxRecoveries: 20,
-		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12, BackoffJitter: 0.25},
+		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12},
 		Transport: SockTransport(opt)}
 	u, got := sockRingSum(t, cfg, 64, nil)
 	if want := ringWant(2, 64); got != want {
@@ -328,8 +324,8 @@ func TestSockPartitionEscalatesToRecovery(t *testing.T) {
 func TestSockHeartbeatsKeepQuietLinksAlive(t *testing.T) {
 	requireLoopback(t)
 	opt := fastSockOptions("tcp")
-	cfg := Config{Ranks: 2, ThreadsPerRank: 1, Transport: SockTransport(opt)}
-	u := NewUniverse(cfg)
+	cfg := config{Ranks: 2, ThreadsPerRank: 1, Transport: SockTransport(opt)}
+	u := newUniverse(cfg)
 	mt := Register(u, "ping", func(r *Rank, m chatterPayload) {}).WithWire()
 	err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
@@ -355,12 +351,11 @@ func TestSockHeartbeatsKeepQuietLinksAlive(t *testing.T) {
 // replay attempt reconnects and completes exactly once.
 func TestSockDialFailureEscalatesAndRecovers(t *testing.T) {
 	requireLoopback(t)
-	opt := fastSockOptions("tcp")
-	opt.ReconnectBudget = 3
-	tr := SockTransport(opt).(*sockTransport)
-	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
+	tr := SockTransport(fastSockOptions("tcp")).(*sockTransport)
+	tr.budget = 3
+	cfg := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		Recovery: true, MaxRecoveries: 1000,
-		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12, BackoffJitter: 0.25},
+		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12},
 		Transport: tr}
 
 	// The outage: while down, dials fail; going down also closes every
@@ -409,7 +404,7 @@ func TestSockDialFailureEscalatesAndRecovers(t *testing.T) {
 		setDown(false)
 	}()
 
-	u := NewUniverse(cfg)
+	u := newUniverse(cfg)
 	ck := newSliceCkpt(u.Ranks())
 	u.RegisterCheckpointer(ck)
 	mt := Register(u, "val", func(r *Rank, m chatterPayload) {

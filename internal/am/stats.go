@@ -157,7 +157,7 @@ func (s *Stats) EpochAborts() int64 { return s.c.Total(cEpochAborts) }
 // Recoveries counts completed epoch rollback-and-replay cycles.
 func (s *Stats) Recoveries() int64 { return s.c.Total(cRecoveries) }
 
-// Checkpoints counts per-rank epoch-boundary snapshots (Config.Recovery).
+// Checkpoints counts per-rank epoch-boundary snapshots (WithRecovery).
 func (s *Stats) Checkpoints() int64 { return s.c.Total(cCheckpoints) }
 
 // WatchdogFires counts stuck-epoch watchdog activations (at most one per

@@ -8,12 +8,12 @@ import (
 )
 
 // TestPhaseTimersRecorded proves the tentpole's first layer: with
-// Config.Timing on, every epoch lands kernel and barrier spans in the
+// WithTiming on, every epoch lands kernel and barrier spans in the
 // per-phase histograms, broken down per rank; with it off the whole plane
 // is absent and Rank.Phase is inert.
 func TestPhaseTimersRecorded(t *testing.T) {
-	cfg := Config{Ranks: 3, ThreadsPerRank: 2, Timing: true}
-	u := NewUniverse(cfg)
+	cfg := config{Ranks: 3, ThreadsPerRank: 2, Timing: true}
+	u := newUniverse(cfg)
 	mt := Register(u, "ping", func(r *Rank, m chatterPayload) {})
 	err := u.Run(func(r *Rank) {
 		for epoch := 0; epoch < 2; epoch++ {
@@ -55,7 +55,7 @@ func TestPhaseTimersRecorded(t *testing.T) {
 	}
 
 	// Timing off: no histograms, and scopes are the zero value.
-	u2 := NewUniverse(Config{Ranks: 1})
+	u2 := newUniverse(config{Ranks: 1})
 	err = u2.Run(func(r *Rank) {
 		ph := r.Phase(obs.PhaseKernel)
 		if ph != (PhaseScope{}) {
@@ -75,7 +75,7 @@ func TestPhaseTimersRecorded(t *testing.T) {
 // the substrate counters and phase histograms under process="coordinator".
 func TestWriteOpenMetrics(t *testing.T) {
 	requireLoopback(t)
-	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, Timing: true,
+	cfg := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, Timing: true,
 		Transport: SockTransport(fastSockOptions("tcp"))}
 	counts, u := runSockChatter(t, cfg, 16)
 	checkExactlyOnce(t, counts, 0)
@@ -101,7 +101,7 @@ func TestWriteOpenMetrics(t *testing.T) {
 // TestCounterSeriesFeedsSampler wires the universe's counter series into an
 // obs.Sampler and checks the live-sampling layer sees real totals.
 func TestCounterSeriesFeedsSampler(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2})
+	u := newUniverse(config{Ranks: 2})
 	mt := Register(u, "c", func(r *Rank, m chatterPayload) {})
 	s := obs.NewSampler(8, u.CounterSeries)
 	s.Tick() // empty universe: zero baseline

@@ -72,7 +72,7 @@ const (
 	// id; Dur = handler execution time, so the span covers [TS-Dur, TS]).
 	// ID is the invocation's lineage id and Parent the lineage id of the
 	// invocation (or epoch-body root) whose send triggered it — recorded
-	// only when lineage is on (Config.Lineage).
+	// only when lineage is on (WithLineage).
 	TraceHandler
 	// TraceDecodeError: a wire envelope passed its checksum but failed to
 	// decode and was discarded unacknowledged (Arg = type id, Arg2 = seq).
@@ -185,7 +185,7 @@ func (e TraceEvent) String() string {
 // under its own shard's lock, so recording never contends across ranks and —
 // unlike the old single atomic-indexed global ring — a concurrent Trace()
 // reads fully written events only (no torn reads). Each rank's ring holds
-// perRank events (Config.TraceRingSize, or TraceCapacity split evenly); when
+// perRank events (WithTraceCapacity split evenly across ranks); when
 // a ring fills, its oldest events are overwritten (the tail of a long run is
 // usually what matters).
 type tracer struct {

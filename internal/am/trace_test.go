@@ -5,7 +5,7 @@ import (
 )
 
 func TestTraceRecordsEpochsAndMessages(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, TraceCapacity: 4096})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, TraceCapacity: 4096})
 	mt := Register(u, "m", func(r *Rank, m int64) {})
 	const per = 20
 	u.Run(func(r *Rank) {
@@ -71,7 +71,7 @@ func TestTraceRecordsEpochsAndMessages(t *testing.T) {
 }
 
 func TestTraceRingOverwrite(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1, ThreadsPerRank: 0, CoalesceSize: 1, TraceCapacity: 8})
+	u := newUniverse(config{Ranks: 1, ThreadsPerRank: 0, CoalesceSize: 1, TraceCapacity: 8})
 	mt := Register(u, "m", func(r *Rank, m int64) {})
 	u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
@@ -90,7 +90,7 @@ func TestTraceRingOverwrite(t *testing.T) {
 }
 
 func TestTraceDisabled(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1})
+	u := newUniverse(config{Ranks: 1})
 	u.Run(func(r *Rank) {})
 	if u.Trace() != nil || u.TraceDropped() != 0 {
 		t.Fatal("tracing should be disabled by default")
@@ -98,7 +98,7 @@ func TestTraceDisabled(t *testing.T) {
 }
 
 func TestFourCounterTraceWaves(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, Detector: DetectorFourCounter, TraceCapacity: 1024})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, Detector: DetectorFourCounter, TraceCapacity: 1024})
 	mt := Register(u, "m", func(r *Rank, m int64) {})
 	u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {

@@ -21,7 +21,7 @@ var errTransportReused = errors.New("transport value already bound to a universe
 // (a dropped connection, a black-holed direction, an injected fault); the
 // reliable layer (reliable.go) recovers them through its unack→retransmit
 // table, which is why a backend that can lose frames must report
-// reliable() == true so the universe runs the full protocol. Semantics
+// shared() == false so the universe runs the full protocol. Semantics
 // above the seam are identical on every backend — that is the chaos
 // matrix's bit-identity claim.
 //
@@ -34,17 +34,14 @@ type Transport interface {
 	// ("chan", "sock-tcp", "sock-unix").
 	Name() string
 
-	// reliable reports whether the backend can lose frames and therefore
-	// requires the reliable-delivery layer. NewUniverse synthesizes a
-	// zero-valued FaultPlan (full protocol, no injected faults) for a
-	// reliable backend configured without one.
-	reliable() bool
-
 	// shared reports whether every rank on this backend lives in one address
 	// space the backend itself does not model as separate: true only for the
 	// in-process channel backend. A socket backend answers false even when
 	// all its ranks share a process — its sockets stand in for separate
 	// machines — and so keeps every hop a message (see Rank.Coresident).
+	// A backend that is not shared can lose frames: New runs the
+	// reliable-delivery layer on it (synthesizing a zero-valued FaultPlan
+	// when none is given) with jittered retransmit backoff.
 	shared() bool
 
 	// tickInterval paces the retransmit clock: pollLinks advances a rank's
@@ -92,7 +89,6 @@ type chanTransport struct {
 func ChanTransport() Transport { return &chanTransport{} }
 
 func (t *chanTransport) Name() string                { return "chan" }
-func (t *chanTransport) reliable() bool              { return false }
 func (t *chanTransport) shared() bool                { return true }
 func (t *chanTransport) tickInterval() time.Duration { return 0 }
 

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// TestDefaultTransportIsChan pins the zero-config behavior: no Transport in
-// Config selects the in-process channel backend, trusted mode (no
+// TestDefaultTransportIsChan pins the zero-config behavior: no WithTransport
+// selects the in-process channel backend, trusted mode (no
 // synthesized fault plan), original semantics.
 func TestDefaultTransportIsChan(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2})
+	u := newUniverse(config{Ranks: 2})
 	if got := u.net.Name(); got != "chan" {
 		t.Fatalf("default transport = %q, want chan", got)
 	}
@@ -29,7 +29,7 @@ func TestDefaultTransportIsChan(t *testing.T) {
 // constructor and checks the universe picked it up.
 func TestWithTransportOption(t *testing.T) {
 	u := New(2, WithTransport(ChanTransport()))
-	if got := u.Config().Transport.Name(); got != "chan" {
+	if got := u.net.Name(); got != "chan" {
 		t.Fatalf("WithTransport: got %q", got)
 	}
 	u = New(2, WithTransport(SockTransport(SockOptions{Network: "unix"})))
@@ -39,19 +39,42 @@ func TestWithTransportOption(t *testing.T) {
 	if u.fp == nil {
 		t.Fatalf("sock transport must synthesize a reliable-mode fault plan")
 	}
-	if u.fp.BackoffJitter != defaultSockBackoffJitter {
-		t.Fatalf("synthesized plan jitter = %v, want %v", u.fp.BackoffJitter, defaultSockBackoffJitter)
+	if u.jitter != sockBackoffJitter {
+		t.Fatalf("sock transport backoff jitter = %v, want %v", u.jitter, sockBackoffJitter)
+	}
+}
+
+// TestSockExplicitPlanJitters: retransmit jitter follows the transport, not
+// the plan. A socket universe given its own fault plan (every fleet run with
+// injected drops) spreads its timeouts by ±25 % exactly like one running the
+// synthesized plan, and the channel transport keeps exact timeouts.
+func TestSockExplicitPlanJitters(t *testing.T) {
+	sock := New(2, WithTransport(SockTransport(SockOptions{Network: "unix"})), WithFaultPlan(&FaultPlan{Seed: 1}))
+	inproc := New(2, WithFaultPlan(&FaultPlan{Seed: 1}))
+	distinct := make(map[uint64]bool)
+	for seq := uint64(1); seq <= 200; seq++ {
+		got := sock.backoffTicks(0, 1, 0, seq, 0)
+		if got < 6 || got > 10 {
+			t.Fatalf("seq %d: socket backoff %d ticks outside 8 ±25 %%", seq, got)
+		}
+		distinct[got] = true
+		if exact := inproc.backoffTicks(0, 1, 0, seq, 0); exact != 8 {
+			t.Fatalf("seq %d: channel backoff %d ticks, want exactly 8", seq, exact)
+		}
+	}
+	if len(distinct) < 2 {
+		t.Fatal("socket universe with an explicit fault plan backs off without jitter")
 	}
 }
 
 // TestTransportReuseRejected: a Transport value binds to one universe only.
 func TestTransportReuseRejected(t *testing.T) {
 	tr := ChanTransport()
-	u1 := NewUniverse(Config{Ranks: 1, Transport: tr})
+	u1 := newUniverse(config{Ranks: 1, Transport: tr})
 	if err := u1.Run(func(r *Rank) {}); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	u2 := NewUniverse(Config{Ranks: 1, Transport: tr})
+	u2 := newUniverse(config{Ranks: 1, Transport: tr})
 	err := u2.Run(func(r *Rank) {})
 	if err == nil || !strings.Contains(err.Error(), "already bound") {
 		t.Fatalf("second bind error = %v, want transport-reused", err)
@@ -61,7 +84,7 @@ func TestTransportReuseRejected(t *testing.T) {
 // TestSockRejectsNonWireTypes: the socket backend cannot ship a type without
 // a codec, and must say which one at startup rather than hang mid-epoch.
 func TestSockRejectsNonWireTypes(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, Transport: SockTransport(SockOptions{Network: "unix"})})
+	u := newUniverse(config{Ranks: 2, Transport: SockTransport(SockOptions{Network: "unix"})})
 	Register(u, "bare", func(r *Rank, m int64) {})
 	err := u.Run(func(r *Rank) {})
 	if err == nil || !strings.Contains(err.Error(), `"bare"`) {
@@ -70,16 +93,16 @@ func TestSockRejectsNonWireTypes(t *testing.T) {
 }
 
 // TestSockOptionsDefaults pins the defaulting rules, including the sentinel
-// values (negative budget = no reconnects, negative tick = per-poll).
+// value (negative tick = per-poll).
 func TestSockOptionsDefaults(t *testing.T) {
 	o := SockOptions{}.withDefaults()
 	if o.Network != "tcp" || o.Heartbeat != 50*time.Millisecond ||
-		o.Liveness != 500*time.Millisecond || o.ReconnectBudget != 10 ||
-		o.TickInterval != time.Millisecond {
+		o.Liveness != 500*time.Millisecond || o.ReconnectBase != time.Millisecond ||
+		o.ReconnectMax != 100*time.Millisecond || o.TickInterval != time.Millisecond {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
-	if b := (SockOptions{ReconnectBudget: -1}.withDefaults()).ReconnectBudget; b != 0 {
-		t.Fatalf("negative budget → %d, want 0", b)
+	if b := SockTransport(SockOptions{}).(*sockTransport).budget; b != reconnectBudget {
+		t.Fatalf("reconnect budget %d, want %d", b, reconnectBudget)
 	}
 	if iv := (SockOptions{TickInterval: -1}.withDefaults()).TickInterval; iv != 0 {
 		t.Fatalf("negative tick interval → %v, want 0", iv)

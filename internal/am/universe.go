@@ -5,7 +5,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"declpat/internal/frame"
 	"declpat/internal/obs"
@@ -52,11 +51,8 @@ const (
 	// enabled: a traced run gets causal attribution for free, an untraced
 	// run pays nothing.
 	LineageAuto LineageMode = iota
-	// LineageOn forces lineage stamping even without tracing (ids propagate
-	// through the message plane but no handler events are recorded); mainly
-	// useful for measuring the stamping cost in isolation.
-	LineageOn
-	// LineageOff disables lineage stamping even in traced runs.
+	// LineageOff disables lineage stamping even in traced runs (E19 prices
+	// the stamping against it).
 	LineageOff
 )
 
@@ -64,135 +60,10 @@ func (m LineageMode) String() string {
 	switch m {
 	case LineageAuto:
 		return "auto"
-	case LineageOn:
-		return "on"
 	case LineageOff:
 		return "off"
 	}
 	return fmt.Sprintf("LineageMode(%d)", int(m))
-}
-
-// maxTraceRingSize bounds Config.TraceRingSize: beyond 1<<26 events per rank
-// (~4 GiB of TraceEvent per rank) a configuration is assumed to be a units
-// mistake rather than an intent.
-const maxTraceRingSize = 1 << 26
-
-// Config configures a simulated machine. New callers should prefer the
-// functional-options constructor New (options.go), which names exactly the
-// knobs a call site sets; the struct form remains supported for existing
-// code and for programmatic construction.
-type Config struct {
-	// Ranks is the number of simulated distributed-memory nodes (>= 1).
-	Ranks int
-	// ThreadsPerRank is the number of message-handler threads per rank.
-	// 0 is allowed: handlers then run only when a rank polls (Flush,
-	// TryFinish, or end-of-epoch progress), which gives deterministic
-	// single-threaded execution useful in tests.
-	ThreadsPerRank int
-	// CoalesceSize is the default number of messages buffered per
-	// (type, destination) before an envelope is shipped. 1 disables
-	// coalescing. 0 selects the default (64).
-	CoalesceSize int
-	// Detector selects the termination-detection protocol.
-	Detector DetectorKind
-	// TraceCapacity enables event tracing with per-rank rings totalling
-	// this many events (0 disables tracing). Traced events carry monotonic
-	// timestamps; epoch and delivery events become spans.
-	TraceCapacity int
-	// TraceRingSize, when > 0, sets each rank's trace ring to exactly this
-	// many events, overriding the TraceCapacity/Ranks split (and enabling
-	// tracing by itself). The default — TraceRingSize 0 with TraceCapacity
-	// set — gives each rank TraceCapacity/Ranks events (minimum 1). Use it
-	// to bound memory on lineage-heavy runs: a full ring overwrites its
-	// oldest events, which the DAG reconstructor reports as orphaned
-	// parents rather than failing. Negative values, or values above 2^26
-	// events per rank, are configuration errors and panic in NewUniverse.
-	TraceRingSize int
-	// Lineage controls causal message lineage (see LineageMode). The
-	// default, LineageAuto, turns lineage on exactly when tracing is
-	// enabled.
-	Lineage LineageMode
-	// Timing enables clock-based latency histograms: handler latency per
-	// message type, (in reliable mode) ack round-trip time, and the
-	// per-rank per-phase epoch timers (phase.go). Off by default because it
-	// adds two monotonic clock reads per delivered envelope (and per phase
-	// scope) to the hot path.
-	Timing bool
-	// FaultPlan, when non-nil, switches the transport into reliable mode
-	// (sequence numbers, acks, dedup, retransmit — see fault.go and
-	// reliable.go) and injects the configured faults. A zero-valued plan
-	// injects nothing but still runs the full protocol.
-	FaultPlan *FaultPlan
-	// Recovery enables epoch-granular checkpoint/restart (see recovery.go):
-	// state registered via RegisterCheckpointer is snapshotted at every
-	// epoch boundary, and a rank fault (injected crash, contained handler
-	// panic, dead link) aborts the damaged epoch, rolls every rank back to
-	// the checkpoint, restarts the dead rank, and replays. Without it a
-	// rank fault makes Universe.Run return an error.
-	Recovery bool
-	// MaxRecoveries bounds recovery attempts per epoch; a fault that
-	// persists past the budget (e.g. a deterministic handler panic that
-	// recurs on every replay) fails the run. 0 selects the default (8).
-	MaxRecoveries int
-	// Watchdog arms the stuck-epoch watchdog: when no substrate progress
-	// (deliveries, flushes, detector transitions) is observed for this
-	// long, the run fails with a diagnostic dump of the detector counters
-	// and trace rings instead of hanging. 0 disables it. Set it well above
-	// the longest legitimate gap between deliveries (long-running handler
-	// bodies included), and leave it off for latency-insensitive batch
-	// work guarded by an external test timeout.
-	Watchdog time.Duration
-	// Transport selects the message transport backend (see transport.go).
-	// nil selects the in-process channel backend (ChanTransport), the
-	// original zero-copy behavior. A backend that can lose frames (the
-	// socket backend) forces reliable mode: when FaultPlan is nil a
-	// zero-valued plan (full protocol, no injected faults) is synthesized.
-	Transport Transport
-	// MP, when non-nil, runs this universe as one worker process of a
-	// multi-process SPMD fleet (see controlplane.go and WithControlPlane):
-	// the universe hosts only ranks [MP.Lo, MP.Hi) and carries every global
-	// control operation over MP.Plane. Forces the four-counter detector and
-	// is mutually exclusive with Recovery.
-	MP *MPConfig
-	// Flight, when non-nil, attaches a black-box flight recorder (see
-	// internal/obs and flight.go): low-rate landmark events — epoch
-	// boundaries, phase transitions, faults, recovery — are mirrored into
-	// its bounded rings regardless of whether tracing is on, and the
-	// substrate persists it at epoch commits and on every fault path.
-	Flight *obs.FlightRecorder
-}
-
-func (c Config) withDefaults() Config {
-	if c.Ranks <= 0 {
-		c.Ranks = 1
-	}
-	if c.ThreadsPerRank < 0 {
-		c.ThreadsPerRank = 0
-	}
-	if c.CoalesceSize <= 0 {
-		c.CoalesceSize = 64
-	}
-	if c.Transport == nil {
-		c.Transport = ChanTransport()
-	}
-	return c
-}
-
-// perRankRing resolves the per-rank trace-ring size: an explicit
-// TraceRingSize wins, otherwise TraceCapacity is split evenly across ranks.
-// 0 means tracing is disabled.
-func (c Config) perRankRing() int {
-	if c.TraceRingSize > 0 {
-		return c.TraceRingSize
-	}
-	if c.TraceCapacity <= 0 {
-		return 0
-	}
-	per := c.TraceCapacity / c.Ranks
-	if per < 1 {
-		per = 1
-	}
-	return per
 }
 
 // envelope is one coalesced batch of messages of a single type, shipped
@@ -220,27 +91,30 @@ type envelope struct {
 // Universe is a simulated distributed machine: a set of ranks connected by
 // message queues. Register all message types before calling Run.
 type Universe struct {
-	cfg    Config
+	cfg    config
 	Stats  Stats
 	ranks  []*Rank
 	types  []*msgType
 	frozen atomic.Bool
 
 	// fp is the defaulted fault plan; nil selects the trusted transport.
-	fp *FaultPlan
+	// jitter spreads retransmit timeouts by up to ±jitter (backoffTicks):
+	// sockBackoffJitter on a socket transport, 0 in process.
+	fp     *FaultPlan
+	jitter float64
 
 	// net is the configured transport backend; tickIntNs its retransmit-
 	// clock pacing interval (0 = advance the tick on every poll).
 	net       Transport
 	tickIntNs int64
 
-	// coresident is the answer to Rank.Coresident: a shared-address-space
-	// transport in trusted mode, without lineage. Fixed at construction.
+	// coresident is the answer to Rank.Coresident: trusted mode (so the
+	// in-process transport), without lineage. Fixed at construction.
 	coresident bool
 	// park says idle rank mains block instead of polling (epoch.go,
-	// progressUntilDone): a shared-address-space transport in trusted mode
-	// under the atomic detector and no watchdog, where nothing in progress
-	// depends on a clock. Fixed at construction.
+	// progressUntilDone): trusted mode under the atomic detector and no
+	// watchdog, where nothing in progress depends on a clock. Fixed at
+	// construction.
 	park bool
 
 	// pending counts user messages sent but not yet fully handled.
@@ -266,7 +140,7 @@ type Universe struct {
 	barrier *Barrier
 	coll    collectives
 	tracer  *tracer
-	// flight is the always-on black box (nil unless Config.Flight): trace
+	// flight is the always-on black box (nil unless WithFlightRecorder): trace
 	// and phase paths mirror landmark events into it even when the trace
 	// rings are off. See flight.go.
 	flight *obs.FlightRecorder
@@ -276,14 +150,14 @@ type Universe struct {
 	// nil check on the hot path).
 	mp *mpState
 
-	// lineage is the resolved Config.Lineage decision (LineageAuto folds to
-	// whether tracing is on); when set, every send is stamped with its
+	// lineage is the resolved WithLineage decision (on when tracing is, unless
+	// LineageOff); when set, every send is stamped with its
 	// causal parent and every handler invocation gets a lineage id.
 	lineage bool
 
 	// Rank-fault containment and checkpoint/restart state (recovery.go).
 	// blobs[rank] is rank's row of checkpoint blobs (takeBlobs), retaken at
-	// every epoch boundary when Config.Recovery is on. faultMu guards
+	// every epoch boundary under WithRecovery. faultMu guards
 	// fault (the aborting epoch's deciding fault), faultLog, and runErr;
 	// recoveries (rank-0-only) counts rollbacks of the current epoch.
 	checkpointers []Checkpointer
@@ -319,7 +193,7 @@ type Universe struct {
 	// frozen); relPending is the outstanding-retransmit gauge (reliable
 	// mode); batchHist / latHist are per-type envelope-batch-size and
 	// handler-latency histograms; ackRTT is the ack round-trip histogram.
-	// latHist and ackRTT are nil unless Config.Timing is set.
+	// latHist and ackRTT are nil unless WithTiming is set.
 	c          *obs.Counters
 	typeC      *obs.Counters
 	relPending *obs.Gauge
@@ -327,23 +201,24 @@ type Universe struct {
 	latHist    []*obs.Histogram
 	ackRTT     *obs.Histogram
 	// phases holds the per-rank per-phase duration histograms (see phase.go);
-	// nil unless Config.Timing is set, which keeps Rank.Phase free of clock
+	// nil unless WithTiming is set, which keeps Rank.Phase free of clock
 	// reads in untimed untraced runs.
 	phases *obs.PhaseSet
 }
 
-// NewUniverse creates a machine with the given configuration.
-func NewUniverse(cfg Config) *Universe {
+// newUniverse builds the machine New's options describe.
+func newUniverse(cfg config) *Universe {
 	cfg = cfg.withDefaults()
 	if mp := cfg.MP; mp != nil {
-		if mp.Plane == nil {
-			panic("am: Config.MP needs a ControlPlane")
-		}
-		if mp.Lo < 0 || mp.Hi > cfg.Ranks || mp.Lo >= mp.Hi {
-			panic(fmt.Sprintf("am: Config.MP rank range [%d,%d) outside [0,%d)", mp.Lo, mp.Hi, cfg.Ranks))
-		}
-		if cfg.Recovery {
-			panic("am: Config.Recovery is incompatible with Config.MP: multi-process faults abort the fleet and the launcher drives checkpoint/restart")
+		switch {
+		case mp.Plane == nil:
+			panic("am: WithControlPlane needs a ControlPlane")
+		case mp.Lo < 0 || mp.Hi > cfg.Ranks || mp.Lo >= mp.Hi:
+			panic(fmt.Sprintf("am: WithControlPlane rank range [%d,%d) outside [0,%d)", mp.Lo, mp.Hi, cfg.Ranks))
+		case cfg.Recovery:
+			panic("am: WithRecovery is incompatible with WithControlPlane: multi-process faults abort the fleet and the launcher drives checkpoint/restart")
+		case cfg.Transport.shared():
+			panic("am: WithControlPlane needs a socket transport (WithTransport(SockTransport(...)))")
 		}
 		// The atomic detector counts process-local state; only the
 		// four-counter protocol generalizes to samples merged over the wire.
@@ -352,19 +227,18 @@ func NewUniverse(cfg Config) *Universe {
 	u := &Universe{cfg: cfg, net: cfg.Transport}
 	if cfg.MP != nil {
 		u.mp = newMPState(*cfg.MP)
-		if (u.mp.lo != 0 || u.mp.hi != cfg.Ranks) && !u.net.reliable() {
-			panic("am: a multi-process universe hosting a partial rank range needs a socket transport (WithTransport(SockTransport(...)))")
-		}
 	}
 	u.tickIntNs = int64(u.net.tickInterval())
 	plan := cfg.FaultPlan
-	if plan == nil && u.net.reliable() {
+	if !u.net.shared() {
 		// A backend that can lose frames needs the full reliable-delivery
-		// protocol even when the caller injects nothing: a lost frame on a
-		// trusted transport would hang the epoch. The synthesized plan sets
-		// only backoff jitter (desynchronizing retransmit storms after a
-		// reconnect); every injection rate is zero.
-		plan = &FaultPlan{BackoffJitter: defaultSockBackoffJitter}
+		// protocol even when the caller injects nothing (a lost frame on a
+		// trusted transport would hang the epoch), and jittered backoff to
+		// desynchronize the retransmit burst that follows a reconnect.
+		if plan == nil {
+			plan = &FaultPlan{}
+		}
+		u.jitter = sockBackoffJitter
 	}
 	if plan != nil {
 		u.fp = plan.withDefaults()
@@ -385,17 +259,13 @@ func NewUniverse(cfg Config) *Universe {
 	}
 	u.barrier = NewBarrier(cfg.Ranks)
 	u.coll.init(cfg.Ranks)
-	if cfg.TraceRingSize < 0 || cfg.TraceRingSize > maxTraceRingSize {
-		panic(fmt.Sprintf("am: Config.TraceRingSize %d out of range [0, %d] events per rank",
-			cfg.TraceRingSize, maxTraceRingSize))
-	}
 	if per := cfg.perRankRing(); per > 0 {
 		u.tracer = newTracer(per, cfg.Ranks)
 	}
 	u.flight = cfg.Flight
-	u.lineage = cfg.Lineage == LineageOn || (cfg.Lineage == LineageAuto && u.tracer != nil)
-	u.coresident = u.trusted() && u.net.shared() && !u.lineage
-	u.park = u.trusted() && u.net.shared() && cfg.Detector == DetectorAtomic && cfg.Watchdog <= 0
+	u.lineage = cfg.Lineage == LineageAuto && u.tracer != nil
+	u.coresident = u.trusted() && !u.lineage
+	u.park = u.trusted() && cfg.Detector == DetectorAtomic && cfg.Watchdog <= 0
 	u.c = obs.NewCounters(cfg.Ranks, counterNames[:]...)
 	u.Stats = Stats{c: u.c}
 	u.relPending = obs.NewGauge(cfg.Ranks)
@@ -413,15 +283,14 @@ func NewUniverse(cfg Config) *Universe {
 }
 
 // trusted reports whether nothing stands between ranks that a message must
-// answer to: no fault plan (so no reliable layer and no socket backend, which
-// synthesizes one), no Recovery, and not a multi-process rank host. Valid once
-// NewUniverse has resolved the fault plan.
+// answer to: no fault plan — hence the in-process transport, since a socket
+// transport always runs one, and so no control plane either — and no
+// Recovery. Outside trusted mode rank faults are contained (converted into
+// RankFaults) instead of failing fast. Valid once newUniverse has resolved the
+// fault plan.
 func (u *Universe) trusted() bool {
-	return u.fp == nil && !u.cfg.Recovery && u.mp == nil
+	return u.fp == nil && !u.cfg.Recovery
 }
-
-// Config returns the (defaulted) configuration.
-func (u *Universe) Config() Config { return u.cfg }
 
 // Ranks returns the number of ranks.
 func (u *Universe) Ranks() int { return u.cfg.Ranks }
@@ -720,7 +589,7 @@ func (r *Rank) deliverEnvelope(e envelope) {
 	u := r.u
 	r.activeH.Add(1)
 	defer r.activeH.Add(-1)
-	if u.resilient() {
+	if !u.trusted() {
 		// A crashed rank is silent (no handling, no acks — peers see only
 		// missing acknowledgements); an aborting epoch discards everything
 		// (recovery scrubs the links); and an envelope from a rolled-back
@@ -843,7 +712,7 @@ func (r *Rank) deliverEnvelope(e envelope) {
 // batch completed. On the plain trusted transport handler panics propagate
 // unchanged (fail-fast).
 func (r *Rank) deliverBatch(mt *msgType, data any, lin []uint64) (ok bool) {
-	if !r.u.resilient() {
+	if r.u.trusted() {
 		mt.deliver(r, data, lin)
 		return true
 	}

@@ -11,7 +11,7 @@ func TestWireTransportDeliversIntact(t *testing.T) {
 		Vals [4]int64
 		Tag  byte
 	}
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 8})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 8})
 	var sum atomic.Int64
 	var handled atomic.Int64
 	mt := Register(u, "wire", func(r *Rank, m payload) {
@@ -51,7 +51,7 @@ func TestWireTransportWithReduction(t *testing.T) {
 		K uint64
 		V int64
 	}
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
 	var handled atomic.Int64
 	mt := Register(u, "upd", func(r *Rank, m upd) { handled.Add(1) }).
 		WithWire().

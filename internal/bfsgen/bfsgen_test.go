@@ -30,7 +30,7 @@ func TestGeneratedSourceIsCurrent(t *testing.T) {
 func TestGeneratedBFSMatchesSequential(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{}, 321)
 	want := seq.BFS(n, edges, 0)
-	u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+	u := am.New(4, am.WithThreads(2))
 	d := distgraph.NewBlockDist(n, 4)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	lvl := pmap.NewVertexWord(d, pattern.Inf)

@@ -109,10 +109,11 @@ func TestTransportPartitionEscalation(t *testing.T) {
 			sc.Recovery = true
 			sc.MaxRecoveries = 50
 			// A low retransmit ceiling keeps the escalation (and so the test)
-			// fast; the jitter desynchronizes the post-heal retransmit storm.
+			// fast; the socket transport's backoff jitter desynchronizes the
+			// post-heal retransmit storm.
 			sc.Plan = &am.FaultPlan{
 				Seed:           harness.DeriveSeed(baseSeed, "transport/partition"),
-				RetransmitBase: 2, MaxAttempts: 12, BackoffJitter: 0.25,
+				RetransmitBase: 2, MaxAttempts: 12,
 			}
 			got, stats := RunBFS(w, sc, src)
 			check(t, "BFS", sc, got, want)

@@ -20,7 +20,7 @@ func E3CCPacing(sc Scale) []*harness.Table {
 		"flush-every", "searches", "claims", "conflicts", "jump-rounds", "messages", "time", "wrong")
 	gopts := distgraph.Options{Symmetrize: true}
 	for _, fe := range []int{1, 8, 64, 1 << 30} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, gopts, PaperPlan())
+		e := newEnv(am.New(4, am.WithThreads(2)), n, edges, gopts, PaperPlan())
 		c := algorithms.NewCC(e.eng, e.lm)
 		c.FlushEvery = fe
 		d := harness.Time(func() {

@@ -77,8 +77,8 @@ func e20Run(sc Scale, algo, detName string, det am.DetectorKind, codec string,
 	if algo == "cc" {
 		gopts.Symmetrize = true
 	}
-	e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64, Detector: det,
-		FaultPlan: &am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e20/"+algo+"/"+detName)}},
+	plan := &am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e20/"+algo+"/"+detName)}
+	e := newEnv(am.New(4, am.WithThreads(2), am.WithCoalesce(64), am.WithDetector(det), am.WithFaultPlan(plan)),
 		n, edges, gopts, PaperPlan())
 	if codec == "fixed" {
 		e.eng.MsgType().WithWire()

@@ -19,11 +19,11 @@ func E14Codegen(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 	t := harness.NewTable("E14: pattern translator (generated code) vs engine vs hand-written",
 		"impl", "messages", "handlers", "time", "wrong")
-	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
+	machine := func() *am.Universe { return am.New(4, am.WithThreads(2)) }
 
 	// Interpretive engine.
 	{
-		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })
 		t.Add(row([]any{"engine (interpretive)"}, statCells(e.u, "messages", "handlers"), d,
@@ -31,9 +31,9 @@ func E14Codegen(sc Scale) []*harness.Table {
 	}
 	// Translator-generated.
 	{
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
+		u := machine()
 		benchTrack(u)
-		d := distgraph.NewBlockDist(n, cfg.Ranks)
+		d := distgraph.NewBlockDist(n, u.Ranks())
 		g := distgraph.Build(d, edges, defaultGOpts())
 		dist := pmap.NewVertexWord(d, pattern.Inf)
 		relax := ssspgen.NewRelax(u, g, dist, pmap.WeightMap(g))
@@ -56,7 +56,7 @@ func E14Codegen(sc Scale) []*harness.Table {
 	}
 	// Hand-written.
 	{
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
+		u := machine()
 		benchTrack(u)
 		g := buildGraph(u, n, edges, defaultGOpts())
 		h := algorithms.NewHandSSSP(u, g).Naive() // the paper's shape, like PaperPlan beside it

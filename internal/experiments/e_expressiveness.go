@@ -29,7 +29,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 			clean = append(clean, e)
 		}
 	}
-	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
+	machine := func() *am.Universe { return am.New(4, am.WithThreads(2)) }
 	add := func(name string, actions []*pattern.BoundAction, ref string, wrong int) {
 		var msgs, syncs []string
 		for _, a := range actions {
@@ -42,20 +42,20 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 
 	{ // SSSP fixed point.
-		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
 		add("sssp(fixed_point)", []*pattern.BoundAction{s.Relax}, "Dijkstra",
 			checkSSSP(s.Dist.Gather(), n, edges, 0))
 	}
 	{ // BFS levels.
-		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())
 		b := algorithms.NewBFS(e.eng)
 		e.u.Run(func(r *am.Rank) { b.Run(r, 0) })
 		add("bfs(levels)", []*pattern.BoundAction{b.Visit}, "seq BFS", checkBFS(b.Level.Gather(), n, edges, 0))
 	}
 	{ // BFS parent tree.
-		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())
 		b := algorithms.NewBFSTree(e.eng)
 		e.u.Run(func(r *am.Rank) { b.Run(r, 0) })
 		depths := seq.BFS(n, edges, 0)
@@ -70,7 +70,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		add("bfs(parent-tree)", []*pattern.BoundAction{b.Visit}, "tree validation", wrong)
 	}
 	{ // Widest path.
-		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())
 		w := algorithms.NewWidest(e.eng)
 		e.u.Run(func(r *am.Rank) { w.Run(r, 0) })
 		want := seq.WidestPath(n, edges, 0)
@@ -88,7 +88,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // CC.
 		gopts := distgraph.Options{Symmetrize: true}
-		e := newEnv(cfg, n, edges, gopts, PaperPlan())
+		e := newEnv(machine(), n, edges, gopts, PaperPlan())
 		c := algorithms.NewCC(e.eng, e.lm)
 		c.FlushEvery = 16
 		e.u.Run(func(r *am.Rank) { c.Run(r) })
@@ -96,7 +96,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 			"union-find", wrongPartition(c.Comp.Gather(), seq.Components(n, edges)))
 	}
 	{ // PageRank push.
-		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())
 		pr := algorithms.NewPageRank(e.eng, algorithms.PageRankPush)
 		pr.MaxIters = 10
 		pr.Tolerance = 0
@@ -105,7 +105,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // PageRank pull (agreement with push checked in unit tests).
 		gopts := distgraph.Options{Bidirectional: true}
-		e := newEnv(cfg, n, edges, gopts, PaperPlan())
+		e := newEnv(machine(), n, edges, gopts, PaperPlan())
 		pr := algorithms.NewPageRank(e.eng, algorithms.PageRankPull)
 		pr.MaxIters = 10
 		pr.Tolerance = 0
@@ -114,13 +114,13 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // k-core.
 		gopts := distgraph.Options{Symmetrize: true}
-		e := newEnv(cfg, n, edges, gopts, PaperPlan())
+		e := newEnv(machine(), n, edges, gopts, PaperPlan())
 		kc := algorithms.NewKCore(e.eng, 4)
 		e.u.Run(func(r *am.Rank) { kc.Run(r) })
 		add("k-core(chained)", []*pattern.BoundAction{kc.Check, kc.Notify}, "seq peeling", 0)
 	}
 	{ // Degree.
-		e := newEnv(cfg, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())
 		dc := algorithms.NewDegreeCount(e.eng)
 		e.u.Run(func(r *am.Rank) { dc.Run(r) })
 		want := make([]int64, n)
@@ -137,7 +137,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // MIS.
 		gopts := distgraph.Options{Symmetrize: true}
-		e := newEnv(cfg, n, clean, gopts, PaperPlan())
+		e := newEnv(machine(), n, clean, gopts, PaperPlan())
 		m := algorithms.NewMIS(e.eng)
 		e.u.Run(func(r *am.Rank) { m.Run(r) })
 		add("mis(luby)", []*pattern.BoundAction{m.Block, m.Exclude},
@@ -147,9 +147,9 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		bn, bedges := gen.Torus2D(6, 6, gen.Weights{}, sc.Seed)
 		sources := []distgraph.Vertex{0, 7, 19}
 		gopts := distgraph.Options{Bidirectional: true}
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
+		u := machine()
 		benchTrack(u)
-		d := distgraph.NewBlockDist(bn, cfg.Ranks)
+		d := distgraph.NewBlockDist(bn, u.Ranks())
 		g := distgraph.Build(d, bedges, gopts)
 		eng := pattern.NewEngine(u, g, newLockMap(d), PaperPlan())
 		b := algorithms.NewBetweenness(eng)

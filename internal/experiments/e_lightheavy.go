@@ -16,7 +16,7 @@ func E12LightHeavy(sc Scale) []*harness.Table {
 		"variant", "delta", "bucket-epochs", "messages", "time", "wrong")
 	for _, delta := range []int64{16, 64, 256} {
 		{
-			e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, defaultGOpts(), PaperPlan())
+			e := newEnv(am.New(4, am.WithThreads(2)), n, edges, defaultGOpts(), PaperPlan())
 			s := algorithms.NewSSSP(e.eng)
 			s.UseDelta(e.u, delta)
 			d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })
@@ -24,7 +24,7 @@ func E12LightHeavy(sc Scale) []*harness.Table {
 				checkSSSP(s.Dist.Gather(), n, edges, 0))...)
 		}
 		{
-			e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, defaultGOpts(), PaperPlan())
+			e := newEnv(am.New(4, am.WithThreads(2)), n, edges, defaultGOpts(), PaperPlan())
 			s := algorithms.NewSSSP(e.eng)
 			s.UseDeltaLightHeavy(e.u, delta)
 			d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })

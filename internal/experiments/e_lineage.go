@@ -37,12 +37,12 @@ import (
 func E19Lineage(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 
-	runWL := func(name string, cfg am.Config) (*am.Universe, time.Duration) {
+	runWL := func(name string, opts ...am.Option) (*am.Universe, time.Duration) {
 		gopts := defaultGOpts()
 		if name == "cc" {
 			gopts = distgraph.Options{Symmetrize: true}
 		}
-		e := newEnv(cfg, n, edges, gopts, PaperPlan())
+		e := newEnv(am.New(4, append(opts, am.WithThreads(2))...), n, edges, gopts, PaperPlan())
 		var body func(r *am.Rank)
 		switch name {
 		case "bfs":
@@ -66,10 +66,8 @@ func E19Lineage(sc Scale) []*harness.Table {
 	for _, wl := range []string{"bfs", "sssp", "cc"} {
 		for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
 			for _, coalesce := range []int{64, 1} {
-				u, _ := runWL(wl, am.Config{
-					Ranks: 4, ThreadsPerRank: 2, CoalesceSize: coalesce,
-					Detector: det, Timing: true, TraceCapacity: 1 << 21,
-				})
+				u, _ := runWL(wl, am.WithCoalesce(coalesce), am.WithDetector(det),
+					am.WithTiming(), am.WithTraceCapacity(1<<21))
 				meta, recs := u.ExportTrace(wl)
 				lin := obs.BuildLineage(meta, recs)
 				if wl == "bfs" && det == am.DetectorAtomic && coalesce == 64 {
@@ -129,10 +127,7 @@ func E19Lineage(sc Scale) []*harness.Table {
 	us := make([]*am.Universe, len(configs))
 	times := make([][]time.Duration, len(configs))
 	iter := func(i int) time.Duration {
-		u, d := runWL("bfs", am.Config{
-			Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64,
-			TraceCapacity: 1 << 21, Lineage: configs[i].mode,
-		})
+		u, d := runWL("bfs", am.WithCoalesce(64), am.WithTraceCapacity(1<<21), am.WithLineage(configs[i].mode))
 		us[i] = u
 		return d
 	}

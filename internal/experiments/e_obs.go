@@ -30,18 +30,18 @@ func E17Observability(sc Scale) []*harness.Table {
 		"config", "messages", "min-time", "median", "vs-sharded")
 	configs := []struct {
 		name string
-		cfg  am.Config
+		opts []am.Option
 	}{
-		{"sharded counters", am.Config{Ranks: 4, ThreadsPerRank: 2}},
-		{"+ timing histograms", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true}},
-		{"+ span tracing", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true, TraceCapacity: 1 << 20}},
+		{"sharded counters", []am.Option{am.WithThreads(2)}},
+		{"+ timing histograms", []am.Option{am.WithThreads(2), am.WithTiming()}},
+		{"+ span tracing", []am.Option{am.WithThreads(2), am.WithTiming(), am.WithTraceCapacity(1 << 20)}},
 	}
 	const reps = 5
 	us := make([]*am.Universe, len(configs))
 	times := make([][]time.Duration, len(configs))
 	iter := func(i int) time.Duration {
 		return harness.Time(func() {
-			e := newEnv(configs[i].cfg, n, edges, defaultGOpts(), PaperPlan())
+			e := newEnv(am.New(4, configs[i].opts...), n, edges, defaultGOpts(), PaperPlan())
 			s := algorithms.NewSSSP(e.eng)
 			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
 			us[i] = e.u

@@ -24,7 +24,7 @@ func E13PushPull(sc Scale) []*harness.Table {
 			gopts.Bidirectional = true
 			name = "pull(in_edges)"
 		}
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, gopts, PaperPlan())
+		e := newEnv(am.New(4, am.WithThreads(2)), n, edges, gopts, PaperPlan())
 		pr := algorithms.NewPageRank(e.eng, mode)
 		pr.MaxIters = iters
 		pr.Tolerance = 0

@@ -44,9 +44,12 @@ func E22ObsRecords(sc Scale) []ObsRecord {
 		var us [2]*am.Universe
 		var times [2][]time.Duration
 		iter := func(timing bool) time.Duration {
-			cfg := am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: timing}
+			opts := []am.Option{am.WithThreads(2)}
+			if timing {
+				opts = append(opts, am.WithTiming())
+			}
 			return harness.Time(func() {
-				e := newEnv(cfg, n, edges, gopts, PaperPlan())
+				e := newEnv(am.New(4, opts...), n, edges, gopts, PaperPlan())
 				var body func(r *am.Rank)
 				switch algo {
 				case "bfs":

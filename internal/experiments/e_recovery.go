@@ -33,10 +33,11 @@ func E18Recovery(sc Scale) []*harness.Table {
 	}
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
 		run := func(injected int, plan *am.FaultPlan, recovery bool) {
-			e := newEnv(am.Config{
-				Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64, Detector: det,
-				FaultPlan: plan, Recovery: recovery,
-			}, n, edges, defaultGOpts(), PaperPlan())
+			opts := []am.Option{am.WithThreads(2), am.WithCoalesce(64), am.WithDetector(det), am.WithFaultPlan(plan)}
+			if recovery {
+				opts = append(opts, am.WithRecovery())
+			}
+			e := newEnv(am.New(4, opts...), n, edges, defaultGOpts(), PaperPlan())
 			s := algorithms.NewSSSP(e.eng)
 			s.UseDelta(e.u, delta)
 			var err error

@@ -19,7 +19,7 @@ func E1Strategies(sc Scale) []*harness.Table {
 	t := harness.NewTable("E1: SSSP strategies (RMAT scale "+itoa(sc.RMATScale)+", "+itoa(len(edges))+" edges)",
 		"strategy", "delta", "bucket-epochs", "relax-attempts", "relax-success", "messages", "time", "wrong")
 	run := func(name string, delta int64, mk func(u *am.Universe, s *algorithms.SSSP)) {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(am.New(4, am.WithThreads(2)), n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		mk(e.u, s)
 		var dur string
@@ -50,7 +50,7 @@ func E5Coalescing(sc Scale) []*harness.Table {
 	t := harness.NewTable("E5: coalescing factor (fixed-point SSSP)",
 		"coalesce", "messages", "envelopes", "bytes", "time", "wrong")
 	for _, cs := range []int{1, 4, 16, 64, 256, 1024} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: cs}, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(am.New(4, am.WithThreads(2), am.WithCoalesce(cs)), n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() {
 			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
@@ -99,7 +99,7 @@ func E6Reduction(sc Scale) []*harness.Table {
 	for _, filter := range []bool{false, true} {
 		popts := PaperPlan()
 		popts.Filter = filter
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 256}, n, edges, defaultGOpts(), popts)
+		e := newEnv(am.New(4, am.WithThreads(2), am.WithCoalesce(256)), n, edges, defaultGOpts(), popts)
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() {
 			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
@@ -119,7 +119,7 @@ func E6Reduction(sc Scale) []*harness.Table {
 		for _, coalesce := range []bool{false, true} {
 			popts := PaperPlan()
 			popts.Coalesce = coalesce
-			e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 256}, n, edges, defaultGOpts(), popts)
+			e := newEnv(am.New(4, am.WithThreads(2), am.WithCoalesce(256)), n, edges, defaultGOpts(), popts)
 			act, run, answer := patternSolver(e, algo)
 			d := harness.Time(func() { e.u.Run(run) })
 			ct.Add(algo, onOff[coalesce], act.Stats.Invocations.Load(), act.Stats.Items.Load(),
@@ -142,7 +142,7 @@ func E7Scaling(sc Scale) []*harness.Table {
 			var min [2]time.Duration
 			for i, popts := range []pattern.PlanOptions{pattern.DefaultPlanOptions(), PaperPlan()} {
 				min[i], _ = harness.MinMed(3, func() {
-					run(newEnv(am.Config{Ranks: rc[0], ThreadsPerRank: rc[1]}, n, edges, gopts, popts))
+					run(newEnv(am.New(rc[0], am.WithThreads(rc[1])), n, edges, gopts, popts))
 				})
 				if base[i] == 0 {
 					base[i] = float64(min[i])
@@ -178,7 +178,7 @@ func E8Termination(sc Scale) []*harness.Table {
 	t := harness.NewTable("E8: termination detection",
 		"workload", "detector", "ctrl-msgs", "td-waves", "time", "wrong")
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det}, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(am.New(4, am.WithThreads(2), am.WithDetector(det)), n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() {
 			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
@@ -187,7 +187,7 @@ func E8Termination(sc Scale) []*harness.Table {
 			checkSSSP(s.Dist.Gather(), n, edges, 0))...)
 	}
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det}, n, edges, defaultGOpts(), PaperPlan())
+		e := newEnv(am.New(4, am.WithThreads(2), am.WithDetector(det)), n, edges, defaultGOpts(), PaperPlan())
 		s := algorithms.NewSSSP(e.eng)
 		s.UseDeltaDistributed(e.u, 64, 2)
 		d := harness.Time(func() {
@@ -211,7 +211,7 @@ func E9Abstraction(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 	t := harness.NewTable("E9: abstraction overhead (pattern engine vs hand-written AM++)",
 		"algorithm", "impl", "messages", "handlers", "time", "wrong")
-	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
+	machine := func() *am.Universe { return am.New(4, am.WithThreads(2)) }
 	mailed := pattern.DefaultPlanOptions()
 	mailed.Direct, mailed.Filter = false, false
 	rows := []struct {
@@ -232,11 +232,11 @@ func E9Abstraction(sc Scale) []*harness.Table {
 			var answer func() []int64
 			switch {
 			case !rw.hand:
-				e := newEnv(cfg, n, edges, defaultGOpts(), rw.popts)
+				e := newEnv(machine(), n, edges, defaultGOpts(), rw.popts)
 				u = e.u
 				_, run, answer = patternSolver(e, algo)
 			case algo == "sssp":
-				u = am.New(cfg.Ranks, am.WithConfig(cfg))
+				u = machine()
 				benchTrack(u)
 				h := algorithms.NewHandSSSP(u, buildGraph(u, n, edges, defaultGOpts()))
 				if rw.naive {
@@ -244,7 +244,7 @@ func E9Abstraction(sc Scale) []*harness.Table {
 				}
 				run, answer = func(r *am.Rank) { h.Run(r, 0) }, h.Dist.Gather
 			default:
-				u = am.New(cfg.Ranks, am.WithConfig(cfg))
+				u = machine()
 				benchTrack(u)
 				h := algorithms.NewHandBFS(u, buildGraph(u, n, edges, defaultGOpts()))
 				if rw.naive {

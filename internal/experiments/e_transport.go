@@ -94,24 +94,24 @@ func e21Run(sc Scale, algo, detName string, det am.DetectorKind, tr string,
 	if algo == "cc" {
 		gopts.Symmetrize = true
 	}
-	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64, Detector: det}
+	opts := []am.Option{am.WithThreads(2), am.WithCoalesce(64), am.WithDetector(det)}
 	popts := PaperPlan()
 	switch tr {
 	case "chan":
 		// Reliable wire mode on the channel backend, so the comparison
 		// isolates the socket hop rather than the codec layer.
-		cfg.FaultPlan = &am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e21/"+algo+"/"+detName)}
+		opts = append(opts, am.WithFaultPlan(&am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e21/"+algo+"/"+detName)}))
 	case "unix":
-		cfg.Transport = e21SockTransport("unix", false)
+		opts = append(opts, am.WithTransport(e21SockTransport("unix", false)))
 	case "tcp":
-		cfg.Transport = e21SockTransport("tcp", false)
+		opts = append(opts, am.WithTransport(e21SockTransport("tcp", false)))
 	case "tcp+faults":
-		cfg.Transport = e21SockTransport("tcp", true)
+		opts = append(opts, am.WithTransport(e21SockTransport("tcp", true)))
 	case "unix+shipped", "tcp+shipped":
-		cfg.Transport = e21SockTransport(strings.TrimSuffix(tr, "+shipped"), false)
+		opts = append(opts, am.WithTransport(e21SockTransport(strings.TrimSuffix(tr, "+shipped"), false)))
 		popts = pattern.DefaultPlanOptions()
 	}
-	e := newEnv(cfg, n, edges, gopts, popts)
+	e := newEnv(am.New(4, opts...), n, edges, gopts, popts)
 	e.eng.MsgType().WithWire()
 	var body func(r *am.Rank)
 	var gather func() []int64

@@ -17,16 +17,13 @@ import (
 	"declpat/internal/seq"
 )
 
-// Scale configures the experiment workload sizes. DefaultScale finishes the
-// whole suite in well under a minute on a laptop.
+// Scale configures the experiment workload sizes (cmd/experiments' flag
+// defaults, scale 12 × edge factor 8, are the EXPERIMENTS.md configuration).
 type Scale struct {
 	RMATScale  int // 2^scale vertices
 	EdgeFactor int
 	Seed       uint64
 }
-
-// DefaultScale is the EXPERIMENTS.md configuration.
-func DefaultScale() Scale { return Scale{RMATScale: 12, EdgeFactor: 8, Seed: 42} }
 
 // Experiment is one runnable experiment.
 type Experiment struct {
@@ -87,7 +84,7 @@ func workload(sc Scale) (n int, edges []distgraph.Edge) {
 	return gen.RMAT(sc.RMATScale, sc.EdgeFactor, gen.Weights{Min: 1, Max: 100}, sc.Seed)
 }
 
-// env bundles a configured universe + engine over the standard workload.
+// env bundles a universe + engine over the standard workload.
 type env struct {
 	u     *am.Universe
 	g     *distgraph.Graph
@@ -97,10 +94,9 @@ type env struct {
 	edges []distgraph.Edge
 }
 
-func newEnv(cfg am.Config, n int, edges []distgraph.Edge, gopts distgraph.Options, popts pattern.PlanOptions) *env {
-	u := am.New(cfg.Ranks, am.WithConfig(cfg))
+func newEnv(u *am.Universe, n int, edges []distgraph.Edge, gopts distgraph.Options, popts pattern.PlanOptions) *env {
 	benchTrack(u)
-	d := distgraph.NewBlockDist(n, cfg.Ranks)
+	d := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(d, edges, gopts)
 	lm := pmap.NewLockMap(d, 1)
 	return &env{

@@ -27,7 +27,8 @@ type JobSpec struct {
 	Ranks    int `json:"ranks"`
 	Threads  int `json:"threads"`
 	Coalesce int `json:"coalesce,omitempty"`
-	// Source seeds bfs/sssp; Delta is the sssp bucket width.
+	// Source seeds bfs/sssp (it must be below 2^Scale); Delta is the sssp
+	// bucket width.
 	Source uint32 `json:"source,omitempty"`
 	Delta  int64  `json:"delta,omitempty"`
 	// Network selects the data-plane socket family inside each worker:
@@ -63,6 +64,9 @@ func (j *JobSpec) Normalize() error {
 	}
 	if j.Scale <= 0 {
 		j.Scale = 8
+	}
+	if j.Algo != "cc" && j.Scale < 32 && j.Source >= 1<<j.Scale {
+		return fmt.Errorf("mp: source vertex %d outside the %d vertices of a scale-%d graph", j.Source, 1<<j.Scale, j.Scale)
 	}
 	if j.EdgeFactor <= 0 {
 		j.EdgeFactor = 8

@@ -219,6 +219,22 @@ func TestJobSpecValidation(t *testing.T) {
 	if err := badNet.Normalize(); err == nil {
 		t.Fatal("unknown network accepted")
 	}
+	// A source outside the graph would "complete" with every vertex
+	// unreached; CC takes no source.
+	for _, c := range []struct {
+		spec JobSpec
+		ok   bool
+	}{
+		{JobSpec{Algo: "bfs", Scale: 6, Source: 63}, true},
+		{JobSpec{Algo: "bfs", Scale: 6, Source: 64}, false},
+		{JobSpec{Algo: "sssp", Scale: 6, Source: 1 << 31}, false},
+		{JobSpec{Algo: "sssp", Source: 256}, false}, // default scale 8
+		{JobSpec{Algo: "cc", Scale: 6, Source: 64}, true},
+	} {
+		if err := c.spec.Normalize(); (err == nil) != c.ok {
+			t.Fatalf("%s scale %d source %d: Normalize error %v, want ok=%v", c.spec.Algo, c.spec.Scale, c.spec.Source, err, c.ok)
+		}
+	}
 	if _, err := unmarshalJob([]byte("{not json")); !errors.Is(err, ErrDecode) {
 		t.Fatalf("bad job JSON: got %v, want ErrDecode", err)
 	}

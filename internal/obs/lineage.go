@@ -120,7 +120,7 @@ func (l *Lineage) Handlers() int { return len(l.ByID) }
 func (l *Lineage) Connected() bool { return l.Orphans == 0 }
 
 // BuildLineage reconstructs the causal forest from an exported trace. It
-// needs "handler" records (Config.Lineage left on, tracing enabled); traces
+// needs "handler" records (tracing on, lineage not switched off); traces
 // without them yield an empty Lineage. Handler events that fall outside any
 // committed epoch span (e.g. an attempt that was rolled back before its
 // epoch-end was recorded, or a mid-run capture) are attributed to epoch -1

@@ -18,17 +18,14 @@ import (
 func TestRandomPatternsRun(t *testing.T) {
 	const n = 32
 	edges := gen.ER(n, 96, gen.Weights{Min: 1, Max: 9}, 5)
-	cfgs := []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 3, ThreadsPerRank: 2},
-	}
+	shapes := []struct{ ranks, threads int }{{1, 0}, {3, 2}}
 	for seed := uint64(0); seed < 60; seed++ {
 		var items [2]int64
-		for i, cfg := range cfgs {
+		for i, sh := range shapes {
 			rng := rand.New(rand.NewPCG(seed, 99))
 			p := randomPattern(rng)
-			u := am.NewUniverse(cfg)
-			d := distgraph.NewBlockDist(n, cfg.Ranks)
+			u := am.New(sh.ranks, am.WithThreads(sh.threads))
+			d := distgraph.NewBlockDist(n, sh.ranks)
 			g := distgraph.Build(d, edges, distgraph.Options{Bidirectional: true})
 			lm := pmap.NewLockMap(d, 1)
 			eng := NewEngine(u, g, lm, DefaultPlanOptions())
@@ -38,7 +35,7 @@ func TestRandomPatternsRun(t *testing.T) {
 				switch pr.Kind {
 				case VertexWordProp:
 					m := pmap.NewVertexWord(d, 0)
-					for r := 0; r < cfg.Ranks; r++ {
+					for r := 0; r < sh.ranks; r++ {
 						m.ForEachLocal(r, func(v distgraph.Vertex, _ int64) {
 							m.Set(r, v, int64(valRng.IntN(n)))
 						})

@@ -12,10 +12,9 @@ import (
 
 // runSSSP executes a fixed-point SSSP through the raw engine (the strategy
 // layer is exercised in its own package) and returns the gathered distances.
-func runSSSP(t *testing.T, cfg am.Config, n int, edges []distgraph.Edge, src distgraph.Vertex, opts PlanOptions) []int64 {
+func runSSSP(t *testing.T, u *am.Universe, n int, edges []distgraph.Edge, src distgraph.Vertex, opts PlanOptions) []int64 {
 	t.Helper()
-	u := am.NewUniverse(cfg)
-	dist := distgraph.NewBlockDist(n, cfg.Ranks)
+	dist := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	lm := pmap.NewLockMap(dist, 1)
 	eng := NewEngine(u, g, lm, opts)
@@ -43,28 +42,28 @@ func runSSSP(t *testing.T, cfg am.Config, n int, edges []distgraph.Edge, src dis
 	return dmap.Gather()
 }
 
-func engineConfigs() []am.Config {
-	return []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 1, ThreadsPerRank: 2},
-		{Ranks: 3, ThreadsPerRank: 1},
-		{Ranks: 4, ThreadsPerRank: 2},
-		{Ranks: 2, ThreadsPerRank: 2, Detector: am.DetectorFourCounter},
-	}
-}
-
 func TestEngineSSSPMatchesDijkstra(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 50}, 11)
 	want := seq.Dijkstra(n, edges, 0)
-	for _, cfg := range engineConfigs() {
-		got := runSSSP(t, cfg, n, edges, 0, DefaultPlanOptions())
+	for _, m := range []struct {
+		name  string
+		ranks int
+		opts  []am.Option
+	}{
+		{"1x0", 1, nil},
+		{"1x2", 1, []am.Option{am.WithThreads(2)}},
+		{"3x1", 3, []am.Option{am.WithThreads(1)}},
+		{"4x2", 4, []am.Option{am.WithThreads(2)}},
+		{"2x2/four-counter", 2, []am.Option{am.WithThreads(2), am.WithDetector(am.DetectorFourCounter)}},
+	} {
+		got := runSSSP(t, am.New(m.ranks, m.opts...), n, edges, 0, DefaultPlanOptions())
 		for v := range want {
 			w := want[v]
 			if w == seq.Inf {
 				w = Inf
 			}
 			if got[v] != w {
-				t.Fatalf("cfg %+v: dist[%d] = %d, want %d", cfg, v, got[v], w)
+				t.Fatalf("%s: dist[%d] = %d, want %d", m.name, v, got[v], w)
 			}
 		}
 	}
@@ -81,7 +80,7 @@ func TestEngineSSSPPlanVariants(t *testing.T) {
 		{Merge: true, Fold: true, NaiveDFS: true},
 	}
 	for _, opts := range variants {
-		got := runSSSP(t, am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, 0, opts)
+		got := runSSSP(t, am.New(3, am.WithThreads(1)), n, edges, 0, opts)
 		for v := range want {
 			w := want[v]
 			if w == seq.Inf {
@@ -99,7 +98,7 @@ func TestEngineSSSPPlanVariants(t *testing.T) {
 func TestEnginePointerJumpRuntime(t *testing.T) {
 	const n = 16
 	for _, ranks := range []int{1, 4} {
-		u := am.NewUniverse(am.Config{Ranks: ranks, ThreadsPerRank: 1})
+		u := am.New(ranks, am.WithThreads(1))
 		dist := distgraph.NewBlockDist(n, ranks)
 		// Graph structure is irrelevant for a GenNone action; a path
 		// keeps the builder happy.
@@ -156,7 +155,7 @@ func TestEnginePointerJumpRuntime(t *testing.T) {
 func TestEngineSetInsert(t *testing.T) {
 	n, edges := gen.Torus2D(4, 4, gen.Weights{}, 0)
 	for _, ranks := range []int{1, 3} {
-		u := am.NewUniverse(am.Config{Ranks: ranks, ThreadsPerRank: 1})
+		u := am.New(ranks, am.WithThreads(1))
 		dist := distgraph.NewBlockDist(n, ranks)
 		g := distgraph.Build(dist, edges, distgraph.Options{})
 		lm := pmap.NewLockMap(dist, 1)
@@ -207,7 +206,7 @@ func TestEngineSetInsert(t *testing.T) {
 // the adj generator and checks the SSSP-style invariant for one round.
 func TestEngineAdjGenerator(t *testing.T) {
 	n, edges := gen.Torus2D(3, 3, gen.Weights{}, 0)
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 1})
+	u := am.New(2, am.WithThreads(1))
 	dist := distgraph.NewBlockDist(n, 2)
 	g := distgraph.Build(dist, edges, distgraph.Options{Symmetrize: true})
 	lm := pmap.NewLockMap(dist, 1)
@@ -255,7 +254,7 @@ func TestEngineAdjGenerator(t *testing.T) {
 // `once` strategy.
 func TestEngineModifiedFlag(t *testing.T) {
 	n := 8
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 0})
+	u := am.New(2, am.WithThreads(0))
 	dist := distgraph.NewBlockDist(n, 2)
 	g := distgraph.Build(dist, gen.Path(n, gen.Weights{}, 0), distgraph.Options{})
 	lm := pmap.NewLockMap(dist, 1)
@@ -295,7 +294,7 @@ func TestEngineModifiedFlag(t *testing.T) {
 
 // TestEngineBindErrors checks binding validation.
 func TestEngineBindErrors(t *testing.T) {
-	u := am.NewUniverse(am.Config{Ranks: 1})
+	u := am.New(1)
 	dist := distgraph.NewBlockDist(4, 1)
 	g := distgraph.Build(dist, gen.Path(4, gen.Weights{}, 0), distgraph.Options{})
 	eng := NewEngine(u, g, pmap.NewLockMap(dist, 1), DefaultPlanOptions())
@@ -316,9 +315,8 @@ func TestEngineHandWrittenEquivalence(t *testing.T) {
 	want := seq.Dijkstra(n, edges, 0)
 
 	// Hand-written: one message type carrying (target, candidate dist).
-	cfg := am.Config{Ranks: 3, ThreadsPerRank: 1}
-	u := am.NewUniverse(cfg)
-	dist := distgraph.NewBlockDist(n, cfg.Ranks)
+	u := am.New(3, am.WithThreads(1))
+	dist := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	dmap := pmap.NewVertexWord(dist, Inf)
 	type relaxMsg struct {

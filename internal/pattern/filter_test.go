@@ -20,16 +20,15 @@ type filterEnv struct {
 	relax *BoundAction
 }
 
-func newFilterEnv(t *testing.T, cfg am.Config, n int, edges []distgraph.Edge) filterEnv {
+func newFilterEnv(t *testing.T, u *am.Universe, n int, edges []distgraph.Edge) filterEnv {
 	t.Helper()
-	return newFilterEnvWith(t, cfg, n, edges, func(*PlanOptions) {})
+	return newFilterEnvWith(t, u, n, edges, func(*PlanOptions) {})
 }
 
 // newFilterEnvWith is newFilterEnv with the shipped plan options adjusted.
-func newFilterEnvWith(t *testing.T, cfg am.Config, n int, edges []distgraph.Edge, adjust func(*PlanOptions)) filterEnv {
+func newFilterEnvWith(t *testing.T, u *am.Universe, n int, edges []distgraph.Edge, adjust func(*PlanOptions)) filterEnv {
 	t.Helper()
-	u := am.NewUniverse(cfg)
-	dist := distgraph.NewBlockDist(n, cfg.Ranks)
+	dist := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	popts := DefaultPlanOptions()
 	adjust(&popts)
@@ -103,14 +102,14 @@ func TestFilterTableOnlyWhereMessagesFlow(t *testing.T) {
 	want := seq.Dijkstra(n, edges, 0)
 	for _, tc := range []struct {
 		name   string
-		cfg    am.Config
+		opts   []am.Option
 		tables int
 	}{
-		{"coresident", am.Config{Ranks: 4, ThreadsPerRank: 2}, 0},
-		{"reliable", am.Config{Ranks: 4, ThreadsPerRank: 2, FaultPlan: &am.FaultPlan{}}, 4},
+		{"coresident", nil, 0},
+		{"reliable", []am.Option{am.WithFaultPlan(&am.FaultPlan{})}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newFilterEnv(t, tc.cfg, n, edges)
+			e := newFilterEnv(t, am.New(4, append(tc.opts, am.WithThreads(2))...), n, edges)
 			if err := e.u.Run(func(r *am.Rank) { e.solve(r, 0) }); err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +137,7 @@ func TestFilterTableOnlyWhereMessagesFlow(t *testing.T) {
 func TestFilterForgetsBetweenEpochs(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 50}, 11)
 	want := seq.Dijkstra(n, edges, 0)
-	e := newFilterEnv(t, am.Config{Ranks: 3, ThreadsPerRank: 1, FaultPlan: &am.FaultPlan{}}, n, edges)
+	e := newFilterEnv(t, am.New(3, am.WithThreads(1), am.WithFaultPlan(&am.FaultPlan{})), n, edges)
 	if err := e.u.Run(func(r *am.Rank) {
 		e.solve(r, 0)
 		r.Barrier()
@@ -188,7 +187,7 @@ func TestBindDeclinesFilterOnMixedWriters(t *testing.T) {
 			if tc.second == nil && secondFirst {
 				continue
 			}
-			eng := NewEngine(am.NewUniverse(am.Config{Ranks: 2}), g, pmap.NewLockMap(dist, 1), DefaultPlanOptions())
+			eng := NewEngine(am.New(2), g, pmap.NewLockMap(dist, 1), DefaultPlanOptions())
 			dmap := pmap.NewVertexWord(dist, Inf)
 			var relax *BoundAction
 			bindRelax := func() {

@@ -249,7 +249,7 @@ func TestSiteMatchesDistribution(t *testing.T) {
 // name.
 func TestOversizedWordIsNoVertex(t *testing.T) {
 	const n = 8
-	u := am.NewUniverse(am.Config{Ranks: 1})
+	u := am.New(1)
 	dist := distgraph.NewBlockDist(n, 1)
 	g := distgraph.Build(dist, gen.Path(n, gen.Weights{}, 0), distgraph.Options{})
 	eng := NewEngine(u, g, pmap.NewLockMap(dist, 1), DefaultPlanOptions())
@@ -322,7 +322,7 @@ type itemEnv struct {
 func newItemEnv(tb testing.TB, tc itemCase) itemEnv {
 	tb.Helper()
 	n, edges := gen.RMAT(12, 8, gen.Weights{Min: 1, Max: 100}, 18)
-	u := am.NewUniverse(am.Config{Ranks: 1})
+	u := am.New(1)
 	dist := distgraph.NewBlockDist(n, 1)
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	eng := NewEngine(u, g, pmap.NewLockMap(dist, 1), DefaultPlanOptions())

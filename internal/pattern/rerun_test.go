@@ -17,10 +17,9 @@ import (
 // SetWork drops them again, and the same run expands less.
 func TestCoalesceRerunDeclaredNotSpelled(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 21)
-	cfg := am.Config{Ranks: 1, ThreadsPerRank: 0}
 	type counts struct{ msgs, invocations, items, work int64 }
 	run := func(coalesce bool, hook func(a *BoundAction)) (counts, bool) {
-		e := newFilterEnvWith(t, cfg, n, edges, func(o *PlanOptions) { o.Coalesce = coalesce })
+		e := newFilterEnvWith(t, am.New(1), n, edges, func(o *PlanOptions) { o.Coalesce = coalesce })
 		hook(e.relax)
 		if err := e.u.Run(func(r *am.Rank) { e.solve(r, 0) }); err != nil {
 			t.Fatalf("Run: %v", err)

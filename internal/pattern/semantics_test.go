@@ -23,7 +23,7 @@ import (
 // read-test-write atomic, so the final value is exact.
 func TestSemanticsFirstModificationSynchronized(t *testing.T) {
 	const n = 4
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 4})
+	u := am.New(2, am.WithThreads(4))
 	d := distgraph.NewBlockDist(n, 2)
 	// Star onto vertex 3: every other vertex has 64 parallel edges to it.
 	var edges []distgraph.Edge
@@ -72,7 +72,7 @@ func TestSemanticsFirstModificationSynchronized(t *testing.T) {
 // and adds from many handler threads never lose updates.
 func TestSemanticsAtomicModifications(t *testing.T) {
 	const n = 64
-	u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 4})
+	u := am.New(4, am.WithThreads(4))
 	d := distgraph.NewBlockDist(n, 4)
 	edges := gen.ER(n, 2000, gen.Weights{}, 3)
 	g := distgraph.Build(d, edges, distgraph.Options{})
@@ -126,7 +126,7 @@ func TestSemanticsAtomicModifications(t *testing.T) {
 // of the source at some point — not necessarily the latest.
 func TestSemanticsRemoteReadsUnsynchronized(t *testing.T) {
 	const n = 8
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 2})
+	u := am.New(2, am.WithThreads(2))
 	d := distgraph.NewBlockDist(n, 2)
 	edges := gen.Path(n, gen.Weights{}, 0)
 	g := distgraph.Build(d, edges, distgraph.Options{})
@@ -172,7 +172,7 @@ func TestSemanticsRemoteReadsUnsynchronized(t *testing.T) {
 func TestSemanticsLockGranularities(t *testing.T) {
 	for _, gran := range []int{1, 8, 1 << 20} {
 		const n = 4
-		u := am.NewUniverse(am.Config{Ranks: 1, ThreadsPerRank: 4})
+		u := am.New(1, am.WithThreads(4))
 		d := distgraph.NewBlockDist(n, 1)
 		var edges []distgraph.Edge
 		for k := 0; k < 200; k++ {

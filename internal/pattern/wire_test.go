@@ -18,7 +18,7 @@ func TestEngineOverWireTransport(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 30}, 13)
 	want := seq.Dijkstra(n, edges, 0)
 
-	u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 2})
+	u := am.New(3, am.WithThreads(2))
 	d := distgraph.NewBlockDist(n, 3)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	lm := pmap.NewLockMap(d, 1)

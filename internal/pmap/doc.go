@@ -21,8 +21,7 @@
 //     pattern engine operates on: word payloads keep messages fixed-size
 //     and coalescible, and single-value conditions can be synchronized with
 //     atomic instructions exactly as §IV-B describes.
-//   - Generic typed maps (Vertex[T], Edge[T]) for arbitrary user data, and
-//     VertexSet for set-valued properties with atomic insert (the paper's
+//   - VertexSet for set-valued properties with atomic insert (the paper's
 //     preds[v].insert(u) modification form).
 //
 // The LockMap realizes §IV-B's lock map abstraction: when a condition

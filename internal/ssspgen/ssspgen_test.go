@@ -38,12 +38,9 @@ func TestGeneratedMatchesEngineAndDijkstra(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{Min: 1, Max: 60}, 123)
 	want := seq.Dijkstra(n, edges, 0)
 
-	for _, cfg := range []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 4, ThreadsPerRank: 2},
-	} {
-		u := am.NewUniverse(cfg)
-		d := distgraph.NewBlockDist(n, cfg.Ranks)
+	for _, sh := range []struct{ ranks, threads int }{{1, 0}, {4, 2}} {
+		u := am.New(sh.ranks, am.WithThreads(sh.threads))
+		d := distgraph.NewBlockDist(n, sh.ranks)
 		g := distgraph.Build(d, edges, distgraph.Options{})
 		dist := pmap.NewVertexWord(d, pattern.Inf)
 		relax := NewRelax(u, g, dist, pmap.WeightMap(g))
@@ -66,7 +63,7 @@ func TestGeneratedMatchesEngineAndDijkstra(t *testing.T) {
 				w = pattern.Inf
 			}
 			if got[v] != w {
-				t.Fatalf("cfg %+v: dist[%d] = %d, want %d", cfg, v, got[v], w)
+				t.Fatalf("%dx%d: dist[%d] = %d, want %d", sh.ranks, sh.threads, v, got[v], w)
 			}
 		}
 	}
@@ -79,7 +76,7 @@ func TestGeneratedRemoteInvoke(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 20}, 77)
 	src := distgraph.Vertex(n - 1) // owned by the last rank under block dist
 	want := seq.Dijkstra(n, edges, src)
-	u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 1})
+	u := am.New(4, am.WithThreads(1))
 	d := distgraph.NewBlockDist(n, 4)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	dist := pmap.NewVertexWord(d, pattern.Inf)
@@ -116,7 +113,7 @@ func TestGeneratedVsEngineTiming(t *testing.T) {
 	n, edges := gen.RMAT(10, 8, gen.Weights{Min: 1, Max: 60}, 7)
 
 	// Generated.
-	u1 := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+	u1 := am.New(4, am.WithThreads(2))
 	d1 := distgraph.NewBlockDist(n, 4)
 	g1 := distgraph.Build(d1, edges, distgraph.Options{})
 	dist1 := pmap.NewVertexWord(d1, pattern.Inf)
@@ -135,7 +132,7 @@ func TestGeneratedVsEngineTiming(t *testing.T) {
 	})
 
 	// Engine.
-	u2 := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+	u2 := am.New(4, am.WithThreads(2))
 	d2 := distgraph.NewBlockDist(n, 4)
 	g2 := distgraph.Build(d2, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u2, g2, pmap.NewLockMap(d2, 1), pattern.DefaultPlanOptions())

@@ -31,9 +31,8 @@ type ssspRig struct {
 	relax *pattern.BoundAction
 }
 
-func newSSSPRig(cfg am.Config, n int, edges []distgraph.Edge) *ssspRig {
-	u := am.NewUniverse(cfg)
-	dist := distgraph.NewBlockDist(n, cfg.Ranks)
+func newSSSPRig(u *am.Universe, n int, edges []distgraph.Edge) *ssspRig {
+	dist := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	lm := pmap.NewLockMap(dist, 1)
 	eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
@@ -72,12 +71,12 @@ func seedBody(rig *ssspRig, src distgraph.Vertex) func(r *am.Rank) []distgraph.V
 func TestFixedPointSSSP(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 21)
 	want := seq.Dijkstra(n, edges, 0)
-	for _, cfg := range []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 4, ThreadsPerRank: 2},
-		{Ranks: 2, ThreadsPerRank: 1, Detector: am.DetectorFourCounter},
+	for _, newU := range []func() *am.Universe{
+		func() *am.Universe { return am.New(1) },
+		func() *am.Universe { return am.New(4, am.WithThreads(2)) },
+		func() *am.Universe { return am.New(2, am.WithThreads(1), am.WithDetector(am.DetectorFourCounter)) },
 	} {
-		rig := newSSSPRig(cfg, n, edges)
+		rig := newSSSPRig(newU(), n, edges)
 		fp := strategy.NewFixedPoint(rig.relax)
 		seeds := seedBody(rig, 0)
 		rig.u.Run(func(r *am.Rank) {
@@ -93,11 +92,8 @@ func TestDeltaSSSP(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 33)
 	want := seq.Dijkstra(n, edges, 0)
 	for _, delta := range []int64{1, 5, 25, 1000000} {
-		for _, cfg := range []am.Config{
-			{Ranks: 1, ThreadsPerRank: 1},
-			{Ranks: 3, ThreadsPerRank: 2},
-		} {
-			rig := newSSSPRig(cfg, n, edges)
+		for _, sh := range []struct{ ranks, threads int }{{1, 1}, {3, 2}} {
+			rig := newSSSPRig(am.New(sh.ranks, am.WithThreads(sh.threads)), n, edges)
 			d := strategy.NewDelta(rig.u, rig.relax, rig.dmap, delta)
 			seeds := seedBody(rig, 0)
 			rig.u.Run(func(r *am.Rank) {
@@ -120,8 +116,7 @@ func TestDeltaDistributedSSSP(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 44)
 	want := seq.Dijkstra(n, edges, 0)
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		cfg := am.Config{Ranks: 2, ThreadsPerRank: 2, Detector: det}
-		rig := newSSSPRig(cfg, n, edges)
+		rig := newSSSPRig(am.New(2, am.WithThreads(2), am.WithDetector(det)), n, edges)
 		dd := strategy.NewDeltaDistributed(rig.u, rig.relax, rig.dmap, 20, 3)
 		seeds := seedBody(rig, 0)
 		rig.u.Run(func(r *am.Rank) {
@@ -137,7 +132,7 @@ func TestOnceReachesFixedPoint(t *testing.T) {
 	// cap action: if x > 0 then x = x - 1; Once returns true while any
 	// vertex still decrements.
 	const n = 12
-	u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 1})
+	u := am.New(3, am.WithThreads(1))
 	dist := distgraph.NewBlockDist(n, 3)
 	g := distgraph.Build(dist, gen.Path(n, gen.Weights{}, 0), distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(dist, 1), pattern.DefaultPlanOptions())
@@ -190,7 +185,7 @@ func TestOnceReachesFixedPoint(t *testing.T) {
 }
 
 func TestBucketsBasics(t *testing.T) {
-	u := am.NewUniverse(am.Config{Ranks: 1})
+	u := am.New(1)
 	u.Run(func(r *am.Rank) {
 		b := strategy.NewBuckets(r, 10)
 		if b.MinNonEmpty() != strategy.NoBucket {
@@ -247,7 +242,7 @@ func TestDeltaLightHeavyStrategy(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 80}, 55)
 	want := seq.Dijkstra(n, edges, 0)
 	const delta = 20
-	u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 2})
+	u := am.New(3, am.WithThreads(2))
 	d := distgraph.NewBlockDist(n, 3)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
@@ -284,7 +279,7 @@ func TestDeltaLightHeavyStrategy(t *testing.T) {
 // Property: pops return exactly the inserted multiset per bucket, across
 // random insert/pop interleavings.
 func TestBucketsQuick(t *testing.T) {
-	u := am.NewUniverse(am.Config{Ranks: 1})
+	u := am.New(1)
 	u.Run(func(r *am.Rank) {
 		f := func(keys []uint16) bool {
 			b := strategy.NewBuckets(r, 7)
@@ -321,7 +316,7 @@ func TestDeltaSweepAgainstDijkstra(t *testing.T) {
 		edges := gen.ER(64, 400, gen.Weights{Min: 1, Max: 9}, seed)
 		want := seq.Dijkstra(64, edges, 0)
 		for _, delta := range []int64{1, 3, 9, 100} {
-			rig := newSSSPRig(am.Config{Ranks: 2, ThreadsPerRank: 1}, 64, edges)
+			rig := newSSSPRig(am.New(2, am.WithThreads(1)), 64, edges)
 			d := strategy.NewDelta(rig.u, rig.relax, rig.dmap, delta)
 			seeds := seedBody(rig, 0)
 			rig.u.Run(func(r *am.Rank) {
