@@ -332,9 +332,7 @@ func (u *Universe) finishEpoch() bool {
 		return false
 	}
 	if u.park {
-		for _, r := range u.ranks {
-			r.inbox.Wake()
-		}
+		u.wakeMains()
 	}
 	if u.mp != nil {
 		if err := u.mp.plane.AnnounceFinish(); err != nil {

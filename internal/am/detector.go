@@ -36,11 +36,13 @@ func (u *Universe) atomicQuiesced() bool {
 
 // settle finishes the epoch if the universe is quiescent. The progress loop
 // calls it on every quiet pass; on a parking universe that loop sleeps, so the
-// two events that can make the universe quiescent call it too: a handler
-// whose completion takes pending to 0 (both deliver paths in message.go) and
-// a body participant going idle (runBodies; in the one-body path the
-// participant is the rank main, whose quiet pass comes before it parks).
-// Whoever finishes wakes the parked mains (finishEpoch).
+// events that can make the universe quiescent call it too: a handler whose
+// completion takes pending to 0 (both deliver paths in message.go), a body
+// participant going idle (runBodies; in the one-body path the participant is
+// the rank main, whose quiet pass comes before it parks), and on a reliable
+// universe whoever takes a rank's count of unacknowledged and delayed
+// envelopes to 0 (relAdd: the last ack, or the release of the last delayed
+// envelope). Whoever finishes wakes the parked mains (finishEpoch).
 //
 // A handler thread may still be inside this call when the epoch it served
 // has finished by another path. Its check must not land in the next epoch,
@@ -50,6 +52,15 @@ func (u *Universe) atomicQuiesced() bool {
 func (u *Universe) settle() {
 	if u.atomicQuiesced() {
 		u.finishEpoch()
+	}
+}
+
+// wakeMains wakes every parked rank main of this process to re-check its
+// condition (queue.Wake): the epoch finished or is aborting, or the
+// retransmit clock ticked.
+func (u *Universe) wakeMains() {
+	for _, r := range u.localRanks() {
+		r.inbox.Wake()
 	}
 }
 

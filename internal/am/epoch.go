@@ -255,10 +255,12 @@ func (r *Rank) runBody(tid int, body func(int, *Epoch)) {
 // from the body participants'.
 //
 // A pass that finds nothing to do ends in idle on a polling universe. On a
-// parking one (Universe.park) it blocks instead, until a push into the inbox
-// or the end of the epoch wakes it: the event that makes the universe
-// quiescent finishes the epoch itself (settle) and finishEpoch wakes every
-// parked main, so no check here has to be repeated to be seen.
+// parking one (Universe.park) it blocks instead, until a push into the inbox,
+// the end of the epoch (finished or aborting) or a tick of the retransmit
+// clock wakes it: the event that makes the universe quiescent finishes the
+// epoch itself (settle), finishEpoch and raiseFault wake every parked main,
+// and a tick is what the next pass's pollLinks needs, so no check here has
+// to be repeated to be seen.
 func (r *Rank) progressUntilDone() {
 	r = r.facet()
 	u := r.u
@@ -270,6 +272,7 @@ func (r *Rank) progressUntilDone() {
 			runtime.Gosched()
 			continue
 		}
+		tick := u.clock.tick() // read before the pass: a tick during it is not slept through
 		flushed := r.flushAll()
 		worked := r.drainSome(64)
 		if flushed || worked {
@@ -288,7 +291,7 @@ func (r *Rank) progressUntilDone() {
 		r.checkWatchdog()
 		r.quietPasses++
 		if u.park {
-			r.inbox.Await(func() bool { return u.epochState.Load() != epochRunning })
+			r.inbox.Await(func() bool { return u.epochState.Load() != epochRunning || u.clock.tick() != tick })
 			continue
 		}
 		quiet++
@@ -419,16 +422,18 @@ const idlePark = 20 * time.Microsecond
 // idleSpins is how many quiet passes in a row yield before the loop parks.
 const idleSpins = 16
 
-// idle gives up the processor after a progress-loop pass that found nothing
-// to do. On the in-process transport that is a plain yield. On a socket
-// transport a yield is not enough: a yielding goroutine stays runnable, so no
-// processor ever runs out of work, and the Go scheduler polls the network
-// only when one does (or from sysmon, every 10 ms) — the reader goroutines
-// holding data and acks would wait for that while the senders' retransmit
-// clocks run. Parking briefly lets a processor go idle and poll. quiet counts
-// the caller's consecutive passes without work; the first idleSpins of them
-// only yield, because an epoch with nothing to wait for ends within a few
-// passes and parking at once would add the sleep to every such epoch.
+// idle gives up the processor after a pass that found nothing to do: a
+// progress-loop pass on a universe that polls (not Universe.park), or a spin
+// of TryFinish's confirmation loop. On the in-process transport that is a
+// plain yield. On a socket transport a yield is not enough: a yielding
+// goroutine stays runnable, so no processor ever runs out of work, and the Go
+// scheduler polls the network only when one does (or from sysmon, every
+// 10 ms) — the reader goroutines holding data and acks would wait for that
+// while the senders' retransmit clocks run. Parking briefly lets a processor
+// go idle and poll. quiet counts the caller's consecutive passes without
+// work; the first idleSpins of them only yield, because an epoch with nothing
+// to wait for ends within a few passes and parking at once would add the
+// sleep to every such epoch.
 func (r *Rank) idle(quiet int) {
 	if r.u.net.shared() || quiet < idleSpins {
 		runtime.Gosched()

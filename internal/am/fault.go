@@ -20,7 +20,9 @@ import "fmt"
 //
 // All probabilities are in [0, 1]. Zero-valued rates inject nothing but
 // still exercise the full reliable-delivery protocol (sequence numbers,
-// acks, dedup), which is how the protocol's overhead is measured (E16).
+// acks, dedup) on every link between two ranks, which is how the protocol's
+// overhead is measured (E16). A rank's mail to itself crosses no link, and
+// is sequenced only under a plan that injects link faults.
 type FaultPlan struct {
 	// Seed drives every fault decision. Two universes configured with the
 	// same plan see the same per-link fault schedule.
@@ -105,6 +107,14 @@ func (fp *FaultPlan) withDefaults() *FaultPlan {
 		}
 	}
 	return &c
+}
+
+// injectsLinkFaults reports whether the plan perturbs links: any drop,
+// duplication, delay or corruption rate, or a severed link. Only then is a
+// rank's link to itself sequenced like the others (MsgType.ship), so the
+// injector perturbs exactly the envelopes it always did.
+func (fp *FaultPlan) injectsLinkFaults() bool {
+	return fp.Drop > 0 || fp.Dup > 0 || fp.Delay > 0 || fp.Corrupt > 0 || len(fp.DeadLinks) > 0
 }
 
 // delayTicks is the mean hold time of a delayed envelope, in sender progress

@@ -18,7 +18,8 @@ type msgType struct {
 	// the receiver holds a decoded copy and the sender may recycle the
 	// original batch once it is no longer reachable (trusted mode: after
 	// encode; reliable mode: when the last ack or in-flight retransmit
-	// releases it).
+	// releases it). An unsequenced self-envelope of a reliable universe is
+	// the exception: it ships by reference and its receiver recycles it.
 	wire bool
 	// deliver runs the handler for every message of an envelope payload;
 	// lin is the batch-aligned lineage-id slice (nil when lineage is off).
@@ -307,7 +308,8 @@ func (t *MsgType[T]) WithReduction(key func(m T) uint64, combine func(old, incom
 // with the wire checksum, accounted in Stats.WireBytes, and decoded on
 // arrival. This both validates that the message type is wire-safe (a
 // distributed deployment could ship it as-is) and measures true serialized
-// sizes.
+// sizes. The one batch that is not encoded is a reliable universe's mail
+// from a rank to itself, which crosses no network (see ship).
 func (t *MsgType[T]) WithCodec(c Codec[T]) *MsgType[T] {
 	if t.u.frozen.Load() {
 		panic("am: WithCodec after Run")
@@ -442,7 +444,10 @@ func (t *MsgType[T]) SendTo(r *Rank, dest int, m T) {
 // FaultPlan) the envelope goes straight onto the destination rank's inbox;
 // in reliable mode it is assigned a sequence number, recorded as
 // outstanding until acknowledged, and transmitted through the fault
-// injector (transmit).
+// injector (transmit) — except a rank's mail to itself under a plan that
+// injects no link fault (Universe.selfLocal), which crosses no network: it
+// goes onto the rank's own inbox by reference and unsequenced, with no
+// encode, checksum, outstanding entry, ack or dedup.
 func (t *MsgType[T]) ship(r *Rank, dest int, batch []T, lin []uint64) {
 	u := r.u
 	r.st.Inc(cEnvelopes)
@@ -463,6 +468,14 @@ func (t *MsgType[T]) ship(r *Rank, dest int, batch []T, lin []uint64) {
 		u.push(r.id, dest, envelope{
 			typeID: t.id, src: int32(r.id), gen: u.epochGen.Load(),
 			qid: u.curQuery.Load(), data: data, lin: lin,
+		})
+		return
+	}
+	if dest == r.id && u.selfLocal {
+		r.st.Add(cBytesSent, t.wireSize(len(batch)))
+		r.inbox.Push(envelope{
+			typeID: t.id, src: int32(r.id), gen: u.epochGen.Load(),
+			qid: u.curQuery.Load(), data: batch, lin: lin,
 		})
 		return
 	}

@@ -8,28 +8,38 @@ import (
 	"time"
 )
 
-// TestParkOnlyWhenTrusted pins which universes park their idle rank mains and
-// which keep the clocked idle loop, beside the co-resident predicate that
-// shares the trusted-mode conjunction.
-func TestParkOnlyWhenTrusted(t *testing.T) {
+// TestParkPolicy pins which universes park their idle rank mains and which
+// keep the clocked idle loop — park is atomic ∧ no watchdog ∧ (trusted ∨
+// clocked transport) — beside the co-resident predicate that shares the
+// trusted-mode conjunction, and which of the parking ones run a retransmit
+// clock (the reliable ones).
+func TestParkPolicy(t *testing.T) {
+	unix := func() Transport { return SockTransport(SockOptions{Network: "unix"}) }
 	cases := []struct {
-		name             string
-		cfg              config
-		park, coresident bool
+		name                    string
+		cfg                     config
+		park, coresident, clock bool
 	}{
-		{"chan", config{Ranks: 2, ThreadsPerRank: 1}, true, true},
-		{"lineage", config{Ranks: 2, TraceCapacity: 64}, true, false},
-		{"traced", config{Ranks: 2, TraceCapacity: 64, Lineage: LineageOff}, true, true},
-		{"fault-plan", config{Ranks: 2, FaultPlan: &FaultPlan{}}, false, false},
-		{"recovery", config{Ranks: 2, Recovery: true}, false, false},
-		{"four-counter", config{Ranks: 2, Detector: DetectorFourCounter}, false, true},
-		{"watchdog", config{Ranks: 2, Watchdog: time.Second}, false, true},
-		{"sock", config{Ranks: 2, Transport: SockTransport(SockOptions{Network: "unix"})}, false, false},
+		{"chan", config{Ranks: 2, ThreadsPerRank: 1}, true, true, false},
+		{"lineage", config{Ranks: 2, TraceCapacity: 64}, true, false, false},
+		{"traced", config{Ranks: 2, TraceCapacity: 64, Lineage: LineageOff}, true, true, false},
+		{"unix", config{Ranks: 2, Transport: unix()}, true, false, true},
+		{"tcp", config{Ranks: 2, Transport: SockTransport(SockOptions{Network: "tcp"})}, true, false, true},
+		{"unix+recovery", config{Ranks: 2, Recovery: true, Transport: unix()}, true, false, true},
+		{"unix+fault-plan", config{Ranks: 2, FaultPlan: &FaultPlan{Drop: 0.1}, Transport: unix()}, true, false, true},
+		{"four-counter", config{Ranks: 2, Detector: DetectorFourCounter}, false, true, false},
+		{"unix+four-counter", config{Ranks: 2, Detector: DetectorFourCounter, Transport: unix()}, false, false, false},
+		{"watchdog", config{Ranks: 2, Watchdog: time.Second}, false, true, false},
+		{"unix+watchdog", config{Ranks: 2, Watchdog: time.Second, Transport: unix()}, false, false, false},
+		// The in-process reliable layer's retransmit clock ticks per poll.
+		{"chan+fault-plan", config{Ranks: 2, FaultPlan: &FaultPlan{}}, false, false, false},
+		{"chan+recovery", config{Ranks: 2, Recovery: true}, false, false, false},
 	}
 	for _, c := range cases {
 		u := newUniverse(c.cfg)
-		if u.park != c.park || u.coresident != c.coresident {
-			t.Errorf("%s: park=%v coresident=%v, want %v %v", c.name, u.park, u.coresident, c.park, c.coresident)
+		if u.park != c.park || u.coresident != c.coresident || (u.clock != nil) != c.clock {
+			t.Errorf("%s: park=%v coresident=%v clock=%v, want %v %v %v",
+				c.name, u.park, u.coresident, u.clock != nil, c.park, c.coresident, c.clock)
 		}
 	}
 }
@@ -66,6 +76,13 @@ func linger(epoch int) {
 //     use (plain, or lineage when tracing is on) sees it;
 //   - and in every epoch whoever finishes must wake the parked mains.
 //
+// The unix column runs fewer epochs over Unix-domain sockets, where two more
+// sites are the only ones that can end some epochs: the ack that empties a
+// sender's outstanding table, which arrives after the last handler of an
+// unlingering chain and is often taken by a handler thread (the settle in
+// relAdd), and, under a plan that drops envelopes, the retransmit clock's
+// tick that wakes the parked mains to retransmit a lost one.
+//
 // Removing any one of those sites makes this test hang, which the timeout
 // turns into a failure naming the configuration and epoch.
 func TestParkWakeMatrix(t *testing.T) {
@@ -90,6 +107,29 @@ func TestParkWakeMatrix(t *testing.T) {
 			}
 		}
 	}
+	for _, threads := range []int{0, 1, 2} {
+		for _, bodies := range []int{1, 3} {
+			for _, plan := range []string{"zero", "drop"} {
+				name := fmt.Sprintf("unix/2x%d/bodies=%d/plan=%s", threads, bodies, plan)
+				t.Run(name, func(t *testing.T) {
+					requireLoopback(t)
+					cfg := config{Ranks: 2, ThreadsPerRank: threads, Transport: SockTransport(fastSockOptions("unix"))}
+					// Socket epochs wait on real time, which the race detector
+					// does not slow down, so their count does not shrink with it.
+					n := 2000 / 8
+					if testing.Short() {
+						n /= 4
+					}
+					if plan == "drop" {
+						// Every drop waits out a retransmit timeout.
+						cfg.FaultPlan = &FaultPlan{Seed: uint64(7 + threads + bodies), Drop: 0.05}
+						n /= 3
+					}
+					runParkMatrix(t, cfg, bodies, n, timeout)
+				})
+			}
+		}
+	}
 }
 
 func runParkMatrix(t *testing.T, cfg config, bodies, epochs int, timeout time.Duration) {
@@ -110,6 +150,9 @@ func runParkMatrix(t *testing.T, cfg config, bodies, epochs int, timeout time.Du
 			linger(int(epoch.Load()))
 		}
 	})
+	if u.fp != nil {
+		hop.WithWire()
+	}
 	n := cfg.Ranks
 	chain := int32(2 * n) // a chain of 2n+1 handlers crosses every rank twice
 	// expect returns how many handlers epoch e runs.
@@ -143,7 +186,7 @@ func runParkMatrix(t *testing.T, cfg config, bodies, epochs int, timeout time.Du
 						if first {
 							hop.SendTo(r, 1%n, parkHop{TTL: chain, Linger: true})
 						}
-					case 2: // every participant's chain, racing each other
+					case 2: // every participant's chain, racing each other (on sockets, an ack ends it)
 						hop.SendTo(r, (r.ID()+tid)%n, parkHop{TTL: int32(n)})
 					case 3: // a lingering chain races a lingering participant
 						if first {
@@ -176,27 +219,45 @@ func runParkMatrix(t *testing.T, cfg config, bodies, epochs int, timeout time.Du
 
 // TestIdleRankDoesNotSpin: while rank 0's handler sleeps 20 ms, rank 1 has
 // nothing to do. A parking rank main makes a pass or two and blocks until the
-// epoch ends; a polling one would yield thousands of times.
+// epoch ends; a polling one would yield thousands of times. Over a socket,
+// rank 1 also wakes on the retransmit clock's ticks until its envelope is
+// acknowledged, so its passes are bounded by the ticks in 20 ms.
 func TestIdleRankDoesNotSpin(t *testing.T) {
-	for _, threads := range []int{0, 1} {
-		u := newUniverse(config{Ranks: 2, ThreadsPerRank: threads})
-		slow := Register(u, "slow", func(r *Rank, _ int64) { time.Sleep(20 * time.Millisecond) })
-		var passes int64
-		if err := u.Run(func(r *Rank) {
-			r.Epoch(func(ep *Epoch) {
-				if r.ID() == 1 {
-					slow.SendTo(r, 0, 0)
+	const nap = 20 * time.Millisecond
+	for _, network := range []string{"chan", "unix"} {
+		for _, threads := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%s/threads=%d", network, threads), func(t *testing.T) {
+				cfg := config{Ranks: 2, ThreadsPerRank: threads}
+				bound := int64(4)
+				if network == "unix" {
+					requireLoopback(t)
+					opt := SockOptions{Network: "unix"}
+					cfg.Transport = SockTransport(opt)
+					bound += int64(nap / opt.withDefaults().TickInterval)
+				}
+				u := newUniverse(cfg)
+				slow := Register(u, "slow", func(r *Rank, _ int64) { time.Sleep(nap) })
+				if network == "unix" {
+					slow.WithWire()
+				}
+				var passes int64
+				if err := u.Run(func(r *Rank) {
+					r.Epoch(func(ep *Epoch) {
+						if r.ID() == 1 {
+							slow.SendTo(r, 0, 0)
+						}
+					})
+					if r.ID() == 1 {
+						passes = r.quietPasses
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%d quiet passes", passes)
+				if passes > bound {
+					t.Errorf("idle rank 1 made %d quiet progress passes during a %v handler, want <= %d", passes, nap, bound)
 				}
 			})
-			if r.ID() == 1 {
-				passes = r.quietPasses
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("threads=%d: %d quiet passes", threads, passes)
-		if passes > 4 {
-			t.Errorf("threads=%d: idle rank 1 made %d quiet progress passes during a 20 ms handler, want <= 4", threads, passes)
 		}
 	}
 }

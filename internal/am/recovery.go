@@ -172,6 +172,10 @@ func (u *Universe) raiseFault(f RankFault) bool {
 	u.faultMu.Lock()
 	u.fault = &f
 	u.faultMu.Unlock()
+	if u.park {
+		// Parked mains wait for the epoch to leave running, as for a finish.
+		u.wakeMains()
+	}
 	u.ranks[0].st.Inc(cEpochAborts)
 	u.trace(f.Rank, TraceEpochAbort, f.Epoch, int64(f.Kind))
 	// Every fault class converges here — injected crash, handler panic, dead

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"declpat/internal/obs"
 )
@@ -14,11 +15,16 @@ import (
 //
 // Sender side: each (dest, type) link assigns consecutive sequence numbers
 // to shipped envelopes and keeps every envelope in an outstanding table
-// until the receiver acknowledges it. Retransmission is poll-driven: every
-// flushAll on the sending rank advances that rank's link tick and
-// retransmits overdue envelopes with exponential backoff — no timer
-// goroutines exist, so nothing can fire after Universe.Run's teardown
-// (see the shutdown audit in universe.go).
+// until the receiver acknowledges it. Retransmission is poll-driven: a
+// flushAll on the sending rank advances that rank's link tick (at most once
+// per tick of the transport's clock) and retransmits overdue envelopes with
+// exponential backoff. No goroutine retransmits: on a parking universe the
+// retransmit clock only wakes the parked rank mains to poll, so nothing can
+// send after Universe.Run's teardown (see the shutdown audit in universe.go).
+//
+// A rank's link to itself is not a network link: unless the plan injects
+// link faults, ship hands such an envelope to the rank's own inbox
+// unsequenced (seq 0), and none of this applies to it.
 //
 // Receiver side: each (src, type) link tracks the contiguous prefix of
 // delivered sequence numbers plus a set of out-of-order arrivals (delay
@@ -256,7 +262,11 @@ func (r *Rank) sendAck(src int, typ int32, seq uint64, salt uint64) {
 }
 
 // handleAck clears the acknowledged envelope from the sender's outstanding
-// table. Duplicate acks (re-acks of suppressed retransmits) are no-ops.
+// table. Duplicate acks (re-acks of suppressed retransmits) are no-ops. On a
+// parking universe the ack that takes this rank's count of unacknowledged
+// envelopes to 0 checks for quiescence (relAdd → settle): the receiver
+// acknowledges before it runs the handlers, but the ack crosses the network
+// back, so it is usually the last event of an epoch, after the last handler.
 func (r *Rank) handleAck(e envelope) {
 	ab := e.data.(ackBody)
 	l := &r.send[int(e.src)][ab.typ]
@@ -272,8 +282,8 @@ func (r *Rank) handleAck(e envelope) {
 			// envelope's RTT includes the recovery latency.
 			r.u.ackRTT.Observe(r.id, obs.Now()-o.sentNs)
 		}
-		r.relAdd(-1)
 		o.release(r.u.types[ab.typ])
+		r.relAdd(-1)
 	}
 }
 
@@ -300,10 +310,34 @@ func (u *Universe) backoffTicks(src, dest, typ int, seq uint64, attempts int) ui
 	return t
 }
 
+// claimTick reports whether this rank's link tick may advance now, and if so
+// claims the advance. Real-latency backends pace the tick: a spinning
+// progress loop polls millions of times a second, which would turn the
+// tick-denominated retransmit timeouts into microseconds and retransmit every
+// frame long before a socket round trip completes. A parking universe's tick
+// is the retransmit clock's generation, which moves once per interval and
+// wakes the mains that read it; any other real-latency universe's is one
+// interval of monotonic time. In process the tick advances on every poll.
+func (r *Rank) claimTick() bool {
+	u := r.u
+	var now, step int64
+	switch {
+	case u.clock != nil:
+		now, step = int64(u.clock.gen.Load()), 1
+	case u.tickIntNs > 0:
+		now, step = obs.Now(), u.tickIntNs
+	default:
+		return true
+	}
+	last := r.lastTick.Load()
+	return now-last >= step && r.lastTick.CompareAndSwap(last, now)
+}
+
 // pollLinks advances this rank's link tick, releases matured delayed
 // envelopes, and retransmits overdue unacknowledged envelopes. It reports
-// whether it moved anything. Called from flushAll, i.e. from epoch bodies
-// and progress loops only — never from a detached goroutine.
+// whether it moved anything. Called from flushAll, i.e. from epoch bodies,
+// progress loops and, on a parking universe, handler threads after a
+// delivery; the retransmit clock never calls it, it only wakes the mains.
 func (r *Rank) pollLinks() bool {
 	u := r.u
 	if u.fp == nil || r.relPendingNow() == 0 {
@@ -312,16 +346,8 @@ func (r *Rank) pollLinks() bool {
 	if u.epochState.Load() == epochAborting {
 		return false // the epoch is rolling back; recovery resets the links
 	}
-	if ivl := u.tickIntNs; ivl > 0 {
-		// Real-latency backends pace the tick: a spinning progress loop
-		// polls millions of times a second, which would turn the
-		// tick-denominated retransmit timeouts into microseconds and
-		// retransmit every frame long before a socket round trip completes.
-		nowNs := obs.Now()
-		last := r.lastTickNs.Load()
-		if nowNs-last < ivl || !r.lastTickNs.CompareAndSwap(last, nowNs) {
-			return false
-		}
+	if !r.claimTick() {
+		return false
 	}
 	now := r.linkTick.Add(1)
 	worked := false
@@ -420,4 +446,90 @@ func (u *Universe) totalRelPending() int64 {
 		return 0
 	}
 	return u.relPending.Value()
+}
+
+// retransmitClock is the tick of a parking reliable universe. Its mains sleep
+// in inbox.Await instead of polling, so nothing would run pollLinks when a
+// frame is lost and no push follows: once per tick interval, while some
+// envelope is unacknowledged or delayed anywhere, the clock bumps gen and
+// wakes every rank main, whose Await condition reads gen, and the pass that
+// follows polls the links (claimTick counts one link tick per generation).
+// It sends nothing and stops before the transport closes (Universe.Run).
+//
+// The ticker runs only while armed. A rise of any rank's unacknowledged count
+// arms it (relAdd → arm), and it disarms at a tick that finds the count 0
+// everywhere. A sender raises the count before it reads armed, and the clock
+// clears armed before it re-reads the count, so one of the two sees the
+// other: an envelope is never left outstanding under a stopped clock.
+type retransmitClock struct {
+	gen   atomic.Uint64
+	armed atomic.Bool
+	kick  chan struct{} // capacity 1: the arm that started a stopped ticker
+	stop  chan struct{}
+	done  chan struct{}
+}
+
+func newRetransmitClock() *retransmitClock {
+	return &retransmitClock{kick: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{})}
+}
+
+// tick reads the clock's generation (0 on a universe without a clock).
+func (c *retransmitClock) tick() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.gen.Load()
+}
+
+// arm starts the ticker if it is stopped. No-op on a universe without a clock.
+func (c *retransmitClock) arm() {
+	if c == nil || c.armed.Load() || !c.armed.CompareAndSwap(false, true) {
+		return
+	}
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
+}
+
+// run is the clock's goroutine: it waits to be armed, then ticks every tick
+// interval of the transport until a tick finds nothing outstanding.
+func (c *retransmitClock) run(u *Universe) {
+	defer close(c.done)
+	for {
+		select {
+		case <-c.stop:
+			return
+		case <-c.kick:
+		}
+		t := time.NewTicker(time.Duration(u.tickIntNs))
+		for c.armed.Load() {
+			select {
+			case <-c.stop:
+				t.Stop()
+				return
+			case <-t.C:
+			}
+			if u.totalRelPending() == 0 {
+				c.armed.Store(false)
+				if u.totalRelPending() == 0 {
+					continue // the loop condition re-reads armed: a sender may have armed since
+				}
+				c.armed.Store(true)
+			}
+			c.gen.Add(1)
+			u.wakeMains()
+		}
+		t.Stop()
+	}
+}
+
+// halt stops the clock and joins its goroutine. No-op on a universe without
+// a clock.
+func (c *retransmitClock) halt() {
+	if c == nil {
+		return
+	}
+	close(c.stop)
+	<-c.done
 }

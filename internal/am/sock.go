@@ -104,8 +104,7 @@ type SockOptions struct {
 	ReconnectMax  time.Duration
 	// TickInterval paces the retransmit clock (Transport.tickInterval): the
 	// link tick advances at most once per interval, so RetransmitBase ticks
-	// correspond to real socket latency. 0 selects the default (1ms);
-	// negative restores the in-process one-tick-per-poll behavior.
+	// correspond to real socket latency. <= 0 selects the default (1ms).
 	TickInterval time.Duration
 	// Faults, when non-nil, injects deterministic connection-level failures
 	// (see SockFaultPlan).
@@ -128,11 +127,8 @@ func (o SockOptions) withDefaults() SockOptions {
 	if o.ReconnectMax <= 0 {
 		o.ReconnectMax = 100 * time.Millisecond
 	}
-	switch {
-	case o.TickInterval == 0:
+	if o.TickInterval <= 0 {
 		o.TickInterval = time.Millisecond
-	case o.TickInterval < 0:
-		o.TickInterval = 0
 	}
 	return o
 }
@@ -575,7 +571,9 @@ func (t *sockTransport) deliverFrame(r *Rank, src int, body []byte) bool {
 		sum := binary.LittleEndian.Uint64(body[29:])
 		nlin := binary.LittleEndian.Uint32(body[37:])
 		b := body[41:]
-		if typ < 0 || int(typ) >= len(u.types) || uint64(nlin)*8+4 > uint64(len(b)) {
+		// Every envelope that crosses a link is sequenced; seq 0 would
+		// bypass the receiver's dedup window (deliverEnvelope).
+		if seq == 0 || typ < 0 || int(typ) >= len(u.types) || uint64(nlin)*8+4 > uint64(len(b)) {
 			return false
 		}
 		var lin []uint64
@@ -615,8 +613,9 @@ func (t *sockTransport) deliverFrame(r *Rank, src int, body []byte) bool {
 // mode drops the frame and lets the reliable layer recover it.
 func (t *sockTransport) send(src, dest int, e envelope) {
 	if src == dest {
-		// Self-sends bypass the sockets; the delivery reference transfers
-		// to the receiver as on the in-process backend.
+		// Self-sends bypass the sockets (a sequenced one, under a plan that
+		// injects link faults, still reaches here); the delivery reference
+		// transfers to the receiver as on the in-process backend.
 		t.u.ranks[dest].inbox.Push(e)
 		return
 	}

@@ -21,8 +21,10 @@ func BenchmarkTransport(b *testing.B) {
 				cfg.Transport = mkTransport()
 			} else {
 				// The channel floor still exercises the codec layer so the
-				// comparison isolates the socket hop, not the encoding.
-				cfg.FaultPlan = &FaultPlan{Seed: 1}
+				// comparison isolates the socket hop, not the encoding. Its
+				// retransmit clock ticks per poll, and a retransmit encodes the
+				// batch again: a timeout no ack misses keeps wire_B the codec's.
+				cfg.FaultPlan = &FaultPlan{Seed: 1, RetransmitBase: 1 << 20}
 			}
 			u := newUniverse(cfg)
 			var sum atomic.Int64

@@ -129,7 +129,8 @@ func TestSockHandshakeRejects(t *testing.T) {
 	payload, _ := mt.codec.Append(nil, []chatterPayload{{ID: 7}})
 	data := frame.Begin(nil, frameData)
 	data = binary.LittleEndian.AppendUint32(data, uint32(mt.id))
-	data = append(data, make([]byte, 8+8+8)...) // seq, gen, qid
+	data = binary.LittleEndian.AppendUint64(data, 1) // seq (a link's first)
+	data = append(data, make([]byte, 8+8)...)        // gen, qid
 	data = binary.LittleEndian.AppendUint64(data, frame.Checksum(payload))
 	data = binary.LittleEndian.AppendUint32(data, 0) // no lineage
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(payload)))
@@ -450,5 +451,94 @@ func TestSockDialFailureEscalatesAndRecovers(t *testing.T) {
 	}
 	if !sawTransportFault {
 		t.Fatalf("exhausted reconnect budget must raise FaultTransport; fault log: %v", u.FaultLog())
+	}
+}
+
+// TestSelfSendsStayLocal: on a socket universe whose plan injects no link
+// fault, a rank's mail to itself crosses no network. Each rank's body and
+// handlers mail both itself and its peer, one message per envelope. Only the
+// cross-rank envelopes are acknowledged and encoded (WireBytes), no self-link
+// is ever sequenced, let alone retransmitted, and the results are those of
+// the in-process transport bit for bit. The same universe with Drop > 0 still
+// sequences its self-links, so the injector perturbs every link it did.
+func TestSelfSendsStayLocal(t *testing.T) {
+	requireLoopback(t)
+	const per = 64
+	run := func(t *testing.T, cfg config) ([2]int64, *Universe, *MsgType[chatterPayload]) {
+		t.Helper()
+		var sums [2]int64
+		u := newUniverse(cfg)
+		var mt *MsgType[chatterPayload]
+		mt = Register(u, "self", func(r *Rank, m chatterPayload) {
+			atomic.AddInt64(&sums[r.ID()], m.ID*(m.Hop+1))
+			if m.Hop == 0 {
+				mt.SendTo(r, r.ID(), chatterPayload{ID: m.ID, Hop: 1})
+				mt.SendTo(r, 1-r.ID(), chatterPayload{ID: m.ID, Hop: 2})
+			}
+		}).WithWire()
+		if err := u.Run(func(r *Rank) {
+			r.Epoch(func(ep *Epoch) {
+				for i := int64(1); i <= per; i++ {
+					mt.SendTo(r, r.ID(), chatterPayload{ID: i})
+					mt.SendTo(r, 1-r.ID(), chatterPayload{ID: 1000 + i})
+				}
+			})
+		}); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return sums, u, mt
+	}
+	base := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1}
+	want, _, _ := run(t, base)
+
+	// The bodies mail per messages to self and per across on each rank, and
+	// each of those handlers one more of each: 6·per to self and 6·per across,
+	// one envelope each.
+	const self, cross = 6 * per, 6 * per
+	for _, c := range []struct {
+		name string
+		plan *FaultPlan
+	}{
+		// A retransmit timeout no ack can miss keeps the ack count exact.
+		{"zero", &FaultPlan{RetransmitBase: 1 << 20}},
+		{"drop", &FaultPlan{Seed: 5, Drop: 0.1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := base
+			cfg.FaultPlan = c.plan
+			cfg.Transport = SockTransport(fastSockOptions("unix"))
+			got, u, mt := run(t, cfg)
+			if got != want {
+				t.Fatalf("per-rank sums %v, want %v (chan)", got, want)
+			}
+			s := u.Stats.Snapshot()
+			if s.Envelopes != self+cross {
+				t.Fatalf("%d envelopes, want %d", s.Envelopes, self+cross)
+			}
+			for i, r := range u.ranks {
+				if seq := r.send[i][mt.id].nextSeq; (seq != 0) != (c.name == "drop") {
+					t.Errorf("rank %d sequenced %d envelopes to itself under the %s plan", i, seq, c.name)
+				}
+			}
+			if c.name == "drop" {
+				return
+			}
+			if s.AckMsgs != cross || s.Retransmits != 0 || s.DupsSuppressed != 0 {
+				t.Errorf("acks %d, retransmits %d, dups suppressed %d; want %d, 0, 0",
+					s.AckMsgs, s.Retransmits, s.DupsSuppressed, cross)
+			}
+			// Each rank mails across {1000+i, 0} from its body and {i, 2},
+			// {1000+i, 2} from its handlers.
+			var wire int64
+			for i := int64(1); i <= per; i++ {
+				for _, m := range []chatterPayload{{ID: 1000 + i}, {ID: i, Hop: 2}, {ID: 1000 + i, Hop: 2}} {
+					b, _ := mt.codec.Append(nil, []chatterPayload{m})
+					wire += 2 * int64(len(b))
+				}
+			}
+			if s.WireBytes != wire {
+				t.Errorf("wire bytes %d, want %d (the %d cross-rank envelopes only)", s.WireBytes, wire, cross)
+			}
+		})
 	}
 }

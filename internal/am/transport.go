@@ -48,7 +48,8 @@ type Transport interface {
 	// link tick at most once per interval, so tick-denominated timeouts
 	// (RetransmitBase, backoff) correspond to real time on backends with
 	// real latency. 0 (the in-process backend) keeps the original
-	// one-tick-per-poll behavior.
+	// one-tick-per-poll behavior; every socket backend has a positive
+	// interval, which is what lets its universes park (Universe.park).
 	tickInterval() time.Duration
 
 	// start binds the transport to u. Called from Run once the type set is

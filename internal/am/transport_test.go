@@ -92,8 +92,7 @@ func TestSockRejectsNonWireTypes(t *testing.T) {
 	}
 }
 
-// TestSockOptionsDefaults pins the defaulting rules, including the sentinel
-// value (negative tick = per-poll).
+// TestSockOptionsDefaults pins the defaulting rules.
 func TestSockOptionsDefaults(t *testing.T) {
 	o := SockOptions{}.withDefaults()
 	if o.Network != "tcp" || o.Heartbeat != 50*time.Millisecond ||
@@ -103,8 +102,5 @@ func TestSockOptionsDefaults(t *testing.T) {
 	}
 	if b := SockTransport(SockOptions{}).(*sockTransport).budget; b != reconnectBudget {
 		t.Fatalf("reconnect budget %d, want %d", b, reconnectBudget)
-	}
-	if iv := (SockOptions{TickInterval: -1}.withDefaults()).TickInterval; iv != 0 {
-		t.Fatalf("negative tick interval → %v, want 0", iv)
 	}
 }

@@ -71,7 +71,7 @@ func (m LineageMode) String() string {
 type envelope struct {
 	typeID int32  // registered message type, or ackTypeID for acks
 	src    int32  // sending rank
-	seq    uint64 // per-(src, dest, type) sequence number (reliable mode)
+	seq    uint64 // per-(src, dest, type) sequence number from 1; 0 = unsequenced (deliverEnvelope)
 	gen    uint64 // epoch generation at creation; stale generations are discarded
 	data   any    // []T, wirePayload (codec-equipped wire types), or ackBody
 	// qid is the query context the envelope belongs to (0 outside any query
@@ -112,10 +112,18 @@ type Universe struct {
 	// in-process transport), without lineage. Fixed at construction.
 	coresident bool
 	// park says idle rank mains block instead of polling (epoch.go,
-	// progressUntilDone): trusted mode under the atomic detector and no
-	// watchdog, where nothing in progress depends on a clock. Fixed at
-	// construction.
+	// progressUntilDone): the atomic detector and no watchdog, on a trusted
+	// universe (nothing in progress depends on a clock) or on a transport
+	// whose retransmit clock is wall-clock paced (clock then wakes the parked
+	// mains). Fixed at construction.
 	park bool
+	// clock is the retransmit clock of a parking reliable universe (nil
+	// otherwise): see retransmitClock.
+	clock *retransmitClock
+	// selfLocal says a rank's envelopes to itself skip the codec and the
+	// reliable layer (MsgType.ship): reliable mode with a plan that injects
+	// no link fault. Fixed at construction.
+	selfLocal bool
 
 	// pending counts user messages sent but not yet fully handled.
 	// Maintained in all detector modes; consulted only by DetectorAtomic.
@@ -265,7 +273,13 @@ func newUniverse(cfg config) *Universe {
 	u.flight = cfg.Flight
 	u.lineage = cfg.Lineage == LineageAuto && u.tracer != nil
 	u.coresident = u.trusted() && !u.lineage
-	u.park = u.trusted() && cfg.Detector == DetectorAtomic && cfg.Watchdog <= 0
+	u.park = cfg.Detector == DetectorAtomic && cfg.Watchdog <= 0 && (u.trusted() || u.tickIntNs > 0)
+	if u.fp != nil {
+		u.selfLocal = !u.fp.injectsLinkFaults()
+		if u.park {
+			u.clock = newRetransmitClock()
+		}
+	}
 	u.c = obs.NewCounters(cfg.Ranks, counterNames[:]...)
 	u.Stats = Stats{c: u.c}
 	u.relPending = obs.NewGauge(cfg.Ranks)
@@ -400,9 +414,11 @@ type rankState struct {
 	send     [][]sendLink
 	recv     [][]recvLink
 	linkTick atomic.Uint64
-	// lastTickNs paces linkTick on real-latency transports (see
-	// Transport.tickInterval and pollLinks); unused when the interval is 0.
-	lastTickNs atomic.Int64
+	// lastTick paces linkTick on real-latency transports (claimTick): the
+	// retransmit clock's generation at the last advance on a parking
+	// universe, the monotonic time of it otherwise; unused when the
+	// transport's tick interval is 0.
+	lastTick atomic.Int64
 }
 
 // ID returns this rank's id in [0, Ranks).
@@ -414,8 +430,19 @@ func (r *Rank) N() int { return r.u.cfg.Ranks }
 // Universe returns the universe this rank belongs to.
 func (r *Rank) Universe() *Universe { return r.u }
 
-// relAdd adjusts this rank's outstanding-retransmit gauge.
-func (r *Rank) relAdd(d int64) { r.u.relPending.Add(r.id, d) }
+// relAdd adjusts this rank's outstanding-retransmit gauge. On a parking
+// universe a rise arms the retransmit clock, and a fall to 0 — the last ack
+// (handleAck), or the release of the last delayed envelope (pollLinks) —
+// checks for quiescence: see settle.
+func (r *Rank) relAdd(d int64) {
+	u := r.u
+	switch v := u.relPending.Add(r.id, d); {
+	case d > 0:
+		u.clock.arm()
+	case v == 0 && u.park:
+		u.settle()
+	}
+}
 
 // relPending reads this rank's outstanding-retransmit count.
 func (r *Rank) relPendingNow() int64 { return r.u.relPending.ShardValue(r.id) }
@@ -492,6 +519,9 @@ func (u *Universe) Run(body func(r *Rank)) error {
 	if err := u.net.start(u); err != nil {
 		return fmt.Errorf("am: transport %s: %w", u.net.Name(), err)
 	}
+	if u.clock != nil {
+		go u.clock.run(u)
+	}
 
 	var workers sync.WaitGroup
 	for _, r := range u.ranks {
@@ -515,8 +545,12 @@ func (u *Universe) Run(body func(r *Rank)) error {
 						// every thread of its rank sleeps would never ship.
 						// Only after a delivery: before it the thread has sent
 						// nothing, and a flush would cut short the buffers the
-						// body is still filling.
+						// body is still filling. The flush polls the links and
+						// can settle (relAdd), so it counts as delivery work
+						// the rank main waits out before it leaves the epoch.
+						r.activeH.Add(1)
 						r.flushAll()
+						r.activeH.Add(-1)
 					}
 				}
 			}(r)
@@ -551,16 +585,20 @@ func (u *Universe) Run(body func(r *Rank)) error {
 	// Shutdown audit (no send-on-closed-channel window). Once the rank mains
 	// have returned nothing can send or retransmit: the reliable-delivery
 	// layer's retransmits and delayed-envelope releases are poll-driven from
-	// flushAll (bodies and progress loops only, never a timer goroutine), and
-	// both detectors require totalRelPending() == 0 before ending an epoch, so
-	// no retransmit can fire after the last epoch ends. The only post-epoch
-	// traffic is a redundant duplicate ack, and inbox.Push on a closed queue
-	// is a safe no-op sink (queues are not Go channels). A socket backend adds
-	// goroutines of its own (readers, heartbeats, reconnectors); closing it
-	// here — before the inboxes close — joins them all, and its post-close
-	// sends are safe no-ops. Wave samples read counters and send nothing, so a
-	// coordinator poll that outlives the mains is answered from runExited.
-	// TestShutdownStress exercises this window under -race.
+	// flushAll (bodies, progress loops and, on a parking universe, handler
+	// threads after a delivery), and both detectors require
+	// totalRelPending() == 0 before ending an epoch, so no retransmit can fire
+	// after the last epoch ends. The retransmit clock of a parking reliable
+	// universe only wakes mains and sends nothing; it stops here, before the
+	// transport closes. The only post-epoch traffic is a redundant duplicate
+	// ack, and inbox.Push on a closed queue is a safe no-op sink (queues are
+	// not Go channels). A socket backend adds goroutines of its own (readers,
+	// heartbeats, reconnectors); closing it here — before the inboxes close —
+	// joins them all, and its post-close sends are safe no-ops. Wave samples
+	// read counters and send nothing, so a coordinator poll that outlives the
+	// mains is answered from runExited. TestShutdownStress exercises this
+	// window under -race.
+	u.clock.halt()
 	if err := u.net.close(); err != nil {
 		u.failRun(fmt.Errorf("am: transport %s close: %w", u.net.Name(), err))
 	}
@@ -571,10 +609,11 @@ func (u *Universe) Run(body func(r *Rank)) error {
 	return u.runError()
 }
 
-// deliverEnvelope runs the handlers for every message in e on rank r. In
-// reliable mode it first verifies the wire checksum (codec-equipped types,
-// unless the transport already verified the bytes inside a frame), decodes,
-// suppresses duplicates, and acknowledges the envelope; corrupted or
+// deliverEnvelope runs the handlers for every message in e on rank r. It
+// first verifies the wire checksum (codec-equipped types, unless the
+// transport already verified the bytes inside a frame) and decodes; a
+// sequenced envelope (reliable mode, any link but a rank's unsequenced link
+// to itself) is then deduplicated and acknowledged. Corrupted or
 // undecodable envelopes are discarded unacknowledged so the sender's
 // retransmit recovers them. Every exit path releases the envelope's pooled
 // wire buffer exactly once, and decoded batches the receiver exclusively
@@ -663,7 +702,11 @@ func (r *Rank) deliverEnvelope(e envelope) {
 		data = decoded
 		fromWire = true
 	}
-	if u.fp != nil {
+	if e.seq != 0 {
+		// A sequenced envelope (reliable mode): deduplicate and acknowledge.
+		// Sequence number 0 marks one that never left its rank — every
+		// envelope of the trusted transport, and a reliable universe's mail
+		// to itself (ship) — which is neither.
 		fresh, salt := r.admit(int(e.src), e.typeID, e.seq)
 		r.sendAck(int(e.src), e.typeID, e.seq, salt)
 		if !fresh {
@@ -696,11 +739,11 @@ func (r *Rank) deliverEnvelope(e envelope) {
 			u.latHist[e.typeID].Observe(r.id, end-start)
 		}
 	}
-	// The receiver exclusively owns wire-decoded batches, and on the trusted
-	// transport reference-shipped batches too (the sender relinquished the
-	// buffer at push). Reliable-mode reference batches stay with the
-	// retransmit table and are never pooled.
-	if fromWire || u.fp == nil {
+	// The receiver exclusively owns wire-decoded batches, and unsequenced
+	// reference-shipped batches too (the sender relinquished the buffer at
+	// push). Sequenced reference batches stay with the retransmit table and
+	// are never pooled.
+	if fromWire || e.seq == 0 {
 		mt.recycle(data)
 	}
 	u.touchProgress()

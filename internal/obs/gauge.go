@@ -26,15 +26,15 @@ func NewGauge(shards int) *Gauge {
 	return &Gauge{shards: make([]gaugeSlot, shards)}
 }
 
-// Add adds d (which may be negative) to the shard's current value and raises
-// its high-water mark if the new value exceeds it.
-func (g *Gauge) Add(shard int, d int64) {
+// Add adds d (which may be negative) to the shard's current value, raises its
+// high-water mark if the new value exceeds it, and returns the new value.
+func (g *Gauge) Add(shard int, d int64) int64 {
 	s := &g.shards[shard]
 	v := s.cur.Add(d)
 	for {
 		m := s.max.Load()
 		if v <= m || s.max.CompareAndSwap(m, v) {
-			return
+			return v
 		}
 	}
 }
