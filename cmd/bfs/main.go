@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"declpat"
+	"declpat/internal/algorithms"
 	"declpat/internal/seq"
 )
 
@@ -26,20 +27,25 @@ func main() {
 	roots := flag.Int("roots", 4, "number of BFS roots (Graph500 style)")
 	verify := flag.Bool("verify", true, "check against sequential BFS")
 	flag.Parse()
+	job := declpat.MPJobSpec{Algo: "bfs", Scale: *scale, EdgeFactor: *ef, Seed: *seed, Ranks: *ranks, Threads: *threads}
+	if err := job.Normalize(); err != nil {
+		fmt.Fprintln(os.Stderr, "bfs:", err)
+		os.Exit(2)
+	}
 
-	n, edges := declpat.RMAT(*scale, *ef, declpat.WeightSpec{}, *seed)
-	u := declpat.New(*ranks, declpat.WithThreads(*threads))
-	dist := declpat.NewBlockDist(n, *ranks)
+	n, edges := declpat.RMAT(job.Scale, job.EdgeFactor, declpat.WeightSpec{}, job.Seed)
+	u := declpat.New(job.Ranks, declpat.WithThreads(job.Threads))
+	dist := declpat.NewBlockDist(n, job.Ranks)
 	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})
 	eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
 	b := declpat.NewBFS(eng)
 
 	srcs := make([]declpat.Vertex, *roots)
 	for i := range srcs {
-		srcs[i] = declpat.Vertex((uint64(i)*2654435761 + *seed) % uint64(n))
+		srcs[i] = declpat.Vertex((uint64(i)*2654435761 + job.Seed) % uint64(n))
 	}
 
-	fmt.Printf("bfs: n=%d m=%d ranks=%d threads=%d roots=%d\n", n, len(edges), *ranks, *threads, *roots)
+	fmt.Printf("bfs: n=%d m=%d ranks=%d threads=%d roots=%d\n", n, len(edges), job.Ranks, job.Threads, *roots)
 	levels := make([][]int64, *roots)
 	i := 0
 	err := u.Run(func(r *declpat.Rank) {
@@ -73,16 +79,7 @@ func main() {
 	if *verify {
 		bad := 0
 		for ri, src := range srcs {
-			want := seq.BFS(n, edges, src)
-			for v := range want {
-				w := want[v]
-				if w == seq.Inf {
-					w = declpat.Inf
-				}
-				if levels[ri][v] != w {
-					bad++
-				}
-			}
+			bad += algorithms.CountWrong(levels[ri], seq.BFS(n, edges, src))
 		}
 		if bad != 0 {
 			fmt.Printf("VERIFY FAILED: %d wrong levels\n", bad)

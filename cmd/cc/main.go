@@ -27,10 +27,15 @@ func main() {
 	flushEvery := flag.Int("flushevery", 1, "search starts per epoch_flush (Fig. 3 pacing)")
 	verify := flag.Bool("verify", true, "check against sequential union-find")
 	flag.Parse()
+	job := declpat.MPJobSpec{Algo: "cc", Scale: *scale, EdgeFactor: *ef, Seed: *seed, Ranks: *ranks, Threads: *threads}
+	if err := job.Normalize(); err != nil {
+		fmt.Fprintln(os.Stderr, "cc:", err)
+		os.Exit(2)
+	}
 
-	n, edges := declpat.RMAT(*scale, *ef, declpat.WeightSpec{}, *seed)
-	u := declpat.New(*ranks, declpat.WithThreads(*threads))
-	dist := declpat.NewBlockDist(n, *ranks)
+	n, edges := declpat.RMAT(job.Scale, job.EdgeFactor, declpat.WeightSpec{}, job.Seed)
+	u := declpat.New(job.Ranks, declpat.WithThreads(job.Threads))
+	dist := declpat.NewBlockDist(n, job.Ranks)
 	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{Symmetrize: true})
 	lm := declpat.NewLockMap(dist, 1)
 	eng := declpat.NewEngine(u, g, lm, declpat.DefaultPlanOptions())
@@ -58,29 +63,12 @@ func main() {
 	if len(top) > 5 {
 		top = top[:5]
 	}
-	fmt.Printf("cc: n=%d m=%d ranks=%d threads=%d flush-every=%d\n", n, len(edges), *ranks, *threads, *flushEvery)
+	fmt.Printf("cc: n=%d m=%d ranks=%d threads=%d flush-every=%d\n", n, len(edges), job.Ranks, job.Threads, *flushEvery)
 	fmt.Printf("time=%s components=%d largest=%v\n", elapsed.Round(time.Microsecond), len(sizes), top)
 	fmt.Printf("searches=%d jump-rounds=%d messages=%d\n", c.SearchesStarted(), c.JumpRounds, u.Stats.MsgsSent())
 
 	if *verify {
-		want := seq.Components(n, edges)
-		repr := map[int64]declpat.Vertex{}
-		back := map[declpat.Vertex]int64{}
-		bad := 0
-		for v := range comp {
-			cl, w := comp[v], want[v]
-			if r, ok := repr[cl]; ok && r != w {
-				bad++
-				continue
-			}
-			repr[cl] = w
-			if r, ok := back[w]; ok && r != cl {
-				bad++
-				continue
-			}
-			back[w] = cl
-		}
-		if bad != 0 {
+		if bad := algorithms.WrongPartition(comp, seq.Components(n, edges)); bad != 0 {
 			fmt.Printf("VERIFY FAILED: %d inconsistent vertices\n", bad)
 			os.Exit(1)
 		}

@@ -1,6 +1,6 @@
 // declpat-launch runs a declpat algorithm across real OS worker processes.
-// It spawns N copies of itself (or of -worker-bin) as rank hosts, serves the
-// wire control plane — address exchange, barriers, gathers, termination
+// It spawns N copies of itself as rank hosts (it is the only worker binary),
+// serves the wire control plane — address exchange, barriers, gathers, termination
 // waves, checkpoint-commit votes — and reassembles the distributed result.
 //
 //	declpat-launch -algo bfs -workers 4 -scale 12
@@ -28,7 +28,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -60,16 +59,11 @@ func main() {
 	ckptDir := flag.String("ckpt-dir", "", "checkpoint slot directory (default: a temp dir removed after the run)")
 	watch := flag.Bool("watch", false, "print a live per-epoch straggler/imbalance line")
 	metricsAddr := flag.String("metrics", "", "serve fleet OpenMetrics (straggler gauges, departure census) on this address")
-	workerBin := flag.String("worker-bin", "", "worker executable (default: this binary, self-exec)")
 	timeout := flag.Duration("round-timeout", 30*time.Second, "control-round watchdog")
 	flag.Parse()
 
-	if *ranks <= 0 {
+	if *ranks == 0 && *workers > 0 {
 		*ranks = 2 * *workers
-	}
-	if *source > math.MaxUint32 {
-		fmt.Fprintf(os.Stderr, "declpat-launch: -source %d is not a vertex id (ids are 32-bit)\n", *source)
-		os.Exit(2)
 	}
 	spec := mp.LaunchSpec{
 		Job: mp.JobSpec{
@@ -79,7 +73,7 @@ func main() {
 			Seed:       *seed,
 			Ranks:      *ranks,
 			Threads:    *threads,
-			Source:     uint32(*source),
+			Source:     uint64(*source),
 			Delta:      *delta,
 			Network:    *network,
 			Drop:       *drop,
@@ -92,9 +86,6 @@ func main() {
 		RoundTimeout:  *timeout,
 		CheckpointDir: *ckptDir,
 		Log:           os.Stderr,
-	}
-	if *workerBin != "" {
-		spec.WorkerCommand = []string{*workerBin}
 	}
 	if *killWorker >= 0 {
 		spec.Kill = &mp.KillSpec{Worker: *killWorker, Epoch: *killEpoch, Mode: *killMode}

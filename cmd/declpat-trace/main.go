@@ -12,6 +12,11 @@
 //
 //	declpat-trace -run bfs -scale 12 -ranks 4 -out bfs.jsonl -chrome bfs.chrome.json
 //
+// A -run workload is an mp.JobSpec, gated by its Normalize (an invalid one
+// exits 2 before anything is built) and built by its Bind — the same kernel a
+// declpat-launch worker runs, from source vertex 0, on the in-process
+// transport.
+//
 // With -critical-path the tool reconstructs the causal lineage DAG from the
 // handler events and reports, per epoch, the weighted critical path (handler
 // execution + queue/link wait + quiescence tail), per-rank slack, chain-depth
@@ -97,12 +102,15 @@ func main() {
 	var recs []obs.Record
 	switch {
 	case *run != "":
-		u, err := runWorkload(*run, *scale, *ef, *seed, *ranks, *threads, *capacity)
+		job := declpat.MPJobSpec{Algo: *run, Scale: *scale, EdgeFactor: *ef, Seed: *seed, Ranks: *ranks, Threads: *threads}
+		if err := job.Normalize(); err != nil {
+			fmt.Fprintln(os.Stderr, "declpat-trace:", err)
+			os.Exit(2)
+		}
+		u, err := runJob(job, *capacity)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "declpat-trace:", err)
-			fmt.Fprintln(os.Stderr, "usage: declpat-trace -run WORKLOAD [-scale N] [-ranks N] [-out FILE] [-chrome FILE]")
-			fmt.Fprintln(os.Stderr, "supported workloads: bfs, sssp, cc")
-			os.Exit(2)
+			os.Exit(1)
 		}
 		meta, recs = u.ExportTrace(*run)
 		if *out != "" {
@@ -260,39 +268,17 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-// runWorkload executes one traced built-in workload and returns its universe.
-func runWorkload(name string, scale, ef int, seed uint64, ranks, threads, capacity int) (*declpat.Universe, error) {
-	u := declpat.New(ranks,
-		declpat.WithThreads(threads),
+// runJob runs a normalized job through its binding on an in-process
+// universe with timing on and a trace ring of capacity events, and returns
+// the universe for its trace.
+func runJob(job declpat.MPJobSpec, capacity int) (*declpat.Universe, error) {
+	u := declpat.New(job.Ranks,
+		declpat.WithThreads(job.Threads),
 		declpat.WithTraceCapacity(capacity),
 		declpat.WithTiming())
-	dist := declpat.NewBlockDist(1<<scale, ranks)
-	var err error
-	switch name {
-	case "bfs":
-		n, edges := declpat.RMAT(scale, ef, declpat.WeightSpec{}, seed)
-		g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})
-		eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
-		b := declpat.NewBFS(eng)
-		err = u.Run(func(r *declpat.Rank) { b.Run(r, declpat.Vertex(seed%uint64(n))) })
-	case "sssp":
-		n, edges := declpat.RMAT(scale, ef, declpat.WeightSpec{Min: 1, Max: 100}, seed)
-		g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})
-		eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
-		s := declpat.NewSSSP(eng)
-		err = u.Run(func(r *declpat.Rank) { s.Run(r, declpat.Vertex(seed%uint64(n))) })
-	case "cc":
-		_, edges := declpat.RMAT(scale, ef, declpat.WeightSpec{}, seed)
-		g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{Symmetrize: true})
-		lm := declpat.NewLockMap(dist, 1)
-		eng := declpat.NewEngine(u, g, lm, declpat.DefaultPlanOptions())
-		c := declpat.NewCC(eng, lm)
-		err = u.Run(func(r *declpat.Rank) { c.Run(r) })
-	default:
-		return nil, fmt.Errorf("unknown workload %q (want bfs, sssp, or cc)", name)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s run failed: %w", name, err)
+	_, body, _ := job.Bind(u)
+	if err := u.Run(body); err != nil {
+		return nil, fmt.Errorf("%s run failed: %w", job.Algo, err)
 	}
 	return u, nil
 }

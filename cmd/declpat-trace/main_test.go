@@ -4,18 +4,29 @@ import (
 	"strings"
 	"testing"
 
+	"declpat"
 	"declpat/internal/obs"
 )
+
+// traced gates a job as -run does and runs it through runJob.
+func traced(t *testing.T, job declpat.MPJobSpec, capacity int) *declpat.Universe {
+	t.Helper()
+	if err := job.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	u, err := runJob(job, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
 
 // TestTracedBFSLineageConnected is the end-to-end causal-DAG check on a real
 // workload: every non-root handler event in a small traced BFS resolves to a
 // recorded parent, and each epoch's critical path starts at a root send and
 // ends in the epoch's final quiescence.
 func TestTracedBFSLineageConnected(t *testing.T) {
-	u, err := runWorkload("bfs", 8, 8, 42, 2, 1, 1<<18)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := traced(t, declpat.MPJobSpec{Algo: "bfs", Scale: 8, EdgeFactor: 8, Seed: 42, Ranks: 2, Threads: 1}, 1<<18)
 	meta, recs := u.ExportTrace("bfs")
 	lin := obs.BuildLineage(meta, recs)
 	if lin.Handlers() == 0 {
@@ -53,10 +64,7 @@ func TestTracedBFSLineageConnected(t *testing.T) {
 // TestCriticalPathReport drives the CLI's -critical-path mode end to end on
 // traced workloads and on lineage-free input.
 func TestCriticalPathReport(t *testing.T) {
-	u, err := runWorkload("bfs", 8, 8, 42, 2, 1, 1<<18)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := traced(t, declpat.MPJobSpec{Algo: "bfs", Scale: 8, EdgeFactor: 8, Seed: 42, Ranks: 2, Threads: 1}, 1<<18)
 	meta, recs := u.ExportTrace("bfs")
 	var sb strings.Builder
 	if err := criticalPathReport(&sb, meta, recs, -1, 48); err != nil {
@@ -90,10 +98,7 @@ func TestCriticalPathReport(t *testing.T) {
 // TestRunWorkloadRing checks the -cap plumb-through: a tiny capacity, split
 // into a 128-event ring per rank, bounds retention and reports drops.
 func TestRunWorkloadRing(t *testing.T) {
-	u, err := runWorkload("cc", 7, 4, 1, 2, 1, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := traced(t, declpat.MPJobSpec{Algo: "cc", Scale: 7, EdgeFactor: 4, Seed: 1, Ranks: 2, Threads: 1}, 256)
 	if u.TraceDropped() == 0 {
 		t.Fatal("tiny ring did not overflow; -cap not wired through")
 	}

@@ -19,7 +19,6 @@ import (
 
 	"declpat"
 	"declpat/internal/algorithms"
-	"declpat/internal/seq"
 )
 
 func main() {
@@ -31,17 +30,22 @@ func main() {
 	threads := flag.Int("threads", 2, "handler threads per rank")
 	validate := flag.Bool("validate", true, "validate every parent tree")
 	flag.Parse()
+	job := declpat.MPJobSpec{Algo: "bfs", Scale: *scale, EdgeFactor: *ef, Seed: *seed, Ranks: *ranks, Threads: *threads}
+	if err := job.Normalize(); err != nil {
+		fmt.Fprintln(os.Stderr, "graph500:", err)
+		os.Exit(2)
+	}
 
 	fmt.Printf("graph500: SCALE=%d edgefactor=%d (%d vertices, %d edges)\n",
-		*scale, *ef, 1<<*scale, (1<<*scale)*(*ef))
+		job.Scale, job.EdgeFactor, 1<<job.Scale, (1<<job.Scale)*job.EdgeFactor)
 
 	// Kernel 1: construction.
 	genStart := time.Now()
-	n, edges := declpat.RMAT(*scale, *ef, declpat.WeightSpec{}, *seed)
+	n, edges := declpat.RMAT(job.Scale, job.EdgeFactor, declpat.WeightSpec{}, job.Seed)
 	genTime := time.Since(genStart)
 
-	u := declpat.New(*ranks, declpat.WithThreads(*threads))
-	dist := declpat.NewBlockDist(n, *ranks)
+	u := declpat.New(job.Ranks, declpat.WithThreads(job.Threads))
+	dist := declpat.NewBlockDist(n, job.Ranks)
 	k1 := time.Now()
 	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})
 	k1Time := time.Since(k1)
@@ -56,7 +60,7 @@ func main() {
 		outdeg[e.Src]++
 	}
 	var rootList []declpat.Vertex
-	x := *seed
+	x := job.Seed
 	for len(rootList) < *roots {
 		x = x*6364136223846793005 + 1442695040888963407
 		v := declpat.Vertex(x % uint64(n))
@@ -119,12 +123,7 @@ func main() {
 
 	if *validate {
 		for _, res := range results {
-			depths := seq.BFS(n, edges, res.root)
-			reach := make([]bool, n)
-			for v := range depths {
-				reach[v] = depths[v] != seq.Inf
-			}
-			if err := algorithms.ValidateTree(n, edges, res.root, res.parent, reach); err != nil {
+			if err := algorithms.CheckTree(n, edges, res.root, res.parent); err != nil {
 				fmt.Printf("VALIDATION FAILED for root %d: %v\n", res.root, err)
 				os.Exit(1)
 			}

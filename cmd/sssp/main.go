@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"declpat"
+	"declpat/internal/algorithms"
 	"declpat/internal/seq"
 )
 
@@ -30,14 +31,17 @@ func main() {
 	trace := flag.Int("trace", 0, "record N substrate events and print the tail")
 	typeStats := flag.Bool("typestats", false, "print per-message-type traffic")
 	flag.Parse()
-
-	n, edges := declpat.RMAT(*scale, *ef, declpat.WeightSpec{Min: 1, Max: 100}, *seed)
-	if *src >= uint(n) {
-		fmt.Fprintf(os.Stderr, "sssp: -src %d outside the %d vertices of a scale-%d graph\n", *src, n, *scale)
+	job := declpat.MPJobSpec{Algo: "sssp", Scale: *scale, EdgeFactor: *ef, Seed: *seed,
+		Ranks: *ranks, Threads: *threads, Source: uint64(*src), Delta: *delta}
+	if err := job.Normalize(); err != nil {
+		fmt.Fprintln(os.Stderr, "sssp:", err)
 		os.Exit(2)
 	}
-	u := declpat.New(*ranks, declpat.WithThreads(*threads), declpat.WithTraceCapacity(*trace))
-	dist := declpat.NewBlockDist(n, *ranks)
+	source := declpat.Vertex(job.Source)
+
+	n, edges := declpat.RMAT(job.Scale, job.EdgeFactor, declpat.WeightSpec{Min: 1, Max: 100}, job.Seed)
+	u := declpat.New(job.Ranks, declpat.WithThreads(job.Threads), declpat.WithTraceCapacity(*trace))
+	dist := declpat.NewBlockDist(n, job.Ranks)
 	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})
 	eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
 	s := declpat.NewSSSP(eng)
@@ -45,15 +49,15 @@ func main() {
 	case "fixed-point":
 		s.UseFixedPoint()
 	case "delta":
-		s.UseDelta(u, *delta)
+		s.UseDelta(u, job.Delta)
 	case "delta-dist":
-		s.UseDeltaDistributed(u, *delta, *threads)
+		s.UseDeltaDistributed(u, job.Delta, job.Threads)
 	default:
 		log.Fatalf("unknown strategy %q", *strat)
 	}
 
 	start := time.Now()
-	if err := u.Run(func(r *declpat.Rank) { s.Run(r, declpat.Vertex(*src)) }); err != nil {
+	if err := u.Run(func(r *declpat.Rank) { s.Run(r, source) }); err != nil {
 		log.Fatalf("run failed: %v", err)
 	}
 	elapsed := time.Since(start)
@@ -65,7 +69,7 @@ func main() {
 			reached++
 		}
 	}
-	fmt.Printf("sssp: n=%d m=%d ranks=%d threads=%d strategy=%s\n", n, len(edges), *ranks, *threads, *strat)
+	fmt.Printf("sssp: n=%d m=%d ranks=%d threads=%d strategy=%s\n", n, len(edges), job.Ranks, job.Threads, *strat)
 	fmt.Printf("time=%s reached=%d/%d\n", elapsed.Round(time.Microsecond), reached, n)
 	fmt.Printf("messages=%d envelopes=%d bytes=%d handlers=%d epochs=%d\n",
 		u.Stats.MsgsSent(), u.Stats.Envelopes(), u.Stats.BytesSent(),
@@ -94,18 +98,7 @@ func main() {
 	}
 
 	if *verify {
-		want := seq.Dijkstra(n, edges, declpat.Vertex(*src))
-		bad := 0
-		for v := range want {
-			w := want[v]
-			if w == seq.Inf {
-				w = declpat.Inf
-			}
-			if got[v] != w {
-				bad++
-			}
-		}
-		if bad != 0 {
+		if bad := algorithms.CountWrong(got, seq.Dijkstra(n, edges, source)); bad != 0 {
 			fmt.Printf("VERIFY FAILED: %d wrong distances\n", bad)
 			os.Exit(1)
 		}

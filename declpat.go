@@ -599,13 +599,17 @@ func NewDebugServer(addr string) (*DebugServer, error) { return harness.NewDebug
 // respawned and the fleet restarts from the last committed checkpoint; the
 // final result is bit-identical to the fault-free run.
 type (
-	// MPJobSpec describes the algorithm workload a launched fleet executes
-	// (every worker receives it inside its welcome frame).
+	// MPJobSpec is the one description of a bfs/sssp/cc run: every worker
+	// of a launched fleet receives it inside its welcome frame, and its
+	// Normalize is the gate every front door (declpat-launch,
+	// declpat-trace -run, the one-shot CLIs) passes its flags through
+	// before building anything. Bind builds the kernel a worker runs.
 	MPJobSpec = mp.JobSpec
 	// MPKillSpec schedules one seeded worker kill for a fault drill.
 	MPKillSpec = mp.KillSpec
 	// MPLaunchSpec configures a fleet: job, worker count, seeds, kill
-	// schedule, restart budget.
+	// schedule, restart budget. Every worker is the launching executable
+	// itself (see MaybeWorker).
 	MPLaunchSpec = mp.LaunchSpec
 	// MPLaunchResult is a completed launch: result vectors, attempt count,
 	// and per-attempt worker exit codes.
@@ -619,9 +623,10 @@ func Launch(spec MPLaunchSpec) (*MPLaunchResult, error) { return mp.Launch(spec)
 
 // MaybeWorker turns the current process into a launched rank host when the
 // DECLPAT_MP_ADDR / DECLPAT_MP_WORKER environment is set (never returning in
-// that case), and is a no-op otherwise. Call it early in main or TestMain of
-// any binary used as a LaunchSpec.WorkerCommand — including the launcher
-// itself for the default self-exec pattern.
+// that case), and is a no-op otherwise. Launch spawns its own executable as
+// every worker, so call it early in main (or TestMain) of any binary that
+// calls Launch; declpat-launch is such a binary, and the only worker binary
+// the repo ships.
 func MaybeWorker() { mp.MaybeWorker() }
 
 // WorkerSeed derives the deterministic fault/chaos seed for worker idx

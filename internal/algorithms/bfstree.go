@@ -66,47 +66,3 @@ func (b *BFSTree) Run(r *am.Rank, src distgraph.Vertex) {
 	r.Barrier()
 	b.fp.Run(r, seeds)
 }
-
-// ValidateTree checks the Graph500-style tree invariants against the edge
-// list: (1) the root is its own parent, (2) every parent edge exists in the
-// graph, (3) the parent relation is acyclic (chases terminate at the root),
-// and (4) exactly the vertices reachable in reference are in the tree.
-// Returns an error describing the first violation.
-func ValidateTree(n int, edges []distgraph.Edge, src distgraph.Vertex, parent []int64, reachable []bool) error {
-	if parent[src] != int64(src) {
-		return fmt.Errorf("root %d has parent %d", src, parent[src])
-	}
-	edgeSet := make(map[[2]distgraph.Vertex]bool, len(edges))
-	for _, e := range edges {
-		edgeSet[[2]distgraph.Vertex{e.Src, e.Dst}] = true
-	}
-	for v := 0; v < n; v++ {
-		pv := parent[v]
-		if pv == int64(pattern.NilWord) || pv < 0 {
-			if reachable[v] {
-				return fmt.Errorf("reachable vertex %d has no parent", v)
-			}
-			continue
-		}
-		if !reachable[v] {
-			return fmt.Errorf("unreachable vertex %d has parent %d", v, pv)
-		}
-		if distgraph.Vertex(v) != src && !edgeSet[[2]distgraph.Vertex{distgraph.Vertex(pv), distgraph.Vertex(v)}] {
-			return fmt.Errorf("tree edge %d->%d not in graph", pv, v)
-		}
-	}
-	// Acyclicity: chase each vertex to the root within n steps.
-	for v := 0; v < n; v++ {
-		if parent[v] == int64(pattern.NilWord) {
-			continue
-		}
-		cur := distgraph.Vertex(v)
-		for steps := 0; cur != src; steps++ {
-			if steps > n {
-				return fmt.Errorf("parent chain from %d does not reach the root", v)
-			}
-			cur = distgraph.Vertex(parent[cur])
-		}
-	}
-	return nil
-}

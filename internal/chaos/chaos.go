@@ -188,31 +188,12 @@ func RunSSSPMode(w Workload, sc Scenario, src distgraph.Vertex, delta int64, mod
 }
 
 // RunCC computes connected components under sc and returns the canonical
-// partition (see Canonicalize) plus statistics.
+// partition (see algorithms.Canonicalize) plus statistics.
 func RunCC(w Workload, sc Scenario) ([]int64, am.Snapshot) {
 	u, eng, lm := engine(w, sc, distgraph.Options{Symmetrize: true})
 	c := algorithms.NewCC(eng, lm)
 	mustRun(sc, u.Run(func(r *am.Rank) { c.Run(r) }))
-	return Canonicalize(c.Comp.Gather()), u.Stats.Snapshot()
-}
-
-// Canonicalize relabels a component vector so each class is named by its
-// smallest member vertex. CC's raw root labels depend on which searches won
-// the claiming races (they differ run to run even fault-free); the induced
-// partition is the algorithm's deterministic output, and in canonical form
-// it can be compared bit-for-bit.
-func Canonicalize(comp []int64) []int64 {
-	min := make(map[int64]int64)
-	for v, c := range comp {
-		if m, ok := min[c]; !ok || int64(v) < m {
-			min[c] = int64(v)
-		}
-	}
-	out := make([]int64, len(comp))
-	for v, c := range comp {
-		out[v] = min[c]
-	}
-	return out
+	return algorithms.Canonicalize(c.Comp.Gather()), u.Stats.Snapshot()
 }
 
 // Diff returns the indices (up to max) where two result vectors differ, for

@@ -11,56 +11,18 @@ import (
 
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
-	"declpat/internal/gen"
 	"declpat/internal/mp"
 )
 
-// ProcScenario is one multi-process run: a job, a fleet width, and an
-// optional seeded kill.
-type ProcScenario struct {
-	Job      mp.JobSpec
-	Workers  int
-	RootSeed uint64
-	// Kill schedules one worker kill on attempt 0 (nil = fault-free fleet).
-	Kill *mp.KillSpec
-	// WorkerCommand overrides the worker argv (empty = self-exec; the test
-	// binary must call mp.MaybeWorker in TestMain).
-	WorkerCommand []string
-	// MaxRestarts bounds respawns (0 = launcher default).
-	MaxRestarts int
-}
-
-// String names the scenario for test output.
-func (sc ProcScenario) String() string {
-	kill := "fault-free"
-	if sc.Kill != nil {
-		kill = fmt.Sprintf("kill=%s/w%d@e%d", sc.Kill.Mode, sc.Kill.Worker, sc.Kill.Epoch)
-	}
-	return fmt.Sprintf("%s/procs=%d/ranks=%d/%s/seed=%d",
-		sc.Job.Algo, sc.Workers, sc.Job.Ranks, kill, sc.RootSeed)
-}
-
-// RunProc launches the fleet and returns its assembled result vectors plus
-// the launch record (attempts, exit codes, clean departures).
-func RunProc(sc ProcScenario) (*mp.LaunchResult, error) {
-	return mp.Launch(mp.LaunchSpec{
-		Job:           sc.Job,
-		Workers:       sc.Workers,
-		RootSeed:      sc.RootSeed,
-		Kill:          sc.Kill,
-		MaxRestarts:   sc.MaxRestarts,
-		WorkerCommand: sc.WorkerCommand,
-	})
-}
-
-// ReferenceProc computes the fault-free single-process reference for the same
+// ReferenceProc computes the fault-free single-process reference for a fleet
 // job: identical workload, rank count, and detector, on the trusted
-// in-process transport. RunProc's vectors must equal it bit-for-bit.
+// in-process transport, through this harness's own kernels rather than the
+// job's binding. mp.Launch's vectors must equal it bit-for-bit.
 func ReferenceProc(job mp.JobSpec) ([][]int64, error) {
 	if err := (&job).Normalize(); err != nil {
 		return nil, err
 	}
-	n, edges := gen.RMAT(job.Scale, job.EdgeFactor, gen.Weights{Min: job.WMin, Max: job.WMax}, job.Seed)
+	n, edges := job.Workload()
 	w := Workload{N: n, Edges: edges}
 	sc := Scenario{Ranks: job.Ranks, Threads: job.Threads, Detector: am.DetectorFourCounter}
 	switch job.Algo {

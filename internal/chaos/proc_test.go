@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestProcessKillDimension(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	scenarios := []ProcScenario{
+	specs := []mp.LaunchSpec{
 		{
 			Job:      mp.JobSpec{Algo: "bfs", Scale: 6, Seed: 3, Ranks: 4, Threads: 2, Source: 1},
 			Workers:  2,
@@ -39,17 +40,22 @@ func TestProcessKillDimension(t *testing.T) {
 			Kill:     &mp.KillSpec{Worker: 1, Epoch: 1, Mode: "entry"},
 		},
 	}
-	for _, sc := range scenarios {
-		sc := sc
-		t.Run(sc.String(), func(t *testing.T) {
-			res, err := RunProc(sc)
+	for _, spec := range specs {
+		kill := "fault-free"
+		if spec.Kill != nil {
+			kill = fmt.Sprintf("kill=%s/w%d@e%d", spec.Kill.Mode, spec.Kill.Worker, spec.Kill.Epoch)
+		}
+		name := fmt.Sprintf("%s/procs=%d/ranks=%d/%s/seed=%d",
+			spec.Job.Algo, spec.Workers, spec.Job.Ranks, kill, spec.RootSeed)
+		t.Run(name, func(t *testing.T) {
+			res, err := mp.Launch(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sc.Kill != nil && res.Attempts < 2 {
+			if spec.Kill != nil && res.Attempts < 2 {
 				t.Fatalf("killed fleet completed in %d attempt(s); the kill never landed", res.Attempts)
 			}
-			want, err := ReferenceProc(sc.Job)
+			want, err := ReferenceProc(spec.Job)
 			if err != nil {
 				t.Fatal(err)
 			}

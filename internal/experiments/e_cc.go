@@ -33,29 +33,7 @@ func E3CCPacing(sc Scale) []*harness.Table {
 			feStr = "inf"
 		}
 		t.Add(row([]any{feStr, c.SearchesStarted(), claims, conflicts, c.JumpRounds},
-			statCells(e.u, "messages"), d, wrongPartition(c.Comp.Gather(), want))...)
+			statCells(e.u, "messages"), d, algorithms.WrongPartition(c.Comp.Gather(), want))...)
 	}
 	return []*harness.Table{t}
-}
-
-// wrongPartition counts vertices whose component assignment is inconsistent
-// with the reference partition.
-func wrongPartition(comp []int64, want []distgraph.Vertex) int {
-	repr := map[int64]distgraph.Vertex{}
-	back := map[distgraph.Vertex]int64{}
-	bad := 0
-	for v := range comp {
-		c, w := comp[v], want[v]
-		if r, ok := repr[c]; ok && r != w {
-			bad++
-			continue
-		}
-		repr[c] = w
-		if r, ok := back[w]; ok && r != c {
-			bad++
-			continue
-		}
-		back[w] = c
-	}
-	return bad
 }

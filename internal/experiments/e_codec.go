@@ -100,7 +100,7 @@ func e20Run(sc Scale, algo, detName string, det am.DetectorKind, codec string,
 	case "cc":
 		c := algorithms.NewCC(e.eng, e.lm)
 		body = func(r *am.Rank) { c.Run(r) }
-		gather = func() []int64 { return canonicalize(c.Comp.Gather()) }
+		gather = func() []int64 { return algorithms.Canonicalize(c.Comp.Gather()) }
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -119,23 +119,6 @@ func e20Run(sc Scale, algo, detName string, det am.DetectorKind, codec string,
 		rec.AllocsPer = float64(rec.Allocs) / float64(rec.Msgs)
 	}
 	return rec, gather()
-}
-
-// canonicalize relabels a component vector so each class is named by its
-// smallest member vertex — CC's raw root labels depend on which searches
-// won the claiming races, but the induced partition is deterministic.
-func canonicalize(comp []int64) []int64 {
-	smallest := map[int64]int64{}
-	for v, c := range comp {
-		if s, ok := smallest[c]; !ok || int64(v) < s {
-			smallest[c] = int64(v)
-		}
-	}
-	out := make([]int64, len(comp))
-	for v, c := range comp {
-		out[v] = smallest[c]
-	}
-	return out
 }
 
 // E20Codec renders the record matrix as the suite table: "wrong" must read 0

@@ -58,13 +58,8 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())
 		b := algorithms.NewBFSTree(e.eng)
 		e.u.Run(func(r *am.Rank) { b.Run(r, 0) })
-		depths := seq.BFS(n, edges, 0)
-		reach := make([]bool, n)
-		for v := range depths {
-			reach[v] = depths[v] != seq.Inf
-		}
 		wrong := 0
-		if err := algorithms.ValidateTree(n, edges, 0, b.Parent.Gather(), reach); err != nil {
+		if err := algorithms.CheckTree(n, edges, 0, b.Parent.Gather()); err != nil {
 			wrong = 1
 		}
 		add("bfs(parent-tree)", []*pattern.BoundAction{b.Visit}, "tree validation", wrong)
@@ -73,18 +68,8 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())
 		w := algorithms.NewWidest(e.eng)
 		e.u.Run(func(r *am.Rank) { w.Run(r, 0) })
-		want := seq.WidestPath(n, edges, 0)
-		wrong := 0
-		for v, got := range w.Cap.Gather() {
-			ww := want[v]
-			if ww == seq.Inf {
-				ww = pattern.Inf
-			}
-			if got != ww {
-				wrong++
-			}
-		}
-		add("widest-path", []*pattern.BoundAction{w.Widen}, "seq widest", wrong)
+		add("widest-path", []*pattern.BoundAction{w.Widen}, "seq widest",
+			algorithms.CountWrong(w.Cap.Gather(), seq.WidestPath(n, edges, 0)))
 	}
 	{ // CC.
 		gopts := distgraph.Options{Symmetrize: true}
@@ -93,7 +78,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		c.FlushEvery = 16
 		e.u.Run(func(r *am.Rank) { c.Run(r) })
 		add("cc(parallel-search)", []*pattern.BoundAction{c.Search, c.Link, c.Jump},
-			"union-find", wrongPartition(c.Comp.Gather(), seq.Components(n, edges)))
+			"union-find", algorithms.WrongPartition(c.Comp.Gather(), seq.Components(n, edges)))
 	}
 	{ // PageRank push.
 		e := newEnv(machine(), n, edges, defaultGOpts(), PaperPlan())

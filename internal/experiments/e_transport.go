@@ -127,7 +127,7 @@ func e21Run(sc Scale, algo, detName string, det am.DetectorKind, tr string,
 	case "cc":
 		c := algorithms.NewCC(e.eng, e.lm)
 		body = func(r *am.Rank) { c.Run(r) }
-		gather = func() []int64 { return canonicalize(c.Comp.Gather()) }
+		gather = func() []int64 { return algorithms.Canonicalize(c.Comp.Gather()) }
 	}
 	d := harness.Time(func() {
 		// No cell injects a fault the substrate cannot absorb: an error here

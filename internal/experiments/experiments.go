@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 
+	"declpat/internal/algorithms"
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
 	"declpat/internal/gen"
@@ -107,28 +108,12 @@ func newEnv(u *am.Universe, n int, edges []distgraph.Edge, gopts distgraph.Optio
 
 // checkSSSP counts vertices whose distance differs from Dijkstra's answer.
 func checkSSSP(got []int64, n int, edges []distgraph.Edge, src distgraph.Vertex) int {
-	return countWrong(got, seq.Dijkstra(n, edges, src))
+	return algorithms.CountWrong(got, seq.Dijkstra(n, edges, src))
 }
 
 // checkBFS counts vertices whose level differs from the sequential BFS's.
 func checkBFS(got []int64, n int, edges []distgraph.Edge, src distgraph.Vertex) int {
-	return countWrong(got, seq.BFS(n, edges, src))
-}
-
-// countWrong counts vertices whose label differs from the sequential
-// reference's (whose unreached label is seq.Inf, the engine's pattern.Inf).
-func countWrong(got, want []int64) int {
-	bad := 0
-	for v := range want {
-		w := want[v]
-		if w == seq.Inf {
-			w = pattern.Inf
-		}
-		if got[v] != w {
-			bad++
-		}
-	}
-	return bad
+	return algorithms.CountWrong(got, seq.BFS(n, edges, src))
 }
 
 // invariantViolations counts edges violating the SSSP invariant

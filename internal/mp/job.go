@@ -3,51 +3,59 @@ package mp
 import (
 	"encoding/json"
 	"fmt"
+
+	"declpat/internal/algorithms"
+	"declpat/internal/am"
+	"declpat/internal/distgraph"
+	"declpat/internal/gen"
+	"declpat/internal/pattern"
+	"declpat/internal/pmap"
 )
 
-// JobSpec describes the algorithm run a launched fleet executes. Every
-// worker receives the same spec (inside its welcome frame) and builds the
-// same workload from it, so the fleet needs no shared filesystem for inputs
-// — only the checkpoint directory is shared. The zero value of each optional
-// field selects a sensible default via normalize.
+// Values every job runs with. No caller ever varied them, so the spec does
+// not carry them.
+const (
+	// weightMin and weightMax bound the RMAT edge weights.
+	weightMin, weightMax = 1, 16
+	// traceCap is a tracing worker's trace ring capacity in events.
+	traceCap = 1 << 18
+)
+
+// JobSpec describes one bfs/sssp/cc run: the description a launched fleet
+// ships to every worker (inside its welcome frame, so the fleet needs no
+// shared filesystem for inputs — only the checkpoint directory is shared),
+// and the gate every front door that runs such a job — declpat-launch,
+// declpat-trace -run and the one-shot CLIs — passes its flags through
+// before building anything (Normalize).
 type JobSpec struct {
 	// Algo selects the kernel: "bfs", "sssp", or "cc".
 	Algo string `json:"algo"`
-	// Scale / EdgeFactor / Seed / WMin / WMax parameterize the RMAT workload
-	// (2^Scale vertices, EdgeFactor edges per vertex, weights in
-	// [WMin, WMax]).
+	// Scale / EdgeFactor / Seed parameterize the RMAT workload (2^Scale
+	// vertices, EdgeFactor edges per vertex, weights in [1, 16]).
 	Scale      int    `json:"scale"`
 	EdgeFactor int    `json:"edge_factor"`
 	Seed       uint64 `json:"seed"`
-	WMin       int64  `json:"wmin,omitempty"`
-	WMax       int64  `json:"wmax,omitempty"`
 	// Ranks is the global rank count, split contiguously over the workers;
-	// Threads is handler threads per rank; Coalesce the coalescing factor
-	// (0 = universe default).
-	Ranks    int `json:"ranks"`
-	Threads  int `json:"threads"`
-	Coalesce int `json:"coalesce,omitempty"`
-	// Source seeds bfs/sssp (it must be below 2^Scale); Delta is the sssp
+	// Threads is handler threads per rank (0 = none: rank mains handle
+	// their own messages).
+	Ranks   int `json:"ranks"`
+	Threads int `json:"threads"`
+	// Source seeds bfs/sssp (it must be below 2^Scale; 64 bits wide so a
+	// too-large flag value is refused, not truncated); Delta is the sssp
 	// bucket width.
-	Source uint32 `json:"source,omitempty"`
+	Source uint64 `json:"source,omitempty"`
 	Delta  int64  `json:"delta,omitempty"`
 	// Network selects the data-plane socket family inside each worker:
 	// "tcp" (default) or "unix". The control plane is always TCP.
 	Network string `json:"network,omitempty"`
-	// Drop/Dup/Delay/Corrupt are per-worker transport fault rates; each
-	// worker's fault plan is seeded with harness.WorkerSeed(root, idx, lo,
-	// hi), so the schedule is deterministic per worker and survives
-	// respawns.
-	Drop    float64 `json:"drop,omitempty"`
-	Dup     float64 `json:"dup,omitempty"`
-	Delay   float64 `json:"delay,omitempty"`
-	Corrupt float64 `json:"corrupt,omitempty"`
+	// Drop is the per-worker data-plane drop rate; each worker's fault plan
+	// is seeded with harness.WorkerSeed(root, idx, lo, hi), so the schedule
+	// is deterministic per worker and survives respawns.
+	Drop float64 `json:"drop,omitempty"`
 	// TraceDir, when set, makes each worker capture a timed trace and write
 	// it as JSONL to TraceDir/worker-<idx>.trace.jsonl before exiting
 	// (declpat-trace -phases consumes it).
 	TraceDir string `json:"trace_dir,omitempty"`
-	// TraceCap bounds the trace ring (total events; 0 = 1<<18).
-	TraceCap int `json:"trace_cap,omitempty"`
 	// FlightDir, when set, points each worker's always-on flight recorder at
 	// FlightDir/flight-<idx>.dpfr — the crash-surviving black box that
 	// declpat-trace -postmortem renders. Launch defaults it to the checkpoint
@@ -55,32 +63,48 @@ type JobSpec struct {
 	FlightDir string `json:"flight_dir,omitempty"`
 }
 
-// Normalize fills defaults and validates the spec.
+// Normalize validates the spec and fills defaults: a zero Scale, EdgeFactor
+// or Ranks takes 8, 8 or 4, a zero sssp Delta takes 8, an empty Network
+// "tcp"; a zero Threads stays zero. It refuses an unknown algorithm or
+// network, a negative size, a Scale of 32 or more (vertex ids are 32-bit), a
+// drop rate outside [0, 1], and a bfs/sssp source outside the graph — so a
+// job it accepts neither panics a universe nor runs a fleet out of memory.
 func (j *JobSpec) Normalize() error {
 	switch j.Algo {
 	case "bfs", "sssp", "cc":
 	default:
 		return fmt.Errorf("mp: unknown algorithm %q (want bfs, sssp, or cc)", j.Algo)
 	}
-	if j.Scale <= 0 {
+	for _, size := range []struct {
+		name string
+		v    int64
+	}{
+		{"scale", int64(j.Scale)}, {"edge factor", int64(j.EdgeFactor)},
+		{"ranks", int64(j.Ranks)}, {"threads", int64(j.Threads)}, {"delta", j.Delta},
+	} {
+		if size.v < 0 {
+			return fmt.Errorf("mp: negative %s %d", size.name, size.v)
+		}
+	}
+	if j.Scale >= 32 {
+		return fmt.Errorf("mp: scale %d too large (vertex ids are 32-bit; want below 32)", j.Scale)
+	}
+	if !(j.Drop >= 0 && j.Drop <= 1) {
+		return fmt.Errorf("mp: drop rate %v outside [0, 1]", j.Drop)
+	}
+	if j.Scale == 0 {
 		j.Scale = 8
 	}
-	if j.Algo != "cc" && j.Scale < 32 && j.Source >= 1<<j.Scale {
+	if j.Algo != "cc" && j.Source >= 1<<j.Scale {
 		return fmt.Errorf("mp: source vertex %d outside the %d vertices of a scale-%d graph", j.Source, 1<<j.Scale, j.Scale)
 	}
-	if j.EdgeFactor <= 0 {
+	if j.EdgeFactor == 0 {
 		j.EdgeFactor = 8
 	}
-	if j.WMax <= 0 {
-		j.WMin, j.WMax = 1, 16
-	}
-	if j.Ranks <= 0 {
+	if j.Ranks == 0 {
 		j.Ranks = 4
 	}
-	if j.Threads <= 0 {
-		j.Threads = 2
-	}
-	if j.Algo == "sssp" && j.Delta <= 0 {
+	if j.Algo == "sssp" && j.Delta == 0 {
 		j.Delta = 8
 	}
 	switch j.Network {
@@ -90,10 +114,43 @@ func (j *JobSpec) Normalize() error {
 	default:
 		return fmt.Errorf("mp: unknown data-plane network %q (want tcp or unix)", j.Network)
 	}
-	if j.TraceCap <= 0 {
-		j.TraceCap = 1 << 18
-	}
 	return nil
+}
+
+// Workload generates the job's RMAT graph: its vertex count and edge list.
+func (j *JobSpec) Workload() (int, []distgraph.Edge) {
+	return gen.RMAT(j.Scale, j.EdgeFactor, gen.Weights{Min: weightMin, Max: weightMax}, j.Seed)
+}
+
+// Bind builds the normalized job's workload over u's ranks — the graph, a
+// pattern engine with the default plan options, and the kernel — and returns
+// the engine, the body every rank runs, and the vectors the body leaves its
+// result in: [level] for bfs, [dist] for sssp, [pnt, chg] for cc (Launch
+// resolves the components from the gathered tables). The fleet worker
+// (RunWorker) and declpat-trace -run both run a job through it, each around
+// its own universe.
+func (j *JobSpec) Bind(u *am.Universe) (*pattern.Engine, func(r *am.Rank), []*pmap.VertexWord) {
+	n, edges := j.Workload()
+	d := distgraph.NewBlockDist(n, u.Ranks())
+	g := distgraph.Build(d, edges, distgraph.Options{Symmetrize: j.Algo == "cc"})
+	lm := pmap.NewLockMap(d, 1)
+	eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
+	src := distgraph.Vertex(j.Source)
+	switch j.Algo {
+	case "bfs":
+		b := algorithms.NewBFS(eng)
+		return eng, func(r *am.Rank) { b.Run(r, src) }, []*pmap.VertexWord{b.Level}
+	case "sssp":
+		s := algorithms.NewSSSP(eng)
+		s.UseDelta(u, j.Delta)
+		return eng, func(r *am.Rank) { s.Run(r, src) }, []*pmap.VertexWord{s.Dist}
+	}
+	// RunResolve, not Run: the final pointer-chase rewrite is "not a graph
+	// computation" (§II-B), and in a fleet local rewrites would bake
+	// worker-local views into the shipped labels. The launcher resolves
+	// components from the full gathered (pnt, chg) tables.
+	c := algorithms.NewCC(eng, lm)
+	return eng, func(r *am.Rank) { c.RunResolve(r) }, []*pmap.VertexWord{c.Pnt, c.Chg}
 }
 
 func (j *JobSpec) marshal() ([]byte, error) { return json.Marshal(j) }

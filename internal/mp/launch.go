@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"declpat/internal/algorithms"
 	"declpat/internal/harness"
 	"declpat/internal/obs"
 )
@@ -55,11 +56,6 @@ type LaunchSpec struct {
 	// plane heartbeat deadline (0 selects 30s / 10s; tests shrink both).
 	RoundTimeout time.Duration
 	Liveness     time.Duration
-	// WorkerCommand is the worker process argv. Empty selects
-	// [os.Executable()] — the self-exec pattern, where the launched binary
-	// calls MaybeWorker early in main (or TestMain) and becomes a rank host
-	// when the mp environment variables are set.
-	WorkerCommand []string
 	// CheckpointDir holds the fleet's checkpoint slot files; "" creates a
 	// temporary directory removed after the launch. Must be on a filesystem
 	// shared by launcher and workers.
@@ -150,12 +146,10 @@ func Launch(spec LaunchSpec) (*LaunchResult, error) {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(sink, format+"\n", args...)
 	}
-	if len(spec.WorkerCommand) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("mp: resolving worker executable: %w", err)
-		}
-		spec.WorkerCommand = []string{exe}
+	// Every worker is this executable, made a rank host by MaybeWorker.
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("mp: resolving worker executable: %w", err)
 	}
 	ckptDir := spec.CheckpointDir
 	if ckptDir == "" {
@@ -239,7 +233,7 @@ func Launch(spec LaunchSpec) (*LaunchResult, error) {
 		}
 		spawnErr := error(nil)
 		for w := 0; w < spec.Workers; w++ {
-			p, err := spawnWorker(spec.WorkerCommand, coord.addr(), w, sink)
+			p, err := spawnWorker(exe, coord.addr(), w, sink)
 			if err != nil {
 				spawnErr = fmt.Errorf("mp: spawning worker %d: %w", w, err)
 				break
@@ -371,8 +365,8 @@ type workerProc struct {
 	waitCh chan int
 }
 
-func spawnWorker(argv []string, addr string, worker int, log io.Writer) (*workerProc, error) {
-	cmd := exec.Command(argv[0], argv[1:]...)
+func spawnWorker(exe, addr string, worker int, log io.Writer) (*workerProc, error) {
+	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(),
 		"DECLPAT_MP_ADDR="+addr,
 		fmt.Sprintf("DECLPAT_MP_WORKER=%d", worker),
@@ -424,15 +418,15 @@ func reapWorkers(procs []*workerProc, logf func(string, ...any)) []int {
 	return codes
 }
 
-// Worker process exit codes (RunWorker and cmd/declpat-worker).
+// Worker process exit codes (MaybeWorker and RunWorker). Status 2 is not
+// among them: it is what the Go runtime exits with on a panic.
 const (
 	// ExitClean: the run completed (or the worker departed gracefully after
 	// a SIGTERM drain).
 	ExitClean = 0
-	// ExitFatal: an unclassified fatal error (bad job, dial failure).
+	// ExitFatal: an unclassified fatal error (malformed worker environment,
+	// bad job, dial failure).
 	ExitFatal = 1
-	// ExitUsage: bad command line / missing environment.
-	ExitUsage = 2
 	// ExitRestart: the fleet aborted (a peer died or a fault was reported);
 	// the worker exited so the launcher can respawn it.
 	ExitRestart = 3
@@ -449,8 +443,8 @@ func describeExit(code int) string {
 		return "code 0 (clean)"
 	case ExitFatal:
 		return "code 1 (fatal error)"
-	case ExitUsage:
-		return "code 2 (usage)"
+	case 2:
+		return "code 2 (Go runtime panic)"
 	case ExitRestart:
 		return "code 3 (restart requested: fleet aborted)"
 	case ExitPeerClosed:
@@ -500,22 +494,5 @@ func assemble(job JobSpec, results map[int][]int64) ([][]int64, error) {
 		}
 		comp[v] = lbl
 	}
-	return [][]int64{canonicalize(comp)}, nil
-}
-
-// canonicalize relabels a component vector by smallest member (the same
-// normalization the chaos harness applies; duplicated because chaos imports
-// this package for its process-kill dimension).
-func canonicalize(comp []int64) []int64 {
-	min := make(map[int64]int64)
-	for v, c := range comp {
-		if m, ok := min[c]; !ok || int64(v) < m {
-			min[c] = int64(v)
-		}
-	}
-	out := make([]int64, len(comp))
-	for v, c := range comp {
-		out[v] = min[c]
-	}
-	return out
+	return [][]int64{algorithms.Canonicalize(comp)}, nil
 }

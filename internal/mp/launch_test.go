@@ -205,6 +205,17 @@ func TestLaunchValidation(t *testing.T) {
 	if _, err := mp.Launch(spec); err == nil {
 		t.Fatal("unknown kill mode accepted")
 	}
+	// A rate am.New would panic on is refused before any worker is spawned:
+	// no attempt, so no exit codes.
+	badRate := testJob("bfs")
+	badRate.Drop = 1.5
+	res, err := mp.Launch(mp.LaunchSpec{Job: badRate, Workers: 2})
+	if err == nil {
+		t.Fatal("drop rate 1.5 accepted")
+	}
+	if res != nil && len(res.ExitCodes) > 0 {
+		t.Fatalf("drop rate 1.5 spawned workers: exit codes %v", res.ExitCodes)
+	}
 }
 
 // TestLaunchFleetObservability is the observability acceptance drill: a

@@ -13,8 +13,10 @@
 // fault report, seeded kill) respawns the fleet and restarts it from the
 // last committed checkpoint, replaying committed collective results from the
 // coordinator's gather log so the rerun is bit-identical to an undisturbed
-// run. RunWorker is the matching worker-process entry point (reached via
-// MaybeWorker self-exec or `declpat-worker -host`).
+// run. RunWorker is the matching worker-process entry point, reached through
+// MaybeWorker when Launch spawns its own executable (self-exec). JobSpec is
+// the one description of a run and its one gate (Normalize); Bind turns it
+// into the kernel a worker runs.
 package mp
 
 import (
@@ -97,7 +99,7 @@ var ErrPeerClosed = errors.New("mp: control peer closed connection")
 // ErrDecode reports a control frame that arrived damaged: bad length, CRC
 // mismatch, malformed body, or an unexpected kind. Distinct from
 // ErrPeerClosed so process exit codes can tell a dead peer from protocol
-// corruption (cmd/declpat-worker exits 4 vs 5).
+// corruption (a worker exits 4 vs 5).
 var ErrDecode = errors.New("mp: control frame decode failure")
 
 // writeFrame writes one frame whose body is v's canonical JSON, or empty when

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -220,7 +221,9 @@ func TestJobSpecValidation(t *testing.T) {
 		t.Fatal("unknown network accepted")
 	}
 	// A source outside the graph would "complete" with every vertex
-	// unreached; CC takes no source.
+	// unreached (CC takes no source), a negative size panics
+	// distgraph.NewBlockDist, a scale of 32 or more overflows the 32-bit
+	// vertex ids, and a rate outside [0, 1] panics am.New.
 	for _, c := range []struct {
 		spec JobSpec
 		ok   bool
@@ -230,10 +233,29 @@ func TestJobSpecValidation(t *testing.T) {
 		{JobSpec{Algo: "sssp", Scale: 6, Source: 1 << 31}, false},
 		{JobSpec{Algo: "sssp", Source: 256}, false}, // default scale 8
 		{JobSpec{Algo: "cc", Scale: 6, Source: 64}, true},
+		{JobSpec{Algo: "bfs", Scale: 31, Source: 1<<32 + 1}, false}, // not truncated to 1
+		{JobSpec{Algo: "bfs", Ranks: -1}, false},
+		{JobSpec{Algo: "bfs", Threads: -1}, false},
+		{JobSpec{Algo: "bfs", Scale: -1}, false},
+		{JobSpec{Algo: "bfs", EdgeFactor: -1}, false},
+		{JobSpec{Algo: "sssp", Delta: -1}, false},
+		{JobSpec{Algo: "bfs", Scale: 31}, true},
+		{JobSpec{Algo: "bfs", Scale: 32}, false},
+		{JobSpec{Algo: "cc", Scale: 40}, false},
+		{JobSpec{Algo: "bfs", Drop: 1}, true},
+		{JobSpec{Algo: "bfs", Drop: -0.1}, false},
+		{JobSpec{Algo: "bfs", Drop: 1.5}, false},
+		{JobSpec{Algo: "bfs", Drop: math.NaN()}, false},
 	} {
 		if err := c.spec.Normalize(); (err == nil) != c.ok {
-			t.Fatalf("%s scale %d source %d: Normalize error %v, want ok=%v", c.spec.Algo, c.spec.Scale, c.spec.Source, err, c.ok)
+			t.Fatalf("%+v: Normalize error %v, want ok=%v", c.spec, err, c.ok)
 		}
+	}
+	// Zero threads is am's "no handler threads", not a request for the
+	// default.
+	zero := JobSpec{Algo: "sssp", Threads: 0}
+	if err := zero.Normalize(); err != nil || zero.Threads != 0 {
+		t.Fatalf("Threads: 0 normalized to %d (err %v), want 0", zero.Threads, err)
 	}
 	if _, err := unmarshalJob([]byte("{not json")); !errors.Is(err, ErrDecode) {
 		t.Fatalf("bad job JSON: got %v, want ErrDecode", err)

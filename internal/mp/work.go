@@ -12,12 +12,9 @@ import (
 	"syscall"
 	"time"
 
-	"declpat/internal/algorithms"
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
-	"declpat/internal/gen"
 	"declpat/internal/obs"
-	"declpat/internal/pattern"
 	"declpat/internal/pmap"
 )
 
@@ -37,9 +34,9 @@ const (
 
 // MaybeWorker turns the current process into a rank host when the launcher's
 // environment variables are set, and never returns in that case (it exits
-// with RunWorker's code). This is the self-exec pattern: the launcher's
-// default WorkerCommand is its own executable, so one binary is both
-// launcher and worker.
+// with RunWorker's code). This is the self-exec pattern: Launch spawns its
+// own executable as every worker, so one binary is both launcher and worker
+// — declpat-launch, or a test binary that calls this in TestMain.
 func MaybeWorker() {
 	addr := os.Getenv(EnvAddr)
 	if addr == "" {
@@ -48,7 +45,7 @@ func MaybeWorker() {
 	worker, err := strconv.Atoi(os.Getenv(EnvWorker))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mp worker: bad %s=%q: %v\n", EnvWorker, os.Getenv(EnvWorker), err)
-		os.Exit(ExitUsage)
+		os.Exit(ExitFatal)
 	}
 	os.Exit(RunWorker(addr, worker))
 }
@@ -74,10 +71,8 @@ func RunWorker(addr string, worker int) int {
 		return exitForErr(err, ExitFatal)
 	}
 
-	n, edges := gen.RMAT(job.Scale, job.EdgeFactor, gen.Weights{Min: job.WMin, Max: job.WMax}, job.Seed)
 	opts := []am.Option{
 		am.WithThreads(job.Threads),
-		am.WithCoalesce(job.Coalesce),
 		am.WithDetector(am.DetectorFourCounter),
 		am.WithControlPlane(cl.MPConfig()),
 		// The chaos harness's test-speed failure machinery: a launched fleet
@@ -92,17 +87,11 @@ func RunWorker(addr string, worker int) int {
 			TickInterval:  200 * time.Microsecond,
 		})),
 	}
-	if job.Drop > 0 || job.Dup > 0 || job.Delay > 0 || job.Corrupt > 0 {
-		opts = append(opts, am.WithFaultPlan(&am.FaultPlan{
-			Seed:    w.WorkerSeed,
-			Drop:    job.Drop,
-			Dup:     job.Dup,
-			Delay:   job.Delay,
-			Corrupt: job.Corrupt,
-		}))
+	if job.Drop > 0 {
+		opts = append(opts, am.WithFaultPlan(&am.FaultPlan{Seed: w.WorkerSeed, Drop: job.Drop}))
 	}
 	if job.TraceDir != "" {
-		opts = append(opts, am.WithTiming(), am.WithTraceCapacity(job.TraceCap))
+		opts = append(opts, am.WithTiming(), am.WithTraceCapacity(traceCap))
 	}
 	// The flight recorder is built before the universe (am.New wires it into
 	// the trace path), but its counter sampler needs the universe — close over
@@ -182,10 +171,7 @@ func RunWorker(addr string, worker int) int {
 	}()
 	drainFlush := func() { close(stopFlush); <-flushDone }
 
-	d := distgraph.NewBlockDist(n, u.Ranks())
-	g := distgraph.Build(d, edges, distgraph.Options{Symmetrize: job.Algo == "cc"})
-	lm := pmap.NewLockMap(d, 1)
-	eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
+	eng, body, vecs := job.Bind(u)
 	// The data plane crosses kernel sockets between co-hosted ranks too, so
 	// the engine's message type needs a wire codec; the zero-reflection
 	// fixed codec is its natural one.
@@ -210,28 +196,6 @@ func RunWorker(addr string, worker int) int {
 		}
 	}()
 
-	var body func(r *am.Rank)
-	var vecs []*pmap.VertexWord
-	switch job.Algo {
-	case "bfs":
-		b := algorithms.NewBFS(eng)
-		body = func(r *am.Rank) { b.Run(r, distgraph.Vertex(job.Source)) }
-		vecs = []*pmap.VertexWord{b.Level}
-	case "sssp":
-		s := algorithms.NewSSSP(eng)
-		s.UseDelta(u, job.Delta)
-		body = func(r *am.Rank) { s.Run(r, distgraph.Vertex(job.Source)) }
-		vecs = []*pmap.VertexWord{s.Dist}
-	case "cc":
-		// RunResolve, not Run: the final pointer-chase rewrite is "not a
-		// graph computation" (§II-B) and local rewrites would bake
-		// worker-local views into the shipped labels. The launcher resolves
-		// components from the full gathered (pnt, chg) tables instead.
-		c := algorithms.NewCC(eng, lm)
-		body = func(r *am.Rank) { c.RunResolve(r) }
-		vecs = []*pmap.VertexWord{c.Pnt, c.Chg}
-	}
-
 	if err := u.Run(body); err != nil {
 		drainFlush()
 		if departing.Load() {
@@ -253,7 +217,7 @@ func RunWorker(addr string, worker int) int {
 	// fleet trace into the attempt outcome when results complete.
 	drainFlush()
 	writeArtifacts(u, cl, job, worker, flight, "run complete")
-	if err := shipResults(cl, d, vecs, int(w.Lo), int(w.Hi)); err != nil {
+	if err := shipResults(cl, vecs, int(w.Lo), int(w.Hi)); err != nil {
 		fmt.Fprintf(os.Stderr, "mp worker %d: shipping results: %v\n", worker, err)
 		return exitForErr(err, ExitFatal)
 	}
@@ -325,7 +289,7 @@ func writeTrace(u *am.Universe, cl *Client, dir string, worker int) error {
 // one fResult frame per (vector, hosted rank), then fResultDone. Shard
 // placement is by global vertex id, so the coordinator reassembles the full
 // vector without knowing the distribution.
-func shipResults(cl *Client, d distgraph.BlockDist, vecs []*pmap.VertexWord, lo, hi int) error {
+func shipResults(cl *Client, vecs []*pmap.VertexWord, lo, hi int) error {
 	for vi, vec := range vecs {
 		for rank := lo; rank < hi; rank++ {
 			var vals []int64
@@ -333,7 +297,7 @@ func shipResults(cl *Client, d distgraph.BlockDist, vecs []*pmap.VertexWord, lo,
 			if len(vals) == 0 {
 				continue
 			}
-			body := resultMsg{Vec: vi, VertexLo: uint64(d.Global(rank, 0)), Vals: vals}
+			body := resultMsg{Vec: vi, VertexLo: uint64(vec.Dist().Global(rank, 0)), Vals: vals}
 			if err := cl.write(fResult, body); err != nil {
 				return err
 			}
