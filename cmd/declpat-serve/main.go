@@ -1,13 +1,18 @@
 // Command declpat-serve runs the resident query plane behind an HTTP API:
 // one long-lived universe with an RMAT graph and pre-bound algorithm slots
 // serves concurrent BFS / SSSP / PageRank queries submitted over HTTP, with
-// admission control, per-query deadlines, same-algorithm fusion, and an
-// OpenMetrics endpoint carrying per-query latency percentiles and queue
-// depth.
+// admission control, per-query deadlines, one query per scheduling step
+// (each answered when its own epoch ends), and an OpenMetrics endpoint
+// carrying per-query latency percentiles and queue depth.
 //
 // Usage:
 //
 //	declpat-serve -scale 14 -ranks 4 -threads 2 -listen 127.0.0.1:8080
+//
+// Flags that would panic the graph build (the size rule every job front
+// door shares: declpat.CheckSizes) or quietly break the service (a negative
+// -deadline, -queue or -retain below 1) exit 2 with one error line before
+// the graph is generated.
 //
 // API:
 //
@@ -46,11 +51,14 @@ func main() {
 	ranks := flag.Int("ranks", 4, "simulated ranks")
 	threads := flag.Int("threads", 2, "handler threads per rank")
 	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
-	fusion := flag.Int("fusion", 8, "max same-algorithm queries fused per sweep")
 	queue := flag.Int("queue", 256, "admission queue depth")
 	deadline := flag.Duration("deadline", 0, "default per-query deadline (0 = none)")
 	retain := flag.Int("retain", 256, "finished results retained for lookups")
 	flag.Parse()
+	if err := checkFlags(*scale, *ef, *ranks, *threads, *queue, *retain, *deadline); err != nil {
+		fmt.Fprintln(os.Stderr, "declpat-serve:", err)
+		os.Exit(2)
+	}
 
 	// The heap is the retention ring: -retain finished vectors of 8·n bytes,
 	// pointer-free, each becoming garbage the moment a newer result evicts
@@ -68,7 +76,6 @@ func main() {
 	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})
 	eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
 	svc := declpat.NewQueryService(eng,
-		declpat.WithMaxFusion(*fusion),
 		declpat.WithQueueDepth(*queue),
 		declpat.WithDefaultDeadline(*deadline),
 		declpat.WithRetain(*retain),
@@ -109,6 +116,25 @@ func main() {
 	if err := <-served; err != nil {
 		log.Fatalf("declpat-serve: query plane: %v", err)
 	}
+}
+
+// checkFlags refuses flag values the service cannot run with: sizes the
+// shared size rule refuses, a negative default deadline (it would expire
+// every query that carries no deadline of its own), and a queue depth or
+// retention below 1 (the options would silently keep their defaults).
+func checkFlags(scale, ef, ranks, threads, queue, retain int, deadline time.Duration) error {
+	if err := declpat.CheckSizes(scale, ef, ranks, threads); err != nil {
+		return err
+	}
+	switch {
+	case deadline < 0:
+		return fmt.Errorf("negative -deadline %v", deadline)
+	case queue < 1:
+		return fmt.Errorf("-queue %d, want at least 1", queue)
+	case retain < 1:
+		return fmt.Errorf("-retain %d, want at least 1", retain)
+	}
+	return nil
 }
 
 // routes wires the HTTP API over the query service of an n-vertex graph.

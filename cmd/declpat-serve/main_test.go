@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"declpat"
 )
@@ -21,7 +22,7 @@ func newService(tb testing.TB) (*declpat.QueryService, http.Handler, int) {
 	dist := declpat.NewBlockDist(n, 2)
 	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})
 	eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
-	svc := declpat.NewQueryService(eng, declpat.WithMaxFusion(2), declpat.WithQueueDepth(1024))
+	svc := declpat.NewQueryService(eng, declpat.WithQueueDepth(1024))
 	return svc, routes(svc, n), n
 }
 
@@ -81,6 +82,46 @@ func TestWireIntegersRangeChecked(t *testing.T) {
 	} {
 		if rec := serve(h, tc.method, tc.target, tc.body); rec.Code != tc.want {
 			t.Errorf("%s %s %s: %d %s, want %d", tc.method, tc.target, tc.body, rec.Code, rec.Body, tc.want)
+		}
+	}
+}
+
+// TestFlagsRefused: flags that used to panic the graph build (-ranks 0 or
+// -1 in distgraph.NewBlockDist, -edgefactor -1 in gen.RMAT, a scale whose
+// vertex ids overflow 32 bits) or quietly break the service (-deadline -1s
+// expired every query without a deadline of its own; -queue 0 and -retain 0
+// fell back to the defaults) are refused before anything is built.
+func TestFlagsRefused(t *testing.T) {
+	type flags struct {
+		scale, ef, ranks, threads, queue, retain int
+		deadline                                 time.Duration
+	}
+	defaults := flags{12, 8, 4, 2, 256, 256, 0}
+	for _, tc := range []struct {
+		name string
+		edit func(*flags)
+		ok   bool
+	}{
+		{"defaults", func(*flags) {}, true},
+		{"bench flags", func(f *flags) { f.ranks, f.threads = 2, 1 }, true},
+		{"no handler threads", func(f *flags) { f.threads = 0 }, true},
+		{"one rank", func(f *flags) { f.ranks = 1 }, true},
+		{"deadline", func(f *flags) { f.deadline = time.Second }, true},
+		{"ranks 0", func(f *flags) { f.ranks = 0 }, false},
+		{"ranks -1", func(f *flags) { f.ranks = -1 }, false},
+		{"edgefactor -1", func(f *flags) { f.ef = -1 }, false},
+		{"scale -1", func(f *flags) { f.scale = -1 }, false},
+		{"scale 40", func(f *flags) { f.scale = 40 }, false},
+		{"threads -1", func(f *flags) { f.threads = -1 }, false},
+		{"deadline -1s", func(f *flags) { f.deadline = -time.Second }, false},
+		{"queue 0", func(f *flags) { f.queue = 0 }, false},
+		{"retain 0", func(f *flags) { f.retain = 0 }, false},
+	} {
+		f := defaults
+		tc.edit(&f)
+		err := checkFlags(f.scale, f.ef, f.ranks, f.threads, f.queue, f.retain, f.deadline)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: checkFlags error %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -616,6 +616,14 @@ type (
 	MPLaunchResult = mp.LaunchResult
 )
 
+// CheckSizes is the size rule MPJobSpec.Normalize applies once its defaults
+// are filled: no negative scale, edge factor or thread count, at least one
+// rank, and a scale below 32. declpat-serve passes its graph flags through
+// it.
+func CheckSizes(scale, edgeFactor, ranks, threads int) error {
+	return mp.CheckSizes(scale, edgeFactor, ranks, threads)
+}
+
 // Launch spawns a worker fleet, serves the wire control plane, and drives
 // the run — respawning and restoring from checkpoints on worker death —
 // until completion or restart-budget exhaustion.
@@ -637,9 +645,10 @@ func WorkerSeed(root uint64, idx, lo, hi int) uint64 { return harness.WorkerSeed
 // Query plane (internal/query): a resident QueryService owns a long-lived
 // universe, a graph, and pre-bound algorithm slots, and multiplexes many
 // concurrent, independently-deadlined queries over them — admission control
-// with a bounded queue, same-algorithm fusion into single epoch sweeps, and
-// per-query context tagging of every epoch. cmd/declpat-serve is the HTTP
-// front end. See DESIGN.md "Query plane".
+// with a bounded queue, one query per scheduling step answered when its own
+// epoch ends (concurrent PageRank queries share one job), and per-query
+// context tagging of every epoch. cmd/declpat-serve is the HTTP front end.
+// See DESIGN.md "Query plane".
 type (
 	// QueryService is the resident query plane; construct with
 	// NewQueryService before Universe.Run, drive with Serve, submit from any
@@ -648,7 +657,8 @@ type (
 	// QueryRequest describes one query (algorithm, source, deadline).
 	QueryRequest = query.Request
 	// QueryResult is a completed query's answer: the per-vertex property
-	// vector plus lifecycle timestamps and fusion width.
+	// vector plus lifecycle timestamps and the step's query count (1, or a
+	// shared PageRank job's members).
 	QueryResult = query.Result
 	// QueryStatus is a point-in-time lifecycle snapshot of one query.
 	QueryStatus = query.Status
@@ -692,9 +702,6 @@ var (
 
 // QueryService construction options.
 var (
-	// WithMaxFusion bounds how many same-algorithm queries fuse into one
-	// epoch sweep (and sizes the pre-bound slot pools).
-	WithMaxFusion = query.WithMaxFusion
 	// WithQueueDepth bounds the admission queue.
 	WithQueueDepth = query.WithQueueDepth
 	// WithDefaultDeadline applies a deadline to requests without their own.

@@ -17,7 +17,7 @@ func ExampleNewQueryService() {
 	dist := declpat.NewBlockDist(n, 2)
 	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{})
 	eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
-	svc := declpat.NewQueryService(eng, declpat.WithMaxFusion(4))
+	svc := declpat.NewQueryService(eng)
 
 	served := make(chan error, 1)
 	go func() { served <- svc.Serve() }()

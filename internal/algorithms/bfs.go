@@ -64,8 +64,8 @@ func (b *BFS) Run(r *am.Rank, src distgraph.Vertex) {
 
 // ResetLocal resets this rank's slice of the level map to unvisited (∞).
 // Rank-local; callers sequence their own barrier before seeding messages can
-// arrive. The query plane uses it to recycle a bound BFS slot between fused
-// batches without re-binding the pattern.
+// arrive. The query plane uses it to recycle its bound BFS slot between
+// queries without re-binding the pattern.
 func (b *BFS) ResetLocal(r *am.Rank) {
 	b.Level.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
 		b.Level.Set(r.ID(), v, pattern.Inf)
@@ -74,10 +74,8 @@ func (b *BFS) ResetLocal(r *am.Rank) {
 
 // SeedLocal marks src as a level-0 root if this rank owns it, appending it to
 // seeds (unchanged otherwise). Splitting seeding from Run lets the query
-// plane fuse many sources — across this and sibling slots — into one epoch
-// sweep: every returned seed is later Invoked inside the same collective
-// epoch, and the fixed point of the min-relaxation is independent of how many
-// frontiers share the sweep.
+// plane invoke the returned seeds inside an epoch of its own, tagged with the
+// query's id; the fixed point reached is the one Run reaches.
 func (b *BFS) SeedLocal(r *am.Rank, seeds []distgraph.Vertex, src distgraph.Vertex) []distgraph.Vertex {
 	if b.G.Owner(src) == r.ID() {
 		b.Level.Set(r.ID(), src, 0)
@@ -87,7 +85,7 @@ func (b *BFS) SeedLocal(r *am.Rank, seeds []distgraph.Vertex, src distgraph.Vert
 }
 
 // InvokeSeeds applies the bound visit action to each seed; the caller must be
-// inside a collective epoch (the query plane's fused sweep).
+// inside a collective epoch (the query plane's step).
 func (b *BFS) InvokeSeeds(r *am.Rank, seeds []distgraph.Vertex) {
 	for _, v := range seeds {
 		b.Visit.Invoke(r, v)

@@ -184,8 +184,8 @@ func (s *SSSP) RunBellmanFordRounds(r *am.Rank, src distgraph.Vertex) int {
 
 // ResetLocal resets this rank's slice of the distance map to unreached (∞).
 // Rank-local; callers sequence their own barrier before relaxations can
-// arrive. The query plane uses it to recycle a bound SSSP slot between fused
-// batches without re-binding the pattern.
+// arrive. The query plane uses it to recycle its bound SSSP slot between
+// queries without re-binding the pattern.
 func (s *SSSP) ResetLocal(r *am.Rank) {
 	s.Dist.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
 		s.Dist.Set(r.ID(), v, pattern.Inf)
@@ -193,9 +193,9 @@ func (s *SSSP) ResetLocal(r *am.Rank) {
 }
 
 // SeedLocal zeroes src's distance if this rank owns it, appending it to seeds
-// (unchanged otherwise). Like BFS.SeedLocal, this is the fusion seam: the
-// query plane seeds many sources across sibling slots and relaxes them all in
-// one epoch sweep.
+// (unchanged otherwise). Like BFS.SeedLocal, this is the query plane's seam:
+// it seeds a query's source and relaxes it in an epoch tagged with the
+// query's id.
 func (s *SSSP) SeedLocal(r *am.Rank, seeds []distgraph.Vertex, src distgraph.Vertex) []distgraph.Vertex {
 	if s.G.Owner(src) == r.ID() {
 		s.Dist.Set(r.ID(), src, 0)
@@ -205,7 +205,7 @@ func (s *SSSP) SeedLocal(r *am.Rank, seeds []distgraph.Vertex, src distgraph.Ver
 }
 
 // InvokeSeeds applies the bound relax action to each seed; the caller must be
-// inside a collective epoch (the query plane's fused sweep).
+// inside a collective epoch (the query plane's step).
 func (s *SSSP) InvokeSeeds(r *am.Rank, seeds []distgraph.Vertex) {
 	for _, v := range seeds {
 		s.Relax.Invoke(r, v)

@@ -66,43 +66,35 @@ type JobSpec struct {
 // Normalize validates the spec and fills defaults: a zero Scale, EdgeFactor
 // or Ranks takes 8, 8 or 4, a zero sssp Delta takes 8, an empty Network
 // "tcp"; a zero Threads stays zero. It refuses an unknown algorithm or
-// network, a negative size, a Scale of 32 or more (vertex ids are 32-bit), a
-// drop rate outside [0, 1], and a bfs/sssp source outside the graph — so a
-// job it accepts neither panics a universe nor runs a fleet out of memory.
+// network, sizes CheckSizes refuses, a negative Delta, a drop rate outside
+// [0, 1], and a bfs/sssp source outside the graph — so a job it accepts
+// neither panics a universe nor runs a fleet out of memory.
 func (j *JobSpec) Normalize() error {
 	switch j.Algo {
 	case "bfs", "sssp", "cc":
 	default:
 		return fmt.Errorf("mp: unknown algorithm %q (want bfs, sssp, or cc)", j.Algo)
 	}
-	for _, size := range []struct {
-		name string
-		v    int64
-	}{
-		{"scale", int64(j.Scale)}, {"edge factor", int64(j.EdgeFactor)},
-		{"ranks", int64(j.Ranks)}, {"threads", int64(j.Threads)}, {"delta", j.Delta},
-	} {
-		if size.v < 0 {
-			return fmt.Errorf("mp: negative %s %d", size.name, size.v)
-		}
-	}
-	if j.Scale >= 32 {
-		return fmt.Errorf("mp: scale %d too large (vertex ids are 32-bit; want below 32)", j.Scale)
-	}
-	if !(j.Drop >= 0 && j.Drop <= 1) {
-		return fmt.Errorf("mp: drop rate %v outside [0, 1]", j.Drop)
-	}
 	if j.Scale == 0 {
 		j.Scale = 8
-	}
-	if j.Algo != "cc" && j.Source >= 1<<j.Scale {
-		return fmt.Errorf("mp: source vertex %d outside the %d vertices of a scale-%d graph", j.Source, 1<<j.Scale, j.Scale)
 	}
 	if j.EdgeFactor == 0 {
 		j.EdgeFactor = 8
 	}
 	if j.Ranks == 0 {
 		j.Ranks = 4
+	}
+	if err := CheckSizes(j.Scale, j.EdgeFactor, j.Ranks, j.Threads); err != nil {
+		return err
+	}
+	if j.Delta < 0 {
+		return fmt.Errorf("mp: negative delta %d", j.Delta)
+	}
+	if !(j.Drop >= 0 && j.Drop <= 1) {
+		return fmt.Errorf("mp: drop rate %v outside [0, 1]", j.Drop)
+	}
+	if j.Algo != "cc" && j.Source >= 1<<j.Scale {
+		return fmt.Errorf("mp: source vertex %d outside the %d vertices of a scale-%d graph", j.Source, 1<<j.Scale, j.Scale)
 	}
 	if j.Algo == "sssp" && j.Delta == 0 {
 		j.Delta = 8
@@ -113,6 +105,30 @@ func (j *JobSpec) Normalize() error {
 	case "tcp", "unix":
 	default:
 		return fmt.Errorf("mp: unknown data-plane network %q (want tcp or unix)", j.Network)
+	}
+	return nil
+}
+
+// CheckSizes is the size rule of every front door that generates an RMAT
+// graph and builds a universe over it, applied once defaults are filled: no
+// size is negative (gen.RMAT and distgraph.NewBlockDist panic on one), a
+// universe has at least one rank, and a scale is below 32 (vertex ids are
+// 32-bit). Normalize applies it to a job; declpat-serve, whose flags have
+// no defaults to fill, to its flags.
+func CheckSizes(scale, edgeFactor, ranks, threads int) error {
+	for _, size := range []struct {
+		name string
+		v    int
+	}{{"scale", scale}, {"edge factor", edgeFactor}, {"threads", threads}} {
+		if size.v < 0 {
+			return fmt.Errorf("mp: negative %s %d", size.name, size.v)
+		}
+	}
+	if ranks < 1 {
+		return fmt.Errorf("mp: %d ranks (want at least 1)", ranks)
+	}
+	if scale >= 32 {
+		return fmt.Errorf("mp: scale %d too large (vertex ids are 32-bit; want below 32)", scale)
 	}
 	return nil
 }

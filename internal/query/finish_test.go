@@ -12,12 +12,12 @@ import (
 	"declpat/internal/pmap"
 )
 
-// TestFinishRoundGathersOutsideLock: completing a wide round copies one
-// property vector per member, and a point lookup issued meanwhile must not
-// wait for the copies. Every gather of a fused eight-wide round looks up a
-// value of an earlier, retained query from another goroutine; were the gather
-// running under the service lock (as it did), the lookup could not return
-// before the gather does.
+// TestFinishRoundGathersOutsideLock: completing a step copies the query's
+// property vector, and a point lookup issued meanwhile must not wait for the
+// copy. Every gather of eight queued queries' steps looks up a value of an
+// earlier, retained query from another goroutine; were the gather running
+// under the service lock (as it once did), the lookup could not return before
+// the gather does.
 func TestFinishRoundGathersOutsideLock(t *testing.T) {
 	const ranks, width = 2, 8
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 42)
@@ -25,7 +25,7 @@ func TestFinishRoundGathersOutsideLock(t *testing.T) {
 	dist := distgraph.NewBlockDist(n, ranks)
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(dist, 1), pattern.DefaultPlanOptions())
-	s := New(eng, WithMaxFusion(width))
+	s := New(eng)
 
 	var first atomic.Int64 // id of the retained query the gathers look up
 	var gathers, stalled atomic.Int64
@@ -60,32 +60,22 @@ func TestFinishRoundGathersOutsideLock(t *testing.T) {
 	}
 	first.Store(tk.ID())
 
-	// One wide round: the scheduler is idle, so whatever is queued when it
-	// wakes fuses; submit until a round as wide as the pool has completed.
-	var widest int
-	for try := 0; try < 20 && widest < width; try++ {
-		var tks []*Ticket
-		for i := 0; i < width; i++ {
-			tk, err := s.Submit(Request{Algo: SSSP, Source: distgraph.Vertex(3 + i)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tks = append(tks, tk)
+	var tks []*Ticket
+	for i := 0; i < width; i++ {
+		tk, err := s.Submit(Request{Algo: SSSP, Source: distgraph.Vertex(3 + i)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, tk := range tks {
-			res, err := tk.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			widest = max(widest, res.BatchSize)
+		tks = append(tks, tk)
+	}
+	for _, tk := range tks {
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	s.Stop()
 	if err := <-served; err != nil {
 		t.Fatalf("Serve: %v", err)
-	}
-	if widest < 2 {
-		t.Fatalf("widest fused round = %d: no wide round to observe", widest)
 	}
 	if gathers.Load() < int64(width) {
 		t.Fatalf("%d gathers observed, want at least %d", gathers.Load(), width)

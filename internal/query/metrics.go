@@ -23,8 +23,8 @@ type metrics struct {
 	// latency holds per-algorithm end-to-end latency (submit → result,
 	// admission wait included), nanosecond observations.
 	latency [numAlgos]*obs.Histogram
-	// batch records the fusion width of every executed sweep (and the
-	// member count of every completed PageRank job).
+	// batch records the queries each step answered: 1 per BFS/SSSP step,
+	// and the member count of every completed PageRank job.
 	batch    *obs.Histogram
 	maxBatch atomic.Int64
 }
@@ -34,7 +34,7 @@ func (m *metrics) init() {
 		// 4µs .. ~34s, doubling.
 		m.latency[i] = obs.NewHistogram(1, obs.ExpBounds(1<<12, 24)...)
 	}
-	// 1 .. 128 queries per sweep, doubling.
+	// 1 .. 128 queries per step, doubling.
 	m.batch = obs.NewHistogram(1, obs.ExpBounds(1, 8)...)
 }
 
@@ -55,8 +55,9 @@ type ServiceStats struct {
 	// Latency maps algorithm names to end-to-end latency histograms
 	// (nanoseconds).
 	Latency map[string]obs.HistSnapshot
-	// BatchSize is the fusion-width distribution; MaxBatch its high-water
-	// mark.
+	// BatchSize is the distribution of queries answered per step (1 for
+	// BFS/SSSP, the member count for a completed PageRank job); MaxBatch its
+	// high-water mark.
 	BatchSize obs.HistSnapshot
 	MaxBatch  int64
 }
@@ -90,7 +91,7 @@ func (s *Service) Stats() ServiceStats {
 
 // WriteOpenMetrics writes the full exposition for a resident service: the
 // declpat_query_* families (queue depth, admission counters, per-algorithm
-// latency histograms and quantiles, fusion widths), the pattern engine's
+// latency histograms and quantiles, queries per step), the pattern engine's
 // declpat_pattern_* per-action counters, then the universe's substrate
 // families and the # EOF terminator. This is the
 // payload behind declpat-serve's /metrics endpoint.
@@ -100,7 +101,7 @@ func (s *Service) WriteOpenMetrics(w io.Writer) error {
 
 	om.Family("declpat_query_queue_depth", "gauge", "Admitted queries waiting for a scheduling round.")
 	om.SampleInt("declpat_query_queue_depth", nil, int64(st.QueueDepth))
-	om.Family("declpat_query_active", "gauge", "Queries currently running (batch members and PageRank attachments).")
+	om.Family("declpat_query_active", "gauge", "Queries currently running (the step's query and PageRank attachments).")
 	om.SampleInt("declpat_query_active", nil, int64(st.Active))
 
 	counters := []struct {
@@ -133,9 +134,9 @@ func (s *Service) WriteOpenMetrics(w io.Writer) error {
 		}
 	}
 
-	om.Family("declpat_query_batch_size", "histogram", "Queries fused per executed sweep (and members per completed PageRank job).")
+	om.Family("declpat_query_batch_size", "histogram", "Queries answered per step: 1 per BFS/SSSP step, members per completed PageRank job.")
 	om.Hist("declpat_query_batch_size", nil, st.BatchSize, 1)
-	om.Family("declpat_query_batch_max", "gauge", "Largest fusion width observed.")
+	om.Family("declpat_query_batch_max", "gauge", "Most queries answered by one step (a PageRank job's members; 1 for BFS/SSSP).")
 	om.SampleInt("declpat_query_batch_max", nil, st.MaxBatch)
 
 	s.eng.WriteMetrics(om)

@@ -1,14 +1,15 @@
 // Package query is the resident query plane over a long-lived universe: one
 // Service owns a universe, a graph, and pre-bound algorithm slots, and serves
 // many concurrent, independently-deadlined queries against them. Queries are
-// admitted into a bounded queue, batched (same-algorithm frontiers fuse into
-// one epoch sweep), scheduled round-robin (one step per active job per
-// scheduling round), and answered from retained per-query property vectors.
+// admitted into a bounded queue, scheduled one step at a time (one BFS or
+// SSSP query, or one round of the shared PageRank job, rotating over the
+// classes that have work), and answered from retained per-query property
+// vectors.
 //
 // The plane leans on three substrate guarantees:
 //
 //   - Epochs are globally serialized and tagged: every scheduling step runs
-//     under am.Rank.EpochCtx with the query (or batch representative) id, so
+//     under am.Rank.EpochCtx with the query (or PageRank job) id, so
 //     envelopes, detector waves, and trace events of interleaved queries are
 //     routed and attributed by query context instead of silently merged.
 //   - Collectives are shared-memory, so the leader (rank 0) can mutate the
@@ -17,8 +18,7 @@
 //     publishes the plan to every rank.
 //   - Min-relaxation fixed points (BFS, SSSP) are confluent and PageRank is
 //     deterministic integer fixed-point, so a query's result is bit-identical
-//     to its one-shot run no matter how many sibling frontiers share the
-//     sweep or how rounds interleave.
+//     to its one-shot run no matter how steps interleave.
 package query
 
 import (
@@ -45,6 +45,8 @@ const (
 	SSSP
 	// PageRank answers fixed-point ranks (PRScale scale); it has no source,
 	// so concurrent PageRank queries dedupe onto one shared stepwise job.
+	// Every algorithm before it runs one query per step from a pre-bound
+	// slot.
 	PageRank
 
 	numAlgos
@@ -122,8 +124,9 @@ type Result struct {
 	Values []int64
 	// Rounds is the PageRank round count (0 for BFS/SSSP).
 	Rounds int
-	// BatchSize is the number of queries fused into the sweep (or sharing
-	// the PageRank job) that produced this result.
+	// BatchSize is the number of queries answered by the step that produced
+	// this result: 1 for BFS and SSSP, which run one query per step, and the
+	// member count of the shared job for PageRank.
 	BatchSize int
 	// Queued, Started, Finished are the query's lifecycle timestamps.
 	Queued, Started, Finished time.Time
@@ -145,7 +148,7 @@ type Status struct {
 	State   string
 	Err     error // non-nil iff State == StateFailed
 	Rounds  int
-	Batch   int
+	Batch   int // Result.BatchSize once done
 	Queued  time.Time
 	Started time.Time // zero until scheduled
 	Done    time.Time // zero until finished
@@ -172,8 +175,8 @@ type Ticket struct {
 	j *job
 }
 
-// ID returns the query id (also the query-context id its epochs are tagged
-// with when it leads a batch).
+// ID returns the query id (also the query-context id its epoch is tagged
+// with; PageRank rounds carry the id of the shared job's first member).
 func (t *Ticket) ID() int64 { return t.j.id }
 
 // Done returns a channel closed when the query completes or fails.
@@ -200,17 +203,6 @@ func (t *Ticket) Cancel() {
 
 // Option configures a Service at construction.
 type Option func(*Service)
-
-// WithMaxFusion bounds how many same-algorithm queries fuse into one epoch
-// sweep (default 8). Each fusion slot pre-binds its own property map, so this
-// also sets the BFS/SSSP slot-pool sizes.
-func WithMaxFusion(n int) Option {
-	return func(s *Service) {
-		if n > 0 {
-			s.maxFusion = n
-		}
-	}
-}
 
 // WithQueueDepth bounds the admission queue (default 256); submissions beyond
 // it are rejected with ErrQueueFull.
@@ -247,12 +239,18 @@ func WithPageRank(maxIters int, tolerance int64) Option {
 	}
 }
 
-// batch is one fused same-algorithm sweep: up to maxFusion queries, each
-// assigned its own pre-bound slot, all seeded and relaxed inside one tagged
-// epoch.
-type batch struct {
-	jobs []*job
-	qid  int64 // representative query context: the first member's id
+// kernel is the reset/seed/invoke seam BFS and SSSP share, so one step
+// runner serves both.
+type kernel interface {
+	ResetLocal(r *am.Rank)
+	SeedLocal(r *am.Rank, seeds []distgraph.Vertex, src distgraph.Vertex) []distgraph.Vertex
+	InvokeSeeds(r *am.Rank, seeds []distgraph.Vertex)
+}
+
+// slot is a pre-bound kernel and the vector it leaves its answer in.
+type slot struct {
+	k   kernel
+	out *pmap.VertexWord
 }
 
 // prStep is one scheduling turn of the shared PageRank job. last marks the
@@ -266,14 +264,14 @@ type prStep struct {
 	converged bool
 }
 
-// roundPlan is one scheduling round, decided by rank 0 under mu and published
-// to every rank by the plan barrier. Round-robin fairness is structural: at
-// most one step per active job class per round, so a long PageRank run
-// interleaves its rounds with whole BFS/SSSP sweeps.
+// roundPlan is one scheduling step, decided by rank 0 under mu and published
+// to every rank by the plan barrier: one BFS or SSSP query, or one round of
+// the shared PageRank job. The plan rotates over the classes that have work,
+// so fairness is structural: a long PageRank run interleaves its rounds with
+// whole queries, and neither source class waits behind the other's backlog.
 type roundPlan struct {
 	stop bool
-	bfs  *batch
-	sssp *batch
+	q    *job
 	pr   *prStep
 }
 
@@ -293,16 +291,14 @@ type Service struct {
 	u   *am.Universe
 	g   *distgraph.Graph
 
-	maxFusion       int
 	queueDepth      int
 	defaultDeadline time.Duration
 	retain          int
 	prIters         int
 	prTol           int64
 
-	bfsSlots  []*algorithms.BFS
-	ssspSlots []*algorithms.SSSP
-	pr        *algorithms.PageRank
+	slots [PageRank]slot // one per source algorithm, indexed by Algo
+	pr    *algorithms.PageRank
 	// gather copies a finished slot's property vector; finishRound calls it
 	// before taking mu. A field so a test can watch where it runs.
 	gather func(*pmap.VertexWord) []int64
@@ -316,6 +312,7 @@ type Service struct {
 	byID     map[int64]*job
 	retained []int64 // completed ids in completion order, for eviction
 	prJob    *prState
+	next     Algo // the class the next plan tries first
 	stopping bool
 	serving  bool
 
@@ -326,14 +323,13 @@ type Service struct {
 }
 
 // New builds a resident query service over eng's universe and graph,
-// pre-binding MaxFusion BFS slots, MaxFusion SSSP slots, and one shared
-// PageRank job. Must be called before Universe.Run.
+// pre-binding one BFS slot, one SSSP slot, and one shared PageRank job. Must
+// be called before Universe.Run.
 func New(eng *pattern.Engine, opts ...Option) *Service {
 	s := &Service{
 		eng:        eng,
 		u:          eng.Universe(),
 		g:          eng.Graph(),
-		maxFusion:  8,
 		queueDepth: 256,
 		retain:     256,
 		byID:       map[int64]*job{},
@@ -343,10 +339,8 @@ func New(eng *pattern.Engine, opts ...Option) *Service {
 	for _, o := range opts {
 		o(s)
 	}
-	for i := 0; i < s.maxFusion; i++ {
-		s.bfsSlots = append(s.bfsSlots, algorithms.NewBFS(eng))
-		s.ssspSlots = append(s.ssspSlots, algorithms.NewSSSP(eng))
-	}
+	b, ss := algorithms.NewBFS(eng), algorithms.NewSSSP(eng)
+	s.slots = [PageRank]slot{BFS: {b, b.Level}, SSSP: {ss, ss.Dist}}
 	s.pr = algorithms.NewPageRank(eng, algorithms.PageRankPush)
 	if s.prIters > 0 {
 		s.pr.MaxIters = s.prIters
@@ -507,7 +501,7 @@ func (s *Service) shutdown(runErr error) {
 	defer s.mu.Unlock()
 	s.stopping = true
 	// Sweep byID, not just the queue: a fault can exit the run with jobs
-	// mid-flight in a batch, and their tickets must still resolve.
+	// mid-flight, and their tickets must still resolve.
 	for _, j := range s.byID {
 		s.failLocked(j, cause)
 	}
@@ -515,9 +509,9 @@ func (s *Service) shutdown(runErr error) {
 	s.prJob = nil
 }
 
-// body is the per-rank scheduling loop: rank 0 decides a round plan while the
-// others wait at the plan barrier, every rank executes the round's steps, and
-// rank 0 completes finished jobs after the round-end barrier.
+// body is the per-rank scheduling loop: rank 0 decides a step's plan while
+// the others wait at the plan barrier, every rank executes the step, and rank
+// 0 completes what it finished after the round-end barrier.
 func (s *Service) body(r *am.Rank) {
 	for {
 		if r.ID() == 0 {
@@ -528,13 +522,9 @@ func (s *Service) body(r *am.Rank) {
 		if p.stop {
 			return
 		}
-		if p.bfs != nil {
-			s.runBFSBatch(r, p.bfs)
-		}
-		if p.sssp != nil {
-			s.runSSSPBatch(r, p.sssp)
-		}
-		if p.pr != nil {
+		if p.q != nil {
+			s.runQuery(r, p.q)
+		} else {
 			s.runPRStep(r, p.pr)
 		}
 		r.Barrier() // round end: all property-map writes visible to rank 0
@@ -545,7 +535,8 @@ func (s *Service) body(r *am.Rank) {
 }
 
 // lead blocks until there is work (or the service stops) and decides one
-// scheduling round. Runs on rank 0 only, under mu.
+// scheduling step: the next class in rotation that has work takes it. Runs
+// on rank 0 only, under mu.
 func (s *Service) lead() roundPlan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -554,17 +545,20 @@ func (s *Service) lead() roundPlan {
 		if s.stopping {
 			return roundPlan{stop: true}
 		}
-		var p roundPlan
-		p.bfs = s.takeBatchLocked(BFS)
-		p.sssp = s.takeBatchLocked(SSSP)
 		s.attachPRLocked()
-		if s.prJob != nil {
-			p.pr = &prStep{qid: s.prJob.members[0].id, begin: !s.prJob.begun,
-				last: s.prJob.rounds+1 >= s.pr.MaxIters}
-			s.prJob.begun = true
-		}
-		if p.bfs != nil || p.sssp != nil || p.pr != nil {
-			return p
+		for range numAlgos {
+			a := s.next
+			s.next = (a + 1) % numAlgos
+			if a != PageRank {
+				if j := s.takeLocked(a); j != nil {
+					return roundPlan{q: j}
+				}
+			} else if s.prJob != nil {
+				p := roundPlan{pr: &prStep{qid: s.prJob.members[0].id, begin: !s.prJob.begun,
+					last: s.prJob.rounds+1 >= s.pr.MaxIters}}
+				s.prJob.begun = true
+				return p
+			}
 		}
 		s.cond.Wait()
 	}
@@ -605,25 +599,18 @@ func (s *Service) reapLocked(now time.Time) {
 	}
 }
 
-// takeBatchLocked removes up to maxFusion queued jobs of the given algorithm
-// (FIFO order) and forms the round's fused batch.
-func (s *Service) takeBatchLocked(a Algo) *batch {
-	var b *batch
-	rest := s.queue[:0]
-	for _, j := range s.queue {
-		if j.req.Algo != a || (b != nil && len(b.jobs) >= s.maxFusion) {
-			rest = append(rest, j)
-			continue
+// takeLocked removes the oldest queued job of the given algorithm, if any,
+// and marks it running.
+func (s *Service) takeLocked(a Algo) *job {
+	for i, j := range s.queue {
+		if j.req.Algo == a {
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			j.state = StateRunning
+			j.started = time.Now()
+			return j
 		}
-		if b == nil {
-			b = &batch{qid: j.id}
-		}
-		j.state = StateRunning
-		j.started = time.Now()
-		b.jobs = append(b.jobs, j)
 	}
-	s.queue = rest
-	return b
+	return nil
 }
 
 // attachPRLocked moves every queued PageRank job onto the shared stepwise
@@ -646,41 +633,18 @@ func (s *Service) attachPRLocked() {
 	s.queue = rest
 }
 
-// runBFSBatch executes one fused BFS sweep: every member's slot is reset and
-// seeded locally, then all frontiers relax inside a single tagged epoch. The
-// slots' property maps are disjoint, so members never interfere; the fixed
-// point each slot reaches is the one its one-shot run would reach.
-func (s *Service) runBFSBatch(r *am.Rank, b *batch) {
+// runQuery answers one BFS or SSSP query: its algorithm's slot is reset and
+// seeded locally, then the frontier relaxes to its fixed point inside one
+// epoch tagged with the query's id. That epoch is the query's own, so it ends
+// when this query is done and no other.
+func (s *Service) runQuery(r *am.Rank, j *job) {
+	k := s.slots[j.req.Algo].k
 	ph := r.Phase(obs.PhaseCollect)
-	seeds := make([][]distgraph.Vertex, len(b.jobs))
-	for i, j := range b.jobs {
-		s.bfsSlots[i].ResetLocal(r)
-		seeds[i] = s.bfsSlots[i].SeedLocal(r, nil, j.req.Source)
-	}
+	k.ResetLocal(r)
+	seeds := k.SeedLocal(r, nil, j.req.Source)
 	ph.End()
 	r.Barrier()
-	r.EpochCtx(b.qid, func(*am.Epoch) {
-		for i := range b.jobs {
-			s.bfsSlots[i].InvokeSeeds(r, seeds[i])
-		}
-	})
-}
-
-// runSSSPBatch is runBFSBatch over the SSSP slot pool.
-func (s *Service) runSSSPBatch(r *am.Rank, b *batch) {
-	ph := r.Phase(obs.PhaseCollect)
-	seeds := make([][]distgraph.Vertex, len(b.jobs))
-	for i, j := range b.jobs {
-		s.ssspSlots[i].ResetLocal(r)
-		seeds[i] = s.ssspSlots[i].SeedLocal(r, nil, j.req.Source)
-	}
-	ph.End()
-	r.Barrier()
-	r.EpochCtx(b.qid, func(*am.Epoch) {
-		for i := range b.jobs {
-			s.ssspSlots[i].InvokeSeeds(r, seeds[i])
-		}
-	})
+	r.EpochCtx(j.id, func(*am.Epoch) { k.InvokeSeeds(r, seeds) })
 }
 
 // runPRStep executes one PageRank round (with the one-time Begin on the
@@ -696,55 +660,41 @@ func (s *Service) runPRStep(r *am.Rank, st *prStep) {
 	}
 }
 
-// finishRound completes the round's finished jobs on rank 0. The members'
-// property vectors are gathered first, outside mu — the round-end barrier
-// ordered every rank's writes before this and nothing writes the slots until
-// rank 0 plans the next round, while a gather copies |V| words per member and
-// would stall every Submit, Status and Value behind a wide round's worth of
-// them. Then, under mu, results are stamped and tickets closed.
+// finishRound completes what the step finished, on rank 0. The answer is
+// gathered first, outside mu — the round-end barrier ordered every rank's
+// writes before this and nothing writes the slot until rank 0 plans the next
+// step, while a gather copies |V| words and would stall every Submit, Status
+// and Value behind it. Then, under mu, results are stamped and tickets
+// closed.
 func (s *Service) finishRound(p roundPlan) {
-	var bfsVals, ssspVals [][]int64
-	var prVals []int64
-	if p.bfs != nil {
-		for i := range p.bfs.jobs {
-			bfsVals = append(bfsVals, s.gather(s.bfsSlots[i].Level))
-		}
-	}
-	if p.sssp != nil {
-		for i := range p.sssp.jobs {
-			ssspVals = append(ssspVals, s.gather(s.ssspSlots[i].Dist))
-		}
-	}
+	var vals []int64
 	prDone := p.pr != nil && (p.pr.converged || p.pr.last)
-	if prDone {
-		prVals = s.gather(s.pr.Rank)
+	switch {
+	case p.q != nil:
+		vals = s.gather(s.slots[p.q.req.Algo].out)
+	case prDone:
+		vals = s.gather(s.pr.Rank)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now()
-	if p.bfs != nil {
-		s.met.observeBatch(len(p.bfs.jobs))
-		for i, j := range p.bfs.jobs {
-			s.completeLocked(j, bfsVals[i], 0, len(p.bfs.jobs), now)
-		}
+	if p.q != nil {
+		s.met.observeBatch(1)
+		s.completeLocked(p.q, vals, 0, 1, now)
+		return
 	}
-	if p.sssp != nil {
-		s.met.observeBatch(len(p.sssp.jobs))
-		for i, j := range p.sssp.jobs {
-			s.completeLocked(j, ssspVals[i], 0, len(p.sssp.jobs), now)
-		}
+	if s.prJob == nil {
+		return
 	}
-	if p.pr != nil && s.prJob != nil {
-		s.prJob.rounds++
-		if prDone {
-			members := s.prJob.members
-			s.met.observeBatch(len(members))
-			for _, j := range members {
-				s.completeLocked(j, prVals, s.prJob.rounds, len(members), now)
-			}
-			s.prJob = nil
+	s.prJob.rounds++
+	if prDone {
+		members := s.prJob.members
+		s.met.observeBatch(len(members))
+		for _, j := range members {
+			s.completeLocked(j, vals, s.prJob.rounds, len(members), now)
 		}
+		s.prJob = nil
 	}
 }
 

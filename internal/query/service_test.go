@@ -3,6 +3,7 @@ package query_test
 import (
 	"errors"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -104,7 +105,7 @@ func TestConcurrentMixedBitIdentical(t *testing.T) {
 	wantBFS, wantSSSP, wantPR, wantRounds := oneShot(t, sources)
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			s := buildService(t, det, query.WithMaxFusion(8), query.WithQueueDepth(1024), query.WithRetain(1024))
+			s := buildService(t, det, query.WithQueueDepth(1024), query.WithRetain(1024))
 			serveDone := make(chan error, 1)
 			go func() { serveDone <- s.Serve() }()
 
@@ -168,13 +169,15 @@ func TestConcurrentMixedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFusionBatch pre-loads 16 BFS queries so the first scheduling round must
-// fuse 8 of them (the MaxFusion cap) into a single sweep.
+// TestFusionBatch pre-loads 16 BFS queries before Serve. Same-algorithm
+// queries do not fuse: each is answered by a step of its own, so every result
+// reports a batch of one, no two queries run at once, and every answer is
+// bit-identical to its one-shot run.
 func TestFusionBatch(t *testing.T) {
 	sources := []distgraph.Vertex{1, 7, 33, 64, 100, 150, 200, 250}
 	wantBFS, _, _, _ := oneShot(t, sources)
 
-	s := buildService(t, am.DetectorAtomic, query.WithMaxFusion(8))
+	s := buildService(t, am.DetectorAtomic)
 	var tickets []*query.Ticket
 	for i := 0; i < 16; i++ {
 		tk, err := s.Submit(query.Request{Algo: query.BFS, Source: sources[i%len(sources)]})
@@ -186,24 +189,78 @@ func TestFusionBatch(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve() }()
 
-	fused := 0
+	var results []*query.Result
 	for i, tk := range tickets {
 		res, err := tk.Wait()
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if res.BatchSize > fused {
-			fused = res.BatchSize
+		if res.BatchSize != 1 {
+			t.Errorf("query %d: batch size %d, want 1", i, res.BatchSize)
 		}
 		if !eqVec(res.Values, wantBFS[res.Source]) {
-			t.Errorf("fused BFS from %d differs from one-shot run", res.Source)
+			t.Errorf("BFS from %d differs from one-shot run", res.Source)
+		}
+		results = append(results, res)
+	}
+	sort.Slice(results, func(a, b int) bool { return results[a].Started.Before(results[b].Started) })
+	for i := 1; i < len(results); i++ {
+		if prev, cur := results[i-1], results[i]; cur.Started.Before(prev.Finished) {
+			t.Errorf("query %d started %v before query %d finished: their runs overlap",
+				cur.ID, prev.Finished.Sub(cur.Started), prev.ID)
 		}
 	}
-	if fused < 8 {
-		t.Errorf("largest fused batch = %d queries, want >= 8 in one sweep", fused)
+	if st := s.Stats(); st.MaxBatch != 1 {
+		t.Errorf("Stats().MaxBatch = %d, want 1", st.MaxBatch)
 	}
-	if st := s.Stats(); st.MaxBatch < 8 {
-		t.Errorf("Stats().MaxBatch = %d, want >= 8", st.MaxBatch)
+	s.Stop()
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}
+
+// TestQueryCompletesAtItsOwnStep pre-loads 4 SSSP and then 4 BFS queries
+// before Serve. Steps rotate over the classes that have work and a query is
+// answered when its own epoch ends, so the first SSSP query is done before
+// the second BFS query starts: no query waits for a batch-mate, and no class
+// waits behind the other's backlog. Every answer equals its one-shot run.
+func TestQueryCompletesAtItsOwnStep(t *testing.T) {
+	sources := []distgraph.Vertex{1, 7, 33, 64}
+	wantBFS, wantSSSP, _, _ := oneShot(t, sources)
+
+	s := buildService(t, am.DetectorAtomic)
+	var tickets []*query.Ticket
+	for _, algo := range []query.Algo{query.SSSP, query.BFS} {
+		for _, src := range sources {
+			tk, err := s.Submit(query.Request{Algo: algo, Source: src})
+			if err != nil {
+				t.Fatalf("submit %v from %d: %v", algo, src, err)
+			}
+			tickets = append(tickets, tk)
+		}
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve() }()
+
+	results := make([]*query.Result, len(tickets))
+	for i, tk := range tickets {
+		res, err := tk.Wait()
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		want := wantBFS
+		if res.Algo == query.SSSP {
+			want = wantSSSP
+		}
+		if !eqVec(res.Values, want[res.Source]) {
+			t.Errorf("%v from %d differs from one-shot run", res.Algo, res.Source)
+		}
+		results[i] = res
+	}
+	firstSSSP, secondBFS := results[0], results[len(sources)+1]
+	if secondBFS.Started.Before(firstSSSP.Finished) {
+		t.Errorf("second BFS started %v before the first SSSP finished",
+			firstSSSP.Finished.Sub(secondBFS.Started))
 	}
 	s.Stop()
 	if err := <-serveDone; err != nil {
@@ -362,8 +419,8 @@ func TestValueLookupAndMetrics(t *testing.T) {
 	if _, err := s.Value(9999, 0); !errors.Is(err, query.ErrUnknown) {
 		t.Errorf("unknown id: err = %v, want ErrUnknown", err)
 	}
-	if res.BatchSize < 1 {
-		t.Errorf("batch size = %d, want >= 1", res.BatchSize)
+	if res.BatchSize != 1 {
+		t.Errorf("batch size = %d, want 1", res.BatchSize)
 	}
 
 	var sb strings.Builder
