@@ -1,48 +1,34 @@
-// Command declpat-trace analyzes substrate trace exports: per-epoch summary
+// Command declpat-trace reads substrate trace exports: per-epoch summary
 // tables, handler-latency percentiles per message type, per-rank load
 // imbalance, and conversion to Chrome trace-event JSON (loadable in Perfetto
-// at ui.perfetto.dev, or chrome://tracing).
+// at ui.perfetto.dev, or chrome://tracing). It runs nothing itself.
 //
-// It either ingests a JSONL trace produced by Universe.WriteTraceJSONL:
+// -in takes a JSONL trace written by Universe.WriteTraceJSONL, or the trace
+// directory of a traced declpat-launch run — in process or a fleet — whose
+// one timeline, fleet.trace.jsonl, it reads (a fleet's is already merged
+// onto the launcher's timebase, one Perfetto process group per worker):
 //
-//	declpat-trace -in run.jsonl
-//	declpat-trace -in run.jsonl -chrome run.chrome.json
-//
-// or runs a built-in traced workload itself and analyzes the capture:
-//
-//	declpat-trace -run bfs -scale 12 -ranks 4 -out bfs.jsonl -chrome bfs.chrome.json
-//
-// A -run workload is an mp.JobSpec, gated by its Normalize (an invalid one
-// exits 2 before anything is built) and built by its Bind — the same kernel a
-// declpat-launch worker runs, from source vertex 0, on the in-process
-// transport.
+//	declpat-launch -workers 0 -algo bfs -scale 12 -trace-dir /tmp/trace
+//	declpat-trace -in /tmp/trace
+//	declpat-trace -in /tmp/trace -chrome bfs.chrome.json
 //
 // With -critical-path the tool reconstructs the causal lineage DAG from the
 // handler events and reports, per epoch, the weighted critical path (handler
 // execution + queue/link wait + quiescence tail), per-rank slack, chain-depth
 // histograms, and the slowest epoch's chain itself, rank by rank:
 //
-//	declpat-trace -run bfs -critical-path
+//	declpat-trace -in /tmp/trace -critical-path
 //	declpat-trace -in run.jsonl -critical-path -path-epoch 2 -path-max 32
 //
 // With -phases the tool reports the phase-timer breakdown instead: per
 // epoch, the distribution of collect/build_csr/kernel/emit/barrier/recovery
 // spans across ranks, and per rank, the total time in each phase (the
-// straggler view). Requires a trace captured with timing on. With
-// -json any table report is emitted as a JSON array for downstream tooling:
+// straggler view). Requires a trace captured with timing on, as every
+// traced launch is. With -json any table report is emitted as a JSON array
+// for downstream tooling:
 //
-//	declpat-trace -run sssp -phases
-//	declpat-trace -in run.jsonl -phases -json
-//
-// -in also accepts a *directory* of per-worker traces from a multi-process
-// launch (worker-*.trace.jsonl, or the coordinator's own fleet.trace.jsonl
-// when present): the files are merged onto the launcher timebase using each
-// worker's measured clock offset, and every analyzer — -phases, -chrome,
-// -critical-path — consumes the merged fleet timeline. -fleet DIR is the
-// same thing, spelled explicitly:
-//
-//	declpat-trace -fleet /tmp/trace -chrome fleet.chrome.json
 //	declpat-trace -in /tmp/trace -phases
+//	declpat-trace -in run.jsonl -phases -json
 //
 // With -postmortem the tool reads the flight-recorder dumps
 // (flight-*.dpfr) a launched fleet leaves in its checkpoint/flight
@@ -51,8 +37,6 @@
 // dumped mid-phase), the last landmark events, and per-epoch counter deltas:
 //
 //	declpat-trace -postmortem /tmp/ckpt
-//
-// Supported -run workloads: bfs, sssp, cc.
 package main
 
 import (
@@ -62,24 +46,14 @@ import (
 	"io"
 	"os"
 
-	"declpat"
 	"declpat/internal/harness"
 	"declpat/internal/obs"
 )
 
 func main() {
-	in := flag.String("in", "", "JSONL trace to analyze, or a directory of worker-*.trace.jsonl to merge")
-	fleet := flag.String("fleet", "", "directory of per-worker traces to merge onto the launcher timebase (same as -in DIR)")
+	in := flag.String("in", "", "JSONL trace to analyze, or a declpat-launch -trace-dir directory")
 	postmortem := flag.String("postmortem", "", "directory of flight-recorder dumps (flight-*.dpfr) to reconstruct")
-	run := flag.String("run", "", "run a built-in traced workload instead: bfs | sssp | cc")
-	out := flag.String("out", "", "with -run: write the captured trace as JSONL to this file")
 	chrome := flag.String("chrome", "", "write Chrome trace-event JSON (Perfetto-loadable) to this file")
-	scale := flag.Int("scale", 12, "with -run: RMAT scale (2^scale vertices)")
-	ef := flag.Int("edgefactor", 8, "with -run: edges per vertex")
-	seed := flag.Uint64("seed", 42, "with -run: generator seed")
-	ranks := flag.Int("ranks", 4, "with -run: simulated ranks")
-	threads := flag.Int("threads", 2, "with -run: handler threads per rank")
-	capacity := flag.Int("cap", 1<<20, "with -run: trace ring capacity (events, split evenly across ranks)")
 	critPath := flag.Bool("critical-path", false, "reconstruct the causal lineage DAG and report per-epoch critical paths")
 	pathEpoch := flag.Int64("path-epoch", -1, "with -critical-path: print the chain of this epoch (-1 = slowest)")
 	pathMax := flag.Int("path-max", 48, "with -critical-path: elide chain rows beyond this many hops (0 = no limit)")
@@ -94,56 +68,14 @@ func main() {
 		}
 		return
 	}
-	if *fleet != "" {
-		*in = *fleet
-	}
-
-	var meta obs.Meta
-	var recs []obs.Record
-	switch {
-	case *run != "":
-		job := declpat.MPJobSpec{Algo: *run, Scale: *scale, EdgeFactor: *ef, Seed: *seed, Ranks: *ranks, Threads: *threads}
-		if err := job.Normalize(); err != nil {
-			fmt.Fprintln(os.Stderr, "declpat-trace:", err)
-			os.Exit(2)
-		}
-		u, err := runJob(job, *capacity)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "declpat-trace:", err)
-			os.Exit(1)
-		}
-		meta, recs = u.ExportTrace(*run)
-		if *out != "" {
-			if err := writeFile(*out, func(f *os.File) error {
-				return obs.WriteJSONL(f, meta, recs)
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, "declpat-trace:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d trace records to %s\n", len(recs), *out)
-		}
-	case *in != "":
-		var err error
-		if st, serr := os.Stat(*in); serr == nil && st.IsDir() {
-			meta, recs, err = obs.ReadTraceDir(*in)
-		} else {
-			err = func() error {
-				f, err := os.Open(*in)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				meta, recs, err = obs.ReadJSONL(f)
-				return err
-			}()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "declpat-trace:", err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "declpat-trace: need -in FILE|DIR, -fleet DIR, -postmortem DIR, or -run bfs|sssp|cc (see -help)")
+	if *in == "" {
+		fmt.Fprintln(os.Stderr, "declpat-trace: need -in FILE|DIR or -postmortem DIR (see -help)")
 		os.Exit(2)
+	}
+	meta, recs, err := readTrace(*in)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "declpat-trace:", err)
+		os.Exit(1)
 	}
 
 	if *chrome != "" {
@@ -156,24 +88,13 @@ func main() {
 		fmt.Printf("wrote Chrome trace to %s (load at ui.perfetto.dev)\n", *chrome)
 	}
 
-	label := meta.Label
-	if label == "" {
-		label = "(unlabeled)"
-	}
 	// With -json the tables go to stdout as pure JSON; the banner moves to
 	// stderr so the output stays machine-parseable.
 	banner := os.Stdout
 	if *asJSON {
 		banner = os.Stderr
 	}
-	fmt.Fprintf(banner, "trace: %s — %d records, %d ranks, %d message types", label, len(recs), meta.Ranks, len(meta.Types))
-	if meta.ClockErrNS > 0 {
-		fmt.Fprintf(banner, " (cross-process alignment ±%.1fµs)", float64(meta.ClockErrNS)/1e3)
-	}
-	if meta.Dropped > 0 {
-		fmt.Fprintf(banner, " (%d events overwritten by the ring — raise -cap or WithTraceCapacity)", meta.Dropped)
-	}
-	fmt.Fprintln(banner)
+	fmt.Fprintln(banner, meta.Banner(len(recs)))
 	if *critPath {
 		if err := criticalPathReport(os.Stdout, meta, recs, *pathEpoch, *pathMax); err != nil {
 			fmt.Fprintln(os.Stderr, "declpat-trace:", err)
@@ -222,7 +143,7 @@ func criticalPathReport(w io.Writer, meta obs.Meta, recs []obs.Record, epochSel 
 		return fmt.Errorf("no epoch yielded a critical path")
 	}
 	if !lin.Connected() {
-		fmt.Fprintf(w, "warning: %d handler events have unresolvable parents (ring overwrote their producers — raise -cap); paths may be truncated\n\n", lin.Orphans)
+		fmt.Fprintf(w, "warning: %d handler events have unresolvable parents (the ring overwrote their producers); paths may be truncated\n\n", lin.Orphans)
 	}
 	obs.CriticalPathTable(lin).Fprint(w)
 	fmt.Fprintln(w)
@@ -240,7 +161,11 @@ func criticalPathReport(w io.Writer, meta obs.Meta, recs []obs.Record, epochSel 
 			}
 		}
 		if pick == nil {
-			return fmt.Errorf("epoch %d not in trace (epochs 0..%d)", epochSel, len(lin.Epochs)-1)
+			first, last := lin.Epochs[0].Epoch, lin.Epochs[0].Epoch
+			for _, e := range lin.Epochs {
+				first, last = min(first, e.Epoch), max(last, e.Epoch)
+			}
+			return fmt.Errorf("epoch %d not in trace (epochs %d..%d)", epochSel, first, last)
 		}
 	} else {
 		for _, cp := range paths {
@@ -268,17 +193,16 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-// runJob runs a normalized job through its binding on an in-process
-// universe with timing on and a trace ring of capacity events, and returns
-// the universe for its trace.
-func runJob(job declpat.MPJobSpec, capacity int) (*declpat.Universe, error) {
-	u := declpat.New(job.Ranks,
-		declpat.WithThreads(job.Threads),
-		declpat.WithTraceCapacity(capacity),
-		declpat.WithTiming())
-	_, body, _ := job.Bind(u)
-	if err := u.Run(body); err != nil {
-		return nil, fmt.Errorf("%s run failed: %w", job.Algo, err)
+// readTrace reads a JSONL trace file, or the one timeline in a launch's
+// trace directory.
+func readTrace(path string) (obs.Meta, []obs.Record, error) {
+	if st, err := os.Stat(path); err == nil && st.IsDir() {
+		return obs.ReadTraceDir(path)
 	}
-	return u, nil
+	f, err := os.Open(path)
+	if err != nil {
+		return obs.Meta{}, nil, err
+	}
+	defer f.Close()
+	return obs.ReadJSONL(f)
 }

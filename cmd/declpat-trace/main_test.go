@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,29 +9,35 @@ import (
 	"declpat/internal/obs"
 )
 
-// traced gates a job as -run does and runs it through runJob.
-func traced(t *testing.T, job declpat.MPJobSpec, capacity int) *declpat.Universe {
+// traced runs a job in process through declpat-launch's runner with a trace
+// directory, as declpat-launch -workers 0 -trace-dir does, and reads the one
+// timeline it leaves back the way -in DIR does.
+func traced(t *testing.T, job declpat.MPJobSpec) (obs.Meta, []obs.Record) {
 	t.Helper()
-	if err := job.Normalize(); err != nil {
+	job.TraceDir = t.TempDir()
+	if _, err := declpat.Launch(declpat.MPLaunchSpec{Job: job}); err != nil {
 		t.Fatal(err)
 	}
-	u, err := runJob(job, capacity)
+	meta, recs, err := readTrace(job.TraceDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return u
+	return meta, recs
 }
 
 // TestTracedBFSLineageConnected is the end-to-end causal-DAG check on a real
 // workload: every non-root handler event in a small traced BFS resolves to a
-// recorded parent, and each epoch's critical path starts at a root send and
-// ends in the epoch's final quiescence.
+// recorded parent, each epoch's critical path starts at a root send and
+// ends in the epoch's final quiescence, and the phase timers were on.
 func TestTracedBFSLineageConnected(t *testing.T) {
-	u := traced(t, declpat.MPJobSpec{Algo: "bfs", Scale: 8, EdgeFactor: 8, Seed: 42, Ranks: 2, Threads: 1}, 1<<18)
-	meta, recs := u.ExportTrace("bfs")
+	meta, recs := traced(t, declpat.MPJobSpec{Algo: "bfs", Scale: 8, EdgeFactor: 8, Seed: 42, Ranks: 2, Threads: 1})
 	lin := obs.BuildLineage(meta, recs)
 	if lin.Handlers() == 0 {
 		t.Fatal("traced BFS produced no handler events")
+	}
+	// A traced launch runs with timing on, so -phases has spans to report.
+	if tables := obs.PhaseTables(meta, recs); tables[0].Rows() == 0 || tables[1].Rows() == 0 {
+		t.Fatal("traced BFS timeline has no phase spans")
 	}
 	if !lin.Connected() {
 		t.Fatalf("%d handler events have unresolvable parents (dropped=%d)",
@@ -64,8 +71,7 @@ func TestTracedBFSLineageConnected(t *testing.T) {
 // TestCriticalPathReport drives the CLI's -critical-path mode end to end on
 // traced workloads and on lineage-free input.
 func TestCriticalPathReport(t *testing.T) {
-	u := traced(t, declpat.MPJobSpec{Algo: "bfs", Scale: 8, EdgeFactor: 8, Seed: 42, Ranks: 2, Threads: 1}, 1<<18)
-	meta, recs := u.ExportTrace("bfs")
+	meta, recs := traced(t, declpat.MPJobSpec{Algo: "bfs", Scale: 8, EdgeFactor: 8, Seed: 42, Ranks: 2, Threads: 1})
 	var sb strings.Builder
 	if err := criticalPathReport(&sb, meta, recs, -1, 48); err != nil {
 		t.Fatalf("report failed: %v", err)
@@ -77,9 +83,36 @@ func TestCriticalPathReport(t *testing.T) {
 		}
 	}
 
-	// Selecting an epoch outside the trace must error, not print garbage.
-	if err := criticalPathReport(&strings.Builder{}, meta, recs, 999, 48); err == nil {
+	// Selecting an epoch outside the trace must error, not print garbage,
+	// and name the epochs the trace does hold.
+	err := criticalPathReport(&strings.Builder{}, meta, recs, 999, 48)
+	if err == nil {
 		t.Fatal("bogus -path-epoch accepted")
+	}
+	lin := obs.BuildLineage(meta, recs)
+	want := fmt.Sprintf("(epochs %d..%d)", lin.Epochs[0].Epoch, lin.Epochs[len(lin.Epochs)-1].Epoch)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("bogus -path-epoch error %q does not name the trace's epochs %s", err, want)
+	}
+	// A timeline that does not start at epoch 0 — a fleet's after a
+	// restart, or a ring that overwrote the early epochs — names its own:
+	// a multi-epoch sssp run with its first epoch cut away.
+	smeta, srecs := traced(t, declpat.MPJobSpec{Algo: "sssp", Scale: 8, EdgeFactor: 8, Seed: 42, Ranks: 2, Threads: 1})
+	cut := obs.BuildLineage(smeta, srecs).Epochs[0].End
+	var late []obs.Record
+	for _, r := range srecs {
+		if r.TS >= cut {
+			late = append(late, r)
+		}
+	}
+	lateLin := obs.BuildLineage(smeta, late)
+	first, last := lateLin.Epochs[0].Epoch, lateLin.Epochs[len(lateLin.Epochs)-1].Epoch
+	if first == 0 {
+		t.Fatal("trimmed timeline still holds epoch 0")
+	}
+	err = criticalPathReport(&strings.Builder{}, smeta, late, 999, 48)
+	if want := fmt.Sprintf("(epochs %d..%d)", first, last); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("bogus -path-epoch on a late-starting timeline: error %v, want it to name %s", err, want)
 	}
 
 	// A trace without lineage (handler records stripped) must error so the
@@ -92,17 +125,5 @@ func TestCriticalPathReport(t *testing.T) {
 	}
 	if err := criticalPathReport(&strings.Builder{}, meta, bare, -1, 48); err == nil {
 		t.Fatal("lineage-free trace accepted")
-	}
-}
-
-// TestRunWorkloadRing checks the -cap plumb-through: a tiny capacity, split
-// into a 128-event ring per rank, bounds retention and reports drops.
-func TestRunWorkloadRing(t *testing.T) {
-	u := traced(t, declpat.MPJobSpec{Algo: "cc", Scale: 7, EdgeFactor: 4, Seed: 1, Ranks: 2, Threads: 1}, 256)
-	if u.TraceDropped() == 0 {
-		t.Fatal("tiny ring did not overflow; -cap not wired through")
-	}
-	if evs := u.Trace(); len(evs) > 2*128 {
-		t.Fatalf("retained %d events with -cap 256 over 2 ranks", len(evs))
 	}
 }

@@ -593,23 +593,25 @@ func NewSampler(size int, src func() map[string]int64) *Sampler { return obs.New
 //	d.HandleMetrics(u.WriteOpenMetrics)
 func NewDebugServer(addr string) (*DebugServer, error) { return harness.NewDebugServer(addr) }
 
-// Multi-process SPMD: run algorithms across real OS worker processes, with
-// barriers, gathers, termination waves, and checkpoint-commit votes carried
-// as wire frames on a launcher-hosted control plane. A killed worker is
-// respawned and the fleet restarts from the last committed checkpoint; the
-// final result is bit-identical to the fault-free run.
+// Launched jobs: run a bfs/sssp/cc job in the calling process, or across real
+// OS worker processes, with barriers, gathers, termination waves, and
+// checkpoint-commit votes carried as wire frames on a launcher-hosted control
+// plane. A killed worker is respawned and the fleet restarts from the last
+// committed checkpoint; the final result is bit-identical to the fault-free
+// run.
 type (
 	// MPJobSpec is the one description of a bfs/sssp/cc run: every worker
-	// of a launched fleet receives it inside its welcome frame, and its
-	// Normalize is the gate every front door (declpat-launch,
-	// declpat-trace -run, the one-shot CLIs) passes its flags through
-	// before building anything. Bind builds the kernel a worker runs.
+	// of a launched fleet receives it inside its welcome frame, its
+	// Normalize is the gate declpat-launch passes its flags through before
+	// building anything, Bind builds the kernel a run executes, and Verify
+	// checks a result against the sequential oracle.
 	MPJobSpec = mp.JobSpec
 	// MPKillSpec schedules one seeded worker kill for a fault drill.
 	MPKillSpec = mp.KillSpec
-	// MPLaunchSpec configures a fleet: job, worker count, seeds, kill
-	// schedule, restart budget. Every worker is the launching executable
-	// itself (see MaybeWorker).
+	// MPLaunchSpec configures a launch: job, worker count (0 = in the
+	// calling process), seeds, and the fleet's kill schedule and restart
+	// budget; Validate is its one check. Every worker is the launching
+	// executable itself (see MaybeWorker).
 	MPLaunchSpec = mp.LaunchSpec
 	// MPLaunchResult is a completed launch: result vectors, attempt count,
 	// and per-attempt worker exit codes.
@@ -624,9 +626,11 @@ func CheckSizes(scale, edgeFactor, ranks, threads int) error {
 	return mp.CheckSizes(scale, edgeFactor, ranks, threads)
 }
 
-// Launch spawns a worker fleet, serves the wire control plane, and drives
-// the run — respawning and restoring from checkpoints on worker death —
-// until completion or restart-budget exhaustion.
+// Launch is the one runner of an MPJobSpec. With Workers 0 it runs the job
+// in the calling process; otherwise it spawns a worker fleet, serves the wire
+// control plane, and drives the run — respawning and restoring from
+// checkpoints on worker death — until completion or restart-budget
+// exhaustion. Either way a TraceDir receives one timeline.
 func Launch(spec MPLaunchSpec) (*MPLaunchResult, error) { return mp.Launch(spec) }
 
 // MaybeWorker turns the current process into a launched rank host when the

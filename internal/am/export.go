@@ -100,23 +100,26 @@ func (u *Universe) convertEvent(ev TraceEvent) (obs.Record, bool) {
 
 // ExportTraceSince drains trace events appended since the per-rank cursors
 // (nil = from the beginning; see obs.Rings.ShardSince) and converts them to
-// interchange records, returning the advanced cursors. This is the
-// incremental path behind fleet trace streaming: a flusher polls cheaply and
-// ships only the new tail, so the coordinator's merged timeline stays fresh
-// without re-serializing the whole ring. Records are sorted per call; the
-// receiver's merge handles cross-call ordering. Returns nil records when
-// tracing is disabled.
-func (u *Universe) ExportTraceSince(cursors []int64) ([]obs.Record, []int64) {
+// interchange records, returning the advanced cursors and how many events the
+// rings overwrote before this call could read them (a shard's cursor jumping
+// past the events it returns). This is the incremental path behind fleet
+// trace streaming: a flusher polls cheaply and ships only the new tail, so the
+// coordinator's merged timeline stays fresh without re-serializing the whole
+// ring. Records are sorted per call; the receiver's merge handles cross-call
+// ordering. Returns nil records when tracing is disabled.
+func (u *Universe) ExportTraceSince(cursors []int64) ([]obs.Record, []int64, int64) {
 	if u.tracer == nil {
-		return nil, cursors
+		return nil, cursors, 0
 	}
 	shards := u.tracer.rings.Shards()
 	if len(cursors) != shards {
 		cursors = make([]int64, shards)
 	}
 	var recs []obs.Record
+	var overwritten int64
 	for shard := 0; shard < shards; shard++ {
 		evs, next := u.tracer.rings.ShardSince(shard, cursors[shard])
+		overwritten += next - cursors[shard] - int64(len(evs))
 		cursors[shard] = next
 		for _, ev := range evs {
 			if rec, ok := u.convertEvent(ev); ok {
@@ -125,7 +128,7 @@ func (u *Universe) ExportTraceSince(cursors []int64) ([]obs.Record, []int64) {
 		}
 	}
 	sortRecords(recs)
-	return recs, cursors
+	return recs, cursors, overwritten
 }
 
 func sortRecords(recs []obs.Record) {

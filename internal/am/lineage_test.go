@@ -268,3 +268,21 @@ func TestLineageRingOverflow(t *testing.T) {
 		}
 	}
 }
+
+// TestExportTraceSinceCountsOverwrites pins the streamed export's drop count:
+// a poll whose cursors the ring has lapped reports every event it can no
+// longer return, and a poll with nothing new reports none.
+func TestExportTraceSinceCountsOverwrites(t *testing.T) {
+	u, mt := chainUniverse(config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 2, TraceCapacity: 4 * 48})
+	runChains(t, u, mt, 3, 16, 5)
+	recs, cursors, overwritten := u.ExportTraceSince(nil)
+	if overwritten == 0 || overwritten != u.TraceDropped() {
+		t.Fatalf("first poll reported %d overwritten events, want the ring's %d (> 0)", overwritten, u.TraceDropped())
+	}
+	if len(recs) == 0 {
+		t.Fatal("first poll returned no records")
+	}
+	if recs, _, overwritten := u.ExportTraceSince(cursors); len(recs) != 0 || overwritten != 0 {
+		t.Fatalf("idle poll returned %d records and %d overwritten events, want none", len(recs), overwritten)
+	}
+}

@@ -14,10 +14,11 @@ import (
 	"declpat/internal/mp"
 )
 
-// ReferenceProc computes the fault-free single-process reference for a fleet
-// job: identical workload, rank count, and detector, on the trusted
+// ReferenceProc computes the fault-free single-process reference for a
+// launched job: identical workload, rank count, and detector, on the trusted
 // in-process transport, through this harness's own kernels rather than the
-// job's binding. mp.Launch's vectors must equal it bit-for-bit.
+// job's binding. mp.Launch's vectors — in process or from a fleet — must
+// equal it bit-for-bit.
 func ReferenceProc(job mp.JobSpec) ([][]int64, error) {
 	if err := (&job).Normalize(); err != nil {
 		return nil, err

@@ -16,12 +16,15 @@ func TestMain(m *testing.M) {
 // TestProcessKillDimension runs the chaos matrix's process-level fault: an
 // entire OS worker SIGKILLed mid-run, with the fleet required to respawn,
 // restore from the committed checkpoint, and match the fault-free
-// single-process reference bit-for-bit.
+// single-process reference bit-for-bit. Its Workers 0 rows run the same jobs
+// through Launch's in-process mode, held to the same reference; only the
+// rows that spawn processes skip under -short.
 func TestProcessKillDimension(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
 	specs := []mp.LaunchSpec{
+		{Job: mp.JobSpec{Algo: "bfs", Scale: 6, Seed: 3, Ranks: 4, Threads: 2, Source: 1}, RootSeed: 31},
+		{Job: mp.JobSpec{Algo: "sssp", Scale: 6, Seed: 3, Ranks: 4, Threads: 2, Source: 1, Delta: 8}, RootSeed: 37},
+		{Job: mp.JobSpec{Algo: "cc", Scale: 6, Seed: 3, Ranks: 4, Threads: 2}, RootSeed: 41},
+		{Job: mp.JobSpec{Algo: "sssp", Scale: 6, Seed: 3, Ranks: 4, Threads: 2, Source: 1, Delta: 8, Drop: 0.05}, RootSeed: 43},
 		{
 			Job:      mp.JobSpec{Algo: "bfs", Scale: 6, Seed: 3, Ranks: 4, Threads: 2, Source: 1},
 			Workers:  2,
@@ -42,12 +45,22 @@ func TestProcessKillDimension(t *testing.T) {
 	}
 	for _, spec := range specs {
 		kill := "fault-free"
+		if spec.Job.Drop > 0 {
+			kill = fmt.Sprintf("drop=%g", spec.Job.Drop)
+		}
 		if spec.Kill != nil {
 			kill = fmt.Sprintf("kill=%s/w%d@e%d", spec.Kill.Mode, spec.Kill.Worker, spec.Kill.Epoch)
 		}
-		name := fmt.Sprintf("%s/procs=%d/ranks=%d/%s/seed=%d",
-			spec.Job.Algo, spec.Workers, spec.Job.Ranks, kill, spec.RootSeed)
+		procs := "in-process"
+		if spec.Workers > 0 {
+			procs = fmt.Sprintf("procs=%d", spec.Workers)
+		}
+		name := fmt.Sprintf("%s/%s/ranks=%d/%s/seed=%d",
+			spec.Job.Algo, procs, spec.Job.Ranks, kill, spec.RootSeed)
 		t.Run(name, func(t *testing.T) {
+			if spec.Workers > 0 && testing.Short() {
+				t.Skip("spawns worker processes")
+			}
 			res, err := mp.Launch(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -58,6 +71,9 @@ func TestProcessKillDimension(t *testing.T) {
 			want, err := ReferenceProc(spec.Job)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(res.Vectors) != len(want) {
+				t.Fatalf("launch produced %d vectors, reference %d", len(res.Vectors), len(want))
 			}
 			for i := range want {
 				if !Equal(res.Vectors[i], want[i]) {

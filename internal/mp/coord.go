@@ -51,10 +51,12 @@ type coordinator struct {
 
 	// Fleet timeline state: trace records streamed from workers, already
 	// aligned onto this process's timebase (TS += the batch's offset, W
-	// stamped), plus each worker's last clock estimate for the merged meta.
-	traceRecs []obs.Record
-	clockErr  []int64 // per worker; -1 = no estimate reported yet
-	straggler *stragglerTracker
+	// stamped), the events workers' rings overwrote before a flush could ship
+	// them, and each worker's last clock estimate for the merged meta.
+	traceRecs    []obs.Record
+	traceDropped int64
+	clockErr     []int64 // per worker; -1 = no estimate reported yet
+	straggler    *stragglerTracker
 }
 
 // coordSpec configures one attempt.
@@ -132,9 +134,11 @@ type attemptOutcome struct {
 	log       [][]int64
 	results   map[int][]int64
 	// trace is the attempt's merged, offset-corrected record stream (empty
-	// when the job streams no traces); clockErr the largest error bound any
-	// worker reported.
+	// when the job streams no traces); dropped the events worker rings
+	// overwrote before they were streamed; clockErr the largest error bound
+	// any worker reported.
 	trace    []obs.Record
+	dropped  int64
 	clockErr int64
 }
 
@@ -358,7 +362,7 @@ func (c *coordinator) handle(ev coordEvent) (out attemptOutcome, done bool) {
 		if c.resultsIn == c.spec.Workers {
 			return attemptOutcome{
 				ok: true, committed: c.committed, log: c.log[:c.commitLen], results: c.results,
-				trace: c.traceRecs, clockErr: c.maxClockErr(),
+				trace: c.traceRecs, dropped: c.traceDropped, clockErr: c.maxClockErr(),
 			}, true
 		}
 	default:
@@ -595,7 +599,8 @@ func (c *coordinator) finishWave() {
 
 // foldTrace ingests one streamed trace batch: records are shifted onto this
 // process's timebase with the batch's offset, stamped with the worker index,
-// and accumulated for the merged fleet timeline; kernel-phase spans feed the
+// and accumulated for the merged fleet timeline, and the batch's overwrite
+// count is summed into the timeline's; kernel-phase spans feed the
 // straggler tracker (durations, so offset-independent). A malformed JSON
 // body degrades to a logged skip — a damaged observability batch must never
 // take a healthy fleet down.
@@ -610,6 +615,7 @@ func (c *coordinator) foldTrace(tm traceMsg) {
 		return
 	}
 	c.clockErr[tm.Worker] = tm.ErrBound
+	c.traceDropped += tm.Dropped
 	if c.spec.OnStraggler != nil {
 		for _, st := range c.straggler.fold(recs) {
 			c.spec.OnStraggler(st)
@@ -679,7 +685,7 @@ func (c *coordinator) abortFleet(clean bool, err error) attemptOutcome {
 			return attemptOutcome{
 				ok: false, err: err, clean: clean,
 				committed: c.committed, log: c.log[:c.commitLen],
-				trace: c.traceRecs, clockErr: c.maxClockErr(),
+				trace: c.traceRecs, dropped: c.traceDropped, clockErr: c.maxClockErr(),
 			}
 		}
 	}

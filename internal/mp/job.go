@@ -10,23 +10,24 @@ import (
 	"declpat/internal/gen"
 	"declpat/internal/pattern"
 	"declpat/internal/pmap"
+	"declpat/internal/seq"
 )
 
-// Values every job runs with. No caller ever varied them, so the spec does
-// not carry them.
-const (
-	// weightMin and weightMax bound the RMAT edge weights.
-	weightMin, weightMax = 1, 16
-	// traceCap is a tracing worker's trace ring capacity in events.
-	traceCap = 1 << 18
-)
+// weightMin and weightMax bound the RMAT edge weights of every job. No caller
+// ever varied them, so the spec does not carry them.
+const weightMin, weightMax = 1, 16
+
+// traceCap is a tracing universe's trace ring capacity in events, split over
+// its ranks — the same in a fleet worker and in an in-process run. A
+// variable only so a test can shrink it until the rings overwrite.
+var traceCap = 1 << 18
 
 // JobSpec describes one bfs/sssp/cc run: the description a launched fleet
 // ships to every worker (inside its welcome frame, so the fleet needs no
 // shared filesystem for inputs — only the checkpoint directory is shared),
-// and the gate every front door that runs such a job — declpat-launch,
-// declpat-trace -run and the one-shot CLIs — passes its flags through
-// before building anything (Normalize).
+// the gate declpat-launch passes its flags through before building anything
+// (Normalize, applied by LaunchSpec.Validate), and the oracle its result is
+// checked against (Verify).
 type JobSpec struct {
 	// Algo selects the kernel: "bfs", "sssp", or "cc".
 	Algo string `json:"algo"`
@@ -52,9 +53,9 @@ type JobSpec struct {
 	// is seeded with harness.WorkerSeed(root, idx, lo, hi), so the schedule
 	// is deterministic per worker and survives respawns.
 	Drop float64 `json:"drop,omitempty"`
-	// TraceDir, when set, makes each worker capture a timed trace and write
-	// it as JSONL to TraceDir/worker-<idx>.trace.jsonl before exiting
-	// (declpat-trace -phases consumes it).
+	// TraceDir, when set, makes the run capture a timed trace — each fleet
+	// worker streams its own to the launcher — and leaves one timeline,
+	// TraceDir/fleet.trace.jsonl (declpat-trace -in TraceDir reads it).
 	TraceDir string `json:"trace_dir,omitempty"`
 	// FlightDir, when set, points each worker's always-on flight recorder at
 	// FlightDir/flight-<idx>.dpfr — the crash-surviving black box that
@@ -142,9 +143,9 @@ func (j *JobSpec) Workload() (int, []distgraph.Edge) {
 // pattern engine with the default plan options, and the kernel — and returns
 // the engine, the body every rank runs, and the vectors the body leaves its
 // result in: [level] for bfs, [dist] for sssp, [pnt, chg] for cc (Launch
-// resolves the components from the gathered tables). The fleet worker
-// (RunWorker) and declpat-trace -run both run a job through it, each around
-// its own universe.
+// resolves the components from the gathered tables). Launch runs a job
+// through it, around a fleet worker's universe (RunWorker) or an in-process
+// one.
 func (j *JobSpec) Bind(u *am.Universe) (*pattern.Engine, func(r *am.Rank), []*pmap.VertexWord) {
 	n, edges := j.Workload()
 	d := distgraph.NewBlockDist(n, u.Ranks())
@@ -167,6 +168,31 @@ func (j *JobSpec) Bind(u *am.Universe) (*pattern.Engine, func(r *am.Rank), []*pm
 	// components from the full gathered (pnt, chg) tables.
 	c := algorithms.NewCC(eng, lm)
 	return eng, func(r *am.Rank) { c.RunResolve(r) }, []*pmap.VertexWord{c.Pnt, c.Chg}
+}
+
+// Verify checks a launch's result vectors against the sequential oracle on
+// the normalized job's own workload: bfs levels against seq.BFS and sssp
+// distances against seq.Dijkstra (algorithms.CountWrong), cc components
+// against seq.Components (algorithms.WrongPartition).
+func (j *JobSpec) Verify(vectors [][]int64) error {
+	n, edges := j.Workload()
+	if len(vectors) != 1 || len(vectors[0]) != n {
+		return fmt.Errorf("mp: %s result is %d vectors, want one of %d entries", j.Algo, len(vectors), n)
+	}
+	got, src := vectors[0], distgraph.Vertex(j.Source)
+	var bad int
+	switch j.Algo {
+	case "bfs":
+		bad = algorithms.CountWrong(got, seq.BFS(n, edges, src))
+	case "sssp":
+		bad = algorithms.CountWrong(got, seq.Dijkstra(n, edges, src))
+	default:
+		bad = algorithms.WrongPartition(got, seq.Components(n, edges))
+	}
+	if bad > 0 {
+		return fmt.Errorf("mp: %s result differs from the sequential reference at %d of %d vertices", j.Algo, bad, n)
+	}
+	return nil
 }
 
 func (j *JobSpec) marshal() ([]byte, error) { return json.Marshal(j) }

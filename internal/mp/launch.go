@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"declpat/internal/algorithms"
+	"declpat/internal/am"
 	"declpat/internal/harness"
 	"declpat/internal/obs"
 )
@@ -39,14 +40,18 @@ type KillSpec struct {
 	Mode string
 }
 
-// LaunchSpec configures a multi-process fleet run.
+// LaunchSpec configures a run of one job: in the calling process (Workers
+// 0) or as a multi-process fleet. Fields below Workers other than RootSeed
+// and Log are the fleet's; Validate refuses Kill, CheckpointDir,
+// Job.FlightDir and OnStraggler in process instead of ignoring them.
 type LaunchSpec struct {
-	// Job is the algorithm workload every worker executes.
+	// Job is the algorithm workload the run executes.
 	Job JobSpec
 	// Workers is the number of OS worker processes; global ranks are split
-	// contiguously over them.
+	// contiguously over them. 0 runs the job in the calling process.
 	Workers int
-	// RootSeed derives the fleet's RunID and every worker's fault seed.
+	// RootSeed derives the RunID and every worker's fault seed (an
+	// in-process run takes worker 0's of a one-worker fleet).
 	RootSeed uint64
 	// Kill, when non-nil, schedules one seeded kill on attempt 0.
 	Kill *KillSpec
@@ -107,32 +112,62 @@ func (r *LaunchResult) ExitTally() map[string]int {
 	return tally
 }
 
-// Launch runs a multi-process SPMD fleet to completion: spawn N workers,
-// exchange data-plane addresses, run the job with all global control
-// operations on the wire, and — when a worker dies or departs — respawn the
-// fleet from the last committed checkpoint until the run completes or the
-// restart budget is exhausted. The final result is bit-identical to a
-// fault-free run: committed collective results replay from the coordinator's
-// gather log and checkpointed state reloads from the slot files.
-func Launch(spec LaunchSpec) (*LaunchResult, error) {
-	if spec.Workers <= 0 {
-		return nil, fmt.Errorf("mp: launch needs at least one worker, got %d", spec.Workers)
+// Validate is the one check of a launch, made before anything is built: it
+// normalizes the job (JobSpec.Normalize) and refuses a negative worker count,
+// fewer ranks than workers, an unknown kill mode or out-of-range kill target,
+// and — in process — the fleet-only Kill, CheckpointDir, Job.FlightDir and
+// OnStraggler.
+func (s *LaunchSpec) Validate() error {
+	if s.Workers < 0 {
+		return fmt.Errorf("mp: negative worker count %d", s.Workers)
 	}
-	if err := spec.Job.Normalize(); err != nil {
-		return nil, err
+	if err := s.Job.Normalize(); err != nil {
+		return err
 	}
-	if spec.Job.Ranks < spec.Workers {
-		return nil, fmt.Errorf("mp: %d workers need at least as many ranks, got %d", spec.Workers, spec.Job.Ranks)
+	if s.Workers == 0 {
+		for _, fleetOnly := range []struct {
+			name string
+			set  bool
+		}{
+			{"a kill schedule", s.Kill != nil},
+			{"a checkpoint directory", s.CheckpointDir != ""},
+			{"a flight-recorder directory", s.Job.FlightDir != ""},
+			{"a straggler feed", s.OnStraggler != nil},
+		} {
+			if fleetOnly.set {
+				return fmt.Errorf("mp: %s needs a fleet (workers above 0)", fleetOnly.name)
+			}
+		}
+		return nil
 	}
-	if spec.Kill != nil {
-		switch spec.Kill.Mode {
+	if s.Job.Ranks < s.Workers {
+		return fmt.Errorf("mp: %d workers need at least as many ranks, got %d", s.Workers, s.Job.Ranks)
+	}
+	if s.Kill != nil {
+		switch s.Kill.Mode {
 		case "entry", "body", "term":
 		default:
-			return nil, fmt.Errorf("mp: unknown kill mode %q (want entry, body, or term)", spec.Kill.Mode)
+			return fmt.Errorf("mp: unknown kill mode %q (want entry, body, or term)", s.Kill.Mode)
 		}
-		if spec.Kill.Worker < 0 || spec.Kill.Worker >= spec.Workers {
-			return nil, fmt.Errorf("mp: kill targets worker %d of %d", spec.Kill.Worker, spec.Workers)
+		if s.Kill.Worker < 0 || s.Kill.Worker >= s.Workers {
+			return fmt.Errorf("mp: kill targets worker %d of %d", s.Kill.Worker, s.Workers)
 		}
+	}
+	return nil
+}
+
+// Launch runs a validated job to completion and is the one runner of a
+// JobSpec. With Workers 0 the job runs in the calling process (runInProcess).
+// Otherwise it runs as a multi-process SPMD fleet: spawn N workers, exchange
+// data-plane addresses, run the job with all global control operations on the
+// wire, and — when a worker dies or departs — respawn the fleet from the last
+// committed checkpoint until the run completes or the restart budget is
+// exhausted. The final result is bit-identical to a fault-free run: committed
+// collective results replay from the coordinator's gather log and
+// checkpointed state reloads from the slot files.
+func Launch(spec LaunchSpec) (*LaunchResult, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	if spec.MaxRestarts <= 0 {
 		spec.MaxRestarts = 3
@@ -145,6 +180,15 @@ func Launch(spec LaunchSpec) (*LaunchResult, error) {
 	sink := &syncWriter{w: spec.Log}
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(sink, format+"\n", args...)
+	}
+	res := &LaunchResult{RunID: harness.DeriveSeed(spec.RootSeed, "mp-run-id")}
+	if spec.Workers == 0 {
+		vectors, err := runInProcess(spec, logf)
+		if err != nil {
+			return nil, err
+		}
+		res.Attempts, res.Vectors = 1, vectors
+		return res, nil
 	}
 	// Every worker is this executable, made a rank host by MaybeWorker.
 	exe, err := os.Executable()
@@ -171,20 +215,21 @@ func Launch(spec LaunchSpec) (*LaunchResult, error) {
 		return nil, fmt.Errorf("mp: encoding job: %w", err)
 	}
 
-	res := &LaunchResult{RunID: harness.DeriveSeed(spec.RootSeed, "mp-run-id")}
 	committed := int64(-1)
 	var log [][]int64
 	// Fleet timeline: every attempt's streamed records accumulate here. The
 	// coordinator already aligned them onto the launcher's timebase, which is
 	// stable across attempts (same process), so records from a killed attempt
-	// and its respawn interleave correctly in one merged trace.
+	// and its respawn interleave correctly in one merged trace; so do the
+	// counts of events worker rings overwrote before streaming them.
 	var fleetRecs []obs.Record
+	var fleetDropped int64
 
 	for attempt := 0; ; attempt++ {
 		if attempt > spec.MaxRestarts {
 			// The merged timeline of a fleet that never finished is exactly
 			// what the operator wants to look at — write it anyway.
-			writeFleetTrace(spec, fleetRecs, res.ClockErrNS, logf)
+			writeFleetTrace(spec, fleetRecs, fleetDropped, res.ClockErrNS, logf)
 			return nil, fmt.Errorf("mp: fleet still failing after %d restarts", spec.MaxRestarts)
 		}
 		res.Attempts++
@@ -255,11 +300,12 @@ func Launch(spec LaunchSpec) (*LaunchResult, error) {
 			return nil, spawnErr
 		}
 		fleetRecs = append(fleetRecs, out.trace...)
+		fleetDropped += out.dropped
 		if out.clockErr > res.ClockErrNS {
 			res.ClockErrNS = out.clockErr
 		}
 		if out.ok {
-			writeFleetTrace(spec, fleetRecs, res.ClockErrNS, logf)
+			writeFleetTrace(spec, fleetRecs, fleetDropped, res.ClockErrNS, logf)
 			vectors, err := assemble(spec.Job, out.results)
 			if err != nil {
 				return nil, err
@@ -303,12 +349,43 @@ func archiveFlightDumps(dir string, attempt int, logf func(string, ...any)) {
 	}
 }
 
-// writeFleetTrace writes the coordinator's merged, offset-corrected record
-// stream as TraceDir/fleet.trace.jsonl — the unified fleet timeline. Unlike
-// the per-worker files (written by each worker on exit), this merge includes
-// every batch a killed worker streamed before dying. Best-effort: a launch
+// runInProcess runs the job in the calling process on a chan universe built
+// as a worker's is — Ranks ranks × Threads handler threads, Drop as the
+// seeded fault plan worker 0 of a one-worker fleet gets, timing and a traceCap
+// ring when TraceDir is set — and returns its gathered result through
+// assemble, as a fleet's. A traced run leaves the same one timeline a fleet
+// does.
+func runInProcess(spec LaunchSpec, logf func(string, ...any)) ([][]int64, error) {
+	job := spec.Job
+	opts := []am.Option{am.WithThreads(job.Threads)}
+	if job.Drop > 0 {
+		seed := harness.WorkerSeed(spec.RootSeed, 0, 0, job.Ranks)
+		opts = append(opts, am.WithFaultPlan(&am.FaultPlan{Seed: seed, Drop: job.Drop}))
+	}
+	if job.TraceDir != "" {
+		opts = append(opts, am.WithTiming(), am.WithTraceCapacity(traceCap))
+	}
+	u := am.New(job.Ranks, opts...)
+	_, body, vecs := job.Bind(u)
+	if err := u.Run(body); err != nil {
+		return nil, fmt.Errorf("mp: %s run failed: %w", job.Algo, err)
+	}
+	recs, _, dropped := u.ExportTraceSince(nil)
+	writeFleetTrace(spec, recs, dropped, 0, logf)
+	results := map[int][]int64{}
+	for i, vec := range vecs {
+		results[i] = vec.Gather()
+	}
+	return assemble(job, results)
+}
+
+// writeFleetTrace writes a run's one timeline as TraceDir/fleet.trace.jsonl:
+// a fleet's is the coordinator's merged, offset-corrected record stream,
+// including every batch a killed worker streamed before dying; an in-process
+// run's is its universe's export. dropped is the events rings overwrote
+// before they were read, which declpat-trace reports. Best-effort: a launch
 // never fails over its trace artifact.
-func writeFleetTrace(spec LaunchSpec, recs []obs.Record, clockErr int64, logf func(string, ...any)) {
+func writeFleetTrace(spec LaunchSpec, recs []obs.Record, dropped, clockErr int64, logf func(string, ...any)) {
 	if spec.Job.TraceDir == "" || len(recs) == 0 {
 		return
 	}
@@ -317,34 +394,39 @@ func writeFleetTrace(spec LaunchSpec, recs []obs.Record, clockErr int64, logf fu
 	meta := obs.Meta{
 		Label:      "mp-fleet",
 		Ranks:      spec.Job.Ranks,
+		Dropped:    dropped,
 		ClockErrNS: clockErr,
 	}
+	if spec.Workers == 0 {
+		meta.Label = spec.Job.Algo
+	}
 	for _, r := range recs {
-		if r.Type != "" && !types[r.Type] {
+		// A phase record's Type names its phase, not a message type.
+		if r.Kind != "phase" && r.Type != "" && !types[r.Type] {
 			types[r.Type] = true
 			meta.Types = append(meta.Types, r.Type)
 		}
 	}
 	if err := os.MkdirAll(spec.Job.TraceDir, 0o755); err != nil {
-		logf("mp: fleet trace: %v", err)
+		logf("mp: timeline: %v", err)
 		return
 	}
 	path := filepath.Join(spec.Job.TraceDir, "fleet.trace.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
-		logf("mp: fleet trace: %v", err)
+		logf("mp: timeline: %v", err)
 		return
 	}
 	if err := obs.WriteJSONL(f, meta, recs); err != nil {
 		f.Close()
-		logf("mp: fleet trace: %v", err)
+		logf("mp: timeline: %v", err)
 		return
 	}
 	if err := f.Close(); err != nil {
-		logf("mp: fleet trace: %v", err)
+		logf("mp: timeline: %v", err)
 		return
 	}
-	logf("mp: fleet trace: %d records -> %s", len(recs), path)
+	logf("mp: timeline: %d records -> %s", len(recs), path)
 }
 
 // syncWriter serializes writes to the launch log sink.

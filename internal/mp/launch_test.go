@@ -183,38 +183,84 @@ func TestLaunchWorkerSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestLaunchValidation pins the launcher's argument checking.
+// TestLaunchValidation pins the launcher's one validation step,
+// LaunchSpec.Validate, which Launch calls before building anything: every
+// row is refused, and none spawns a worker. Zero workers is not a refusal but
+// the in-process mode, checked against the single-process reference.
 func TestLaunchValidation(t *testing.T) {
-	if _, err := mp.Launch(mp.LaunchSpec{Job: testJob("bfs"), Workers: 0}); err == nil {
-		t.Fatal("zero workers accepted")
+	job := func(mut func(*mp.JobSpec)) mp.JobSpec {
+		j := testJob("bfs")
+		mut(&j)
+		return j
 	}
-	if _, err := mp.Launch(mp.LaunchSpec{Job: testJob("nope"), Workers: 1}); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	bfs := testJob("bfs")
+	for _, c := range []struct {
+		name string
+		spec mp.LaunchSpec
+	}{
+		{"negative workers", mp.LaunchSpec{Job: bfs, Workers: -1}},
+		{"unknown algorithm", mp.LaunchSpec{Job: testJob("nope"), Workers: 1}},
+		{"fewer ranks than workers", mp.LaunchSpec{Job: job(func(j *mp.JobSpec) { j.Ranks = 2 }), Workers: 3}},
+		{"out-of-range kill target", mp.LaunchSpec{Job: bfs, Workers: 2, Kill: &mp.KillSpec{Worker: 5, Epoch: 1, Mode: "body"}}},
+		{"negative kill target", mp.LaunchSpec{Job: bfs, Workers: 2, Kill: &mp.KillSpec{Worker: -1, Epoch: 1, Mode: "body"}}},
+		{"unknown kill mode", mp.LaunchSpec{Job: bfs, Workers: 2, Kill: &mp.KillSpec{Worker: 0, Epoch: 1, Mode: "bogus"}}},
+		// A rate am.New would panic on.
+		{"drop rate 1.5", mp.LaunchSpec{Job: job(func(j *mp.JobSpec) { j.Drop = 1.5 }), Workers: 2}},
+		{"in-process negative ranks", mp.LaunchSpec{Job: job(func(j *mp.JobSpec) { j.Ranks = -1 })}},
+		// In process, fleet-only settings are refused, not ignored.
+		{"in-process kill", mp.LaunchSpec{Job: bfs, Kill: &mp.KillSpec{Worker: 0, Epoch: 1, Mode: "body"}}},
+		{"in-process checkpoint dir", mp.LaunchSpec{Job: bfs, CheckpointDir: t.TempDir()}},
+		{"in-process flight dir", mp.LaunchSpec{Job: job(func(j *mp.JobSpec) { j.FlightDir = t.TempDir() })}},
+		{"in-process straggler feed", mp.LaunchSpec{Job: bfs, OnStraggler: func(mp.StragglerStat) {}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.spec.Validate(); err == nil {
+				t.Fatal("Validate accepted it")
+			}
+			res, err := mp.Launch(c.spec)
+			if err == nil {
+				t.Fatal("Launch accepted it")
+			}
+			if res != nil && len(res.ExitCodes) > 0 {
+				t.Fatalf("refused launch spawned workers: exit codes %v", res.ExitCodes)
+			}
+		})
 	}
-	bad := testJob("bfs")
-	bad.Ranks = 1
-	if _, err := mp.Launch(mp.LaunchSpec{Job: bad, Workers: 2}); err == nil {
-		t.Fatal("fewer ranks than workers accepted")
-	}
-	spec := mp.LaunchSpec{Job: testJob("bfs"), Workers: 2,
-		Kill: &mp.KillSpec{Worker: 5, Epoch: 1, Mode: "body"}}
-	if _, err := mp.Launch(spec); err == nil {
-		t.Fatal("out-of-range kill target accepted")
-	}
-	spec.Kill = &mp.KillSpec{Worker: 0, Epoch: 1, Mode: "maim"}
-	if _, err := mp.Launch(spec); err == nil {
-		t.Fatal("unknown kill mode accepted")
-	}
-	// A rate am.New would panic on is refused before any worker is spawned:
-	// no attempt, so no exit codes.
-	badRate := testJob("bfs")
-	badRate.Drop = 1.5
-	res, err := mp.Launch(mp.LaunchSpec{Job: badRate, Workers: 2})
-	if err == nil {
-		t.Fatal("drop rate 1.5 accepted")
-	}
-	if res != nil && len(res.ExitCodes) > 0 {
-		t.Fatalf("drop rate 1.5 spawned workers: exit codes %v", res.ExitCodes)
+	t.Run("in-process run", func(t *testing.T) {
+		res := launch(t, mp.LaunchSpec{Job: bfs})
+		if res.Attempts != 1 || len(res.ExitCodes) != 0 {
+			t.Fatalf("in-process launch: %d attempts, exit codes %v; want 1 attempt and no workers", res.Attempts, res.ExitCodes)
+		}
+		checkIdentical(t, bfs, res.Vectors)
+		if err := bfs.Verify(res.Vectors); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestJobSpecVerify pins the oracle declpat-launch checks every result with:
+// a correct result of each algorithm passes, and one flipped entry, a short
+// vector or a missing one is caught.
+func TestJobSpecVerify(t *testing.T) {
+	for _, algo := range []string{"bfs", "sssp", "cc"} {
+		t.Run(algo, func(t *testing.T) {
+			job := testJob(algo)
+			res := launch(t, mp.LaunchSpec{Job: job})
+			if err := job.Verify(res.Vectors); err != nil {
+				t.Fatalf("correct result refused: %v", err)
+			}
+			flipped := append([]int64(nil), res.Vectors[0]...)
+			flipped[3]++
+			for name, bad := range map[string][][]int64{
+				"flipped entry": {flipped},
+				"short vector":  {res.Vectors[0][1:]},
+				"no vector":     nil,
+			} {
+				if err := job.Verify(bad); err == nil {
+					t.Errorf("%s accepted", name)
+				}
+			}
+		})
 	}
 }
 
@@ -260,6 +306,11 @@ func TestLaunchFleetObservability(t *testing.T) {
 	// with offset-corrected records from every worker process.
 	if res.ClockErrNS <= 0 {
 		t.Fatal("launch reported no clock-alignment bound")
+	}
+	// One timeline: the trace directory holds the coordinator's merge and
+	// nothing else (no per-worker files).
+	if files, _ := os.ReadDir(job.TraceDir); len(files) != 1 {
+		t.Fatalf("trace dir holds %d files, want the one fleet timeline: %v", len(files), files)
 	}
 	meta, recs, err := obs.ReadTraceDir(job.TraceDir)
 	if err != nil {

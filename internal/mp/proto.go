@@ -240,7 +240,10 @@ type clockMsg struct {
 // coordinator for the merged fleet timeline. Records is the JSON encoding of
 // []obs.Record (worker-local timestamps; the coordinator applies the clock
 // offset when merging). Offset/ErrBound are the worker's current estimate at
-// flush time so the merge uses the tightest bound available.
+// flush time so the merge uses the tightest bound available. Dropped counts
+// the events the worker's rings overwrote since its previous batch, before
+// any flush could ship them; it is omitted when zero, so a batch without a
+// gap keeps the encoding a decoder without the field accepts.
 type traceMsg struct {
 	Worker   int
 	Lo, Hi   int
@@ -248,6 +251,7 @@ type traceMsg struct {
 	ErrBound int64
 	Final    bool // last batch of this worker's run (drain flush)
 	Records  json.RawMessage
+	Dropped  int64 `json:",omitempty"`
 }
 
 // resultMsg ships one result-vector shard: the values of one local rank of

@@ -30,7 +30,7 @@ var bodyKinds = map[byte]any{
 	fAbort:          abortMsg{Clean: true, Reason: "worker 1 departed cleanly"},
 	fClockPing:      clockMsg{T1: 100},
 	fClockPong:      clockMsg{T1: 100, Remote: 250},
-	fTrace:          traceMsg{Worker: 1, Lo: 2, Hi: 4, Offset: -5, ErrBound: 9, Final: true, Records: json.RawMessage(`[]`)},
+	fTrace:          traceMsg{Worker: 1, Lo: 2, Hi: 4, Offset: -5, ErrBound: 9, Final: true, Records: json.RawMessage(`[]`), Dropped: 3},
 	fResult:         resultMsg{Vec: 1, VertexLo: 64, Vals: []int64{5, 6}},
 }
 

@@ -141,9 +141,9 @@ func RunWorker(addr string, worker int) int {
 		if job.TraceDir == "" {
 			return
 		}
-		var recs []obs.Record
-		recs, cursors = u.ExportTraceSince(cursors)
-		if len(recs) == 0 && !final {
+		recs, next, overwritten := u.ExportTraceSince(cursors)
+		cursors = next
+		if len(recs) == 0 && overwritten == 0 && !final {
 			return
 		}
 		js, err := json.Marshal(recs)
@@ -152,7 +152,7 @@ func RunWorker(addr string, worker int) int {
 		}
 		cl.SendTrace(traceMsg{
 			Worker: worker, Lo: w.Lo, Hi: w.Hi,
-			Offset: off, ErrBound: errB, Final: final, Records: js,
+			Offset: off, ErrBound: errB, Final: final, Records: js, Dropped: overwritten,
 		})
 	}
 	go func() {
@@ -199,13 +199,12 @@ func RunWorker(addr string, worker int) int {
 	if err := u.Run(body); err != nil {
 		drainFlush()
 		if departing.Load() {
-			// A SIGTERM goodbye drain is a *clean* exit: it leaves the same
-			// trace artifact a completed run does (this path used to skip
-			// it), plus a flight dump naming the departure.
-			writeArtifacts(u, cl, job, worker, flight, "sigterm departure")
+			// A SIGTERM goodbye drain is a *clean* exit: its flight dump
+			// names the departure.
+			persistFlight(cl, worker, flight, "sigterm departure")
 			return ExitClean
 		}
-		writeArtifacts(u, cl, job, worker, flight, "run failed: "+err.Error())
+		persistFlight(cl, worker, flight, "run failed: "+err.Error())
 		fmt.Fprintf(os.Stderr, "mp worker %d: run failed: %v\n", worker, err)
 		if cerr := cl.Err(); cerr != nil {
 			return exitForErr(cerr, ExitRestart)
@@ -216,7 +215,7 @@ func RunWorker(addr string, worker int) int {
 	// Final drain before fResultDone: the coordinator snapshots the merged
 	// fleet trace into the attempt outcome when results complete.
 	drainFlush()
-	writeArtifacts(u, cl, job, worker, flight, "run complete")
+	persistFlight(cl, worker, flight, "run complete")
 	if err := shipResults(cl, vecs, int(w.Lo), int(w.Hi)); err != nil {
 		fmt.Fprintf(os.Stderr, "mp worker %d: shipping results: %v\n", worker, err)
 		return exitForErr(err, ExitFatal)
@@ -224,28 +223,25 @@ func RunWorker(addr string, worker int) int {
 	return ExitClean
 }
 
-// writeArtifacts leaves the worker's on-disk observability record: the timed
-// trace (when tracing is on) and a flight dump stamped with the final clock
-// estimate. Called on every exit path — clean completion, SIGTERM departure,
-// run failure — so the artifacts do not depend on a happy ending.
-func writeArtifacts(u *am.Universe, cl *Client, job JobSpec, worker int, flight *obs.FlightRecorder, reason string) {
-	if job.TraceDir != "" {
-		if err := writeTrace(u, cl, job.TraceDir, worker); err != nil {
-			fmt.Fprintf(os.Stderr, "mp worker %d: trace: %v\n", worker, err)
-		}
+// persistFlight leaves the worker's on-disk black box: a flight dump stamped
+// with the final clock estimate. Called on every exit path — clean
+// completion, SIGTERM departure, run failure — so the dump does not depend on
+// a happy ending. (The worker's trace is not a file of its own: it streams to
+// the coordinator, which writes the one fleet timeline.)
+func persistFlight(cl *Client, worker int, flight *obs.FlightRecorder, reason string) {
+	if flight == nil {
+		return
 	}
-	if flight != nil {
-		if off, errB, ok := cl.ClockEstimate(); ok {
-			flight.SetClock(off, errB)
-		}
-		if err := flight.Persist(reason); err != nil {
-			fmt.Fprintf(os.Stderr, "mp worker %d: flight dump: %v\n", worker, err)
-		}
-		// The terminal dump is written; seal so the teardown race (the
-		// coordinator closing control connections reads as a fleet abort)
-		// cannot overwrite it with a bogus reason.
-		flight.Seal()
+	if off, errB, ok := cl.ClockEstimate(); ok {
+		flight.SetClock(off, errB)
 	}
+	if err := flight.Persist(reason); err != nil {
+		fmt.Fprintf(os.Stderr, "mp worker %d: flight dump: %v\n", worker, err)
+	}
+	// The terminal dump is written; seal so the teardown race (the
+	// coordinator closing control connections reads as a fleet abort)
+	// cannot overwrite it with a bogus reason.
+	flight.Seal()
 }
 
 // exitForErr maps the classified control-plane sentinels onto their distinct
@@ -258,31 +254,6 @@ func exitForErr(err error, def int) int {
 		return ExitDecode
 	}
 	return def
-}
-
-// writeTrace exports the worker's trace with the fleet meta fields stamped —
-// worker index, hosted rank range, and the clock estimate — so a directory of
-// per-worker files merges onto the launcher timebase offline
-// (obs.ReadTraceDir / declpat-trace -phases DIR).
-func writeTrace(u *am.Universe, cl *Client, dir string, worker int) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	meta, recs := u.ExportTrace(fmt.Sprintf("mp-worker-%d", worker))
-	meta.Worker = worker
-	meta.RankLo, meta.RankHi = cl.Welcome().Lo, cl.Welcome().Hi
-	if off, errB, ok := cl.ClockEstimate(); ok {
-		meta.ClockOffsetNS, meta.ClockErrNS = off, errB
-	}
-	f, err := os.Create(filepath.Join(dir, fmt.Sprintf("worker-%d.trace.jsonl", worker)))
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(f, meta, recs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // shipResults sends every result vector's local shards to the coordinator,

@@ -15,16 +15,28 @@ type Meta struct {
 	Ranks   int      `json:"ranks"`
 	Types   []string `json:"types,omitempty"`
 	Dropped int64    `json:"dropped,omitempty"` // ring-overwritten events
-	// Fleet fields (multi-process runs). Worker is the hosting worker's index
-	// and RankLo/RankHi its contiguous global-rank slice. ClockOffsetNS maps
-	// this process's monotonic timestamps onto the launcher's timebase
-	// (launcher ≈ local + offset) with ClockErrNS as the estimate's error
-	// bound; both zero in single-process exports.
-	Worker        int   `json:"worker,omitempty"`
-	RankLo        int   `json:"rank_lo,omitempty"`
-	RankHi        int   `json:"rank_hi,omitempty"`
-	ClockOffsetNS int64 `json:"clock_offset_ns,omitempty"`
-	ClockErrNS    int64 `json:"clock_err_ns,omitempty"`
+	// ClockErrNS bounds a fleet timeline's cross-process alignment error:
+	// the largest error of any worker's estimate of its offset onto the
+	// launcher's timebase (zero in single-process exports).
+	ClockErrNS int64 `json:"clock_err_ns,omitempty"`
+}
+
+// Banner is the one-line summary a reader prints above its tables: label,
+// record, rank and type counts, the cross-process alignment bound when there
+// is one, and how many events the ring overwrote when it did.
+func (m Meta) Banner(records int) string {
+	label := m.Label
+	if label == "" {
+		label = "(unlabeled)"
+	}
+	s := fmt.Sprintf("trace: %s — %d records, %d ranks, %d message types", label, records, m.Ranks, len(m.Types))
+	if m.ClockErrNS > 0 {
+		s += fmt.Sprintf(" (cross-process alignment ±%.1fµs)", float64(m.ClockErrNS)/1e3)
+	}
+	if m.Dropped > 0 {
+		s += fmt.Sprintf(" (%d events overwritten by the ring)", m.Dropped)
+	}
+	return s
 }
 
 // Record is one exported trace event. TS and Dur are monotonic nanoseconds

@@ -1,23 +1,12 @@
 package obs
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
-// Fleet trace assembly: aligning per-process trace exports onto one timebase
-// and merging them into a single record stream that the analyzers and the
-// Chrome converter consume unchanged.
-
-// TracePart is one process's contribution to a merged fleet trace: its
-// records (local timestamps), the worker index, and the clock estimate that
-// maps its timestamps onto the launcher timebase.
-type TracePart struct {
-	Meta    Meta
-	Records []Record
-}
+// Fleet trace assembly: aligning a worker's streamed records onto the
+// launcher's timebase, and reading back the one timeline a launch writes.
 
 // AlignRecords stamps worker onto every record and shifts timestamps by
 // offset (launcher ≈ local + offset), in place, returning recs.
@@ -29,82 +18,14 @@ func AlignRecords(recs []Record, worker int, offset int64) []Record {
 	return recs
 }
 
-// MergeTraces aligns each part by its meta's worker/offset and merges them
-// into one timestamp-sorted stream. The merged meta carries the union of the
-// type tables, the widest rank range, the summed drop count, and the worst
-// (largest) clock error bound among the parts.
-func MergeTraces(parts []TracePart) (Meta, []Record) {
-	merged := Meta{Kind: "meta"}
-	var out []Record
-	types := map[string]bool{}
-	for _, p := range parts {
-		if merged.Label == "" {
-			merged.Label = p.Meta.Label
-		}
-		if p.Meta.Ranks > merged.Ranks {
-			merged.Ranks = p.Meta.Ranks
-		}
-		merged.Dropped += p.Meta.Dropped
-		if p.Meta.ClockErrNS > merged.ClockErrNS {
-			merged.ClockErrNS = p.Meta.ClockErrNS
-		}
-		for _, t := range p.Meta.Types {
-			if !types[t] {
-				types[t] = true
-				merged.Types = append(merged.Types, t)
-			}
-		}
-		out = append(out, AlignRecords(p.Records, p.Meta.Worker, p.Meta.ClockOffsetNS)...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	for _, r := range out {
-		if r.Rank+1 > merged.Ranks {
-			merged.Ranks = r.Rank + 1
-		}
-	}
-	return merged, out
-}
-
-// ReadTraceDir reads every worker-*.trace.jsonl in dir and merges them onto
-// the launcher timebase via each file's meta header (offset zero — i.e. no
-// correction — when a file predates clock alignment). An explicit
-// fleet.trace.jsonl, if present, is preferred: it is the coordinator's own
-// merge and includes workers that died without writing a per-worker file.
+// ReadTraceDir reads the timeline a traced launch leaves in its trace
+// directory, dir/fleet.trace.jsonl: a fleet's merged, offset-corrected
+// record stream, or an in-process run's export.
 func ReadTraceDir(dir string) (Meta, []Record, error) {
-	if fleet := filepath.Join(dir, "fleet.trace.jsonl"); fileExists(fleet) {
-		f, err := os.Open(fleet)
-		if err != nil {
-			return Meta{}, nil, err
-		}
-		defer f.Close()
-		return ReadJSONL(f)
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, "worker-*.trace.jsonl"))
+	f, err := os.Open(filepath.Join(dir, "fleet.trace.jsonl"))
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	if len(paths) == 0 {
-		return Meta{}, nil, fmt.Errorf("obs: no worker-*.trace.jsonl or fleet.trace.jsonl in %s", dir)
-	}
-	sort.Strings(paths)
-	var parts []TracePart
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return Meta{}, nil, err
-		}
-		meta, recs, err := ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			return Meta{}, nil, fmt.Errorf("%s: %w", p, err)
-		}
-		parts = append(parts, TracePart{Meta: meta, Records: recs})
-	}
-	meta, recs := MergeTraces(parts)
-	return meta, recs, nil
-}
-
-func fileExists(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && !st.IsDir()
+	defer f.Close()
+	return ReadJSONL(f)
 }

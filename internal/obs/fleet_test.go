@@ -1,8 +1,7 @@
 package obs
 
-// Fleet trace assembly tests: offset alignment, multi-part merge, directory
-// reading, the incremental ring cursor, and the Chrome exporter's
-// multi-process output.
+// Fleet trace assembly tests: offset alignment, directory reading, the
+// incremental ring cursor, and the Chrome exporter's multi-process output.
 
 import (
 	"bytes"
@@ -26,42 +25,7 @@ func TestAlignRecords(t *testing.T) {
 	}
 }
 
-func TestMergeTraces(t *testing.T) {
-	parts := []TracePart{
-		{
-			Meta: Meta{Label: "fleet", Ranks: 2, Types: []string{"a", "b"}, Dropped: 1,
-				Worker: 0, ClockOffsetNS: 0, ClockErrNS: 50},
-			Records: []Record{{Kind: "phase", TS: 500, Rank: 0}},
-		},
-		{
-			Meta: Meta{Ranks: 2, Types: []string{"b", "c"}, Dropped: 2,
-				Worker: 1, ClockOffsetNS: -400, ClockErrNS: 90},
-			Records: []Record{{Kind: "phase", TS: 700, Rank: 3}},
-		},
-	}
-	meta, recs := MergeTraces(parts)
-	if meta.Label != "fleet" || meta.Dropped != 3 || meta.ClockErrNS != 90 {
-		t.Fatalf("merged meta: %+v", meta)
-	}
-	if len(meta.Types) != 3 {
-		t.Fatalf("type union: %v", meta.Types)
-	}
-	if meta.Ranks != 4 {
-		t.Fatalf("ranks %d, want 4 (inferred from worker 1's rank 3)", meta.Ranks)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("merged %d records", len(recs))
-	}
-	// Worker 1's record lands at 700-400=300 < 500, so it sorts first.
-	if recs[0].W != 1 || recs[0].TS != 300 {
-		t.Fatalf("first record %+v, want worker 1 at TS 300", recs[0])
-	}
-	if recs[1].W != 0 || recs[1].TS != 500 {
-		t.Fatalf("second record %+v, want worker 0 at TS 500", recs[1])
-	}
-}
-
-func writeWorkerTrace(t *testing.T, dir string, name string, meta Meta, recs []Record) {
+func writeTraceFile(t *testing.T, dir string, name string, meta Meta, recs []Record) {
 	t.Helper()
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
@@ -73,31 +37,13 @@ func writeWorkerTrace(t *testing.T, dir string, name string, meta Meta, recs []R
 	}
 }
 
-func TestReadTraceDirMergesWorkers(t *testing.T) {
-	dir := t.TempDir()
-	writeWorkerTrace(t, dir, "worker-0.trace.jsonl",
-		Meta{Label: "mp-worker-0", Ranks: 4, Worker: 0, ClockOffsetNS: 0},
-		[]Record{{Kind: "phase", TS: 10, Rank: 0}})
-	writeWorkerTrace(t, dir, "worker-1.trace.jsonl",
-		Meta{Label: "mp-worker-1", Ranks: 4, Worker: 1, ClockOffsetNS: 5_000},
-		[]Record{{Kind: "phase", TS: 10, Rank: 2}})
-	meta, recs, err := ReadTraceDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || meta.Ranks != 4 {
-		t.Fatalf("merged %d records, %d ranks", len(recs), meta.Ranks)
-	}
-	if recs[1].W != 1 || recs[1].TS != 5_010 {
-		t.Fatalf("worker 1's record not offset-corrected: %+v", recs[1])
-	}
-}
-
+// TestReadTraceDirPrefersFleetFile: the directory form reads the one
+// timeline; a per-worker file an older launcher left beside it is ignored.
 func TestReadTraceDirPrefersFleetFile(t *testing.T) {
 	dir := t.TempDir()
-	writeWorkerTrace(t, dir, "worker-0.trace.jsonl",
+	writeTraceFile(t, dir, "worker-0.trace.jsonl",
 		Meta{Label: "mp-worker-0", Ranks: 2}, []Record{{Kind: "phase", TS: 1, Rank: 0}})
-	writeWorkerTrace(t, dir, "fleet.trace.jsonl",
+	writeTraceFile(t, dir, "fleet.trace.jsonl",
 		Meta{Label: "mp-fleet", Ranks: 2},
 		[]Record{{Kind: "phase", TS: 1, Rank: 0}, {Kind: "phase", TS: 2, Rank: 1, W: 1}})
 	meta, recs, err := ReadTraceDir(dir)
