@@ -6,6 +6,11 @@
 // Usage:
 //
 //	plan [-merge=false] [-fold=false] [-naive] [-earlyexit=false] [-direct=false] [-filter=false] [-coalesce=false] [SSSP|CC|BFS|Widest|Degree|PageRankPush|PageRankPull]
+//
+// In a condition's line, msgs= is the messages one generated item costs when
+// every hop changes vertex, and payload= is the payload words the eval hop's
+// message carries behind its destination: the gathered and folded words a
+// later step reads (0 when the eval hop never leaves v).
 package main
 
 import (

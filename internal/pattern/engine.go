@@ -11,36 +11,18 @@ import (
 	"declpat/internal/pmap"
 )
 
-// patMsg is the engine's single active-message type: one step of an action's
-// execution, carrying the generator bindings and the gathered payload. Dest
-// is the locality vertex, from which the destination rank is computed
-// (object-based addressing, §IV-D).
+// patMsg is the engine's cursor: one item of an action's execution, holding
+// the generator bindings and the gathered payload. It never leaves the rank;
+// a hop that travels mails a hopMsg with the words its step carries
+// (hop.go).
 type patMsg struct {
-	Action int32
-	Cond   int16
-	Hop    int16 // hop index within Cond, or hopEntry / hopFire
-	Dest   distgraph.Vertex
 	V      distgraph.Vertex
 	U      distgraph.Vertex
 	ES, ET distgraph.Vertex
 	ESlot  uint32
 	EIn    bool
-	HasE   bool
 	Vals   [MaxSlots]Word
 }
-
-// Negative patMsg.Hop values address something other than a plan hop.
-const (
-	// hopEntry runs the generator at owner(V).
-	hopEntry int16 = -1
-	// hopFire runs the work hook at owner(Dest): a co-resident rank applied
-	// a modification to Dest in place, the value changed, and the action
-	// reads the modified property (§IV-C). Only Action and Dest are set.
-	// The hook still runs on the owning rank, inside the epoch, covered by
-	// the same termination accounting as any other message. A coalesced
-	// rerun hook (rerun.go) needs no owner thread and is never sent as one.
-	hopFire int16 = -2
-)
 
 func (m *patMsg) edgeRef() distgraph.EdgeRef {
 	return distgraph.EdgeRef{S: m.ES, T: m.ET, Slot: m.ESlot, In: m.EIn}
@@ -71,7 +53,7 @@ type Engine struct {
 	nv      int
 	site    siteFn
 	opts    PlanOptions
-	msg     *am.MsgType[patMsg]
+	msg     *am.MsgType[hopMsg]
 	actions []*BoundAction
 	// filters is the send-side filter state of every vertex-word map a bound
 	// action writes (filter.go).
@@ -84,7 +66,7 @@ func NewEngine(u *am.Universe, g *distgraph.Graph, lm *pmap.LockMap, opts PlanOp
 	e := &Engine{u: u, g: g, lm: lm, dist: g.Dist(), nv: g.NumVertices(), site: newSiteFn(g.Dist()), opts: opts,
 		filters: map[*pmap.VertexWord]*filter{}}
 	e.msg = am.Register(u, "pattern-step", e.dispatch).
-		WithAddresser(func(m patMsg) int { return g.Owner(m.Dest) })
+		WithAddresser(func(m hopMsg) int { return g.Owner(m.Dest) })
 	u.RegisterCheckpointer(e)
 	return e
 }
@@ -95,9 +77,9 @@ func (e *Engine) Graph() *distgraph.Graph { return e.g }
 // Universe returns the engine's universe.
 func (e *Engine) Universe() *am.Universe { return e.u }
 
-// MsgType exposes the engine's message type (for configuring coalescing or
-// reductions in experiments).
-func (e *Engine) MsgType() *am.MsgType[patMsg] { return e.msg }
+// MsgType exposes the engine's one message type, the fixed-layout hop message
+// (for choosing a wire codec or configuring coalescing).
+func (e *Engine) MsgType() *am.MsgType[hopMsg] { return e.msg }
 
 // Bound is one pattern bound to storage with compiled plans.
 type Bound struct {
@@ -244,8 +226,9 @@ func newStats(ranks int) Stats {
 }
 
 // WriteMetrics emits the bound actions' counters as declpat_pattern_*_total
-// counter families, one sample per action name (actions bound more than once
-// — the query plane's slot pools — are summed). Safe while the universe runs.
+// counter families, one sample per action name (an action name bound more
+// than once, by several patterns or Bind calls, is summed). Safe while the
+// universe runs.
 func (e *Engine) WriteMetrics(om *obs.OMWriter) {
 	byAction := map[string]*[numStats]int64{}
 	for _, ba := range e.actions {
@@ -334,15 +317,19 @@ func (ba *BoundAction) Invoke(r *am.Rank, v distgraph.Vertex) {
 // InvokeAsync enqueues the action at v through the messaging layer even when
 // v is local, bounding stack depth; safe to call from work hooks.
 func (ba *BoundAction) InvokeAsync(r *am.Rank, v distgraph.Vertex) {
-	ba.eng.msg.Send(r, patMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v, V: v})
+	ba.eng.msg.Send(r, hopMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v})
 }
 
-// dispatch routes an incoming engine message.
-func (e *Engine) dispatch(r *am.Rank, m patMsg) {
+// dispatch routes an incoming engine message, after checking that it
+// addresses the bound program (a message that does not is a handler fault).
+func (e *Engine) dispatch(r *am.Rank, m hopMsg) {
+	if err := e.checkHop(&m); err != nil {
+		panic(err)
+	}
 	ba := e.actions[m.Action]
 	switch m.Hop {
 	case hopEntry:
-		ba.runEntry(r, m.V)
+		ba.runEntry(r, m.Dest)
 	case hopFire:
 		ba.st[r.ID()].Inc(sWorkItems)
 		ba.runHook(r, m.Dest)
@@ -361,7 +348,8 @@ type site struct {
 
 // cursor is the state of one run of the bound program: the item being
 // executed, and the Stats it has counted so far. m holds the generator
-// bindings and the payload words, and is the message when a hop is mailed.
+// bindings and the payload words; a mailed hop packs the words its step
+// carries out of it.
 // An entry takes one cursor for all its items and a resumed message takes one
 // for its continuation; both add n to the rank's shard before they return
 // (release), so the counters are exact whenever nothing is running — at every
@@ -420,13 +408,13 @@ func (ba *BoundAction) enter(r *am.Rank, v distgraph.Vertex, at site) {
 	c := cursorPool.Get().(*cursor)
 	c.n[sInvocations]++
 	m := &c.m
-	*m = patMsg{Action: int32(ba.ca.id), V: v, U: distgraph.NilVertex}
+	*m = patMsg{V: v, U: distgraph.NilVertex}
 	lg := ba.eng.g.Local(at.rank)
 	switch ba.prog.gen {
 	case GenNone:
 		ba.item(r, c, at)
 	case GenOutEdges:
-		m.HasE, m.ES = true, v
+		m.ES = v
 		for slot := lg.OutIndex[at.li]; slot < lg.OutIndex[at.li+1]; slot++ {
 			m.ET, m.ESlot = lg.OutDst[slot], slot
 			ba.item(r, c, at)
@@ -435,7 +423,7 @@ func (ba *BoundAction) enter(r *am.Rank, v distgraph.Vertex, at site) {
 		if lg.InIndex == nil {
 			panic("pattern: in_edges generator on a graph built without Bidirectional")
 		}
-		m.HasE, m.EIn, m.ET = true, true, v
+		m.EIn, m.ET = true, v
 		for slot := lg.InIndex[at.li]; slot < lg.InIndex[at.li+1]; slot++ {
 			m.ES, m.ESlot = lg.InSrc[slot], slot
 			ba.item(r, c, at)
@@ -457,8 +445,8 @@ func (ba *BoundAction) enter(r *am.Rank, v distgraph.Vertex, at site) {
 // item runs the entry step (at v, resolved to at) for the item the generator
 // just bound in c and drives it through the condition chain. The payload is
 // zeroed first — all of it, a handful of constant-size stores — so a slot the
-// item never writes reads zero, in a message as in an expression, whatever the
-// cursor's previous item left there.
+// item never writes reads zero whatever the cursor's previous item left there,
+// as it does in a cursor unpacked from a hop message.
 func (ba *BoundAction) item(r *am.Rank, c *cursor, at site) {
 	c.n[sItems]++
 	c.m.Vals = [MaxSlots]Word{}
@@ -468,10 +456,11 @@ func (ba *BoundAction) item(r *am.Rank, c *cursor, at site) {
 
 // resume continues an item at the step an incoming hop message addresses. The
 // sender already evaluated the condition's early-exit test.
-func (ba *BoundAction) resume(r *am.Rank, m *patMsg) {
+func (ba *BoundAction) resume(r *am.Rank, m *hopMsg) {
 	c := cursorPool.Get().(*cursor)
-	c.m = *m
-	ba.run(r, c, int(m.Cond), int(m.Hop), true)
+	ci, hi := int(m.Cond), int(m.Hop)
+	ba.prog.unpack(&ba.prog.conds[ci].steps[hi], m, &c.m)
+	ba.run(r, c, ci, hi, true)
 	ba.release(r, c)
 }
 
@@ -482,8 +471,9 @@ func (ba *BoundAction) resume(r *am.Rank, m *patMsg) {
 // single-word operation against the owner's shard and carries on here. Any
 // other step is sent to its owner as one message — unless it is a filtered
 // eval hop that cannot beat what this rank already sent the vertex, which is
-// answered false here (filter.go). resumed: the position arrived in a message,
-// whose sender has checked the step's early-exit test already.
+// answered false here (filter.go). A mailed step packs only its carried words
+// (hop.go). resumed: the position arrived in a message, whose sender has
+// checked the step's early-exit test already.
 func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 	e := ba.eng
 	m := &c.m
@@ -522,8 +512,9 @@ func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 					ci, hi = pc.nextFalse, 0
 					continue
 				}
-				m.Dest, m.Cond, m.Hop = dest, int16(ci), int16(hi)
-				e.msg.SendTo(r, at.rank, *m)
+				h := hopMsg{Action: int32(ba.ca.id), Cond: int16(ci), Hop: int16(hi), Dest: dest}
+				st.pack(m, &h)
+				e.msg.SendTo(r, at.rank, h)
 				return
 			}
 			c.n[sDirectHops]++
@@ -609,7 +600,7 @@ func (ba *BoundAction) fire(r *am.Rank, c *cursor, v distgraph.Vertex, at site) 
 		c.n[sWorkItems]++
 		ba.requestRerun(r, v, at)
 	default:
-		ba.eng.msg.SendTo(r, at.rank, patMsg{Action: int32(ba.ca.id), Hop: hopFire, Dest: v})
+		ba.eng.msg.SendTo(r, at.rank, hopMsg{Action: int32(ba.ca.id), Hop: hopFire, Dest: v})
 	}
 }
 

@@ -2,6 +2,8 @@ package pattern
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"strings"
 )
 
@@ -170,8 +172,9 @@ type condPlan struct {
 	mergedMods []int // mod indices applied at the eval hop (Merge mode)
 	tailGroups []modGroup
 
-	sync         atomicKind
-	payloadWords int // live slots carried into the eval hop (E10 metric)
+	sync atomicKind
+	// carry is each step's carried set, in progCond order (carrySets).
+	carry []liveSet
 	// filter: the eval hop is one monotone word update a sender can decide
 	// hopeless from what it has already sent (PlanOptions.Filter). Set by
 	// markFilter; the engine may still decline it at Bind (see bindFilters).
@@ -283,45 +286,14 @@ func compileAction(a *Action, id int, opts PlanOptions) (*compiledAction, error)
 	}
 
 	// Entry hop: all entry-local accesses used anywhere in the action.
-	loaded := map[*Access]bool{}
+	entryLoaded := map[*Access]bool{}
 	for _, acc := range ca.accesses {
 		if normalizeLoc(acc.At, a.Gen).Kind == LocV {
 			ca.entry.loads = append(ca.entry.loads, acc)
-			loaded[acc] = true
+			entryLoaded[acc] = true
 		}
 	}
 	ca.entry.at = Loc{Kind: LocV}
-
-	// Plan every condition in order, carrying the loaded set forward
-	// (gather elision across conditions, §IV-A). written tracks payload
-	// slots populated before each condition's eval hop for the E10
-	// payload metric.
-	written := map[int]bool{}
-	for _, acc := range ca.entry.loads {
-		written[acc.slot] = true
-	}
-	ca.conds = make([]condPlan, len(a.Conds))
-	for ci := range a.Conds {
-		cp, err := c.planCond(a, &a.Conds[ci], loaded, ca, written)
-		if err != nil {
-			return nil, err
-		}
-		ca.conds[ci] = cp
-		for _, h := range cp.hops {
-			for _, acc := range h.loads {
-				written[acc.slot] = true
-			}
-			for _, f := range h.folds {
-				written[f.slot] = true
-			}
-		}
-		for _, f := range ca.entry.folds {
-			written[f.slot] = true
-		}
-	}
-	if ca.nSlots > MaxSlots {
-		return nil, fmt.Errorf("action %s needs %d payload slots (max %d)", a.Name, ca.nSlots, MaxSlots)
-	}
 
 	// Chain resolution for if/elif/else.
 	ca.nextOnTrue = make([]int, len(a.Conds))
@@ -339,6 +311,46 @@ func compileAction(a *Action, id int, opts PlanOptions) (*compiledAction, error)
 		} else {
 			ca.nextOnFalse[ci] = -1
 		}
+	}
+
+	// Plan every condition in order (gather elision across conditions,
+	// §IV-A). Elision is path-sensitive: sure[ci] holds the accesses loaded
+	// on every path into condition ci, and only those are reused. Every
+	// predecessor of a condition comes before it, so sure[ci] is complete
+	// when ci is planned.
+	sure := make([]map[*Access]bool, len(a.Conds))
+	sure[0] = entryLoaded
+	meet := func(j int, out map[*Access]bool) {
+		if j < 0 {
+			return
+		}
+		if sure[j] == nil {
+			sure[j] = out
+			return
+		}
+		for acc := range sure[j] {
+			if !out[acc] {
+				delete(sure[j], acc)
+			}
+		}
+	}
+	ca.conds = make([]condPlan, len(a.Conds))
+	for ci := range a.Conds {
+		loaded := maps.Clone(sure[ci])
+		cp, err := c.planCond(a, &a.Conds[ci], loaded, ca)
+		if err != nil {
+			return nil, err
+		}
+		ca.conds[ci] = cp
+		onTrue, onFalse := cp.exitLoads(sure[ci], a.Gen)
+		meet(ca.nextOnTrue[ci], onTrue)
+		meet(ca.nextOnFalse[ci], onFalse)
+	}
+	if ca.nSlots > MaxSlots {
+		return nil, fmt.Errorf("action %s needs %d payload slots (max %d)", a.Name, ca.nSlots, MaxSlots)
+	}
+	if err := ca.carrySets(); err != nil {
+		return nil, err
 	}
 	if opts.Coalesce {
 		markIdempotent(ca)
@@ -458,8 +470,8 @@ func walkAccesses(e Expr, fn func(*Access)) {
 }
 
 // planCond builds the message plan for one condition given the set of
-// accesses already gathered and the payload slots already written.
-func (c *compiler) planCond(a *Action, cond *Cond, loaded map[*Access]bool, ca *compiledAction, written map[int]bool) (condPlan, error) {
+// accesses gathered on every path into it.
+func (c *compiler) planCond(a *Action, cond *Cond, loaded map[*Access]bool, ca *compiledAction) (condPlan, error) {
 	c.foldCache = map[string]tempRef{}
 	cp := condPlan{cond: cond, test: cond.Test}
 	cp.modRhs = make([]Expr, len(cond.Mods))
@@ -668,11 +680,6 @@ func (c *compiler) planCond(a *Action, cond *Cond, loaded map[*Access]bool, ca *
 	if c.opts.Filter {
 		markFilter(&cp, availBefore)
 	}
-
-	// Payload metric: slots written before the eval hop (anywhere in the
-	// action so far) and read at or after it — Fig. 6's per-message
-	// payload.
-	cp.payloadWords = countLivePayload(&cp, ca, written)
 	return cp, nil
 }
 
@@ -885,6 +892,11 @@ func classifySync(cp *condPlan, cond *Cond) atomicKind {
 	}
 	mi := cp.mergedMods[0]
 	m := &cond.Mods[mi]
+	if m.Target.Prop.Kind == EdgeWordProp {
+		// The instructions act on vertex words and sets; an edge word is
+		// updated under the lock map.
+		return syncLock
+	}
 	evalLoads := cp.hops[len(cp.hops)-1].loads
 	// All values read at the eval hop must be the target itself.
 	for _, acc := range evalLoads {
@@ -984,66 +996,6 @@ func markIdempotent(ca *compiledAction) {
 	ca.coalesce = true
 }
 
-// countLivePayload counts payload slots carried into the eval hop: slots
-// written strictly before it (entry hop, earlier conditions, and this
-// condition's gather hops) and read at or after it.
-func countLivePayload(cp *condPlan, ca *compiledAction, written map[int]bool) int {
-	writtenBefore := map[int]bool{}
-	for s := range written {
-		writtenBefore[s] = true
-	}
-	for _, f := range ca.entry.folds {
-		writtenBefore[f.slot] = true
-	}
-	collect := func(h hop) {
-		for _, acc := range h.loads {
-			writtenBefore[acc.slot] = true
-		}
-		for _, f := range h.folds {
-			writtenBefore[f.slot] = true
-		}
-	}
-	for i := 0; i < len(cp.hops)-1; i++ {
-		collect(cp.hops[i])
-	}
-	readAtEval := map[int]bool{}
-	mark := func(e Expr) {
-		var walk func(Expr)
-		walk = func(e Expr) {
-			switch x := e.(type) {
-			case AccessExpr:
-				readAtEval[x.A.slot] = true
-			case tempRef:
-				readAtEval[x.slot] = true
-			case Bin:
-				walk(x.L)
-				walk(x.R)
-			case NotExpr:
-				walk(x.X)
-			}
-		}
-		walk(e)
-	}
-	if cp.test != nil {
-		mark(cp.test)
-	}
-	for _, mi := range cp.mergedMods {
-		mark(cp.modRhs[mi])
-	}
-	for _, g := range cp.tailGroups {
-		for _, mi := range g.mods {
-			mark(cp.modRhs[mi])
-		}
-	}
-	n := 0
-	for slot := range readAtEval {
-		if writtenBefore[slot] {
-			n++
-		}
-	}
-	return n
-}
-
 // PlanInfo describes an action's compiled plan for tests and experiments.
 type PlanInfo struct {
 	Action string
@@ -1061,8 +1013,11 @@ type CondPlanInfo struct {
 	// Messages is the worst-case per-item message count (hops plus tail
 	// modification messages), assuming every hop changes vertex.
 	Messages int
-	// PayloadWords is the number of live payload words carried into the
-	// eval hop.
+	// PayloadWords is the number of payload words the eval hop's message
+	// carries (Fig. 6's per-message payload): the gathered and folded slots
+	// some later step reads. Generator bindings it also carries, such as v,
+	// are not counted; the destination is never carried. 0 when the eval hop
+	// never travels.
 	PayloadWords int
 	// Sync names the synchronization used at the merged eval hop.
 	Sync string
@@ -1087,7 +1042,7 @@ func (ca *compiledAction) info() PlanInfo {
 		ci := CondPlanInfo{
 			GatherHops:   len(cp.hops) - 1,
 			Messages:     cp.messages(),
-			PayloadWords: cp.payloadWords,
+			PayloadWords: bits.OnesCount32(uint32(cp.carry[len(cp.hops)-1] & slotBits)),
 			Sync:         cp.sync.String(),
 			EarlyExit:    cp.preTest != nil,
 		}

@@ -97,6 +97,7 @@ func TestPlannerPropertiesRandom(t *testing.T) {
 		{Merge: true, Fold: true, NaiveDFS: true, Direct: true},
 	}
 	compiled := 0
+	refused := map[string]int{}
 	for seed := uint64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		p := randomPattern(rng)
@@ -107,11 +108,8 @@ func TestPlannerPropertiesRandom(t *testing.T) {
 			p2 := clonePattern(t, p, rng, seed)
 			ca, err := compileAction(p2.Actions[0], 0, opts)
 			if err != nil {
-				// Acceptable compile rejections for generated
-				// patterns: payload overflow and in-edge-mirror
-				// writes.
-				if containsStr(err.Error(), "payload slots") ||
-					containsStr(err.Error(), "in-edges") {
+				if r := randomRefusal(err); r != "" {
+					refused[r]++
 					continue
 				}
 				t.Fatalf("seed %d opts %+v: %v\npattern:\n%s", seed, opts, err, p2)
@@ -132,6 +130,7 @@ func TestPlannerPropertiesRandom(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d plans compiled; refused: %v", compiled, refused)
 	if compiled < 1000 {
 		t.Fatalf("only %d plans compiled; generator too restrictive", compiled)
 	}
@@ -143,6 +142,19 @@ func clonePattern(t *testing.T, _ *Pattern, _ *rand.Rand, seed uint64) *Pattern 
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 99))
 	return randomPattern(rng)
+}
+
+// randomRefusal names the acceptable reason a generated pattern fails to
+// compile — too many payload slots, a step that would carry more than a hop
+// message holds, a write through an in-edge mirror — or "" for any other
+// error.
+func randomRefusal(err error) string {
+	for _, r := range []string{"payload slots", "words (max", "in-edges"} {
+		if containsStr(err.Error(), r) {
+			return r
+		}
+	}
+	return ""
 }
 
 func containsStr(s, sub string) bool {

@@ -23,6 +23,9 @@ import (
 type program struct {
 	gen    GenKind
 	genSet *pmap.VertexSet // the set a GenPropSet generator iterates
+	// blank is the cursor a mailed hop is unpacked into: the bindings the
+	// generator fixes, every word else zero.
+	blank patMsg
 	// entry holds the entry-local loads and folds, executed at owner(v) for
 	// every generated item (only loads and folds are set).
 	entry progStep
@@ -61,8 +64,11 @@ type progStep struct {
 	// direct: a co-resident sender executes the step in place instead of
 	// mailing it (markDirect).
 	direct bool
-	loads  []progLoad
-	folds  []progFold
+	// carry is the step's pack table: the cursor words a mailed hop carries,
+	// one per message lane (hop.go).
+	carry []uint8
+	loads []progLoad
+	folds []progFold
 
 	// Eval hop only. pre is the early-exit test, evaluated where the hop
 	// would be mailed from; test the remaining test, evaluated at the hop
@@ -149,6 +155,7 @@ func (l progLoc) vertex(m *patMsg) distgraph.Vertex {
 // engine's lock map.
 func compileProgram(ca *compiledAction, binds map[*Prop]binding, lm *pmap.LockMap) *program {
 	p := &program{gen: ca.action.Gen.Kind}
+	p.blank = patMsg{U: distgraph.NilVertex, EIn: p.gen == GenInEdges}
 	if p.gen == GenPropSet {
 		p.genSet = binds[ca.action.Gen.Set].vs
 	}
@@ -200,6 +207,9 @@ func compileProgram(ca *compiledAction, binds map[*Prop]binding, lm *pmap.LockMa
 		}
 		for _, g := range cp.tailGroups {
 			pc.steps = append(pc.steps, progStep{kind: stepTail, at: compileLoc(g.at), mods: mods(g.mods)})
+		}
+		for hi := range pc.steps {
+			pc.steps[hi].carry = lanes(cp.carry[hi])
 		}
 		p.conds[ci] = pc
 	}

@@ -162,7 +162,7 @@ func randCursor(rng *rand.Rand) patMsg {
 		}
 		return distgraph.Vertex(rng.Uint32())
 	}
-	m := patMsg{V: vertex(), U: vertex(), ES: vertex(), ET: vertex(), EIn: rng.IntN(2) == 0, HasE: true}
+	m := patMsg{V: vertex(), U: vertex(), ES: vertex(), ET: vertex(), EIn: rng.IntN(2) == 0}
 	for i := range m.Vals {
 		m.Vals[i] = randWord(rng)
 	}

@@ -53,7 +53,7 @@ func (ba *BoundAction) requestRerun(r *am.Rank, v distgraph.Vertex, at site) {
 	// The load keeps a firing that will lose from taking the word's cache
 	// line exclusively; it is ordered like the test-and-set it stands in for.
 	if p := &ba.pending[at.rank][at.li]; p.Load() == 0 && p.CompareAndSwap(0, 1) {
-		ba.eng.msg.SendTo(r, at.rank, patMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v, V: v})
+		ba.eng.msg.SendTo(r, at.rank, hopMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v})
 	}
 }
 

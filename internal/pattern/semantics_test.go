@@ -205,3 +205,97 @@ func TestSemanticsLockGranularities(t *testing.T) {
 		}
 	}
 }
+
+// TestSemanticsElisionAcrossSkippedHops: a condition may reuse a word an
+// earlier condition gathered only if every path into it gathered the word.
+// Each row's first condition takes a path that skips the hop loading x[trg(e)]
+// — an atomic eval hop (which applies its update without loading), an early
+// exit, a NIL locality — and the second condition copies x[trg(e)] to z. A
+// sequential reading copies the stored value on every path.
+func TestSemanticsElisionAcrossSkippedHops(t *testing.T) {
+	rows := []struct {
+		name  string
+		first func(a *Action, x, y, w, p *Prop)
+	}{
+		{"atomic", func(a *Action, x, y, w, p *Prop) {
+			a.If(Lt(Add(x.At(V()), w.At(E())), x.At(Trg()))).Set(x.At(Trg()), Add(x.At(V()), w.At(E())))
+		}},
+		{"early-exit", func(a *Action, x, y, w, p *Prop) {
+			a.If(And(Lt(w.At(E()), C(0)), Lt(x.At(Trg()), C(100)))).Set(y.At(Trg()), C(1))
+		}},
+		{"nil-locality", func(a *Action, x, y, w, p *Prop) {
+			a.If(Lt(y.AtVal(p.At(V())), x.At(Trg()))).Set(y.At(Trg()), C(1))
+		}},
+	}
+	for _, row := range rows {
+		for _, ranks := range []int{1, 2} {
+			u := am.New(ranks)
+			d := distgraph.NewBlockDist(2, ranks)
+			g := distgraph.Build(d, []distgraph.Edge{{Src: 0, Dst: 1, W: 3}}, distgraph.Options{})
+			lm := pmap.NewLockMap(d, 1)
+			opts := DefaultPlanOptions()
+			opts.Direct = false
+			eng := NewEngine(u, g, lm, opts)
+			p := New("Elide")
+			x, y, z, pp := p.VertexProp("x"), p.VertexProp("y"), p.VertexProp("z"), p.VertexProp("p")
+			w := p.EdgeProp("w")
+			a := p.Action("act", OutEdges())
+			row.first(a, x, y, w, pp)
+			a.Do().Set(z.At(Trg()), x.At(Trg()))
+			xm := pmap.NewVertexWord(d, 10)
+			xm.Set(d.Owner(0), 0, 0)
+			zm := pmap.NewVertexWord(d, -7)
+			bound, err := eng.Bind(p, Bindings{"x": xm, "y": pmap.NewVertexWord(d, 0), "z": zm,
+				"p": pmap.NewVertexWord(d, NilWord), "w": pmap.WeightMap(g)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			act := bound.Action("act")
+			u.Run(func(r *am.Rank) {
+				r.Epoch(func(*am.Epoch) {
+					if d.Owner(0) == r.ID() {
+						act.Invoke(r, 0)
+					}
+				})
+			})
+			want := xm.Get(d.Owner(1), 1)
+			if got := zm.Get(d.Owner(1), 1); got != want {
+				t.Errorf("%s, %d ranks: z[1] = %d, want x[1] = %d\n%s", row.name, ranks, got, want, act.PlanInfo())
+			}
+		}
+	}
+}
+
+// TestSemanticsEdgeWordMinUnderLock: a min, max or add whose target is an
+// edge word is applied under the lock map — §IV-B's instructions act on
+// vertex words and sets — and lands exactly.
+func TestSemanticsEdgeWordMinUnderLock(t *testing.T) {
+	u := am.New(1)
+	d := distgraph.NewBlockDist(4, 1)
+	g := distgraph.Build(d, gen.Path(4, gen.Weights{Min: 5, Max: 5}, 0), distgraph.Options{})
+	eng := NewEngine(u, g, pmap.NewLockMap(d, 1), DefaultPlanOptions())
+	p := New("Clamp")
+	w := p.EdgeProp("w")
+	p.Action("clamp", OutEdges()).Do().SetMin(w.At(E()), C(2))
+	wm := pmap.WeightMap(g)
+	bound, err := eng.Bind(p, Bindings{"w": wm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clamp := bound.Action("clamp")
+	if s := clamp.PlanInfo().Conds[0].Sync; s != "lock" {
+		t.Fatalf("sync = %s, want lock", s)
+	}
+	if err := u.Run(func(r *am.Rank) {
+		r.Epoch(func(*am.Epoch) {
+			for v := 0; v < 4; v++ {
+				clamp.Invoke(r, distgraph.Vertex(v))
+			}
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := clamp.Stats.ModsChanged.Load(); got != 3 {
+		t.Fatalf("%d weights clamped, want the path's 3", got)
+	}
+}
