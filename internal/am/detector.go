@@ -12,13 +12,13 @@ import "sync"
 // relPending non-zero until its (re)ack lands, so the epoch cannot end with
 // protocol traffic still in flight.
 //
-// Retransmits and suppressed duplicates never touch pending (it is
-// incremented once per user message in SendTo and decremented once per
-// handled message), so faults cannot double-count toward quiescence.
+// Retransmits and suppressed duplicates never touch pending (counted once
+// per shipped message in ship, subtracted once per delivered batch in
+// handled), so faults cannot double-count toward quiescence.
 //
 // Once true, the condition is stable: no body is running, no handler is
-// running (pending counts messages through handler completion), and work can
-// only be created by bodies or handlers. The idle counters are re-read after
+// running (pending counts messages through their batch's completion), and work
+// can only be created by bodies or handlers. The idle counters are re-read after
 // pending to close the window where a body went back to work because it saw
 // a pending message that has since been handled (see DESIGN.md).
 func (u *Universe) atomicQuiesced() bool {
@@ -34,10 +34,22 @@ func (u *Universe) atomicQuiesced() bool {
 	return u.pending.Load() == 0 && u.totalAux() == 0 && u.totalRelPending() == 0
 }
 
+// handled accounts a delivered batch of n messages of type id after its last
+// handler returned, so the handlers' sends are counted before the decrement.
+func (r *Rank) handled(id int32, n int) {
+	r.st.Add(cHandlersRun, int64(n))
+	r.tst.Add(int(id)*tcPerType+tcHandled, int64(n))
+	if r.u.fourCounter {
+		r.recvC.Add(int64(n))
+	} else if r.u.pending.Add(-int64(n)) == 0 && r.u.park {
+		r.u.settle()
+	}
+}
+
 // settle finishes the epoch if the universe is quiescent. The progress loop
 // calls it on every quiet pass; on a parking universe that loop sleeps, so the
 // events that can make the universe quiescent call it too: a handler whose
-// completion takes pending to 0 (both deliver paths in message.go), a body
+// batch takes pending to 0 (handled, from both deliver paths), a body
 // participant going idle (runBodies; in the one-body path the participant is
 // the rank main, whose quiet pass comes before it parks), and on a reliable
 // universe whoever takes a rank's count of unacknowledged and delayed

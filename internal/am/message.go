@@ -59,7 +59,8 @@ const (
 	tcPerType
 )
 
-// TypeStats reports one message type's traffic.
+// TypeStats reports one message type's traffic: Sent counted when an envelope
+// ships, Handled per delivered batch, both exact at quiescent points.
 type TypeStats struct {
 	Name      string
 	Size      int64
@@ -169,13 +170,8 @@ func Register[T any](u *Universe, name string, handler func(r *Rank, m T)) *MsgT
 			if !u.lineage {
 				for _, m := range batch {
 					mt.handler(r, m)
-					r.st.Inc(cHandlersRun)
-					r.tst.Inc(int(mt.id)*tcPerType + tcHandled)
-					r.recvC.Add(1)
-					if u.pending.Add(-1) == 0 && u.park {
-						u.settle()
-					}
 				}
+				r.handled(mt.id, len(batch))
 				return
 			}
 			// Lineage path: each invocation gets its own id, the ambient
@@ -200,14 +196,9 @@ func Register[T any](u *Universe, name string, handler func(r *Rank, m T)) *MsgT
 					end := obs.Now()
 					u.traceHandler(r.id, int64(mt.id), self, parent, end, end-start)
 				}
-				r.st.Inc(cHandlersRun)
-				r.tst.Inc(int(mt.id)*tcPerType + tcHandled)
-				r.recvC.Add(1)
-				if u.pending.Add(-1) == 0 && u.park {
-					u.settle()
-				}
 			}
 			r.cur = 0
+			r.handled(mt.id, len(batch))
 		},
 		flushRank: func(r *Rank) bool { return mt.flushBuffers(r) },
 		batchLen:  func(data any) int { return len(data.([]T)) },
@@ -413,14 +404,15 @@ func (t *MsgType[T]) SendTo(r *Rank, dest int, m T) {
 	if tb.buf[dest] == nil {
 		tb.buf[dest] = t.newBatch()
 	}
+	if r.u.fourCounter {
+		r.sentC.Add(1)
+	} else if len(tb.buf[dest]) == 0 {
+		r.u.pending.Add(1) // the buffer's token (see ship)
+	}
 	tb.buf[dest] = append(tb.buf[dest], m)
 	if tb.par != nil {
 		tb.par[dest] = append(tb.par[dest], parent)
 	}
-	r.st.Inc(cMsgsSent)
-	r.tst.Inc(int(t.id)*tcPerType + tcSent)
-	r.sentC.Add(1)
-	r.u.pending.Add(1)
 	var ship []T
 	var shipLin []uint64
 	if len(tb.buf[dest]) >= t.coalesce {
@@ -450,10 +442,16 @@ func (t *MsgType[T]) SendTo(r *Rank, dest int, m T) {
 // encode, checksum, outstanding entry, ack or dedup.
 func (t *MsgType[T]) ship(r *Rank, dest int, batch []T, lin []uint64) {
 	u := r.u
+	n := int64(len(batch))
+	if !u.fourCounter && n > 1 {
+		u.pending.Add(n - 1) // the buffer's token becomes n counts before the push
+	}
+	r.st.Add(cMsgsSent, n)
+	r.tst.Add(int(t.id)*tcPerType+tcSent, n)
 	r.st.Inc(cEnvelopes)
 	r.tst.Inc(int(t.id)*tcPerType + tcEnvelopes)
-	u.batchHist[t.id].Observe(r.id, int64(len(batch)))
-	u.trace(r.id, TraceShip, int64(t.id), int64(len(batch)))
+	u.batchHist[t.id].Observe(r.id, n)
+	u.trace(r.id, TraceShip, int64(t.id), n)
 	if u.fp == nil {
 		r.st.Add(cBytesSent, t.wireSize(len(batch)))
 		var data any = batch

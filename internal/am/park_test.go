@@ -72,8 +72,9 @@ func linger(epoch int) {
 //     check (the main's own before it parks, with one body; the
 //     participant's, with several) sees the universe quiescent;
 //   - a hop chain whose last handler lingers, often on a handler thread while
-//     every main is parked: only the pending→0 check in the deliver path in
-//     use (plain, or lineage when tracing is on) sees it;
+//     every main is parked: only the pending→0 check after the batch's
+//     handlers (Rank.handled, on the plain and the lineage deliver path)
+//     sees it;
 //   - and in every epoch whoever finishes must wake the parked mains.
 //
 // The unix column runs fewer epochs over Unix-domain sockets, where two more

@@ -496,18 +496,23 @@ func (r *Rank) checkWatchdog() {
 	})
 }
 
-// diagnose renders the stuck-epoch diagnostic dump: per-rank detector
-// counters plus the tail of the trace rings (when tracing is enabled).
+// diagnose renders the stuck-epoch diagnostic dump: the detector and only the
+// counters it keeps, per-rank state, and the trace rings' tail (if tracing).
 func (u *Universe) diagnose() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d diagnostic dump:\n", u.epochSeq.Load())
-	fmt.Fprintf(&b, "  pending=%d aux=%d relPending=%d\n",
-		u.pending.Load(), u.totalAux(), u.totalRelPending())
+	fmt.Fprintf(&b, "epoch %d diagnostic dump (%s detector):\n  ", u.epochSeq.Load(), u.cfg.Detector)
+	if !u.fourCounter {
+		fmt.Fprintf(&b, "pending=%d ", u.pending.Load())
+	}
+	fmt.Fprintf(&b, "aux=%d relPending=%d\n", u.totalAux(), u.totalRelPending())
 	for _, r := range u.ranks {
-		fmt.Fprintf(&b, "  rank %d: idle=%d/%d activeH=%d aux=%d rel=%d inbox=%d sent=%d recv=%d crashed=%v\n",
+		counts := ""
+		if u.fourCounter {
+			counts = fmt.Sprintf(" sent=%d recv=%d", r.sentC.Load(), r.recvC.Load())
+		}
+		fmt.Fprintf(&b, "  rank %d: idle=%d/%d activeH=%d aux=%d rel=%d inbox=%d%s crashed=%v\n",
 			r.id, r.idleBodies.Load(), r.totalBodies.Load(), r.activeH.Load(),
-			r.auxWork.Load(), r.relPendingNow(), r.inbox.Len(),
-			r.sentC.Load(), r.recvC.Load(), r.crashed.Load())
+			r.auxWork.Load(), r.relPendingNow(), r.inbox.Len(), counts, r.crashed.Load())
 	}
 	if events := u.Trace(); len(events) > 0 {
 		const tail = 32

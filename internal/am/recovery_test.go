@@ -253,6 +253,25 @@ func TestWatchdogConvertsWedge(t *testing.T) {
 			if !strings.Contains(msg, "diagnostic dump") || !strings.Contains(msg, "trace tail") {
 				t.Fatalf("error lacks diagnostic dump: %v", err)
 			}
+			// The dump names the detector and prints only the counters it
+			// keeps: a counter the other detector keeps would read 0.
+			if !strings.Contains(msg, "("+det.String()+" detector)") {
+				t.Fatalf("dump does not name the %s detector: %v", det, err)
+			}
+			own, other := []string{" pending="}, []string{" sent=", " recv="}
+			if det == DetectorFourCounter {
+				own, other = other, own
+			}
+			for _, c := range own {
+				if !strings.Contains(msg, c) {
+					t.Fatalf("%s dump lacks %q: %v", det, c, err)
+				}
+			}
+			for _, c := range other {
+				if strings.Contains(msg, c) {
+					t.Fatalf("%s dump prints the other detector's %q: %v", det, c, err)
+				}
+			}
 			if u.Stats.WatchdogFires() != 1 {
 				t.Fatalf("WatchdogFires = %d, want 1", u.Stats.WatchdogFires())
 			}

@@ -75,7 +75,8 @@ type Stats struct {
 func (s *Stats) Counters() *obs.Counters { return s.c }
 
 // MsgsSent counts user-level messages accepted by Send (after the reduction
-// layer; suppressed messages are in MsgsSuppressed).
+// layer; suppressed messages are in MsgsSuppressed), counted when their
+// envelope ships: exact at quiescent points (between epochs, after Run).
 func (s *Stats) MsgsSent() int64 { return s.c.Total(cMsgsSent) }
 
 // MsgsSuppressed counts messages absorbed by the caching/reduction layer
@@ -96,7 +97,8 @@ func (s *Stats) BytesSent() int64 { return s.c.Total(cBytesSent) }
 // wire transport (0 for in-memory transport).
 func (s *Stats) WireBytes() int64 { return s.c.Total(cWireBytes) }
 
-// HandlersRun counts individual message handler invocations.
+// HandlersRun counts individual message handler invocations, added per
+// delivered batch after its last handler returns.
 func (s *Stats) HandlersRun() int64 { return s.c.Total(cHandlersRun) }
 
 // CtrlMsgs counts termination-detection control messages (four-counter

@@ -14,16 +14,15 @@ import (
 type DetectorKind int
 
 const (
-	// DetectorAtomic uses a shared message counter (incremented at send,
-	// decremented after handler completion). It is the fast path available
-	// because the simulated ranks share an address space.
+	// DetectorAtomic keeps one shared counter (pending): the fast path
+	// available because the simulated ranks share an address space.
 	DetectorAtomic DetectorKind = iota
 	// DetectorFourCounter runs a Mattern-style four-counter protocol with
 	// explicit control messages: rank 0 repeatedly probes every rank for
-	// (sent, received, active) counters and terminates the epoch after two
-	// consecutive identical quiescent snapshots. This is what a real
-	// distributed deployment would run; it exists both for fidelity and so
-	// that its overhead can be measured (experiment E8).
+	// (sent per message, received per handled batch, active) counters and
+	// terminates the epoch after two consecutive identical quiescent
+	// snapshots. This is what a real distributed deployment would run; it
+	// exists both for fidelity and so that its overhead can be measured (E8).
 	DetectorFourCounter
 )
 
@@ -120,13 +119,16 @@ type Universe struct {
 	// clock is the retransmit clock of a parking reliable universe (nil
 	// otherwise): see retransmitClock.
 	clock *retransmitClock
+	// fourCounter: the four-counter detector ends epochs, so the ranks'
+	// sentC/recvC are kept and pending is not. Fixed at construction.
+	fourCounter bool
 	// selfLocal says a rank's envelopes to itself skip the codec and the
 	// reliable layer (MsgType.ship): reliable mode with a plan that injects
 	// no link fault. Fixed at construction.
 	selfLocal bool
 
-	// pending counts user messages sent but not yet fully handled.
-	// Maintained in all detector modes; consulted only by DetectorAtomic.
+	// pending (atomic detector only): a token per non-empty coalescing buffer
+	// plus each shipped, unhandled message (SendTo, ship, Rank.handled).
 	pending atomic.Int64
 
 	// epochState is the shared epoch state machine (running / finished /
@@ -273,6 +275,7 @@ func newUniverse(cfg config) *Universe {
 	u.flight = cfg.Flight
 	u.lineage = cfg.Lineage == LineageAuto && u.tracer != nil
 	u.coresident = u.trusted() && !u.lineage
+	u.fourCounter = cfg.Detector == DetectorFourCounter
 	u.park = cfg.Detector == DetectorAtomic && cfg.Watchdog <= 0 && (u.trusted() || u.tickIntNs > 0)
 	if u.fp != nil {
 		u.selfLocal = !u.fp.injectsLinkFaults()
