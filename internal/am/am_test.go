@@ -167,75 +167,102 @@ func TestObjectAddressing(t *testing.T) {
 func TestCoalescingEnvelopeCounts(t *testing.T) {
 	const n = 1000
 	// With coalescing factor c, rank 0 sending n messages to rank 1 in
-	// one epoch ships ceil(n/c) envelopes.
+	// one epoch ships ceil(n/c) envelopes, whether it sends them one SendTo
+	// at a time or as one SendAll run.
 	for _, c := range []int{1, 16, 64, 1000, 4096} {
-		u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: c})
-		mt := Register(u, "m", func(r *Rank, m int64) {})
-		u.Run(func(r *Rank) {
-			r.Epoch(func(ep *Epoch) {
-				if r.ID() == 0 {
-					for i := 0; i < n; i++ {
-						mt.SendTo(r, 1, int64(i))
+		for _, all := range []bool{false, true} {
+			u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: c})
+			var sum atomic.Int64
+			mt := Register(u, "m", func(r *Rank, m int64) { sum.Add(m) })
+			u.Run(func(r *Rank) {
+				r.Epoch(func(ep *Epoch) {
+					if r.ID() != 0 {
+						return
 					}
-				}
+					ms := make([]int64, n)
+					for i := range ms {
+						ms[i] = int64(i)
+						if !all {
+							mt.SendTo(r, 1, ms[i])
+						}
+					}
+					if all {
+						mt.SendAll(r, 1, ms)
+					}
+				})
 			})
-		})
-		want := int64((n + c - 1) / c)
-		if got := u.Stats.Envelopes(); got != want {
-			t.Fatalf("coalesce=%d: envelopes=%d want %d", c, got, want)
-		}
-		wantBytes := int64(n*8) + want*envelopeHeaderBytes
-		if got := u.Stats.BytesSent(); got != wantBytes {
-			t.Fatalf("coalesce=%d: bytes=%d want %d", c, got, wantBytes)
+			want := int64((n + c - 1) / c)
+			if got := u.Stats.Envelopes(); got != want {
+				t.Fatalf("coalesce=%d SendAll=%v: envelopes=%d want %d", c, all, got, want)
+			}
+			wantBytes := int64(n*8) + want*envelopeHeaderBytes
+			if got := u.Stats.BytesSent(); got != wantBytes {
+				t.Fatalf("coalesce=%d SendAll=%v: bytes=%d want %d", c, all, got, wantBytes)
+			}
+			if got := sum.Load(); got != n*(n-1)/2 {
+				t.Fatalf("coalesce=%d SendAll=%v: handlers summed %d, want %d", c, all, got, n*(n-1)/2)
+			}
 		}
 	}
 }
 
 // TestReduction verifies the caching layer: duplicate keys inside a buffer
 // are combined, so at most one handler invocation per key per flush, and the
-// surviving payload is the minimum.
+// surviving payload is the minimum — whether the duplicates arrive one SendTo
+// at a time or as SendAll runs.
 func TestReduction(t *testing.T) {
-	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
 	type upd struct {
 		Key uint64
 		Val int64
 	}
-	var got atomic.Int64
-	mt := Register(u, "upd", func(r *Rank, m upd) {
-		got.Add(1)
-		if m.Val != 0 {
-			_ = r.u.Stats.CtrlMsgs() // no-op; just exercise access
-		}
-	}).WithReduction(
-		func(m upd) uint64 { return m.Key },
-		func(old, in upd) (upd, bool) {
-			if in.Val < old.Val {
-				return in, true
-			}
-			return old, false
-		},
-	)
 	const keys, dups = 50, 20
-	u.Run(func(r *Rank) {
-		r.Epoch(func(ep *Epoch) {
-			if r.ID() != 0 {
-				return
-			}
-			for d := 0; d < dups; d++ {
-				for k := 0; k < keys; k++ {
-					mt.SendTo(r, 1, upd{Key: uint64(k), Val: int64(dups - d)})
+	for _, all := range []bool{false, true} {
+		u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
+		var got, sum atomic.Int64
+		mt := Register(u, "upd", func(r *Rank, m upd) {
+			got.Add(1)
+			sum.Add(m.Val)
+			_ = r.u.Stats.CtrlMsgs() // exercise counter access from a handler
+		}).WithReduction(
+			func(m upd) uint64 { return m.Key },
+			func(old, in upd) (upd, bool) {
+				if in.Val < old.Val {
+					return in, true
 				}
-			}
+				return old, false
+			},
+		)
+		u.Run(func(r *Rank) {
+			r.Epoch(func(ep *Epoch) {
+				if r.ID() != 0 {
+					return
+				}
+				run := make([]upd, keys)
+				for d := 0; d < dups; d++ {
+					for k := range run {
+						run[k] = upd{Key: uint64(k), Val: int64(dups - d)}
+						if !all {
+							mt.SendTo(r, 1, run[k])
+						}
+					}
+					if all {
+						mt.SendAll(r, 1, run)
+					}
+				}
+			})
 		})
-	})
-	if got.Load() != keys {
-		t.Fatalf("handlers ran %d times, want %d (one per key)", got.Load(), keys)
-	}
-	if s := u.Stats.MsgsSuppressed(); s != keys*(dups-1) {
-		t.Fatalf("suppressed=%d want %d", s, keys*(dups-1))
-	}
-	if s := u.Stats.MsgsSent(); s != keys {
-		t.Fatalf("sent=%d want %d", s, keys)
+		if got.Load() != keys {
+			t.Fatalf("SendAll=%v: handlers ran %d times, want %d (one per key)", all, got.Load(), keys)
+		}
+		if sum.Load() != keys {
+			t.Fatalf("SendAll=%v: handled values sum to %d, want %d (each key's minimum, 1)", all, sum.Load(), keys)
+		}
+		if s := u.Stats.MsgsSuppressed(); s != keys*(dups-1) {
+			t.Fatalf("SendAll=%v: suppressed=%d want %d", all, s, keys*(dups-1))
+		}
+		if s := u.Stats.MsgsSent(); s != keys {
+			t.Fatalf("SendAll=%v: sent=%d want %d", all, s, keys)
+		}
 	}
 }
 

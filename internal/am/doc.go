@@ -8,8 +8,10 @@
 // communicate only through typed active messages. The features the paper
 // relies on are all present:
 //
-//   - Typed message types with arbitrary handler functions; handlers may send
-//     any number of further messages (no restrictions, unlike classic AM).
+//   - Typed message types with arbitrary handler functions, which take a
+//     delivered envelope's messages one at a time or as one batch; handlers
+//     may send any number of further messages (no restrictions, unlike
+//     classic AM), one at a time or as a run (SendAll).
 //   - Object-based addressing: a message type may carry an address function
 //     that computes the destination rank from the payload, so senders address
 //     data (vertices), not ranks.

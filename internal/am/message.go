@@ -94,7 +94,7 @@ type MsgType[T any] struct {
 	id       int32
 	name     string
 	size     int64
-	handler  func(r *Rank, m T)
+	handler  func(r *Rank, b []T)
 	addr     func(m T) int
 	coalesce int
 	// codec, when non-nil, routes this type's envelopes through the wire
@@ -142,9 +142,25 @@ type typedBufs[T any] struct {
 	keys []map[uint64]int // reduction index; nil when reduction disabled
 }
 
-// Register declares a new message type on u with the given handler. It must
-// be called before Universe.Run. The handler must not be nil.
+// Register is RegisterBatch with a handler that takes one message at a time:
+// it runs for each message of a delivered batch in turn.
 func Register[T any](u *Universe, name string, handler func(r *Rank, m T)) *MsgType[T] {
+	if handler == nil {
+		panic("am: nil handler for message type " + name)
+	}
+	return RegisterBatch(u, name, func(r *Rank, b []T) {
+		for _, m := range b {
+			handler(r, m)
+		}
+	})
+}
+
+// RegisterBatch declares a new message type on u whose handler takes a
+// delivered envelope's messages as one batch (the one delivery path), counted
+// handled when it returns. With lineage on, a batch is one message, so each
+// message's sends carry its own handler id as their parent. It must be called
+// before Universe.Run; the handler must not be nil nor keep the batch.
+func RegisterBatch[T any](u *Universe, name string, handler func(r *Rank, b []T)) *MsgType[T] {
 	if u.frozen.Load() {
 		panic("am: Register after Run")
 	}
@@ -168,19 +184,18 @@ func Register[T any](u *Universe, name string, handler func(r *Rank, m T)) *MsgT
 			batch := data.([]T)
 			u := r.u
 			if !u.lineage {
-				for _, m := range batch {
-					mt.handler(r, m)
-				}
+				mt.handler(r, batch)
 				r.handled(mt.id, len(batch))
 				return
 			}
-			// Lineage path: each invocation gets its own id, the ambient
-			// parent (r.cur, facet-local) covers the handler's sends, and a
+			// Lineage path: the handler takes one message per call, each
+			// invocation gets its own id, the ambient parent (r.cur,
+			// facet-local) covers the handler's sends, and a
 			// TraceHandler span records the (id, parent) edge. r.cur returns
 			// to 0 before the function exits, so subsequent epoch-body sends
 			// on this facet stamp as roots again.
 			traced := u.tracer != nil
-			for i, m := range batch {
+			for i := range batch {
 				var parent uint64
 				if i < len(lin) {
 					parent = lin[i]
@@ -191,7 +206,7 @@ func Register[T any](u *Universe, name string, handler func(r *Rank, m T)) *MsgT
 				if traced {
 					start = obs.Now()
 				}
-				mt.handler(r, m)
+				mt.handler(r, batch[i:i+1])
 				if traced {
 					end := obs.Now()
 					u.traceHandler(r.id, int64(mt.id), self, parent, end, end-start)
@@ -348,9 +363,17 @@ func (t *MsgType[T]) Send(r *Rank, m T) {
 	t.SendTo(r, t.addr(m), m)
 }
 
-// SendTo sends m to rank dest. Must be called inside an epoch (from an epoch
-// body or from a handler).
+// SendTo sends m to rank dest: SendAll of one message. Must be called inside
+// an epoch (from an epoch body or from a handler).
 func (t *MsgType[T]) SendTo(r *Rank, dest int, m T) {
+	t.SendAll(r, dest, []T{m})
+}
+
+// SendAll sends ms to rank dest, in order, as one SendTo per message would:
+// the one send path. It appends the run to dest's coalescing buffer and takes
+// the buffer's lock once per envelope it fills, not once per message. Must be
+// called inside an epoch (from an epoch body or from a handler).
+func (t *MsgType[T]) SendAll(r *Rank, dest int, ms []T) {
 	if dest < 0 || dest >= r.u.cfg.Ranks {
 		panic(fmt.Sprintf("am: SendTo(%s): destination %d out of range [0,%d)", t.name, dest, r.u.cfg.Ranks))
 	}
@@ -365,9 +388,9 @@ func (t *MsgType[T]) SendTo(r *Rank, dest int, m T) {
 		// miscounted as a handler fault by the containment layer.
 		return
 	}
-	// Causal lineage: the message's parent is the handler invocation
-	// currently running on this facet, or — when none is (epoch-body code)
-	// — the synthetic root of (current epoch, this rank).
+	// Causal lineage: a message's parent is the handler invocation currently
+	// running on this facet, or — when none is (epoch-body code) — the
+	// synthetic root of (current epoch, this rank).
 	var parent uint64
 	if r.u.lineage {
 		if parent = r.cur; parent == 0 {
@@ -375,60 +398,65 @@ func (t *MsgType[T]) SendTo(r *Rank, dest int, m T) {
 		}
 	}
 	tb := r.bufs[t.id].(*typedBufs[T])
-	tb.mu[dest].Lock()
-	if t.key != nil {
-		k := t.key(m)
-		km := tb.keys[dest]
-		if km == nil {
-			km = make(map[uint64]int, t.coalesce)
-			tb.keys[dest] = km
-		}
-		if i, ok := km[k]; ok {
-			merged, changed := t.combine(tb.buf[dest][i], m)
-			if changed {
-				tb.buf[dest][i] = merged
-				if tb.par != nil {
-					// Lineage follows the surviving value: the incoming
-					// message won the combine, so its producer is the one
-					// the eventual handler causally descends from.
-					tb.par[dest][i] = parent
+	for i := 0; i < len(ms); {
+		var ship []T
+		var shipLin []uint64
+		tb.mu[dest].Lock()
+		for ; i < len(ms) && ship == nil; i++ {
+			m := ms[i]
+			if t.key != nil {
+				k := t.key(m)
+				km := tb.keys[dest]
+				if km == nil {
+					km = make(map[uint64]int, t.coalesce)
+					tb.keys[dest] = km
 				}
-				r.st.Inc(cMsgsCombined)
+				if j, ok := km[k]; ok {
+					merged, changed := t.combine(tb.buf[dest][j], m)
+					if changed {
+						tb.buf[dest][j] = merged
+						if tb.par != nil {
+							// Lineage follows the surviving value: the
+							// incoming message won the combine, so its
+							// producer is the one the eventual handler
+							// causally descends from.
+							tb.par[dest][j] = parent
+						}
+						r.st.Inc(cMsgsCombined)
+					}
+					r.st.Inc(cMsgsSuppressed)
+					continue
+				}
+				km[k] = len(tb.buf[dest])
 			}
-			tb.mu[dest].Unlock()
-			r.st.Inc(cMsgsSuppressed)
-			return
+			if tb.buf[dest] == nil {
+				tb.buf[dest] = t.newBatch()
+			}
+			if r.u.fourCounter {
+				r.sentC.Add(1)
+			} else if len(tb.buf[dest]) == 0 {
+				r.u.pending.Add(1) // the buffer's token (see ship)
+			}
+			tb.buf[dest] = append(tb.buf[dest], m)
+			if tb.par != nil {
+				tb.par[dest] = append(tb.par[dest], parent)
+			}
+			if len(tb.buf[dest]) >= t.coalesce {
+				ship = tb.buf[dest]
+				tb.buf[dest] = nil
+				if tb.par != nil {
+					shipLin = tb.par[dest]
+					tb.par[dest] = nil
+				}
+				if tb.keys != nil {
+					tb.keys[dest] = nil
+				}
+			}
 		}
-		km[k] = len(tb.buf[dest])
-	}
-	if tb.buf[dest] == nil {
-		tb.buf[dest] = t.newBatch()
-	}
-	if r.u.fourCounter {
-		r.sentC.Add(1)
-	} else if len(tb.buf[dest]) == 0 {
-		r.u.pending.Add(1) // the buffer's token (see ship)
-	}
-	tb.buf[dest] = append(tb.buf[dest], m)
-	if tb.par != nil {
-		tb.par[dest] = append(tb.par[dest], parent)
-	}
-	var ship []T
-	var shipLin []uint64
-	if len(tb.buf[dest]) >= t.coalesce {
-		ship = tb.buf[dest]
-		tb.buf[dest] = nil
-		if tb.par != nil {
-			shipLin = tb.par[dest]
-			tb.par[dest] = nil
+		tb.mu[dest].Unlock()
+		if ship != nil {
+			t.ship(r, dest, ship, shipLin)
 		}
-		if tb.keys != nil {
-			tb.keys[dest] = nil
-		}
-	}
-	tb.mu[dest].Unlock()
-	if ship != nil {
-		t.ship(r, dest, ship, shipLin)
 	}
 }
 

@@ -65,7 +65,7 @@ type Engine struct {
 func NewEngine(u *am.Universe, g *distgraph.Graph, lm *pmap.LockMap, opts PlanOptions) *Engine {
 	e := &Engine{u: u, g: g, lm: lm, dist: g.Dist(), nv: g.NumVertices(), site: newSiteFn(g.Dist()), opts: opts,
 		filters: map[*pmap.VertexWord]*filter{}}
-	e.msg = am.Register(u, "pattern-step", e.dispatch).
+	e.msg = am.RegisterBatch(u, "pattern-step", e.dispatchBatch).
 		WithAddresser(func(m hopMsg) int { return g.Owner(m.Dest) })
 	u.RegisterCheckpointer(e)
 	return e
@@ -257,6 +257,8 @@ type BoundAction struct {
 	ca  *compiledAction
 	// prog is ca resolved against the bound storage: what the engine runs.
 	prog *program
+	// work is the hook SetWork installed; nil without one, or when pending
+	// is the hook.
 	work func(r *am.Rank, v distgraph.Vertex)
 	// pending[rank][li] is the coalesced rerun hook's word for the vertex at
 	// local index li of rank's shard (rerun.go); nil unless SetWorkRerun
@@ -304,11 +306,14 @@ func (ba *BoundAction) ResetModified(r *am.Rank) { ba.modified[r.ID()].Store(fal
 // which rank raised it.
 func (ba *BoundAction) ModifiedLocal(r *am.Rank) bool { return ba.modified[r.ID()].Load() }
 
-// Invoke runs the action at v. If v is local the entry executes inline;
-// otherwise an entry message is sent. Must be called inside an epoch.
+// Invoke runs the action at v. If v is local the entry executes inline, as a
+// run of its own whose sends are handed to am before Invoke returns; otherwise
+// an entry message is sent. Must be called inside an epoch.
 func (ba *BoundAction) Invoke(r *am.Rank, v distgraph.Vertex) {
 	if at := ba.eng.site(v); at.rank == r.ID() {
-		ba.enter(r, v, at)
+		c := ba.eng.cursor()
+		ba.enter(r, c, v, at)
+		ba.release(r, c)
 		return
 	}
 	ba.InvokeAsync(r, v)
@@ -320,21 +325,41 @@ func (ba *BoundAction) InvokeAsync(r *am.Rank, v distgraph.Vertex) {
 	ba.eng.msg.Send(r, hopMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v})
 }
 
-// dispatch routes an incoming engine message, after checking that it
-// addresses the bound program (a message that does not is a handler fault).
-func (e *Engine) dispatch(r *am.Rank, m hopMsg) {
-	if err := e.checkHop(&m); err != nil {
-		panic(err)
+// dispatchBatch runs a delivered batch of engine messages, each checked first
+// to address the bound program (a message that does not is a handler fault).
+// A run of consecutive messages for the same action shares one cursor, and
+// releasing it — once per run — counts the run, raises the modification flag
+// and hands every send the run staged to am, before the batch counts as
+// handled.
+func (e *Engine) dispatchBatch(r *am.Rank, b []hopMsg) {
+	var ba *BoundAction
+	var c *cursor
+	for i := range b {
+		m := &b[i]
+		if err := e.checkHop(r.ID(), m); err != nil {
+			panic(err)
+		}
+		if next := e.actions[m.Action]; next != ba {
+			if c != nil {
+				ba.release(r, c)
+			}
+			ba, c = next, e.cursor()
+		}
+		switch m.Hop {
+		case hopEntry:
+			ba.enter(r, c, m.Dest, e.site(m.Dest))
+		case hopFire:
+			c.n[sWorkItems]++
+			ba.runHook(r, c, m.Dest)
+		default:
+			// The sender already evaluated the condition's early-exit test.
+			ci, hi := int(m.Cond), int(m.Hop)
+			ba.prog.unpack(&ba.prog.conds[ci].steps[hi], m, &c.m)
+			ba.run(r, c, ci, hi, true)
+		}
 	}
-	ba := e.actions[m.Action]
-	switch m.Hop {
-	case hopEntry:
-		ba.runEntry(r, m.Dest)
-	case hopFire:
-		ba.st[r.ID()].Inc(sWorkItems)
-		ba.runHook(r, m.Dest)
-	default:
-		ba.resume(r, &m)
+	if c != nil {
+		ba.release(r, c)
 	}
 }
 
@@ -346,29 +371,51 @@ type site struct {
 	rank, li int
 }
 
-// cursor is the state of one run of the bound program: the item being
-// executed, and the Stats it has counted so far. m holds the generator
-// bindings and the payload words; a mailed hop packs the words its step
-// carries out of it.
-// An entry takes one cursor for all its items and a resumed message takes one
-// for its continuation; both add n to the rank's shard before they return
-// (release), so the counters are exact whenever nothing is running — at every
-// epoch end in particular, since a handler returns before its message counts
-// as handled.
+// cursor is the state of one run of the bound program — the messages of a
+// delivered batch that address one action, or an entry a body invokes: the
+// item being executed, the Stats the run has counted so far, and the sends it
+// has made, staged by destination rank. m holds the generator bindings and the
+// payload words; a mailed hop packs the words its step carries out of it.
+// release adds n to the rank's shard and hands the staged sends to am with one
+// SendAll per destination, so the counters are exact whenever nothing is
+// running, and every send is in am before the batch that made it counts as
+// handled — at every epoch end in particular.
 //
 // Expression closures take the cursor's message by pointer, so a cursor
-// declared in runEntry would escape to the heap once per entry; the pool keeps
+// declared on the stack would escape to the heap once per run; the pool keeps
 // the item path allocation-free.
 type cursor struct {
-	m patMsg
-	n [numStats]int64
+	m   patMsg
+	n   [numStats]int64
+	out [][]hopMsg // staged sends, by destination rank
 }
 
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
-// release adds c's counts to r's shard, raises the rank's modification flag
-// if the run changed anything, and returns c to the pool.
+// cursor takes a cursor from the pool with a staging run for each rank.
+func (e *Engine) cursor() *cursor {
+	c := cursorPool.Get().(*cursor)
+	if n := e.u.Ranks(); len(c.out) < n {
+		c.out = make([][]hopMsg, n)
+	}
+	return c
+}
+
+// send stages h for dest, to be handed to am when c is released.
+func (c *cursor) send(dest int, h hopMsg) {
+	c.out[dest] = append(c.out[dest], h)
+}
+
+// release hands c's staged sends to am, adds c's counts to r's shard, raises
+// the rank's modification flag if the run changed anything, and returns c to
+// the pool.
 func (ba *BoundAction) release(r *am.Rank, c *cursor) {
+	for dest, run := range c.out {
+		if len(run) != 0 {
+			ba.eng.msg.SendAll(r, dest, run)
+			c.out[dest] = run[:0]
+		}
+	}
 	if c.n[sModsChanged] != 0 {
 		// The ranks' flags share a cache line: raise it once, then only read.
 		if f := &ba.modified[r.ID()]; !f.Load() {
@@ -385,27 +432,16 @@ func (ba *BoundAction) release(r *am.Rank, c *cursor) {
 	cursorPool.Put(c)
 }
 
-// runEntry executes the generator at v, which r must own, and runs every
-// generated item through the condition chain.
-func (ba *BoundAction) runEntry(r *am.Rank, v distgraph.Vertex) {
-	at := ba.eng.site(v)
-	if at.rank != r.ID() {
-		panic(fmt.Sprintf("pattern: action %s entered at vertex %d on rank %d but owner is %d — remote access must go through messages",
-			ba.Name(), v, r.ID(), at.rank))
-	}
-	ba.enter(r, v, at)
-}
-
-// enter is runEntry with v already resolved to at, on this rank. The items of
-// one entry share a cursor: the generator rewrites only the bindings that
+// enter executes the generator at v, which this rank owns (resolved to at),
+// and runs every generated item through the condition chain in c. The items
+// of one entry share the cursor: the generator rewrites only the bindings that
 // differ from item to item, and item clears the payload.
-func (ba *BoundAction) enter(r *am.Rank, v distgraph.Vertex, at site) {
+func (ba *BoundAction) enter(r *am.Rank, c *cursor, v distgraph.Vertex, at site) {
 	if ba.pending != nil {
 		// This run reads v's values from here on: a change that lands later
 		// must request a run of its own.
 		ba.pending[at.rank][at.li].Store(0)
 	}
-	c := cursorPool.Get().(*cursor)
 	c.n[sInvocations]++
 	m := &c.m
 	*m = patMsg{V: v, U: distgraph.NilVertex}
@@ -439,7 +475,6 @@ func (ba *BoundAction) enter(r *am.Rank, v distgraph.Vertex, at site) {
 			ba.item(r, c, at)
 		}
 	}
-	ba.release(r, c)
 }
 
 // item runs the entry step (at v, resolved to at) for the item the generator
@@ -454,26 +489,16 @@ func (ba *BoundAction) item(r *am.Rank, c *cursor, at site) {
 	ba.run(r, c, 0, 0, false)
 }
 
-// resume continues an item at the step an incoming hop message addresses. The
-// sender already evaluated the condition's early-exit test.
-func (ba *BoundAction) resume(r *am.Rank, m *hopMsg) {
-	c := cursorPool.Get().(*cursor)
-	ci, hi := int(m.Cond), int(m.Hop)
-	ba.prog.unpack(&ba.prog.conds[ci].steps[hi], m, &c.m)
-	ba.run(r, c, ci, hi, true)
-	ba.release(r, c)
-}
-
 // run drives c's item from step hi of condition ci to the end of the
 // condition chain, or to the first step that has to travel. A step whose
 // locality vertex this rank owns executes inline. So does a direct step
 // (PlanOptions.Direct) whose owner is co-resident: this thread performs its
 // single-word operation against the owner's shard and carries on here. Any
-// other step is sent to its owner as one message — unless it is a filtered
-// eval hop that cannot beat what this rank already sent the vertex, which is
-// answered false here (filter.go). A mailed step packs only its carried words
-// (hop.go). resumed: the position arrived in a message, whose sender has
-// checked the step's early-exit test already.
+// other step is staged in c for its owner as one message — unless it is a
+// filtered eval hop that cannot beat what this rank already sent the vertex,
+// which is answered false here (filter.go). A mailed step packs only its
+// carried words (hop.go). resumed: the position arrived in a message, whose
+// sender has checked the step's early-exit test already.
 func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 	e := ba.eng
 	m := &c.m
@@ -514,7 +539,7 @@ func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 				}
 				h := hopMsg{Action: int32(ba.ca.id), Cond: int16(ci), Hop: int16(hi), Dest: dest}
 				st.pack(m, &h)
-				e.msg.SendTo(r, at.rank, h)
+				c.send(at.rank, h)
 				return
 			}
 			c.n[sDirectHops]++
@@ -579,7 +604,7 @@ func (ba *BoundAction) locked(r *am.Rank, c *cursor, st *progStep, dest distgrap
 	})
 	for ; fired > 0; fired-- {
 		c.n[sWorkItems]++
-		ba.runHook(r, dest)
+		ba.runHook(r, c, dest)
 	}
 	return held
 }
@@ -590,23 +615,28 @@ func (ba *BoundAction) locked(r *am.Rank, c *cursor, st *progStep, dest distgrap
 // travels as a hopFire message — the only message a directly applied hop ever
 // costs, and only when it carried news. A coalesced rerun hook is a word in
 // the owner's memory and an entry message: this thread requests the re-run
-// itself, and the firing is counted where it happened.
+// itself, and the firing is counted where it happened. Both messages are
+// staged in c.
 func (ba *BoundAction) fire(r *am.Rank, c *cursor, v distgraph.Vertex, at site) {
 	switch {
-	case at.rank == r.ID() || ba.work == nil:
-		c.n[sWorkItems]++
-		ba.runHook(r, v)
 	case ba.pending != nil:
 		c.n[sWorkItems]++
-		ba.requestRerun(r, v, at)
+		ba.requestRerun(c, v, at)
+	case at.rank == r.ID() || ba.work == nil:
+		c.n[sWorkItems]++
+		ba.runHook(r, c, v)
 	default:
-		ba.eng.msg.SendTo(r, at.rank, hopMsg{Action: int32(ba.ca.id), Hop: hopFire, Dest: v})
+		c.send(at.rank, hopMsg{Action: int32(ba.ca.id), Hop: hopFire, Dest: v})
 	}
 }
 
-// runHook runs the work hook, if one is installed, at v, owned by this rank.
-func (ba *BoundAction) runHook(r *am.Rank, v distgraph.Vertex) {
-	if ba.work != nil {
+// runHook runs the work hook, if one is installed, at v, owned by this rank,
+// from a run on c: a coalesced re-run request is staged in c.
+func (ba *BoundAction) runHook(r *am.Rank, c *cursor, v distgraph.Vertex) {
+	switch {
+	case ba.pending != nil:
+		ba.requestRerun(c, v, ba.eng.site(v))
+	case ba.work != nil:
 		ba.work(r, v)
 	}
 }

@@ -52,15 +52,21 @@ const (
 	hopFire int16 = -2
 )
 
-// checkHop reports whether m addresses a step of the bound program: an
-// action, and a condition and step of it or an entry or work-hook firing, at
-// a vertex of the graph.
-func (e *Engine) checkHop(m *hopMsg) error {
+// checkHop reports whether m, delivered to rank, addresses a step of the
+// bound program: an action, and a condition and step of it or an entry or
+// work-hook firing, at a vertex of the graph — one that rank owns, for an entry
+// or a firing.
+func (e *Engine) checkHop(rank int, m *hopMsg) error {
 	ok := m.Action >= 0 && int(m.Action) < len(e.actions) && int(m.Dest) < e.nv
 	if ok {
 		switch m.Hop {
 		case hopEntry, hopFire:
-			ok = m.Cond == 0
+			if ok = m.Cond == 0; ok {
+				if owner := e.site(m.Dest).rank; owner != rank {
+					return fmt.Errorf("pattern: hop message for a vertex this rank does not own: action %d, cond %d, hop %d (dest %d on rank %d; owner %d)",
+						m.Action, m.Cond, m.Hop, m.Dest, rank, owner)
+				}
+			}
 		default:
 			conds := e.actions[m.Action].prog.conds
 			ok = m.Cond >= 0 && int(m.Cond) < len(conds) && m.Hop >= 0 && int(m.Hop) < len(conds[m.Cond].steps)

@@ -13,10 +13,10 @@ import (
 )
 
 // TestHopPathAllocFree: the message side of the item path allocates nothing
-// either. A mailed relaxation resumed through dispatch unpacks into a pooled
-// cursor; a coalesced re-run is requested with a hop message built on the
-// stack and runs as an entry through dispatch. The hop message is the
-// destination and its header in 16 bytes plus hopWords words.
+// either. A mailed relaxation resumed through dispatchBatch unpacks into a
+// pooled cursor; a coalesced re-run is staged in a cursor, handed to am when
+// the cursor is released, and runs as an entry through dispatchBatch. The hop
+// message is the destination and its header in 16 bytes plus hopWords words.
 func TestHopPathAllocFree(t *testing.T) {
 	if got, want := unsafe.Sizeof(hopMsg{}), uintptr(16+8*hopWords); got != want {
 		t.Fatalf("hopMsg is %d bytes, want 16 + 8·%d = %d", got, hopWords, want)
@@ -40,14 +40,16 @@ func TestHopPathAllocFree(t *testing.T) {
 		r.Epoch(func(*am.Epoch) {
 			// The offer never improves v's key, so the hook stays quiet.
 			env.key.Set(0, v, 0)
-			h := hopMsg{Action: id, Hop: 0, Dest: v, W: [hopWords]Word{5}}
-			resumed = testing.AllocsPerRun(100, func() { eng.dispatch(r, h) })
-			e := hopMsg{Action: id, Hop: hopEntry, Dest: v}
-			entered = testing.AllocsPerRun(100, func() { eng.dispatch(r, e) })
+			h := []hopMsg{{Action: id, Hop: 0, Dest: v, W: [hopWords]Word{5}}}
+			resumed = testing.AllocsPerRun(100, func() { eng.dispatchBatch(r, h) })
+			e := []hopMsg{{Action: id, Hop: hopEntry, Dest: v}}
+			entered = testing.AllocsPerRun(100, func() { eng.dispatchBatch(r, e) })
 			at := eng.site(v)
 			requested = testing.AllocsPerRun(100, func() {
 				relax.pending[at.rank][at.li].Store(0)
-				relax.requestRerun(r, v, at)
+				c := eng.cursor()
+				relax.requestRerun(c, v, at)
+				relax.release(r, c)
 			})
 		})
 	}); err != nil {
@@ -63,10 +65,11 @@ func TestHopPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestDispatchChecksHop: a message that addresses no bound step panics in
-// dispatch, naming its action, condition and hop, before anything indexes the
-// program; on a universe that contains handler faults it fails the run with
-// that message.
+// TestDispatchChecksHop: a message that addresses no bound step, or an entry
+// or a work-hook firing at a vertex the receiving rank does not own, panics in
+// dispatchBatch, naming its action, condition and hop, before anything indexes
+// the program or runs a hook; on a universe that contains handler faults it
+// fails the run with that message.
 func TestDispatchChecksHop(t *testing.T) {
 	n, edges := gen.RMAT(6, 4, gen.Weights{Min: 1, Max: 9}, 3)
 	bad := []hopMsg{
@@ -78,6 +81,8 @@ func TestDispatchChecksHop(t *testing.T) {
 		{Action: 0, Cond: 2, Hop: hopEntry},
 		{Action: 0, Hop: -7},
 		{Action: 0, Hop: hopEntry, Dest: distgraph.Vertex(n)},
+		{Action: 0, Hop: hopEntry, Dest: distgraph.Vertex(n - 1)}, // owned by rank 1
+		{Action: 0, Hop: hopFire, Dest: distgraph.Vertex(n - 1)},
 	}
 	setup := func(opts ...am.Option) (*am.Universe, *Engine) {
 		u := am.New(2, opts...)
@@ -89,25 +94,34 @@ func TestDispatchChecksHop(t *testing.T) {
 		}
 		return u, eng
 	}
-	_, eng := setup()
-	for _, m := range bad {
-		func() {
-			defer func() {
-				p := recover()
-				err, ok := p.(error)
-				if !ok || !strings.Contains(err.Error(), hopFields(m)) {
-					t.Errorf("%+v: dispatch panicked with %v, want an error naming %q", m, p, hopFields(m))
-				}
-			}()
-			eng.dispatch(nil, m)
-		}()
+	u, eng := setup()
+	if err := u.Run(func(r *am.Rank) {
+		r.Epoch(func(*am.Epoch) {
+			if r.ID() != 0 {
+				return
+			}
+			for _, m := range bad {
+				func() {
+					defer func() {
+						p := recover()
+						err, ok := p.(error)
+						if !ok || !strings.Contains(err.Error(), hopFields(m)) {
+							t.Errorf("%+v: dispatchBatch panicked with %v, want an error naming %q", m, p, hopFields(m))
+						}
+					}()
+					eng.dispatchBatch(r, []hopMsg{m})
+				}()
+			}
+		})
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	for _, m := range bad[:2] {
+	for _, m := range append(bad[:2:2], bad[len(bad)-1]) {
 		u, eng := setup(am.WithFaultPlan(&am.FaultPlan{}))
 		err := u.Run(func(r *am.Rank) {
 			r.Epoch(func(*am.Epoch) {
-				if r.ID() == 0 {
-					eng.MsgType().SendTo(r, 1, m)
+				if r.ID() == 1 {
+					eng.MsgType().SendTo(r, 0, m)
 				}
 			})
 		})
@@ -122,9 +136,9 @@ func hopFields(m hopMsg) string {
 }
 
 // FuzzHopMsg: whatever bytes arrive, the fixed codec either refuses them or
-// yields hop messages that dispatch's check accepts or refuses without
-// panicking — and every accepted one runs on the bound SSSP program without
-// panicking either.
+// yields hop messages that dispatchBatch's check accepts or refuses without
+// panicking — and the accepted ones, as one batch, run on the bound SSSP
+// program without panicking either.
 func FuzzHopMsg(f *testing.F) {
 	codec, err := am.FixedCodec[hopMsg]()
 	if err != nil {
@@ -158,15 +172,13 @@ func FuzzHopMsg(f *testing.F) {
 		bound.Action("relax").SetWorkRerun()
 		var ok []hopMsg
 		for i := range msgs {
-			if eng.checkHop(&msgs[i]) == nil {
+			if eng.checkHop(0, &msgs[i]) == nil {
 				ok = append(ok, msgs[i])
 			}
 		}
 		if err := u.Run(func(r *am.Rank) {
 			r.Epoch(func(*am.Epoch) {
-				for _, m := range ok {
-					eng.dispatch(r, m)
-				}
+				eng.dispatchBatch(r, ok)
 			})
 		}); err != nil {
 			t.Fatalf("Run: %v", err)

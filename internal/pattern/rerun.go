@@ -3,7 +3,6 @@ package pattern
 import (
 	"sync/atomic"
 
-	"declpat/internal/am"
 	"declpat/internal/distgraph"
 )
 
@@ -23,7 +22,10 @@ import (
 //	entry:   clear word   →  read values
 //
 // so a firing that loses the word lost it to a set whose entry has not yet
-// cleared it, and that entry's reads come after the loser's write.
+// cleared it, and that entry's reads come after the loser's write. The entry
+// is staged in the winner's cursor and mailed when that run is released
+// (engine.go), so until it starts it is staged or in flight; either way it
+// starts after the loser's write.
 
 // SetWorkRerun makes the action its own work hook: the paper's
 // `a.work(Vertex v) = { a(v) }`, declared instead of spelled as a closure so
@@ -38,22 +40,20 @@ func (ba *BoundAction) SetWorkRerun() {
 		return
 	}
 	dist := ba.eng.dist
-	ba.pending = make([][]atomic.Uint32, dist.Ranks())
+	ba.work, ba.pending = nil, make([][]atomic.Uint32, dist.Ranks())
 	for rank := range ba.pending {
 		ba.pending[rank] = make([]atomic.Uint32, dist.LocalCount(rank))
 	}
-	ba.work = func(r *am.Rank, v distgraph.Vertex) {
-		ba.requestRerun(r, v, ba.eng.site(v))
-	}
 }
 
-// requestRerun mails a re-run of the action at v — owned by at.rank, which is
-// this rank or a co-resident one — unless one is already waiting to start.
-func (ba *BoundAction) requestRerun(r *am.Rank, v distgraph.Vertex, at site) {
+// requestRerun stages in c a re-run of the action at v — owned by at.rank,
+// which is this rank or a co-resident one — unless one is already waiting to
+// start.
+func (ba *BoundAction) requestRerun(c *cursor, v distgraph.Vertex, at site) {
 	// The load keeps a firing that will lose from taking the word's cache
 	// line exclusively; it is ordered like the test-and-set it stands in for.
 	if p := &ba.pending[at.rank][at.li]; p.Load() == 0 && p.CompareAndSwap(0, 1) {
-		ba.eng.msg.SendTo(r, at.rank, hopMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v})
+		c.send(at.rank, hopMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v})
 	}
 }
 
