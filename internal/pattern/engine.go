@@ -310,19 +310,31 @@ func (ba *BoundAction) ModifiedLocal(r *am.Rank) bool { return ba.modified[r.ID(
 // run of its own whose sends are handed to am before Invoke returns; otherwise
 // an entry message is sent. Must be called inside an epoch.
 func (ba *BoundAction) Invoke(r *am.Rank, v distgraph.Vertex) {
+	h := ba.entryMsg(v)
 	if at := ba.eng.site(v); at.rank == r.ID() {
 		c := ba.eng.cursor()
 		ba.enter(r, c, v, at)
 		ba.release(r, c)
 		return
 	}
-	ba.InvokeAsync(r, v)
+	ba.eng.msg.Send(r, h)
 }
 
 // InvokeAsync enqueues the action at v through the messaging layer even when
 // v is local, bounding stack depth; safe to call from work hooks.
 func (ba *BoundAction) InvokeAsync(r *am.Rank, v distgraph.Vertex) {
-	ba.eng.msg.Send(r, hopMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v})
+	ba.eng.msg.Send(r, ba.entryMsg(v))
+}
+
+// entryMsg is the entry message of the action at v. A vertex outside the
+// graph is refused here, with checkHop's message: its site can name a local
+// index past the end of the owner's shard.
+func (ba *BoundAction) entryMsg(v distgraph.Vertex) hopMsg {
+	h := hopMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v}
+	if int(v) >= ba.eng.nv {
+		panic(ba.eng.noStep(&h))
+	}
+	return h
 }
 
 // dispatchBatch runs a delivered batch of engine messages, each checked first
@@ -336,7 +348,8 @@ func (e *Engine) dispatchBatch(r *am.Rank, b []hopMsg) {
 	var c *cursor
 	for i := range b {
 		m := &b[i]
-		if err := e.checkHop(r.ID(), m); err != nil {
+		at, err := e.checkHop(r.ID(), m)
+		if err != nil {
 			panic(err)
 		}
 		if next := e.actions[m.Action]; next != ba {
@@ -347,10 +360,10 @@ func (e *Engine) dispatchBatch(r *am.Rank, b []hopMsg) {
 		}
 		switch m.Hop {
 		case hopEntry:
-			ba.enter(r, c, m.Dest, e.site(m.Dest))
+			ba.enter(r, c, m.Dest, at)
 		case hopFire:
 			c.n[sWorkItems]++
-			ba.runHook(r, c, m.Dest)
+			ba.runHook(r, c, m.Dest, at)
 		default:
 			// The sender already evaluated the condition's early-exit test.
 			ci, hi := int(m.Cond), int(m.Hop)
@@ -433,9 +446,10 @@ func (ba *BoundAction) release(r *am.Rank, c *cursor) {
 }
 
 // enter executes the generator at v, which this rank owns (resolved to at),
-// and runs every generated item through the condition chain in c. The items
+// and runs every generated item through the condition chain in c: one loop
+// for a loop-shaped action, item by item through run for any other. The items
 // of one entry share the cursor: the generator rewrites only the bindings that
-// differ from item to item, and item clears the payload.
+// differ from item to item.
 func (ba *BoundAction) enter(r *am.Rank, c *cursor, v distgraph.Vertex, at site) {
 	if ba.pending != nil {
 		// This run reads v's values from here on: a change that lands later
@@ -443,38 +457,108 @@ func (ba *BoundAction) enter(r *am.Rank, c *cursor, v distgraph.Vertex, at site)
 		ba.pending[at.rank][at.li].Store(0)
 	}
 	c.n[sInvocations]++
+	p := ba.prog
 	m := &c.m
 	*m = patMsg{V: v, U: distgraph.NilVertex}
 	lg := ba.eng.g.Local(at.rank)
-	switch ba.prog.gen {
+	var nbrs []distgraph.Vertex // the generated neighbours
+	var slot0 uint32            // the first generated edge's slot
+	switch p.gen {
 	case GenNone:
 		ba.item(r, c, at)
+		return
 	case GenOutEdges:
 		m.ES = v
-		for slot := lg.OutIndex[at.li]; slot < lg.OutIndex[at.li+1]; slot++ {
-			m.ET, m.ESlot = lg.OutDst[slot], slot
-			ba.item(r, c, at)
-		}
+		slot0 = lg.OutIndex[at.li]
+		nbrs = lg.OutDst[slot0:lg.OutIndex[at.li+1]]
 	case GenInEdges:
 		if lg.InIndex == nil {
 			panic("pattern: in_edges generator on a graph built without Bidirectional")
 		}
 		m.EIn, m.ET = true, v
-		for slot := lg.InIndex[at.li]; slot < lg.InIndex[at.li+1]; slot++ {
-			m.ES, m.ESlot = lg.InSrc[slot], slot
-			ba.item(r, c, at)
-		}
+		slot0 = lg.InIndex[at.li]
+		nbrs = lg.InSrc[slot0:lg.InIndex[at.li+1]]
 	case GenAdj:
-		for slot := lg.OutIndex[at.li]; slot < lg.OutIndex[at.li+1]; slot++ {
-			m.U = lg.OutDst[slot]
-			ba.item(r, c, at)
-		}
+		nbrs = lg.OutDst[lg.OutIndex[at.li]:lg.OutIndex[at.li+1]]
 	case GenPropSet:
-		for _, u := range ba.prog.genSet.Members(at.rank, v) {
-			m.U = u
-			ba.item(r, c, at)
+		nbrs = p.genSet.Members(at.rank, v)
+	}
+	if p.loop {
+		ba.loop(r, c, at, nbrs, slot0)
+		return
+	}
+	for i, w := range nbrs {
+		p.bind(m, w, slot0+uint32(i))
+		ba.item(r, c, at)
+	}
+}
+
+// bind sets the bindings the generator varies from item to item: the far
+// endpoint w of the generated edge at slot, or the generated vertex w.
+func (p *program) bind(m *patMsg, w distgraph.Vertex, slot uint32) {
+	switch p.gen {
+	case GenOutEdges:
+		m.ET, m.ESlot = w, slot
+	case GenInEdges:
+		m.ES, m.ESlot = w, slot
+	default:
+		m.U = w
+	}
+}
+
+// loop runs the items of an entry of a loop-shaped action (program.loop),
+// whose neighbours are nbrs, from slot0 on. An item is the entry gather, the
+// early-exit test and the one atomic eval hop, at the neighbour itself; the
+// loop makes run's decisions about that hop in run's order — refuse a vertex
+// outside the graph; apply here, or directly in a co-resident owner's shard
+// and fire; or answer false from the filter, or pack and stage — without
+// run's step walk, and adds to c's counters once per entry. The entry loads
+// stay per item: an earlier item (a self-loop) can change what a later one
+// reads. The payload is not zeroed per item: every slot an item reads is one
+// its own entry gather wrote (loopShape).
+func (ba *BoundAction) loop(r *am.Rank, c *cursor, at site, nbrs []distgraph.Vertex, slot0 uint32) {
+	e, p := ba.eng, ba.prog
+	st := &p.conds[0].steps[0]
+	m := &c.m
+	rank := r.ID()
+	var changed, unchanged, failed, direct, filtered int64
+	for i, w := range nbrs {
+		p.bind(m, w, slot0+uint32(i))
+		p.entry.gather(m, at)
+		if (st.pre != nil && st.pre(m) == 0) || int(w) >= e.nv { // NilVertex included
+			failed++
+			continue
+		}
+		wat := e.site(w)
+		if wat.rank != rank {
+			if !st.direct || !r.Coresident(wat.rank) {
+				if f := st.filter; f != nil && f.kind != syncLock && !f.offer(r, w, st.mods[0].rhs(m)) {
+					filtered++
+					continue
+				}
+				h := hopMsg{Action: int32(ba.ca.id), Dest: w}
+				st.pack(m, &h)
+				c.send(wat.rank, h)
+				continue
+			}
+			direct++
+		}
+		if !st.atomic(m, w, wat) {
+			unchanged++
+			continue
+		}
+		changed++
+		if st.mods[0].fires {
+			ba.fire(r, c, w, wat)
 		}
 	}
+	c.n[sItems] += int64(len(nbrs))
+	c.n[sTestsTrue] += changed
+	c.n[sTestsFalse] += failed + filtered + unchanged
+	c.n[sModsChanged] += changed
+	c.n[sModsUnchanged] += unchanged
+	c.n[sDirectHops] += direct
+	c.n[sFilteredHops] += filtered
 }
 
 // item runs the entry step (at v, resolved to at) for the item the generator
@@ -604,7 +688,7 @@ func (ba *BoundAction) locked(r *am.Rank, c *cursor, st *progStep, dest distgrap
 	})
 	for ; fired > 0; fired-- {
 		c.n[sWorkItems]++
-		ba.runHook(r, c, dest)
+		ba.runHook(r, c, dest, at)
 	}
 	return held
 }
@@ -624,18 +708,18 @@ func (ba *BoundAction) fire(r *am.Rank, c *cursor, v distgraph.Vertex, at site) 
 		ba.requestRerun(c, v, at)
 	case at.rank == r.ID() || ba.work == nil:
 		c.n[sWorkItems]++
-		ba.runHook(r, c, v)
+		ba.runHook(r, c, v, at)
 	default:
 		c.send(at.rank, hopMsg{Action: int32(ba.ca.id), Hop: hopFire, Dest: v})
 	}
 }
 
-// runHook runs the work hook, if one is installed, at v, owned by this rank,
-// from a run on c: a coalesced re-run request is staged in c.
-func (ba *BoundAction) runHook(r *am.Rank, c *cursor, v distgraph.Vertex) {
+// runHook runs the work hook, if one is installed, at v, resolved to at, from
+// a run on c: a coalesced re-run request is staged in c.
+func (ba *BoundAction) runHook(r *am.Rank, c *cursor, v distgraph.Vertex, at site) {
 	switch {
 	case ba.pending != nil:
-		ba.requestRerun(c, v, ba.eng.site(v))
+		ba.requestRerun(c, v, at)
 	case ba.work != nil:
 		ba.work(r, v)
 	}

@@ -55,16 +55,17 @@ const (
 // checkHop reports whether m, delivered to rank, addresses a step of the
 // bound program: an action, and a condition and step of it or an entry or
 // work-hook firing, at a vertex of the graph — one that rank owns, for an entry
-// or a firing.
-func (e *Engine) checkHop(rank int, m *hopMsg) error {
+// or a firing. For an entry or a firing it returns the site it resolved.
+func (e *Engine) checkHop(rank int, m *hopMsg) (site, error) {
+	var at site
 	ok := m.Action >= 0 && int(m.Action) < len(e.actions) && int(m.Dest) < e.nv
 	if ok {
 		switch m.Hop {
 		case hopEntry, hopFire:
 			if ok = m.Cond == 0; ok {
-				if owner := e.site(m.Dest).rank; owner != rank {
-					return fmt.Errorf("pattern: hop message for a vertex this rank does not own: action %d, cond %d, hop %d (dest %d on rank %d; owner %d)",
-						m.Action, m.Cond, m.Hop, m.Dest, rank, owner)
+				if at = e.site(m.Dest); at.rank != rank {
+					return at, fmt.Errorf("pattern: hop message for a vertex this rank does not own: action %d, cond %d, hop %d (dest %d on rank %d; owner %d)",
+						m.Action, m.Cond, m.Hop, m.Dest, rank, at.rank)
 				}
 			}
 		default:
@@ -73,10 +74,15 @@ func (e *Engine) checkHop(rank int, m *hopMsg) error {
 		}
 	}
 	if !ok {
-		return fmt.Errorf("pattern: hop message addresses no bound step: action %d, cond %d, hop %d (dest %d; %d actions bound)",
-			m.Action, m.Cond, m.Hop, m.Dest, len(e.actions))
+		return at, e.noStep(m)
 	}
-	return nil
+	return at, nil
+}
+
+// noStep is checkHop's refusal of a message that addresses no bound step.
+func (e *Engine) noStep(m *hopMsg) error {
+	return fmt.Errorf("pattern: hop message addresses no bound step: action %d, cond %d, hop %d (dest %d; %d actions bound)",
+		m.Action, m.Cond, m.Hop, m.Dest, len(e.actions))
 }
 
 // liveSet is a set of cursor words: payload slots 0..MaxSlots-1, then the

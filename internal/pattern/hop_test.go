@@ -24,7 +24,7 @@ func TestHopPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	env := newItemEnv(t, itemCase{"sssp", buildSSSP})
+	env := newItemEnv(t, itemCases[0])
 	eng, relax := env.action.eng, env.action
 	relax.SetWorkRerun()
 	if relax.pending == nil {
@@ -129,6 +129,40 @@ func TestDispatchChecksHop(t *testing.T) {
 			t.Errorf("%+v: Run returned %v, want a handler fault naming %q", m, err, hopFields(m))
 		}
 	}
+	// Invoke and InvokeAsync refuse an entry at a vertex outside the graph
+	// with the same message, on the rank its site names: 255 vertices in
+	// blocks of 128 put vertex 255 at rank 1's local index 127, one past its
+	// shard.
+	d := distgraph.NewBlockDist(255, 2)
+	u = am.New(2)
+	eng = NewEngine(u, distgraph.Build(d, nil, distgraph.Options{}), pmap.NewLockMap(d, 1), DefaultPlanOptions())
+	bound, err := eng.Bind(buildBFS(), Bindings{"lvl": pmap.NewVertexWord(d, Inf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	visit := bound.Action("visit")
+	want := hopFields(hopMsg{Hop: hopEntry})
+	if err := u.Run(func(r *am.Rank) {
+		r.Epoch(func(*am.Epoch) {
+			if r.ID() != 1 {
+				return
+			}
+			for name, invoke := range map[string]func(*am.Rank, distgraph.Vertex){"Invoke": visit.Invoke, "InvokeAsync": visit.InvokeAsync} {
+				func() {
+					defer func() {
+						p := recover()
+						err, ok := p.(error)
+						if !ok || !strings.Contains(err.Error(), "addresses no bound step: "+want) {
+							t.Errorf("%s(r, 255) on rank 1 panicked with %v, want checkHop's refusal naming %q", name, p, want)
+						}
+					}()
+					invoke(r, 255)
+				}()
+			}
+		})
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 }
 
 func hopFields(m hopMsg) string {
@@ -172,7 +206,7 @@ func FuzzHopMsg(f *testing.F) {
 		bound.Action("relax").SetWorkRerun()
 		var ok []hopMsg
 		for i := range msgs {
-			if eng.checkHop(0, &msgs[i]) == nil {
+			if _, err := eng.checkHop(0, &msgs[i]); err == nil {
 				ok = append(ok, msgs[i])
 			}
 		}

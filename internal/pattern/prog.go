@@ -30,6 +30,9 @@ type program struct {
 	// every generated item (only loads and folds are set).
 	entry progStep
 	conds []progCond
+	// loop marks the relax shape (loopShape): an entry runs its items as one
+	// loop (engine.go, loop).
+	loop bool
 }
 
 // progCond is one condition's plan. steps lists the condition's hops in plan
@@ -213,7 +216,52 @@ func compileProgram(ca *compiledAction, binds map[*Prop]binding, lm *pmap.LockMa
 		}
 		p.conds[ci] = pc
 	}
+	p.loop = p.loopShape() && !ca.entryReadsUnwritten()
 	return p
+}
+
+// loopShape reports whether the program is §IV-B's relax shape: one condition
+// whose only step is an atomic eval hop at the generated neighbour — trg(e)
+// of an out-edge, src(e) of an in-edge, or the generated vertex u — behind at
+// most an early-exit test.
+func (p *program) loopShape() bool {
+	if len(p.conds) != 1 || len(p.conds[0].steps) != 1 {
+		return false
+	}
+	st := &p.conds[0].steps[0]
+	if st.kind != stepAtomic {
+		return false
+	}
+	switch p.gen {
+	case GenOutEdges:
+		return st.at.kind == LocTrg
+	case GenInEdges:
+		return st.at.kind == LocSrc
+	case GenAdj, GenPropSet:
+		return st.at.kind == LocU
+	}
+	return false
+}
+
+// entryReadsUnwritten reports whether an item of the one-condition action
+// reads a payload slot — in an entry fold, the early-exit test or the eval
+// hop — that the entry gather has not written before the read. Such an item
+// relies on item's payload clear, which the loop does without; no bundled
+// action and no random draw reads one.
+func (ca *compiledAction) entryReadsUnwritten() bool {
+	gen := ca.action.Gen.Kind
+	var reads, writes liveSet
+	for _, acc := range ca.entry.loads {
+		writes |= slotBit(acc.slot)
+	}
+	for _, f := range ca.entry.folds {
+		reads |= exprBits(f.expr, gen) &^ writes
+		writes |= slotBit(f.slot)
+	}
+	for _, u := range ca.conds[0].uses(gen) {
+		reads |= (u.reads | u.pre) &^ writes
+	}
+	return reads&slotBits != 0
 }
 
 // gather performs the step's loads, then its folds, at the vertex resolved to

@@ -282,9 +282,11 @@ func TestOversizedWordIsNoVertex(t *testing.T) {
 }
 
 // itemCase is one single-action pattern of the item-path tests and benchmark.
+// loop: the action has the relax shape, so an entry runs as one loop.
 type itemCase struct {
 	name    string
 	pattern func() *Pattern
+	loop    bool
 }
 
 // buildBFS is the relax shape with an implicit unit weight.
@@ -307,7 +309,17 @@ func buildBFSTree() *Pattern {
 	return p
 }
 
-var itemCases = []itemCase{{"sssp", buildSSSP}, {"bfs", buildBFS}, {"bfs-tree", buildBFSTree}}
+// buildSpread is PageRank's push: an atomic add of an entry-local word.
+func buildSpread() *Pattern {
+	p := New("PageRank-push")
+	contrib, next := p.VertexProp("contrib"), p.VertexProp("next")
+	p.Action("spread", OutEdges()).Do().AddTo(next.At(Trg()), contrib.At(V()))
+	return p
+}
+
+var itemCases = []itemCase{
+	{"sssp", buildSSSP, true}, {"bfs", buildBFS, true}, {"bfs-tree", buildBFSTree, false}, {"spread", buildSpread, true},
+}
 
 // itemEnv is RMAT-12 on one rank with no handler threads and tc's action
 // bound with no work hook: Invoke runs every item to completion, inline. The
@@ -350,13 +362,18 @@ func newItemEnv(tb testing.TB, tc itemCase) itemEnv {
 
 // TestHotPathDoesNotAllocate: running an action's items allocates nothing —
 // the cursor comes from the pool, expressions and steps are closures built at
-// Bind. Measured at the highest-degree vertex, inside an epoch body.
+// Bind — whether an entry runs through the loop (SSSP, BFS, PageRank's spread)
+// or item by item (the BFS tree's lock hop). Measured at the highest-degree
+// vertex, inside an epoch body.
 func TestHotPathDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	for _, tc := range itemCases {
 		env := newItemEnv(t, tc)
+		if env.action.prog.loop != tc.loop {
+			t.Fatalf("%s: loop-shaped %v, want %v", tc.name, env.action.prog.loop, tc.loop)
+		}
 		lg := env.g.Local(0)
 		hub, deg := distgraph.Vertex(0), uint32(0)
 		for li := 0; li < lg.NumLocal(); li++ {
@@ -387,7 +404,7 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 // random keys, so it repeats the same mix of improving and failing
 // relaxations.
 func BenchmarkPatternItem(b *testing.B) {
-	for _, tc := range itemCases[:2] { // sssp and bfs; bfs-tree is the allocation test's lock case
+	for _, tc := range itemCases[:2] { // sssp and bfs; the others are the allocation test's
 		b.Run(tc.name, func(b *testing.B) {
 			env := newItemEnv(b, tc)
 			n := env.g.NumVertices()
