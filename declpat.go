@@ -137,8 +137,6 @@ var (
 	WithFaultPlan = am.WithFaultPlan
 	// WithRecovery enables epoch-granular checkpoint/restart.
 	WithRecovery = am.WithRecovery
-	// WithMaxRecoveries bounds recovery attempts per epoch.
-	WithMaxRecoveries = am.WithMaxRecoveries
 	// WithTraceCapacity enables event tracing: per-rank rings totalling the
 	// given number of events, split evenly across ranks.
 	WithTraceCapacity = am.WithTraceCapacity
@@ -146,8 +144,6 @@ var (
 	WithLineage = am.WithLineage
 	// WithTiming enables latency histograms.
 	WithTiming = am.WithTiming
-	// WithWatchdog arms the stuck-epoch watchdog.
-	WithWatchdog = am.WithWatchdog
 	// WithTransport selects the message transport backend; a socket backend
 	// always runs reliable delivery with jittered retransmit backoff.
 	WithTransport = am.WithTransport
@@ -194,12 +190,6 @@ func WithWire[T any]() MsgOption[T] {
 // from the payload itself.
 func WithAddresser[T any](f func(m T) int) MsgOption[T] {
 	return func(t *MsgType[T]) { t.WithAddresser(f) }
-}
-
-// WithCoalescing overrides the universe-default coalescing factor for this
-// message type.
-func WithCoalescing[T any](n int) MsgOption[T] {
-	return func(t *MsgType[T]) { t.WithCoalescing(n) }
 }
 
 // RegisterMsgType declares a new active-message type on u. The handler runs
@@ -712,8 +702,6 @@ var (
 	WithDefaultDeadline = query.WithDefaultDeadline
 	// WithRetain bounds how many finished results stay for point lookups.
 	WithRetain = query.WithRetain
-	// WithPageRank tunes the shared PageRank job (rounds cap, tolerance).
-	WithPageRank = query.WithPageRank
 )
 
 // NewQueryService builds a resident query service over eng's universe and

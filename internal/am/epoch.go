@@ -12,16 +12,11 @@ import (
 // layer: flushing, cooperative progress, and early-termination attempts.
 // One Epoch value is passed to each body participant (rank thread).
 type Epoch struct {
-	r   *Rank
-	tid int
+	r *Rank
 }
 
 // Rank returns the rank this epoch participant runs on.
 func (ep *Epoch) Rank() *Rank { return ep.r }
-
-// Thread returns this participant's thread id within its rank (0 for plain
-// Epoch bodies).
-func (ep *Epoch) Thread() int { return ep.tid }
 
 // Epoch runs body inside a collective epoch: every rank of the universe must
 // call Epoch "at the same time" (same sequence of collective calls). The
@@ -246,7 +241,7 @@ func (r *Rank) runBody(tid int, body func(int, *Epoch)) {
 			}
 		}
 	}()
-	body(tid, &Epoch{r: r.facet(), tid: tid})
+	body(tid, &Epoch{r: r.facet()})
 }
 
 // progressUntilDone flushes, delivers, and participates in termination

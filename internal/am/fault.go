@@ -45,21 +45,6 @@ type FaultPlan struct {
 	// retransmit path recover). Types without a wire codec ship by
 	// reference and cannot be corrupted.
 	Corrupt float64
-	// RetransmitBase is the initial retransmit timeout in sender progress
-	// ticks; attempt n waits RetransmitBase << min(n, 6) ticks, spread by
-	// ±25 % on a socket transport (see Universe.backoffTicks). 0 selects the
-	// default (8).
-	RetransmitBase int
-	// MaxAttempts bounds transmissions per envelope; exceeding it raises a
-	// structured LinkDead rank fault (at Drop = 0.2 the default ceiling of
-	// 30 is reached with probability 0.2^30 ≈ 1e-21 per envelope). Only
-	// transmissions the destination had a chance to answer count: one is
-	// charged when the destination rank has looked at its inbox since the
-	// previous transmission (see outEnvelope.charged). Under
-	// WithRecovery the damaged epoch rolls back to its checkpoint and
-	// replays; without it Universe.Run returns the fault as an error.
-	// 0 selects the default (30).
-	MaxAttempts int
 	// Crashes injects deterministic crash-stop rank failures: each entry
 	// kills one rank during one epoch (at entry, or after its k-th handled
 	// message). A crashed rank stops handling, drops its inbox, and goes
@@ -73,6 +58,22 @@ type FaultPlan struct {
 	// LinkDead fault. A severed link is healed when the epoch recovers,
 	// making link death deterministic *and* recoverable.
 	DeadLinks []DeadLink
+
+	// retransmitBase is the initial retransmit timeout in sender progress
+	// ticks; attempt n waits retransmitBase << min(n, 6) ticks, spread by
+	// ±25 % on a socket transport (see Universe.backoffTicks). 0 selects
+	// the default (8).
+	retransmitBase int
+	// maxAttempts bounds transmissions per envelope; exceeding it raises a
+	// structured LinkDead rank fault (at Drop = 0.2 the default ceiling of
+	// 30 is reached with probability 0.2^30 ≈ 1e-21 per envelope). Only
+	// transmissions the destination had a chance to answer count: one is
+	// charged when the destination rank has looked at its inbox since the
+	// previous transmission (see outEnvelope.charged). Under WithRecovery
+	// the damaged epoch rolls back to its checkpoint and replays; without
+	// it Universe.Run returns the fault as an error. 0 selects the default
+	// (30).
+	maxAttempts int
 }
 
 // Crash is one injected crash-stop failure: rank Rank dies during epoch
@@ -95,11 +96,11 @@ type DeadLink struct {
 
 func (fp *FaultPlan) withDefaults() *FaultPlan {
 	c := *fp
-	if c.RetransmitBase <= 0 {
-		c.RetransmitBase = 8
+	if c.retransmitBase <= 0 {
+		c.retransmitBase = 8
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 30
+	if c.maxAttempts <= 0 {
+		c.maxAttempts = 30
 	}
 	for _, p := range []float64{c.Drop, c.Dup, c.Delay, c.Corrupt} {
 		if p < 0 || p > 1 {

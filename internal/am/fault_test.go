@@ -202,7 +202,7 @@ func TestReliableDeterministicSchedule(t *testing.T) {
 func TestShutdownStress(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		plan := &FaultPlan{Seed: uint64(i), Drop: 0.15, Dup: 0.1, Delay: 0.1,
-			RetransmitBase: 1}
+			retransmitBase: 1}
 		u := newUniverse(config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 1,
 			Detector: DetectorFourCounter, FaultPlan: plan})
 		var got atomic.Int64
@@ -232,7 +232,7 @@ func TestShutdownStress(t *testing.T) {
 }
 
 // TestRetransmitCeilingSparesAnUnpolledReceiver: the retransmit clock ticks
-// per sender poll, so a sender may retransmit far past MaxAttempts while the
+// per sender poll, so a sender may retransmit far past maxAttempts while the
 // receiver's only goroutine is busy elsewhere. Transmissions the receiver
 // never had the chance to answer must not be charged against the ceiling:
 // the link is fine, and the envelope is acknowledged as soon as the receiver
@@ -240,7 +240,7 @@ func TestShutdownStress(t *testing.T) {
 // TestLinkDeadWithoutRecoveryFails.)
 func TestRetransmitCeilingSparesAnUnpolledReceiver(t *testing.T) {
 	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 0,
-		FaultPlan: &FaultPlan{RetransmitBase: 1, MaxAttempts: 3}})
+		FaultPlan: &FaultPlan{retransmitBase: 1, maxAttempts: 3}})
 	var got atomic.Int64
 	mt := Register(u, "m", func(r *Rank, m int64) { got.Add(1) })
 	senderDone := make(chan struct{})
@@ -272,12 +272,12 @@ func TestRetransmitCeilingSparesAnUnpolledReceiver(t *testing.T) {
 // but is still working through what was queued ahead of a transmission — has
 // not had the chance to answer it either. Rank 1 handles one envelope per 20
 // sender ticks, so the last of 48 envelopes waits ~1000 ticks in its inbox
-// while the sender retransmits it far past MaxAttempts. None of that may be
+// while the sender retransmits it far past maxAttempts. None of that may be
 // charged: the link is fine, the inbox is long.
 func TestRetransmitCeilingSparesABackloggedReceiver(t *testing.T) {
 	const envelopes = 48
 	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 1,
-		FaultPlan: &FaultPlan{RetransmitBase: 1, MaxAttempts: 3}})
+		FaultPlan: &FaultPlan{retransmitBase: 1, maxAttempts: 3}})
 	var got atomic.Int64
 	tokens := make(chan struct{}, 1)
 	mt := Register(u, "m", func(r *Rank, m int64) {

@@ -284,16 +284,6 @@ func (t *MsgType[T]) WithAddresser(f func(m T) int) *MsgType[T] {
 	return t
 }
 
-// WithCoalescing overrides the universe-default coalescing factor for this
-// type. n == 1 disables coalescing (every message ships immediately).
-func (t *MsgType[T]) WithCoalescing(n int) *MsgType[T] {
-	if n < 1 {
-		n = 1
-	}
-	t.coalesce = n
-	return t
-}
-
 // WithReduction installs the caching/reduction layer: while a message with
 // the same key is still buffered, an incoming message is combined into it
 // instead of being enqueued. combine receives the buffered message and the

@@ -2,6 +2,7 @@ package am
 
 import (
 	"io"
+	"strconv"
 
 	"declpat/internal/obs"
 )
@@ -178,24 +179,7 @@ func (u *Universe) WriteOpenMetrics(w io.Writer) error {
 
 	om.Family("declpat_inbox_depth", "gauge", "Per-rank inbox queue depth.")
 	for i, g := range m.InboxDepth {
-		om.SampleInt("declpat_inbox_depth", []string{"rank", labelItoa(i)}, g.Value)
+		om.SampleInt("declpat_inbox_depth", []string{"rank", strconv.Itoa(i)}, g.Value)
 	}
 	return om.Close()
-}
-
-// labelItoa is a tiny strconv.Itoa for label values (avoids importing strconv in
-// every exporter call site).
-func labelItoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	p := len(b)
-	n := i
-	for n > 0 {
-		p--
-		b[p] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[p:])
 }

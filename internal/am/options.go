@@ -15,7 +15,7 @@ import (
 type Option func(*config)
 
 // config is what the options set; newUniverse resolves it once. Each field is
-// documented on the option that sets it.
+// documented on the option that sets it, except the two only tests set.
 type config struct {
 	Ranks          int
 	ThreadsPerRank int
@@ -26,11 +26,19 @@ type config struct {
 	Timing         bool
 	FaultPlan      *FaultPlan
 	Recovery       bool
-	MaxRecoveries  int
-	Watchdog       time.Duration
 	Transport      Transport
 	MP             *MPConfig
 	Flight         *obs.FlightRecorder
+
+	// MaxRecoveries bounds recovery attempts per epoch (default 8); a fault
+	// that persists past the budget (e.g. a deterministic handler panic that
+	// recurs on every replay) fails the run.
+	MaxRecoveries int
+	// Watchdog is a stuck-epoch deadline (default 0: off): when no substrate
+	// progress (deliveries, flushes, detector transitions) is observed for
+	// it, the run fails with a diagnostic dump of the detector counters and
+	// trace rings instead of hanging.
+	Watchdog time.Duration
 }
 
 // maxTraceRing bounds the per-rank trace ring WithTraceCapacity implies:
@@ -114,11 +122,6 @@ func WithFaultPlan(fp *FaultPlan) Option { return func(c *config) { c.FaultPlan 
 // an error.
 func WithRecovery() Option { return func(c *config) { c.Recovery = true } }
 
-// WithMaxRecoveries bounds recovery attempts per epoch (default 8); a fault
-// that persists past the budget (e.g. a deterministic handler panic that
-// recurs on every replay) fails the run.
-func WithMaxRecoveries(n int) Option { return func(c *config) { c.MaxRecoveries = n } }
-
 // WithTraceCapacity enables event tracing with per-rank rings totalling n
 // events (default 0: off): each rank keeps n/ranks events (minimum 1), and a
 // full ring overwrites its oldest events, which the lineage reconstructor
@@ -137,13 +140,6 @@ func WithLineage(m LineageMode) Option { return func(c *config) { c.Lineage = m 
 // monotonic clock reads per delivered envelope (and per phase scope) to the
 // hot path.
 func WithTiming() Option { return func(c *config) { c.Timing = true } }
-
-// WithWatchdog arms the stuck-epoch watchdog (default 0: off): when no
-// substrate progress (deliveries, flushes, detector transitions) is observed
-// for d, the run fails with a diagnostic dump of the detector counters and
-// trace rings instead of hanging. Set it well above the longest legitimate
-// gap between deliveries (long-running handler bodies included).
-func WithWatchdog(d time.Duration) Option { return func(c *config) { c.Watchdog = d } }
 
 // WithTransport selects the message transport backend: ChanTransport (the
 // in-process default, zero-copy hand-off) or SockTransport (length-prefixed

@@ -40,11 +40,9 @@ func TestNewWithOptions(t *testing.T) {
 		{"WithDetector", WithDetector(DetectorFourCounter), config{Detector: DetectorFourCounter}},
 		{"WithFaultPlan", WithFaultPlan(fp), config{FaultPlan: fp}},
 		{"WithRecovery", WithRecovery(), config{Recovery: true}},
-		{"WithMaxRecoveries", WithMaxRecoveries(3), config{MaxRecoveries: 3}},
 		{"WithTraceCapacity", WithTraceCapacity(1024), config{TraceCapacity: 1024}},
 		{"WithLineage", WithLineage(LineageOff), config{Lineage: LineageOff}},
 		{"WithTiming", WithTiming(), config{Timing: true}},
-		{"WithWatchdog", WithWatchdog(30 * time.Second), config{Watchdog: 30 * time.Second}},
 		{"WithTransport", WithTransport(tr), config{Transport: tr}},
 		{"WithControlPlane", WithControlPlane(MPConfig{Lo: 1, Hi: 2, RunID: 9}), config{}},
 		{"WithFlightRecorder", WithFlightRecorder(flight), config{Flight: flight}},
@@ -64,6 +62,21 @@ func TestNewWithOptions(t *testing.T) {
 		if got != c.want {
 			t.Fatalf("%s set %+v, want %+v", c.name, got, c.want)
 		}
+	}
+
+	// The fields only tests set survive resolution.
+	c := newUniverse(config{Ranks: 2, MaxRecoveries: 3, Watchdog: 30 * time.Second}).cfg
+	if c.MaxRecoveries != 3 || c.Watchdog != 30*time.Second {
+		t.Fatalf("newUniverse dropped a test-set field: MaxRecoveries=%d Watchdog=%v", c.MaxRecoveries, c.Watchdog)
+	}
+	// A control plane forces the four-counter detector without WithDetector
+	// (the atomic one counts process-local state), and so never parks,
+	// although an atomic socket universe would.
+	cp := New(2, WithControlPlane(MPConfig{Plane: stubPlane{}, Lo: 0, Hi: 2}),
+		WithTransport(SockTransport(SockOptions{Network: "unix"})))
+	if cp.cfg.Detector != DetectorFourCounter || !cp.fourCounter || cp.park {
+		t.Fatalf("control-plane universe: detector=%s fourCounter=%v park=%v, want four-counter and no parking",
+			cp.cfg.Detector, cp.fourCounter, cp.park)
 	}
 }
 

@@ -84,12 +84,13 @@ const (
 	// FaultHandlerPanic: a message handler panicked; the panic was
 	// contained and converted into a crash of the handling rank.
 	FaultHandlerPanic
-	// FaultLinkDead: a link's retransmit ceiling (FaultPlan.MaxAttempts)
+	// FaultLinkDead: a link's retransmit ceiling (FaultPlan.maxAttempts)
 	// was exceeded; the destination rank is suspected dead.
 	FaultLinkDead
-	// FaultWatchdog: the stuck-epoch watchdog saw no progress for
-	// WithWatchdog. Watchdog faults are fatal — replaying a wedged
-	// epoch would wedge again — and always fail the run.
+	// FaultWatchdog: the stuck-epoch watchdog saw no progress for its
+	// deadline (config.Watchdog, which only tests set). Watchdog faults are
+	// fatal — replaying a wedged epoch would wedge again — and always fail
+	// the run.
 	FaultWatchdog
 	// FaultTransport: a socket transport exhausted a link's reconnect
 	// budget; the destination rank is suspected dead. Recoverable:
@@ -470,7 +471,7 @@ func (u *Universe) touchProgress() {
 }
 
 // checkWatchdog fires the stuck-epoch watchdog when no progress has been
-// observed for WithWatchdog. The watchdog converts a silent hang — a
+// observed for config.Watchdog. The watchdog converts a silent hang — a
 // body spinning on TryFinish over deferred work nobody consumes, a lost
 // wakeup — into a diagnostic failure: the raised fault is fatal (replay
 // would wedge again) and carries a dump of the detector counters and the

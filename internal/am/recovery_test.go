@@ -179,7 +179,7 @@ func TestLinkDeadWithoutRecoveryFails(t *testing.T) {
 	u := newUniverse(config{
 		Ranks: 2, ThreadsPerRank: 1,
 		FaultPlan: &FaultPlan{
-			Seed: 5, RetransmitBase: 1, MaxAttempts: 3,
+			Seed: 5, retransmitBase: 1, maxAttempts: 3,
 			DeadLinks: []DeadLink{{Src: 0, Dest: 1, Epoch: 0}},
 		},
 	})
@@ -201,7 +201,7 @@ func TestLinkDeadRecovered(t *testing.T) {
 	u := newUniverse(config{
 		Ranks: 2, ThreadsPerRank: 1,
 		FaultPlan: &FaultPlan{
-			Seed: 5, RetransmitBase: 1, MaxAttempts: 3,
+			Seed: 5, retransmitBase: 1, maxAttempts: 3,
 			DeadLinks: []DeadLink{{Src: 0, Dest: 1, Epoch: 0}},
 		},
 		Recovery: true,

@@ -56,7 +56,7 @@ type outEnvelope struct {
 	lin      []uint64 // causal lineage per message, preserved across retransmits
 	attempts int      // transmissions performed so far
 	// charged counts the transmissions that count toward
-	// FaultPlan.MaxAttempts: those the destination rank had the chance to
+	// FaultPlan.maxAttempts: those the destination rank had the chance to
 	// answer, i.e. after which it polled its inbox more often than the inbox
 	// held envelopes when the transmission was made (destPolls is the poll
 	// count that proves it — see queue.drainedBy). On a backend whose
@@ -288,19 +288,19 @@ func (r *Rank) handleAck(e envelope) {
 }
 
 // backoffShiftCap bounds the exponential retransmit backoff at
-// RetransmitBase << 6 ticks.
+// retransmitBase << 6 ticks.
 const backoffShiftCap = 6
 
 // backoffTicks returns the retransmit timeout after `attempts`
 // transmissions on link (src → dest, typ, seq): exponential in attempts,
-// capped at RetransmitBase << backoffShiftCap, and spread deterministically by
+// capped at retransmitBase << backoffShiftCap, and spread deterministically by
 // up to ±u.jitter of the nominal value (never below one tick). The jitter is
 // a pure function of (seed, link, seq, attempts), so a fixed seed still
 // yields a reproducible schedule; an acknowledged envelope leaves the table,
 // so a later envelope on the same link restarts from attempts = 0.
 func (u *Universe) backoffTicks(src, dest, typ int, seq uint64, attempts int) uint64 {
 	fp := u.fp
-	t := uint64(fp.RetransmitBase) << min(attempts, backoffShiftCap)
+	t := uint64(fp.retransmitBase) << min(attempts, backoffShiftCap)
 	if j := u.jitter; j > 0 {
 		f := 1 - j + 2*j*fp.roll(faultBackoffJitter, src, dest, typ, seq, attempts)
 		if t = uint64(float64(t) * f); t < 1 {
@@ -397,7 +397,7 @@ func (r *Rank) pollLinks() bool {
 					o.charged++
 					o.destPolls = q.drainedBy()
 				}
-				if o.charged > u.fp.MaxAttempts {
+				if o.charged > u.fp.maxAttempts {
 					// Retransmit ceiling: declare the link dead. The
 					// envelope is parked (never due again) and the
 					// structured fault aborts the epoch — recovery heals

@@ -4,10 +4,10 @@ import "testing"
 
 // TestBackoffTicksExponentialAndCapped pins the retransmit backoff schedule:
 // without jitter (the in-process transport), attempt n waits
-// RetransmitBase << n ticks, capped at RetransmitBase << backoffShiftCap and
+// retransmitBase << n ticks, capped at retransmitBase << backoffShiftCap and
 // constant beyond.
 func TestBackoffTicksExponentialAndCapped(t *testing.T) {
-	u := New(2, WithFaultPlan(&FaultPlan{RetransmitBase: 8}))
+	u := New(2, WithFaultPlan(&FaultPlan{retransmitBase: 8}))
 	for n := 0; n <= backoffShiftCap+4; n++ {
 		want := uint64(8) << min(n, backoffShiftCap)
 		if got := u.backoffTicks(0, 1, 0, 7, n); got != want {
@@ -24,13 +24,13 @@ func TestBackoffTicksExponentialAndCapped(t *testing.T) {
 // beside a wider one and full jitter on a one-tick base.
 func TestBackoffTicksJitterBounds(t *testing.T) {
 	u := New(2, WithTransport(SockTransport(SockOptions{Network: "unix"})),
-		WithFaultPlan(&FaultPlan{Seed: 99, RetransmitBase: 16}))
+		WithFaultPlan(&FaultPlan{Seed: 99, retransmitBase: 16}))
 	for _, j := range []float64{sockBackoffJitter, 0.3} {
 		u.jitter = j
 		checkJitterBounds(t, u, j)
 	}
 	// A tiny base must still jitter to at least one tick, never zero.
-	tiny := New(2, WithFaultPlan(&FaultPlan{RetransmitBase: 1}))
+	tiny := New(2, WithFaultPlan(&FaultPlan{retransmitBase: 1}))
 	tiny.jitter = 1
 	for seq := uint64(1); seq <= 100; seq++ {
 		if got := tiny.backoffTicks(0, 1, 0, seq, 0); got < 1 {
@@ -71,7 +71,7 @@ func checkJitterBounds(t *testing.T, u *Universe, j float64) {
 // envelope on the same link starts over at the base timeout — deep backoff
 // from one bad stretch never taxes later traffic.
 func TestBackoffResetsAfterAck(t *testing.T) {
-	u := newUniverse(config{Ranks: 2, FaultPlan: &FaultPlan{RetransmitBase: 4}})
+	u := newUniverse(config{Ranks: 2, FaultPlan: &FaultPlan{retransmitBase: 4}})
 	Register(u, "x", func(r *Rank, m int64) {})
 	rk := u.ranks[0]
 	rk.initReliability(1)

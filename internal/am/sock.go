@@ -89,43 +89,50 @@ type SockOptions struct {
 	// Dir is the directory for Unix socket files; "" creates (and owns) a
 	// temporary directory removed at close. Ignored for TCP.
 	Dir string
-	// Heartbeat is the idle interval after which a link's writer emits a
-	// heartbeat frame, keeping the peer's liveness deadline fed on quiet
-	// links. 0 selects the default (50ms).
-	Heartbeat time.Duration
-	// Liveness is the read-side deadline: a connection on which no frame
-	// (data, ack, or heartbeat) arrives within it is declared dead and
-	// closed, counted as a heartbeat miss. 0 selects 10×Heartbeat.
-	Liveness time.Duration
-	// ReconnectBase / ReconnectMax shape the reconnect backoff: attempt n
-	// sleeps ReconnectBase << (n-1), capped at ReconnectMax, spread by a
-	// deterministic ±50% jitter. 0 selects 1ms / 100ms.
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
 	// TickInterval paces the retransmit clock (Transport.tickInterval): the
-	// link tick advances at most once per interval, so RetransmitBase ticks
+	// link tick advances at most once per interval, so retransmit timeouts
 	// correspond to real socket latency. <= 0 selects the default (1ms).
 	TickInterval time.Duration
 	// Faults, when non-nil, injects deterministic connection-level failures
 	// (see SockFaultPlan).
 	Faults *SockFaultPlan
+
+	// heartbeat, liveness, reconnectBase and reconnectMax are the failure
+	// machinery's timings; 0 selects heartbeatInterval, livenessDeadline,
+	// reconnectBase and reconnectMax. Only tests set them.
+	heartbeat, liveness, reconnectBase, reconnectMax time.Duration
 }
+
+// The socket failure machinery's timings. A link's writer emits a heartbeat
+// frame after heartbeatInterval idle, which keeps the peer's read deadline
+// fed on quiet links; a connection on which no frame (data, ack or
+// heartbeat) arrives within livenessDeadline is declared dead and closed,
+// counted as a heartbeat miss, so the deadline must exceed the interval.
+// Reconnect attempt n sleeps reconnectBase << (n-1), capped at reconnectMax,
+// spread by a deterministic ±50 % jitter (sockLink.backoff). A killed peer is
+// noticed in tens of milliseconds.
+const (
+	heartbeatInterval = 10 * time.Millisecond
+	livenessDeadline  = 100 * time.Millisecond
+	reconnectBase     = time.Millisecond
+	reconnectMax      = 10 * time.Millisecond
+)
 
 func (o SockOptions) withDefaults() SockOptions {
 	if o.Network == "" {
 		o.Network = "tcp"
 	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = 50 * time.Millisecond
+	if o.heartbeat <= 0 {
+		o.heartbeat = heartbeatInterval
 	}
-	if o.Liveness <= 0 {
-		o.Liveness = 10 * o.Heartbeat
+	if o.liveness <= 0 {
+		o.liveness = livenessDeadline
 	}
-	if o.ReconnectBase <= 0 {
-		o.ReconnectBase = time.Millisecond
+	if o.reconnectBase <= 0 {
+		o.reconnectBase = reconnectBase
 	}
-	if o.ReconnectMax <= 0 {
-		o.ReconnectMax = 100 * time.Millisecond
+	if o.reconnectMax <= 0 {
+		o.reconnectMax = reconnectMax
 	}
 	if o.TickInterval <= 0 {
 		o.TickInterval = time.Millisecond
@@ -513,7 +520,7 @@ func (t *sockTransport) serveConn(conn net.Conn, src, dest int) {
 	bp := framePool.Get().(*[]byte)
 	defer framePool.Put(bp)
 	for {
-		conn.SetReadDeadline(time.Now().Add(t.opt.Liveness))
+		conn.SetReadDeadline(time.Now().Add(t.opt.liveness))
 		body, buf, err := frame.Read(br, *bp, maxFrameLen)
 		*bp = buf
 		if err == nil && t.deliverFrame(r, src, body) {
@@ -843,29 +850,29 @@ func (l *sockLink) reconnect() {
 }
 
 // backoff returns the sleep before reconnect attempt n: exponential from
-// ReconnectBase, capped at ReconnectMax, spread by a deterministic factor in
+// reconnectBase, capped at reconnectMax, spread by a deterministic factor in
 // [0.5, 1.5) keyed on (link, attempt) so a flock of links killed together
 // doesn't redial in lockstep.
 func (l *sockLink) backoff(attempt int) time.Duration {
 	t := l.t
-	d := t.opt.ReconnectBase << min(attempt-1, 20)
-	if d <= 0 || d > t.opt.ReconnectMax {
-		d = t.opt.ReconnectMax
+	d := t.opt.reconnectBase << min(attempt-1, 20)
+	if d <= 0 || d > t.opt.reconnectMax {
+		d = t.opt.reconnectMax
 	}
 	h := splitmix64(uint64(l.src)<<40 | uint64(l.dest)<<20 | uint64(attempt))
 	f := 0.5 + float64(h>>11)/(1<<53)
 	return time.Duration(float64(d) * f)
 }
 
-// heartbeatLoop keeps quiet links alive: every Heartbeat/2 it writes a
-// heartbeat frame on each link idle for at least Heartbeat, so the peer's
+// heartbeatLoop keeps quiet links alive: every heartbeat/2 it writes a
+// heartbeat frame on each link idle for at least heartbeat, so the peer's
 // liveness deadline only expires when the connection is actually gone (or a
 // partition window swallows the heartbeats too — by design).
 func (t *sockTransport) heartbeatLoop() {
 	defer t.wg.Done()
 	// One static heartbeat frame serves every link.
 	hb := frame.Seal(frame.Begin(nil, frameHeartbeat))
-	ticker := time.NewTicker(t.opt.Heartbeat / 2)
+	ticker := time.NewTicker(t.opt.heartbeat / 2)
 	defer ticker.Stop()
 	for {
 		select {
@@ -880,7 +887,7 @@ func (t *sockTransport) heartbeatLoop() {
 					continue
 				}
 				l.mu.Lock()
-				idle := l.conn != nil && now-l.lastWriteNs >= int64(t.opt.Heartbeat)
+				idle := l.conn != nil && now-l.lastWriteNs >= int64(t.opt.heartbeat)
 				l.mu.Unlock()
 				if idle {
 					l.write(hb, true)

@@ -24,7 +24,7 @@ func BenchmarkTransport(b *testing.B) {
 				// comparison isolates the socket hop, not the encoding. Its
 				// retransmit clock ticks per poll, and a retransmit encodes the
 				// batch again: a timeout no ack misses keeps wire_B the codec's.
-				cfg.FaultPlan = &FaultPlan{Seed: 1, RetransmitBase: 1 << 20}
+				cfg.FaultPlan = &FaultPlan{Seed: 1, retransmitBase: 1 << 20}
 			}
 			u := newUniverse(cfg)
 			var sum atomic.Int64

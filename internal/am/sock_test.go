@@ -36,11 +36,11 @@ func netListenLoopback() (net.Listener, error) {
 func fastSockOptions(network string) SockOptions {
 	return SockOptions{
 		Network:       network,
-		Heartbeat:     5 * time.Millisecond * raceTimingScale,
-		Liveness:      25 * time.Millisecond * raceTimingScale,
-		ReconnectBase: 2 * time.Millisecond,
-		ReconnectMax:  20 * time.Millisecond,
 		TickInterval:  200 * time.Microsecond,
+		heartbeat:     5 * time.Millisecond * raceTimingScale,
+		liveness:      25 * time.Millisecond * raceTimingScale,
+		reconnectBase: 2 * time.Millisecond,
+		reconnectMax:  20 * time.Millisecond,
 	}
 }
 
@@ -290,8 +290,8 @@ func sockRingSum(t *testing.T, cfg config, per int, gate <-chan struct{}) (*Univ
 func TestSockPartitionEscalatesToRecovery(t *testing.T) {
 	requireLoopback(t)
 	opt := fastSockOptions("tcp")
-	opt.Heartbeat = 3 * time.Millisecond * raceTimingScale
-	opt.Liveness = 15 * time.Millisecond * raceTimingScale
+	opt.heartbeat = 3 * time.Millisecond * raceTimingScale
+	opt.liveness = 15 * time.Millisecond * raceTimingScale
 	opt.Faults = &SockFaultPlan{
 		Partitions: []SockPartition{{Src: 0, Dest: 1, FromFrame: 1, ToFrame: 0}}, // open-ended
 	}
@@ -301,7 +301,7 @@ func TestSockPartitionEscalatesToRecovery(t *testing.T) {
 	// requeue — or the post-heal replay re-faults and burns recoveries.
 	cfg := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		Recovery: true, MaxRecoveries: 20,
-		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12},
+		FaultPlan: &FaultPlan{retransmitBase: 2, maxAttempts: 12},
 		Transport: SockTransport(opt)}
 	u, got := sockRingSum(t, cfg, 64, nil)
 	if want := ringWant(2, 64); got != want {
@@ -331,7 +331,7 @@ func TestSockHeartbeatsKeepQuietLinksAlive(t *testing.T) {
 	err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			mt.SendTo(r, (r.ID()+1)%r.N(), chatterPayload{ID: int64(r.ID())})
-			time.Sleep(4 * opt.Liveness)
+			time.Sleep(4 * opt.liveness)
 		})
 	})
 	if err != nil {
@@ -356,7 +356,7 @@ func TestSockDialFailureEscalatesAndRecovers(t *testing.T) {
 	tr.budget = 3
 	cfg := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		Recovery: true, MaxRecoveries: 1000,
-		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12},
+		FaultPlan: &FaultPlan{retransmitBase: 2, maxAttempts: 12},
 		Transport: tr}
 
 	// The outage: while down, dials fail; going down also closes every
@@ -500,7 +500,7 @@ func TestSelfSendsStayLocal(t *testing.T) {
 		plan *FaultPlan
 	}{
 		// A retransmit timeout no ack can miss keeps the ack count exact.
-		{"zero", &FaultPlan{RetransmitBase: 1 << 20}},
+		{"zero", &FaultPlan{retransmitBase: 1 << 20}},
 		{"drop", &FaultPlan{Seed: 5, Drop: 0.1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

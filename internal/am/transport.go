@@ -46,7 +46,7 @@ type Transport interface {
 
 	// tickInterval paces the retransmit clock: pollLinks advances a rank's
 	// link tick at most once per interval, so tick-denominated timeouts
-	// (RetransmitBase, backoff) correspond to real time on backends with
+	// (FaultPlan.retransmitBase, backoff) correspond to real time on backends with
 	// real latency. 0 (the in-process backend) keeps the original
 	// one-tick-per-poll behavior; every socket backend has a positive
 	// interval, which is what lets its universes park (Universe.park).

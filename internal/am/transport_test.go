@@ -92,13 +92,18 @@ func TestSockRejectsNonWireTypes(t *testing.T) {
 	}
 }
 
-// TestSockOptionsDefaults pins the defaulting rules.
+// TestSockOptionsDefaults pins the defaulting rules and the failure
+// machinery's constants: a read deadline at or below the heartbeat interval
+// would declare every quiet link dead.
 func TestSockOptionsDefaults(t *testing.T) {
 	o := SockOptions{}.withDefaults()
-	if o.Network != "tcp" || o.Heartbeat != 50*time.Millisecond ||
-		o.Liveness != 500*time.Millisecond || o.ReconnectBase != time.Millisecond ||
-		o.ReconnectMax != 100*time.Millisecond || o.TickInterval != time.Millisecond {
+	if o.Network != "tcp" || o.TickInterval != time.Millisecond ||
+		o.heartbeat != 10*time.Millisecond || o.liveness != 100*time.Millisecond ||
+		o.reconnectBase != time.Millisecond || o.reconnectMax != 10*time.Millisecond {
 		t.Fatalf("unexpected defaults: %+v", o)
+	}
+	if livenessDeadline <= heartbeatInterval {
+		t.Fatalf("liveness deadline %v must exceed the heartbeat interval %v", livenessDeadline, heartbeatInterval)
 	}
 	if b := SockTransport(SockOptions{}).(*sockTransport).budget; b != reconnectBudget {
 		t.Fatalf("reconnect budget %d, want %d", b, reconnectBudget)

@@ -50,8 +50,6 @@ type Scenario struct {
 	// (injected crashes, dead links, contained panics) roll the damaged
 	// epoch back and replay it instead of failing the run.
 	Recovery bool
-	// Watchdog arms the stuck-epoch watchdog (0 = off).
-	Watchdog time.Duration
 	// Transport selects the message backend: "" or "chan" for the
 	// in-process channel transport, "unix" or "tcp" for real sockets
 	// (loopback), where every envelope is framed, CRC-sealed, and crosses a
@@ -61,8 +59,6 @@ type Scenario struct {
 	// SockFaults injects socket-level failures (connection kills, one-way
 	// partitions, link flaps) into a socket transport; ignored on "chan".
 	SockFaults *am.SockFaultPlan
-	// MaxRecoveries overrides the per-epoch recovery budget (0 = default).
-	MaxRecoveries int
 }
 
 // String names the scenario for test output.
@@ -99,28 +95,17 @@ func (sc Scenario) options() []am.Option {
 		am.WithCoalesce(sc.Coalesce),
 		am.WithDetector(sc.Detector),
 		am.WithFaultPlan(sc.Plan),
-		am.WithWatchdog(sc.Watchdog),
 	}
 	if sc.Recovery {
 		opts = append(opts, am.WithRecovery())
 	}
-	if sc.MaxRecoveries > 0 {
-		opts = append(opts, am.WithMaxRecoveries(sc.MaxRecoveries))
-	}
 	switch sc.Transport {
 	case "", "chan":
 	case "unix", "tcp":
-		// Test-speed timings: the chaos matrix runs many scenarios, so the
-		// failure machinery (heartbeats, liveness, reconnect backoff) is
-		// tuned to milliseconds rather than the production defaults.
 		opts = append(opts, am.WithTransport(am.SockTransport(am.SockOptions{
-			Network:       sc.Transport,
-			Heartbeat:     10 * time.Millisecond,
-			Liveness:      100 * time.Millisecond,
-			ReconnectBase: time.Millisecond,
-			ReconnectMax:  10 * time.Millisecond,
-			TickInterval:  200 * time.Microsecond,
-			Faults:        sc.SockFaults,
+			Network:      sc.Transport,
+			TickInterval: 200 * time.Microsecond,
+			Faults:       sc.SockFaults,
 		})))
 	default:
 		panic(fmt.Sprintf("chaos: unknown Transport %q", sc.Transport))

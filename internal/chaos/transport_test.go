@@ -6,7 +6,6 @@ import (
 
 	"declpat/internal/am"
 	"declpat/internal/distgraph"
-	"declpat/internal/harness"
 )
 
 // Transport acceptance matrix: the same algorithms over the in-process
@@ -85,44 +84,5 @@ func TestTransportMatrix(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestTransportPartitionEscalation black-holes one direction mid-run with no
-// closing frame: retransmits die against the partition until the ceiling
-// raises a rank fault, recovery rolls the epoch back and heals the window,
-// and the replay must still match the channel-transport result bit for bit
-// on both detectors.
-func TestTransportPartitionEscalation(t *testing.T) {
-	requireLoopback(t)
-	w := workload(t, 9, 8)
-	src := distgraph.Vertex(3)
-	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		t.Run(det.String(), func(t *testing.T) {
-			base := Scenario{Ranks: 3, Threads: 2, Coalesce: 4, Detector: det}
-			want, _ := RunBFS(w, base, src)
-			sc := base
-			sc.Transport = "tcp"
-			sc.SockFaults = &am.SockFaultPlan{
-				Partitions: []am.SockPartition{{Src: 0, Dest: 1, FromFrame: 3, ToFrame: 0}}, // open-ended
-			}
-			sc.Recovery = true
-			sc.MaxRecoveries = 50
-			// A low retransmit ceiling keeps the escalation (and so the test)
-			// fast; the socket transport's backoff jitter desynchronizes the
-			// post-heal retransmit storm.
-			sc.Plan = &am.FaultPlan{
-				Seed:           harness.DeriveSeed(baseSeed, "transport/partition"),
-				RetransmitBase: 2, MaxAttempts: 12,
-			}
-			got, stats := RunBFS(w, sc, src)
-			check(t, "BFS", sc, got, want)
-			if stats.EpochAborts == 0 || stats.Recoveries == 0 {
-				t.Fatalf("open-ended partition must escalate to checkpoint/restart, got %+v", stats)
-			}
-			if stats.FramesDropped == 0 {
-				t.Fatalf("black-holed frames must be counted dropped, got %+v", stats)
-			}
-		})
 	}
 }

@@ -68,14 +68,7 @@ func E21TransportRecords(sc Scale) []TransportRecord {
 }
 
 func e21SockTransport(network string, faulted bool) am.Transport {
-	opt := am.SockOptions{
-		Network:       network,
-		Heartbeat:     20 * time.Millisecond,
-		Liveness:      200 * time.Millisecond,
-		ReconnectBase: time.Millisecond,
-		ReconnectMax:  10 * time.Millisecond,
-		TickInterval:  200 * time.Microsecond,
-	}
+	opt := am.SockOptions{Network: network, TickInterval: 200 * time.Microsecond}
 	if faulted {
 		opt.Faults = &am.SockFaultPlan{
 			Disconnects: []am.SockDisconnect{

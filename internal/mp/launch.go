@@ -57,10 +57,8 @@ type LaunchSpec struct {
 	Kill *KillSpec
 	// MaxRestarts bounds fleet respawns (0 selects 3).
 	MaxRestarts int
-	// RoundTimeout bounds every control round; Liveness is the control-
-	// plane heartbeat deadline (0 selects 30s / 10s; tests shrink both).
+	// RoundTimeout bounds every control round (0 selects 30s).
 	RoundTimeout time.Duration
-	Liveness     time.Duration
 	// CheckpointDir holds the fleet's checkpoint slot files; "" creates a
 	// temporary directory removed after the launch. Must be on a filesystem
 	// shared by launcher and workers.
@@ -266,7 +264,6 @@ func Launch(spec LaunchSpec) (*LaunchResult, error) {
 				}
 			},
 			RoundTimeout: spec.RoundTimeout,
-			Liveness:     spec.Liveness,
 			Logf:         logf,
 		})
 		if err != nil {

@@ -73,18 +73,10 @@ func RunWorker(addr string, worker int) int {
 
 	opts := []am.Option{
 		am.WithThreads(job.Threads),
-		am.WithDetector(am.DetectorFourCounter),
 		am.WithControlPlane(cl.MPConfig()),
-		// The chaos harness's test-speed failure machinery: a launched fleet
-		// is expected to notice a killed worker in tens of milliseconds, not
-		// seconds.
 		am.WithTransport(am.SockTransport(am.SockOptions{
-			Network:       job.Network,
-			Heartbeat:     10 * time.Millisecond,
-			Liveness:      100 * time.Millisecond,
-			ReconnectBase: time.Millisecond,
-			ReconnectMax:  10 * time.Millisecond,
-			TickInterval:  200 * time.Microsecond,
+			Network:      job.Network,
+			TickInterval: 200 * time.Microsecond,
 		})),
 	}
 	if job.Drop > 0 {

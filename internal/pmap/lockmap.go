@@ -35,9 +35,6 @@ func NewLockMap(dist distgraph.Distribution, granularity int) *LockMap {
 	return lm
 }
 
-// Granularity returns the configured vertices-per-lock.
-func (lm *LockMap) Granularity() int { return lm.granularity }
-
 func (lm *LockMap) lock(rank int, v distgraph.Vertex) *sync.Mutex {
 	if lm.dist.Owner(v) != rank {
 		panic(fmt.Sprintf("pmap: LockMap access to vertex %d on rank %d but owner is %d", v, rank, lm.dist.Owner(v)))

@@ -230,15 +230,6 @@ func WithRetain(n int) Option {
 	}
 }
 
-// WithPageRank tunes the shared PageRank job (rounds cap and fixed-point
-// tolerance); zero values keep the algorithm defaults.
-func WithPageRank(maxIters int, tolerance int64) Option {
-	return func(s *Service) {
-		s.prIters = maxIters
-		s.prTol = tolerance
-	}
-}
-
 // kernel is the reset/seed/invoke seam BFS and SSSP share, so one step
 // runner serves both.
 type kernel interface {
@@ -294,8 +285,6 @@ type Service struct {
 	queueDepth      int
 	defaultDeadline time.Duration
 	retain          int
-	prIters         int
-	prTol           int64
 
 	slots [PageRank]slot // one per source algorithm, indexed by Algo
 	pr    *algorithms.PageRank
@@ -336,17 +325,11 @@ func New(eng *pattern.Engine, opts ...Option) *Service {
 		gather:     (*pmap.VertexWord).Gather,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for _, o := range opts {
-		o(s)
-	}
 	b, ss := algorithms.NewBFS(eng), algorithms.NewSSSP(eng)
 	s.slots = [PageRank]slot{BFS: {b, b.Level}, SSSP: {ss, ss.Dist}}
 	s.pr = algorithms.NewPageRank(eng, algorithms.PageRankPush)
-	if s.prIters > 0 {
-		s.pr.MaxIters = s.prIters
-	}
-	if s.prTol > 0 {
-		s.pr.Tolerance = s.prTol
+	for _, o := range opts {
+		o(s)
 	}
 	s.met.init()
 	return s
