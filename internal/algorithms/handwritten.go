@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"declpat/internal/am"
@@ -44,6 +45,19 @@ type hand struct {
 	// queued[rank][li] is set while an expandMsg for that vertex is in flight
 	// and not yet started.
 	queued [][]atomic.Uint32
+	// cache stages each handler call's offers (stages: one per concurrent
+	// call) and counts the offers it combined away in suppressed.
+	cache      bool
+	stages     sync.Pool
+	suppressed atomic.Int64
+}
+
+// stage holds one handler call's offers, one run per destination rank;
+// at[v] indexes v's offer in its owner's run.
+type stage struct {
+	runs       [][]offerMsg
+	at         map[distgraph.Vertex]int
+	suppressed int64
 }
 
 func newHand(u *am.Universe, g *distgraph.Graph, name string, step func(rank int, e distgraph.EdgeRef) int64) *hand {
@@ -53,30 +67,79 @@ func newHand(u *am.Universe, g *distgraph.Graph, name string, step func(rank int
 	for rank := range h.queued {
 		h.queued[rank] = make([]atomic.Uint32, dist.LocalCount(rank))
 	}
-	h.offer = am.Register(u, name, func(r *am.Rank, m offerMsg) {
-		if !h.val.Min(r.ID(), m.T, m.D) {
-			return
+	h.stages.New = func() any {
+		return &stage{runs: make([][]offerMsg, dist.Ranks()), at: map[distgraph.Vertex]int{}}
+	}
+	h.offer = am.RegisterBatch(u, name, func(r *am.Rank, b []offerMsg) {
+		s := h.begin()
+		for _, m := range b {
+			if !h.val.Min(r.ID(), m.T, m.D) {
+				continue
+			}
+			if h.naive {
+				h.offerOut(r, s, m.T, m.D)
+			} else if h.queued[r.ID()][dist.Local(m.T)].CompareAndSwap(0, 1) {
+				h.expand.Send(r, expandMsg{T: m.T})
+			}
 		}
-		if h.naive {
-			h.offerOut(r, m.T, m.D)
-		} else if h.queued[r.ID()][dist.Local(m.T)].CompareAndSwap(0, 1) {
-			h.expand.Send(r, expandMsg{T: m.T})
-		}
+		h.end(r, s)
 	}).WithAddresser(func(m offerMsg) int { return g.Owner(m.T) })
-	h.expand = am.Register(u, name+"-expand", func(r *am.Rank, m expandMsg) {
-		// Clear before reading: an improvement that lands after the read
-		// must queue an expansion of its own.
-		h.queued[r.ID()][dist.Local(m.T)].Store(0)
-		h.offerOut(r, m.T, h.val.Get(r.ID(), m.T))
+	h.expand = am.RegisterBatch(u, name+"-expand", func(r *am.Rank, b []expandMsg) {
+		s := h.begin()
+		for _, m := range b {
+			// Clear before reading: an improvement that lands after the
+			// read must queue an expansion of its own.
+			h.queued[r.ID()][dist.Local(m.T)].Store(0)
+			h.offerOut(r, s, m.T, h.val.Get(r.ID(), m.T))
+		}
+		h.end(r, s)
 	}).WithAddresser(func(m expandMsg) int { return g.Owner(m.T) })
 	return h
 }
 
-// offerOut offers d plus one step along each of t's out-edges.
-func (h *hand) offerOut(r *am.Rank, t distgraph.Vertex, d int64) {
+// offerOut offers d plus one step along each of t's out-edges: sent at once
+// without the cache, staged in s with it.
+func (h *hand) offerOut(r *am.Rank, s *stage, t distgraph.Vertex, d int64) {
 	h.g.ForOutEdges(r.ID(), t, func(e distgraph.EdgeRef) {
-		h.offer.Send(r, offerMsg{T: e.Trg(), D: d + h.step(r.ID(), e)})
+		m := offerMsg{T: e.Trg(), D: d + h.step(r.ID(), e)}
+		if s == nil {
+			h.offer.Send(r, m)
+			return
+		}
+		dest := h.g.Owner(m.T)
+		if j, ok := s.at[m.T]; ok {
+			s.runs[dest][j].D = min(s.runs[dest][j].D, m.D)
+			s.suppressed++
+			return
+		}
+		s.at[m.T] = len(s.runs[dest])
+		s.runs[dest] = append(s.runs[dest], m)
 	})
+}
+
+// begin returns a handler call's stage, nil when the cache is off.
+func (h *hand) begin() *stage {
+	if !h.cache {
+		return nil
+	}
+	return h.stages.Get().(*stage)
+}
+
+// end sends each destination's staged offers as one run and returns s.
+func (h *hand) end(r *am.Rank, s *stage) {
+	if s == nil {
+		return
+	}
+	for dest, run := range s.runs {
+		if len(run) > 0 {
+			h.offer.SendAll(r, dest, run)
+			s.runs[dest] = run[:0]
+		}
+	}
+	clear(s.at)
+	h.suppressed.Add(s.suppressed)
+	s.suppressed = 0
+	h.stages.Put(s)
 }
 
 // run solves from src. Collective.
@@ -112,21 +175,16 @@ func (h *HandSSSP) Naive() *HandSSSP {
 	return h
 }
 
-// WithReductionCache installs AM++'s caching layer on the relax message:
-// while a relaxation for a target is buffered, further relaxations for the
-// same target combine into the minimum (experiment E6).
+// WithReductionCache turns on the paper's §IV caching (experiment E6): the
+// offers one handler call makes to the same target combine into the
+// smallest before they are sent. Call before Universe.Run.
 func (h *HandSSSP) WithReductionCache() *HandSSSP {
-	h.h.offer.WithReduction(
-		func(m offerMsg) uint64 { return uint64(m.T) },
-		func(old, in offerMsg) (offerMsg, bool) {
-			if in.D < old.D {
-				return in, true
-			}
-			return old, false
-		},
-	)
+	h.h.cache = true
 	return h
 }
+
+// Suppressed counts the offers the cache combined away, over every run.
+func (h *HandSSSP) Suppressed() int64 { return h.h.suppressed.Load() }
 
 // Run solves SSSP from src. Collective.
 func (h *HandSSSP) Run(r *am.Rank, src distgraph.Vertex) { h.h.run(r, src) }

@@ -206,66 +206,6 @@ func TestCoalescingEnvelopeCounts(t *testing.T) {
 	}
 }
 
-// TestReduction verifies the caching layer: duplicate keys inside a buffer
-// are combined, so at most one handler invocation per key per flush, and the
-// surviving payload is the minimum — whether the duplicates arrive one SendTo
-// at a time or as SendAll runs.
-func TestReduction(t *testing.T) {
-	type upd struct {
-		Key uint64
-		Val int64
-	}
-	const keys, dups = 50, 20
-	for _, all := range []bool{false, true} {
-		u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
-		var got, sum atomic.Int64
-		mt := Register(u, "upd", func(r *Rank, m upd) {
-			got.Add(1)
-			sum.Add(m.Val)
-			_ = r.u.Stats.CtrlMsgs() // exercise counter access from a handler
-		}).WithReduction(
-			func(m upd) uint64 { return m.Key },
-			func(old, in upd) (upd, bool) {
-				if in.Val < old.Val {
-					return in, true
-				}
-				return old, false
-			},
-		)
-		u.Run(func(r *Rank) {
-			r.Epoch(func(ep *Epoch) {
-				if r.ID() != 0 {
-					return
-				}
-				run := make([]upd, keys)
-				for d := 0; d < dups; d++ {
-					for k := range run {
-						run[k] = upd{Key: uint64(k), Val: int64(dups - d)}
-						if !all {
-							mt.SendTo(r, 1, run[k])
-						}
-					}
-					if all {
-						mt.SendAll(r, 1, run)
-					}
-				}
-			})
-		})
-		if got.Load() != keys {
-			t.Fatalf("SendAll=%v: handlers ran %d times, want %d (one per key)", all, got.Load(), keys)
-		}
-		if sum.Load() != keys {
-			t.Fatalf("SendAll=%v: handled values sum to %d, want %d (each key's minimum, 1)", all, sum.Load(), keys)
-		}
-		if s := u.Stats.MsgsSuppressed(); s != keys*(dups-1) {
-			t.Fatalf("SendAll=%v: suppressed=%d want %d", all, s, keys*(dups-1))
-		}
-		if s := u.Stats.MsgsSent(); s != keys {
-			t.Fatalf("SendAll=%v: sent=%d want %d", all, s, keys)
-		}
-	}
-}
-
 func TestSendOutsideEpochPanics(t *testing.T) {
 	u := newUniverse(config{Ranks: 1, ThreadsPerRank: 0})
 	mt := Register(u, "m", func(r *Rank, m int64) {})

@@ -6,9 +6,9 @@ import (
 	"declpat/internal/obs"
 )
 
-// Barrier is a reusable barrier for n participants (the rank main
+// barrier is a reusable barrier for n participants (the rank main
 // goroutines). It creates the happens-before edges the collectives rely on.
-type Barrier struct {
+type barrier struct {
 	n     int
 	mu    sync.Mutex
 	cv    *sync.Cond
@@ -21,16 +21,16 @@ type Barrier struct {
 	poisoned bool
 }
 
-// NewBarrier creates a barrier for n participants.
-func NewBarrier(n int) *Barrier {
-	b := &Barrier{n: n}
+// newBarrier creates a barrier for n participants.
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n}
 	b.cv = sync.NewCond(&b.mu)
 	return b
 }
 
 // Wait blocks until all n participants have called Wait for the current
 // generation. Panics runAbort once the barrier is poisoned.
-func (b *Barrier) Wait() {
+func (b *barrier) Wait() {
 	b.mu.Lock()
 	if b.poisoned {
 		b.mu.Unlock()
@@ -56,7 +56,7 @@ func (b *Barrier) Wait() {
 }
 
 // poison breaks the barrier for good and wakes every waiter.
-func (b *Barrier) poison() {
+func (b *barrier) poison() {
 	b.mu.Lock()
 	b.poisoned = true
 	b.mu.Unlock()

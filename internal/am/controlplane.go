@@ -141,7 +141,7 @@ type mpState struct {
 	cfg      MPConfig
 	plane    ControlPlane
 	lo, hi   int
-	localBar *Barrier
+	localBar *barrier
 
 	restart  int64
 	haveCkpt bool
@@ -162,7 +162,7 @@ func newMPState(cfg MPConfig) *mpState {
 		plane:    cfg.Plane,
 		lo:       cfg.Lo,
 		hi:       cfg.Hi,
-		localBar: NewBarrier(cfg.Hi - cfg.Lo),
+		localBar: newBarrier(cfg.Hi - cfg.Lo),
 		restart:  cfg.RestartEpoch,
 		haveCkpt: cfg.HaveCheckpoint,
 		log:      cfg.CollectiveLog,

@@ -337,30 +337,3 @@ func TestTrustedShutdownStress(t *testing.T) {
 		}
 	}
 }
-
-// TestReliableWithReduction checks the caching/reduction layer composes
-// with reliable delivery: suppressed messages never enter the wire, and the
-// survivors are delivered exactly once under faults.
-func TestReliableWithReduction(t *testing.T) {
-	const seed = 31337
-	plan := &FaultPlan{Seed: seed, Drop: 0.2, Dup: 0.1}
-	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20, FaultPlan: plan})
-	var handled atomic.Int64
-	mt := Register(u, "upd", func(r *Rank, m chatterPayload) { handled.Add(1) }).
-		WithReduction(
-			func(m chatterPayload) uint64 { return uint64(m.ID) },
-			func(old, in chatterPayload) (chatterPayload, bool) { return old, false },
-		)
-	u.Run(func(r *Rank) {
-		r.Epoch(func(ep *Epoch) {
-			if r.ID() == 0 {
-				for i := 0; i < 50; i++ {
-					mt.SendTo(r, 1, chatterPayload{ID: int64(i % 10)})
-				}
-			}
-		})
-	})
-	if handled.Load() != 10 {
-		t.Fatalf("handled %d, want 10 (seed %d)", handled.Load(), seed)
-	}
-}

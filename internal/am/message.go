@@ -107,10 +107,6 @@ type MsgType[T any] struct {
 	// decoded batches on the receive side. See newBatch/putBatch for the
 	// ownership rules.
 	batchPool sync.Pool
-
-	// reduction layer (nil key disables it).
-	key     func(m T) uint64
-	combine func(old, incoming T) (merged T, changed bool)
 }
 
 // newBatch returns an empty batch with reusable capacity, drawn from the
@@ -136,10 +132,9 @@ func (t *MsgType[T]) putBatch(b []T) {
 // message type. Buffers are locked per destination because the rank's body
 // thread and its handler threads send concurrently.
 type typedBufs[T any] struct {
-	mu   []sync.Mutex
-	buf  [][]T
-	par  [][]uint64       // causal parent per buffered message; nil when lineage off
-	keys []map[uint64]int // reduction index; nil when reduction disabled
+	mu  []sync.Mutex
+	buf [][]T
+	par [][]uint64 // causal parent per buffered message; nil when lineage off
 }
 
 // Register is RegisterBatch with a handler that takes one message at a time:
@@ -251,9 +246,6 @@ func RegisterBatch[T any](u *Universe, name string, handler func(r *Rank, b []T)
 				if tb.par != nil {
 					tb.par[dest] = nil
 				}
-				if tb.keys != nil {
-					tb.keys[dest] = nil
-				}
 				tb.mu[dest].Unlock()
 			}
 		},
@@ -264,9 +256,6 @@ func RegisterBatch[T any](u *Universe, name string, handler func(r *Rank, b []T)
 			}
 			if mt.u.lineage {
 				tb.par = make([][]uint64, nranks)
-			}
-			if mt.key != nil {
-				tb.keys = make([]map[uint64]int, nranks)
 			}
 			return tb
 		},
@@ -281,21 +270,6 @@ func RegisterBatch[T any](u *Universe, name string, handler func(r *Rank, b []T)
 // chaining.
 func (t *MsgType[T]) WithAddresser(f func(m T) int) *MsgType[T] {
 	t.addr = f
-	return t
-}
-
-// WithReduction installs the caching/reduction layer: while a message with
-// the same key is still buffered, an incoming message is combined into it
-// instead of being enqueued. combine receives the buffered message and the
-// incoming one and returns the merged payload plus whether the buffer entry
-// should be overwritten. Either way the incoming message is counted as
-// suppressed; it will never reach a handler by itself.
-func (t *MsgType[T]) WithReduction(key func(m T) uint64, combine func(old, incoming T) (T, bool)) *MsgType[T] {
-	if t.u.frozen.Load() {
-		panic("am: WithReduction after Run")
-	}
-	t.key = key
-	t.combine = combine
 	return t
 }
 
@@ -393,32 +367,6 @@ func (t *MsgType[T]) SendAll(r *Rank, dest int, ms []T) {
 		var shipLin []uint64
 		tb.mu[dest].Lock()
 		for ; i < len(ms) && ship == nil; i++ {
-			m := ms[i]
-			if t.key != nil {
-				k := t.key(m)
-				km := tb.keys[dest]
-				if km == nil {
-					km = make(map[uint64]int, t.coalesce)
-					tb.keys[dest] = km
-				}
-				if j, ok := km[k]; ok {
-					merged, changed := t.combine(tb.buf[dest][j], m)
-					if changed {
-						tb.buf[dest][j] = merged
-						if tb.par != nil {
-							// Lineage follows the surviving value: the
-							// incoming message won the combine, so its
-							// producer is the one the eventual handler
-							// causally descends from.
-							tb.par[dest][j] = parent
-						}
-						r.st.Inc(cMsgsCombined)
-					}
-					r.st.Inc(cMsgsSuppressed)
-					continue
-				}
-				km[k] = len(tb.buf[dest])
-			}
 			if tb.buf[dest] == nil {
 				tb.buf[dest] = t.newBatch()
 			}
@@ -427,7 +375,7 @@ func (t *MsgType[T]) SendAll(r *Rank, dest int, ms []T) {
 			} else if len(tb.buf[dest]) == 0 {
 				r.u.pending.Add(1) // the buffer's token (see ship)
 			}
-			tb.buf[dest] = append(tb.buf[dest], m)
+			tb.buf[dest] = append(tb.buf[dest], ms[i])
 			if tb.par != nil {
 				tb.par[dest] = append(tb.par[dest], parent)
 			}
@@ -437,9 +385,6 @@ func (t *MsgType[T]) SendAll(r *Rank, dest int, ms []T) {
 				if tb.par != nil {
 					shipLin = tb.par[dest]
 					tb.par[dest] = nil
-				}
-				if tb.keys != nil {
-					tb.keys[dest] = nil
 				}
 			}
 		}
@@ -613,9 +558,6 @@ func (t *MsgType[T]) flushBuffers(r *Rank) bool {
 		if tb.par != nil {
 			lin = tb.par[dest]
 			tb.par[dest] = nil
-		}
-		if tb.keys != nil {
-			tb.keys[dest] = nil
 		}
 		tb.mu[dest].Unlock()
 		t.ship(r, dest, batch, lin)

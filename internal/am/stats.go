@@ -9,8 +9,6 @@ import "declpat/internal/obs"
 // epochs or after Run) for exact values.
 const (
 	cMsgsSent = iota
-	cMsgsSuppressed
-	cMsgsCombined
 	cEnvelopes
 	cBytesSent
 	cWireBytes
@@ -47,8 +45,7 @@ const (
 
 // counterNames are the exported metric names, indexed by counter id.
 var counterNames = [numCounters]string{
-	"msgs_sent", "msgs_suppressed", "msgs_combined",
-	"envelopes", "bytes_sent", "wire_bytes",
+	"msgs_sent", "envelopes", "bytes_sent", "wire_bytes",
 	"handlers_run", "ctrl_msgs", "epochs", "flushes", "td_waves",
 	"envelopes_dropped", "envelopes_duplicated", "envelopes_delayed",
 	"retransmits", "dups_suppressed", "corruptions_detected",
@@ -74,18 +71,9 @@ type Stats struct {
 // expvar publishing).
 func (s *Stats) Counters() *obs.Counters { return s.c }
 
-// MsgsSent counts user-level messages accepted by Send (after the reduction
-// layer; suppressed messages are in MsgsSuppressed), counted when their
+// MsgsSent counts user-level messages accepted by Send, counted when their
 // envelope ships: exact at quiescent points (between epochs, after Run).
 func (s *Stats) MsgsSent() int64 { return s.c.Total(cMsgsSent) }
-
-// MsgsSuppressed counts messages absorbed by the caching/reduction layer
-// (combined into an already-buffered message).
-func (s *Stats) MsgsSuppressed() int64 { return s.c.Total(cMsgsSuppressed) }
-
-// MsgsCombined counts messages that replaced/merged the payload of a
-// buffered message (a combine that changed the buffered value).
-func (s *Stats) MsgsCombined() int64 { return s.c.Total(cMsgsCombined) }
 
 // Envelopes counts coalesced batches shipped between ranks.
 func (s *Stats) Envelopes() int64 { return s.c.Total(cEnvelopes) }
@@ -201,7 +189,7 @@ func (s *Stats) QueryMismatches() int64 { return s.c.Total(cQueryMismatches) }
 // Snapshot is a plain-value copy of Stats, convenient for diffing across an
 // experiment phase.
 type Snapshot struct {
-	MsgsSent, MsgsSuppressed, MsgsCombined int64
+	MsgsSent                               int64
 	Envelopes, BytesSent, WireBytes        int64
 	HandlersRun                            int64
 	CtrlMsgs, Epochs, Flushes, TDWaves     int64
@@ -222,17 +210,15 @@ type Snapshot struct {
 // snapshotOf builds a Snapshot from a per-counter read function.
 func snapshotOf(get func(id int) int64) Snapshot {
 	return Snapshot{
-		MsgsSent:       get(cMsgsSent),
-		MsgsSuppressed: get(cMsgsSuppressed),
-		MsgsCombined:   get(cMsgsCombined),
-		Envelopes:      get(cEnvelopes),
-		BytesSent:      get(cBytesSent),
-		WireBytes:      get(cWireBytes),
-		HandlersRun:    get(cHandlersRun),
-		CtrlMsgs:       get(cCtrlMsgs),
-		Epochs:         get(cEpochs),
-		Flushes:        get(cFlushes),
-		TDWaves:        get(cTDWaves),
+		MsgsSent:    get(cMsgsSent),
+		Envelopes:   get(cEnvelopes),
+		BytesSent:   get(cBytesSent),
+		WireBytes:   get(cWireBytes),
+		HandlersRun: get(cHandlersRun),
+		CtrlMsgs:    get(cCtrlMsgs),
+		Epochs:      get(cEpochs),
+		Flushes:     get(cFlushes),
+		TDWaves:     get(cTDWaves),
 
 		EnvelopesDropped:    get(cEnvelopesDropped),
 		EnvelopesDuplicated: get(cEnvelopesDuplicated),
@@ -283,17 +269,15 @@ func (s *Stats) PerRank() []Snapshot {
 // Sub returns s - o, counter by counter.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return Snapshot{
-		MsgsSent:       s.MsgsSent - o.MsgsSent,
-		MsgsSuppressed: s.MsgsSuppressed - o.MsgsSuppressed,
-		MsgsCombined:   s.MsgsCombined - o.MsgsCombined,
-		Envelopes:      s.Envelopes - o.Envelopes,
-		BytesSent:      s.BytesSent - o.BytesSent,
-		WireBytes:      s.WireBytes - o.WireBytes,
-		HandlersRun:    s.HandlersRun - o.HandlersRun,
-		CtrlMsgs:       s.CtrlMsgs - o.CtrlMsgs,
-		Epochs:         s.Epochs - o.Epochs,
-		Flushes:        s.Flushes - o.Flushes,
-		TDWaves:        s.TDWaves - o.TDWaves,
+		MsgsSent:    s.MsgsSent - o.MsgsSent,
+		Envelopes:   s.Envelopes - o.Envelopes,
+		BytesSent:   s.BytesSent - o.BytesSent,
+		WireBytes:   s.WireBytes - o.WireBytes,
+		HandlersRun: s.HandlersRun - o.HandlersRun,
+		CtrlMsgs:    s.CtrlMsgs - o.CtrlMsgs,
+		Epochs:      s.Epochs - o.Epochs,
+		Flushes:     s.Flushes - o.Flushes,
+		TDWaves:     s.TDWaves - o.TDWaves,
 
 		EnvelopesDropped:    s.EnvelopesDropped - o.EnvelopesDropped,
 		EnvelopesDuplicated: s.EnvelopesDuplicated - o.EnvelopesDuplicated,

@@ -147,7 +147,7 @@ type Universe struct {
 	// events attribute to it.
 	curQuery atomic.Int64
 
-	barrier *Barrier
+	barrier *barrier
 	coll    collectives
 	tracer  *tracer
 	// flight is the always-on black box (nil unless WithFlightRecorder): trace
@@ -267,7 +267,7 @@ func newUniverse(cfg config) *Universe {
 		u.hasCrashes = len(u.fp.Crashes) > 0
 		u.hasDeadLinks = len(u.fp.DeadLinks) > 0
 	}
-	u.barrier = NewBarrier(cfg.Ranks)
+	u.barrier = newBarrier(cfg.Ranks)
 	u.coll.init(cfg.Ranks)
 	if per := cfg.perRankRing(); per > 0 {
 		u.tracer = newTracer(per, cfg.Ranks)

@@ -45,30 +45,3 @@ func TestWireTransportDeliversIntact(t *testing.T) {
 		t.Fatal("no wire bytes accounted")
 	}
 }
-
-func TestWireTransportWithReduction(t *testing.T) {
-	type upd struct {
-		K uint64
-		V int64
-	}
-	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
-	var handled atomic.Int64
-	mt := Register(u, "upd", func(r *Rank, m upd) { handled.Add(1) }).
-		WithWire().
-		WithReduction(
-			func(m upd) uint64 { return m.K },
-			func(old, in upd) (upd, bool) { return old, false },
-		)
-	u.Run(func(r *Rank) {
-		r.Epoch(func(ep *Epoch) {
-			if r.ID() == 0 {
-				for i := 0; i < 50; i++ {
-					mt.SendTo(r, 1, upd{K: uint64(i % 10), V: int64(i)})
-				}
-			}
-		})
-	})
-	if handled.Load() != 10 {
-		t.Fatalf("handled %d, want 10 (reduction through wire transport)", handled.Load())
-	}
-}

@@ -61,10 +61,11 @@ func E5Coalescing(sc Scale) []*harness.Table {
 	return []*harness.Table{t}
 }
 
-// E6Reduction measures the caching/reduction layer (§IV: "caching allows to
-// avoid unnecessary message sends ... in algorithms that produce potentially
-// large amounts of repetitive work") on the hand-written SSSP (its naive form:
-// one expansion per improving delivery, the repetitive work the cache is for),
+// E6Reduction measures the reduction cache (§IV: "caching allows to avoid
+// unnecessary message sends ... in algorithms that produce potentially large
+// amounts of repetitive work") on the hand-written SSSP, which combines the
+// offers of one delivered batch (its naive form: one expansion per improving
+// delivery, the repetitive work the cache is for),
 // and beside it the pattern engine's two ways of not doing repetitive work:
 // the send-side filter and coalesced re-invocation.
 func E6Reduction(sc Scale) []*harness.Table {
@@ -82,17 +83,14 @@ func E6Reduction(sc Scale) []*harness.Table {
 		d := harness.Time(func() {
 			u.Run(func(r *am.Rank) { h.Run(r, 0) })
 		})
-		name := "off"
-		if cached {
-			name = "on"
-		}
-		t.Add(row([]any{name}, statCells(u, "accepted", "suppressed", "handlers", "envelopes"),
-			d, checkSSSP(h.Dist.Gather(), n, edges, 0))...)
+		cells := statCells(u, "accepted", "handlers", "envelopes")
+		t.Add(onOff[cached], cells[0], h.Suppressed(), cells[1], cells[2],
+			d, checkSSSP(h.Dist.Gather(), n, edges, 0))
 	}
 
 	// The pattern engine's counterpart (PlanOptions.Filter): the same machine,
 	// every hop a message (Direct off). Where the cache merges relaxations
-	// that meet in one coalescing buffer, the filter declines to send one
+	// that one handler call makes, the filter declines to send one
 	// that cannot beat what the rank already offered the vertex this epoch.
 	pt := harness.NewTable("E6b: send-side filter (pattern SSSP, fixed point, Direct off)",
 		"filter", "messages", "filtered", "handlers", "envelopes", "time", "wrong")

@@ -5,12 +5,11 @@ import "declpat/internal/am"
 // statColumns maps the substrate column names used across the suite's tables
 // to counter-snapshot fields, so a column name means the same counter in
 // every table and a counter rename breaks loudly in exactly one place.
-// ("accepted" is E6's name for post-reduction sends; same counter as
-// "messages".)
+// ("accepted" is E6's name for the sends that survive the cache; same
+// counter as "messages".)
 var statColumns = map[string]func(am.Snapshot) int64{
 	"messages":       func(s am.Snapshot) int64 { return s.MsgsSent },
 	"accepted":       func(s am.Snapshot) int64 { return s.MsgsSent },
-	"suppressed":     func(s am.Snapshot) int64 { return s.MsgsSuppressed },
 	"handlers":       func(s am.Snapshot) int64 { return s.HandlersRun },
 	"envelopes":      func(s am.Snapshot) int64 { return s.Envelopes },
 	"bytes":          func(s am.Snapshot) int64 { return s.BytesSent },

@@ -15,11 +15,11 @@ import (
 
 // StragglerStat is one epoch's imbalance summary across the fleet.
 type StragglerStat struct {
-	Epoch   int64
-	Ranks   int   // ranks that reported a kernel span
-	MeanNS  int64 // mean per-rank kernel time
-	MaxNS   int64 // slowest rank's kernel time
-	MinNS   int64
+	Epoch     int64
+	Ranks     int   // ranks that reported a kernel span
+	MeanNS    int64 // mean per-rank kernel time
+	MaxNS     int64 // slowest rank's kernel time
+	MinNS     int64
 	SlowRank  int     // global rank of the straggler
 	Imbalance float64 // MaxNS / MeanNS (1.0 = perfectly balanced)
 	PerRank   map[int]int64
