@@ -160,21 +160,21 @@ func TestCoalesceFoldsTheFiring(t *testing.T) {
 
 // TestForgetsOnRollback: a rolled-back epoch replays from restored maps and
 // drops the inboxes, so engine state that records what a rank sent during
-// the aborted attempt must not survive into the replay. Rank 1 dies after
+// the aborted attempt must not survive into the replay. One rule forgets it:
+// that state is keyed on am.Universe.EpochAttempt's stamp, and the replay
+// runs under a new one; nothing is cleared by hand. Rank 1 dies after
 // handling a few messages; zero handler threads make the schedule — and so
-// each failure — exact.
+// each failure — exact. Moving r.attempt.Add out of EpochThreaded's retry
+// loop fails both rows.
 //
 //   - filter: what rank 0 offered during the aborted attempt proves nothing
 //     about the restored maps, and it must offer the same values again. A
-//     filter that remembered them would suppress every one and leave rank 1's
-//     vertices unreached. The replay's new am.Rank.EpochAttempt stamp is the
-//     only thing that empties the table (moving r.attempt.Add out of
-//     EpochThreaded's retry loop fails this row).
+//     table that remembered the offers would suppress every one and leave
+//     rank 1's vertices unreached.
 //   - coalesce: the dropped inboxes held the entries that would have cleared
 //     the pending words their firings set, and the replay must request those
-//     re-runs again. A word that survived the rollback would swallow every
-//     later request for its vertex and leave the vertices behind it unreached
-//     (dropping Engine.RestoreRank's clear fails this row).
+//     re-runs again. A word still set would swallow every later request for
+//     its vertex and leave the vertices behind it unreached.
 func TestForgetsOnRollback(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
 	for _, tc := range []struct {

@@ -171,16 +171,15 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 	r.Barrier()
 }
 
-// EpochAttempt returns a stamp that identifies the epoch attempt this rank is
-// in: it changes every time the rank enters an epoch and every time a
-// rolled-back epoch replays, and is stable from the attempt's opening barrier
-// until its closing one — the window in which the rank's bodies and handlers
-// send. A layer that remembers what it has already sent (the pattern engine's
-// send-side filter) keys that memory on the stamp: everything sent under an
-// earlier stamp has either been handled (the epoch guarantee) or discarded
-// (the rollback), and the state it was sent to may have been reset since. The
-// value is never 0 inside an epoch.
-func (r *Rank) EpochAttempt() uint64 { return r.attempt.Load() }
+// EpochAttempt returns a stamp that identifies the epoch attempt rank is in:
+// it changes every time the rank enters an epoch and every time a rolled-back
+// epoch replays, and is stable from the attempt's opening barrier until its
+// closing one — the window in which the rank's bodies and handlers send.
+// Between epochs it is the last attempt's. A layer that remembers what it has
+// sent or requested (the pattern engine's send-side filter and pending words)
+// keys that memory on the stamp: what an earlier stamp recorded was handled
+// (the epoch guarantee) or discarded (the rollback). Never 0 inside an epoch.
+func (u *Universe) EpochAttempt(rank int) uint64 { return u.ranks[rank].attempt.Load() }
 
 // runBodies runs one epoch attempt: the body participants plus the rank
 // main's progress loop, returning once the epoch has globally finished or

@@ -4,13 +4,11 @@ import "declpat/internal/ckpt"
 
 // Epoch-granular checkpoint/restart support (am.Checkpointer). The engine's
 // mutable per-rank state outside the user's property maps is each bound
-// action's modification flag (the `once` strategy's changed-anything bit) and
-// the pending words of its coalesced rerun hook (rerun.go). The words are all
-// 0 at every epoch boundary, so there is nothing to save; a rollback drops the
-// entries that would have cleared them, so RestoreRank clears them. Everything
-// else — compiled actions, bindings, work hooks — is frozen before Run, and
-// the send-side filter's tables describe one epoch attempt: the replay runs
-// under a new am.Rank.EpochAttempt stamp, which empties them. Action-level
+// action's modification flag (the `once` strategy's changed-anything bit).
+// Everything else is frozen before Run — compiled actions, bindings, work
+// hooks — or keyed on the am epoch-attempt stamp — the send-side filter's
+// tables and the coalesced rerun hook's pending words — and the replay of a
+// rolled-back epoch runs under a new stamp, which forgets both. Action-level
 // Stats counters are diagnostics, not algorithm state, and are deliberately
 // not rewound.
 
@@ -26,7 +24,6 @@ func (e *Engine) SnapshotRank(rank int) []byte {
 }
 
 // RestoreRank rolls every bound action's modification flag back for one rank
-// and forgets the re-runs the aborted attempt had requested there
 // (am.Checkpointer).
 func (e *Engine) RestoreRank(rank int, b []byte) error {
 	return ckpt.Apply(b, func(d *ckpt.Dec, write bool) {
@@ -34,9 +31,6 @@ func (e *Engine) RestoreRank(rank int, b []byte) error {
 		for _, ba := range e.actions {
 			if f := d.Bool(); write {
 				ba.modified[rank].Store(f)
-				if ba.pending != nil {
-					clear(ba.pending[rank])
-				}
 			}
 		}
 	})

@@ -263,7 +263,7 @@ type BoundAction struct {
 	// pending[rank][li] is the coalesced rerun hook's word for the vertex at
 	// local index li of rank's shard (rerun.go); nil unless SetWorkRerun
 	// installed the hook on a coalescible action.
-	pending  [][]atomic.Uint32
+	pending  [][]atomic.Uint64
 	modified []atomic.Bool
 	st       []obs.Shard // Stats' write side, one shard per rank
 	Stats    Stats
@@ -312,7 +312,7 @@ func (ba *BoundAction) ModifiedLocal(r *am.Rank) bool { return ba.modified[r.ID(
 func (ba *BoundAction) Invoke(r *am.Rank, v distgraph.Vertex) {
 	h := ba.entryMsg(v)
 	if at := ba.eng.site(v); at.rank == r.ID() {
-		c := ba.eng.cursor()
+		c := ba.eng.cursor(r)
 		ba.enter(r, c, v, at)
 		ba.release(r, c)
 		return
@@ -356,7 +356,7 @@ func (e *Engine) dispatchBatch(r *am.Rank, b []hopMsg) {
 			if c != nil {
 				ba.release(r, c)
 			}
-			ba, c = next, e.cursor()
+			ba, c = next, e.cursor(r)
 		}
 		switch m.Hop {
 		case hopEntry:
@@ -401,16 +401,22 @@ type cursor struct {
 	m   patMsg
 	n   [numStats]int64
 	out [][]hopMsg // staged sends, by destination rank
+	// stamp is the running rank's am epoch-attempt stamp, read once per run:
+	// the key of everything the engine remembers within one attempt (the
+	// filter's offers, the pending words). A run never spans two attempts.
+	stamp uint64
 }
 
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
-// cursor takes a cursor from the pool with a staging run for each rank.
-func (e *Engine) cursor() *cursor {
+// cursor takes a cursor from the pool for a run on r, with a staging run for
+// each rank.
+func (e *Engine) cursor(r *am.Rank) *cursor {
 	c := cursorPool.Get().(*cursor)
 	if n := e.u.Ranks(); len(c.out) < n {
 		c.out = make([][]hopMsg, n)
 	}
+	c.stamp = e.u.EpochAttempt(r.ID())
 	return c
 }
 
@@ -532,7 +538,7 @@ func (ba *BoundAction) loop(r *am.Rank, c *cursor, at site, nbrs []distgraph.Ver
 		wat := e.site(w)
 		if wat.rank != rank {
 			if !st.direct || !r.Coresident(wat.rank) {
-				if f := st.filter; f != nil && f.kind != syncLock && !f.offer(r, w, st.mods[0].rhs(m)) {
+				if f := st.filter; f != nil && f.kind != syncLock && !f.offer(rank, c.stamp, w, st.mods[0].rhs(m)) {
 					filtered++
 					continue
 				}
@@ -615,7 +621,7 @@ func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 		at := e.site(dest)
 		if at.rank != rank {
 			if !st.direct || !r.Coresident(at.rank) {
-				if f := st.filter; f != nil && f.kind != syncLock && !f.offer(r, dest, st.mods[0].rhs(m)) {
+				if f := st.filter; f != nil && f.kind != syncLock && !f.offer(r.ID(), c.stamp, dest, st.mods[0].rhs(m)) {
 					c.n[sFilteredHops]++
 					c.n[sTestsFalse]++
 					ci, hi = pc.nextFalse, 0

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"declpat/internal/am"
 	"declpat/internal/distgraph"
 )
 
@@ -105,14 +104,14 @@ func (f *filter) none() int64 {
 	return math.MaxInt64
 }
 
-// offer records that rank r is about to send rhs to v's word and reports
-// whether the message can still win; false means r already offered v a value
-// at least as good in this epoch attempt. The rank's body and handler threads
-// offer concurrently, hence the CAS.
-func (f *filter) offer(r *am.Rank, v distgraph.Vertex, rhs Word) bool {
-	fr := &f.ranks[r.ID()]
-	if at := r.EpochAttempt(); fr.stamp.Load() != at {
-		fr.reset(at, f.none(), f.nv)
+// offer records that rank, in epoch attempt stamp, is about to send rhs to
+// v's word and reports whether the message can still win; false means the
+// rank already offered v a value at least as good in this attempt. The rank's
+// body and handler threads offer concurrently, hence the CAS.
+func (f *filter) offer(rank int, stamp uint64, v distgraph.Vertex, rhs Word) bool {
+	fr := &f.ranks[rank]
+	if fr.stamp.Load() != stamp {
+		fr.reset(stamp, f.none(), f.nv)
 	}
 	p := &fr.best[v]
 	for {

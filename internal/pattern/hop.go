@@ -8,7 +8,7 @@ import (
 	"declpat/internal/distgraph"
 )
 
-// Hop messages (DESIGN.md, "Bound programs" and "The slot argument").
+// Hop messages (DESIGN.md, "The hop message" and "The cursor").
 //
 // The cursor (patMsg) holds everything an item has bound or gathered. A hop
 // that travels needs only part of it: the words some later step reads before

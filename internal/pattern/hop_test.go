@@ -47,7 +47,7 @@ func TestHopPathAllocFree(t *testing.T) {
 			at := eng.site(v)
 			requested = testing.AllocsPerRun(100, func() {
 				relax.pending[at.rank][at.li].Store(0)
-				c := eng.cursor()
+				c := eng.cursor(r)
 				relax.requestRerun(c, v, at)
 				relax.release(r, c)
 			})

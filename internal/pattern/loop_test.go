@@ -163,7 +163,7 @@ func runEntries(t *testing.T, mk func() *Pattern, name string, mc loopMachine, r
 			defer close(done[rank])
 			for li := range g.Local(rank).NumLocal() {
 				v := d.Global(rank, li)
-				c := &cursor{out: make([][]hopMsg, mc.ranks)}
+				c := &cursor{out: make([][]hopMsg, mc.ranks), stamp: u.EpochAttempt(rank)}
 				ba.enter(r, c, v, eng.site(v))
 				for id, n := range c.n {
 					out.stats[rank][id] += n

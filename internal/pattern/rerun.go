@@ -26,6 +26,14 @@ import (
 // is staged in the winner's cursor and mailed when that run is released
 // (engine.go), so until it starts it is staged or in flight; either way it
 // starts after the loser's write.
+//
+// A word is set when it holds the current am epoch-attempt stamp (the
+// cursor's), and clear when it holds anything else: the entry stores 0, which
+// no attempt's stamp is. A rolled-back attempt drops the entries that would
+// have cleared its words, and its replay runs under a new stamp, so those
+// words read clear without anyone touching them — the same rule that empties
+// the send-side filter's tables. The words are 64 bits wide, like the stamp,
+// so an old attempt's word never equals a later attempt's stamp.
 
 // SetWorkRerun makes the action its own work hook: the paper's
 // `a.work(Vertex v) = { a(v) }`, declared instead of spelled as a closure so
@@ -40,9 +48,9 @@ func (ba *BoundAction) SetWorkRerun() {
 		return
 	}
 	dist := ba.eng.dist
-	ba.work, ba.pending = nil, make([][]atomic.Uint32, dist.Ranks())
+	ba.work, ba.pending = nil, make([][]atomic.Uint64, dist.Ranks())
 	for rank := range ba.pending {
-		ba.pending[rank] = make([]atomic.Uint32, dist.LocalCount(rank))
+		ba.pending[rank] = make([]atomic.Uint64, dist.LocalCount(rank))
 	}
 }
 
@@ -52,19 +60,23 @@ func (ba *BoundAction) SetWorkRerun() {
 func (ba *BoundAction) requestRerun(c *cursor, v distgraph.Vertex, at site) {
 	// The load keeps a firing that will lose from taking the word's cache
 	// line exclusively; it is ordered like the test-and-set it stands in for.
-	if p := &ba.pending[at.rank][at.li]; p.Load() == 0 && p.CompareAndSwap(0, 1) {
+	// Co-resident ranks are in the same attempt, so c's stamp is at.rank's.
+	p := &ba.pending[at.rank][at.li]
+	if w := p.Load(); w != c.stamp && p.CompareAndSwap(w, c.stamp) {
 		c.send(at.rank, hopMsg{Action: int32(ba.ca.id), Hop: hopEntry, Dest: v})
 	}
 }
 
-// PendingReruns counts rank's vertices whose pending word is set. Between
-// epochs it is 0: every set word has an entry in flight that clears it, and an
+// PendingReruns counts rank's vertices whose pending word is set, i.e. holds
+// the rank's current epoch-attempt stamp. Between epochs it is 0: every word
+// set in a committed attempt has an entry in flight that clears it, and an
 // epoch ends only when nothing is in flight.
 func (ba *BoundAction) PendingReruns(rank int) int {
 	n := 0
 	if ba.pending != nil {
+		stamp := ba.eng.u.EpochAttempt(rank)
 		for i := range ba.pending[rank] {
-			if ba.pending[rank][i].Load() != 0 {
+			if ba.pending[rank][i].Load() == stamp {
 				n++
 			}
 		}

@@ -219,11 +219,10 @@ func (rig *ckptRig) cases(r *am.Rank) []ckptCase {
 			mutate: func() { mutateBuckets(rig.dd.buckets[0][0]); rig.dd.buckets[0][1].Insert(7, 1) }},
 		{name: "Engine", ck: rig.eng, other: flags.B,
 			setup: func() { rig.dist.Set(0, 0, 0) },
-			// A relaxation from 0 raises the modified flag and sets vertex
-			// 1's pending word; its re-run waits in the outbox.
+			// A relaxation from 0 raises the modified flag.
 			mutate: func() { rig.dist.Set(0, 1, pattern.Inf); rig.rerun.Invoke(r, 0) },
 			view: func() any {
-				return []any{rig.rerun.ModifiedLocal(r), rig.work.ModifiedLocal(r), rig.rerun.PendingReruns(0)}
+				return []any{rig.rerun.ModifiedLocal(r), rig.work.ModifiedLocal(r)}
 			}},
 	}
 }
@@ -232,8 +231,9 @@ func (rig *ckptRig) cases(r *am.Rank) []ckptCase {
 // state are byte-identical; after a mutation, restoring the snapshot brings
 // the live state back to the snapshot's, and the same bytes restore again
 // after a second mutation (one snapshot seeds several replays); a blob of
-// another shape is an error and changes nothing. The engine's restore also
-// forgets pending re-runs, which its bytes do not carry.
+// another shape is an error and changes nothing. The engine's pending re-run
+// words are not in its bytes: a replay's new epoch-attempt stamp forgets them
+// (TestForgetsOnRollback in internal/algorithms).
 func TestCheckpointRoundTrip(t *testing.T) {
 	rig := newCkptRig()
 	err := rig.u.Run(func(r *am.Rank) {
