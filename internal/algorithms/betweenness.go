@@ -116,7 +116,7 @@ func (b *Betweenness) Run(r *am.Rank, sources []distgraph.Vertex) {
 	g := b.G
 	rid := r.ID()
 	locals := LocalVertices(g, r)
-	b.BC.ForEachLocal(rid, func(v distgraph.Vertex, _ int64) { b.BC.Set(rid, v, 0) })
+	b.BC.Fill(rid, 0)
 	r.Barrier()
 
 	for _, s := range sources {

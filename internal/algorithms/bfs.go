@@ -67,9 +67,7 @@ func (b *BFS) Run(r *am.Rank, src distgraph.Vertex) {
 // arrive. The query plane uses it to recycle its bound BFS slot between
 // queries without re-binding the pattern.
 func (b *BFS) ResetLocal(r *am.Rank) {
-	b.Level.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
-		b.Level.Set(r.ID(), v, pattern.Inf)
-	})
+	b.Level.Fill(r.ID(), pattern.Inf)
 }
 
 // SeedLocal marks src as a level-0 root if this rank owns it, appending it to

@@ -54,9 +54,7 @@ func NewBFSTree(eng *pattern.Engine) *BFSTree {
 // Run builds a search tree from src (whose parent is itself). Collective.
 func (b *BFSTree) Run(r *am.Rank, src distgraph.Vertex) {
 	ph := r.Phase(obs.PhaseCollect)
-	b.Parent.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
-		b.Parent.Set(r.ID(), v, pattern.NilWord)
-	})
+	b.Parent.Fill(r.ID(), pattern.NilWord)
 	var seeds []distgraph.Vertex
 	if b.G.Owner(src) == r.ID() {
 		b.Parent.Set(r.ID(), src, int64(src))

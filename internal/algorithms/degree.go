@@ -49,9 +49,7 @@ func NewDegreeCount(eng *pattern.Engine) *DegreeCount {
 // Run counts in-degrees. Collective.
 func (d *DegreeCount) Run(r *am.Rank) {
 	ph := r.Phase(obs.PhaseCollect)
-	d.InDeg.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
-		d.InDeg.Set(r.ID(), v, 0)
-	})
+	d.InDeg.Fill(r.ID(), 0)
 	ph.End()
 	r.Barrier()
 	r.Epoch(func(ep *am.Epoch) {

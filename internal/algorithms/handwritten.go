@@ -144,9 +144,7 @@ func (h *hand) end(r *am.Rank, s *stage) {
 
 // run solves from src. Collective.
 func (h *hand) run(r *am.Rank, src distgraph.Vertex) {
-	h.val.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
-		h.val.Set(r.ID(), v, pattern.Inf)
-	})
+	h.val.Fill(r.ID(), pattern.Inf)
 	r.Barrier()
 	r.Epoch(func(ep *am.Epoch) {
 		if h.g.Owner(src) == r.ID() {

@@ -163,9 +163,7 @@ func (s *SSSP) BucketEpochs() int {
 // rounds. Collective. The configured strategy is ignored.
 func (s *SSSP) RunBellmanFordRounds(r *am.Rank, src distgraph.Vertex) int {
 	ph := r.Phase(obs.PhaseCollect)
-	s.Dist.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
-		s.Dist.Set(r.ID(), v, pattern.Inf)
-	})
+	s.Dist.Fill(r.ID(), pattern.Inf)
 	if s.G.Owner(src) == r.ID() {
 		s.Dist.Set(r.ID(), src, 0)
 	}
@@ -187,9 +185,7 @@ func (s *SSSP) RunBellmanFordRounds(r *am.Rank, src distgraph.Vertex) int {
 // arrive. The query plane uses it to recycle its bound SSSP slot between
 // queries without re-binding the pattern.
 func (s *SSSP) ResetLocal(r *am.Rank) {
-	s.Dist.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
-		s.Dist.Set(r.ID(), v, pattern.Inf)
-	})
+	s.Dist.Fill(r.ID(), pattern.Inf)
 }
 
 // SeedLocal zeroes src's distance if this rank owns it, appending it to seeds

@@ -60,9 +60,7 @@ func NewWidest(eng *pattern.Engine) *Widest {
 // Run computes capacities from src (whose capacity is ∞). Collective.
 func (w *Widest) Run(r *am.Rank, src distgraph.Vertex) {
 	ph := r.Phase(obs.PhaseCollect)
-	w.Cap.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
-		w.Cap.Set(r.ID(), v, 0)
-	})
+	w.Cap.Fill(r.ID(), 0)
 	var seeds []distgraph.Vertex
 	if w.G.Owner(src) == r.ID() {
 		w.Cap.Set(r.ID(), src, pattern.Inf)

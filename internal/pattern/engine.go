@@ -453,9 +453,9 @@ func (ba *BoundAction) release(r *am.Rank, c *cursor) {
 
 // enter executes the generator at v, which this rank owns (resolved to at),
 // and runs every generated item through the condition chain in c: one loop
-// for a loop-shaped action, item by item through run for any other. The items
-// of one entry share the cursor: the generator rewrites only the bindings that
-// differ from item to item.
+// over the typed item of a relax-shaped action (program.relax), item by item
+// through run for any other. The items of one entry share the cursor: the
+// generator rewrites only the bindings that differ from item to item.
 func (ba *BoundAction) enter(r *am.Rank, c *cursor, v distgraph.Vertex, at site) {
 	if ba.pending != nil {
 		// This run reads v's values from here on: a change that lands later
@@ -489,7 +489,7 @@ func (ba *BoundAction) enter(r *am.Rank, c *cursor, v distgraph.Vertex, at site)
 	case GenPropSet:
 		nbrs = p.genSet.Members(at.rank, v)
 	}
-	if p.loop {
+	if p.relax != nil {
 		ba.loop(r, c, at, nbrs, slot0)
 		return
 	}
@@ -512,44 +512,72 @@ func (p *program) bind(m *patMsg, w distgraph.Vertex, slot uint32) {
 	}
 }
 
-// loop runs the items of an entry of a loop-shaped action (program.loop),
-// whose neighbours are nbrs, from slot0 on. An item is the entry gather, the
-// early-exit test and the one atomic eval hop, at the neighbour itself; the
-// loop makes run's decisions about that hop in run's order — refuse a vertex
-// outside the graph; apply here, or directly in a co-resident owner's shard
-// and fire; or answer false from the filter, or pack and stage — without
-// run's step walk, and adds to c's counters once per entry. The entry loads
-// stay per item: an earlier item (a self-loop) can change what a later one
-// reads. The payload is not zeroed per item: every slot an item reads is one
-// its own entry gather wrote (loopShape).
+// loop runs the items of an entry of a relax-shaped action (program.relax),
+// whose neighbours are nbrs, from slot0 on. It resolves the item's operands
+// once per entry — v's word in this rank's shard, the window of an edge word
+// from slot0, a constant — and per item loads them into registers, computes
+// the value there and makes run's decisions about the one atomic eval hop in
+// run's order: refuse a vertex outside the graph; apply here, or directly in
+// a co-resident owner's shard and fire; or ask the filter with the value,
+// then pack and stage. v's word is reloaded per item: an earlier item (a
+// self-loop) can change it. The cursor is never written, and the counters are
+// added once per entry.
 func (ba *BoundAction) loop(r *am.Rank, c *cursor, at site, nbrs []distgraph.Vertex, slot0 uint32) {
 	e, p := ba.eng, ba.prog
-	st := &p.conds[0].steps[0]
-	m := &c.m
+	ri, st := p.relax, &p.conds[0].steps[0]
 	rank := r.ID()
+	// Register j of item i is src[j][i*step[j]].
+	var src [relaxRegs][]int64
+	var step [relaxRegs]int
+	for j := range ri.opd {
+		switch o := &ri.opd[j]; {
+		case o.vw != nil:
+			src[j] = o.vw.Shard(at.rank)[at.li:]
+		case o.ew != nil:
+			src[j], step[j] = o.ew.Shard(at.rank, p.gen == GenInEdges)[slot0:][:len(nbrs)], 1
+		default:
+			src[j] = o.k[:]
+		}
+	}
+	f := st.filter
+	if f != nil && f.kind == syncLock {
+		f = nil
+	}
+	op, hasPre, pre := ri.op, ri.hasPre, ri.pre
 	var changed, unchanged, failed, direct, filtered int64
 	for i, w := range nbrs {
-		p.bind(m, w, slot0+uint32(i))
-		p.entry.gather(m, at)
-		if (st.pre != nil && st.pre(m) == 0) || int(w) >= e.nv { // NilVertex included
+		x0 := atomic.LoadInt64(&src[0][i*step[0]])
+		x1 := atomic.LoadInt64(&src[1][i*step[1]])
+		if hasPre {
+			x := [relaxRegs]Word{x0, x1, atomic.LoadInt64(&src[2][i*step[2]]), atomic.LoadInt64(&src[3][i*step[3]])}
+			if !relaxHolds(pre.op, x[pre.a], x[pre.b]) {
+				failed++
+				continue
+			}
+		}
+		if int(w) >= e.nv { // NilVertex included
 			failed++
 			continue
 		}
+		val := relaxValue(op, x0, x1)
 		wat := e.site(w)
 		if wat.rank != rank {
 			if !st.direct || !r.Coresident(wat.rank) {
-				if f := st.filter; f != nil && f.kind != syncLock && !f.offer(rank, c.stamp, w, st.mods[0].rhs(m)) {
+				if f != nil && !f.offer(rank, c.stamp, w, val) {
 					filtered++
 					continue
 				}
 				h := hopMsg{Action: int32(ba.ca.id), Dest: w}
-				st.pack(m, &h)
+				lane := [3]Word{val, x0, x1}
+				for k, l := range ri.lanes {
+					h.W[k] = lane[l]
+				}
 				c.send(wat.rank, h)
 				continue
 			}
 			direct++
 		}
-		if !st.atomic(m, w, wat) {
+		if !st.atomic(val, w, wat) {
 			unchanged++
 			continue
 		}
@@ -641,7 +669,7 @@ func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 		case stepAtomic:
 			// The condition's outcome is whether the update moved the value
 			// (for the detected relax shape: whether it improved it).
-			if held = st.atomic(m, dest, at); held {
+			if held = st.atomic(st.mods[0].rhs(m), dest, at); held {
 				c.n[sModsChanged]++
 				c.n[sTestsTrue]++
 				if st.mods[0].fires {

@@ -8,13 +8,14 @@ import (
 	"declpat/internal/pattern"
 )
 
-// TestEntryLoopMatchesRun: an entry of a loop-shaped action runs through the
-// loop exactly as it runs item by item through the step walk — the same maps,
-// counters, staged sends and hook calls on one rank, on two co-resident
+// TestEntryLoopMatchesRun: an entry of a relax-shaped action runs through the
+// typed loop exactly as it runs item by item through the step walk — the same
+// maps, counters, staged sends and hook calls on one rank, on two co-resident
 // channel ranks with Direct and Filter each on and off, and on two Unix-socket
 // ranks through the fixed wire codec (pattern.EntryLoopMatchesRun). It covers
-// every loop-shaped action of the bundled patterns, which must be exactly the
-// nine below, and every loop-shaped draw of the random-pattern generator.
+// every action of the bundled patterns that takes the typed loop, which must
+// be exactly the nine below; a raising relax whose self-loops change v's own
+// word for the items after them; and every random draw that takes the loop.
 func TestEntryLoopMatchesRun(t *testing.T) {
 	bundled := []func() *pattern.Pattern{
 		algorithms.SSSPPattern,
@@ -45,22 +46,34 @@ func TestEntryLoopMatchesRun(t *testing.T) {
 		"KCore-3.notify", "CC.cc_link",
 	}
 	if !slices.Equal(loops, want) {
-		t.Errorf("loop-shaped bundled actions: %v, want %v", loops, want)
+		t.Errorf("bundled actions that take the typed loop: %v, want %v", loops, want)
 	}
-	t.Logf("%d of %d bundled actions are loop-shaped", len(loops), actions)
+	t.Logf("%d of %d bundled actions take the typed loop", len(loops), actions)
 	cov.Check(t)
+
+	// x[trg(e)] max= x[v] + w[e]: on a self-loop the item raises x[v], which
+	// every later item of the entry reads.
+	raise := func() *pattern.Pattern {
+		p := pattern.New("Raise")
+		x, w := p.VertexProp("x"), p.EdgeProp("w")
+		p.Action("raise", pattern.OutEdges()).Do().SetMax(x.At(pattern.Trg()), pattern.Add(x.At(pattern.V()), w.At(pattern.E())))
+		return p
+	}
+	if got := pattern.EntryLoopMatchesRun(t, raise, pattern.LoopCoverage{}); !slices.Equal(got, []string{"raise"}) {
+		t.Errorf("Raise: actions that take the typed loop %v, want [raise]", got)
+	}
 
 	rcov := pattern.LoopCoverage{}
 	draws := 0
-	const seeds = 2000
+	const seeds = 30000
 	for seed := range uint64(seeds) {
 		if len(pattern.EntryLoopMatchesRun(t, func() *pattern.Pattern { return pattern.RandomPattern(seed) }, rcov)) > 0 {
 			draws++
 		}
 	}
-	t.Logf("%d of %d random draws are loop-shaped", draws, seeds)
+	t.Logf("%d of %d random draws take the typed loop", draws, seeds)
 	if draws < 20 {
-		t.Fatalf("only %d random draws are loop-shaped", draws)
+		t.Fatalf("only %d random draws take the typed loop", draws)
 	}
 	rcov.Check(t)
 }

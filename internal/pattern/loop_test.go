@@ -11,7 +11,8 @@ import (
 	"declpat/internal/pmap"
 )
 
-// The entry loop (engine.go, loop) against the item path it stands in for.
+// The typed entry loop (engine.go, loop) against the item path it stands in
+// for.
 // TestEntryLoopMatchesRun lives in the external test package, which can
 // import the bundled patterns (internal/algorithms imports this package); the
 // check itself needs the engine's internals and is exported to it from here.
@@ -132,7 +133,7 @@ func loopBind(t *testing.T, mk func() *Pattern, mc loopMachine) (*am.Universe, *
 // action at every vertex, rank after rank, each in a cursor of its own that
 // is recorded and never released: nothing is mailed, so no entry sees
 // another's sends. rerun installs the coalesced rerun hook instead of a
-// recording one. itemByItem turns the action's loop off, so its entries run
+// recording one. itemByItem drops the action's typed item, so its entries run
 // through item and run.
 func runEntries(t *testing.T, mk func() *Pattern, name string, mc loopMachine, rerun, itemByItem bool) (out loopOutcome) {
 	t.Helper()
@@ -140,7 +141,7 @@ func runEntries(t *testing.T, mk func() *Pattern, name string, mc loopMachine, r
 	d, g := eng.dist, eng.g
 	ba := bound.Action(name)
 	if itemByItem {
-		ba.prog.loop = false
+		ba.prog.relax = nil
 	}
 	hooks := make([][]loopHook, mc.ranks)
 	if rerun {
@@ -249,15 +250,15 @@ func (cov LoopCoverage) Check(t *testing.T) {
 	}
 }
 
-// EntryLoopMatchesRun runs, for every loop-shaped action of mk's pattern and
-// on every machine of loopMachines, one entry at every vertex two ways, each
-// on fresh copies of the same maps: through the loop, and item by item
-// through item and run — with a recording work hook, and for a coalescible
+// EntryLoopMatchesRun runs, for every action of mk's pattern that takes the
+// typed loop (program.relax) and on every machine of loopMachines, one entry
+// at every vertex two ways, each on fresh copies of the same maps: through the
+// loop, and item by item through item and run — with a recording work hook, and for a coalescible
 // action also with the coalesced rerun hook. The two must leave identical
 // maps, add identical counters on every rank, stage identical sends (the
 // destination rank and the message, in order) and call the hook identically.
-// It returns the names of the loop-shaped actions (nil when Bind refuses the
-// pattern) and adds what the loop did to cov.
+// It returns the names of the actions that take the typed loop (nil when Bind
+// refuses the pattern) and adds what the loop did to cov.
 func EntryLoopMatchesRun(t *testing.T, mk func() *Pattern, cov LoopCoverage) []string {
 	t.Helper()
 	_, _, bound, _ := loopBind(t, mk, loopMachines[0])
@@ -267,7 +268,7 @@ func EntryLoopMatchesRun(t *testing.T, mk func() *Pattern, cov LoopCoverage) []s
 	var loops []string
 	for _, a := range bound.Pattern.Actions {
 		ba := bound.Action(a.Name)
-		if !ba.prog.loop {
+		if ba.prog.relax == nil {
 			continue
 		}
 		loops = append(loops, a.Name)

@@ -30,9 +30,10 @@ type program struct {
 	// every generated item (only loads and folds are set).
 	entry progStep
 	conds []progCond
-	// loop marks the relax shape (loopShape): an entry runs its items as one
-	// loop (engine.go, loop).
-	loop bool
+	// relax is the item of a relax-shaped action lowered to registers
+	// (lowerRelax): an entry runs its items as one loop over it (engine.go,
+	// loop). nil: the action runs item by item.
+	relax *relaxItem
 }
 
 // progCond is one condition's plan. steps lists the condition's hops in plan
@@ -216,7 +217,9 @@ func compileProgram(ca *compiledAction, binds map[*Prop]binding, lm *pmap.LockMa
 		}
 		p.conds[ci] = pc
 	}
-	p.loop = p.loopShape() && !ca.entryReadsUnwritten()
+	if p.loopShape() {
+		p.relax = lowerRelax(ca, p, binds)
+	}
 	return p
 }
 
@@ -243,25 +246,200 @@ func (p *program) loopShape() bool {
 	return false
 }
 
-// entryReadsUnwritten reports whether an item of the one-condition action
-// reads a payload slot — in an entry fold, the early-exit test or the eval
-// hop — that the entry gather has not written before the read. Such an item
-// relies on item's payload clear, which the loop does without; no bundled
-// action and no random draw reads one.
-func (ca *compiledAction) entryReadsUnwritten() bool {
-	gen := ca.action.Gen.Kind
-	var reads, writes liveSet
-	for _, acc := range ca.entry.loads {
-		writes |= slotBit(acc.slot)
+// relaxItem is the item of a relax-shaped action, typed (lowerRelax). Its
+// registers x0…x3 each hold an operand: v's word of a vertex-word map, the
+// generated edge's word of an edge-word map, or a constant. The value is
+// x0 op x1; the early-exit test, if any, compares two registers, x2 and x3
+// holding what the value does not read; a carried word is the value, x0 or
+// x1. A register is loaded once per item, so the test, the value and the
+// carried words see one reading of each word. The instruction and its target
+// are the eval step's (sync, mods[0]).
+type relaxItem struct {
+	opd    [relaxRegs]relaxOpd
+	op     BinOp
+	hasPre bool
+	pre    relaxTest
+	// lanes are a mailed hop's words in pack order (progStep.carry): 0 is the
+	// value, 1 is x0, 2 is x1.
+	lanes []uint8
+}
+
+const relaxRegs = 4
+
+// relaxOpd is the operand in one register: v's word of vw, the generated
+// edge's word of ew, or, when neither is set, k — a word loaded like the
+// others, so every register is read the same way.
+type relaxOpd struct {
+	vw *pmap.VertexWord
+	ew *pmap.EdgeWord
+	k  [1]int64
+}
+
+// relaxTest is the early-exit test: the item runs iff x[a] op x[b] holds.
+type relaxTest struct {
+	op   BinOp
+	a, b uint8
+}
+
+// relaxValue is l op r, for op one of + − min max < <= > >= == !=.
+func relaxValue(op BinOp, l, r Word) Word {
+	switch op {
+	case OpAdd:
+		return l + r
+	case OpSub:
+		return l - r
+	case OpMin:
+		return min(l, r)
+	case OpMax:
+		return max(l, r)
+	}
+	return b2w(relaxHolds(op, l, r))
+}
+
+// relaxHolds reports whether the comparison l op r holds.
+func relaxHolds(op BinOp, l, r Word) bool {
+	switch op {
+	case OpLt:
+		return l < r
+	case OpLe:
+		return l <= r
+	case OpGt:
+		return l > r
+	case OpGe:
+		return l >= r
+	case OpEq:
+		return l == r
+	}
+	return l != r // OpNe
+}
+
+// relaxTerm is an operand before register allocation: entry load number load,
+// or the constant k when load is -1.
+type relaxTerm struct {
+	load int
+	k    Word
+}
+
+// relaxZero is the constant 0. A lone operand t is the word t + relaxZero.
+var relaxZero = relaxTerm{load: -1}
+
+// relaxSym is a word the entry gather computes, a op b, before register
+// allocation.
+type relaxSym struct {
+	op   BinOp
+	a, b relaxTerm
+}
+
+// lone reports the operand y is, if it is one alone.
+func (y *relaxSym) lone() (relaxTerm, bool) {
+	return y.a, y.op == OpAdd && y.b == relaxZero
+}
+
+// lowerRelax lowers the item of the relax-shaped program p to its typed form,
+// or returns nil when the item is outside the family: the instruction is min,
+// max or add; the value is one operand, or two joined by one of + − min max
+// < <= > >= == !=; the early-exit test, if any, is one operand (it holds when
+// not 0) or a comparison of two; every operand is a constant or a word the
+// entry gather loads — v's, or the generated edge's — directly or through one
+// fold; and a mailed hop carries the value or its operands. Anything else, a
+// slot the entry gather does not write included, runs through item and run.
+func lowerRelax(ca *compiledAction, p *program, binds map[*Prop]binding) *relaxItem {
+	st := &p.conds[0].steps[0]
+	if st.sync != syncAtomicMin && st.sync != syncAtomicMax && st.sync != syncAtomicAdd {
+		return nil
+	}
+	// slots[s] is what the entry gather leaves in payload slot s; nil: unknown.
+	var slots [MaxSlots]*relaxSym
+	leaf := func(e Expr) (relaxTerm, bool) {
+		if s, ok := exprSlot(e); ok {
+			if slots[s] == nil {
+				return relaxTerm{}, false
+			}
+			return slots[s].lone()
+		}
+		k, ok := e.(Const)
+		return relaxTerm{load: -1, k: k.X}, ok
+	}
+	lower := func(e Expr) *relaxSym {
+		if s, ok := exprSlot(e); ok {
+			return slots[s]
+		}
+		if t, ok := leaf(e); ok {
+			return &relaxSym{op: OpAdd, a: t, b: relaxZero}
+		}
+		if b, ok := e.(Bin); ok && (b.Op == OpAdd || b.Op == OpSub || (b.Op >= OpMin && b.Op <= OpNe)) {
+			l, lok := leaf(b.L)
+			r, rok := leaf(b.R)
+			if lok && rok {
+				return &relaxSym{op: b.Op, a: l, b: r}
+			}
+		}
+		return nil
+	}
+	for i, acc := range ca.entry.loads {
+		slots[acc.slot] = &relaxSym{op: OpAdd, a: relaxTerm{load: i}, b: relaxZero}
 	}
 	for _, f := range ca.entry.folds {
-		reads |= exprBits(f.expr, gen) &^ writes
-		writes |= slotBit(f.slot)
+		slots[f.slot] = lower(f.expr)
 	}
-	for _, u := range ca.conds[0].uses(gen) {
-		reads |= (u.reads | u.pre) &^ writes
+	cp := &ca.conds[0]
+	value := lower(cp.modRhs[cp.mergedMods[0]])
+	if value == nil || (value.a == value.b && value.a.load >= 0) {
+		return nil // x0 and x1 would load one word twice
 	}
-	return reads&slotBits != 0
+	ri := &relaxItem{op: value.op}
+	terms := [relaxRegs]relaxTerm{value.a, value.b, relaxZero, relaxZero}
+	// The test's operands the value does not read take x2 and x3.
+	used := uint8(2)
+	reg := func(t relaxTerm) uint8 {
+		for i := range used {
+			if terms[i] == t {
+				return i
+			}
+		}
+		terms[used] = t
+		used++
+		return used - 1
+	}
+	if cp.preTest != nil {
+		pre := lower(cp.preTest)
+		if pre == nil {
+			return nil
+		}
+		if t, ok := pre.lone(); ok {
+			pre = &relaxSym{op: OpNe, a: t, b: relaxZero}
+		} else if pre.op < OpLt {
+			return nil
+		}
+		ri.hasPre, ri.pre = true, relaxTest{op: pre.op, a: reg(pre.a), b: reg(pre.b)}
+	}
+	// The value reads payload slots only, so its carried words are slots.
+	for _, w := range st.carry {
+		y := slots[w]
+		if y == nil {
+			return nil
+		}
+		t, lone := y.lone()
+		switch {
+		case *y == *value:
+			ri.lanes = append(ri.lanes, 0)
+		case lone && t == terms[0]:
+			ri.lanes = append(ri.lanes, 1)
+		case lone && t == terms[1]:
+			ri.lanes = append(ri.lanes, 2)
+		default:
+			return nil
+		}
+	}
+	for i, t := range terms {
+		if t.load < 0 {
+			ri.opd[i].k[0] = t.k
+			continue
+		}
+		bd := binds[ca.entry.loads[t.load].Prop]
+		ri.opd[i].vw, ri.opd[i].ew = bd.vw, bd.ew
+	}
+	return ri
 }
 
 // gather performs the step's loads, then its folds, at the vertex resolved to
@@ -281,11 +459,10 @@ func (st *progStep) gather(m *patMsg, at site) {
 	}
 }
 
-// atomic performs a stepAtomic's instruction (§IV-B) on dest's value in its
-// owner's shard and reports whether the value changed.
-func (st *progStep) atomic(m *patMsg, dest distgraph.Vertex, at site) bool {
+// atomic performs a stepAtomic's instruction (§IV-B) with operand rhs on
+// dest's value in its owner's shard and reports whether the value changed.
+func (st *progStep) atomic(rhs Word, dest distgraph.Vertex, at site) bool {
 	mod := &st.mods[0]
-	rhs := mod.rhs(m)
 	switch st.sync {
 	case syncAtomicMin:
 		return mod.vw.MinAt(at.rank, at.li, rhs)

@@ -282,11 +282,12 @@ func TestOversizedWordIsNoVertex(t *testing.T) {
 }
 
 // itemCase is one single-action pattern of the item-path tests and benchmark.
-// loop: the action has the relax shape, so an entry runs as one loop.
+// typed: the action's item lowers to the typed form, so an entry runs as one
+// loop over it.
 type itemCase struct {
 	name    string
 	pattern func() *Pattern
-	loop    bool
+	typed   bool
 }
 
 // buildBFS is the relax shape with an implicit unit weight.
@@ -361,18 +362,18 @@ func newItemEnv(tb testing.TB, tc itemCase) itemEnv {
 }
 
 // TestHotPathDoesNotAllocate: running an action's items allocates nothing —
-// the cursor comes from the pool, expressions and steps are closures built at
-// Bind — whether an entry runs through the loop (SSSP, BFS, PageRank's spread)
-// or item by item (the BFS tree's lock hop). Measured at the highest-degree
-// vertex, inside an epoch body.
+// the cursor comes from the pool, the typed item and the steps' closures are
+// built at Bind — whether an entry runs through the typed loop (SSSP, BFS,
+// PageRank's spread; the test checks which) or item by item (the BFS tree's
+// lock hop). Measured at the highest-degree vertex, inside an epoch body.
 func TestHotPathDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	for _, tc := range itemCases {
 		env := newItemEnv(t, tc)
-		if env.action.prog.loop != tc.loop {
-			t.Fatalf("%s: loop-shaped %v, want %v", tc.name, env.action.prog.loop, tc.loop)
+		if typed := env.action.prog.relax != nil; typed != tc.typed {
+			t.Fatalf("%s: typed loop %v, want %v", tc.name, typed, tc.typed)
 		}
 		lg := env.g.Local(0)
 		hub, deg := distgraph.Vertex(0), uint32(0)

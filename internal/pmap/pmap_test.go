@@ -61,6 +61,23 @@ func TestVertexWordIndexAddressed(t *testing.T) {
 	}
 }
 
+// TestVertexWordFill: Fill writes every word of its rank's shard and no other
+// rank's.
+func TestVertexWordFill(t *testing.T) {
+	d := distgraph.NewCyclicDist(11, 3)
+	m := NewVertexWord(d, 7)
+	m.Fill(1, -5)
+	for v := distgraph.Vertex(0); v < 11; v++ {
+		want := int64(7)
+		if d.Owner(v) == 1 {
+			want = -5
+		}
+		if got := m.Get(d.Owner(v), v); got != want {
+			t.Errorf("vertex %d on rank %d: %d after Fill(1, -5), want %d", v, d.Owner(v), got, want)
+		}
+	}
+}
+
 func TestVertexWordMinMaxConcurrent(t *testing.T) {
 	d := distgraph.NewBlockDist(1, 1)
 	m := NewVertexWord(d, 1<<40)

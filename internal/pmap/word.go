@@ -133,6 +133,20 @@ func (m *VertexWord) AddAt(owner, li int, x int64) int64 {
 	return atomic.AddInt64(&m.shards[owner][li], x)
 }
 
+// Fill atomically stores x as the value of every vertex rank owns: Set over
+// the rank's shard, as one store loop.
+func (m *VertexWord) Fill(rank int, x int64) {
+	s := m.shards[rank]
+	for i := range s {
+		atomic.StoreInt64(&s[i], x)
+	}
+}
+
+// Shard returns rank's words, indexed by local index, for a caller that has
+// resolved (owner, local index) itself and reads several words of one shard.
+// Like every accessor of the map, the caller accesses each word atomically.
+func (m *VertexWord) Shard(rank int) []int64 { return m.shards[rank] }
+
 // GetRelaxed loads without atomicity; safe only at quiescent points
 // (between epochs) or under an external lock from the map's LockMap.
 func (m *VertexWord) GetRelaxed(rank int, v distgraph.Vertex) int64 {
@@ -234,6 +248,16 @@ func (m *EdgeWord) Min(rank int, e distgraph.EdgeRef, x int64) bool {
 		panic("pmap: EdgeWord.Min through an in-edge mirror")
 	}
 	return atomicMin(&m.out[rank][e.Slot], x)
+}
+
+// Shard returns rank's out-edge words, indexed by out-edge slot, or, when in
+// is set, its in-edge mirrors, indexed by in-edge slot. The caller loads each
+// word atomically and writes none.
+func (m *EdgeWord) Shard(rank int, in bool) []int64 {
+	if in {
+		return m.in[rank]
+	}
+	return m.out[rank]
 }
 
 // MirrorIn refreshes every in-edge mirror from its canonical copy.
