@@ -208,11 +208,6 @@ func NewEngine(u *Universe, g *Graph, lm *LockMap, opts PlanOptions) *Engine {
 	return pattern.NewEngine(u, g, lm, opts)
 }
 
-// GenerateGo mirrors pattern.GenerateGo (the paper's §VI translator).
-func GenerateGo(p *Pattern, opts PlanOptions, pkg string) (string, error) {
-	return pattern.GenerateGo(p, opts, pkg)
-}
-
 // Generators, mirroring pattern.None, OutEdges, InEdges, Adj and SetOf.
 var (
 	GenNone     = pattern.None

@@ -119,17 +119,6 @@ func TestPublicAPIAlgorithms(t *testing.T) {
 	}
 }
 
-// TestPublicAPITranslator round-trips the facade's GenerateGo.
-func TestPublicAPITranslator(t *testing.T) {
-	src, err := declpat.GenerateGo(declpat.SSSPPattern(), declpat.DefaultPlanOptions(), "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(src, "package out") || !strings.Contains(src, "atomic") && !strings.Contains(src, "Min") {
-		t.Fatalf("unexpected generated source header")
-	}
-}
-
 // TestPublicAPIStats exercises the workload helpers.
 func TestPublicAPIStats(t *testing.T) {
 	edges := declpat.SmallWorld(50, 4, 0.2, declpat.WeightSpec{Min: 1, Max: 3}, 4)

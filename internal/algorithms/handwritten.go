@@ -20,7 +20,7 @@ import (
 // owner's current value, not the one the improving message carried. Naive
 // selects the form without it — every improving delivery expands at once with
 // the value it brought — which is the paper's one relax per improving edge
-// (E6, E14) and the E9 row beside PaperPlan.
+// (E6) and the E9 row beside PaperPlan.
 
 // offerMsg offers value D to vertex T: val[T] = min(val[T], D).
 type offerMsg struct {

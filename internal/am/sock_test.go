@@ -392,20 +392,46 @@ func TestSockDialFailureEscalatesAndRecovers(t *testing.T) {
 	// (so the outage always lands after the eager dials), the links die, and
 	// only then does rank 0 send its second burst — those frames are
 	// guaranteed to face a dead link no matter how the scheduler raced the
-	// first batch's delivery.
+	// first batch's delivery. The links stay down until a link has exhausted
+	// its reconnect budget (the FaultTransport this test asserts), however
+	// slowly a loaded host runs the dials.
 	const per, burst = 64, 16
 	var startedOnce sync.Once
 	started := make(chan struct{})
 	gate := make(chan struct{})
+	u := newUniverse(cfg)
+	runDone, outageOver := make(chan struct{}), make(chan struct{})
 	go func() {
-		<-started
+		defer close(outageOver)
+		select {
+		case <-started:
+		case <-runDone:
+			return
+		}
 		setDown(true)
 		close(gate)
-		time.Sleep(60 * time.Millisecond * raceTimingScale)
-		setDown(false)
+		defer setDown(false)
+		const limit = 20 * time.Second * raceTimingScale
+		deadline := time.After(limit)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			for _, f := range u.FaultLog() {
+				if f.Kind == FaultTransport {
+					return
+				}
+			}
+			select {
+			case <-tick.C:
+			case <-runDone:
+				return
+			case <-deadline:
+				t.Errorf("no FaultTransport within %v of the outage; fault log: %v", limit, u.FaultLog())
+				return
+			}
+		}
 	}()
 
-	u := newUniverse(cfg)
 	ck := newSliceCkpt(u.Ranks())
 	u.RegisterCheckpointer(ck)
 	mt := Register(u, "val", func(r *Rank, m chatterPayload) {
@@ -425,6 +451,8 @@ func TestSockDialFailureEscalatesAndRecovers(t *testing.T) {
 			}
 		})
 	})
+	close(runDone)
+	<-outageOver
 	if err != nil {
 		for i, f := range u.FaultLog() {
 			t.Logf("fault[%d]: kind=%s rank=%d epoch=%d detail=%s", i, f.Kind, f.Rank, f.Epoch, f.Detail)

@@ -49,7 +49,6 @@ func All() []Experiment {
 		{"E11", "§II-B — pointer jumping (two-hop gather)", E11PointerJump},
 		{"E12", "§II-A — Δ-stepping light/heavy split (early exit)", E12LightHeavy},
 		{"E13", "§III-A — PageRank push (out_edges) vs pull (in_edges)", E13PushPull},
-		{"E14", "§VI — pattern translator: generated code vs engine vs hand-written", E14Codegen},
 		{"E15", "§VI — expressiveness: the pattern-based algorithm suite", E15Expressiveness},
 		{"E16", "robustness — fault overhead vs drop rate (reliable transport)", E16Chaos},
 		{"E17", "observability — sharded counters, timing, and tracing overhead", E17Observability},

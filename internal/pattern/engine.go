@@ -459,8 +459,11 @@ func (ba *BoundAction) release(r *am.Rank, c *cursor) {
 func (ba *BoundAction) enter(r *am.Rank, c *cursor, v distgraph.Vertex, at site) {
 	if ba.pending != nil {
 		// This run reads v's values from here on: a change that lands later
-		// must request a run of its own.
-		ba.pending[at.rank][at.li].Store(0)
+		// must request a run of its own. A word that is not set needs no
+		// store (rerun.go).
+		if w := &ba.pending[at.rank][at.li]; w.Load() == c.stamp {
+			w.Store(0)
+		}
 	}
 	c.n[sInvocations]++
 	p := ba.prog

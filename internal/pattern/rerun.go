@@ -15,25 +15,30 @@ import (
 // that one sees every change and the others find nothing new. A coalescible
 // action (markIdempotent) therefore keeps one pending word per vertex, in the
 // owner's memory: a firing mails an entry only if it wins the word, and the
-// entry clears the word before it reads anything. All three steps are
+// entry clears the word before it reads anything. All the steps are
 // sequentially consistent atomics, in the orders
 //
 //	firing:  write value  →  test-and-set word
-//	entry:   clear word   →  read values
+//	entry:   load word  →  clear word if set  →  read values
 //
 // so a firing that loses the word lost it to a set whose entry has not yet
 // cleared it, and that entry's reads come after the loser's write. The entry
 // is staged in the winner's cursor and mailed when that run is released
 // (engine.go), so until it starts it is staged or in flight; either way it
-// starts after the loser's write.
+// starts after the loser's write. An entry whose load finds the word clear
+// skips the store, and the load orders like the store it stands in for: a
+// firing whose test-and-set follows the load is one of the two above, a
+// winner that mails its own entry or a loser to a later set; a set before the
+// load was already cleared by another entry, whose reads follow its clear.
 //
 // A word is set when it holds the current am epoch-attempt stamp (the
-// cursor's), and clear when it holds anything else: the entry stores 0, which
-// no attempt's stamp is. A rolled-back attempt drops the entries that would
-// have cleared its words, and its replay runs under a new stamp, so those
-// words read clear without anyone touching them — the same rule that empties
-// the send-side filter's tables. The words are 64 bits wide, like the stamp,
-// so an old attempt's word never equals a later attempt's stamp.
+// cursor's), and clear when it holds anything else: an entry that finds it
+// set stores 0, which no attempt's stamp is. A rolled-back attempt drops the
+// entries that would have cleared its words, and its replay runs under a new
+// stamp, so those words read clear without anyone touching them — the same
+// rule that empties the send-side filter's tables. The words are 64 bits
+// wide, like the stamp, so an old attempt's word never equals a later
+// attempt's stamp.
 
 // SetWorkRerun makes the action its own work hook: the paper's
 // `a.work(Vertex v) = { a(v) }`, declared instead of spelled as a closure so
