@@ -21,7 +21,7 @@
 //	declpat-trace -in run.jsonl -critical-path -path-epoch 2 -path-max 32
 //
 // With -phases the tool reports the phase-timer breakdown instead: per
-// epoch, the distribution of collect/build_csr/kernel/emit/barrier/recovery
+// epoch, the distribution of collect/build_csr/kernel/emit/barrier
 // spans across ranks, and per rank, the total time in each phase (the
 // straggler view). Requires a trace captured with timing on, as every
 // traced launch is. With -json any table report is emitted as a JSON array

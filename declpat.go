@@ -396,7 +396,6 @@ const (
 	PhaseKernel   = obs.PhaseKernel
 	PhaseEmit     = obs.PhaseEmit
 	PhaseBarrier  = obs.PhaseBarrier
-	PhaseRecovery = obs.PhaseRecovery
 )
 
 // NewSampler mirrors obs.NewSampler; Universe.CounterSeries is the usual

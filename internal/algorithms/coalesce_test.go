@@ -157,58 +157,3 @@ func TestCoalesceFoldsTheFiring(t *testing.T) {
 		}
 	}
 }
-
-// TestForgetsOnRollback: a rolled-back epoch replays from restored maps and
-// drops the inboxes, so engine state that records what a rank sent during
-// the aborted attempt must not survive into the replay. One rule forgets it:
-// that state is keyed on am.Universe.EpochAttempt's stamp, and the replay
-// runs under a new one; nothing is cleared by hand. Rank 1 dies after
-// handling a few messages; zero handler threads make the schedule — and so
-// each failure — exact. Moving r.attempt.Add out of EpochThreaded's retry
-// loop fails both rows.
-//
-//   - filter: what rank 0 offered during the aborted attempt proves nothing
-//     about the restored maps, and it must offer the same values again. A
-//     table that remembered the offers would suppress every one and leave
-//     rank 1's vertices unreached.
-//   - coalesce: the dropped inboxes held the entries that would have cleared
-//     the pending words their firings set, and the replay must request those
-//     re-runs again. A word still set would swallow every later request for
-//     its vertex and leave the vertices behind it unreached.
-func TestForgetsOnRollback(t *testing.T) {
-	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
-	for _, tc := range []struct {
-		name string
-		run  func(t *testing.T, u *am.Universe, eng *pattern.Engine)
-	}{
-		{"filter", func(t *testing.T, u *am.Universe, eng *pattern.Engine) {
-			b := NewBFS(eng)
-			runOrFail(t, u, func(r *am.Rank) { b.Run(r, 3) })
-			if b.Visit.Stats.FilteredHops.Load() == 0 {
-				t.Fatal("the filter never engaged")
-			}
-			checkDist(t, "replayed", b.Level.Gather(), seq.BFS(n, edges, 3))
-		}},
-		{"coalesce", func(t *testing.T, u *am.Universe, eng *pattern.Engine) {
-			s := NewSSSP(eng)
-			runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
-			if !s.Relax.PlanInfo().Coalesced {
-				t.Fatal("relax is not coalesced")
-			}
-			checkDist(t, "replayed", s.Dist.Gather(), seq.Dijkstra(n, edges, 3))
-			if p := pendingWords(u, s.Relax); p != 0 {
-				t.Errorf("%d pending words left set", p)
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			u := am.New(2, am.WithCoalesce(4), am.WithRecovery(),
-				am.WithFaultPlan(&am.FaultPlan{Seed: 1, Crashes: []am.Crash{{Rank: 1, Epoch: 0, AfterHandled: 12}}}))
-			eng, _ := newEngine(u, n, edges, distgraph.Options{})
-			tc.run(t, u, eng)
-			if snap := u.Stats.Snapshot(); snap.RankCrashes != 1 || snap.Recoveries != 1 {
-				t.Fatalf("crashes = %d, recoveries = %d; want one of each", snap.RankCrashes, snap.Recoveries)
-			}
-		})
-	}
-}

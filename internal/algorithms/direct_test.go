@@ -171,7 +171,6 @@ func TestDirectOnlyWhenCoresident(t *testing.T) {
 			return []am.Option{am.WithTransport(am.SockTransport(am.SockOptions{Network: "unix", Dir: t.TempDir()}))}
 		}, false},
 		{"zero-fault-plan", func(*testing.T) []am.Option { return []am.Option{am.WithFaultPlan(&am.FaultPlan{})} }, false},
-		{"recovery", func(*testing.T) []am.Option { return []am.Option{am.WithRecovery()} }, false},
 		{"lineage", func(*testing.T) []am.Option { return []am.Option{am.WithTraceCapacity(1 << 12)} }, false},
 		{"traced", func(*testing.T) []am.Option {
 			return []am.Option{am.WithTraceCapacity(1 << 12), am.WithLineage(am.LineageOff)}

@@ -58,8 +58,8 @@ type encBuf struct {
 // encBufPool recycles wire-encode buffers across envelopes. Ownership rule:
 // the sender owns the buffer from encode until the last push; each delivered
 // (or discarded) copy releases one reference, and whoever drops it to zero
-// returns the buffer. An envelope abandoned inside a queue (recovery DropAll,
-// post-run Close) simply leaks its buffer to the GC — never double-release.
+// returns the buffer. An envelope abandoned inside a queue (a crashed rank's
+// DropAll, post-run Close) simply leaks its buffer to the GC — never double-release.
 var encBufPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 1024)} }}
 
 // wirePayload is the wire form of an envelope of a codec-equipped message

@@ -11,8 +11,8 @@ import (
 
 // This file is the multi-process SPMD seam: when a universe hosts only a
 // contiguous slice of the global rank range (one worker process of a
-// launched fleet), the collectives, the termination detector and the
-// recovery protocol stop being process-local and ride a ControlPlane — a
+// launched fleet), the collectives, the termination detector and fault
+// reporting stop being process-local and ride a ControlPlane — a
 // client the launcher's coordinator serves over versioned CRC-sealed wire
 // frames (internal/mp). The universe stays oblivious to the wire format; it
 // only sees the interface below.
@@ -413,9 +413,8 @@ func (u *Universe) mpOpenLeader(epoch int64) error {
 	return nil
 }
 
-// mpCheckpoint writes every local rank's checkpoint blobs — the rows an
-// in-process rollback keeps in memory — into this epoch's slot file (atomic
-// write).
+// mpCheckpoint writes every local rank's checkpoint blobs (takeBlobs) into
+// this epoch's slot file (atomic write).
 func (u *Universe) mpCheckpoint(epoch int64) error {
 	mp := u.mp
 	snap := &ckpt.Snapshot{

@@ -6,7 +6,7 @@ import "sync"
 // shared-counter detector: every epoch-body participant idle, no message
 // pending (sent but not fully handled), no registered deferred work, and —
 // in reliable mode — no envelope unacknowledged or held by the fault
-// injector (totalRelPending). The last condition makes epoch recovery safe:
+// injector (totalRelPending). The last condition makes an epoch end clean:
 // a dropped envelope keeps both pending and relPending non-zero until its
 // retransmit lands, and a delivered-but-unacknowledged envelope keeps
 // relPending non-zero until its (re)ack lands, so the epoch cannot end with

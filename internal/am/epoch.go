@@ -62,14 +62,15 @@ func (r *Rank) EpochThreadedCtx(qid int64, nthreads int, body func(tid int, ep *
 // it finishes handling, and unregistered when consumed; otherwise the epoch
 // can terminate while work remains.
 //
-// Under WithRecovery the epoch boundary entered here is also the recovery
-// point: registered checkpointers are snapshotted before the opening
-// barrier (the previous epoch ended acknowledged-quiet, so the state is a
-// consistent cut), and a rank fault inside the epoch rolls every rank back
-// to that snapshot and re-runs the body. Bodies therefore re-execute after
-// a fault; they must be deterministic functions of the checkpointed state
-// (every property map and frontier they touch registered), which all
-// built-in strategies and algorithms are.
+// An epoch gets one attempt: a rank fault inside it fails the run, and every
+// rank unwinds from the barrier that closes the attempt (abortEpoch). In a
+// multi-process fleet the epoch boundary entered here is also the restart
+// point: registered checkpointers are snapshotted before the opening barrier
+// (the previous epoch ended acknowledged-quiet, so the state is a consistent
+// cut), and a restarted fleet re-runs the body from that snapshot. Bodies
+// must therefore be deterministic functions of the checkpointed state (every
+// property map and frontier they touch registered), which all built-in
+// strategies and algorithms are.
 func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 	if nthreads < 1 {
 		panic("am: EpochThreaded needs at least one body thread")
@@ -96,55 +97,33 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 	}
 	if u.tracer != nil || u.flight != nil {
 		// Stamp the span open so TraceEpochEnd can close it with a
-		// duration (the rank's wall time inside the epoch, recovery
-		// attempts included). Epoch boundaries are flight-recorder
-		// landmarks, so this fires for the black box even with the trace
-		// rings off.
+		// duration (the rank's wall time inside the epoch). Epoch
+		// boundaries are flight-recorder landmarks, so this fires for the
+		// black box even with the trace rings off.
 		r.epochBeginNs = obs.Now()
 		u.traceSpan(r.id, TraceEpochBegin, epochSeq, int64(nthreads), r.epochBeginNs, 0)
 	}
-	// Checkpoint at the boundary, before any rank can send into the epoch.
 	if u.mp != nil {
-		// Multi-process: restore from the committed checkpoint when this is
-		// the restart epoch, serialize this epoch's snapshot to its slot
-		// file, and vote it committed via the epoch-tagged wire barrier.
+		// Checkpoint at the boundary, before any rank can send into the
+		// epoch: restore from the committed checkpoint when this is the
+		// restart epoch, serialize this epoch's snapshot to its slot file,
+		// and vote it committed via the epoch-tagged wire barrier.
 		u.mpEpochOpen(r, epochSeq)
-	} else if u.cfg.Recovery {
-		u.blobs[r.id] = u.takeBlobs(r.id)
-		r.st.Inc(cCheckpoints)
 	}
-	for {
-		r.attempt.Add(1)
-		r.totalBodies.Store(int32(nthreads))
-		r.idleBodies.Store(0)
-		r.handledInEpoch.Store(0)
-		if u.cfg.Detector == DetectorFourCounter && r.id == 0 {
-			// A fresh driver per attempt: a rolled-back epoch must not
-			// inherit wave snapshots from the aborted attempt.
-			r.fc = &fourCounterDriver{u: u}
-		}
-		u.touchProgress()
-		// Arm (or fire) injected crashes before the barrier: an
-		// epoch-entry crash is visible before any peer's body can send,
-		// and a mid-epoch trigger is armed before any envelope of this
-		// attempt can arrive.
-		r.armCrashes()
-		r.Barrier() // all ranks registered before anyone can quiesce
-		kernel := r.Phase(obs.PhaseKernel)
-		r.runBodies(nthreads, body)
-		kernel.End() // the attempt's body+drain span: the epoch's kernel phase
-		r.Barrier()  // every rank observed the same commit-or-abort outcome
-		if u.epochState.Load() != epochAborting {
-			break
-		}
-		if u.mp != nil {
-			// No in-process rollback in multi-process mode: any fault aborts
-			// the whole fleet and the launcher respawns every worker from
-			// the last committed on-disk checkpoint. (Normally the poisoned
-			// local barrier unwinds the rank before it gets here.)
-			panic(runAbort{})
-		}
-		r.recoverEpoch() // unwinds via runAbort when the fault is unrecoverable
+	r.attempt.Add(1)
+	r.totalBodies.Store(int32(nthreads))
+	r.idleBodies.Store(0)
+	if u.cfg.Detector == DetectorFourCounter && r.id == 0 {
+		r.fc = &fourCounterDriver{u: u}
+	}
+	u.touchProgress()
+	r.Barrier() // all ranks registered before anyone can quiesce
+	kernel := r.Phase(obs.PhaseKernel)
+	r.runBodies(nthreads, body)
+	kernel.End() // the body+drain span: the epoch's kernel phase
+	r.Barrier()  // every rank observed the same commit-or-abort outcome
+	if u.epochState.Load() == epochAborting {
+		r.abortEpoch() // fails the run and unwinds via runAbort
 	}
 	if u.tracer != nil || u.flight != nil {
 		now := obs.Now()
@@ -156,7 +135,6 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 	if r.id == u.leaderID() {
 		u.epochState.Store(epochRunning)
 		u.epochSeq.Add(1)
-		u.recoveries = 0
 		r.st.Inc(cEpochs)
 	}
 	r.inEpoch.Store(false)
@@ -172,18 +150,18 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 }
 
 // EpochAttempt returns a stamp that identifies the epoch attempt rank is in:
-// it changes every time the rank enters an epoch and every time a rolled-back
-// epoch replays, and is stable from the attempt's opening barrier until its
-// closing one — the window in which the rank's bodies and handlers send.
-// Between epochs it is the last attempt's. A layer that remembers what it has
-// sent or requested (the pattern engine's send-side filter and pending words)
-// keys that memory on the stamp: what an earlier stamp recorded was handled
-// (the epoch guarantee) or discarded (the rollback). Never 0 inside an epoch.
+// it changes every time the rank enters an epoch, and is stable from the
+// epoch's opening barrier until its closing one — the window in which the
+// rank's bodies and handlers send. Between epochs it is the last epoch's. A
+// layer that remembers what it has sent or requested (the pattern engine's
+// send-side filter and pending words) keys that memory on the stamp: what an
+// earlier stamp recorded was handled (the epoch guarantee). Never 0 inside an
+// epoch.
 func (u *Universe) EpochAttempt(rank int) uint64 { return u.ranks[rank].attempt.Load() }
 
 // runBodies runs one epoch attempt: the body participants plus the rank
 // main's progress loop, returning once the epoch has globally finished or
-// is rolling back (with every participant goroutine joined either way).
+// is aborting (with every participant goroutine joined either way).
 //
 // With one body the rank main is the participant: its progress loop flushes
 // what the body buffered and checks for quiescence before it parks. With
@@ -220,19 +198,14 @@ func (r *Rank) runBodies(nthreads int, body func(tid int, ep *Epoch)) {
 }
 
 // runBody runs one body participant, absorbing the epochAbort unwind: a
-// participant whose epoch is rolling back simply stops (Flush and TryFinish
-// throw the sentinel), and the restored state replays under a fresh call.
-// A rank that is dead on epoch entry never runs its body. All other panics
-// propagate — a body bug is not a containable rank fault.
+// participant whose epoch is aborting simply stops (Flush and TryFinish
+// throw the sentinel). All other panics propagate — a body bug is not a
+// containable rank fault.
 //
 // The participant runs on a fresh facet of the rank: its deliveries (Flush,
 // TryFinish drain envelopes inline) set the facet's ambient lineage parent
-// without racing sibling participants, and an attempt unwound mid-handler
-// cannot leak a stale parent into the replay.
+// without racing sibling participants.
 func (r *Rank) runBody(tid int, body func(int, *Epoch)) {
-	if r.crashed.Load() {
-		return
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			if _, ok := p.(epochAbort); !ok {
@@ -244,7 +217,7 @@ func (r *Rank) runBody(tid int, body func(int, *Epoch)) {
 }
 
 // progressUntilDone flushes, delivers, and participates in termination
-// detection until the epoch is globally finished or rolling back. It runs on
+// detection until the epoch is globally finished or aborting. It runs on
 // its own facet: the deliveries of drainSome need a lineage context separate
 // from the body participants'.
 //
@@ -292,7 +265,7 @@ func (r *Rank) progressUntilDone() {
 		r.idle(quiet)
 	}
 	if u.epochState.Load() == epochAborting {
-		return // recovery scrubs the leftovers
+		return // the run is failing: abortEpoch retires the handlers
 	}
 	// Drain leftovers addressed to us that raced with the done flag. By
 	// the detector's guarantee no user envelope remains (in reliable mode
@@ -314,8 +287,8 @@ func (r *Rank) progressUntilDone() {
 
 // Flush implements the paper's epoch_flush: ship all locally buffered
 // messages and perform as much pending local work as possible before
-// returning control to the body. When the epoch is rolling back, Flush
-// unwinds the calling participant instead (see recovery.go).
+// returning control to the body. When the epoch is aborting, Flush unwinds
+// the calling participant instead (see rankfault.go).
 func (ep *Epoch) Flush() {
 	r := ep.r
 	r.st.Inc(cFlushes)
@@ -346,8 +319,8 @@ const tryFinishSpins = 32
 // work, and attempt to end the epoch. It returns true when the epoch has
 // terminated globally (the caller must then leave the body); false means
 // more work may exist (possibly the caller's own, newly arrived) and the
-// body should continue. When the epoch is rolling back, TryFinish unwinds
-// the calling participant instead (see recovery.go).
+// body should continue. When the epoch is aborting, TryFinish unwinds the
+// calling participant instead (see rankfault.go).
 //
 // The caller must have drained its own deferred work (AuxAdd balance of its
 // contributions zero) before calling.

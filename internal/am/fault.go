@@ -45,19 +45,12 @@ type FaultPlan struct {
 	// retransmit path recover). Types without a wire codec ship by
 	// reference and cannot be corrupted.
 	Corrupt float64
-	// Crashes injects deterministic crash-stop rank failures: each entry
-	// kills one rank during one epoch (at entry, or after its k-th handled
-	// message). A crashed rank stops handling, drops its inbox, and goes
-	// silent; peers observe it only through missing acknowledgements. Each
-	// entry fires at most once per run. Requires WithRecovery for the
-	// run to survive.
-	Crashes []Crash
-	// DeadLinks severs directed links for one epoch each: every
+
+	// deadLinks severs directed links for one epoch each: every
 	// transmission (data and acks) from Src to Dest during that epoch
-	// vanishes, so the sender's retransmit ceiling eventually raises a
-	// LinkDead fault. A severed link is healed when the epoch recovers,
-	// making link death deterministic *and* recoverable.
-	DeadLinks []DeadLink
+	// vanishes, so the sender's retransmit ceiling raises a LinkDead fault
+	// and Universe.Run returns it. Only tests set it.
+	deadLinks []deadLink
 
 	// retransmitBase is the initial retransmit timeout in sender progress
 	// ticks; attempt n waits retransmitBase << min(n, 6) ticks, spread by
@@ -69,27 +62,14 @@ type FaultPlan struct {
 	// 30 is reached with probability 0.2^30 ≈ 1e-21 per envelope). Only
 	// transmissions the destination had a chance to answer count: one is
 	// charged when the destination rank has looked at its inbox since the
-	// previous transmission (see outEnvelope.charged). Under WithRecovery
-	// the damaged epoch rolls back to its checkpoint and replays; without
-	// it Universe.Run returns the fault as an error. 0 selects the default
-	// (30).
+	// previous transmission (see outEnvelope.charged). Universe.Run returns
+	// the fault as an error. 0 selects the default (30).
 	maxAttempts int
 }
 
-// Crash is one injected crash-stop failure: rank Rank dies during epoch
+// deadLink severs the directed link Src→Dest for the duration of epoch
 // Epoch (the universe-wide epoch sequence number, starting at 0).
-type Crash struct {
-	Rank  int
-	Epoch int64
-	// AfterHandled delays the crash until the rank has handled this many
-	// messages within the epoch (a mid-epoch crash, with handlers half
-	// applied); <= 0 crashes at epoch entry, before the body runs.
-	AfterHandled int
-}
-
-// DeadLink severs the directed link Src→Dest for the duration of epoch
-// Epoch (until the epoch's recovery heals it).
-type DeadLink struct {
+type deadLink struct {
 	Src, Dest int
 	Epoch     int64
 }
@@ -115,7 +95,7 @@ func (fp *FaultPlan) withDefaults() *FaultPlan {
 // rank's link to itself sequenced like the others (MsgType.ship), so the
 // injector perturbs exactly the envelopes it always did.
 func (fp *FaultPlan) injectsLinkFaults() bool {
-	return fp.Drop > 0 || fp.Dup > 0 || fp.Delay > 0 || fp.Corrupt > 0 || len(fp.DeadLinks) > 0
+	return fp.Drop > 0 || fp.Dup > 0 || fp.Delay > 0 || fp.Corrupt > 0 || len(fp.deadLinks) > 0
 }
 
 // delayTicks is the mean hold time of a delayed envelope, in sender progress

@@ -6,7 +6,7 @@ import "declpat/internal/obs"
 // landmarks, and how they are mirrored into the recorder. The recorder is
 // always-on (it exists precisely for runs where nobody enabled tracing), so
 // the set must stay low-rate: epoch boundaries, phase transitions, faults,
-// recovery, detector waves, and transport trouble — never per-message kinds.
+// detector waves, and transport trouble — never per-message kinds.
 
 // flightKinds is the landmark bitmask over TraceKind.
 const flightKinds = 1<<TraceEpochBegin |
@@ -18,7 +18,6 @@ const flightKinds = 1<<TraceEpochBegin |
 	1<<TracePanic |
 	1<<TraceLinkDead |
 	1<<TraceEpochAbort |
-	1<<TraceRecover |
 	1<<TraceWatchdog |
 	1<<TraceReconnect |
 	1<<TraceHeartbeatMiss

@@ -146,35 +146,6 @@ func TestLineageSurvivesRetransmit(t *testing.T) {
 	}
 }
 
-// TestLineageRecoveryReplay crashes a rank mid-epoch with recovery enabled:
-// the committed replay's lineage must be connected, and its critical path
-// must land in the replay attempt, not the aborted one.
-func TestLineageRecoveryReplay(t *testing.T) {
-	u, mt := chainUniverse(config{
-		Ranks: 3, ThreadsPerRank: 0, CoalesceSize: 2, TraceCapacity: 1 << 16,
-		Recovery: true,
-		FaultPlan: &FaultPlan{
-			Seed:    11,
-			Crashes: []Crash{{Rank: 1, Epoch: 1, AfterHandled: 3}},
-		},
-	})
-	runChains(t, u, mt, 3, 3, 4)
-	if u.Stats.Snapshot().Recoveries == 0 {
-		t.Fatal("no recovery happened; test is vacuous")
-	}
-	meta, recs := u.ExportTrace("recovery-chains")
-	lin := obs.BuildLineage(meta, recs)
-	if !lin.Connected() {
-		t.Fatalf("lineage broken across recovery replay: %d orphans", lin.Orphans)
-	}
-	for _, e := range lin.Epochs {
-		cp := lin.CriticalPathOf(e)
-		if cp == nil || cp.Broken || !obs.IsRootLineageID(cp.Root) {
-			t.Fatalf("epoch %d: bad critical path after recovery: %+v", e.Epoch, cp)
-		}
-	}
-}
-
 // TestLineageOff checks the off switch: a traced run with LineageOff records
 // no handler events and stamps no ids.
 func TestLineageOff(t *testing.T) {

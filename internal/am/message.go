@@ -46,9 +46,6 @@ type msgType struct {
 	// buffered counts messages currently held in r's coalescing buffers
 	// for this type (sampled occupancy gauge).
 	buffered func(r *Rank) int64
-	// clear discards r's coalescing buffers for this type (epoch recovery:
-	// buffered-but-unshipped messages belong to the rolled-back attempt).
-	clear func(r *Rank)
 }
 
 // Per-type counter ids within Universe.typeC (layout: typeID*3 + offset).
@@ -235,20 +232,6 @@ func RegisterBatch[T any](u *Universe, name string, handler func(r *Rank, b []T)
 			}
 			return n
 		},
-		clear: func(r *Rank) {
-			tb := r.bufs[mt.id].(*typedBufs[T])
-			for dest := range tb.buf {
-				tb.mu[dest].Lock()
-				// Buffered-but-unshipped batches are exclusively owned by
-				// the coalescing layer, so the rollback may recycle them.
-				mt.putBatch(tb.buf[dest])
-				tb.buf[dest] = nil
-				if tb.par != nil {
-					tb.par[dest] = nil
-				}
-				tb.mu[dest].Unlock()
-			}
-		},
 		newBufs: func(nranks int) any {
 			tb := &typedBufs[T]{
 				mu:  make([]sync.Mutex, nranks),
@@ -346,10 +329,9 @@ func (t *MsgType[T]) SendAll(r *Rank, dest int, ms []T) {
 	}
 	if !r.u.trusted() && (r.crashed.Load() || r.u.epochState.Load() == epochAborting) {
 		// A crashed rank sends nothing (crash-stop silence), and sends
-		// into a rolling-back epoch are moot — the attempt's effects are
-		// discarded and the restored state replays. Dropping here (not
-		// panicking) matters: handlers call SendTo, and a panic would be
-		// miscounted as a handler fault by the containment layer.
+		// into an aborting epoch are moot — the run is failing. Dropping
+		// here (not panicking) matters: handlers call SendTo, and a panic
+		// would be miscounted as a handler fault by the containment layer.
 		return
 	}
 	// Causal lineage: a message's parent is the handler invocation currently
@@ -427,7 +409,7 @@ func (t *MsgType[T]) ship(r *Rank, dest int, batch []T, lin []uint64) {
 			t.putBatch(batch)
 		}
 		u.push(r.id, dest, envelope{
-			typeID: t.id, src: int32(r.id), gen: u.epochGen.Load(),
+			typeID: t.id, src: int32(r.id),
 			qid: u.curQuery.Load(), data: data, lin: lin,
 		})
 		return
@@ -435,7 +417,7 @@ func (t *MsgType[T]) ship(r *Rank, dest int, batch []T, lin []uint64) {
 	if dest == r.id && u.selfLocal {
 		r.st.Add(cBytesSent, t.wireSize(len(batch)))
 		r.inbox.Push(envelope{
-			typeID: t.id, src: int32(r.id), gen: u.epochGen.Load(),
+			typeID: t.id, src: int32(r.id),
 			qid: u.curQuery.Load(), data: batch, lin: lin,
 		})
 		return
@@ -518,7 +500,7 @@ func (t *MsgType[T]) transmit(r *Rank, dest int, seq uint64, attempt int, batch 
 		}
 		data = wp
 	}
-	e := envelope{typeID: t.id, src: int32(r.id), seq: seq, gen: u.epochGen.Load(),
+	e := envelope{typeID: t.id, src: int32(r.id), seq: seq,
 		qid: u.curQuery.Load(), data: data, lin: lin}
 	if dup {
 		r.st.Inc(cEnvelopesDuplicated)

@@ -163,7 +163,7 @@ func (u *Universe) WriteOpenMetrics(w io.Writer) error {
 	// observations exported in seconds.
 	if len(m.Phases) > 0 {
 		const fam = "declpat_phase_duration_seconds"
-		om.Family(fam, "histogram", "Epoch phase durations by process and phase (collect/build_csr/kernel/emit/barrier/recovery).")
+		om.Family(fam, "histogram", "Epoch phase durations by process and phase (collect/build_csr/kernel/emit/barrier).")
 		for _, phase := range obs.SortedKeys(m.Phases) {
 			om.Hist(fam, []string{"process", "coordinator", "phase", phase}, m.Phases[phase], 1e-9)
 		}

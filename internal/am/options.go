@@ -15,7 +15,7 @@ import (
 type Option func(*config)
 
 // config is what the options set; newUniverse resolves it once. Each field is
-// documented on the option that sets it, except the two only tests set.
+// documented on the option that sets it, except the one only tests set.
 type config struct {
 	Ranks          int
 	ThreadsPerRank int
@@ -25,15 +25,10 @@ type config struct {
 	Lineage        LineageMode
 	Timing         bool
 	FaultPlan      *FaultPlan
-	Recovery       bool
 	Transport      Transport
 	MP             *MPConfig
 	Flight         *obs.FlightRecorder
 
-	// MaxRecoveries bounds recovery attempts per epoch (default 8); a fault
-	// that persists past the budget (e.g. a deterministic handler panic that
-	// recurs on every replay) fails the run.
-	MaxRecoveries int
 	// Watchdog is a stuck-epoch deadline (default 0: off): when no substrate
 	// progress (deliveries, flushes, detector transitions) is observed for
 	// it, the run fails with a diagnostic dump of the detector counters and
@@ -55,9 +50,6 @@ func (c config) withDefaults() config {
 	}
 	if c.CoalesceSize <= 0 {
 		c.CoalesceSize = 64
-	}
-	if c.MaxRecoveries <= 0 {
-		c.MaxRecoveries = 8
 	}
 	if c.Transport == nil {
 		c.Transport = ChanTransport()
@@ -82,8 +74,8 @@ func (c config) perRankRing() int {
 
 // New creates a simulated machine of `ranks` distributed-memory nodes
 // (minimum 1) configured by opts. Misconfiguration — a fault probability
-// outside [0, 1], a fault aimed at a rank that does not exist, a trace ring
-// over its bound, a control plane without a socket transport — panics here.
+// outside [0, 1], a trace ring over its bound, a control plane without a
+// socket transport — panics here.
 func New(ranks int, opts ...Option) *Universe {
 	cfg := config{Ranks: ranks}
 	for _, opt := range opts {
@@ -113,14 +105,6 @@ func WithDetector(d DetectorKind) Option { return func(c *config) { c.Detector =
 // protocol; nil (the default) keeps the trusted transport, except on a socket
 // transport, which always runs reliably.
 func WithFaultPlan(fp *FaultPlan) Option { return func(c *config) { c.FaultPlan = fp } }
-
-// WithRecovery enables epoch-granular checkpoint/restart (recovery.go): state
-// registered via RegisterCheckpointer is snapshotted at every epoch boundary,
-// and a rank fault (injected crash, contained handler panic, dead link) aborts
-// the damaged epoch, rolls every rank back to the checkpoint, restarts the
-// dead rank, and replays. Without it a rank fault makes Universe.Run return
-// an error.
-func WithRecovery() Option { return func(c *config) { c.Recovery = true } }
 
 // WithTraceCapacity enables event tracing with per-rank rings totalling n
 // events (default 0: off): each rank keeps n/ranks events (minimum 1), and a
@@ -152,16 +136,15 @@ func WithTransport(t Transport) Option { return func(c *config) { c.Transport = 
 // WithControlPlane runs the universe as one worker process of a
 // multi-process SPMD fleet (controlplane.go): it hosts global ranks [mp.Lo,
 // mp.Hi) and carries barriers, all-reduces, termination-detector waves and
-// fault/recovery coordination over mp.Plane instead of process-local shared
-// memory. Requires a socket transport for the data plane (New panics
-// otherwise), forces the four-counter detector (the atomic detector reads
-// process-local counters), and is mutually exclusive with WithRecovery —
-// faults abort the fleet and the launcher drives checkpoint/restart across
-// processes instead.
+// fault reports over mp.Plane instead of process-local shared memory.
+// Requires a socket transport for the data plane (New panics otherwise) and
+// forces the four-counter detector (the atomic detector reads process-local
+// counters). A fault aborts the fleet, and the launcher restarts it from the
+// last committed checkpoint.
 func WithControlPlane(mp MPConfig) Option { return func(c *config) { c.MP = &mp } }
 
 // WithFlightRecorder attaches an always-on black-box flight recorder:
-// landmark events — epoch boundaries, phase transitions, faults, recovery,
+// landmark events — epoch boundaries, phase transitions, faults,
 // control-plane trouble — are mirrored into its bounded rings even when full
 // tracing is off, and the substrate persists it at epoch commits and on every
 // fault path so a killed process leaves a postmortem dump at most one epoch

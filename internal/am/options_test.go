@@ -19,7 +19,7 @@ func TestNewWithOptions(t *testing.T) {
 		t.Fatalf("New(3) is not the trusted in-process default: ranks=%d transport=%s fp=%v jitter=%v tracer=%v lineage=%v",
 			u.Ranks(), u.net.Name(), u.fp, u.jitter, u.tracer != nil, u.lineage)
 	}
-	want := config{Ranks: 3, CoalesceSize: 64, MaxRecoveries: 8, Transport: u.cfg.Transport}
+	want := config{Ranks: 3, CoalesceSize: 64, Transport: u.cfg.Transport}
 	if u.cfg != want {
 		t.Fatalf("New(3) config = %+v, want %+v", u.cfg, want)
 	}
@@ -39,7 +39,6 @@ func TestNewWithOptions(t *testing.T) {
 		{"WithCoalesce", WithCoalesce(16), config{CoalesceSize: 16}},
 		{"WithDetector", WithDetector(DetectorFourCounter), config{Detector: DetectorFourCounter}},
 		{"WithFaultPlan", WithFaultPlan(fp), config{FaultPlan: fp}},
-		{"WithRecovery", WithRecovery(), config{Recovery: true}},
 		{"WithTraceCapacity", WithTraceCapacity(1024), config{TraceCapacity: 1024}},
 		{"WithLineage", WithLineage(LineageOff), config{Lineage: LineageOff}},
 		{"WithTiming", WithTiming(), config{Timing: true}},
@@ -64,10 +63,9 @@ func TestNewWithOptions(t *testing.T) {
 		}
 	}
 
-	// The fields only tests set survive resolution.
-	c := newUniverse(config{Ranks: 2, MaxRecoveries: 3, Watchdog: 30 * time.Second}).cfg
-	if c.MaxRecoveries != 3 || c.Watchdog != 30*time.Second {
-		t.Fatalf("newUniverse dropped a test-set field: MaxRecoveries=%d Watchdog=%v", c.MaxRecoveries, c.Watchdog)
+	// The field only tests set survives resolution.
+	if c := newUniverse(config{Ranks: 2, Watchdog: 30 * time.Second}).cfg; c.Watchdog != 30*time.Second {
+		t.Fatalf("newUniverse dropped a test-set field: Watchdog=%v", c.Watchdog)
 	}
 	// A control plane forces the four-counter detector without WithDetector
 	// (the atomic one counts process-local state), and so never parks,

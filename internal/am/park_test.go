@@ -25,7 +25,6 @@ func TestParkPolicy(t *testing.T) {
 		{"traced", config{Ranks: 2, TraceCapacity: 64, Lineage: LineageOff}, true, true, false},
 		{"unix", config{Ranks: 2, Transport: unix()}, true, false, true},
 		{"tcp", config{Ranks: 2, Transport: SockTransport(SockOptions{Network: "tcp"})}, true, false, true},
-		{"unix+recovery", config{Ranks: 2, Recovery: true, Transport: unix()}, true, false, true},
 		{"unix+fault-plan", config{Ranks: 2, FaultPlan: &FaultPlan{Drop: 0.1}, Transport: unix()}, true, false, true},
 		{"four-counter", config{Ranks: 2, Detector: DetectorFourCounter}, false, true, false},
 		{"unix+four-counter", config{Ranks: 2, Detector: DetectorFourCounter, Transport: unix()}, false, false, false},
@@ -33,7 +32,6 @@ func TestParkPolicy(t *testing.T) {
 		{"unix+watchdog", config{Ranks: 2, Watchdog: time.Second, Transport: unix()}, false, false, false},
 		// The in-process reliable layer's retransmit clock ticks per poll.
 		{"chan+fault-plan", config{Ranks: 2, FaultPlan: &FaultPlan{}}, false, false, false},
-		{"chan+recovery", config{Ranks: 2, Recovery: true}, false, false, false},
 	}
 	for _, c := range cases {
 		u := newUniverse(c.cfg)

@@ -13,10 +13,10 @@ import "declpat/internal/obs"
 //	... gather the frontier ...
 //	ph.End()
 //
-// The substrate opens kernel, barrier, and recovery scopes itself;
+// The substrate opens kernel and barrier scopes itself;
 // strategies and algorithms add collect / build_csr / emit around their
 // rank-local sections. Phases are a breakdown of where time goes, not a
-// strict partition: a barrier wait inside an epoch attempt is counted both
+// strict partition: a barrier wait inside an epoch is counted both
 // in the barrier phase and in the enclosing kernel span.
 type PhaseScope struct {
 	r     *Rank

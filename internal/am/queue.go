@@ -115,9 +115,8 @@ func (q *queue) take() envelope {
 	return e
 }
 
-// DropAll discards every queued envelope (a crashed rank drops its inbox;
-// epoch recovery scrubs leftovers of the aborted attempt) and reports how
-// many were dropped. Blocked consumers stay blocked.
+// DropAll discards every queued envelope (a crashed rank drops its inbox)
+// and reports how many were dropped. Blocked consumers stay blocked.
 func (q *queue) DropAll() int {
 	q.mu.Lock()
 	n := q.n

@@ -115,21 +115,17 @@ type recvLink struct {
 }
 
 // initReliability allocates the per-rank link state. Called from Run once
-// the type set is frozen, and again during recovery's scrub phase. relInit
-// orders the table swap against requeueOutstanding, the one reader that
-// runs on a transport goroutine instead of a rank-owned one.
+// the type set is frozen, before the transport starts: the tables are never
+// swapped afterwards, so requeueOutstanding, which runs on a transport
+// goroutine, reads them without a lock.
 func (r *Rank) initReliability(ntypes int) {
 	n := r.u.cfg.Ranks
-	send := make([][]sendLink, n)
-	recv := make([][]recvLink, n)
+	r.send = make([][]sendLink, n)
+	r.recv = make([][]recvLink, n)
 	for i := 0; i < n; i++ {
-		send[i] = make([]sendLink, ntypes)
-		recv[i] = make([]recvLink, ntypes)
+		r.send[i] = make([]sendLink, ntypes)
+		r.recv[i] = make([]recvLink, ntypes)
 	}
-	r.relInit.Lock()
-	r.send = send
-	r.recv = recv
-	r.relInit.Unlock()
 }
 
 // requeueOutstanding marks every unacknowledged envelope bound for dest due
@@ -144,8 +140,6 @@ func (r *Rank) initReliability(ntypes int) {
 // retransmit ceiling stay parked — the link-death fault has already been
 // raised for them.
 func (r *Rank) requeueOutstanding(dest int) int {
-	r.relInit.Lock()
-	defer r.relInit.Unlock()
 	if r.send == nil || dest < 0 || dest >= len(r.send) {
 		return 0
 	}
@@ -257,7 +251,7 @@ func (r *Rank) sendAck(src int, typ int32, seq uint64, salt uint64) {
 	r.st.Add(cBytesSent, envelopeHeaderBytes)
 	u.trace(r.id, TraceAck, int64(typ), int64(seq))
 	u.push(r.id, src, envelope{
-		typeID: ackTypeID, src: int32(r.id), seq: seq, gen: u.epochGen.Load(), data: ackBody{typ: typ},
+		typeID: ackTypeID, src: int32(r.id), seq: seq, data: ackBody{typ: typ},
 	})
 }
 
@@ -344,7 +338,7 @@ func (r *Rank) pollLinks() bool {
 		return false
 	}
 	if u.epochState.Load() == epochAborting {
-		return false // the epoch is rolling back; recovery resets the links
+		return false // the epoch is aborting; the run is failing
 	}
 	if !r.claimTick() {
 		return false
@@ -400,9 +394,8 @@ func (r *Rank) pollLinks() bool {
 				if o.charged > u.fp.maxAttempts {
 					// Retransmit ceiling: declare the link dead. The
 					// envelope is parked (never due again) and the
-					// structured fault aborts the epoch — recovery heals
-					// the link, resets this table, and replays; without
-					// recovery Universe.Run returns the fault.
+					// structured fault aborts the epoch: Universe.Run
+					// returns it.
 					o.due = ^uint64(0)
 					l.mu.Unlock()
 					r.st.Inc(cLinkDeaths)

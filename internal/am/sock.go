@@ -34,8 +34,7 @@ import (
 // due-now (requeueOutstanding), so frames lost in the dead connection replay
 // at the next poll instead of waiting out their backoff. A link whose
 // reconnect budget is exhausted escalates to the crash-stop path: a
-// FaultTransport rank fault aborts the epoch, and recovery (healEpoch)
-// grants the link a fresh budget before the replay.
+// FaultTransport rank fault aborts the epoch and fails the run.
 //
 // Scope: in a single-process universe every rank binds its listener here and
 // the control plane (barriers, detectors, collectives) stays shared-memory,
@@ -154,8 +153,8 @@ type SockFaultPlan struct {
 	// Partitions black-hole one direction: every frame (heartbeats
 	// included) written while FromFrame <= frames < ToFrame vanishes
 	// silently — the connection stays open, so only the peer's liveness
-	// deadline notices. ToFrame <= 0 keeps the window open until epoch
-	// recovery heals it.
+	// deadline notices. ToFrame <= 0 keeps the window open for the rest of
+	// the run.
 	Partitions []SockPartition
 	// Flaps kill a link's connection repeatedly: every Period-th frame, up
 	// to Count times.
@@ -222,16 +221,15 @@ type sockLink struct {
 
 	mu           sync.Mutex
 	conn         net.Conn
-	dead         bool // reconnect budget exhausted; healEpoch revives
+	dead         bool // reconnect budget exhausted; stays dead for the run
 	reconnecting bool
 	frames       uint64 // data+ack frames written (fault-schedule clock)
 	lastWriteNs  int64
 
 	// Fault-schedule state, indexed like the plan's slices; only entries
 	// matching (src, dest) ever fire.
-	discFired  []bool
-	partClosed []bool
-	flapFired  []int
+	discFired []bool
+	flapFired []int
 }
 
 // SockTransport returns a socket transport backend with the given options.
@@ -345,7 +343,6 @@ func (t *sockTransport) start(u *Universe) error {
 			l := &sockLink{t: t, src: src, dest: dest}
 			if fp := t.opt.Faults; fp != nil {
 				l.discFired = make([]bool, len(fp.Disconnects))
-				l.partClosed = make([]bool, len(fp.Partitions))
 				l.flapFired = make([]int, len(fp.Flaps))
 			}
 			t.links[src][dest] = l
@@ -554,30 +551,28 @@ func (t *sockTransport) deliverFrame(r *Rank, src int, body []byte) bool {
 	case frameHeartbeat:
 		return true
 	case frameAck:
-		if len(body) != 1+4+8+8 {
+		if len(body) != 1+4+8 {
 			return false
 		}
 		typ := int32(binary.LittleEndian.Uint32(body[1:]))
 		seq := binary.LittleEndian.Uint64(body[5:])
-		gen := binary.LittleEndian.Uint64(body[13:])
 		if typ < 0 || int(typ) >= len(u.types) {
 			return false
 		}
 		r.inbox.Push(envelope{
-			typeID: ackTypeID, src: int32(src), seq: seq, gen: gen, data: ackBody{typ: typ},
+			typeID: ackTypeID, src: int32(src), seq: seq, data: ackBody{typ: typ},
 		})
 		return true
 	case frameData:
-		if len(body) < 1+4+8+8+8+8+4 {
+		if len(body) < 1+4+8+8+8+4 {
 			return false
 		}
 		typ := int32(binary.LittleEndian.Uint32(body[1:]))
 		seq := binary.LittleEndian.Uint64(body[5:])
-		gen := binary.LittleEndian.Uint64(body[13:])
-		qid := int64(binary.LittleEndian.Uint64(body[21:]))
-		sum := binary.LittleEndian.Uint64(body[29:])
-		nlin := binary.LittleEndian.Uint32(body[37:])
-		b := body[41:]
+		qid := int64(binary.LittleEndian.Uint64(body[13:]))
+		sum := binary.LittleEndian.Uint64(body[21:])
+		nlin := binary.LittleEndian.Uint32(body[29:])
+		b := body[33:]
 		// Every envelope that crosses a link is sequenced; seq 0 would
 		// bypass the receiver's dedup window (deliverEnvelope).
 		if seq == 0 || typ < 0 || int(typ) >= len(u.types) || uint64(nlin)*8+4 > uint64(len(b)) {
@@ -606,7 +601,7 @@ func (t *sockTransport) deliverFrame(r *Rank, src int, body []byte) bool {
 		eb.b = append(eb.b[:0], b[4:]...)
 		eb.refs.Store(1)
 		r.inbox.Push(envelope{
-			typeID: typ, src: int32(src), seq: seq, gen: gen, qid: qid,
+			typeID: typ, src: int32(src), seq: seq, qid: qid,
 			data: wirePayload{b: eb.b, sum: sum, eb: eb, verified: u.fp.Corrupt == 0}, lin: lin,
 		})
 		return true
@@ -639,12 +634,10 @@ func (t *sockTransport) send(src, dest int, e envelope) {
 		f = frame.Begin((*bp)[:0], frameAck)
 		f = binary.LittleEndian.AppendUint32(f, uint32(data.typ))
 		f = binary.LittleEndian.AppendUint64(f, e.seq)
-		f = binary.LittleEndian.AppendUint64(f, e.gen)
 	case wirePayload:
 		f = frame.Begin((*bp)[:0], frameData)
 		f = binary.LittleEndian.AppendUint32(f, uint32(e.typeID))
 		f = binary.LittleEndian.AppendUint64(f, e.seq)
-		f = binary.LittleEndian.AppendUint64(f, e.gen)
 		f = binary.LittleEndian.AppendUint64(f, uint64(e.qid))
 		f = binary.LittleEndian.AppendUint64(f, data.sum)
 		f = binary.LittleEndian.AppendUint32(f, uint32(len(e.lin)))
@@ -753,8 +746,8 @@ func (l *sockLink) blackholedLocked(f uint64) bool {
 	if fp == nil {
 		return false
 	}
-	for i, p := range fp.Partitions {
-		if p.Src == l.src && p.Dest == l.dest && !l.partClosed[i] &&
+	for _, p := range fp.Partitions {
+		if p.Src == l.src && p.Dest == l.dest &&
 			f >= p.FromFrame && (p.ToFrame <= 0 || f < p.ToFrame) {
 			return true
 		}
@@ -787,8 +780,7 @@ func (l *sockLink) spawnReconnectorLocked() {
 // envelope bound for the peer due-now, so frames lost in the dead connection
 // replay through the retransmit path at the sender's next poll. Exhausting
 // the budget escalates to the crash-stop path: the link is marked dead and a
-// FaultTransport rank fault aborts the epoch (recovery heals the link and
-// grants a fresh budget via healEpoch).
+// FaultTransport rank fault aborts the epoch, which fails the run.
 func (l *sockLink) reconnect() {
 	t := l.t
 	defer t.wg.Done()
@@ -893,34 +885,6 @@ func (t *sockTransport) heartbeatLoop() {
 					l.write(hb, true)
 				}
 			}
-		}
-	}
-}
-
-// healEpoch implements Transport.healEpoch: during epoch recovery every
-// link's failure state is reset — open partition windows close, dead links
-// come back with a fresh reconnect budget — so the replay is not doomed by
-// the outage that aborted the attempt. Disconnect and flap triggers stay
-// consumed (they are once-per-run, like FaultPlan.Crashes).
-func (t *sockTransport) healEpoch() {
-	for _, row := range t.links {
-		for _, l := range row {
-			if l == nil {
-				continue
-			}
-			l.mu.Lock()
-			if fp := t.opt.Faults; fp != nil {
-				for i, p := range fp.Partitions {
-					if p.Src == l.src && p.Dest == l.dest && l.frames >= p.FromFrame {
-						l.partClosed[i] = true
-					}
-				}
-			}
-			l.dead = false
-			if l.conn == nil {
-				l.spawnReconnectorLocked()
-			}
-			l.mu.Unlock()
 		}
 	}
 }

@@ -7,11 +7,10 @@ import (
 )
 
 // dataBody builds a frameData body the way sockTransport.send lays it out.
-func dataBody(typ uint32, seq, gen, qid, sum uint64, lin []uint64, payload []byte) []byte {
+func dataBody(typ uint32, seq, qid, sum uint64, lin []uint64, payload []byte) []byte {
 	b := []byte{frameData}
 	b = binary.LittleEndian.AppendUint32(b, typ)
 	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = binary.LittleEndian.AppendUint64(b, gen)
 	b = binary.LittleEndian.AppendUint64(b, qid)
 	b = binary.LittleEndian.AppendUint64(b, sum)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(lin)))
@@ -35,14 +34,13 @@ func FuzzDeliverFrame(f *testing.F) {
 	tr.u = u
 	r := u.ranks[1]
 
-	ack := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(
-		binary.LittleEndian.AppendUint32([]byte{frameAck}, 1), 7), 3)
-	data := dataBody(1, 9, 2, 5, 0xfeed, []uint64{11, 12}, []byte("payload"))
+	ack := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32([]byte{frameAck}, 1), 7)
+	data := dataBody(1, 9, 5, 0xfeed, []uint64{11, 12}, []byte("payload"))
 	f.Add([]byte{frameHeartbeat})
 	f.Add(ack)
 	f.Add(data)
-	f.Add(dataBody(0, 1, 1, 0, 0, nil, nil))
-	f.Add(dataBody(2, 1, 1, 0, 0, nil, []byte("type out of range")))
+	f.Add(dataBody(0, 1, 0, 0, nil, nil))
+	f.Add(dataBody(2, 1, 0, 0, nil, []byte("type out of range")))
 	f.Add(data[:len(data)-1])                 // payload shorter than its length says
 	f.Add(data[:30])                          // cut inside the fixed header
 	f.Add(append(ack[:len(ack):len(ack)], 0)) // ack with a trailing byte
@@ -68,7 +66,7 @@ func FuzzDeliverFrame(f *testing.F) {
 		if !pushed {
 			return
 		}
-		if e.src != 0 || e.seq != binary.LittleEndian.Uint64(body[5:]) || e.gen != binary.LittleEndian.Uint64(body[13:]) {
+		if e.src != 0 || e.seq != binary.LittleEndian.Uint64(body[5:]) {
 			t.Fatalf("envelope %+v does not match body %x", e, body)
 		}
 		typ := int32(binary.LittleEndian.Uint32(body[1:]))
@@ -78,7 +76,7 @@ func FuzzDeliverFrame(f *testing.F) {
 				t.Fatalf("ack envelope %+v from body %x", e, body)
 			}
 		case wirePayload:
-			if body[0] != frameData || e.typeID != typ || len(e.lin) != int(binary.LittleEndian.Uint32(body[37:])) {
+			if body[0] != frameData || e.typeID != typ || len(e.lin) != int(binary.LittleEndian.Uint32(body[29:])) {
 				t.Fatalf("data envelope %+v from body %x", e, body)
 			}
 			if !bytes.HasSuffix(body, d.b) || len(d.b) > 0 && &d.b[0] == &body[len(body)-len(d.b)] {

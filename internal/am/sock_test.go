@@ -130,7 +130,7 @@ func TestSockHandshakeRejects(t *testing.T) {
 	data := frame.Begin(nil, frameData)
 	data = binary.LittleEndian.AppendUint32(data, uint32(mt.id))
 	data = binary.LittleEndian.AppendUint64(data, 1) // seq (a link's first)
-	data = append(data, make([]byte, 8+8)...)        // gen, qid
+	data = append(data, make([]byte, 8)...)          // qid
 	data = binary.LittleEndian.AppendUint64(data, frame.Checksum(payload))
 	data = binary.LittleEndian.AppendUint32(data, 0) // no lineage
 	data = binary.LittleEndian.AppendUint32(data, uint32(len(payload)))
@@ -246,48 +246,12 @@ func TestSockInjectedCorruptionStillDetected(t *testing.T) {
 	}
 }
 
-// sockRingSum runs a one-epoch ring workload over a socket transport with a
-// checkpointed per-rank accumulator (handler results survive epoch rollback
-// and replay exactly once). gate, when non-nil, is waited on by rank 0's
-// epoch body, holding the epoch open until the test has injected its
-// failure. Returns the universe and the accumulated total; the fault-free
-// expectation is ringWant(ranks, per).
-func sockRingSum(t *testing.T, cfg config, per int, gate <-chan struct{}) (*Universe, int64) {
-	t.Helper()
-	u := newUniverse(cfg)
-	ck := newSliceCkpt(u.Ranks())
-	u.RegisterCheckpointer(ck)
-	mt := Register(u, "val", func(r *Rank, m chatterPayload) {
-		ck.add(r.ID(), m.ID)
-	}).WithWire()
-	err := u.Run(func(r *Rank) {
-		r.Epoch(func(ep *Epoch) {
-			for i := 0; i < per; i++ {
-				mt.SendTo(r, (r.ID()+1)%r.N(), chatterPayload{ID: int64(i + 1)})
-			}
-			if gate != nil && r.ID() == 0 {
-				<-gate
-			}
-		})
-	})
-	if err != nil {
-		for i, f := range u.FaultLog() {
-			t.Logf("fault[%d]: kind=%s rank=%d epoch=%d detail=%s", i, f.Kind, f.Rank, f.Epoch, f.Detail)
-		}
-		t.Logf("counters: %+v", u.Stats.Snapshot())
-		t.Fatalf("Run: %v", err)
-	}
-	return u, ck.sum()
-}
-
-// TestSockPartitionEscalatesToRecovery black-holes one direction with no
-// closing frame: heartbeats vanish too, so the receiver's liveness deadline
-// trips, and the sender's retransmits die until the retransmit ceiling
-// raises a rank fault. With Recovery on, the epoch must roll back, the
-// recovery must heal the partition window, and the replay must produce the
-// exact fault-free result — a severed link costs an epoch attempt, never
-// correctness and never a hang.
-func TestSockPartitionEscalatesToRecovery(t *testing.T) {
+// TestSockPartitionEscalates black-holes one direction with no closing frame:
+// heartbeats vanish too, so the receiver's liveness deadline trips, and the
+// sender's retransmits die until the retransmit ceiling raises a rank fault.
+// An open-ended partition stays open for the rest of the run, so Run must
+// return that fault: a severed link costs the run, never a hang.
+func TestSockPartitionEscalates(t *testing.T) {
 	requireLoopback(t)
 	opt := fastSockOptions("tcp")
 	opt.heartbeat = 3 * time.Millisecond * raceTimingScale
@@ -295,22 +259,21 @@ func TestSockPartitionEscalatesToRecovery(t *testing.T) {
 	opt.Faults = &SockFaultPlan{
 		Partitions: []SockPartition{{Src: 0, Dest: 1, FromFrame: 1, ToFrame: 0}}, // open-ended
 	}
-	// The retransmit ceiling (sum of the backoff schedule) must outlast a
-	// worst-case reconnect cycle — liveness expiry on the receiver, a write
-	// error surfacing on the sender, capped backoff, dial, handshake,
-	// requeue — or the post-heal replay re-faults and burns recoveries.
-	cfg := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
-		Recovery: true, MaxRecoveries: 20,
-		FaultPlan: &FaultPlan{retransmitBase: 2, maxAttempts: 12},
-		Transport: SockTransport(opt)}
-	u, got := sockRingSum(t, cfg, 64, nil)
-	if want := ringWant(2, 64); got != want {
-		t.Fatalf("ring sum = %d after partition recovery, want %d", got, want)
-	}
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
+		FaultPlan: &FaultPlan{retransmitBase: 2, maxAttempts: 8},
+		Transport: SockTransport(opt)})
+	mt := Register(u, "val", func(r *Rank, m chatterPayload) {}).WithWire()
+	err := u.Run(func(r *Rank) {
+		r.Epoch(func(ep *Epoch) {
+			for i := 1; i <= 64; i++ {
+				mt.SendTo(r, (r.ID()+1)%r.N(), chatterPayload{ID: int64(i)})
+			}
+		})
+	})
+	// The black-holed direction carries rank 0's data and its acks of rank
+	// 1's data, so either sender can be the one to hit the ceiling.
+	wantRankFault(t, u, err, FaultLinkDead)
 	s := u.Stats.Snapshot()
-	if s.Recoveries < 1 || s.EpochAborts < 1 {
-		t.Fatalf("open-ended partition must force an epoch rollback, got %+v", s)
-	}
 	if s.HeartbeatMisses < 1 {
 		t.Fatalf("a black-holed direction must trip the liveness deadline, got %+v", s)
 	}
@@ -343,142 +306,72 @@ func TestSockHeartbeatsKeepQuietLinksAlive(t *testing.T) {
 	}
 }
 
-// TestSockDialFailureEscalatesAndRecovers is the reconnect-budget acceptance
-// test: mid-epoch every live connection is cut and dials start failing (what
-// a dead host looks like to its peers). Rank 0 then sends a burst that can
-// only cross the outage, so reconnect attempts fail until the budget is
-// exhausted, which must escalate to a FaultTransport rank fault and
-// checkpoint/restart — not a hung epoch. Dials then succeed again and a
-// replay attempt reconnects and completes exactly once.
-func TestSockDialFailureEscalatesAndRecovers(t *testing.T) {
+// TestSockDialFailureEscalates is the reconnect-budget acceptance test, on
+// both detectors: mid-epoch every live connection is cut and dials start
+// failing (what a dead host looks like to its peers). Rank 0 then sends a
+// burst that can only cross the outage, so reconnect attempts fail until the
+// budget is exhausted, which must end the run with a FaultTransport rank
+// fault — not a hung epoch.
+func TestSockDialFailureEscalates(t *testing.T) {
 	requireLoopback(t)
-	tr := SockTransport(fastSockOptions("tcp")).(*sockTransport)
-	tr.budget = 3
-	cfg := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
-		Recovery: true, MaxRecoveries: 1000,
-		FaultPlan: &FaultPlan{retransmitBase: 2, maxAttempts: 12},
-		Transport: tr}
+	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
+		t.Run(det.String(), func(t *testing.T) {
+			tr := SockTransport(fastSockOptions("tcp")).(*sockTransport)
+			tr.budget = 3
 
-	// The outage: while down, dials fail; going down also closes every
-	// connection dialed so far (the reader side sees the close too).
-	var (
-		mu    sync.Mutex
-		down  bool
-		conns []net.Conn
-	)
-	tr.dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if down {
-			return nil, errors.New("injected outage")
-		}
-		c, err := net.DialTimeout(network, addr, timeout)
-		if err == nil {
-			conns = append(conns, c)
-		}
-		return c, err
-	}
-	setDown := func(d bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		down = d
-		for _, c := range conns {
-			c.Close()
-		}
-		conns = nil
-	}
-
-	// Event-driven failure injection: rank 0 signals once its epoch is live
-	// (so the outage always lands after the eager dials), the links die, and
-	// only then does rank 0 send its second burst — those frames are
-	// guaranteed to face a dead link no matter how the scheduler raced the
-	// first batch's delivery. The links stay down until a link has exhausted
-	// its reconnect budget (the FaultTransport this test asserts), however
-	// slowly a loaded host runs the dials.
-	const per, burst = 64, 16
-	var startedOnce sync.Once
-	started := make(chan struct{})
-	gate := make(chan struct{})
-	u := newUniverse(cfg)
-	runDone, outageOver := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(outageOver)
-		select {
-		case <-started:
-		case <-runDone:
-			return
-		}
-		setDown(true)
-		close(gate)
-		defer setDown(false)
-		const limit = 20 * time.Second * raceTimingScale
-		deadline := time.After(limit)
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			for _, f := range u.FaultLog() {
-				if f.Kind == FaultTransport {
-					return
+			// The outage: while down, dials fail; going down also closes
+			// every connection dialed so far (the reader side sees the
+			// close too).
+			var (
+				mu    sync.Mutex
+				down  bool
+				conns []net.Conn
+			)
+			tr.dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				if down {
+					return nil, errors.New("injected outage")
 				}
-			}
-			select {
-			case <-tick.C:
-			case <-runDone:
-				return
-			case <-deadline:
-				t.Errorf("no FaultTransport within %v of the outage; fault log: %v", limit, u.FaultLog())
-				return
-			}
-		}
-	}()
-
-	ck := newSliceCkpt(u.Ranks())
-	u.RegisterCheckpointer(ck)
-	mt := Register(u, "val", func(r *Rank, m chatterPayload) {
-		ck.add(r.ID(), m.ID)
-	}).WithWire()
-	err := u.Run(func(r *Rank) {
-		r.Epoch(func(ep *Epoch) {
-			for i := 1; i <= per; i++ {
-				mt.SendTo(r, (r.ID()+1)%r.N(), chatterPayload{ID: int64(i)})
-			}
-			if r.ID() == 0 {
-				startedOnce.Do(func() { close(started) })
-				<-gate
-				for i := per + 1; i <= per+burst; i++ {
-					mt.SendTo(r, 1, chatterPayload{ID: int64(i)})
+				c, err := net.DialTimeout(network, addr, timeout)
+				if err == nil {
+					conns = append(conns, c)
 				}
+				return c, err
+			}
+
+			// Rank 0 waits until its epoch is live (so the outage always
+			// lands after the eager dials), the links die, and only then
+			// does it send its burst — frames guaranteed to face a dead
+			// link. The links stay down for the rest of the run.
+			const per, burst = 64, 16
+			u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, Detector: det,
+				FaultPlan: &FaultPlan{retransmitBase: 2, maxAttempts: 12},
+				Transport: tr})
+			mt := Register(u, "val", func(r *Rank, m chatterPayload) {}).WithWire()
+			err := u.Run(func(r *Rank) {
+				r.Epoch(func(ep *Epoch) {
+					for i := 1; i <= per; i++ {
+						mt.SendTo(r, (r.ID()+1)%r.N(), chatterPayload{ID: int64(i)})
+					}
+					if r.ID() == 0 {
+						mu.Lock()
+						down = true
+						for _, c := range conns {
+							c.Close()
+						}
+						mu.Unlock()
+						for i := per + 1; i <= per+burst; i++ {
+							mt.SendTo(r, 1, chatterPayload{ID: int64(i)})
+						}
+					}
+				})
+			})
+			wantRankFault(t, u, err, FaultTransport)
+			if u.Stats.LinkDeaths() < 1 {
+				t.Fatalf("an exhausted reconnect budget must count a link death, got %+v", u.Stats.Snapshot())
 			}
 		})
-	})
-	close(runDone)
-	<-outageOver
-	if err != nil {
-		for i, f := range u.FaultLog() {
-			t.Logf("fault[%d]: kind=%s rank=%d epoch=%d detail=%s", i, f.Kind, f.Rank, f.Epoch, f.Detail)
-		}
-		t.Logf("counters: %+v", u.Stats.Snapshot())
-		t.Fatalf("Run: %v", err)
-	}
-	want := ringWant(2, per) + int64(burst)*int64(2*per+burst+1)/2
-	if got := ck.sum(); got != want {
-		t.Fatalf("ring sum = %d after outage + recovery, want %d", got, want)
-	}
-	s := u.Stats.Snapshot()
-	if s.Recoveries < 1 || s.EpochAborts < 1 {
-		t.Fatalf("an outage past the budget must cost an epoch attempt, got %+v", s)
-	}
-	if s.Reconnects < 1 {
-		t.Fatalf("the replay must have reconnected once dials succeed, got %+v", s)
-	}
-	var sawTransportFault bool
-	for _, f := range u.FaultLog() {
-		if f.Kind == FaultTransport {
-			sawTransportFault = true
-		}
-	}
-	if !sawTransportFault {
-		t.Fatalf("exhausted reconnect budget must raise FaultTransport; fault log: %v", u.FaultLog())
 	}
 }
 

@@ -26,11 +26,9 @@ const (
 	cDecodeErrors
 	cAckMsgs
 	cAcksDropped
-	cRankCrashes
 	cHandlerPanics
 	cLinkDeaths
 	cEpochAborts
-	cRecoveries
 	cCheckpoints
 	cWatchdogFires
 	cReconnects
@@ -51,8 +49,8 @@ var counterNames = [numCounters]string{
 	"retransmits", "dups_suppressed", "corruptions_detected",
 	"decode_errors",
 	"ack_msgs", "acks_dropped",
-	"rank_crashes", "handler_panics", "link_deaths",
-	"epoch_aborts", "recoveries", "checkpoints", "watchdog_fires",
+	"handler_panics", "link_deaths",
+	"epoch_aborts", "checkpoints", "watchdog_fires",
 	"reconnects", "heartbeat_misses", "frames_requeued", "frames_dropped",
 	"clean_departures", "crash_departures",
 	"query_mismatches",
@@ -132,26 +130,21 @@ func (s *Stats) AckMsgs() int64 { return s.c.Total(cAckMsgs) }
 // AcksDropped counts acknowledgements the injector discarded.
 func (s *Stats) AcksDropped() int64 { return s.c.Total(cAcksDropped) }
 
-// RankCrashes counts injected crash-stop rank failures (FaultPlan.Crashes).
-func (s *Stats) RankCrashes() int64 { return s.c.Total(cRankCrashes) }
-
 // HandlerPanics counts message-handler panics contained as rank faults.
 func (s *Stats) HandlerPanics() int64 { return s.c.Total(cHandlerPanics) }
 
 // LinkDeaths counts links declared dead at the retransmit ceiling.
 func (s *Stats) LinkDeaths() int64 { return s.c.Total(cLinkDeaths) }
 
-// EpochAborts counts epoch attempts aborted by a rank fault.
+// EpochAborts counts epochs aborted by a rank fault (at most one per run).
 func (s *Stats) EpochAborts() int64 { return s.c.Total(cEpochAborts) }
 
-// Recoveries counts completed epoch rollback-and-replay cycles.
-func (s *Stats) Recoveries() int64 { return s.c.Total(cRecoveries) }
-
-// Checkpoints counts per-rank epoch-boundary snapshots (WithRecovery).
+// Checkpoints counts per-rank epoch-boundary snapshots written to a fleet's
+// slot files (multi-process mode).
 func (s *Stats) Checkpoints() int64 { return s.c.Total(cCheckpoints) }
 
 // WatchdogFires counts stuck-epoch watchdog activations (at most one per
-// run; the watchdog fault is fatal).
+// run).
 func (s *Stats) WatchdogFires() int64 { return s.c.Total(cWatchdogFires) }
 
 // Reconnects counts successful link re-establishments by a socket
@@ -189,22 +182,22 @@ func (s *Stats) QueryMismatches() int64 { return s.c.Total(cQueryMismatches) }
 // Snapshot is a plain-value copy of Stats, convenient for diffing across an
 // experiment phase.
 type Snapshot struct {
-	MsgsSent                               int64
-	Envelopes, BytesSent, WireBytes        int64
-	HandlersRun                            int64
-	CtrlMsgs, Epochs, Flushes, TDWaves     int64
-	EnvelopesDropped, EnvelopesDuplicated  int64
-	EnvelopesDelayed, Retransmits          int64
-	DupsSuppressed, CorruptionsDetected    int64
-	DecodeErrors                           int64
-	AckMsgs, AcksDropped                   int64
-	RankCrashes, HandlerPanics, LinkDeaths int64
-	EpochAborts, Recoveries, Checkpoints   int64
-	WatchdogFires                          int64
-	Reconnects, HeartbeatMisses            int64
-	FramesRequeued, FramesDropped          int64
-	CleanDepartures, CrashDepartures       int64
-	QueryMismatches                        int64
+	MsgsSent                              int64
+	Envelopes, BytesSent, WireBytes       int64
+	HandlersRun                           int64
+	CtrlMsgs, Epochs, Flushes, TDWaves    int64
+	EnvelopesDropped, EnvelopesDuplicated int64
+	EnvelopesDelayed, Retransmits         int64
+	DupsSuppressed, CorruptionsDetected   int64
+	DecodeErrors                          int64
+	AckMsgs, AcksDropped                  int64
+	HandlerPanics, LinkDeaths             int64
+	EpochAborts, Checkpoints              int64
+	WatchdogFires                         int64
+	Reconnects, HeartbeatMisses           int64
+	FramesRequeued, FramesDropped         int64
+	CleanDepartures, CrashDepartures      int64
+	QueryMismatches                       int64
 }
 
 // snapshotOf builds a Snapshot from a per-counter read function.
@@ -230,11 +223,9 @@ func snapshotOf(get func(id int) int64) Snapshot {
 		AckMsgs:             get(cAckMsgs),
 		AcksDropped:         get(cAcksDropped),
 
-		RankCrashes:   get(cRankCrashes),
 		HandlerPanics: get(cHandlerPanics),
 		LinkDeaths:    get(cLinkDeaths),
 		EpochAborts:   get(cEpochAborts),
-		Recoveries:    get(cRecoveries),
 		Checkpoints:   get(cCheckpoints),
 		WatchdogFires: get(cWatchdogFires),
 
@@ -289,11 +280,9 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		AckMsgs:             s.AckMsgs - o.AckMsgs,
 		AcksDropped:         s.AcksDropped - o.AcksDropped,
 
-		RankCrashes:   s.RankCrashes - o.RankCrashes,
 		HandlerPanics: s.HandlerPanics - o.HandlerPanics,
 		LinkDeaths:    s.LinkDeaths - o.LinkDeaths,
 		EpochAborts:   s.EpochAborts - o.EpochAborts,
-		Recoveries:    s.Recoveries - o.Recoveries,
 		Checkpoints:   s.Checkpoints - o.Checkpoints,
 		WatchdogFires: s.WatchdogFires - o.WatchdogFires,
 

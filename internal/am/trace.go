@@ -61,10 +61,6 @@ const (
 	// TraceEpochAbort: a rank fault aborted the current epoch attempt
 	// (Arg = epoch sequence, Arg2 = FaultKind).
 	TraceEpochAbort
-	// TraceRecover: the universe rolled back to the epoch-boundary
-	// checkpoint and restarted the dead rank (Arg = epoch sequence,
-	// Arg2 = recovery count for this epoch).
-	TraceRecover
 	// TraceWatchdog: the stuck-epoch watchdog fired (Arg = epoch
 	// sequence).
 	TraceWatchdog
@@ -134,8 +130,6 @@ func (k TraceKind) String() string {
 		return "link-dead"
 	case TraceEpochAbort:
 		return "abort"
-	case TraceRecover:
-		return "recover"
 	case TraceWatchdog:
 		return "watchdog"
 	case TraceHandler:

@@ -66,12 +66,6 @@ type Transport interface {
 	// exactly once (the in-process backend transfers it to the receiver).
 	send(src, dest int, e envelope)
 
-	// healEpoch resets per-link failure state — dead links, reconnect
-	// attempt counters, open fault-schedule windows — during epoch recovery,
-	// so the replay is not doomed by the fault that aborted the attempt.
-	// Called by rank 0 between recovery barriers (all ranks quiescent).
-	healEpoch()
-
 	// close tears the backend down and joins its goroutines. Called after
 	// every rank main has returned; sends arriving after close are safe
 	// no-ops (mirroring inbox.Push on a closed queue). Idempotent.
@@ -105,18 +99,15 @@ func (t *chanTransport) send(src, dest int, e envelope) {
 	t.u.ranks[dest].inbox.Push(e)
 }
 
-func (t *chanTransport) healEpoch() {}
-func (t *chanTransport) close() error {
-	return nil
-}
+func (t *chanTransport) close() error { return nil }
 
 // Coresident reports whether rank dest's memory is this rank's to operate on
 // directly: the transport says the two ranks share an address space, and the
-// universe is in trusted mode — no FaultPlan, no Recovery, no lineage, not a
+// universe is in trusted mode — no FaultPlan, no lineage, not a
 // multi-process rank host. Outside trusted mode every effect must stay a
 // message, because that is what the fault injector perturbs, the reliable
-// layer sequences, recovery rolls back and replays, and causal tracing
-// stamps. The pattern engine asks this per hop to choose between applying a
+// layer sequences, a restarted fleet replays, and causal tracing stamps.
+// The pattern engine asks this per hop to choose between applying a
 // single-word operation in place and sending it (DESIGN.md, "Co-resident
 // direct application"). The answer is fixed for the life of the universe;
 // today it is also the same for every link, since one transport carries them

@@ -39,7 +39,7 @@ func (d DetectorKind) String() string {
 // LineageMode controls causal message lineage: stamping every sent message
 // with the id of the handler invocation that produced it (sends issued by an
 // epoch body carry a synthetic per-(epoch, rank) root id). Lineage rides the
-// envelope through coalescing, retransmission, and recovery replay, and —
+// envelope through coalescing and retransmission, and —
 // when tracing is enabled — every handler invocation records a TraceHandler
 // span carrying its own id and its parent's, from which internal/obs
 // reconstructs the per-epoch causal DAG and its critical path.
@@ -71,7 +71,6 @@ type envelope struct {
 	typeID int32  // registered message type, or ackTypeID for acks
 	src    int32  // sending rank
 	seq    uint64 // per-(src, dest, type) sequence number from 1; 0 = unsequenced (deliverEnvelope)
-	gen    uint64 // epoch generation at creation; stale generations are discarded
 	data   any    // []T, wirePayload (codec-equipped wire types), or ackBody
 	// qid is the query context the envelope belongs to (0 outside any query
 	// epoch — see Rank.EpochCtx). The epoch guarantee means an envelope is
@@ -132,11 +131,8 @@ type Universe struct {
 	pending atomic.Int64
 
 	// epochState is the shared epoch state machine (running / finished /
-	// aborting — see recovery.go); epochGen numbers recovery generations
-	// so envelopes created before a rollback are recognizably stale; and
-	// epochSeq numbers committed epochs.
+	// aborting — see rankfault.go); epochSeq numbers committed epochs.
 	epochState atomic.Int32
-	epochGen   atomic.Uint64
 	epochSeq   atomic.Int64
 
 	// curQuery is the query context of the epoch currently running (0 for
@@ -165,33 +161,18 @@ type Universe struct {
 	// causal parent and every handler invocation gets a lineage id.
 	lineage bool
 
-	// Rank-fault containment and checkpoint/restart state (recovery.go).
-	// blobs[rank] is rank's row of checkpoint blobs (takeBlobs), retaken at
-	// every epoch boundary under WithRecovery. faultMu guards
-	// fault (the aborting epoch's deciding fault), faultLog, and runErr;
-	// recoveries (rank-0-only) counts rollbacks of the current epoch.
+	// Rank-fault containment and checkpoint state (rankfault.go). faultMu
+	// guards fault (the aborting epoch's deciding fault) and runErr.
 	checkpointers []Checkpointer
-	blobs         [][][]byte
 	faultMu       sync.Mutex
 	fault         *RankFault
-	faultLog      []RankFault
 	runErr        error
-	runFailed     atomic.Bool
-	recoveries    int
 	// runExited flips once every rank main has returned: the algorithm is
 	// complete and its results are final. Transport failures observed after
 	// this point (peers tearing down data-plane sockets at slightly
 	// different times in multi-process mode) must not fault a finished run,
 	// and a coordinator wave poll is answered ok=false (sampleWave).
 	runExited atomic.Bool
-
-	// Injected-fault bookkeeping: one fired/healed flag per
-	// FaultPlan.Crashes / DeadLinks entry; the has* fields gate the hot
-	// paths.
-	crashFired   []atomic.Bool
-	linkHealed   []atomic.Bool
-	hasCrashes   bool
-	hasDeadLinks bool
 
 	// Watchdog state: the monotonic timestamp of the last observed
 	// substrate progress, and a once-flag for the fault.
@@ -225,8 +206,6 @@ func newUniverse(cfg config) *Universe {
 			panic("am: WithControlPlane needs a ControlPlane")
 		case mp.Lo < 0 || mp.Hi > cfg.Ranks || mp.Lo >= mp.Hi:
 			panic(fmt.Sprintf("am: WithControlPlane rank range [%d,%d) outside [0,%d)", mp.Lo, mp.Hi, cfg.Ranks))
-		case cfg.Recovery:
-			panic("am: WithRecovery is incompatible with WithControlPlane: multi-process faults abort the fleet and the launcher drives checkpoint/restart")
 		case cfg.Transport.shared():
 			panic("am: WithControlPlane needs a socket transport (WithTransport(SockTransport(...)))")
 		}
@@ -252,20 +231,6 @@ func newUniverse(cfg config) *Universe {
 	}
 	if plan != nil {
 		u.fp = plan.withDefaults()
-		for i, c := range u.fp.Crashes {
-			if c.Rank < 0 || c.Rank >= cfg.Ranks {
-				panic(fmt.Sprintf("am: FaultPlan.Crashes[%d] targets rank %d outside [0,%d)", i, c.Rank, cfg.Ranks))
-			}
-		}
-		for i, dl := range u.fp.DeadLinks {
-			if dl.Src < 0 || dl.Src >= cfg.Ranks || dl.Dest < 0 || dl.Dest >= cfg.Ranks {
-				panic(fmt.Sprintf("am: FaultPlan.DeadLinks[%d] outside [0,%d)", i, cfg.Ranks))
-			}
-		}
-		u.crashFired = make([]atomic.Bool, len(u.fp.Crashes))
-		u.linkHealed = make([]atomic.Bool, len(u.fp.DeadLinks))
-		u.hasCrashes = len(u.fp.Crashes) > 0
-		u.hasDeadLinks = len(u.fp.DeadLinks) > 0
 	}
 	u.barrier = newBarrier(cfg.Ranks)
 	u.coll.init(cfg.Ranks)
@@ -294,19 +259,17 @@ func newUniverse(cfg config) *Universe {
 			inbox: newQueue(),
 			st:    u.c.Shard(i),
 		}}
-		u.ranks[i].crashAfter.Store(-1)
 	}
 	return u
 }
 
 // trusted reports whether nothing stands between ranks that a message must
 // answer to: no fault plan — hence the in-process transport, since a socket
-// transport always runs one, and so no control plane either — and no
-// Recovery. Outside trusted mode rank faults are contained (converted into
-// RankFaults) instead of failing fast. Valid once newUniverse has resolved the
-// fault plan.
+// transport always runs one, and so no control plane either. Outside trusted
+// mode rank faults are contained (converted into RankFaults) instead of
+// failing fast. Valid once newUniverse has resolved the fault plan.
 func (u *Universe) trusted() bool {
-	return u.fp == nil && !u.cfg.Recovery
+	return u.fp == nil
 }
 
 // Ranks returns the number of ranks.
@@ -357,21 +320,16 @@ type rankState struct {
 	bufs []any
 
 	// four-counter protocol counters. activeH covers the whole delivery
-	// path (checks through handler completion): recovery's quiesce phase
-	// spins on it to prove no in-flight delivery can still write state.
+	// path (checks through handler completion): an aborting epoch
+	// (abortEpoch) spins on it until no in-flight delivery can still write
+	// state.
 	sentC   atomic.Int64
 	recvC   atomic.Int64
 	activeH atomic.Int32
 
-	// Crash-stop state (recovery.go): crashed marks the rank dead for the
-	// current epoch attempt; crashAfter (>= 0 when armed) is the
-	// handled-message count that triggers a mid-epoch injected crash, with
-	// crashIdx the FaultPlan.Crashes entry it consumes; handledInEpoch
-	// counts messages handled within the current epoch attempt.
-	crashed        atomic.Bool
-	crashAfter     atomic.Int64
-	crashIdx       int
-	handledInEpoch atomic.Int64
+	// crashed marks the rank dead for the current epoch (crash-stop after a
+	// contained handler panic, rankfault.go).
+	crashed atomic.Bool
 
 	// epoch-body bookkeeping (see epoch.go).
 	idleBodies  atomic.Int32
@@ -410,10 +368,6 @@ type rankState struct {
 	// progress tick driving retransmit timeouts. The count of
 	// unacknowledged + delayed envelopes this rank is responsible for
 	// lives in the universe's relPending gauge, sharded by rank.
-	// relInit orders link-table swaps (initReliability, at Run and in
-	// recovery's scrub) against requeueOutstanding, which a socket
-	// backend's reconnector calls from a transport goroutine.
-	relInit  sync.Mutex
 	send     [][]sendLink
 	recv     [][]recvLink
 	linkTick atomic.Uint64
@@ -493,9 +447,8 @@ func (u *Universe) initObs() {
 // handler threads have drained. Run may be called only once per Universe.
 //
 // The returned error is nil on a clean run. It is non-nil when a rank fault
-// (injected crash, contained handler panic, dead link — see recovery.go)
-// could not be recovered: recovery disabled, the per-epoch recovery budget
-// exhausted, or the stuck-epoch watchdog fired. The wrapped *RankFault
+// (contained handler panic, dead link, exhausted reconnect budget, stuck-epoch
+// watchdog — see rankfault.go) aborted an epoch. The wrapped *RankFault
 // carries the fault kind, rank, and epoch; every rank's body is unwound
 // before Run returns, so the process survives what used to be a panic.
 func (u *Universe) Run(body func(r *Rank)) error {
@@ -503,7 +456,6 @@ func (u *Universe) Run(body func(r *Rank)) error {
 		panic("am: Universe.Run called twice")
 	}
 	u.initObs()
-	u.blobs = make([][][]byte, u.cfg.Ranks)
 	// Allocate per-rank typed coalescing buffers now that the type set is
 	// final.
 	for _, r := range u.ranks {
@@ -570,9 +522,9 @@ func (u *Universe) Run(body func(r *Rank)) error {
 			defer mains.Done()
 			defer func() {
 				// runAbort unwinds a rank main whose run has failed
-				// (recovery.go); every rank throws it from the same
-				// recovery barrier, so no rank is left waiting in a
-				// collective. Any other panic propagates.
+				// (rankfault.go); every rank throws it after the same
+				// barrier, so no rank is left waiting in a collective.
+				// Any other panic propagates.
 				if p := recover(); p != nil {
 					if _, ok := p.(runAbort); !ok {
 						panic(p)
@@ -622,22 +574,20 @@ func (u *Universe) Run(body func(r *Rank)) error {
 // wire buffer exactly once, and decoded batches the receiver exclusively
 // owns return to the type's batch pool after delivery.
 //
-// activeH brackets the whole function (not just the handler batch): the
-// recovery quiesce phase observes activeH == 0 to prove no delivery that
-// passed the admission checks can still be running, and the checks
-// themselves run after the increment so a delivery is either visibly
-// in-flight or sees the abort/stale-generation state and discards itself.
+// activeH brackets the whole function (not just the handler batch):
+// abortEpoch observes activeH == 0 to prove no delivery that passed the
+// admission checks can still be running, and the checks themselves run after
+// the increment so a delivery is either visibly in-flight or sees the abort
+// state and discards itself.
 func (r *Rank) deliverEnvelope(e envelope) {
 	u := r.u
 	r.activeH.Add(1)
 	defer r.activeH.Add(-1)
 	if !u.trusted() {
 		// A crashed rank is silent (no handling, no acks — peers see only
-		// missing acknowledgements); an aborting epoch discards everything
-		// (recovery scrubs the links); and an envelope from a rolled-back
-		// generation is stale even if a descheduled worker surfaces it
-		// after the epoch replays.
-		if r.crashed.Load() || u.epochState.Load() == epochAborting || e.gen != u.epochGen.Load() {
+		// missing acknowledgements), and an aborting epoch discards
+		// everything: the run is failing.
+		if r.crashed.Load() || u.epochState.Load() == epochAborting {
 			if wp, ok := e.data.(wirePayload); ok {
 				wp.release()
 			}
@@ -664,13 +614,6 @@ func (r *Rank) deliverEnvelope(e envelope) {
 		if u.fp == nil {
 			panic(fmt.Sprintf("am: query cross-talk on trusted transport: envelope for query %d delivered under query %d (%s)",
 				e.qid, u.curQuery.Load(), u.types[e.typeID].name))
-		}
-		return
-	}
-	if u.hasCrashes && r.crashDue() {
-		// The rank died before handling this envelope; it dies unacknowledged.
-		if wp, ok := e.data.(wirePayload); ok {
-			wp.release()
 		}
 		return
 	}
@@ -731,9 +674,6 @@ func (r *Rank) deliverEnvelope(e envelope) {
 	if !r.deliverBatch(mt, data, e.lin) {
 		return // handler panicked; contained as a rank fault
 	}
-	if u.hasCrashes {
-		r.handledInEpoch.Add(int64(mt.batchLen(data)))
-	}
 	if timed {
 		end := obs.Now()
 		n := int64(mt.batchLen(data))
@@ -765,7 +705,7 @@ func (r *Rank) deliverBatch(mt *msgType, data any, lin []uint64) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			ok = false
-			r.cur = 0 // the poisoned ambient parent dies with the attempt
+			r.cur = 0 // the poisoned ambient parent dies with the epoch
 			r.st.Inc(cHandlerPanics)
 			r.u.trace(r.id, TracePanic, int64(mt.id), 0)
 			r.crashNow(FaultHandlerPanic,

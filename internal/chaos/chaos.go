@@ -46,10 +46,6 @@ type Scenario struct {
 	// transport with the fixed codec (so Corrupt faults apply to it); false
 	// ships it in memory (the reference transport).
 	Wire bool
-	// Recovery enables epoch-granular checkpoint/restart: rank faults
-	// (injected crashes, dead links, contained panics) roll the damaged
-	// epoch back and replay it instead of failing the run.
-	Recovery bool
 	// Transport selects the message backend: "" or "chan" for the
 	// in-process channel transport, "unix" or "tcp" for real sockets
 	// (loopback), where every envelope is framed, CRC-sealed, and crosses a
@@ -77,16 +73,9 @@ func (sc Scenario) String() string {
 	if sc.Plan == nil {
 		return fmt.Sprintf("baseline/%dx%d/%s%s", sc.Ranks, sc.Threads, sc.Detector, wire)
 	}
-	rec := wire
-	if sc.Recovery {
-		rec += "/recovery"
-	}
-	if n := len(sc.Plan.Crashes) + len(sc.Plan.DeadLinks); n > 0 {
-		rec += fmt.Sprintf("/faults=%d", n)
-	}
 	return fmt.Sprintf("drop=%g,dup=%g,delay=%g,corrupt=%g/%dx%d/%s/seed=%d%s",
 		sc.Plan.Drop, sc.Plan.Dup, sc.Plan.Delay, sc.Plan.Corrupt,
-		sc.Ranks, sc.Threads, sc.Detector, sc.Plan.Seed, rec)
+		sc.Ranks, sc.Threads, sc.Detector, sc.Plan.Seed, wire)
 }
 
 func (sc Scenario) options() []am.Option {
@@ -95,9 +84,6 @@ func (sc Scenario) options() []am.Option {
 		am.WithCoalesce(sc.Coalesce),
 		am.WithDetector(sc.Detector),
 		am.WithFaultPlan(sc.Plan),
-	}
-	if sc.Recovery {
-		opts = append(opts, am.WithRecovery())
 	}
 	switch sc.Transport {
 	case "", "chan":
@@ -137,8 +123,8 @@ func RunBFS(w Workload, sc Scenario, src distgraph.Vertex) ([]int64, am.Snapshot
 }
 
 // mustRun panics on an unexpected Run error: the harness's scenarios are all
-// expected to complete (faults are either absent or recoverable), so an
-// error here is a finding, not a usage mistake.
+// expected to complete (every fault they inject is one the reliable layer
+// absorbs), so an error here is a finding, not a usage mistake.
 func mustRun(sc Scenario, err error) {
 	if err != nil {
 		panic(fmt.Sprintf("chaos: run under %s failed: %v", sc, err))

@@ -170,31 +170,6 @@ func TestWireCodecsUnderChaos(t *testing.T) {
 	}
 }
 
-// TestWireCodecCrashRecovery crosses the fixed codec with the crash-stop
-// schedules: pooled wire buffers and checkpoint/replay must coexist, and
-// replayed results must stay bit-identical to the fault-free run.
-func TestWireCodecCrashRecovery(t *testing.T) {
-	w := workload(t, 9, 8)
-	src := distgraph.Vertex(3)
-	for name, plan := range crashSchedules() {
-		for _, sc := range recoveryScenarios(plan) {
-			sc.Wire = true
-			t.Run(fmt.Sprintf("%s/%s", name, sc.Detector), func(t *testing.T) {
-				base := sc
-				base.Plan, base.Recovery, base.Wire = nil, false, false
-				want, _ := RunBFS(w, base, src)
-				got, stats := RunBFS(w, sc, src)
-				check(t, "BFS+fixed", sc, got, want)
-				checkRecovered(t, "BFS+fixed", sc, stats)
-
-				wantD, _ := RunSSSP(w, base, src, 30)
-				gotD, _ := RunSSSP(w, sc, src, 30)
-				check(t, "SSSP+fixed", sc, gotD, wantD)
-			})
-		}
-	}
-}
-
 // TestChaosResultsDeterministic runs the same faulty scenario twice and
 // requires bit-identical results — the reliable protocol makes the
 // *outcome* a pure function of (workload, seed), even though scheduling

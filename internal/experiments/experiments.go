@@ -52,7 +52,6 @@ func All() []Experiment {
 		{"E15", "§VI — expressiveness: the pattern-based algorithm suite", E15Expressiveness},
 		{"E16", "robustness — fault overhead vs drop rate (reliable transport)", E16Chaos},
 		{"E17", "observability — sharded counters, timing, and tracing overhead", E17Observability},
-		{"E18", "robustness — checkpoint/recovery overhead vs crash rate", E18Recovery},
 		{"E19", "observability — causal lineage: critical paths, chain depth, overhead", E19Lineage},
 		{"E20", "performance — wire codec: bytes & allocations, fixed vs in-memory reference", E20Codec},
 		{"E21", "robustness — transport seam: chan vs unix vs tcp loopback, faulted links", E21Transport},

@@ -19,10 +19,6 @@ var statColumns = map[string]func(am.Snapshot) int64{
 	"dropped":        func(s am.Snapshot) int64 { return s.EnvelopesDropped },
 	"retransmits":    func(s am.Snapshot) int64 { return s.Retransmits },
 	"dup-suppressed": func(s am.Snapshot) int64 { return s.DupsSuppressed },
-	"crashes":        func(s am.Snapshot) int64 { return s.RankCrashes },
-	"aborts":         func(s am.Snapshot) int64 { return s.EpochAborts },
-	"recoveries":     func(s am.Snapshot) int64 { return s.Recoveries },
-	"checkpoints":    func(s am.Snapshot) int64 { return s.Checkpoints },
 }
 
 // statCells returns one table cell per named substrate column, all read from

@@ -221,6 +221,41 @@ func TestCoordMalformedFramesAbort(t *testing.T) {
 	}
 }
 
+// TestCoordRankFaultAborts: a worker whose universe contained a rank fault
+// reports it with an fFault frame — the only route a rank fault takes to a
+// fleet restart. The attempt must end inside the round timeout in an abort
+// outcome (not a clean departure) that wraps the reported fault, and every
+// other worker must be told to abort.
+func TestCoordRankFaultAborts(t *testing.T) {
+	c, outc := testCoord(t, 2, 4)
+	f0 := dialFake(t, c.addr(), 0)
+	f1 := dialFake(t, c.addr(), 1)
+	registerAddrs(t, f0, f1)
+
+	sent := am.RankFault{Kind: am.FaultHandlerPanic, Rank: 2, Epoch: 3, Detail: "handler for visit panicked"}
+	start := time.Now()
+	f1.send(fFault, sent)
+	out := waitOutcome(t, outc, "worker 1 fault")
+	if took := time.Since(start); took > c.spec.RoundTimeout {
+		t.Fatalf("the fault took %v to end the attempt, over the %v round timeout", took, c.spec.RoundTimeout)
+	}
+	if out.clean {
+		t.Fatal("a rank fault ended the attempt as a clean departure")
+	}
+	var got *am.RankFault
+	if !errors.As(out.err, &got) || *got != sent {
+		t.Fatalf("attempt error %v does not wrap the reported fault %v", out.err, &sent)
+	}
+	_, body := f0.recv(fAbort)
+	var abort abortMsg
+	if err := decodeBody(fAbort, body, &abort); err != nil {
+		t.Fatal(err)
+	}
+	if abort.Clean || !strings.Contains(abort.Reason, sent.Detail) {
+		t.Fatalf("worker 0 was told %+v, want an unclean abort naming the fault", abort)
+	}
+}
+
 func TestCoordCommitVoteAdvancesOnlyOnFullEntry(t *testing.T) {
 	c, outc := testCoord(t, 2, 4)
 	f0 := dialFake(t, c.addr(), 0)

@@ -183,15 +183,16 @@ type epochAgg struct {
 	tdWaves, flushes                  int64
 	retransmits, drops, acks, corrupt int64
 	decodeErrs, reconnects, hbMiss    int64
-	faults, aborts, recoveries        int64
+	faults, aborts                    int64
 }
 
 // EpochSummary aggregates the trace into one row per (query, epoch): message
-// and envelope volume, termination-detection waves, and fault-recovery
-// traffic, with the epoch duration taken as the slowest rank's span. Epochs
-// on a resident universe are globally serialized but belong to interleaved
-// queries; grouping by the query context (Record.Q) keeps each query's
-// epochs on their own rows instead of silently merging the timelines.
+// and envelope volume, termination-detection waves, retransmit and transport
+// traffic, and faults, with the epoch duration taken as the slowest rank's
+// span. Epochs on a resident universe are globally serialized but belong to
+// interleaved queries; grouping by the query context (Record.Q) keeps each
+// query's epochs on their own rows instead of silently merging the
+// timelines.
 func EpochSummary(meta Meta, recs []Record) *harness.Table {
 	type key struct{ q, seq int64 }
 	idx := epochIndex(meta, recs)
@@ -223,9 +224,6 @@ func EpochSummary(meta Meta, recs []Record) *harness.Table {
 			continue
 		case "abort":
 			get(r.Q, r.Arg).aborts++
-			continue
-		case "recover":
-			get(r.Q, r.Arg).recoveries++
 			continue
 		}
 		seq := epochOf(idx, r.Rank, r.TS)
@@ -277,13 +275,13 @@ func EpochSummary(meta Meta, recs []Record) *harness.Table {
 	t := harness.NewTable("per-epoch summary",
 		"query", "epoch", "duration", "messages", "envelopes", "delivered", "td-waves", "flushes", "retransmits", "drops", "acks",
 		"corrupt", "decode-err", "reconn", "hb-miss",
-		"faults", "aborts", "recoveries")
+		"faults", "aborts")
 	for _, k := range keys {
 		a := bysSeq[k]
 		t.Add(queryLabel(a.q), a.seq, time.Duration(a.dur), a.msgs, a.envelopes, a.delivered,
 			a.tdWaves, a.flushes, a.retransmits, a.drops, a.acks,
 			a.corrupt, a.decodeErrs, a.reconnects, a.hbMiss,
-			a.faults, a.aborts, a.recoveries)
+			a.faults, a.aborts)
 	}
 	return t
 }

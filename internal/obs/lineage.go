@@ -122,8 +122,8 @@ func (l *Lineage) Connected() bool { return l.Orphans == 0 }
 // BuildLineage reconstructs the causal forest from an exported trace. It
 // needs "handler" records (tracing on, lineage not switched off); traces
 // without them yield an empty Lineage. Handler events that fall outside any
-// committed epoch span (e.g. an attempt that was rolled back before its
-// epoch-end was recorded, or a mid-run capture) are attributed to epoch -1
+// committed epoch span (e.g. an epoch a fault aborted before its epoch-end
+// was recorded, or a mid-run capture) are attributed to epoch -1
 // and excluded from the per-epoch analyses.
 func BuildLineage(meta Meta, recs []Record) *Lineage {
 	idx := epochIndex(meta, recs)

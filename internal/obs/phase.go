@@ -9,10 +9,9 @@ package obs
 //	kernel    — the epoch body proper: handler execution until quiescence
 //	emit      — result writeback/folds after the kernel
 //	barrier   — time blocked in Rank.Barrier (includes collective waits)
-//	recovery  — rollback/replay after a fault
 //
 // Phases are a breakdown, not a strict partition: barrier time spent inside
-// an epoch attempt is also part of that attempt's kernel span.
+// an epoch is also part of that epoch's kernel span.
 type Phase uint8
 
 const (
@@ -21,7 +20,6 @@ const (
 	PhaseKernel
 	PhaseEmit
 	PhaseBarrier
-	PhaseRecovery
 	NumPhases // count sentinel, not a phase
 )
 
@@ -31,7 +29,6 @@ var phaseNames = [NumPhases]string{
 	PhaseKernel:   "kernel",
 	PhaseEmit:     "emit",
 	PhaseBarrier:  "barrier",
-	PhaseRecovery: "recovery",
 }
 
 // String returns the phase's wire/series name.

@@ -7,8 +7,8 @@ import "declpat/internal/ckpt"
 // action's modification flag (the `once` strategy's changed-anything bit).
 // Everything else is frozen before Run — compiled actions, bindings, work
 // hooks — or keyed on the am epoch-attempt stamp — the send-side filter's
-// tables and the coalesced rerun hook's pending words — and the replay of a
-// rolled-back epoch runs under a new stamp, which forgets both. Action-level
+// tables and the coalesced rerun hook's pending words — which a restarted
+// process begins afresh. Action-level
 // Stats counters are diagnostics, not algorithm state, and are deliberately
 // not rewound.
 

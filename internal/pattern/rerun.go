@@ -33,12 +33,11 @@ import (
 //
 // A word is set when it holds the current am epoch-attempt stamp (the
 // cursor's), and clear when it holds anything else: an entry that finds it
-// set stores 0, which no attempt's stamp is. A rolled-back attempt drops the
-// entries that would have cleared its words, and its replay runs under a new
-// stamp, so those words read clear without anyone touching them — the same
-// rule that empties the send-side filter's tables. The words are 64 bits
-// wide, like the stamp, so an old attempt's word never equals a later
-// attempt's stamp.
+// set stores 0, which no attempt's stamp is. The next epoch runs under a new
+// stamp, so a word its predecessor left set reads clear without anyone
+// touching it — the same rule that empties the send-side filter's tables. The
+// words are 64 bits wide, like the stamp, so an old attempt's word never
+// equals a later attempt's stamp.
 
 // SetWorkRerun makes the action its own work hook: the paper's
 // `a.work(Vertex v) = { a(v) }`, declared instead of spelled as a closure so

@@ -15,7 +15,7 @@ import (
 // exactly what the encoder writes; a blob whose shape differs from the live
 // shard is an error that leaves the shard untouched (ckpt.Apply). Both
 // methods run at quiescent points — SnapshotRank at the epoch boundary,
-// RestoreRank between recovery barriers or before a restarted epoch — so no
+// RestoreRank before a restarted epoch — so no
 // synchronization against handlers is needed.
 
 // words restores a u32 count, which must equal len(dst), and that many words.
