@@ -253,21 +253,14 @@ type (
 	FixedPointStrategy = strategy.FixedPoint
 	// DeltaStrategy mirrors strategy.Delta.
 	DeltaStrategy = strategy.Delta
-	// DeltaDistributedStrategy mirrors strategy.DeltaDistributed.
-	DeltaDistributedStrategy = strategy.DeltaDistributed
 )
 
 // NewFixedPoint mirrors strategy.NewFixedPoint; call before Run.
 func NewFixedPoint(a *BoundAction) *FixedPointStrategy { return strategy.NewFixedPoint(a) }
 
 // NewDelta mirrors strategy.NewDelta; call before Run.
-func NewDelta(u *Universe, a *BoundAction, keys *VertexWordMap, delta int64) *DeltaStrategy {
-	return strategy.NewDelta(u, a, keys, delta)
-}
-
-// NewDeltaDistributed mirrors strategy.NewDeltaDistributed; call before Run.
-func NewDeltaDistributed(u *Universe, a *BoundAction, keys *VertexWordMap, delta int64, threads int) *DeltaDistributedStrategy {
-	return strategy.NewDeltaDistributed(u, a, keys, delta, threads)
+func NewDelta(u *Universe, a, heavy *BoundAction, keys *VertexWordMap, delta int64, threads int) *DeltaStrategy {
+	return strategy.NewDelta(u, a, heavy, keys, delta, threads)
 }
 
 // Once mirrors strategy.Once. Collective.

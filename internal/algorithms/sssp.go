@@ -51,21 +51,6 @@ func SSSPLightHeavyPattern(delta int64) *pattern.Pattern {
 	return p
 }
 
-// SSSPMode selects the strategy applied to the relax action.
-type SSSPMode int
-
-const (
-	// SSSPFixedPoint is the paper's fixed_point strategy (Fig. 1 right).
-	SSSPFixedPoint SSSPMode = iota
-	// SSSPDelta is Δ-stepping with per-rank buckets (Fig. 1 left).
-	SSSPDelta
-	// SSSPDeltaDistributed is the §III-D variant with per-thread local
-	// buckets and try_finish.
-	SSSPDeltaDistributed
-	// SSSPDeltaLightHeavy splits light and heavy edges (§II-A).
-	SSSPDeltaLightHeavy
-)
-
 // SSSP is a configured single-source shortest paths solver over patterns.
 type SSSP struct {
 	G    *distgraph.Graph
@@ -73,12 +58,9 @@ type SSSP struct {
 	// Relax is the bound relax action (for stats and plan inspection).
 	Relax *pattern.BoundAction
 
-	eng    *pattern.Engine
-	mode   SSSPMode
-	fp     *strategy.FixedPoint
-	delta  *strategy.Delta
-	ddelta *strategy.DeltaDistributed
-	lh     *strategy.DeltaLightHeavy
+	eng   *pattern.Engine
+	fp    *strategy.FixedPoint
+	delta *strategy.Delta // nil: fixed point
 }
 
 // NewSSSP binds the SSSP pattern over g with the given plan options. Must be
@@ -106,23 +88,20 @@ func NewSSSP(eng *pattern.Engine, opts ...func(*SSSP)) *SSSP {
 
 // UseFixedPoint selects the fixed_point strategy (the default).
 func (s *SSSP) UseFixedPoint() *SSSP {
-	s.mode = SSSPFixedPoint
-	s.fp = strategy.NewFixedPoint(s.Relax)
+	s.fp, s.delta = strategy.NewFixedPoint(s.Relax), nil
 	return s
 }
 
 // UseDelta selects the Δ-stepping strategy with bucket width delta.
 func (s *SSSP) UseDelta(u *am.Universe, delta int64) *SSSP {
-	s.mode = SSSPDelta
-	s.delta = strategy.NewDelta(u, s.Relax, s.Dist, delta)
+	s.delta = strategy.NewDelta(u, s.Relax, nil, s.Dist, delta, 1)
 	return s
 }
 
 // UseDeltaDistributed selects distributed Δ-stepping with the given bucket
 // width and body threads per rank.
 func (s *SSSP) UseDeltaDistributed(u *am.Universe, delta int64, threads int) *SSSP {
-	s.mode = SSSPDeltaDistributed
-	s.ddelta = strategy.NewDeltaDistributed(u, s.Relax, s.Dist, delta, threads)
+	s.delta = strategy.NewDelta(u, s.Relax, nil, s.Dist, delta, threads)
 	return s
 }
 
@@ -130,7 +109,6 @@ func (s *SSSP) UseDeltaDistributed(u *am.Universe, delta int64, threads int) *SS
 // binds the two-action pattern over the same distance map and installs the
 // bucket hooks.
 func (s *SSSP) UseDeltaLightHeavy(u *am.Universe, delta int64) *SSSP {
-	s.mode = SSSPDeltaLightHeavy
 	bound, err := s.eng.Bind(SSSPLightHeavyPattern(delta), pattern.Bindings{
 		"dist":   s.Dist,
 		"weight": pmap.WeightMap(s.G),
@@ -138,22 +116,17 @@ func (s *SSSP) UseDeltaLightHeavy(u *am.Universe, delta int64) *SSSP {
 	if err != nil {
 		panic(fmt.Sprintf("algorithms: SSSP light/heavy bind: %v", err))
 	}
-	s.lh = strategy.NewDeltaLightHeavy(u, bound.Action("relax_light"), bound.Action("relax_heavy"), s.Dist, delta)
+	s.delta = strategy.NewDelta(u, bound.Action("relax_light"), bound.Action("relax_heavy"), s.Dist, delta, 1)
 	return s
 }
 
 // BucketEpochs reports per-bucket epochs of the last Δ-stepping run (0 for
 // fixed point).
 func (s *SSSP) BucketEpochs() int {
-	switch s.mode {
-	case SSSPDelta:
-		return s.delta.BucketEpochs
-	case SSSPDeltaDistributed:
-		return s.ddelta.BucketEpochs
-	case SSSPDeltaLightHeavy:
-		return s.lh.BucketEpochs
+	if s.delta == nil {
+		return 0
 	}
-	return 0
+	return s.delta.BucketEpochs
 }
 
 // RunBellmanFordRounds solves SSSP with synchronous relaxation rounds built
@@ -216,14 +189,9 @@ func (s *SSSP) Run(r *am.Rank, src distgraph.Vertex) {
 	seeds := s.SeedLocal(r, nil, src)
 	ph.End()
 	r.Barrier()
-	switch s.mode {
-	case SSSPFixedPoint:
-		s.fp.Run(r, seeds)
-	case SSSPDelta:
+	if s.delta != nil {
 		s.delta.Run(r, seeds)
-	case SSSPDeltaDistributed:
-		s.ddelta.Run(r, seeds)
-	case SSSPDeltaLightHeavy:
-		s.lh.Run(r, seeds)
+	} else {
+		s.fp.Run(r, seeds)
 	}
 }

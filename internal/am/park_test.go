@@ -61,7 +61,7 @@ func linger(epoch int) {
 	}
 }
 
-// TestParkWakeMatrix runs thousands of short epochs on every shape of parking
+// TestParkWakeMatrix runs hundreds of short epochs on every shape of parking
 // universe and checks each one ends, and ends only after every message of it
 // was handled. The epochs are built so that each wake or check site is, in
 // some of them, the only one that can end the epoch:
@@ -85,7 +85,9 @@ func linger(epoch int) {
 // Removing any one of those sites makes this test hang, which the timeout
 // turns into a failure naming the configuration and epoch.
 func TestParkWakeMatrix(t *testing.T) {
-	epochs := 2000 / raceTimingScale
+	// 400 epochs per in-process cell, with and without the race detector;
+	// CI's race steps rerun the test three times.
+	epochs := 400
 	if testing.Short() {
 		epochs /= 4
 	}

@@ -135,25 +135,8 @@ func mustRun(sc Scenario, err error) {
 // strategy with the richest epoch structure) and returns the distance
 // vector plus statistics.
 func RunSSSP(w Workload, sc Scenario, src distgraph.Vertex, delta int64) ([]int64, am.Snapshot) {
-	return RunSSSPMode(w, sc, src, delta, algorithms.SSSPDelta)
-}
-
-// RunSSSPMode is RunSSSP under one of the Δ-stepping strategies: SSSPDelta,
-// SSSPDeltaLightHeavy, or SSSPDeltaDistributed with two body threads per
-// rank.
-func RunSSSPMode(w Workload, sc Scenario, src distgraph.Vertex, delta int64, mode algorithms.SSSPMode) ([]int64, am.Snapshot) {
 	u, eng, _ := engine(w, sc, distgraph.Options{})
-	s := algorithms.NewSSSP(eng)
-	switch mode {
-	case algorithms.SSSPDelta:
-		s.UseDelta(u, delta)
-	case algorithms.SSSPDeltaLightHeavy:
-		s.UseDeltaLightHeavy(u, delta)
-	case algorithms.SSSPDeltaDistributed:
-		s.UseDeltaDistributed(u, delta, 2)
-	default:
-		panic(fmt.Sprintf("chaos: SSSP mode %d is not a Δ-stepping strategy", mode))
-	}
+	s := algorithms.NewSSSP(eng).UseDelta(u, delta)
 	mustRun(sc, u.Run(func(r *am.Rank) { s.Run(r, src) }))
 	return s.Dist.Gather(), u.Stats.Snapshot()
 }

@@ -33,7 +33,7 @@ const MinLen = 1 + 8
 // Both ends of a connection, and a file's writer and reader, must match
 // exactly — a fleet runs one binary, so a mismatch means a stale peer or a
 // file from another build.
-const Version uint16 = 4
+const Version uint16 = 5
 
 // KindHello is the kind of a hello frame.
 const KindHello byte = 0

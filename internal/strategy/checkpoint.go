@@ -1,34 +1,30 @@
 package strategy
 
 import (
-	"sort"
+	"slices"
 
 	"declpat/internal/ckpt"
 	"declpat/internal/distgraph"
 )
 
-// Epoch-granular checkpoint/restart support (am.Checkpointer). The Δ-stepping
-// strategies auto-register their bucket structures at construction, so a
-// fault inside a per-bucket epoch rolls the buckets back together with the
-// property maps and the epoch replays from the same frontier.
+// Epoch-granular checkpoint/restart support (am.Checkpointer). Delta
+// registers itself at construction, so a restarted fleet resumes Δ-stepping
+// from the buckets (and settled sets) every rank held at the restart epoch's
+// entry, together with the property maps.
 //
 // Snapshots are taken at epoch boundaries, i.e. before the body's
 // BeginBucket call: the boundary state always has no active bucket (cur ==
-// -1) and an empty deferred-work ledger (counted), so only the bucket
-// contents themselves are encoded: a presence byte (0 before the strategy's
-// Run has installed the structure — epochs run before Δ-stepping starts have
-// no bucket state), then the non-empty buckets in index order, each a vertex
-// list. DeltaLightHeavy's per-bucket settled set is deliberately not
-// checkpointed: a replayed light phase repopulates it, and any extra
-// vertices retained from an aborted attempt only cause redundant heavy
-// relaxations, which are monotone-min and therefore harmless.
+// -1) and an empty deferred-work ledger (counted), so only the contents are
+// encoded: a presence byte (0 before Run has installed the rank's state —
+// epochs run before Δ-stepping starts have none), the thread count, then per
+// thread its non-empty buckets in index order, each a vertex list, and its
+// settled set in ascending order. The settled set crosses the boundary
+// between a bucket's light epoch, which fills it, and its heavy epoch, which
+// reads it: a fleet restarted at the heavy epoch skips the light body, so the
+// set must come back from the snapshot.
 
-// encodeBuckets appends b's presence byte and, if installed, its contents.
+// encodeBuckets appends b's contents.
 func encodeBuckets(e *ckpt.Enc, b *Buckets) {
-	e.Bool(b != nil)
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	idxs := make([]int, 0, len(b.items))
@@ -37,7 +33,7 @@ func encodeBuckets(e *ckpt.Enc, b *Buckets) {
 			idxs = append(idxs, idx)
 		}
 	}
-	sort.Ints(idxs)
+	slices.Sort(idxs)
 	e.U32(uint32(len(idxs)))
 	for _, idx := range idxs {
 		e.I64(int64(idx))
@@ -48,14 +44,9 @@ func encodeBuckets(e *ckpt.Enc, b *Buckets) {
 	}
 }
 
-// decodeBuckets restores what encodeBuckets wrote into the live b, whose
-// presence must match, deactivating any bucket the aborted attempt had
-// begun.
+// decodeBuckets restores what encodeBuckets wrote into the live b,
+// deactivating any bucket the restarted epoch had begun.
 func decodeBuckets(d *ckpt.Dec, b *Buckets, write bool) {
-	d.Check(d.Bool() == (b != nil), "bucket structure presence")
-	if b == nil || d.Err != nil {
-		return
-	}
 	// A bucket is at least its index, its count and one vertex.
 	n := d.Count(8 + 4 + 4)
 	var items map[int][]distgraph.Vertex
@@ -87,49 +78,57 @@ func decodeBuckets(d *ckpt.Dec, b *Buckets, write bool) {
 	}
 }
 
-// rankBuckets holds one bucket structure per rank (nil until Run installs
-// it). Delta and DeltaLightHeavy embed it, which makes them checkpointers.
-type rankBuckets []*Buckets
-
-// SnapshotRank encodes rank's bucket structure (am.Checkpointer).
-func (rb rankBuckets) SnapshotRank(rank int) []byte {
+// SnapshotRank encodes rank's Δ-stepping state (am.Checkpointer).
+func (d *Delta) SnapshotRank(rank int) []byte {
 	var e ckpt.Enc
-	encodeBuckets(&e, rb[rank])
-	return e.B
-}
-
-// RestoreRank rolls rank's bucket structure back (am.Checkpointer).
-func (rb rankBuckets) RestoreRank(rank int, b []byte) error {
-	return ckpt.Apply(b, func(d *ckpt.Dec, write bool) { decodeBuckets(d, rb[rank], write) })
-}
-
-// SnapshotRank encodes rank's per-thread bucket structures: a presence byte,
-// the thread count, then one bucket structure per thread (am.Checkpointer).
-func (d *DeltaDistributed) SnapshotRank(rank int) []byte {
-	var e ckpt.Enc
-	locals := d.buckets[rank]
-	e.Bool(locals != nil)
-	if locals != nil {
-		e.U32(uint32(len(locals)))
-		for _, lb := range locals {
-			encodeBuckets(&e, lb)
+	ls := d.locals[rank]
+	e.Bool(ls != nil)
+	if ls == nil {
+		return e.B
+	}
+	e.U32(uint32(len(ls)))
+	for _, l := range ls {
+		encodeBuckets(&e, l.b)
+		settled := make([]distgraph.Vertex, 0, len(l.settled))
+		for v := range l.settled {
+			settled = append(settled, v)
+		}
+		slices.Sort(settled)
+		e.U32(uint32(len(settled)))
+		for _, v := range settled {
+			e.U32(uint32(v))
 		}
 	}
 	return e.B
 }
 
-// RestoreRank rolls rank's per-thread bucket structures back
-// (am.Checkpointer).
-func (d *DeltaDistributed) RestoreRank(rank int, b []byte) error {
-	locals := d.buckets[rank]
+// RestoreRank rolls rank's Δ-stepping state back (am.Checkpointer).
+func (d *Delta) RestoreRank(rank int, b []byte) error {
+	ls := d.locals[rank]
 	return ckpt.Apply(b, func(dec *ckpt.Dec, write bool) {
-		dec.Check(dec.Bool() == (locals != nil), "bucket structure presence")
-		if locals == nil {
+		dec.Check(dec.Bool() == (ls != nil), "bucket structure presence")
+		if ls == nil {
 			return
 		}
-		dec.CountIs(1, len(locals))
-		for _, lb := range locals {
-			decodeBuckets(dec, lb, write)
+		// A thread is at least its bucket count and its settled count.
+		dec.CountIs(4+4, len(ls))
+		for _, l := range ls {
+			if dec.Err != nil {
+				return
+			}
+			decodeBuckets(dec, l.b, write)
+			if write {
+				clear(l.settled)
+			}
+			n := dec.Count(4)
+			for i, prev := 0, distgraph.Vertex(0); i < n && dec.Err == nil; i++ {
+				v := distgraph.Vertex(dec.U32())
+				dec.Check(i == 0 || v > prev, "settled order")
+				prev = v
+				if write {
+					l.settled[v] = true
+				}
+			}
 		}
 	})
 }

@@ -29,9 +29,9 @@ type ckptRig struct {
 	ew, ewIn    *pmap.EdgeWord // without and with the in-edge mirror
 	eng         *pattern.Engine
 	rerun, work *pattern.BoundAction
-	delta       *Delta
-	lh          *DeltaLightHeavy
-	dd          *DeltaDistributed
+	// One Δ-stepping checkpointer in three shapes: per-rank buckets, the
+	// light/heavy split and two threads' buckets.
+	delta, lh, dd *Delta
 }
 
 func relaxPattern() *pattern.Pattern {
@@ -62,27 +62,35 @@ func newCkptRig() *ckptRig {
 	}
 	rig.rerun, rig.work = bind(), bind()
 	rig.rerun.SetWorkRerun()
-	rig.delta = NewDelta(u, rig.work, rig.dist, 4)
-	rig.lh = NewDeltaLightHeavy(u, rig.work, rig.work, rig.dist, 4)
-	rig.dd = NewDeltaDistributed(u, rig.work, rig.dist, 4, 2)
+	rig.delta = NewDelta(u, rig.work, nil, rig.dist, 4, 1)
+	rig.lh = NewDelta(u, rig.work, rig.work, rig.dist, 4, 1)
+	rig.dd = NewDelta(u, rig.work, nil, rig.dist, 4, 2)
 	return rig
 }
 
-// liveBuckets is a bucket structure as Run installs it on r (nil outside a
-// run), holding a few vertices and an emptied bucket.
-func liveBuckets(r *am.Rank) *Buckets {
-	b := NewBuckets(r, 4)
-	for v, key := range []int64{0, 2, 5, 9, 9} {
-		b.Insert(distgraph.Vertex(v), key)
+// installDelta gives d rank 0's state as Run installs it on r (nil outside
+// a run): thread 0 holds a few vertices, an emptied bucket and, with a heavy
+// action, a settled set; other threads hold nothing.
+func installDelta(d *Delta, r *am.Rank) {
+	ls := make([]local, d.threads)
+	for t := range ls {
+		ls[t] = local{b: NewBuckets(r, 4), settled: map[distgraph.Vertex]bool{}}
 	}
-	b.Pop(0)
-	return b
+	for v, key := range []int64{0, 2, 5, 9, 9} {
+		ls[0].b.Insert(distgraph.Vertex(v), key)
+	}
+	ls[0].b.Pop(0)
+	if d.heavy != nil {
+		ls[0].settled[1], ls[0].settled[3] = true, true
+	}
+	d.locals[0] = ls
 }
 
-// install gives every Δ strategy live buckets on rank 0.
+// install gives every Δ shape live state on rank 0.
 func (rig *ckptRig) install(r *am.Rank) {
-	rig.delta.rankBuckets[0], rig.lh.rankBuckets[0] = liveBuckets(r), liveBuckets(r)
-	rig.dd.buckets[0] = []*Buckets{liveBuckets(r), NewBuckets(r, 4)}
+	for _, d := range []*Delta{rig.delta, rig.lh, rig.dd} {
+		installDelta(d, r)
+	}
 }
 
 // bucketsView is what a bucket structure holds: non-empty buckets, the
@@ -100,26 +108,49 @@ func bucketsView(b *Buckets) any {
 	return []any{items, b.cur, len(b.counted)}
 }
 
-// mutateBuckets files and pops vertices and leaves a bucket active, as an
-// aborted attempt would.
-func mutateBuckets(b *Buckets) {
-	b.Insert(6, 13)
-	b.Pop(2)
-	b.cur, b.counted[2] = 2, 1
+// deltaView is what d holds on rank 0: per thread, its buckets and its
+// settled set.
+func deltaView(d *Delta) func() any {
+	return func() any {
+		var v []any
+		for _, l := range d.locals[0] {
+			settled := map[distgraph.Vertex]bool{}
+			for u := range l.settled {
+				settled[u] = true
+			}
+			v = append(v, []any{bucketsView(l.b), settled})
+		}
+		return v
+	}
 }
 
-// bucketsBlob encodes one bucket structure per entry of present (false: not
-// installed), in DeltaDistributed's layout when dist is set.
-func bucketsBlob(dist bool, present ...bool) []byte {
-	var e ckpt.Enc
-	if dist {
-		e.Bool(true)
-		e.U32(uint32(len(present)))
+// mutateDelta files and pops vertices, leaves a bucket active and changes
+// the settled set, as a restarted epoch's body would have.
+func mutateDelta(d *Delta) func() {
+	return func() {
+		ls := d.locals[0]
+		b := ls[0].b
+		b.Insert(6, 13)
+		b.Pop(2)
+		b.cur, b.counted[2] = 2, 1
+		ls[len(ls)-1].b.Insert(7, 1)
+		if d.heavy != nil {
+			delete(ls[0].settled, 1)
+			ls[0].settled[6] = true
+		}
 	}
-	for _, p := range present {
-		e.Bool(p)
-		if p {
-			e.U32(0)
+}
+
+// deltaBlob encodes an empty state of the given thread count (0: not
+// installed).
+func deltaBlob(threads int) []byte {
+	var e ckpt.Enc
+	e.Bool(threads > 0)
+	if threads > 0 {
+		e.U32(uint32(threads))
+		for range threads {
+			e.U32(0) // buckets
+			e.U32(0) // settled
 		}
 	}
 	return e.B
@@ -174,15 +205,6 @@ func (rig *ckptRig) cases(r *am.Rank) []ckptCase {
 			m.MirrorIn()
 		}
 	}
-	deltaView := func() any { return bucketsView(rig.delta.rankBuckets[0]) }
-	lhView := func() any { return bucketsView(rig.lh.rankBuckets[0]) }
-	ddView := func() any {
-		var v []any
-		for _, lb := range rig.dd.buckets[0] {
-			v = append(v, bucketsView(lb))
-		}
-		return v
-	}
 	return []ckptCase{
 		{name: "VertexWord", ck: rig.vw, other: words.B,
 			mutate: func() { rig.vw.Set(0, 2, 42) },
@@ -207,16 +229,16 @@ func (rig *ckptRig) cases(r *am.Rank) []ckptCase {
 			}},
 		{name: "EdgeWord", ck: rig.ew, other: rig.ewIn.SnapshotRank(0), mutate: setEdge(rig.ew), view: edgeView(rig.ew, false)},
 		{name: "EdgeWord/in-mirror", ck: rig.ewIn, other: rig.ew.SnapshotRank(0), mutate: setEdge(rig.ewIn), view: edgeView(rig.ewIn, true)},
-		{name: "Delta/not-installed", ck: rig.delta, other: bucketsBlob(false, true), view: deltaView},
-		{name: "DeltaLightHeavy/not-installed", ck: rig.lh, other: bucketsBlob(false, true), view: lhView},
-		{name: "DeltaDistributed/not-installed", ck: rig.dd, other: bucketsBlob(true, true, true), view: ddView},
-		{name: "Delta/live", ck: rig.delta, other: bucketsBlob(false, false), view: deltaView,
+		{name: "Delta/not-installed", ck: rig.delta, other: deltaBlob(1), view: deltaView(rig.delta)},
+		{name: "Delta/light-heavy/not-installed", ck: rig.lh, other: deltaBlob(1), view: deltaView(rig.lh)},
+		{name: "Delta/threads=2/not-installed", ck: rig.dd, other: deltaBlob(2), view: deltaView(rig.dd)},
+		{name: "Delta/live", ck: rig.delta, other: deltaBlob(2), view: deltaView(rig.delta),
 			setup:  func() { rig.install(r) },
-			mutate: func() { mutateBuckets(rig.delta.rankBuckets[0]) }},
-		{name: "DeltaLightHeavy/live", ck: rig.lh, other: bucketsBlob(false, false), view: lhView,
-			mutate: func() { mutateBuckets(rig.lh.rankBuckets[0]) }},
-		{name: "DeltaDistributed/live", ck: rig.dd, other: bucketsBlob(true, true, true, true), view: ddView,
-			mutate: func() { mutateBuckets(rig.dd.buckets[0][0]); rig.dd.buckets[0][1].Insert(7, 1) }},
+			mutate: mutateDelta(rig.delta)},
+		{name: "Delta/light-heavy/live", ck: rig.lh, other: deltaBlob(0), view: deltaView(rig.lh),
+			mutate: mutateDelta(rig.lh)},
+		{name: "Delta/threads=2/live", ck: rig.dd, other: deltaBlob(3), view: deltaView(rig.dd),
+			mutate: mutateDelta(rig.dd)},
 		{name: "Engine", ck: rig.eng, other: flags.B,
 			setup: func() { rig.dist.Set(0, 0, 0) },
 			// A relaxation from 0 raises the modified flag.
@@ -290,7 +312,8 @@ type boundBlob struct {
 // boundBlobs are short blobs whose counts claim 2²² elements, each aimed at a
 // decoder that used to size an allocation by the count (32 MiB of VertexSet
 // slots, 4 MiB of engine flags, 320 MiB of bucket map, 16 MiB of bucket
-// vertices, 32 MiB of per-thread buckets) or index the live structure by it.
+// vertices, 32 MiB of per-thread buckets) or that could (a settled set of 2²²
+// vertices), or index the live structure by it.
 func boundBlobs(rig *ckptRig) map[string]boundBlob {
 	enc := func(f func(e *ckpt.Enc)) []byte {
 		var e ckpt.Enc
@@ -298,15 +321,16 @@ func boundBlobs(rig *ckptRig) map[string]boundBlob {
 		return e.B
 	}
 	return map[string]boundBlob{
-		"VertexSet slots":        {rig.vs, enc(func(e *ckpt.Enc) { e.U32(huge); e.U8(0) })},
-		"VertexSet short":        {rig.vs, enc(func(e *ckpt.Enc) { e.U32(0) })},
-		"VertexWord short":       {rig.vw, enc(func(e *ckpt.Enc) { e.I64Slice([]int64{1}) })},
-		"EdgeWord short":         {rig.ew, enc(func(e *ckpt.Enc) { e.I64Slice(nil); e.U8(0) })},
-		"Engine flags":           {rig.eng, enc(func(e *ckpt.Enc) { e.U32(huge); e.U8(0) })},
-		"Delta buckets":          {rig.delta, enc(func(e *ckpt.Enc) { e.U8(1); e.U32(huge) })},
-		"Delta bucket vertices":  {rig.delta, enc(func(e *ckpt.Enc) { e.U8(1); e.U32(1); e.I64(0); e.U32(huge) })},
-		"DeltaDistributed":       {rig.dd, enc(func(e *ckpt.Enc) { e.U8(1); e.U32(huge) })},
-		"DeltaDistributed short": {rig.dd, enc(func(e *ckpt.Enc) { e.U8(1); e.U32(1); e.U8(1); e.U32(0) })},
+		"VertexSet slots":       {rig.vs, enc(func(e *ckpt.Enc) { e.U32(huge); e.U8(0) })},
+		"VertexSet short":       {rig.vs, enc(func(e *ckpt.Enc) { e.U32(0) })},
+		"VertexWord short":      {rig.vw, enc(func(e *ckpt.Enc) { e.I64Slice([]int64{1}) })},
+		"EdgeWord short":        {rig.ew, enc(func(e *ckpt.Enc) { e.I64Slice(nil); e.U8(0) })},
+		"Engine flags":          {rig.eng, enc(func(e *ckpt.Enc) { e.U32(huge); e.U8(0) })},
+		"Delta buckets":         {rig.delta, enc(func(e *ckpt.Enc) { e.U8(1); e.U32(1); e.U32(huge) })},
+		"Delta bucket vertices": {rig.delta, enc(func(e *ckpt.Enc) { e.U8(1); e.U32(1); e.U32(1); e.I64(0); e.U32(huge) })},
+		"Delta settled":         {rig.lh, enc(func(e *ckpt.Enc) { e.U8(1); e.U32(1); e.U32(0); e.U32(huge) })},
+		"Delta threads":         {rig.dd, enc(func(e *ckpt.Enc) { e.U8(1); e.U32(huge) })},
+		"Delta threads short":   {rig.dd, enc(func(e *ckpt.Enc) { e.U8(1); e.U32(1); e.U32(0); e.U32(0) })},
 	}
 }
 

@@ -5,10 +5,10 @@
 //
 // Provided strategies, as in the paper: FixedPoint (rerun the action at
 // every dependent vertex until quiescence), Once (apply the action to a
-// vertex set once, reporting whether anything changed), Delta (Δ-stepping
-// with per-rank buckets, one collective epoch per bucket), and
-// DeltaDistributed (per-thread local buckets with try_finish-driven
-// termination, §III-D).
+// vertex set once, reporting whether anything changed), and Delta
+// (Δ-stepping, one collective epoch per bucket, with per-thread local buckets
+// and try_finish-driven termination as in §III-D, and optionally the
+// light/heavy edge split of §II-A).
 //
 // Strategies that install work hooks are constructed before Universe.Run
 // (hooks are engine-global state); their Run method is then called SPMD
@@ -93,53 +93,96 @@ func OnceOver(r *am.Rank, a *pattern.BoundAction, rootsOf func() []distgraph.Ver
 // Each bucket is drained in its own collective epoch; work-hook inserts into
 // the active bucket keep the epoch alive via the deferred-work counter, and
 // inserts into later buckets carry over to later epochs.
+//
+// Every body thread of every rank has its own local buckets (§III-D: "When a
+// thread runs out of work locally, it tries to terminate the epoch ... If
+// ending the epoch is unsuccessful, the thread goes back to its local bucket
+// structure and tries to perform more work."); one thread is Fig. 1's
+// per-rank buckets. With a heavy action the strategy splits light and heavy
+// edges (§II-A: "relaxing heavy edges, which cannot insert more work into the
+// current bucket, separately from light edges"): a is relax_light, guarded by
+// weight < Δ, and after each bucket's epoch one more epoch relaxes the heavy
+// edges of the vertices that bucket settled, exactly once. The entry-local
+// weight guards are hoisted by the planner's early-exit optimization, so
+// heavy edges cost no messages during the light phase.
 type Delta struct {
-	a     *pattern.BoundAction
-	keys  *pmap.VertexWord
-	delta int64
-	rankBuckets
+	a, heavy *pattern.BoundAction
+	keys     *pmap.VertexWord
+	delta    int64
+	threads  int
+	locals   [][]local // [rank][thread], nil until Run installs a rank's
 
-	// BucketEpochs counts per-bucket epochs executed (experiment metric).
+	// BucketEpochs counts per-bucket epochs executed (experiment metric);
+	// heavy epochs are not counted.
 	BucketEpochs int
 }
 
-// NewDelta installs the bucket-insert work hook on a. keys is the property
-// map providing each vertex's numeric key (the paper's m); delta is the
-// bucket width. Call before Universe.Run.
-func NewDelta(u *am.Universe, a *pattern.BoundAction, keys *pmap.VertexWord, delta int64) *Delta {
-	d := &Delta{a: a, keys: keys, delta: delta, rankBuckets: make(rankBuckets, u.Ranks())}
-	a.SetWork(func(r *am.Rank, v distgraph.Vertex) {
-		d.rankBuckets[r.ID()].Insert(v, keys.Get(r.ID(), v))
-	})
+// local is one body thread's share of a rank's Δ-stepping state.
+type local struct {
+	b *Buckets
+	// settled holds the vertices the current bucket's epoch popped, which
+	// the heavy epoch then relaxes; it stays empty without a heavy action.
+	settled map[distgraph.Vertex]bool
+}
+
+// NewDelta installs the bucket-insert work hook on a (and on heavy, if not
+// nil). keys is the property map providing each vertex's numeric key (the
+// paper's m); delta is the bucket width; threads is the number of body
+// threads per rank, each with its own buckets (at least 1), and a vertex is
+// filed into the buckets its hash selects. Call before Universe.Run.
+func NewDelta(u *am.Universe, a, heavy *pattern.BoundAction, keys *pmap.VertexWord, delta int64, threads int) *Delta {
+	d := &Delta{a: a, heavy: heavy, keys: keys, delta: delta, threads: max(threads, 1), locals: make([][]local, u.Ranks())}
+	hook := func(r *am.Rank, v distgraph.Vertex) { d.file(r.ID(), v) }
+	a.SetWork(hook)
+	if heavy != nil {
+		heavy.SetWork(hook)
+	}
 	u.RegisterCheckpointer(d)
 	return d
+}
+
+// file inserts v into the buckets of the thread its hash selects on rank.
+func (d *Delta) file(rank int, v distgraph.Vertex) {
+	ls := d.locals[rank]
+	ls[int(uint32(v)*2654435761)%len(ls)].b.Insert(v, d.keys.Get(rank, v))
 }
 
 // Run executes Δ-stepping from this rank's seeds. Collective.
 func (d *Delta) Run(r *am.Rank, seeds []distgraph.Vertex) {
 	ph := r.Phase(obs.PhaseBuildCSR)
-	b := NewBuckets(r, d.delta)
-	d.rankBuckets[r.ID()] = b
+	ls := make([]local, d.threads)
+	for t := range ls {
+		ls[t] = local{b: NewBuckets(r, d.delta), settled: map[distgraph.Vertex]bool{}}
+	}
+	d.locals[r.ID()] = ls
 	for _, v := range seeds {
-		b.Insert(v, d.keys.Get(r.ID(), v))
+		d.file(r.ID(), v)
 	}
 	ph.End()
 	r.Barrier()
 	for {
-		idx := int(r.AllReduceMin(int64(b.MinNonEmpty())))
+		lo := NoBucket
+		for _, l := range ls {
+			lo = min(lo, l.b.MinNonEmpty())
+		}
+		idx := int(r.AllReduceMin(int64(lo)))
 		if idx == NoBucket {
 			return
 		}
 		if r.ID() == 0 {
 			d.BucketEpochs++
 		}
-		r.Epoch(func(ep *am.Epoch) {
-			b.BeginBucket(idx)
+		r.EpochThreaded(d.threads, func(tid int, ep *am.Epoch) {
+			l := ls[tid]
+			l.b.BeginBucket(idx)
 			for {
 				for {
-					v, ok := popLive(b, idx, d.keys, r.ID())
+					v, ok := popLive(l.b, idx, d.keys, r.ID())
 					if !ok {
 						break
+					}
+					if d.heavy != nil {
+						l.settled[v] = true
 					}
 					d.a.Invoke(r, v)
 				}
@@ -148,7 +191,22 @@ func (d *Delta) Run(r *am.Rank, seeds []distgraph.Vertex) {
 				}
 			}
 		})
-		b.EndBucket()
+		for _, l := range ls {
+			l.b.EndBucket()
+		}
+		if d.heavy == nil {
+			continue
+		}
+		// Heavy phase: each vertex settled in this bucket relaxes its heavy
+		// edges once; results land in later buckets.
+		r.EpochThreaded(d.threads, func(tid int, ep *am.Epoch) {
+			ph := r.Phase(obs.PhaseEmit)
+			for v := range ls[tid].settled {
+				d.heavy.Invoke(r, v)
+			}
+			clear(ls[tid].settled)
+			ph.End()
+		})
 	}
 }
 
@@ -162,170 +220,6 @@ func popLive(b *Buckets, idx int, keys *pmap.VertexWord, rank int) (distgraph.Ve
 		v, ok := b.Pop(idx)
 		if !ok || b.Index(keys.Get(rank, v)) == idx {
 			return v, ok
-		}
-	}
-}
-
-// DeltaLightHeavy is Δ-stepping with the light/heavy edge split the paper
-// notes as a further optimization (§II-A: "relaxing heavy edges, which
-// cannot insert more work into the current bucket, separately from light
-// edges"). The pattern supplies two actions — relax_light guarded by
-// weight < Δ and relax_heavy guarded by weight ≥ Δ — and the strategy
-// drains each bucket with light relaxations (which may refill it), then
-// relaxes the heavy edges of the settled vertices exactly once. The
-// entry-local weight guards are hoisted by the planner's early-exit
-// optimization, so heavy edges cost no messages during the light phase.
-type DeltaLightHeavy struct {
-	light, heavy *pattern.BoundAction
-	keys         *pmap.VertexWord
-	delta        int64
-	rankBuckets
-
-	// BucketEpochs counts light-phase epochs executed.
-	BucketEpochs int
-}
-
-// NewDeltaLightHeavy installs bucket-insert work hooks on both actions.
-// Call before Universe.Run.
-func NewDeltaLightHeavy(u *am.Universe, light, heavy *pattern.BoundAction, keys *pmap.VertexWord, delta int64) *DeltaLightHeavy {
-	d := &DeltaLightHeavy{light: light, heavy: heavy, keys: keys, delta: delta, rankBuckets: make(rankBuckets, u.Ranks())}
-	hook := func(r *am.Rank, v distgraph.Vertex) {
-		d.rankBuckets[r.ID()].Insert(v, keys.Get(r.ID(), v))
-	}
-	light.SetWork(hook)
-	heavy.SetWork(hook)
-	u.RegisterCheckpointer(d)
-	return d
-}
-
-// Run executes light/heavy Δ-stepping from this rank's seeds. Collective.
-func (d *DeltaLightHeavy) Run(r *am.Rank, seeds []distgraph.Vertex) {
-	ph := r.Phase(obs.PhaseBuildCSR)
-	b := NewBuckets(r, d.delta)
-	d.rankBuckets[r.ID()] = b
-	for _, v := range seeds {
-		b.Insert(v, d.keys.Get(r.ID(), v))
-	}
-	ph.End()
-	r.Barrier()
-	for {
-		idx := int(r.AllReduceMin(int64(b.MinNonEmpty())))
-		if idx == NoBucket {
-			return
-		}
-		if r.ID() == 0 {
-			d.BucketEpochs++
-		}
-		settled := map[distgraph.Vertex]bool{}
-		r.Epoch(func(ep *am.Epoch) {
-			b.BeginBucket(idx)
-			for {
-				for {
-					v, ok := popLive(b, idx, d.keys, r.ID())
-					if !ok {
-						break
-					}
-					settled[v] = true
-					d.light.Invoke(r, v)
-				}
-				if ep.TryFinish() {
-					return
-				}
-			}
-		})
-		b.EndBucket()
-		// Heavy phase: each vertex settled in this bucket relaxes its
-		// heavy edges once; results land in later buckets.
-		r.Epoch(func(ep *am.Epoch) {
-			ph := r.Phase(obs.PhaseEmit)
-			for v := range settled {
-				d.heavy.Invoke(r, v)
-			}
-			ph.End()
-		})
-	}
-}
-
-// DeltaDistributed is the distributed Δ-stepping variant of §III-D: "every
-// thread on every node has its own local buckets. When a thread runs out of
-// work locally, it tries to terminate the epoch ... If ending the epoch is
-// unsuccessful, the thread goes back to its local bucket structure and tries
-// to perform more work."
-type DeltaDistributed struct {
-	a       *pattern.BoundAction
-	keys    *pmap.VertexWord
-	delta   int64
-	threads int
-	buckets [][]*Buckets // [rank][thread]
-
-	// BucketEpochs counts per-bucket epochs executed.
-	BucketEpochs int
-}
-
-// NewDeltaDistributed installs a work hook that files dependent vertices
-// into the per-thread bucket selected by vertex hash. Call before
-// Universe.Run.
-func NewDeltaDistributed(u *am.Universe, a *pattern.BoundAction, keys *pmap.VertexWord, delta int64, threads int) *DeltaDistributed {
-	if threads < 1 {
-		threads = 1
-	}
-	d := &DeltaDistributed{
-		a: a, keys: keys, delta: delta, threads: threads,
-		buckets: make([][]*Buckets, u.Ranks()),
-	}
-	a.SetWork(func(r *am.Rank, v distgraph.Vertex) {
-		lb := d.buckets[r.ID()]
-		lb[int(uint32(v)*2654435761)%len(lb)].Insert(v, keys.Get(r.ID(), v))
-	})
-	u.RegisterCheckpointer(d)
-	return d
-}
-
-// Run executes distributed Δ-stepping from this rank's seeds. Collective.
-func (d *DeltaDistributed) Run(r *am.Rank, seeds []distgraph.Vertex) {
-	ph := r.Phase(obs.PhaseBuildCSR)
-	locals := make([]*Buckets, d.threads)
-	for t := range locals {
-		locals[t] = NewBuckets(r, d.delta)
-	}
-	d.buckets[r.ID()] = locals
-	for _, v := range seeds {
-		locals[int(uint32(v)*2654435761)%len(locals)].Insert(v, d.keys.Get(r.ID(), v))
-	}
-	ph.End()
-	r.Barrier()
-	for {
-		min := int64(NoBucket)
-		for _, lb := range locals {
-			if m := int64(lb.MinNonEmpty()); m < min {
-				min = m
-			}
-		}
-		idx := int(r.AllReduceMin(min))
-		if idx == NoBucket {
-			return
-		}
-		if r.ID() == 0 {
-			d.BucketEpochs++
-		}
-		r.EpochThreaded(d.threads, func(tid int, ep *am.Epoch) {
-			lb := locals[tid]
-			lb.BeginBucket(idx)
-			for {
-				for {
-					v, ok := popLive(lb, idx, d.keys, r.ID())
-					if !ok {
-						break
-					}
-					d.a.Invoke(r, v)
-				}
-				if ep.TryFinish() {
-					return
-				}
-			}
-		})
-		for _, lb := range locals {
-			lb.EndBucket()
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package strategy_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,7 @@ func ssspPattern() *pattern.Pattern {
 type ssspRig struct {
 	u     *am.Universe
 	g     *distgraph.Graph
+	eng   *pattern.Engine
 	dmap  *pmap.VertexWord
 	relax *pattern.BoundAction
 }
@@ -41,7 +43,7 @@ func newSSSPRig(u *am.Universe, n int, edges []distgraph.Edge) *ssspRig {
 	if err != nil {
 		panic(err)
 	}
-	return &ssspRig{u: u, g: g, dmap: dmap, relax: bound.Action("relax")}
+	return &ssspRig{u: u, g: g, eng: eng, dmap: dmap, relax: bound.Action("relax")}
 }
 
 func (rig *ssspRig) check(t *testing.T, want []int64, label string) {
@@ -85,46 +87,6 @@ func TestFixedPointSSSP(t *testing.T) {
 			fp.Run(r, s)
 		})
 		rig.check(t, want, "fixed_point")
-	}
-}
-
-func TestDeltaSSSP(t *testing.T) {
-	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 33)
-	want := seq.Dijkstra(n, edges, 0)
-	for _, delta := range []int64{1, 5, 25, 1000000} {
-		for _, sh := range []struct{ ranks, threads int }{{1, 1}, {3, 2}} {
-			rig := newSSSPRig(am.New(sh.ranks, am.WithThreads(sh.threads)), n, edges)
-			d := strategy.NewDelta(rig.u, rig.relax, rig.dmap, delta)
-			seeds := seedBody(rig, 0)
-			rig.u.Run(func(r *am.Rank) {
-				s := seeds(r)
-				r.Barrier()
-				d.Run(r, s)
-			})
-			rig.check(t, want, "delta")
-			if delta == 1 && d.BucketEpochs < 2 {
-				t.Errorf("delta=1: expected multiple bucket epochs, got %d", d.BucketEpochs)
-			}
-			if delta == 1000000 && d.BucketEpochs != 1 {
-				t.Errorf("delta=inf: expected a single bucket epoch, got %d", d.BucketEpochs)
-			}
-		}
-	}
-}
-
-func TestDeltaDistributedSSSP(t *testing.T) {
-	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 44)
-	want := seq.Dijkstra(n, edges, 0)
-	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		rig := newSSSPRig(am.New(2, am.WithThreads(2), am.WithDetector(det)), n, edges)
-		dd := strategy.NewDeltaDistributed(rig.u, rig.relax, rig.dmap, 20, 3)
-		seeds := seedBody(rig, 0)
-		rig.u.Run(func(r *am.Rank) {
-			s := seeds(r)
-			r.Barrier()
-			dd.Run(r, s)
-		})
-		rig.check(t, want, "delta-distributed/"+det.String())
 	}
 }
 
@@ -238,44 +200,6 @@ func lhPattern(delta int64) *pattern.Pattern {
 	return p
 }
 
-func TestDeltaLightHeavyStrategy(t *testing.T) {
-	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 80}, 55)
-	want := seq.Dijkstra(n, edges, 0)
-	const delta = 20
-	u := am.New(3, am.WithThreads(2))
-	d := distgraph.NewBlockDist(n, 3)
-	g := distgraph.Build(d, edges, distgraph.Options{})
-	eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
-	dmap := pmap.NewVertexWord(d, pattern.Inf)
-	bound, err := eng.Bind(lhPattern(delta), pattern.Bindings{"dist": dmap, "weight": pmap.WeightMap(g)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lh := strategy.NewDeltaLightHeavy(u, bound.Action("light"), bound.Action("heavy"), dmap, delta)
-	u.Run(func(r *am.Rank) {
-		var seeds []distgraph.Vertex
-		if g.Owner(0) == r.ID() {
-			dmap.Set(r.ID(), 0, 0)
-			seeds = []distgraph.Vertex{0}
-		}
-		r.Barrier()
-		lh.Run(r, seeds)
-	})
-	got := dmap.Gather()
-	for v := range want {
-		w := want[v]
-		if w == seq.Inf {
-			w = pattern.Inf
-		}
-		if got[v] != w {
-			t.Fatalf("dist[%d]=%d want %d", v, got[v], w)
-		}
-	}
-	if lh.BucketEpochs < 2 {
-		t.Fatalf("bucket epochs = %d", lh.BucketEpochs)
-	}
-}
-
 // Property: pops return exactly the inserted multiset per bucket, across
 // random insert/pop interleavings.
 func TestBucketsQuick(t *testing.T) {
@@ -309,22 +233,86 @@ func TestBucketsQuick(t *testing.T) {
 	})
 }
 
-// Property-style check: Δ-stepping with any Δ equals Dijkstra on several
-// random graphs.
-func TestDeltaSweepAgainstDijkstra(t *testing.T) {
+// TestDeltaSSSP: Δ-stepping equals Dijkstra in every shape the strategy
+// takes — per-rank buckets (one thread, Fig. 1), per-thread buckets (§III-D)
+// under both detectors, the light/heavy split (§II-A) and both at once — and
+// its bucket epochs follow Δ: Δ = 1 needs several, Δ = ∞ exactly one.
+func TestDeltaSSSP(t *testing.T) {
+	type graph struct {
+		name  string
+		n     int
+		edges []distgraph.Edge
+	}
+	rmat := func(seed uint64, maxW int64) graph {
+		n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: maxW}, seed)
+		return graph{fmt.Sprintf("rmat%d", seed), n, edges}
+	}
+	type cell struct {
+		g               graph
+		ranks, hthreads int // universe shape: ranks × handler threads
+		det             am.DetectorKind
+		delta           int64
+		threads         int  // the strategy's body threads per rank
+		lightHeavy      bool // split light and heavy edges
+		minEpochs       int  // at least this many bucket epochs
+		maxEpochs       int  // at most this many (0: unbounded)
+	}
+	var cells []cell
+	g33 := rmat(33, 40)
+	for _, delta := range []int64{1, 5, 25, 1000000} {
+		for _, sh := range []struct{ ranks, threads int }{{1, 1}, {3, 2}} {
+			c := cell{g: g33, ranks: sh.ranks, hthreads: sh.threads, delta: delta, threads: 1}
+			switch delta {
+			case 1:
+				c.minEpochs = 2
+			case 1000000:
+				c.minEpochs, c.maxEpochs = 1, 1
+			}
+			cells = append(cells, c)
+		}
+	}
+	g44 := rmat(44, 40)
+	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
+		cells = append(cells, cell{g: g44, ranks: 2, hthreads: 2, det: det, delta: 20, threads: 3})
+	}
+	g55 := rmat(55, 80)
+	for _, threads := range []int{1, 3} {
+		cells = append(cells, cell{g: g55, ranks: 3, hthreads: 2, delta: 20, threads: threads, lightHeavy: true, minEpochs: 2})
+	}
 	for seed := uint64(1); seed <= 3; seed++ {
-		edges := gen.ER(64, 400, gen.Weights{Min: 1, Max: 9}, seed)
-		want := seq.Dijkstra(64, edges, 0)
+		g := graph{fmt.Sprintf("er%d", seed), 64, gen.ER(64, 400, gen.Weights{Min: 1, Max: 9}, seed)}
 		for _, delta := range []int64{1, 3, 9, 100} {
-			rig := newSSSPRig(am.New(2, am.WithThreads(1)), 64, edges)
-			d := strategy.NewDelta(rig.u, rig.relax, rig.dmap, delta)
+			cells = append(cells, cell{g: g, ranks: 2, hthreads: 1, delta: delta, threads: 1})
+		}
+	}
+	for _, c := range cells {
+		name := fmt.Sprintf("%s/%dx%d/%s/delta=%d/threads=%d", c.g.name, c.ranks, c.hthreads, c.det, c.delta, c.threads)
+		if c.lightHeavy {
+			name += "/light-heavy"
+		}
+		t.Run(name, func(t *testing.T) {
+			rig := newSSSPRig(am.New(c.ranks, am.WithThreads(c.hthreads), am.WithDetector(c.det)), c.g.n, c.g.edges)
+			a, heavy := rig.relax, (*pattern.BoundAction)(nil)
+			if c.lightHeavy {
+				bound, err := rig.eng.Bind(lhPattern(c.delta), pattern.Bindings{"dist": rig.dmap, "weight": pmap.WeightMap(rig.g)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, heavy = bound.Action("light"), bound.Action("heavy")
+			}
+			d := strategy.NewDelta(rig.u, a, heavy, rig.dmap, c.delta, c.threads)
 			seeds := seedBody(rig, 0)
-			rig.u.Run(func(r *am.Rank) {
+			if err := rig.u.Run(func(r *am.Rank) {
 				s := seeds(r)
 				r.Barrier()
 				d.Run(r, s)
-			})
-			rig.check(t, want, "sweep")
-		}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			rig.check(t, seq.Dijkstra(c.g.n, c.g.edges, 0), "delta")
+			if d.BucketEpochs < c.minEpochs || c.maxEpochs > 0 && d.BucketEpochs > c.maxEpochs {
+				t.Errorf("%d bucket epochs, want %d..%d (0: unbounded)", d.BucketEpochs, c.minEpochs, c.maxEpochs)
+			}
+		})
 	}
 }
