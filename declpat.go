@@ -136,11 +136,6 @@ func BuildGraph(d Distribution, edges []Edge, opts GraphOptions) *Graph {
 	return distgraph.Build(d, edges, opts)
 }
 
-// BuildGraphParallel mirrors distgraph.BuildParallel.
-func BuildGraphParallel(d Distribution, edges []Edge, opts GraphOptions) *Graph {
-	return distgraph.BuildParallel(d, edges, opts)
-}
-
 // Property maps (internal/pmap).
 type (
 	// VertexWordMap mirrors pmap.VertexWord.

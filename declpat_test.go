@@ -64,7 +64,7 @@ func TestPublicAPIAlgorithms(t *testing.T) {
 	mk := func(gopts declpat.GraphOptions) (*declpat.Universe, *declpat.Engine, *declpat.LockMap, declpat.Distribution) {
 		u := declpat.New(2, declpat.WithThreads(1))
 		dist := declpat.NewCyclicDist(n, 2)
-		g := declpat.BuildGraphParallel(dist, edges, gopts)
+		g := declpat.BuildGraph(dist, edges, gopts)
 		lm := declpat.NewLockMap(dist, 1)
 		return u, declpat.NewEngine(u, g, lm, declpat.DefaultPlanOptions()), lm, dist
 	}

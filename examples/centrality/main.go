@@ -23,7 +23,7 @@ func main() {
 
 	u := declpat.New(ranks, declpat.WithThreads(2))
 	dist := declpat.NewBlockDist(n, ranks)
-	g := declpat.BuildGraphParallel(dist, edges, declpat.GraphOptions{Symmetrize: true, Bidirectional: true})
+	g := declpat.BuildGraph(dist, edges, declpat.GraphOptions{Symmetrize: true, Bidirectional: true})
 	eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
 	bc := declpat.NewBetweenness(eng)
 

@@ -207,48 +207,6 @@ func TestEdgeRefLocality(t *testing.T) {
 	}
 }
 
-// TestBuildParallelEquivalent: the parallel builder produces a byte-for-byte
-// identical layout to the sequential one, across distributions and options.
-func TestBuildParallelEquivalent(t *testing.T) {
-	edges := testEdges()
-	for _, opts := range []Options{
-		{},
-		{Symmetrize: true},
-		{Bidirectional: true},
-		{Symmetrize: true, Bidirectional: true},
-	} {
-		for name, d := range distributions(4, 3) {
-			a := Build(d, edges, opts)
-			b := BuildParallel(d, edges, opts)
-			if a.NumStoredEdges() != b.NumStoredEdges() {
-				t.Fatalf("%s %+v: edge counts %d vs %d", name, opts, a.NumStoredEdges(), b.NumStoredEdges())
-			}
-			for r := 0; r < 3; r++ {
-				la, lb := a.Local(r), b.Local(r)
-				if len(la.OutIndex) != len(lb.OutIndex) {
-					t.Fatalf("%s: index lengths differ", name)
-				}
-				for i := range la.OutIndex {
-					if la.OutIndex[i] != lb.OutIndex[i] {
-						t.Fatalf("%s %+v rank %d: OutIndex[%d] %d vs %d", name, opts, r, i, la.OutIndex[i], lb.OutIndex[i])
-					}
-				}
-				for i := range la.OutDst {
-					if la.OutDst[i] != lb.OutDst[i] || la.OutW[i] != lb.OutW[i] {
-						t.Fatalf("%s %+v rank %d: slot %d differs", name, opts, r, i)
-					}
-				}
-				for i := range la.InSrc {
-					if la.InSrc[i] != lb.InSrc[i] || la.InW[i] != lb.InW[i] ||
-						la.InCanonRank[i] != lb.InCanonRank[i] || la.InCanonSlot[i] != lb.InCanonSlot[i] {
-						t.Fatalf("%s %+v rank %d: in-slot %d differs", name, opts, r, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 // Property: for any random edge list, the multiset of stored (src,dst,w)
 // triples equals the input (directed build), regardless of distribution.
 func TestBuildPreservesEdgesQuick(t *testing.T) {

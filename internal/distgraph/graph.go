@@ -1,9 +1,6 @@
 package distgraph
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Edge is one input edge for the builder, with its weight payload (the
 // paper's canonical edge property).
@@ -86,68 +83,6 @@ func (lg *LocalGraph) NumOutEdges() int { return len(lg.OutDst) }
 // NumInEdges returns the number of in-edge slots on this rank.
 func (lg *LocalGraph) NumInEdges() int { return len(lg.InSrc) }
 
-// BuildParallel constructs the same graph as Build with one worker goroutine
-// per rank: each worker scans the edge list and processes only the copies
-// its rank stores, so the layout is identical to the sequential builder
-// (deterministic) while construction parallelizes across ranks.
-func BuildParallel(dist Distribution, edges []Edge, opts Options) *Graph {
-	n := dist.NumVertices()
-	for _, e := range edges {
-		if int(e.Src) >= n || int(e.Dst) >= n {
-			panic(fmt.Sprintf("distgraph: edge (%d,%d) out of range n=%d", e.Src, e.Dst, n))
-		}
-	}
-	g := &Graph{dist: dist, opts: opts}
-	R := dist.Ranks()
-	g.locals = make([]*LocalGraph, R)
-	var wg sync.WaitGroup
-	counts := make([]int64, R)
-	for r := 0; r < R; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			lg := &LocalGraph{Rank: r}
-			g.locals[r] = lg
-			lg.OutIndex = make([]uint32, dist.LocalCount(r)+1)
-			visit := func(fn func(s, d Vertex, w int64)) {
-				for _, e := range edges {
-					if dist.Owner(e.Src) == r {
-						fn(e.Src, e.Dst, e.W)
-					}
-					if opts.Symmetrize && dist.Owner(e.Dst) == r {
-						fn(e.Dst, e.Src, e.W)
-					}
-				}
-			}
-			visit(func(s, d Vertex, w int64) { lg.OutIndex[dist.Local(s)+1]++ })
-			for i := 1; i < len(lg.OutIndex); i++ {
-				lg.OutIndex[i] += lg.OutIndex[i-1]
-			}
-			m := int(lg.OutIndex[len(lg.OutIndex)-1])
-			lg.OutDst = make([]Vertex, m)
-			lg.OutW = make([]int64, m)
-			counts[r] = int64(m)
-			cursor := make([]uint32, lg.NumLocal())
-			copy(cursor, lg.OutIndex[:lg.NumLocal()])
-			visit(func(s, d Vertex, w int64) {
-				li := dist.Local(s)
-				slot := cursor[li]
-				cursor[li]++
-				lg.OutDst[slot] = d
-				lg.OutW[slot] = w
-			})
-		}(r)
-	}
-	wg.Wait()
-	for _, c := range counts {
-		g.numEdges += c
-	}
-	if opts.Bidirectional {
-		g.buildInEdges()
-	}
-	return g
-}
-
 // Build constructs a distributed graph over dist from the input edge list.
 // Construction is a collective, performed once before algorithms run; edges
 // may be in any order and may contain self-loops and parallel edges.
@@ -162,15 +97,11 @@ func Build(dist Distribution, edges []Edge, opts Options) *Graph {
 	R := dist.Ranks()
 	g.locals = make([]*LocalGraph, R)
 	for r := 0; r < R; r++ {
-		g.locals[r] = &LocalGraph{Rank: r}
+		g.locals[r] = &LocalGraph{Rank: r, OutIndex: make([]uint32, dist.LocalCount(r)+1)}
 	}
 
 	// A directed copy (s,d,w) is stored at owner(s); with Symmetrize the
 	// reverse copy (d,s,w) is stored too.
-	copies := 1
-	if opts.Symmetrize {
-		copies = 2
-	}
 	forEachCopy := func(fn func(s, d Vertex, w int64)) {
 		for _, e := range edges {
 			fn(e.Src, e.Dst, e.W)
@@ -179,12 +110,8 @@ func Build(dist Distribution, edges []Edge, opts Options) *Graph {
 			}
 		}
 	}
-	_ = copies
 
 	// Pass 1: out-degrees.
-	for r := 0; r < R; r++ {
-		g.locals[r].OutIndex = make([]uint32, dist.LocalCount(r)+1)
-	}
 	forEachCopy(func(s, d Vertex, w int64) {
 		lg := g.locals[dist.Owner(s)]
 		lg.OutIndex[dist.Local(s)+1]++
@@ -208,8 +135,7 @@ func Build(dist Distribution, edges []Edge, opts Options) *Graph {
 		copy(cursors[r], lg.OutIndex[:lg.NumLocal()])
 	}
 	forEachCopy(func(s, d Vertex, w int64) {
-		r := dist.Owner(s)
-		li := dist.Local(s)
+		r, li := dist.Owner(s), dist.Local(s)
 		slot := cursors[r][li]
 		cursors[r][li]++
 		lg := g.locals[r]

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"declpat/internal/distgraph"
@@ -35,6 +37,100 @@ func TestRMATDeterministicAndSized(t *testing.T) {
 	}
 	if same == len(e1) {
 		t.Fatal("different seeds produced identical graphs")
+	}
+}
+
+// rmatOracle is RMAT's sequential body before generation by range: one
+// rand.Rand over newRNG's source, Float64 per level and Weights.draw per
+// edge. It also returns how many draws it took.
+func rmatOracle(scale, edgeFactor int, w Weights, seed uint64) (edges []distgraph.Edge, draws uint64) {
+	const a, b, c = 0.57, 0.19, 0.19
+	n := 1 << scale
+	m := n * edgeFactor
+	counter := &countingSource{src: rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)}
+	rng := rand.New(counter)
+	edges = make([]distgraph.Edge, 0, m)
+	for i := 0; i < m; i++ {
+		var src, dst int
+		for lvl := 0; lvl < scale; lvl++ {
+			r := rng.Float64()
+			switch {
+			case r < a:
+				// top-left: no bits set
+			case r < a+b:
+				dst |= 1 << lvl
+			case r < a+b+c:
+				src |= 1 << lvl
+			default:
+				src |= 1 << lvl
+				dst |= 1 << lvl
+			}
+		}
+		edges = append(edges, distgraph.Edge{
+			Src: distgraph.Vertex(src), Dst: distgraph.Vertex(dst), W: w.draw(rng),
+		})
+	}
+	return edges, counter.n
+}
+
+type countingSource struct {
+	src rand.Source
+	n   uint64
+}
+
+func (s *countingSource) Uint64() uint64 { s.n++; return s.src.Uint64() }
+
+// TestRMATMatchesOracle: generation by range reads the oracle's stream
+// byte for byte, for every weight shape Int64N has (constant, power-of-two
+// span, Lemire's loop) and for any core count. The last weight spec makes
+// Int64N reject about one sample in four, so ranges after the first start
+// shifted and the fix-up pass redraws them.
+func TestRMATMatchesOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	weights := []Weights{{}, {5, 5}, {0, 63}, {1, 100}, {0, 1<<62 + 1<<61}}
+	for _, w := range weights {
+		for _, scale := range []int{3, 9, 13} {
+			for _, seed := range []uint64{1, 7, 0xdecafbad} {
+				want, draws := rmatOracle(scale, 16, w, seed)
+				perEdge := uint64(scale)
+				if w.Max > w.Min {
+					perEdge++
+				}
+				if w == weights[4] && scale == 13 && draws == uint64(len(want))*perEdge {
+					t.Fatalf("%+v scale %d seed %d: no sample rejected, so no range was shifted", w, scale, seed)
+				}
+				for _, procs := range []int{1, 2, 3} {
+					runtime.GOMAXPROCS(procs)
+					n, got := RMAT(scale, 16, w, seed)
+					if n != 1<<scale || len(got) != len(want) {
+						t.Fatalf("%+v scale %d seed %d procs %d: n=%d m=%d, want m=%d", w, scale, seed, procs, n, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%+v scale %d seed %d procs %d: edge %d = %v, want %v", w, scale, seed, procs, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJumpPCG: jumpPCG(seed, k) is the state newRNG(seed)'s source reaches
+// after k draws. A toolchain that changes PCG's constants fails here.
+func TestJumpPCG(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1<<64 - 1} {
+		for _, k := range []uint64{0, 1, 2, 63, 1000, 12345} {
+			ref := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
+			for range k {
+				ref.Uint64()
+			}
+			want, _ := ref.MarshalBinary()
+			got, _ := jumpPCG(seed, k).MarshalBinary()
+			if string(got) != string(want) {
+				t.Fatalf("seed %d k %d: state %x, want %x", seed, k, got, want)
+			}
+		}
 	}
 }
 
