@@ -4,7 +4,8 @@
 // Usage:
 //
 //	go test -run '^$' -bench 'BenchmarkCodec' -benchmem ./internal/am/ > bench.txt
-//	benchcheck -in bench.txt [-e20 e20.json] [-e21 e21.json] [-json BENCH_codec.json] \
+//	experiments -scale 10 -only E20 -json e20.json
+//	benchcheck -in bench.txt [-matrix e20.json] [-json BENCH_codec.json] \
 //	           [-baseline BENCH_codec.json] [-filter fixed] [-tolerance "B/op=20,allocs/op=5"]
 //
 // Parsing accepts any benchmark line (name, iterations, then value/unit
@@ -17,17 +18,16 @@
 //
 // -tolerance sets the allowed regression in percent: a bare number ("20")
 // applies to every gated metric, and metric=percent entries ("B/op=20,
-// allocs/op=5") set per-metric budgets (unlisted metrics keep the default).
-// The older -max-regress fraction is the fallback when -tolerance is unset.
+// allocs/op=5") set per-metric budgets (unlisted metrics keep the bare
+// number, 20 if the spec has none).
 //
-// With -e20/-e21/-e22 the given JSON files (the E20 codec matrix from
-// `experiments -codec-json`, the E21 transport matrix from
-// `experiments -transport-json`, the E22 phase-timer matrix from
-// `experiments -obs-json`) are embedded in the report, so the committed
-// BENCH_*.json carries both the microbenchmark baseline and the
-// end-to-end table.
+// -matrix reads the record file `experiments -json` writes, an object keyed
+// by lower-case experiment id ({"e20": […], "e21": […], "e22": […]}: the
+// E20 codec, E21 transport and E22 phase-timer matrices), into the report,
+// so the committed BENCH_*.json carries both the microbenchmark baseline and
+// the end-to-end table.
 //
-// With -e21 and -baseline together the E21 matrix is gated too, cell by
+// With an E21 matrix and -baseline together the matrix is gated too, cell by
 // (algo, detector, transport) cell: every cell must read wrong == 0, and a
 // cell the baseline also has may not exceed the baseline's msgs or
 // retransmits (both lower-is-better) by more than -tolerance's "msgs" and
@@ -115,15 +115,16 @@ func (t tolerances) of(metric string) float64 {
 	return t.def
 }
 
+// defaultTolerance is the allowed regression, in percent, of a gated metric
+// the -tolerance spec gives no budget.
+const defaultTolerance = 20
+
 // parseTolerance reads the -tolerance spec: a bare percent ("20") sets the
 // default for every gated metric; metric=percent entries ("B/op=20,
-// allocs/op=5") set per-metric budgets. fallback (the -max-regress fraction)
-// is the default when the spec has no bare entry.
-func parseTolerance(spec string, fallback float64) (tolerances, error) {
-	t := tolerances{def: fallback, byKey: map[string]float64{}}
-	if spec == "" {
-		return t, nil
-	}
+// allocs/op=5") set per-metric budgets. A spec without a bare entry keeps
+// defaultTolerance for the metrics it does not list.
+func parseTolerance(spec string) (tolerances, error) {
+	t := tolerances{def: defaultTolerance / 100.0, byKey: map[string]float64{}}
 	for _, ent := range strings.Split(spec, ",") {
 		ent = strings.TrimSpace(ent)
 		if ent == "" {
@@ -244,20 +245,31 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// readInto reads the JSON file at path into rep: a committed report, or the
+// record file `experiments -json` writes, whose e20/e21/e22 keys fill those
+// fields and leave rep.Benchmarks as it is.
+func readInto(rep *Report, path string) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, rep); err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	}
+	return nil
+}
+
 func main() {
 	in := flag.String("in", "", "bench output file (default: stdin)")
-	e20 := flag.String("e20", "", "E20 codec-matrix JSON to embed in the report")
-	e21 := flag.String("e21", "", "E21 transport-matrix JSON to embed in the report and, with -baseline, gate")
-	e22 := flag.String("e22", "", "E22 phase-timer-matrix JSON to embed in the report")
+	matrix := flag.String("matrix", "", "record file written by experiments -json to embed in the report (its E21 matrix is gated with -baseline)")
 	jsonOut := flag.String("json", "", "write the parsed report to this file")
 	baseline := flag.String("baseline", "", "compare against this committed report")
 	filter := flag.String("filter", "fixed", "substring of benchmark names to gate")
-	maxRegress := flag.Float64("max-regress", 0.20, "allowed fractional regression vs baseline (fallback when -tolerance is unset)")
-	tolerance := flag.String("tolerance", "", `allowed regression in percent: "20" for all gated metrics, or per-metric "B/op=20,allocs/op=5" (the E21 gate reads "msgs" and "retransmits")`)
+	tolerance := flag.String("tolerance", fmt.Sprint(defaultTolerance), `allowed regression in percent: "20" for all gated metrics, or per-metric "B/op=20,allocs/op=5" (the E21 gate reads "msgs" and "retransmits")`)
 	slack := flag.Float64("slack", 64, "absolute slack added to each limit (absorbs noise on near-zero baselines)")
 	flag.Parse()
 
-	tol, err := parseTolerance(*tolerance, *maxRegress)
+	tol, err := parseTolerance(*tolerance)
 	if err != nil {
 		fail(err)
 	}
@@ -279,35 +291,17 @@ func main() {
 		fail(fmt.Errorf("no benchmark lines found in input"))
 	}
 	rep := Report{Benchmarks: benches}
-	embed := func(path string) json.RawMessage {
-		raw, err := os.ReadFile(path)
-		if err != nil {
+	if *matrix != "" {
+		if err := readInto(&rep, *matrix); err != nil {
 			fail(err)
 		}
-		if !json.Valid(raw) {
-			fail(fmt.Errorf("%s: not valid JSON", path))
-		}
-		return json.RawMessage(raw)
-	}
-	if *e20 != "" {
-		rep.E20 = embed(*e20)
-	}
-	if *e21 != "" {
-		rep.E21 = embed(*e21)
-	}
-	if *e22 != "" {
-		rep.E22 = embed(*e22)
 	}
 
 	// Compare BEFORE writing: -json and -baseline may be the same path.
 	if *baseline != "" {
-		raw, err := os.ReadFile(*baseline)
-		if err != nil {
-			fail(err)
-		}
 		var ref Report
-		if err := json.Unmarshal(raw, &ref); err != nil {
-			fail(fmt.Errorf("%s: %v", *baseline, err))
+		if err := readInto(&ref, *baseline); err != nil {
+			fail(err)
 		}
 		bad := compare(benches, ref.Benchmarks, *filter, tol, *slack)
 		if rep.E21 != nil {
@@ -327,15 +321,9 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fail(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(rep)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		buf, err := json.MarshalIndent(rep, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonOut, append(buf, '\n'), 0o644)
 		}
 		if err != nil {
 			fail(err)

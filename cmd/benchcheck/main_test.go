@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -53,37 +56,37 @@ func TestCompare(t *testing.T) {
 }
 
 func TestParseTolerance(t *testing.T) {
-	// Unset spec falls back to -max-regress.
-	tol, err := parseTolerance("", 0.20)
+	// An empty spec keeps the 20 % default.
+	tol, err := parseTolerance("")
 	if err != nil || tol.of("B/op") != 0.20 {
-		t.Fatalf("fallback: tol=%v err=%v", tol, err)
+		t.Fatalf("default: tol=%v err=%v", tol, err)
 	}
 	// A bare percent applies to every metric.
-	tol, err = parseTolerance("50", 0.20)
+	tol, err = parseTolerance("50")
 	if err != nil || tol.of("B/op") != 0.50 || tol.of("wire_B") != 0.50 {
 		t.Fatalf("bare percent: tol=%+v err=%v", tol, err)
 	}
 	// Per-metric entries override the default; unlisted metrics keep it.
-	tol, err = parseTolerance("B/op=20, allocs/op=5", 0.10)
-	if err != nil || tol.of("B/op") != 0.20 || tol.of("allocs/op") != 0.05 || tol.of("wire_B") != 0.10 {
+	tol, err = parseTolerance("B/op=30, allocs/op=5")
+	if err != nil || tol.of("B/op") != 0.30 || tol.of("allocs/op") != 0.05 || tol.of("wire_B") != 0.20 {
 		t.Fatalf("per-metric: tol=%+v err=%v", tol, err)
 	}
 	// Mixed: bare default plus a per-metric budget.
-	tol, err = parseTolerance("30,wire_B=10", 0.20)
+	tol, err = parseTolerance("30,wire_B=10")
 	if err != nil || tol.of("B/op") != 0.30 || tol.of("wire_B") != 0.10 {
 		t.Fatalf("mixed: tol=%+v err=%v", tol, err)
 	}
-	if _, err = parseTolerance("B/op=lots", 0.20); err == nil {
+	if _, err = parseTolerance("B/op=lots"); err == nil {
 		t.Fatal("malformed percent accepted")
 	}
-	if _, err = parseTolerance("-5", 0.20); err == nil {
+	if _, err = parseTolerance("-5"); err == nil {
 		t.Fatal("negative percent accepted")
 	}
 
 	// A per-metric tolerance gates exactly its metric.
 	base := []Benchmark{{Name: "BenchmarkX/fixed", Metrics: map[string]float64{"B/op": 1000, "wire_B": 1000}}}
 	cur := []Benchmark{{Name: "BenchmarkX/fixed", Metrics: map[string]float64{"B/op": 1200, "wire_B": 1200}}}
-	tight, _ := parseTolerance("B/op=30,wire_B=5", 0.20)
+	tight, _ := parseTolerance("B/op=30,wire_B=5")
 	bad := compare(cur, base, "fixed", tight, 0)
 	if len(bad) != 1 || !strings.Contains(bad[0], "wire_B") {
 		t.Fatalf("per-metric gate: %v", bad)
@@ -91,7 +94,7 @@ func TestParseTolerance(t *testing.T) {
 }
 
 func TestCompareE21(t *testing.T) {
-	tol, err := parseTolerance("25,msgs=10,retransmits=100", 0.20)
+	tol, err := parseTolerance("25,msgs=10,retransmits=100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +130,51 @@ func TestCompareE21(t *testing.T) {
 	}
 	if _, err := compareE21([]byte(`{`), base, tol, 64); err == nil {
 		t.Fatal("malformed current matrix accepted")
+	}
+}
+
+// TestReadMatrix: the record file of `experiments -json` fills only its
+// matrices; the committed E21 matrix passes the gate against itself with
+// CI's tolerances and fails it with one wrong vertex.
+func TestReadMatrix(t *testing.T) {
+	read := func(rep *Report, body string) error {
+		path := filepath.Join(t.TempDir(), "matrix.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return readInto(rep, path)
+	}
+	benches, _ := parse(strings.NewReader(sample))
+	rep := Report{Benchmarks: benches}
+	if err := read(&rep, `{"e21": [{"algo":"bfs","transport":"unix"}]}`); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 || rep.E20 != nil || rep.E22 != nil || !strings.Contains(string(rep.E21), `"unix"`) {
+		t.Fatalf("matrix not merged into E21 alone: %+v", rep)
+	}
+	if err := read(&rep, `{"e21": `); err == nil {
+		t.Fatal("malformed matrix file accepted")
+	}
+
+	var ref Report
+	if err := readInto(&ref, "../../BENCH_transport.json"); err != nil {
+		t.Fatal(err)
+	}
+	tol, _ := parseTolerance("25,wire_B=10,msgs=25,retransmits=100")
+	var cells []map[string]any
+	if err := json.Unmarshal(ref.E21, &cells); err != nil || len(cells) == 0 {
+		t.Fatalf("committed e21 matrix: %d cells, err %v", len(cells), err)
+	}
+	for _, wrong := range []int{0, 1} {
+		cells[len(cells)/2]["wrong"] = wrong
+		body, _ := json.Marshal(map[string]any{"e21": cells})
+		var cur Report
+		if err := read(&cur, string(body)); err != nil {
+			t.Fatal(err)
+		}
+		bad, err := compareE21(cur.E21, ref.E21, tol, 64)
+		if err != nil || len(bad) != wrong {
+			t.Fatalf("one cell with wrong = %d: violations %v, err %v", wrong, bad, err)
+		}
 	}
 }

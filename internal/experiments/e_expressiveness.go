@@ -133,7 +133,6 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		sources := []distgraph.Vertex{0, 7, 19}
 		gopts := distgraph.Options{Bidirectional: true}
 		u := machine()
-		benchTrack(u)
 		d := distgraph.NewBlockDist(bn, u.Ranks())
 		g := distgraph.Build(d, bedges, gopts)
 		eng := pattern.NewEngine(u, g, newLockMap(d), PaperPlan())

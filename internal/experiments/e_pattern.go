@@ -38,7 +38,6 @@ func threeLocPattern() *pattern.Pattern {
 // SSSP. Returns the universe (for stats) and distances.
 func runThreeLoc(n int, edges []distgraph.Edge, popts pattern.PlanOptions) (*am.Universe, []int64) {
 	u := am.New(4, am.WithThreads(2))
-	benchTrack(u)
 	d := distgraph.NewBlockDist(n, 4)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	lm := pmap.NewLockMap(d, 1)
@@ -127,7 +126,6 @@ func E2Merge(sc Scale) []*harness.Table {
 
 func compilePlans(p *pattern.Pattern, popts pattern.PlanOptions) []pattern.PlanInfo {
 	u := am.New(1)
-	benchTrack(u)
 	d := distgraph.NewBlockDist(2, 1)
 	g := distgraph.Build(d, []distgraph.Edge{{Src: 0, Dst: 1, W: 1}}, distgraph.Options{})
 	lm := pmap.NewLockMap(d, 1)
@@ -244,7 +242,6 @@ func E11PointerJump(Scale) []*harness.Table {
 		"chain-length", "once-rounds", "messages")
 	for _, L := range []int{4, 16, 64, 256} {
 		u := am.New(4, am.WithThreads(1))
-		benchTrack(u)
 		d := distgraph.NewBlockDist(L, 4)
 		g := distgraph.Build(d, gen.Path(L, gen.Weights{}, 0), distgraph.Options{})
 		lm := pmap.NewLockMap(d, 1)

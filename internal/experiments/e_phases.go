@@ -12,7 +12,7 @@ import (
 // ObsRecord is one cell of the E22 phase-timer overhead matrix: an
 // algorithm run with the telemetry plane off or on, its wall time, and —
 // when timing is on — the per-phase totals the timers recorded. The
-// machine-readable form (`experiments -obs-json`) is embedded in
+// machine-readable form (`experiments -only E22 -json`) is embedded in
 // BENCH_obs.json so CI diffs carry the end-to-end overhead next to the
 // zero-allocation microbenchmark gate.
 type ObsRecord struct {

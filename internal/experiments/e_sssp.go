@@ -74,7 +74,6 @@ func E6Reduction(sc Scale) []*harness.Table {
 		"cache", "accepted", "suppressed", "handlers", "envelopes", "time", "wrong")
 	for _, cached := range []bool{false, true} {
 		u := am.New(4, am.WithThreads(2), am.WithCoalesce(256))
-		benchTrack(u)
 		g := buildGraph(u, n, edges, defaultGOpts())
 		h := algorithms.NewHandSSSP(u, g).Naive()
 		if cached {
@@ -235,7 +234,6 @@ func E9Abstraction(sc Scale) []*harness.Table {
 				_, run, answer = patternSolver(e, algo)
 			case algo == "sssp":
 				u = machine()
-				benchTrack(u)
 				h := algorithms.NewHandSSSP(u, buildGraph(u, n, edges, defaultGOpts()))
 				if rw.naive {
 					h.Naive()
@@ -243,7 +241,6 @@ func E9Abstraction(sc Scale) []*harness.Table {
 				run, answer = func(r *am.Rank) { h.Run(r, 0) }, h.Dist.Gather
 			default:
 				u = machine()
-				benchTrack(u)
 				h := algorithms.NewHandBFS(u, buildGraph(u, n, edges, defaultGOpts()))
 				if rw.naive {
 					h.Naive()

@@ -26,37 +26,45 @@ type Scale struct {
 	Seed       uint64
 }
 
-// Experiment is one runnable experiment.
+// Experiment is one runnable experiment. Records, where set, returns the
+// experiment's measurements as JSON-encodable records: the matrices that
+// `experiments -json` writes and benchcheck embeds and gates.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(sc Scale) []*harness.Table
+	ID      string
+	Title   string
+	Run     func(sc Scale) []*harness.Table
+	Records func(sc Scale) any
 }
 
 // All returns the experiment registry in order.
 func All() []Experiment {
 	return []Experiment{
-		{"E1", "Fig. 1 — fixed-point vs Δ-stepping SSSP", E1Strategies},
-		{"E2", "Fig. 6 / §IV-A — merge optimization", E2Merge},
-		{"E3", "Fig. 3 — CC parallel search pacing", E3CCPacing},
-		{"E4", "Fig. 5 — gather planner: naive DFS vs direct", E4Planner},
-		{"E5", "§IV — message coalescing", E5Coalescing},
-		{"E6", "§IV — caching/reduction layer", E6Reduction},
-		{"E7", "§I — strong scaling over ranks × threads", E7Scaling},
-		{"E8", "§III-D/§IV — termination detection", E8Termination},
-		{"E9", "§I — abstraction overhead vs hand-written AM++", E9Abstraction},
-		{"E10", "Fig. 6 — subexpression folding payload", E10Folding},
-		{"E11", "§II-B — pointer jumping (two-hop gather)", E11PointerJump},
-		{"E12", "§II-A — Δ-stepping light/heavy split (early exit)", E12LightHeavy},
-		{"E13", "§III-A — PageRank push (out_edges) vs pull (in_edges)", E13PushPull},
-		{"E15", "§VI — expressiveness: the pattern-based algorithm suite", E15Expressiveness},
-		{"E16", "robustness — fault overhead vs drop rate (reliable transport)", E16Chaos},
-		{"E17", "observability — sharded counters, timing, and tracing overhead", E17Observability},
-		{"E19", "observability — causal lineage: critical paths, chain depth, overhead", E19Lineage},
-		{"E20", "performance — wire codec: bytes & allocations, fixed vs in-memory reference", E20Codec},
-		{"E21", "robustness — transport seam: chan vs unix vs tcp loopback, faulted links", E21Transport},
-		{"E22", "observability — phase-timer overhead: telemetry plane off vs on", E22PhaseTimers},
+		{"E1", "Fig. 1 — fixed-point vs Δ-stepping SSSP", E1Strategies, nil},
+		{"E2", "Fig. 6 / §IV-A — merge optimization", E2Merge, nil},
+		{"E3", "Fig. 3 — CC parallel search pacing", E3CCPacing, nil},
+		{"E4", "Fig. 5 — gather planner: naive DFS vs direct", E4Planner, nil},
+		{"E5", "§IV — message coalescing", E5Coalescing, nil},
+		{"E6", "§IV — caching/reduction layer", E6Reduction, nil},
+		{"E7", "§I — strong scaling over ranks × threads", E7Scaling, nil},
+		{"E8", "§III-D/§IV — termination detection", E8Termination, nil},
+		{"E9", "§I — abstraction overhead vs hand-written AM++", E9Abstraction, nil},
+		{"E10", "Fig. 6 — subexpression folding payload", E10Folding, nil},
+		{"E11", "§II-B — pointer jumping (two-hop gather)", E11PointerJump, nil},
+		{"E12", "§II-A — Δ-stepping light/heavy split (early exit)", E12LightHeavy, nil},
+		{"E13", "§III-A — PageRank push (out_edges) vs pull (in_edges)", E13PushPull, nil},
+		{"E15", "§VI — expressiveness: the pattern-based algorithm suite", E15Expressiveness, nil},
+		{"E16", "robustness — fault overhead vs drop rate (reliable transport)", E16Chaos, nil},
+		{"E17", "observability — sharded counters, timing, and tracing overhead", E17Observability, nil},
+		{"E19", "observability — causal lineage: critical paths, chain depth, overhead", E19Lineage, nil},
+		{"E20", "performance — wire codec: bytes & allocations, fixed vs in-memory reference", E20Codec, records(E20CodecRecords)},
+		{"E21", "robustness — transport seam: chan vs unix vs tcp loopback, faulted links", E21Transport, records(E21TransportRecords)},
+		{"E22", "observability — phase-timer overhead: telemetry plane off vs on", E22PhaseTimers, records(E22ObsRecords)},
 	}
+}
+
+// records adapts a typed record function to Experiment.Records.
+func records[T any](f func(Scale) []T) func(Scale) any {
+	return func(sc Scale) any { return f(sc) }
 }
 
 // PaperPlan is the shipped planner configuration with Direct, Filter and
@@ -94,7 +102,6 @@ type env struct {
 }
 
 func newEnv(u *am.Universe, n int, edges []distgraph.Edge, gopts distgraph.Options, popts pattern.PlanOptions) *env {
-	benchTrack(u)
 	d := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(d, edges, gopts)
 	lm := pmap.NewLockMap(d, 1)
