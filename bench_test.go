@@ -2,8 +2,8 @@
 // regenerated as tables by cmd/experiments and, end to end, by the bench
 // module's ledger; two benchmarks stay here:
 //
-//   - BenchmarkE17Observability, which CI's codec-bench job runs and
-//     BENCH_codec.json records;
+//   - BenchmarkE17Observability, the price of counters, timing and
+//     tracing on one whole solve (ungated; CI runs it once as a smoke);
 //   - BenchmarkHostParallelism, the host check every ranks × threads timing
 //     is read against.
 //

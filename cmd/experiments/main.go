@@ -10,7 +10,8 @@
 // selected experiments that have one (E20 codec, E21 transport, E22 phase
 // timers) and writes them to FILE as one object keyed by lower-case id,
 // {"e20": […], "e21": […], "e22": […]}, which `benchcheck -matrix` embeds
-// and gates. It exits 2 if no selected experiment has records.
+// and gates. It exits 2 if no selected experiment has records, and before
+// running anything if an -only id names no experiment.
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,6 +33,29 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// pick returns the experiments a comma-separated -only list names (all of
+// them for an empty list), in suite order, and every listed id that names
+// none.
+func pick(all []experiments.Experiment, only string) (selected []experiments.Experiment, unknown []string) {
+	var ids []string
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
+			ids = append(ids, id)
+		}
+	}
+	for _, ex := range all {
+		if len(ids) == 0 || slices.Contains(ids, ex.ID) {
+			selected = append(selected, ex)
+		}
+	}
+	for _, id := range ids {
+		if !slices.ContainsFunc(selected, func(ex experiments.Experiment) bool { return ex.ID == id }) {
+			unknown = append(unknown, id)
+		}
+	}
+	return selected, unknown
+}
+
 func main() {
 	scale := flag.Int("scale", 12, "RMAT scale (2^scale vertices)")
 	ef := flag.Int("edgefactor", 8, "edges per vertex")
@@ -40,17 +65,10 @@ func main() {
 	jsonOut := flag.String("json", "", "run only the record matrices (E20, E21, E22) of the selected experiments and write them as JSON to this file")
 	flag.Parse()
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
-		}
-	}
-	var selected []experiments.Experiment
-	for _, ex := range experiments.All() {
-		if len(want) == 0 || want[ex.ID] {
-			selected = append(selected, ex)
-		}
+	selected, unknown := pick(experiments.All(), *only)
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -only: no experiment %s\n", strings.Join(unknown, ", "))
+		os.Exit(2)
 	}
 	sc := experiments.Scale{RMATScale: *scale, EdgeFactor: *ef, Seed: *seed}
 

@@ -168,13 +168,29 @@ func TestCoalescingEnvelopeCounts(t *testing.T) {
 	const n = 1000
 	// With coalescing factor c, rank 0 sending n messages to rank 1 in
 	// one epoch ships ceil(n/c) envelopes, whether it sends them one SendTo
-	// at a time or as one SendAll run.
-	for _, c := range []int{1, 16, 64, 1000, 4096} {
+	// at a time or as one SendAll run. c = 0 is the transport's default: 64
+	// in process, 256 on a unix socket.
+	for _, row := range []struct {
+		transport string
+		c, size   int // size: the envelope size c resolves to
+	}{
+		{"chan", 1, 1}, {"chan", 16, 16}, {"chan", 0, 64}, {"chan", 1000, 1000}, {"chan", 4096, 4096},
+		{"unix", 0, 256},
+	} {
+		c := row.size
 		for _, all := range []bool{false, true} {
-			u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: c})
+			cfg := config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: row.c}
+			if row.transport == "unix" {
+				requireLoopback(t)
+				cfg.Transport = SockTransport(fastSockOptions("unix"))
+			}
+			u := newUniverse(cfg)
 			var sum atomic.Int64
 			mt := Register(u, "m", func(r *Rank, m int64) { sum.Add(m) })
-			u.Run(func(r *Rank) {
+			if cfg.Transport != nil {
+				mt.WithWire()
+			}
+			if err := u.Run(func(r *Rank) {
 				r.Epoch(func(ep *Epoch) {
 					if r.ID() != 0 {
 						return
@@ -190,17 +206,21 @@ func TestCoalescingEnvelopeCounts(t *testing.T) {
 						mt.SendAll(r, 1, ms)
 					}
 				})
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			want := int64((n + c - 1) / c)
 			if got := u.Stats.Envelopes(); got != want {
-				t.Fatalf("coalesce=%d SendAll=%v: envelopes=%d want %d", c, all, got, want)
+				t.Fatalf("%s coalesce=%d SendAll=%v: envelopes=%d want %d", row.transport, c, all, got, want)
 			}
+			// On a socket the reliable layer also accounts its acks and any
+			// retransmit, so only the in-process byte count is exact.
 			wantBytes := int64(n*8) + want*envelopeHeaderBytes
-			if got := u.Stats.BytesSent(); got != wantBytes {
+			if got := u.Stats.BytesSent(); cfg.Transport == nil && got != wantBytes {
 				t.Fatalf("coalesce=%d SendAll=%v: bytes=%d want %d", c, all, got, wantBytes)
 			}
 			if got := sum.Load(); got != n*(n-1)/2 {
-				t.Fatalf("coalesce=%d SendAll=%v: handlers summed %d, want %d", c, all, got, n*(n-1)/2)
+				t.Fatalf("%s coalesce=%d SendAll=%v: handlers summed %d, want %d", row.transport, c, all, got, n*(n-1)/2)
 			}
 		}
 	}

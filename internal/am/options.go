@@ -48,11 +48,14 @@ func (c config) withDefaults() config {
 	if c.ThreadsPerRank < 0 {
 		c.ThreadsPerRank = 0
 	}
-	if c.CoalesceSize <= 0 {
-		c.CoalesceSize = 64
-	}
 	if c.Transport == nil {
 		c.Transport = ChanTransport()
+	}
+	if c.CoalesceSize <= 0 { // a socket envelope pays two reader-waking writes (DESIGN.md §4)
+		c.CoalesceSize = 256
+		if c.Transport.shared() {
+			c.CoalesceSize = 64
+		}
 	}
 	return c
 }
@@ -92,7 +95,7 @@ func WithThreads(n int) Option { return func(c *config) { c.ThreadsPerRank = n }
 
 // WithCoalesce sets the default number of messages buffered per (type,
 // destination) before an envelope is shipped. 1 disables coalescing; 0 keeps
-// the default (64).
+// the default: 64 in process, 256 on sockets.
 func WithCoalesce(n int) Option { return func(c *config) { c.CoalesceSize = n } }
 
 // WithDetector selects the termination-detection protocol (default

@@ -26,6 +26,23 @@ func TestNewWithOptions(t *testing.T) {
 	if New(0).Ranks() != 1 {
 		t.Fatal("New(0) must clamp to one rank")
 	}
+	// The envelope size follows the medium: 64 in process, 256 where each
+	// envelope pays a socket write; WithCoalesce overrides both.
+	sock := func() Option { return WithTransport(SockTransport(SockOptions{Network: "unix"})) }
+	for _, c := range []struct {
+		name string
+		opts []Option
+		want int
+	}{
+		{"chan", nil, 64},
+		{"unix", []Option{sock()}, 256},
+		{"chan+WithCoalesce(16)", []Option{WithCoalesce(16)}, 16},
+		{"unix+WithCoalesce(16)", []Option{WithCoalesce(16), sock()}, 16},
+	} {
+		if got := New(2, c.opts...).cfg.CoalesceSize; got != c.want {
+			t.Fatalf("%s: CoalesceSize = %d, want %d", c.name, got, c.want)
+		}
+	}
 
 	fp := &FaultPlan{Drop: 0.05, Seed: 7}
 	tr := ChanTransport()
