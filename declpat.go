@@ -79,12 +79,15 @@ type (
 // MsgOption configures a message type at registration.
 type MsgOption[T any] func(*MsgType[T])
 
-// WithCodec applies am.MsgType.WithCodec at registration.
+// WithCodec applies am.MsgType.WithCodec at registration: it chooses the
+// codec the type's envelopes are encoded with where they cross a link.
 func WithCodec[T any](c Codec[T]) MsgOption[T] {
 	return func(t *MsgType[T]) { t.WithCodec(c) }
 }
 
-// WithWire applies am.MsgType.WithWire at registration.
+// WithWire applies am.MsgType.WithWire at registration: it chooses the fixed
+// codec, which a universe that is not trusted already equips for a
+// fixed-layout T.
 func WithWire[T any]() MsgOption[T] {
 	return func(t *MsgType[T]) { t.WithWire() }
 }
@@ -96,7 +99,7 @@ func WithAddresser[T any](f func(m T) int) MsgOption[T] {
 
 // RegisterMsgType is am.Register followed by opts; call before Universe.Run.
 //
-//	pings := declpat.RegisterMsgType(u, "ping", handlePing, declpat.WithWire[Ping]())
+//	pings := declpat.RegisterMsgType(u, "ping", handlePing, declpat.WithAddresser(pingOwner))
 func RegisterMsgType[T any](u *Universe, name string, handler func(r *Rank, m T), opts ...MsgOption[T]) *MsgType[T] {
 	mt := am.Register(u, name, handler)
 	for _, opt := range opts {

@@ -147,8 +147,8 @@ func TestPublicAPICodecSeam(t *testing.T) {
 		t.Fatal("string payloads must not qualify for the fixed codec")
 	}
 
-	run := func(opt declpat.MsgOption[pair]) int64 {
-		u := declpat.New(2, declpat.WithThreads(1), declpat.WithCoalesce(8))
+	run := func(plan *declpat.FaultPlan, opt declpat.MsgOption[pair]) int64 {
+		u := declpat.New(2, declpat.WithThreads(1), declpat.WithCoalesce(8), declpat.WithFaultPlan(plan))
 		var sum int64
 		var mu sync.Mutex
 		opts := []declpat.MsgOption[pair]{
@@ -178,12 +178,14 @@ func TestPublicAPICodecSeam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := run(nil)
+	// The trusted run ships references; a zero fault plan makes every
+	// cross-rank envelope the chosen codec's bytes.
+	base := run(nil, nil)
 	for name, opt := range map[string]declpat.MsgOption[pair]{
 		"wire-auto":   declpat.WithWire[pair](),
 		"codec-fixed": declpat.WithCodec(fixed),
 	} {
-		if got := run(opt); got != base {
+		if got := run(&declpat.FaultPlan{}, opt); got != base {
 			t.Fatalf("%s: sum = %d, want %d", name, got, base)
 		}
 	}

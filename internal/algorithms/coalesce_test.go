@@ -56,7 +56,6 @@ func TestCoalesceDifferential(t *testing.T) {
 						for i, coalesce := range []bool{false, true} {
 							u := am.New(ranks, append(tr.opts(t), am.WithThreads(threads))...)
 							eng, lm := newEngineWith(u, n, edges, tc.gopts, coalesceOpts(coalesce))
-							eng.MsgType().WithWire() // sockets need a wire codec; harmless on channels
 							var acts []*pattern.BoundAction
 							answers[i], acts = tc.run(t, u, eng, lm)
 							for _, a := range acts {

@@ -149,8 +149,8 @@ func crossRankEdges(n, ranks int, edges []distgraph.Edge) int64 {
 
 // TestDirectOnlyWhenCoresident: Direct engages on the trusted channel
 // transport and nowhere else. A universe with a socket transport, a fault
-// plan (even one that injects nothing), recovery or lineage (on whenever
-// tracing is, unless LineageOff) keeps every hop a message: no direct hops,
+// plan (even one that injects nothing) or lineage (on whenever tracing is,
+// unless LineageOff) keeps every hop a message: no direct hops,
 // and exactly the message count of Direct off — one per rank-crossing edge
 // for Degree's `indeg[trg(e)] += 1`. Tracing without lineage does not.
 func TestDirectOnlyWhenCoresident(t *testing.T) {
@@ -181,7 +181,6 @@ func TestDirectOnlyWhenCoresident(t *testing.T) {
 			for _, direct := range []bool{false, true} {
 				u := am.New(ranks, append(tc.opts(t), am.WithThreads(1))...)
 				eng, _ := newEngineWith(u, n, edges, distgraph.Options{}, planOpts(direct))
-				eng.MsgType().WithWire() // sockets need a wire codec; harmless elsewhere
 				d := NewDegreeCount(eng)
 				runOrFail(t, u, func(r *am.Rank) { d.Run(r) })
 				if got := d.InDeg.Gather(); !slices.Equal(got, want) {

@@ -69,7 +69,6 @@ func TestFilterDifferential(t *testing.T) {
 						for i, filter := range []bool{false, true} {
 							u := am.New(ranks, append(tr.opts(t), am.WithThreads(threads))...)
 							eng, lm := newEngineWith(u, n, edges, tc.gopts, filterOpts(filter))
-							eng.MsgType().WithWire() // sockets need a wire codec; harmless on channels
 							var acts []*pattern.BoundAction
 							answers[i], acts = tc.run(t, u, eng, lm)
 							for _, a := range acts {

@@ -90,10 +90,6 @@ func runEnvelopeAccounting(t *testing.T, cfg config, epochs int) {
 			ping.SendTo(r, (r.ID()+1)%r.N(), acctMsg{TTL: m.TTL - 1})
 		}
 	})
-	if cfg.Transport != nil {
-		ping.WithWire()
-		pong.WithWire()
-	}
 	// Epoch e: every rank's body sends k pings of TTL ttl, each a chain of
 	// ttl+1 pings and ttl+1 pongs. k runs past the coalescing factor 4, so
 	// some buffers ship full from SendTo and others partial from a flush.

@@ -187,9 +187,6 @@ func TestCoalescingEnvelopeCounts(t *testing.T) {
 			u := newUniverse(cfg)
 			var sum atomic.Int64
 			mt := Register(u, "m", func(r *Rank, m int64) { sum.Add(m) })
-			if cfg.Transport != nil {
-				mt.WithWire()
-			}
 			if err := u.Run(func(r *Rank) {
 				r.Epoch(func(ep *Epoch) {
 					if r.ID() != 0 {

@@ -13,11 +13,11 @@ import (
 
 // Wire codecs.
 //
-// A Codec[T] turns a coalesced batch []T into wire bytes and back. Message
-// types that ship through the wire transport (WithWire / WithCodec) encode
-// every envelope with their registered codec, seal it with a CRC-64
-// checksum, account the true serialized size in Stats.WireBytes, and decode
-// on arrival.
+// A Codec[T] turns a coalesced batch []T into wire bytes and back. Outside
+// a trusted universe every sequenced envelope — everything that crosses a
+// link — is encoded with its type's codec, sealed with a CRC-64 checksum,
+// accounted at its true serialized size in Stats.WireBytes, and decoded on
+// arrival.
 //
 // One codec ships: FixedCodec, a zero-reflection fixed word-schema encoding
 // for pointer-free payload types (the vertex/distance/component structs
@@ -25,10 +25,11 @@ import (
 // primitive lanes of T — is computed once at construction with reflection;
 // encoding and decoding then run over a precomputed offset table with no
 // reflection, no type metadata on the wire, and no allocation (buffers come
-// from pools). WithWire selects it and rejects a T it cannot encode;
-// WithCodec plugs in any other Codec[T].
+// from pools). RegisterBatch equips it on a universe that is not trusted
+// when T has a fixed layout; WithWire selects it and rejects a T it cannot
+// encode; WithCodec plugs in any other Codec[T].
 
-// Codec serializes batches of one message type for the wire transport.
+// Codec serializes batches of one message type for the links they cross.
 // Implementations must be safe for concurrent use: one codec instance
 // serves every rank and handler thread of the universe.
 //
@@ -62,12 +63,12 @@ type encBuf struct {
 // DropAll, post-run Close) simply leaks its buffer to the GC — never double-release.
 var encBufPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 1024)} }}
 
-// wirePayload is the wire form of an envelope of a codec-equipped message
-// type: the encoded batch plus a checksum computed over the clean bytes at
-// the sender. eb, when non-nil, is the pooled buffer backing b. verified
-// marks bytes the transport has already checked end to end (a socket frame's
-// CRC covers them and nothing alters them between sealing and framing), so
-// delivery does not checksum them a second time.
+// wirePayload is the wire form of a sequenced envelope: the encoded batch
+// plus a checksum computed over the clean bytes at the sender. eb, when
+// non-nil, is the pooled buffer backing b. verified marks bytes the
+// transport has already checked end to end (a socket frame's CRC covers them
+// and nothing alters them between sealing and framing), so delivery does not
+// checksum them a second time.
 type wirePayload struct {
 	b        []byte
 	sum      uint64

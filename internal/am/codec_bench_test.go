@@ -77,22 +77,19 @@ func BenchmarkCodecDecode(b *testing.B) {
 }
 
 // BenchmarkCodecTransport prices one epoch (encode, checksum, decode, pooled
-// buffers, reliable delivery) of a resident universe under the fixed codec,
-// beside the same epochs shipping batches in memory as the floor. The
-// universe is built outside the timer and the allocation count, and b.N
-// epochs run inside one Run, so an op is an epoch, not a universe's life.
+// buffers, reliable delivery) of a resident reliable universe, which ships
+// every envelope that crosses a link through the fixed codec. The universe
+// is built outside the timer and the allocation count, and b.N epochs run
+// inside one Run, so an op is an epoch, not a universe's life.
 // Nothing is lost in process, and the retransmit clock (one tick per poll
 // here) is pushed out of reach, so no scheduling-dependent resend is priced.
 func BenchmarkCodecTransport(b *testing.B) {
 	const ranks, per = 2, 256
-	run := func(b *testing.B, mk func(*MsgType[benchMsg])) {
+	b.Run("fixed", func(b *testing.B) {
 		u := newUniverse(config{Ranks: ranks, ThreadsPerRank: 2, CoalesceSize: 32,
 			FaultPlan: &FaultPlan{Seed: 1, retransmitBase: 1 << 20}})
 		var sum atomic.Int64
 		mt := Register(u, "bench", func(r *Rank, m benchMsg) { sum.Add(m.Vals[0]) })
-		if mk != nil {
-			mk(mt)
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		if err := u.Run(func(r *Rank) {
@@ -106,7 +103,5 @@ func BenchmarkCodecTransport(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.Run("reference", func(b *testing.B) { run(b, nil) })
-	b.Run("fixed", func(b *testing.B) { run(b, func(mt *MsgType[benchMsg]) { mt.WithWire() }) })
+	})
 }

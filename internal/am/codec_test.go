@@ -193,19 +193,18 @@ func TestDecodeErrorRoutesThroughRetransmit(t *testing.T) {
 }
 
 // TestWireTransportMatchesInMemory ships the same workload through the fixed
-// codec and in memory under faults and checks the handler-observed results
-// agree.
+// codec under faults and by reference on the trusted transport and checks
+// the handler-observed results agree.
 func TestWireTransportMatchesInMemory(t *testing.T) {
 	type msg struct {
 		V uint32
 		D int64
 	}
-	run := func(mk func(*MsgType[msg])) int64 {
-		u := newUniverse(config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 8,
-			FaultPlan: &FaultPlan{Seed: 5, Drop: 0.1, Dup: 0.1, Delay: 0.1, Corrupt: 0.1}})
+	run := func(plan *FaultPlan, check func(*MsgType[msg])) int64 {
+		u := newUniverse(config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 8, FaultPlan: plan})
 		var sum atomic.Int64
 		mt := Register(u, "m", func(r *Rank, m msg) { sum.Add(int64(m.V)*31 + m.D) })
-		mk(mt)
+		check(mt)
 		if err := u.Run(func(r *Rank) {
 			r.Epoch(func(ep *Epoch) {
 				for i := 0; i < 64; i++ {
@@ -217,12 +216,12 @@ func TestWireTransportMatchesInMemory(t *testing.T) {
 		}
 		return sum.Load()
 	}
-	fixed := run(func(mt *MsgType[msg]) {
-		if mt.WithWire().CodecName() != "fixed" {
+	fixed := run(&FaultPlan{Seed: 5, Drop: 0.1, Dup: 0.1, Delay: 0.1, Corrupt: 0.1}, func(mt *MsgType[msg]) {
+		if mt.CodecName() != "fixed" {
 			t.Fatal("expected fixed codec")
 		}
 	})
-	if mem := run(func(*MsgType[msg]) {}); fixed != mem {
+	if mem := run(nil, func(*MsgType[msg]) {}); fixed != mem {
 		t.Fatalf("fixed=%d in-memory=%d", fixed, mem)
 	}
 }

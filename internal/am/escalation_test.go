@@ -50,7 +50,6 @@ func TestTransportPartitionEscalation(t *testing.T) {
 			d := distgraph.NewBlockDist(w.N, u.Ranks())
 			g := distgraph.Build(d, w.Edges, distgraph.Options{})
 			eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
-			eng.MsgType().WithWire()
 			b := algorithms.NewBFS(eng)
 			err := u.Run(func(r *am.Rank) { b.Run(r, src) })
 			var f *am.RankFault

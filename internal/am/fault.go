@@ -38,12 +38,12 @@ type FaultPlan struct {
 	// progress ticks — a tick elapses each time the sending rank polls its
 	// links), reordering it behind envelopes shipped later.
 	Delay float64
-	// Corrupt is the probability that the payload of an envelope of a
-	// wire (codec-equipped) type is corrupted in flight (a byte of the
-	// encoded stream is flipped after the wire checksum is computed, so the
-	// receiver detects the damage, discards the envelope, and lets the
-	// retransmit path recover). Types without a wire codec ship by
-	// reference and cannot be corrupted.
+	// Corrupt is the probability that the payload of a sequenced envelope
+	// is corrupted in flight (a byte of the encoded stream is flipped after
+	// the wire checksum is computed, so the receiver detects the damage,
+	// discards the envelope, and lets the retransmit path recover). A
+	// rank's unsequenced mail to itself ships by reference and cannot be
+	// corrupted.
 	Corrupt float64
 
 	// deadLinks severs directed links for one epoch each: every

@@ -136,7 +136,7 @@ func TestWireCorruptionDetectedAndRecovered(t *testing.T) {
 		if m.Hop != m.ID*3 {
 			bad.Add(1)
 		}
-	}).WithWire()
+	})
 	const per = 300
 	u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {

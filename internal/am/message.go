@@ -14,13 +14,6 @@ type msgType struct {
 	id   int32
 	name string
 	size int64 // payload bytes per message
-	// wire marks codec-equipped types: envelopes ship as encoded bytes, so
-	// the receiver holds a decoded copy and the sender may recycle the
-	// original batch once it is no longer reachable (trusted mode: after
-	// encode; reliable mode: when the last ack or in-flight retransmit
-	// releases it). An unsequenced self-envelope of a reliable universe is
-	// the exception: it ships by reference and its receiver recycles it.
-	wire bool
 	// deliver runs the handler for every message of an envelope payload;
 	// lin is the batch-aligned lineage-id slice (nil when lineage is off).
 	deliver func(r *Rank, data any, lin []uint64)
@@ -31,14 +24,16 @@ type msgType struct {
 	// batchLen reports the number of messages in an envelope payload.
 	batchLen func(data any) int
 	// decode turns a checksum-verified wire payload back into []T (drawn
-	// from the type's batch pool). Malformed bytes return an error; in
-	// reliable mode the caller routes it through the corruption→retransmit
-	// path instead of crashing the rank.
+	// from the type's batch pool). Malformed bytes return an error, which
+	// the caller routes through the corruption→retransmit path. nil while
+	// the type has no codec, which Run refuses on every universe but a
+	// trusted one.
 	decode func(b []byte) (any, error)
 	// recycle returns a []T batch to the type's pool. Callers must hold the
-	// only reference: the receiver after delivering a wire-decoded (or
-	// trusted reference-shipped) batch, the reliable layer when the last
-	// ack/retransmit reference to a wire type's outstanding batch drops.
+	// only reference: the receiver after delivering any batch (a decoded
+	// copy, or a reference the sender relinquished at push), the reliable
+	// layer when the last ack/retransmit reference to an outstanding batch
+	// drops.
 	recycle func(data any)
 	// xmit performs one (re)transmission of an outstanding batch; used by
 	// the reliable layer's type-erased retransmit path.
@@ -94,9 +89,8 @@ type MsgType[T any] struct {
 	handler  func(r *Rank, b []T)
 	addr     func(m T) int
 	coalesce int
-	// codec, when non-nil, routes this type's envelopes through the wire
-	// transport: batches are encoded, checksummed, accounted in
-	// Stats.WireBytes, and decoded on arrival.
+	// codec encodes this type's sequenced envelopes (WithCodec); nil until
+	// one is chosen or RegisterBatch equips the fixed codec.
 	codec Codec[T]
 	rec   *msgType
 
@@ -209,16 +203,7 @@ func RegisterBatch[T any](u *Universe, name string, handler func(r *Rank, b []T)
 		},
 		flushRank: func(r *Rank) bool { return mt.flushBuffers(r) },
 		batchLen:  func(data any) int { return len(data.([]T)) },
-		decode: func(b []byte) (any, error) {
-			dst := mt.newBatch()
-			decoded, err := mt.codec.Decode(dst, b)
-			if err != nil {
-				mt.putBatch(dst)
-				return nil, err
-			}
-			return decoded, nil
-		},
-		recycle: func(data any) { mt.putBatch(data.([]T)) },
+		recycle:   func(data any) { mt.putBatch(data.([]T)) },
 		xmit: func(r *Rank, dest int, seq uint64, attempt int, data any, lin []uint64) {
 			mt.transmit(r, dest, seq, attempt, data.([]T), lin)
 		},
@@ -245,6 +230,13 @@ func RegisterBatch[T any](u *Universe, name string, handler func(r *Rank, b []T)
 	}
 	mt.rec = rec
 	u.types = append(u.types, rec)
+	if !u.trusted() {
+		// Every sequenced envelope crosses a link as bytes: a fixed-layout
+		// T gets the fixed codec here, any other needs WithCodec.
+		if c, err := FixedCodec[T](); err == nil {
+			mt.WithCodec(c)
+		}
+	}
 	return mt
 }
 
@@ -256,13 +248,14 @@ func (t *MsgType[T]) WithAddresser(f func(m T) int) *MsgType[T] {
 	return t
 }
 
-// WithCodec routes this type's envelopes through a real serialization round
-// trip with the given codec: every shipped batch is encoded to bytes, sealed
+// WithCodec chooses the codec this type's envelopes are encoded with where
+// they cross a link: every sequenced envelope is encoded to bytes, sealed
 // with the wire checksum, accounted in Stats.WireBytes, and decoded on
-// arrival. This both validates that the message type is wire-safe (a
-// distributed deployment could ship it as-is) and measures true serialized
-// sizes. The one batch that is not encoded is a reliable universe's mail
-// from a rank to itself, which crosses no network (see ship).
+// arrival. The medium, not the type, decides whether an envelope is encoded:
+// a trusted universe ships every envelope by reference whatever its codec,
+// and so does a reliable universe's unsequenced mail from a rank to itself
+// (see ship). On any other universe RegisterBatch already equips the fixed
+// codec when T has a fixed layout, and Run refuses a type with none.
 func (t *MsgType[T]) WithCodec(c Codec[T]) *MsgType[T] {
 	if t.u.frozen.Load() {
 		panic("am: WithCodec after Run")
@@ -271,14 +264,21 @@ func (t *MsgType[T]) WithCodec(c Codec[T]) *MsgType[T] {
 		panic("am: nil codec for message type " + t.name)
 	}
 	t.codec = c
-	t.rec.wire = true
+	t.rec.decode = func(b []byte) (any, error) {
+		dst := t.newBatch()
+		decoded, err := c.Decode(dst, b)
+		if err != nil {
+			t.putBatch(dst)
+			return nil, err
+		}
+		return decoded, nil
+	}
 	return t
 }
 
-// WithWire enables the wire transport with the zero-reflection fixed
-// word-schema codec. It panics, naming T, when T is not a fixed-layout type
-// (it holds a reference or complex component): such a type needs a codec of
-// its own (WithCodec).
+// WithWire chooses the zero-reflection fixed word-schema codec (WithCodec).
+// It panics, naming T, when T is not a fixed-layout type (it holds a
+// reference or complex component): such a type needs a codec of its own.
 func (t *MsgType[T]) WithWire() *MsgType[T] {
 	c, err := FixedCodec[T]()
 	if err != nil {
@@ -287,7 +287,7 @@ func (t *MsgType[T]) WithWire() *MsgType[T] {
 	return t.WithCodec(c)
 }
 
-// CodecName reports the wire codec in use ("" when the type ships in-memory).
+// CodecName reports the type's wire codec ("" when it has none).
 func (t *MsgType[T]) CodecName() string {
 	if t.codec == nil {
 		return ""
@@ -378,13 +378,14 @@ func (t *MsgType[T]) SendAll(r *Rank, dest int, ms []T) {
 }
 
 // ship hands a finished batch to the transport. In trusted mode (no
-// FaultPlan) the envelope goes straight onto the destination rank's inbox;
-// in reliable mode it is assigned a sequence number, recorded as
-// outstanding until acknowledged, and transmitted through the fault
-// injector (transmit) — except a rank's mail to itself under a plan that
-// injects no link fault (Universe.selfLocal), which crosses no network: it
-// goes onto the rank's own inbox by reference and unsequenced, with no
-// encode, checksum, outstanding entry, ack or dedup.
+// FaultPlan) the envelope goes straight onto the destination rank's inbox by
+// reference; in reliable mode it is assigned a sequence number, recorded as
+// outstanding until acknowledged, and transmitted through the fault injector
+// as the codec's bytes (transmit) — except a rank's mail to itself under a
+// plan that injects no link fault (Universe.selfLocal), which crosses no
+// network: it goes onto the rank's own inbox by reference and unsequenced,
+// with no encode, checksum, outstanding entry, ack or dedup. In both
+// reference cases the receiver recycles the batch once it is delivered.
 func (t *MsgType[T]) ship(r *Rank, dest int, batch []T, lin []uint64) {
 	u := r.u
 	n := int64(len(batch))
@@ -397,26 +398,9 @@ func (t *MsgType[T]) ship(r *Rank, dest int, batch []T, lin []uint64) {
 	r.tst.Inc(int(t.id)*tcPerType + tcEnvelopes)
 	u.batchHist[t.id].Observe(r.id, n)
 	u.trace(r.id, TraceShip, int64(t.id), n)
-	if u.fp == nil {
+	if u.fp == nil || (dest == r.id && u.selfLocal) {
 		r.st.Add(cBytesSent, t.wireSize(len(batch)))
-		var data any = batch
-		if t.codec != nil {
-			wp := t.encode(r, batch)
-			wp.eb.refs.Store(1)
-			data = wp
-			// The receiver gets a decoded copy, so the sender's batch is
-			// unreachable after encode — recycle it now.
-			t.putBatch(batch)
-		}
 		u.push(r.id, dest, envelope{
-			typeID: t.id, src: int32(r.id),
-			qid: u.curQuery.Load(), data: data, lin: lin,
-		})
-		return
-	}
-	if dest == r.id && u.selfLocal {
-		r.st.Add(cBytesSent, t.wireSize(len(batch)))
-		r.inbox.Push(envelope{
 			typeID: t.id, src: int32(r.id),
 			qid: u.curQuery.Load(), data: batch, lin: lin,
 		})
@@ -442,8 +426,8 @@ func (t *MsgType[T]) wireSize(n int) int64 {
 // accounts the true serialized size, and seals it with the wire checksum.
 // The caller must set the returned payload's delivery refcount (one per
 // envelope push) before the envelope escapes. Encoding failure is a
-// programmer error (non-wire-safe type) in every mode: retransmitting a
-// batch that cannot be encoded would never succeed, so it panics rather
+// programmer error (a codec that cannot encode its own type): retransmitting
+// a batch that cannot be encoded would never succeed, so it panics rather
 // than entering the corruption→retransmit path.
 func (t *MsgType[T]) encode(r *Rank, batch []T) wirePayload {
 	eb := encBufPool.Get().(*encBuf)
@@ -456,11 +440,11 @@ func (t *MsgType[T]) encode(r *Rank, batch []T) wirePayload {
 }
 
 // transmit performs one transmission attempt of envelope (r→dest, t, seq)
-// through the fault injector: the envelope may be dropped, corrupted (wire
-// types), duplicated, or delayed, each decided deterministically from
-// (seed, link, seq, attempt). attempt 0 is the initial send; retransmits
-// arrive here through msgType.xmit with fresh attempt numbers (and fresh
-// fault rolls, so delivery eventually succeeds).
+// through the fault injector: the batch is encoded afresh, and the envelope
+// may be dropped, corrupted, duplicated, or delayed, each decided
+// deterministically from (seed, link, seq, attempt). attempt 0 is the
+// initial send; retransmits arrive here through msgType.xmit with fresh
+// attempt numbers (and fresh fault rolls, so delivery eventually succeeds).
 func (t *MsgType[T]) transmit(r *Rank, dest int, seq uint64, attempt int, batch []T, lin []uint64) {
 	u := r.u
 	fp := u.fp
@@ -482,26 +466,22 @@ func (t *MsgType[T]) transmit(r *Rank, dest int, seq uint64, attempt int, batch 
 		return
 	}
 	dup := fp.roll(faultDup, r.id, dest, int(t.id), seq, attempt) < fp.Dup
-	var data any = batch
-	if t.codec != nil {
-		wp := t.encode(r, batch)
-		if fp.roll(faultCorrupt, r.id, dest, int(t.id), seq, attempt) < fp.Corrupt {
-			// Flip one byte after sealing the checksum: the receiver
-			// detects the mismatch, discards, and awaits retransmit.
-			i := fp.rollN(faultCorruptByte, r.id, dest, int(t.id), seq, attempt, len(wp.b)) - 1
-			wp.b[i] ^= 0xff
-		}
-		// Each pushed copy of the envelope (original + duplicate) holds one
-		// reference to the pooled buffer; the receiver releases per copy.
-		if dup {
-			wp.eb.refs.Store(2)
-		} else {
-			wp.eb.refs.Store(1)
-		}
-		data = wp
+	wp := t.encode(r, batch)
+	if fp.roll(faultCorrupt, r.id, dest, int(t.id), seq, attempt) < fp.Corrupt {
+		// Flip one byte after sealing the checksum: the receiver detects
+		// the mismatch, discards, and awaits retransmit.
+		i := fp.rollN(faultCorruptByte, r.id, dest, int(t.id), seq, attempt, len(wp.b)) - 1
+		wp.b[i] ^= 0xff
+	}
+	// Each pushed copy of the envelope (original + duplicate) holds one
+	// reference to the pooled buffer; the receiver releases per copy.
+	if dup {
+		wp.eb.refs.Store(2)
+	} else {
+		wp.eb.refs.Store(1)
 	}
 	e := envelope{typeID: t.id, src: int32(r.id), seq: seq,
-		qid: u.curQuery.Load(), data: data, lin: lin}
+		qid: u.curQuery.Load(), data: wp, lin: lin}
 	if dup {
 		r.st.Inc(cEnvelopesDuplicated)
 		u.trace(r.id, TraceDup, int64(t.id), int64(seq))

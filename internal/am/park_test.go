@@ -151,9 +151,6 @@ func runParkMatrix(t *testing.T, cfg config, bodies, epochs int, timeout time.Du
 			linger(int(epoch.Load()))
 		}
 	})
-	if u.fp != nil {
-		hop.WithWire()
-	}
 	n := cfg.Ranks
 	chain := int32(2 * n) // a chain of 2n+1 handlers crosses every rank twice
 	// expect returns how many handlers epoch e runs.
@@ -238,9 +235,6 @@ func TestIdleRankDoesNotSpin(t *testing.T) {
 				}
 				u := newUniverse(cfg)
 				slow := Register(u, "slow", func(r *Rank, _ int64) { time.Sleep(nap) })
-				if network == "unix" {
-					slow.WithWire()
-				}
 				var passes int64
 				if err := u.Run(func(r *Rank) {
 					r.Epoch(func(ep *Epoch) {

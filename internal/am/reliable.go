@@ -52,7 +52,7 @@ type ackBody struct {
 
 // outEnvelope is one unacknowledged envelope held by the sender.
 type outEnvelope struct {
-	data     any      // the original []T batch; re-encoded per attempt for wire types
+	data     any      // the original []T batch; re-encoded per attempt
 	lin      []uint64 // causal lineage per message, preserved across retransmits
 	attempts int      // transmissions performed so far
 	// charged counts the transmissions that count toward
@@ -73,18 +73,17 @@ type outEnvelope struct {
 	// refs guards the batch against recycling while still reachable: the
 	// outstanding table holds one reference and every in-flight
 	// retransmission takes one more for the duration of its re-encode.
-	// Whoever drops the count to zero owns the batch; for wire types it
-	// returns the batch to the type's pool (the receiver only ever sees a
-	// decoded copy, so the ack proves the sender's copy is dead). Non-wire
-	// batches ship by reference and are never pooled here — the ack precedes
-	// the receiver's handler loop, which still reads them.
+	// Whoever drops the count to zero owns the batch and returns it to the
+	// type's pool: a sequenced envelope crosses its link as bytes, so the
+	// receiver only ever sees a decoded copy and the ack proves the sender's
+	// copy is dead.
 	refs atomic.Int32
 }
 
 // release drops one reference to the outstanding batch and recycles it on
-// the last drop (wire types only; see refs).
+// the last drop (see refs).
 func (o *outEnvelope) release(rec *msgType) {
-	if o.refs.Add(-1) == 0 && rec.wire {
+	if o.refs.Add(-1) == 0 {
 		rec.recycle(o.data)
 	}
 }

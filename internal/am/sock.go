@@ -233,9 +233,8 @@ type sockLink struct {
 }
 
 // SockTransport returns a socket transport backend with the given options.
-// The universe it binds to must register every message type with a wire
-// codec (WithWire / WithCodec): frames carry encoded bytes, and a type
-// without a codec cannot cross a socket.
+// Frames carry each envelope's encoded bytes: a universe on a socket is
+// never trusted, so every message type it registers has a codec (Run).
 func SockTransport(opts SockOptions) Transport {
 	return &sockTransport{
 		opt:     opts.withDefaults(),
@@ -266,11 +265,6 @@ func (t *sockTransport) start(u *Universe) error {
 		t.network = t.opt.Network
 	default:
 		return fmt.Errorf("SockOptions.Network %q (want \"tcp\" or \"unix\")", t.opt.Network)
-	}
-	for _, mt := range u.types {
-		if !mt.wire {
-			return fmt.Errorf("message type %q has no wire codec; every type on a socket transport needs one (WithWire or WithCodec)", mt.name)
-		}
 	}
 	t.u = u
 	n := u.cfg.Ranks
@@ -648,8 +642,9 @@ func (t *sockTransport) send(src, dest int, e envelope) {
 		f = append(f, data.b...)
 		data.release() // the frame now carries the bytes; the sender's reference is spent
 	default:
-		// Unencodable payload (a non-wire batch); unreachable — start()
-		// validates every type — but never panic on the send path.
+		// Only a rank's unsequenced mail to itself is a batch, and it never
+		// leaves the process (above); unreachable, but never panic on the
+		// send path.
 		framePool.Put(bp)
 		t.u.ranks[src].st.Inc(cFramesDropped)
 		return

@@ -20,15 +20,15 @@ func BenchmarkTransport(b *testing.B) {
 			if mkTransport != nil {
 				cfg.Transport = mkTransport()
 			} else {
-				// The channel floor still exercises the codec layer so the
-				// comparison isolates the socket hop, not the encoding. Its
+				// The channel floor is reliable, so it encodes as a socket
+				// does and the comparison isolates the socket hop. Its
 				// retransmit clock ticks per poll, and a retransmit encodes the
 				// batch again: a timeout no ack misses keeps wire_B the codec's.
 				cfg.FaultPlan = &FaultPlan{Seed: 1, retransmitBase: 1 << 20}
 			}
 			u := newUniverse(cfg)
 			var sum atomic.Int64
-			mt := Register(u, "bench", func(r *Rank, m benchMsg) { sum.Add(m.Vals[0]) }).WithWire()
+			mt := Register(u, "bench", func(r *Rank, m benchMsg) { sum.Add(m.Vals[0]) })
 			if err := u.Run(func(r *Rank) {
 				r.Epoch(func(ep *Epoch) {
 					for j := 0; j < per; j++ {

@@ -28,8 +28,8 @@ func dataBody(typ uint32, seq, qid, sum uint64, lin []uint64, payload []byte) []
 // the payload copied out of the frame buffer.
 func FuzzDeliverFrame(f *testing.F) {
 	u := newUniverse(config{Ranks: 2, Transport: SockTransport(SockOptions{})})
-	Register(u, "a", func(r *Rank, m chatterPayload) {}).WithWire()
-	Register(u, "b", func(r *Rank, m chatterPayload) {}).WithWire()
+	Register(u, "a", func(r *Rank, m chatterPayload) {})
+	Register(u, "b", func(r *Rank, m chatterPayload) {})
 	tr := u.net.(*sockTransport)
 	tr.u = u
 	r := u.ranks[1]

@@ -45,9 +45,8 @@ func fastSockOptions(network string) SockOptions {
 }
 
 // runSockChatter runs the two-epoch forwarding workload from fault_test.go
-// over the given config (the chatter type registered with the fixed wire
-// codec, as the socket backend requires) and returns per-message handle
-// counts plus the finished universe.
+// over the given config and returns per-message handle counts plus the
+// finished universe.
 func runSockChatter(t *testing.T, cfg config, perRank int) ([]int64, *Universe) {
 	t.Helper()
 	u := newUniverse(cfg)
@@ -60,7 +59,7 @@ func runSockChatter(t *testing.T, cfg config, perRank int) ([]int64, *Universe) 
 		if m.Hop == 0 {
 			mt.SendTo(r, (r.ID()+1)%r.N(), chatterPayload{ID: m.ID + int64(n*perRank), Hop: 1})
 		}
-	}).WithWire()
+	})
 	err := u.Run(func(r *Rank) {
 		for epoch := 0; epoch < 2; epoch++ {
 			r.Epoch(func(ep *Epoch) {
@@ -118,7 +117,7 @@ func TestSockHandshakeRejects(t *testing.T) {
 	// No handler threads and no epoch: whatever a connection delivers stays
 	// in the inbox for the test to count.
 	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 0, Transport: tr})
-	mt := Register(u, "val", func(r *Rank, m chatterPayload) {}).WithWire()
+	mt := Register(u, "val", func(r *Rank, m chatterPayload) {})
 
 	hello := func(magic string, version uint16, src, dest uint32, id uint64) []byte {
 		f := binary.LittleEndian.AppendUint16(append(frame.Begin(nil, frame.KindHello), magic...), version)
@@ -262,7 +261,7 @@ func TestSockPartitionEscalates(t *testing.T) {
 	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		FaultPlan: &FaultPlan{retransmitBase: 2, maxAttempts: 8},
 		Transport: SockTransport(opt)})
-	mt := Register(u, "val", func(r *Rank, m chatterPayload) {}).WithWire()
+	mt := Register(u, "val", func(r *Rank, m chatterPayload) {})
 	err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			for i := 1; i <= 64; i++ {
@@ -290,7 +289,7 @@ func TestSockHeartbeatsKeepQuietLinksAlive(t *testing.T) {
 	opt := fastSockOptions("tcp")
 	cfg := config{Ranks: 2, ThreadsPerRank: 1, Transport: SockTransport(opt)}
 	u := newUniverse(cfg)
-	mt := Register(u, "ping", func(r *Rank, m chatterPayload) {}).WithWire()
+	mt := Register(u, "ping", func(r *Rank, m chatterPayload) {})
 	err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			mt.SendTo(r, (r.ID()+1)%r.N(), chatterPayload{ID: int64(r.ID())})
@@ -348,7 +347,7 @@ func TestSockDialFailureEscalates(t *testing.T) {
 			u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, Detector: det,
 				FaultPlan: &FaultPlan{retransmitBase: 2, maxAttempts: 12},
 				Transport: tr})
-			mt := Register(u, "val", func(r *Rank, m chatterPayload) {}).WithWire()
+			mt := Register(u, "val", func(r *Rank, m chatterPayload) {})
 			err := u.Run(func(r *Rank) {
 				r.Epoch(func(ep *Epoch) {
 					for i := 1; i <= per; i++ {
@@ -396,7 +395,7 @@ func TestSelfSendsStayLocal(t *testing.T) {
 				mt.SendTo(r, r.ID(), chatterPayload{ID: m.ID, Hop: 1})
 				mt.SendTo(r, 1-r.ID(), chatterPayload{ID: m.ID, Hop: 2})
 			}
-		}).WithWire()
+		})
 		if err := u.Run(func(r *Rank) {
 			r.Epoch(func(ep *Epoch) {
 				for i := int64(1); i <= per; i++ {

@@ -79,8 +79,8 @@ func (s *Stats) Envelopes() int64 { return s.c.Total(cEnvelopes) }
 // BytesSent counts payload bytes (message size × messages, exact).
 func (s *Stats) BytesSent() int64 { return s.c.Total(cBytesSent) }
 
-// WireBytes counts serialized envelope bytes for message types using the
-// wire transport (0 for in-memory transport).
+// WireBytes counts the serialized bytes of sequenced envelopes, one encode
+// per transmission (0 on a trusted universe, which ships references).
 func (s *Stats) WireBytes() int64 { return s.c.Total(cWireBytes) }
 
 // HandlersRun counts individual message handler invocations, added per

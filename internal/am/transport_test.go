@@ -2,6 +2,7 @@ package am
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -81,14 +82,88 @@ func TestTransportReuseRejected(t *testing.T) {
 	}
 }
 
-// TestSockRejectsNonWireTypes: the socket backend cannot ship a type without
-// a codec, and must say which one at startup rather than hang mid-epoch.
-func TestSockRejectsNonWireTypes(t *testing.T) {
-	u := newUniverse(config{Ranks: 2, Transport: SockTransport(SockOptions{Network: "unix"})})
-	Register(u, "bare", func(r *Rank, m int64) {})
-	err := u.Run(func(r *Rank) {})
-	if err == nil || !strings.Contains(err.Error(), `"bare"`) {
-		t.Fatalf("Run error = %v, want wire-codec complaint naming the type", err)
+// TestMediumDecidesEncoding pins the one encoding rule: the universe, not
+// the message type, decides whether an envelope is encoded. No type here
+// calls WithWire. On a trusted universe every envelope is a reference and
+// no type needs a codec. On every other universe a fixed-layout type gets
+// the fixed codec at registration and every sequenced envelope is its bytes:
+// WireBytes counts exactly the envelopes that cross a link, a rank's mail
+// to itself stays a reference unless the plan injects link faults, and Run
+// refuses, by name, a type no codec can carry.
+func TestMediumDecidesEncoding(t *testing.T) {
+	const per = 40
+	for _, row := range []struct {
+		name     string
+		cfg      func() config
+		selfWire bool // self-mail is sequenced, so encoded
+	}{
+		{"chan-trusted", func() config { return config{} }, false},
+		{"chan-zero-plan", func() config { return config{FaultPlan: &FaultPlan{}} }, false},
+		{"chan-link-faults", func() config { return config{FaultPlan: &FaultPlan{Seed: 3, Drop: 0.05}} }, true},
+		{"unix", func() config {
+			requireLoopback(t)
+			return config{Transport: SockTransport(fastSockOptions("unix"))}
+		}, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			trusted := row.name == "chan-trusted"
+			cfg := row.cfg()
+			cfg.Ranks, cfg.ThreadsPerRank, cfg.CoalesceSize = 2, 1, 4
+			u := newUniverse(cfg)
+			var sum atomic.Int64
+			mt := Register(u, "val", func(r *Rank, m chatterPayload) { sum.Add(m.ID) })
+			want := "fixed"
+			if trusted {
+				want = ""
+			}
+			if got := mt.CodecName(); got != want {
+				t.Fatalf("codec %q, want %q", got, want)
+			}
+			var selfWire int64
+			if err := u.Run(func(r *Rank) {
+				// Epoch 1 mails only to self, epoch 2 only across.
+				for _, dest := range []int{r.ID(), 1 - r.ID()} {
+					r.Epoch(func(ep *Epoch) {
+						for i := int64(1); i <= per; i++ {
+							mt.SendTo(r, dest, chatterPayload{ID: i})
+						}
+					})
+					if r.ID() == 0 && dest == 0 {
+						selfWire = u.Stats.WireBytes()
+					}
+				}
+			}); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if want := int64(4 * per * (per + 1) / 2); sum.Load() != want {
+				t.Fatalf("handled sum %d, want %d", sum.Load(), want)
+			}
+			if (selfWire > 0) != row.selfWire {
+				t.Errorf("self-mail wire bytes %d; want them > 0: %v", selfWire, row.selfWire)
+			}
+			if crossWire := u.Stats.WireBytes() - selfWire; (crossWire > 0) == trusted {
+				t.Errorf("cross-rank wire bytes %d; want them > 0: %v", crossWire, !trusted)
+			}
+
+			// A payload holding a string has no fixed layout: the trusted
+			// universe ships it by reference, any other refuses it by name.
+			type note struct{ Tag string }
+			cfg = row.cfg()
+			cfg.Ranks = 2
+			u = newUniverse(cfg)
+			var tags atomic.Int64
+			notes := Register(u, "notes", func(r *Rank, m note) { tags.Add(int64(len(m.Tag))) })
+			err := u.Run(func(r *Rank) {
+				r.Epoch(func(ep *Epoch) { notes.SendTo(r, 1-r.ID(), note{Tag: "abc"}) })
+			})
+			if trusted {
+				if err != nil || tags.Load() != 6 {
+					t.Fatalf("string payload on the trusted universe: Run %v, %d tag bytes handled, want nil and 6", err, tags.Load())
+				}
+			} else if err == nil || !strings.Contains(err.Error(), `"notes"`) {
+				t.Fatalf("string payload: Run error = %v, want a wire-codec refusal naming the type", err)
+			}
+		})
 	}
 }
 

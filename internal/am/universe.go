@@ -71,7 +71,7 @@ type envelope struct {
 	typeID int32  // registered message type, or ackTypeID for acks
 	src    int32  // sending rank
 	seq    uint64 // per-(src, dest, type) sequence number from 1; 0 = unsequenced (deliverEnvelope)
-	data   any    // []T, wirePayload (codec-equipped wire types), or ackBody
+	data   any    // []T (unsequenced), wirePayload (sequenced), or ackBody
 	// qid is the query context the envelope belongs to (0 outside any query
 	// epoch — see Rank.EpochCtx). The epoch guarantee means an envelope is
 	// always delivered inside the epoch that created it, so the receiver
@@ -467,10 +467,18 @@ func (u *Universe) Run(body func(r *Rank)) error {
 			r.initReliability(len(u.types))
 		}
 	}
+	// Outside trusted mode every sequenced envelope crosses a link as the
+	// codec's bytes, so a type without a codec could never be delivered.
+	if !u.trusted() {
+		for _, mt := range u.types {
+			if mt.decode == nil {
+				return fmt.Errorf("am: message type %q has no wire codec: its payload has no fixed layout, and outside a trusted universe envelopes cross links as bytes (WithCodec)", mt.name)
+			}
+		}
+	}
 	// Bind the transport backend now that the type set is frozen and the
-	// reliable-layer state exists: a socket backend validates that every
-	// registered type is wire-equipped, binds its listeners, and dials its
-	// links before any goroutine that can send exists.
+	// reliable-layer state exists: a socket backend binds its listeners and
+	// dials its links before any goroutine that can send exists.
 	if err := u.net.start(u); err != nil {
 		return fmt.Errorf("am: transport %s: %w", u.net.Name(), err)
 	}
@@ -564,15 +572,14 @@ func (u *Universe) Run(body func(r *Rank)) error {
 	return u.runError()
 }
 
-// deliverEnvelope runs the handlers for every message in e on rank r. It
-// first verifies the wire checksum (codec-equipped types, unless the
-// transport already verified the bytes inside a frame) and decodes; a
+// deliverEnvelope runs the handlers for every message in e on rank r. A
 // sequenced envelope (reliable mode, any link but a rank's unsequenced link
-// to itself) is then deduplicated and acknowledged. Corrupted or
-// undecodable envelopes are discarded unacknowledged so the sender's
-// retransmit recovers them. Every exit path releases the envelope's pooled
-// wire buffer exactly once, and decoded batches the receiver exclusively
-// owns return to the type's batch pool after delivery.
+// to itself) arrives as the codec's bytes: it is checksummed (unless the
+// transport already verified the bytes inside a frame), decoded,
+// deduplicated and acknowledged; corrupted or undecodable bytes are
+// discarded unacknowledged so the sender's retransmit recovers them. Every
+// exit path releases the envelope's pooled wire buffer exactly once, and
+// every delivered batch returns to the type's batch pool.
 //
 // activeH brackets the whole function (not just the handler batch):
 // abortEpoch observes activeH == 0 to prove no delivery that passed the
@@ -619,13 +626,17 @@ func (r *Rank) deliverEnvelope(e envelope) {
 	}
 	mt := u.types[e.typeID]
 	data := e.data
-	fromWire := false
-	if wp, ok := data.(wirePayload); ok {
+	if e.seq != 0 {
+		// A sequenced envelope (reliable mode) crossed a link as bytes:
+		// verify, decode, deduplicate and acknowledge. Corrupted or
+		// undecodable bytes are discarded unacknowledged so the sender's
+		// retransmit (a fresh encode) recovers them. Sequence number 0 marks
+		// an envelope that never left its rank — every envelope of the
+		// trusted transport, and a reliable universe's mail to itself (ship)
+		// — which ships by reference and is none of these.
+		wp := data.(wirePayload)
 		if !wp.verified && frame.Checksum(wp.b) != wp.sum {
 			wp.release()
-			if u.fp == nil {
-				panic("am: wire corruption on trusted transport: " + mt.name)
-			}
 			r.st.Inc(cCorruptionsDetected)
 			u.trace(r.id, TraceCorrupt, int64(e.typeID), int64(e.seq))
 			return
@@ -633,34 +644,17 @@ func (r *Rank) deliverEnvelope(e envelope) {
 		decoded, err := mt.decode(wp.b)
 		wp.release()
 		if err != nil {
-			// Malformed bytes that slipped past the checksum. On the
-			// trusted transport nothing mutates the wire, so this is a
-			// codec bug and fails fast; in reliable mode it is treated
-			// exactly like detected corruption — discarded unacknowledged,
-			// so the sender's retransmit (a fresh encode) recovers.
-			if u.fp == nil {
-				panic("am: wire decode on trusted transport: " + mt.name + ": " + err.Error())
-			}
 			r.st.Inc(cDecodeErrors)
 			u.trace(r.id, TraceDecodeError, int64(e.typeID), int64(e.seq))
 			return
 		}
 		data = decoded
-		fromWire = true
-	}
-	if e.seq != 0 {
-		// A sequenced envelope (reliable mode): deduplicate and acknowledge.
-		// Sequence number 0 marks one that never left its rank — every
-		// envelope of the trusted transport, and a reliable universe's mail
-		// to itself (ship) — which is neither.
 		fresh, salt := r.admit(int(e.src), e.typeID, e.seq)
 		r.sendAck(int(e.src), e.typeID, e.seq, salt)
 		if !fresh {
 			r.st.Inc(cDupsSuppressed)
 			u.trace(r.id, TraceSuppress, int64(e.typeID), int64(e.seq))
-			if fromWire {
-				mt.recycle(data)
-			}
+			mt.recycle(data)
 			return
 		}
 	}
@@ -682,13 +676,9 @@ func (r *Rank) deliverEnvelope(e envelope) {
 			u.latHist[e.typeID].Observe(r.id, end-start)
 		}
 	}
-	// The receiver exclusively owns wire-decoded batches, and unsequenced
-	// reference-shipped batches too (the sender relinquished the buffer at
-	// push). Sequenced reference batches stay with the retransmit table and
-	// are never pooled.
-	if fromWire || e.seq == 0 {
-		mt.recycle(data)
-	}
+	// The receiver recycles every batch it delivers: a decoded copy is its
+	// own, and the sender relinquished a reference batch at push.
+	mt.recycle(data)
 	u.touchProgress()
 }
 

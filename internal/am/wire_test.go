@@ -11,7 +11,7 @@ func TestWireTransportDeliversIntact(t *testing.T) {
 		Vals [4]int64
 		Tag  byte
 	}
-	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 8})
+	u := newUniverse(config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 8, FaultPlan: &FaultPlan{}})
 	var sum atomic.Int64
 	var handled atomic.Int64
 	mt := Register(u, "wire", func(r *Rank, m payload) {
@@ -20,7 +20,7 @@ func TestWireTransportDeliversIntact(t *testing.T) {
 		if m.Tag != 'x' {
 			t.Errorf("tag corrupted: %q", m.Tag)
 		}
-	}).WithWire()
+	})
 	const per = 100
 	u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {

@@ -40,17 +40,14 @@ type Scenario struct {
 	Coalesce int
 	Detector am.DetectorKind
 	// Plan is the fault plan; nil runs the trusted transport (the
-	// fault-free baseline).
+	// fault-free baseline, which ships references). Under a plan every
+	// envelope that crosses a link is the fixed codec's bytes, so Corrupt
+	// faults apply to it.
 	Plan *am.FaultPlan
-	// Wire routes the pattern engine's message type through the wire
-	// transport with the fixed codec (so Corrupt faults apply to it); false
-	// ships it in memory (the reference transport).
-	Wire bool
 	// Transport selects the message backend: "" or "chan" for the
 	// in-process channel transport, "unix" or "tcp" for real sockets
 	// (loopback), where every envelope is framed, CRC-sealed, and crosses a
-	// kernel socket. Socket scenarios always ship on the wire — the backend
-	// refuses codec-less types.
+	// kernel socket.
 	Transport string
 	// SockFaults injects socket-level failures (connection kills, one-way
 	// partitions, link flaps) into a socket transport; ignored on "chan".
@@ -59,23 +56,20 @@ type Scenario struct {
 
 // String names the scenario for test output.
 func (sc Scenario) String() string {
-	wire := ""
-	if sc.Wire {
-		wire = "/wire=fixed"
-	}
+	tr := ""
 	if sc.Transport != "" && sc.Transport != "chan" {
-		wire += "/transport=" + sc.Transport
+		tr = "/transport=" + sc.Transport
 		if sc.SockFaults != nil {
-			wire += fmt.Sprintf("/sockfaults=%d",
+			tr += fmt.Sprintf("/sockfaults=%d",
 				len(sc.SockFaults.Disconnects)+len(sc.SockFaults.Partitions)+len(sc.SockFaults.Flaps))
 		}
 	}
 	if sc.Plan == nil {
-		return fmt.Sprintf("baseline/%dx%d/%s%s", sc.Ranks, sc.Threads, sc.Detector, wire)
+		return fmt.Sprintf("baseline/%dx%d/%s%s", sc.Ranks, sc.Threads, sc.Detector, tr)
 	}
 	return fmt.Sprintf("drop=%g,dup=%g,delay=%g,corrupt=%g/%dx%d/%s/seed=%d%s",
 		sc.Plan.Drop, sc.Plan.Dup, sc.Plan.Delay, sc.Plan.Corrupt,
-		sc.Ranks, sc.Threads, sc.Detector, sc.Plan.Seed, wire)
+		sc.Ranks, sc.Threads, sc.Detector, sc.Plan.Seed, tr)
 }
 
 func (sc Scenario) options() []am.Option {
@@ -106,10 +100,6 @@ func engine(w Workload, sc Scenario, gopts distgraph.Options) (*am.Universe, *pa
 	g := distgraph.Build(d, w.Edges, gopts)
 	lm := pmap.NewLockMap(d, 1)
 	eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
-	if sc.Wire || (sc.Transport != "" && sc.Transport != "chan") {
-		// Socket backends refuse codec-less types.
-		eng.MsgType().WithWire()
-	}
 	return u, eng, lm
 }
 

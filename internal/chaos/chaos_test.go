@@ -111,62 +111,41 @@ func TestCCUnderChaos(t *testing.T) {
 	}
 }
 
-// TestCorruptionUnderChaos routes the pattern engine's messages through the
-// wire transport and corrupts payloads in flight: the checksum must catch
-// every corruption and retransmits must recover exact results.
-func TestCorruptionUnderChaos(t *testing.T) {
-	w := workload(t, 8, 6)
-	src := distgraph.Vertex(1)
-	plan := &am.FaultPlan{
-		Seed:    harness.DeriveSeed(baseSeed, "corrupt"),
-		Drop:    0.05,
-		Corrupt: 0.15,
-	}
-	sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: am.DetectorAtomic,
-		Plan: plan, Wire: true}
-	base := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: am.DetectorAtomic,
-		Wire: true}
-	want, _ := RunBFS(w, base, src)
-	got, stats := RunBFS(w, sc, src)
-	check(t, "BFS+wire", sc, got, want)
-	if stats.CorruptionsDetected == 0 {
-		t.Fatalf("no corruptions detected at 15%% corruption (seed %d)", plan.Seed)
-	}
-}
-
-// TestWireCodecsUnderChaos runs BFS/SSSP/CC through the fixed wire codec
-// under drop+dup+delay+corrupt faults on both detectors: every result must be
-// bit-identical to the in-memory fault-free run, and the corruption checksum
-// must actually fire.
+// TestWireCodecsUnderChaos corrupts payloads in flight under two plans —
+// drop with heavy corruption, and drop+dup+delay+corrupt — on both
+// detectors, for BFS, SSSP and CC. Every envelope that crosses a link is the
+// fixed codec's bytes: in every cell the checksum must catch corruption, and
+// retransmits must recover results bit-identical to the trusted fault-free
+// run.
 func TestWireCodecsUnderChaos(t *testing.T) {
 	w := workload(t, 8, 6)
 	src := distgraph.Vertex(3)
-	plan := &am.FaultPlan{
-		Seed:    harness.DeriveSeed(baseSeed, "wirecodec"),
-		Drop:    0.05,
-		Dup:     0.10,
-		Delay:   0.10,
-		Corrupt: 0.10,
+	plans := []*am.FaultPlan{
+		{Seed: harness.DeriveSeed(baseSeed, "corrupt"), Drop: 0.05, Corrupt: 0.15},
+		{Seed: harness.DeriveSeed(baseSeed, "wirecodec"), Drop: 0.05, Dup: 0.10, Delay: 0.10, Corrupt: 0.10},
 	}
-	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: det, Plan: plan, Wire: true}
-		base := sc
-		base.Plan, base.Wire = nil, false
-
-		want, _ := RunBFS(w, base, src)
-		got, stats := RunBFS(w, sc, src)
-		check(t, "BFS+fixed", sc, got, want)
-		if stats.CorruptionsDetected == 0 {
-			t.Fatalf("BFS under %s: no corruptions detected at 10%% corruption", sc)
+	algos := []struct {
+		name string
+		run  func(Scenario) ([]int64, am.Snapshot)
+	}{
+		{"BFS", func(sc Scenario) ([]int64, am.Snapshot) { return RunBFS(w, sc, src) }},
+		{"SSSP", func(sc Scenario) ([]int64, am.Snapshot) { return RunSSSP(w, sc, src, 30) }},
+		{"CC", func(sc Scenario) ([]int64, am.Snapshot) { return RunCC(w, sc) }},
+	}
+	for _, plan := range plans {
+		for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
+			sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: det, Plan: plan}
+			base := sc
+			base.Plan = nil
+			for _, a := range algos {
+				want, _ := a.run(base)
+				got, stats := a.run(sc)
+				check(t, a.name, sc, got, want)
+				if stats.CorruptionsDetected == 0 {
+					t.Fatalf("%s under %s: no corruptions detected at %g%% corruption", a.name, sc, 100*plan.Corrupt)
+				}
+			}
 		}
-
-		wantD, _ := RunSSSP(w, base, src, 30)
-		gotD, _ := RunSSSP(w, sc, src, 30)
-		check(t, "SSSP+fixed", sc, gotD, wantD)
-
-		wantC, _ := RunCC(w, base)
-		gotC, _ := RunCC(w, sc)
-		check(t, "CC+fixed", sc, gotC, wantC)
 	}
 }
 

@@ -11,11 +11,13 @@ import (
 // E16Chaos measures the cost of the reliable-delivery protocol (acks,
 // sequence numbers, retransmission) as the injected drop rate rises. The
 // first row is the trusted transport (FaultPlan nil — the zero-overhead
-// default); the drop=0% row is the reliable protocol with no faults, i.e.
-// pure protocol overhead; the remaining rows add dropped envelopes (with
-// duplication and delay/reordering held at 10% each) that the protocol must
-// recover. "wrong" must stay 0 in every row: results are bit-identical to
-// the fault-free run regardless of drop rate.
+// default, which ships references); the drop=0% row is the reliable
+// protocol with no faults, i.e. pure protocol overhead: sequence numbers,
+// acks, and the codec's encode and decode of every envelope that crosses a
+// link; the remaining rows add dropped envelopes (with duplication and
+// delay/reordering held at 10% each) that the protocol must recover. "wrong"
+// must stay 0 in every row: results are bit-identical to the fault-free run
+// regardless of drop rate.
 func E16Chaos(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 	t := harness.NewTable("E16: fault overhead vs drop rate (fixed-point SSSP, 4 ranks x 2 threads)",

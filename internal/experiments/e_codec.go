@@ -12,16 +12,17 @@ import (
 )
 
 // CodecRecord is one E20 measurement: a (algorithm, detector, codec) cell
-// with the substrate's wire-byte accounting and a hand-rolled allocation
-// delta (runtime.ReadMemStats around the run — same counter `-benchmem`
-// reads, without dragging the testing package into the suite binary).
+// of the reliable in-process transport with the substrate's wire-byte
+// accounting and a hand-rolled allocation delta (runtime.ReadMemStats
+// around the run — same counter `-benchmem` reads, without dragging the
+// testing package into the suite binary).
 type CodecRecord struct {
 	Algo       string  `json:"algo"`
 	Detector   string  `json:"detector"`
 	Codec      string  `json:"codec"`
 	Msgs       int64   `json:"msgs"`
 	ModelBytes int64   `json:"model_bytes"` // accounted size x count (codec-independent)
-	WireBytes  int64   `json:"wire_bytes"`  // true encoded bytes (0 for reference delivery)
+	WireBytes  int64   `json:"wire_bytes"`  // true encoded bytes
 	BytesPer   float64 `json:"wire_bytes_per_msg"`
 	Allocs     uint64  `json:"allocs"`
 	AllocsPer  float64 `json:"allocs_per_msg"`
@@ -39,50 +40,43 @@ var e20Detectors = []struct {
 	{"4ctr", am.DetectorFourCounter},
 }
 
-// e20Codecs: "reference" ships batches in memory over the reliable protocol
-// (the pre-codec behaviour), "fixed" through the zero-reflection word-schema
-// codec.
-var e20Codecs = []string{"reference", "fixed"}
-
-// E20CodecRecords runs the full BFS/SSSP/CC x detector x codec matrix and
-// returns the measurements. Results of every codec are compared against the
-// same algorithm+detector's reference run; Wrong counts differing vertices
-// (must be 0 — bit-identical delivery is the codec contract).
+// E20CodecRecords runs the BFS/SSSP/CC x detector matrix on the reliable
+// in-process transport, where every envelope that crosses a link is the
+// fixed codec's bytes, and returns the measurements. Each cell's result is
+// compared against the same algorithm+detector's trusted run, which ships
+// references; Wrong counts differing vertices (must be 0 — bit-identical
+// delivery is the codec contract).
 func E20CodecRecords(sc Scale) []CodecRecord {
 	n, edges := workload(sc)
 	var recs []CodecRecord
 	for _, algo := range []string{"bfs", "sssp", "cc"} {
 		for _, det := range e20Detectors {
-			var ref []int64
-			for _, codec := range e20Codecs {
-				rec, got := e20Run(sc, algo, det.name, det.kind, codec, n, edges)
-				if codec == "reference" {
-					ref = got
+			_, ref := e20Run(sc, algo, det.name, det.kind, false, n, edges)
+			rec, got := e20Run(sc, algo, det.name, det.kind, true, n, edges)
+			for v := range got {
+				if got[v] != ref[v] {
+					rec.Wrong++
 				}
-				for v := range got {
-					if got[v] != ref[v] {
-						rec.Wrong++
-					}
-				}
-				recs = append(recs, rec)
 			}
+			recs = append(recs, rec)
 		}
 	}
 	return recs
 }
 
-func e20Run(sc Scale, algo, detName string, det am.DetectorKind, codec string,
+// e20Run runs one cell, on the reliable transport (a zero fault plan) when
+// reliable is set and on the trusted one otherwise.
+func e20Run(sc Scale, algo, detName string, det am.DetectorKind, reliable bool,
 	n int, edges []distgraph.Edge) (CodecRecord, []int64) {
 	gopts := defaultGOpts()
 	if algo == "cc" {
 		gopts.Symmetrize = true
 	}
-	plan := &am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e20/"+algo+"/"+detName)}
-	e := newEnv(am.New(4, am.WithThreads(2), am.WithCoalesce(64), am.WithDetector(det), am.WithFaultPlan(plan)),
-		n, edges, gopts, PaperPlan())
-	if codec == "fixed" {
-		e.eng.MsgType().WithWire()
+	opts := []am.Option{am.WithThreads(2), am.WithCoalesce(64), am.WithDetector(det)}
+	if reliable {
+		opts = append(opts, am.WithFaultPlan(&am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e20/"+algo+"/"+detName)}))
 	}
+	e := newEnv(am.New(4, opts...), n, edges, gopts, PaperPlan())
 	// Outputs must be schedule-independent so codecs can be compared
 	// bit-for-bit: BFS levels (not raced parent claims), SSSP distances,
 	// and CC's partition canonicalized to smallest-member labels.
@@ -108,7 +102,7 @@ func e20Run(sc Scale, algo, detName string, det am.DetectorKind, codec string,
 	runtime.ReadMemStats(&m1)
 	s := e.u.Stats.Snapshot()
 	rec := CodecRecord{
-		Algo: algo, Detector: detName, Codec: codec,
+		Algo: algo, Detector: detName, Codec: e.eng.MsgType().CodecName(),
 		Msgs: s.MsgsSent, ModelBytes: s.BytesSent, WireBytes: s.WireBytes,
 		Allocs:     m1.Mallocs - m0.Mallocs,
 		AllocBytes: m1.TotalAlloc - m0.TotalAlloc,
@@ -122,16 +116,12 @@ func e20Run(sc Scale, algo, detName string, det am.DetectorKind, codec string,
 }
 
 // E20Codec renders the record matrix as the suite table: "wrong" must read 0
-// everywhere, and the fixed rows price serialization against the reference.
+// everywhere.
 func E20Codec(sc Scale) []*harness.Table {
 	t := harness.NewTable("E20: wire codec — bytes & allocations (BFS/SSSP/CC, 4 ranks x 2 threads, reliable transport)",
 		"algorithm", "detector", "codec", "messages", "wire-bytes", "wire-B/msg", "allocs", "allocs/msg", "time", "wrong")
 	for _, r := range E20CodecRecords(sc) {
-		wb, wbp := "-", "-"
-		if r.Codec != "reference" {
-			wb, wbp = fmt.Sprint(r.WireBytes), fmt.Sprintf("%.1f", r.BytesPer)
-		}
-		t.Add(r.Algo, r.Detector, r.Codec, r.Msgs, wb, wbp, r.Allocs,
+		t.Add(r.Algo, r.Detector, r.Codec, r.Msgs, r.WireBytes, fmt.Sprintf("%.1f", r.BytesPer), r.Allocs,
 			fmt.Sprintf("%.2f", r.AllocsPer), time.Duration(r.WallNs).Round(time.Millisecond), r.Wrong)
 	}
 	return []*harness.Table{t}

@@ -32,9 +32,10 @@ type TransportRecord struct {
 	Wrong           int     `json:"wrong"`
 }
 
-// e21Transports: "chan" is the in-process channel backend in reliable wire
-// mode (the floor every socket cell is compared against), then Unix-domain
-// sockets and TCP loopback, and TCP again under a seeded disconnect + flap
+// e21Transports: "chan" is the in-process channel backend in reliable mode
+// (a zero fault plan, so its envelopes are encoded as on a socket; the floor
+// every socket cell is compared against), then Unix-domain sockets and TCP
+// loopback, and TCP again under a seeded disconnect + flap
 // schedule — all under PaperPlan, every relaxation a message. The "+shipped"
 // cells run the sockets with the planner as shipped: the send-side filter
 // declines relaxations that cannot win.
@@ -91,8 +92,9 @@ func e21Run(sc Scale, algo, detName string, det am.DetectorKind, tr string,
 	popts := PaperPlan()
 	switch tr {
 	case "chan":
-		// Reliable wire mode on the channel backend, so the comparison
-		// isolates the socket hop rather than the codec layer.
+		// The reliable layer on the channel backend ships the same encoded
+		// envelopes, so the comparison isolates the socket hop rather than
+		// the codec layer.
 		opts = append(opts, am.WithFaultPlan(&am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e21/"+algo+"/"+detName)}))
 	case "unix":
 		opts = append(opts, am.WithTransport(e21SockTransport("unix", false)))
@@ -105,7 +107,6 @@ func e21Run(sc Scale, algo, detName string, det am.DetectorKind, tr string,
 		popts = pattern.DefaultPlanOptions()
 	}
 	e := newEnv(am.New(4, opts...), n, edges, gopts, popts)
-	e.eng.MsgType().WithWire()
 	var body func(r *am.Rank)
 	var gather func() []int64
 	switch algo {

@@ -56,7 +56,7 @@ func All() []Experiment {
 		{"E16", "robustness — fault overhead vs drop rate (reliable transport)", E16Chaos, nil},
 		{"E17", "observability — sharded counters, timing, and tracing overhead", E17Observability, nil},
 		{"E19", "observability — causal lineage: critical paths, chain depth, overhead", E19Lineage, nil},
-		{"E20", "performance — wire codec: bytes & allocations, fixed vs in-memory reference", E20Codec, records(E20CodecRecords)},
+		{"E20", "performance — wire codec: bytes & allocations of the reliable transport, checked against the trusted run", E20Codec, records(E20CodecRecords)},
 		{"E21", "robustness — transport seam: chan vs unix vs tcp loopback, faulted links", E21Transport, records(E21TransportRecords)},
 		{"E22", "observability — phase-timer overhead: telemetry plane off vs on", E22PhaseTimers, records(E22ObsRecords)},
 	}

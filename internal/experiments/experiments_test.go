@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,12 +48,24 @@ func TestE1CorrectEverywhere(t *testing.T) {
 	}
 }
 
-// TestE4FigureCounts: the planner table must show the 8-vs-7 counts of
-// Fig. 5.
+// TestE4FigureCounts: the planner table must show Fig. 5 exactly — the
+// naive DFS walk backtracks to v once (8 messages), the direct plan jumps
+// between siblings (7) — and each mode's route.
 func TestE4FigureCounts(t *testing.T) {
-	out := E4Planner(tinyScale())[0].String()
-	if !strings.Contains(out, "8") || !strings.Contains(out, "7") {
-		t.Fatalf("unexpected E4 table:\n%s", out)
+	b, err := json.Marshal(E4Planner(tinyScale())[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct{ Rows [][]string }
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"naive DFS (backtracking)", "8", "b->v->c1->c2->c3->c4->c5->c6"},
+		{"direct (optimized)", "7", "b->c1->c2->c3->c4->c5->c6"},
+	}
+	if !slices.EqualFunc(got.Rows, want, slices.Equal) {
+		t.Fatalf("E4 rows %q, want %q", got.Rows, want)
 	}
 }
 

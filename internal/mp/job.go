@@ -141,12 +141,12 @@ func (j *JobSpec) Workload() (int, []distgraph.Edge) {
 
 // Bind builds the normalized job's workload over u's ranks — the graph, a
 // pattern engine with the default plan options, and the kernel — and returns
-// the engine, the body every rank runs, and the vectors the body leaves its
+// the body every rank runs and the vectors the body leaves its
 // result in: [level] for bfs, [dist] for sssp, [pnt, chg] for cc (Launch
 // resolves the components from the gathered tables). Launch runs a job
 // through it, around a fleet worker's universe (RunWorker) or an in-process
 // one.
-func (j *JobSpec) Bind(u *am.Universe) (*pattern.Engine, func(r *am.Rank), []*pmap.VertexWord) {
+func (j *JobSpec) Bind(u *am.Universe) (func(r *am.Rank), []*pmap.VertexWord) {
 	n, edges := j.Workload()
 	d := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(d, edges, distgraph.Options{Symmetrize: j.Algo == "cc"})
@@ -156,18 +156,18 @@ func (j *JobSpec) Bind(u *am.Universe) (*pattern.Engine, func(r *am.Rank), []*pm
 	switch j.Algo {
 	case "bfs":
 		b := algorithms.NewBFS(eng)
-		return eng, func(r *am.Rank) { b.Run(r, src) }, []*pmap.VertexWord{b.Level}
+		return func(r *am.Rank) { b.Run(r, src) }, []*pmap.VertexWord{b.Level}
 	case "sssp":
 		s := algorithms.NewSSSP(eng)
 		s.UseDelta(u, j.Delta)
-		return eng, func(r *am.Rank) { s.Run(r, src) }, []*pmap.VertexWord{s.Dist}
+		return func(r *am.Rank) { s.Run(r, src) }, []*pmap.VertexWord{s.Dist}
 	}
 	// RunResolve, not Run: the final pointer-chase rewrite is "not a graph
 	// computation" (§II-B), and in a fleet local rewrites would bake
 	// worker-local views into the shipped labels. The launcher resolves
 	// components from the full gathered (pnt, chg) tables.
 	c := algorithms.NewCC(eng, lm)
-	return eng, func(r *am.Rank) { c.RunResolve(r) }, []*pmap.VertexWord{c.Pnt, c.Chg}
+	return func(r *am.Rank) { c.RunResolve(r) }, []*pmap.VertexWord{c.Pnt, c.Chg}
 }
 
 // Verify checks a launch's result vectors against the sequential oracle on

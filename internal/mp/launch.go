@@ -363,7 +363,7 @@ func runInProcess(spec LaunchSpec, logf func(string, ...any)) ([][]int64, error)
 		opts = append(opts, am.WithTiming(), am.WithTraceCapacity(traceCap))
 	}
 	u := am.New(job.Ranks, opts...)
-	_, body, vecs := job.Bind(u)
+	body, vecs := job.Bind(u)
 	if err := u.Run(body); err != nil {
 		return nil, fmt.Errorf("mp: %s run failed: %w", job.Algo, err)
 	}

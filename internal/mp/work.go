@@ -163,11 +163,7 @@ func RunWorker(addr string, worker int) int {
 	}()
 	drainFlush := func() { close(stopFlush); <-flushDone }
 
-	eng, body, vecs := job.Bind(u)
-	// The data plane crosses kernel sockets between co-hosted ranks too, so
-	// the engine's message type needs a wire codec; the zero-reflection
-	// fixed codec is its natural one.
-	eng.MsgType().WithWire()
+	body, vecs := job.Bind(u)
 
 	// Graceful departure: SIGTERM drains via the goodbye/ack handshake
 	// instead of dying into the heartbeat fault path. The coordinator acks,

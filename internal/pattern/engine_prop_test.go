@@ -118,7 +118,6 @@ func TestCarriedSetsExact(t *testing.T) {
 			d := distgraph.NewBlockDist(n, cfg.ranks)
 			g := distgraph.Build(d, edges, distgraph.Options{Bidirectional: true})
 			eng := NewEngine(u, g, pmap.NewLockMap(d, 1), opts)
-			eng.MsgType().WithWire()
 			binds := Bindings{}
 			var maps []*pmap.VertexWord
 			valRng := rand.New(rand.NewPCG(seed, 7))

@@ -90,9 +90,6 @@ func loopBind(t *testing.T, mk func() *Pattern, mc loopMachine) (*am.Universe, *
 	po := DefaultPlanOptions()
 	po.Direct, po.Filter = mc.direct, mc.filter
 	eng := NewEngine(u, g, lm, po)
-	if mc.unix {
-		eng.MsgType().WithWire()
-	}
 	p := mk()
 	rng := rand.New(rand.NewPCG(39, 2))
 	binds := Bindings{}

@@ -10,20 +10,20 @@ import (
 	"declpat/internal/seq"
 )
 
-// TestEngineOverWireTransport runs SSSP with the engine's message type routed
-// through a real serialization round trip (the fixed codec): the entire
-// pattern-engine message protocol must be wire-safe (a distributed
-// deployment could ship patMsg as-is), and results must stay exact.
+// TestEngineOverWireTransport runs SSSP on a reliable universe (a zero fault
+// plan), where every envelope that crosses a link takes a real serialization
+// round trip through the fixed codec: the entire pattern-engine message
+// protocol must be wire-safe (a distributed deployment could ship patMsg
+// as-is), and results must stay exact.
 func TestEngineOverWireTransport(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 30}, 13)
 	want := seq.Dijkstra(n, edges, 0)
 
-	u := am.New(3, am.WithThreads(2))
+	u := am.New(3, am.WithThreads(2), am.WithFaultPlan(&am.FaultPlan{}))
 	d := distgraph.NewBlockDist(n, 3)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	lm := pmap.NewLockMap(d, 1)
 	eng := NewEngine(u, g, lm, DefaultPlanOptions())
-	eng.MsgType().WithWire()
 
 	dmap := pmap.NewVertexWord(d, Inf)
 	bound, err := eng.Bind(buildSSSP(), Bindings{"dist": dmap, "weight": pmap.WeightMap(g)})
