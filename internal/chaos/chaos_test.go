@@ -111,19 +111,37 @@ func TestCCUnderChaos(t *testing.T) {
 	}
 }
 
-// TestWireCodecsUnderChaos corrupts payloads in flight under two plans —
-// drop with heavy corruption, and drop+dup+delay+corrupt — on both
-// detectors, for BFS, SSSP and CC. Every envelope that crosses a link is the
-// fixed codec's bytes: in every cell the checksum must catch corruption, and
-// retransmits must recover results bit-identical to the trusted fault-free
-// run.
+// TestCorruptionUnderChaos drops 5% and corrupts 15% of payloads in flight:
+// the checksum must catch corruption and retransmits must recover exact
+// results for BFS, SSSP and CC on both detectors.
+func TestCorruptionUnderChaos(t *testing.T) {
+	corruptionGrid(t, &am.FaultPlan{
+		Seed:    harness.DeriveSeed(baseSeed, "corrupt"),
+		Drop:    0.05,
+		Corrupt: 0.15,
+	})
+}
+
+// TestWireCodecsUnderChaos adds duplication and reordering to corruption:
+// drop+dup+delay+corrupt, for BFS, SSSP and CC on both detectors.
 func TestWireCodecsUnderChaos(t *testing.T) {
+	corruptionGrid(t, &am.FaultPlan{
+		Seed:    harness.DeriveSeed(baseSeed, "wirecodec"),
+		Drop:    0.05,
+		Dup:     0.10,
+		Delay:   0.10,
+		Corrupt: 0.10,
+	})
+}
+
+// corruptionGrid runs BFS, SSSP and CC under plan on both detectors. Every
+// envelope that crosses a link is the fixed codec's bytes: in every cell the
+// checksum must catch corruption, and retransmits must recover results
+// bit-identical to the trusted fault-free run.
+func corruptionGrid(t *testing.T, plan *am.FaultPlan) {
+	t.Helper()
 	w := workload(t, 8, 6)
 	src := distgraph.Vertex(3)
-	plans := []*am.FaultPlan{
-		{Seed: harness.DeriveSeed(baseSeed, "corrupt"), Drop: 0.05, Corrupt: 0.15},
-		{Seed: harness.DeriveSeed(baseSeed, "wirecodec"), Drop: 0.05, Dup: 0.10, Delay: 0.10, Corrupt: 0.10},
-	}
 	algos := []struct {
 		name string
 		run  func(Scenario) ([]int64, am.Snapshot)
@@ -132,18 +150,16 @@ func TestWireCodecsUnderChaos(t *testing.T) {
 		{"SSSP", func(sc Scenario) ([]int64, am.Snapshot) { return RunSSSP(w, sc, src, 30) }},
 		{"CC", func(sc Scenario) ([]int64, am.Snapshot) { return RunCC(w, sc) }},
 	}
-	for _, plan := range plans {
-		for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-			sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: det, Plan: plan}
-			base := sc
-			base.Plan = nil
-			for _, a := range algos {
-				want, _ := a.run(base)
-				got, stats := a.run(sc)
-				check(t, a.name, sc, got, want)
-				if stats.CorruptionsDetected == 0 {
-					t.Fatalf("%s under %s: no corruptions detected at %g%% corruption", a.name, sc, 100*plan.Corrupt)
-				}
+	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
+		sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: det, Plan: plan}
+		base := sc
+		base.Plan = nil
+		for _, a := range algos {
+			want, _ := a.run(base)
+			got, stats := a.run(sc)
+			check(t, a.name, sc, got, want)
+			if stats.CorruptionsDetected == 0 {
+				t.Fatalf("%s under %s: no corruptions detected at %g%% corruption", a.name, sc, 100*plan.Corrupt)
 			}
 		}
 	}
