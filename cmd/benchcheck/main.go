@@ -27,13 +27,13 @@
 // so the committed BENCH_*.json carries both the microbenchmark baseline and
 // the end-to-end table.
 //
-// With an E21 matrix and -baseline together the matrix is gated too, cell by
-// (algo, detector, transport) cell: every cell must read wrong == 0, and a
-// cell the baseline also has may not exceed the baseline's msgs or
-// retransmits (both lower-is-better) by more than -tolerance's "msgs" and
-// "retransmits" budgets plus -slack. Both counts drift with scheduling in
-// multi-threaded runs, so the budgets are wide: the gate is for a change that
-// starts mailing what it used not to, not for noise.
+// With -baseline every embedded matrix is gated on correctness: a cell of any
+// matrix that reads wrong != 0 fails the run. An E21 matrix is gated further,
+// cell by (algo, detector, transport) cell: a cell the baseline also has may
+// not exceed the baseline's msgs or retransmits (both lower-is-better) by more
+// than -tolerance's "msgs" and "retransmits" budgets plus -slack. Both counts
+// drift with scheduling in multi-threaded runs, so the budgets are wide: the
+// gate is for a change that starts mailing what it used not to, not for noise.
 package main
 
 import (
@@ -240,6 +240,29 @@ func compareE21(current, baseline json.RawMessage, tol tolerances, slack float64
 	return bad, nil
 }
 
+// wrongCells gates an embedded matrix on correctness: every cell that reads
+// wrong != 0 is a violation, named by whichever of its algo, detector, codec
+// and transport fields it has. (compareE21 applies the same rule to E21.)
+func wrongCells(id string, matrix json.RawMessage) ([]string, error) {
+	var cells []map[string]any
+	if err := json.Unmarshal(matrix, &cells); err != nil {
+		return nil, fmt.Errorf("current %s matrix: %v", id, err)
+	}
+	var bad []string
+	for _, c := range cells {
+		if w, _ := c["wrong"].(float64); w != 0 {
+			var key []string
+			for _, f := range []string{"algo", "detector", "codec", "transport"} {
+				if s, ok := c[f].(string); ok {
+					key = append(key, s)
+				}
+			}
+			bad = append(bad, fmt.Sprintf("%s %s: wrong = %v, want 0", id, strings.Join(key, "/"), w))
+		}
+	}
+	return bad, nil
+}
+
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "benchcheck:", err)
 	os.Exit(1)
@@ -261,7 +284,7 @@ func readInto(rep *Report, path string) error {
 
 func main() {
 	in := flag.String("in", "", "bench output file (default: stdin)")
-	matrix := flag.String("matrix", "", "record file written by experiments -json to embed in the report (its E21 matrix is gated with -baseline)")
+	matrix := flag.String("matrix", "", "record file written by experiments -json to embed in the report (with -baseline every cell must read wrong 0, and E21's counts are gated)")
 	jsonOut := flag.String("json", "", "write the parsed report to this file")
 	baseline := flag.String("baseline", "", "compare against this committed report")
 	filter := flag.String("filter", "fixed", "substring of benchmark names to gate")
@@ -304,6 +327,19 @@ func main() {
 			fail(err)
 		}
 		bad := compare(benches, ref.Benchmarks, *filter, tol, *slack)
+		for _, m := range []struct {
+			id     string
+			matrix json.RawMessage
+		}{{"e20", rep.E20}, {"e22", rep.E22}} {
+			if m.matrix == nil {
+				continue
+			}
+			wrong, err := wrongCells(m.id, m.matrix)
+			if err != nil {
+				fail(err)
+			}
+			bad = append(bad, wrong...)
+		}
 		if rep.E21 != nil {
 			e21Bad, err := compareE21(rep.E21, ref.E21, tol, *slack)
 			if err != nil {

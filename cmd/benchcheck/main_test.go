@@ -178,3 +178,30 @@ func TestReadMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestWrongCells: the committed E20 matrix passes the correctness gate, and
+// one doctored cell that answers wrongly fails it, named by its cell.
+func TestWrongCells(t *testing.T) {
+	var ref Report
+	if err := readInto(&ref, "../../BENCH_codec.json"); err != nil {
+		t.Fatal(err)
+	}
+	var cells []map[string]any
+	if err := json.Unmarshal(ref.E20, &cells); err != nil || len(cells) == 0 {
+		t.Fatalf("committed e20 matrix: %d cells, err %v", len(cells), err)
+	}
+	for _, wrong := range []int{0, 3} {
+		cells[len(cells)/2]["wrong"] = wrong
+		body, _ := json.Marshal(cells)
+		bad, err := wrongCells("e20", body)
+		if err != nil || len(bad) != min(wrong, 1) {
+			t.Fatalf("one cell with wrong = %d: violations %v, err %v", wrong, bad, err)
+		}
+		if wrong != 0 && !strings.Contains(bad[0], "e20 "+cells[len(cells)/2]["algo"].(string)+"/") {
+			t.Fatalf("violation does not name its cell: %q", bad[0])
+		}
+	}
+	if _, err := wrongCells("e20", []byte(`{`)); err == nil {
+		t.Fatal("malformed matrix accepted")
+	}
+}

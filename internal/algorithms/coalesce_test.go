@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -32,49 +31,6 @@ func pendingWords(u *am.Universe, acts ...*pattern.BoundAction) int {
 		}
 	}
 	return n
-}
-
-// TestCoalesceDifferential: every algorithm gives bit-identical results with
-// Coalesce on and off, at every rank and thread count, where relaxations are
-// applied in place (the trusted channel transport: the applying thread sets
-// the owner's word) and where they are mailed (reliable channels, Unix
-// sockets: the owner's handler does). The planner marks every action but
-// PageRank's accumulating push, and no run leaves a word set. Run under -race
-// in CI: a word is shared by every thread that can change its vertex.
-func TestCoalesceDifferential(t *testing.T) {
-	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
-	transports := append([]struct {
-		name string
-		opts func(t *testing.T) []am.Option
-	}{{"chan", func(*testing.T) []am.Option { return nil }}}, messageTransports...)
-	for _, tc := range diffCases {
-		for _, tr := range transports {
-			for _, ranks := range []int{1, 2, 4} {
-				for _, threads := range []int{1, 2} {
-					t.Run(fmt.Sprintf("%s/%s/%dx%d", tc.name, tr.name, ranks, threads), func(t *testing.T) {
-						var answers [2][]int64
-						for i, coalesce := range []bool{false, true} {
-							u := am.New(ranks, append(tr.opts(t), am.WithThreads(threads))...)
-							eng, lm := newEngineWith(u, n, edges, tc.gopts, coalesceOpts(coalesce))
-							var acts []*pattern.BoundAction
-							answers[i], acts = tc.run(t, u, eng, lm)
-							for _, a := range acts {
-								if got, want := a.PlanInfo().Coalesced, coalesce && a.Name() != "spread"; got != want {
-									t.Errorf("coalesce=%v: action %s coalesced = %v\n%s", coalesce, a.Name(), got, a.PlanInfo())
-								}
-							}
-							if p := pendingWords(u, acts...); p != 0 {
-								t.Errorf("coalesce=%v: %d pending words left set", coalesce, p)
-							}
-						}
-						if !slices.Equal(answers[0], answers[1]) {
-							t.Fatalf("answers differ between Coalesce off and on")
-						}
-					})
-				}
-			}
-		}
-	}
 }
 
 // TestCoalesceConservation: fixed-point SSSP from several sources, one epoch

@@ -1,7 +1,6 @@
 package algorithms
 
 import (
-	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"declpat/internal/distgraph"
 	"declpat/internal/gen"
 	"declpat/internal/pattern"
-	"declpat/internal/pmap"
 	"declpat/internal/seq"
 )
 
@@ -24,113 +22,10 @@ func planOpts(direct bool) pattern.PlanOptions {
 	return o
 }
 
-// diffCase is one algorithm of the differential matrices (Direct on/off here,
-// Filter on/off in filter_test.go): build it on an engine, run it, and return
-// its answer plus the bound actions it ran (nil when the algorithm does not
-// expose them).
-type diffCase struct {
-	name  string
-	gopts distgraph.Options
-	// unsure: whether a run takes any direct (or filtered) hop depends on the
-	// schedule (CC: one search may claim everything before a second one
-	// starts, and then nothing conflicts, links or jumps).
-	unsure bool
-	run    func(t *testing.T, u *am.Universe, eng *pattern.Engine, lm *pmap.LockMap) (answer []int64, acts []*pattern.BoundAction)
-}
-
 func runOrFail(t *testing.T, u *am.Universe, body func(r *am.Rank)) {
 	t.Helper()
 	if err := u.Run(body); err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-}
-
-func ssspCase(name string, mk func(u *am.Universe, s *SSSP)) diffCase {
-	return diffCase{name: name, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
-		s := NewSSSP(eng)
-		mk(u, s)
-		runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
-		return s.Dist.Gather(), []*pattern.BoundAction{s.Relax}
-	}}
-}
-
-var diffCases = []diffCase{
-	{name: "bfs", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
-		b := NewBFS(eng)
-		runOrFail(t, u, func(r *am.Rank) { b.Run(r, 3) })
-		return b.Level.Gather(), []*pattern.BoundAction{b.Visit}
-	}},
-	ssspCase("sssp-fixed-point", func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }),
-	ssspCase("sssp-delta", func(u *am.Universe, s *SSSP) { s.UseDelta(u, 30) }),
-	ssspCase("sssp-delta-distributed", func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 30, 2) }),
-	{name: "sssp-delta-light-heavy", unsure: true, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
-		s := NewSSSP(eng).UseDeltaLightHeavy(u, 30) // runs its own two actions, not s.Relax
-		runOrFail(t, u, func(r *am.Rank) { s.Run(r, 3) })
-		return s.Dist.Gather(), nil
-	}},
-	{name: "widest", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
-		w := NewWidest(eng)
-		runOrFail(t, u, func(r *am.Rank) { w.Run(r, 3) })
-		return w.Cap.Gather(), []*pattern.BoundAction{w.Widen}
-	}},
-	{name: "cc", gopts: distgraph.Options{Symmetrize: true}, unsure: true, run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, lm *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
-		c := NewCC(eng, lm)
-		runOrFail(t, u, func(r *am.Rank) { c.Run(r) })
-		// Which root labels a component depends on which search got
-		// there first; the partition does not. Name each component by
-		// its smallest vertex so equal partitions compare equal.
-		comp := c.Comp.Gather()
-		least := map[int64]int64{}
-		for v, l := range comp {
-			if _, ok := least[l]; !ok {
-				least[l] = int64(v)
-			}
-		}
-		for v, l := range comp {
-			comp[v] = least[l]
-		}
-		return comp, []*pattern.BoundAction{c.Search, c.Link, c.Jump}
-	}},
-	{name: "pagerank", run: func(t *testing.T, u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) ([]int64, []*pattern.BoundAction) {
-		pr := NewPageRank(eng, PageRankPush)
-		pr.MaxIters = 5
-		runOrFail(t, u, func(r *am.Rank) { pr.Run(r) })
-		return pr.Rank.Gather(), []*pattern.BoundAction{pr.Action}
-	}},
-}
-
-// TestDirectDifferential: every algorithm gives bit-identical results with
-// Direct on and off, at every rank and thread count, and Direct engages
-// exactly when there is a second rank to be co-resident with. Run under
-// -race in CI: the directly applied operations are foreign-thread atomics on
-// another rank's shard.
-func TestDirectDifferential(t *testing.T) {
-	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
-	for _, tc := range diffCases {
-		for _, ranks := range []int{1, 2, 4} {
-			for _, threads := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%s/%dx%d", tc.name, ranks, threads), func(t *testing.T) {
-					var answers [2][]int64
-					for i, direct := range []bool{false, true} {
-						u := am.New(ranks, am.WithThreads(threads))
-						eng, lm := newEngineWith(u, n, edges, tc.gopts, planOpts(direct))
-						var acts []*pattern.BoundAction
-						answers[i], acts = tc.run(t, u, eng, lm)
-						var hops int64
-						for _, a := range acts {
-							hops += a.Stats.DirectHops.Load()
-						}
-						engaged := direct && ranks > 1
-						if (hops > 0 && !engaged) || (hops == 0 && engaged && !tc.unsure) {
-							t.Errorf("direct=%v: %d direct hops", direct, hops)
-						}
-					}
-					if !slices.Equal(answers[0], answers[1]) {
-						t.Fatalf("answers differ between Direct off and on")
-					}
-				})
-			}
-		}
 	}
 }
 

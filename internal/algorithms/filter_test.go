@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -22,74 +21,6 @@ func filterOpts(filter bool) pattern.PlanOptions {
 	o := pattern.DefaultPlanOptions()
 	o.Filter = filter
 	return o
-}
-
-// filterEligible reports whether the engine filters any of a's eval hops.
-func filterEligible(a *pattern.BoundAction) bool {
-	for _, c := range a.PlanInfo().Conds {
-		if c.Filter != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// filteredActions names the library actions whose eval hop the planner marks
-// and Bind keeps: min/max relaxations whose offer is known at the sender.
-var filteredActions = map[string]bool{"bfs": true, "relax": true, "widen": true, "cc_link": true}
-
-// messageTransports are the two ways every hop stays a message although all
-// ranks share a process: the reliable protocol over channels (a zero-valued
-// fault plan injects nothing) and real Unix sockets.
-var messageTransports = []struct {
-	name string
-	opts func(t *testing.T) []am.Option
-}{
-	{"chan-reliable", func(*testing.T) []am.Option { return []am.Option{am.WithFaultPlan(&am.FaultPlan{})} }},
-	{"unix", func(t *testing.T) []am.Option {
-		return []am.Option{am.WithTransport(am.SockTransport(am.SockOptions{Network: "unix", Dir: t.TempDir()}))}
-	}},
-}
-
-// TestFilterDifferential: every algorithm gives bit-identical results with
-// Filter on and off, at every rank and thread count, on both message
-// transports; an action suppresses hops exactly when the engine marks one of
-// its eval hops (min/max relaxations: BFS, SSSP, widest path, CC's link) and
-// there is a second rank to send to, and never otherwise (CC's claim is
-// lock-synchronized, PageRank accumulates). Run under -race in CI: a rank's
-// body and handler threads share its filter table.
-func TestFilterDifferential(t *testing.T) {
-	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 100}, 77)
-	for _, tc := range diffCases {
-		for _, tr := range messageTransports {
-			for _, ranks := range []int{1, 2, 4} {
-				for _, threads := range []int{1, 2} {
-					t.Run(fmt.Sprintf("%s/%s/%dx%d", tc.name, tr.name, ranks, threads), func(t *testing.T) {
-						var answers [2][]int64
-						for i, filter := range []bool{false, true} {
-							u := am.New(ranks, append(tr.opts(t), am.WithThreads(threads))...)
-							eng, lm := newEngineWith(u, n, edges, tc.gopts, filterOpts(filter))
-							var acts []*pattern.BoundAction
-							answers[i], acts = tc.run(t, u, eng, lm)
-							for _, a := range acts {
-								hops, eligible := a.Stats.FilteredHops.Load(), filterEligible(a)
-								if eligible != (filter && filteredActions[a.Name()]) {
-									t.Errorf("filter=%v: action %s eligible = %v\n%s", filter, a.Name(), eligible, a.PlanInfo())
-								}
-								engaged := eligible && ranks > 1
-								if (hops > 0 && !engaged) || (hops == 0 && engaged && !tc.unsure) {
-									t.Errorf("filter=%v: action %s filtered %d hops (eligible %v)", filter, a.Name(), hops, eligible)
-								}
-							}
-						}
-						if !slices.Equal(answers[0], answers[1]) {
-							t.Fatalf("answers differ between Filter off and on")
-						}
-					})
-				}
-			}
-		}
-	}
 }
 
 // TestFilterNotConsultedWhenCoresident: on the trusted channel transport with

@@ -8,7 +8,6 @@ import (
 
 	"declpat/internal/algorithms"
 	"declpat/internal/am"
-	"declpat/internal/chaos"
 	"declpat/internal/distgraph"
 	"declpat/internal/gen"
 	"declpat/internal/harness"
@@ -30,7 +29,6 @@ func TestTransportPartitionEscalation(t *testing.T) {
 	ln.Close()
 	const baseSeed = 2026 // the chaos package's workload and fault seeds
 	n, edges := gen.RMAT(9, 8, gen.Weights{Min: 1, Max: 100}, harness.DeriveSeed(baseSeed, "chaos/workload"))
-	w := chaos.Workload{N: n, Edges: edges}
 	src := distgraph.Vertex(3)
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
@@ -47,8 +45,8 @@ func TestTransportPartitionEscalation(t *testing.T) {
 						Partitions: []am.SockPartition{{Src: 0, Dest: 1, FromFrame: 3, ToFrame: 0}}, // open-ended
 					},
 				})))
-			d := distgraph.NewBlockDist(w.N, u.Ranks())
-			g := distgraph.Build(d, w.Edges, distgraph.Options{})
+			d := distgraph.NewBlockDist(n, u.Ranks())
+			g := distgraph.Build(d, edges, distgraph.Options{})
 			eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
 			b := algorithms.NewBFS(eng)
 			err := u.Run(func(r *am.Rank) { b.Run(r, src) })

@@ -495,22 +495,22 @@ func (u *Universe) Run(body func(r *Rank)) error {
 			workers.Add(1)
 			go func(r *Rank) {
 				defer workers.Done()
-				r = r.facet() // this worker's own lineage context
+				r = r.facet()      // this worker's own lineage context
+				delivered := false // a user batch since this thread last flushed
 				for {
 					e, ok := r.inbox.Pop()
 					if !ok {
 						return
 					}
 					r.deliverEnvelope(e)
-					if u.park && r.inbox.Len() == 0 {
-						// Flush before blocking: the rank main may be parked,
-						// and a message left in a coalescing buffer while
-						// every thread of its rank sleeps would never ship.
-						// Only after a delivery: before it the thread has sent
-						// nothing, and a flush would cut short the buffers the
-						// body is still filling. The flush polls the links and
-						// can settle (relAdd), so it counts as delivery work
-						// the rank main waits out before it leaves the epoch.
+					delivered = delivered || e.typeID != ackTypeID
+					if u.park && delivered && r.inbox.Len() == 0 {
+						// Flush before blocking once a user batch ran since the
+						// last flush: a handler's message left buffered while
+						// its rank sleeps would never ship. An ack sends nothing,
+						// and a flush after one cuts the body's buffers short.
+						// It polls links and may settle (relAdd), so activeH counts it.
+						delivered = false
 						r.activeH.Add(1)
 						r.flushAll()
 						r.activeH.Add(-1)

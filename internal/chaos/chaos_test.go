@@ -5,21 +5,32 @@ import (
 	"testing"
 
 	"declpat/internal/am"
-	"declpat/internal/distgraph"
 	"declpat/internal/gen"
 	"declpat/internal/harness"
-	"declpat/internal/seq"
+	"declpat/internal/pattern"
 )
 
-// baseSeed drives every seed in this file (workloads and fault plans) via
-// harness.DeriveSeed; failure messages include the derived fault seed.
+// baseSeed drives every seed in this package's row sets (workloads and fault
+// plans) via harness.DeriveSeed; failure messages include the derived fault
+// seed.
 const baseSeed = 2026
 
-func workload(tb testing.TB, scale, ef int) Workload {
-	tb.Helper()
+func workload(scale, ef int) *Workload {
 	n, edges := gen.RMAT(scale, ef, gen.Weights{Min: 1, Max: 100},
 		harness.DeriveSeed(baseSeed, "chaos/workload"))
-	return Workload{N: n, Edges: edges}
+	return &Workload{N: n, Edges: edges, Src: 3}
+}
+
+// TestOracleMatrix runs every fault-free cell's shipped plan once: each
+// kernel on trusted channels, the reliable protocol over channels and Unix
+// sockets, at ranks {1, 2, 4} × threads {1, 2}. The row sets
+// TestDirectDifferential, TestFilterDifferential and TestCoalesceDifferential
+// (internal/algorithms) run the same cells with one option off. Run under
+// -race in CI: directly applied hops are foreign-thread atomics on another
+// rank's shard, a rank's body and handler threads share its filter table,
+// and a pending word is shared by every thread that can change its vertex.
+func TestOracleMatrix(t *testing.T) {
+	Rows(t, Grid(pattern.DefaultPlanOptions(), "chan", "chan-reliable", "unix"))
 }
 
 // faultGrid is the acceptance grid: drop rates up to 20% with duplication
@@ -37,144 +48,116 @@ func faultGrid(label string) []*am.FaultPlan {
 	return plans
 }
 
-func scenarios(plan *am.FaultPlan) []Scenario {
-	return []Scenario{
-		{Ranks: 4, Threads: 2, Coalesce: 4, Detector: am.DetectorAtomic, Plan: plan},
-		{Ranks: 3, Threads: 0, Coalesce: 4, Detector: am.DetectorFourCounter, Plan: plan},
+// underChaos is k's shipped plan under every plan of faultGrid(label), on 4
+// ranks × 2 threads with the atomic detector and 3 × 0 with the four-counter
+// one, envelopes of 4.
+func underChaos(k Kernel, w *Workload, label string) []Cell {
+	var cells []Cell
+	for _, plan := range faultGrid(label) {
+		for _, sc := range []Scenario{
+			{Ranks: 4, Threads: 2, Batch: 4, Detector: am.DetectorAtomic, Faults: plan},
+			{Ranks: 3, Threads: 0, Batch: 4, Detector: am.DetectorFourCounter, Faults: plan},
+		} {
+			cells = append(cells, Cell{Name: fmt.Sprintf("drop=%g/%dx%d/%s", plan.Drop, sc.Ranks, sc.Threads, sc.Detector),
+				Kernel: k, W: w, Plan: pattern.DefaultPlanOptions(), Scenario: sc})
+		}
 	}
+	return cells
 }
 
-// check asserts got is bit-identical to the fault-free result, naming the
-// scenario (including the fault seed) on failure.
-func check(t *testing.T, alg string, sc Scenario, got, want []int64) {
-	t.Helper()
-	if !Equal(got, want) {
-		d := Diff(got, want, 5)
-		t.Fatalf("%s under %s: results diverge from fault-free run at %d vertices (first %v); rerun with this scenario's seed to reproduce",
-			alg, sc, len(Diff(got, want, len(got))), d)
-	}
-}
-
-func TestBFSUnderChaos(t *testing.T) {
-	w := workload(t, 9, 8)
-	src := distgraph.Vertex(3)
-	for _, plan := range faultGrid("bfs") {
-		for _, sc := range scenarios(plan) {
-			base := sc
-			base.Plan = nil
-			want, _ := RunBFS(w, base, src)
-			got, stats := RunBFS(w, sc, src)
-			check(t, "BFS", sc, got, want)
-			if plan.Drop >= 0.05 && stats.Retransmits == 0 {
-				t.Fatalf("BFS under %s: no retransmits at %g%% drop — faults not injected?",
-					sc, 100*plan.Drop)
-			}
-		}
-	}
-}
-
-func TestSSSPUnderChaos(t *testing.T) {
-	w := workload(t, 9, 8)
-	src := distgraph.Vertex(3)
-	// Validate the baseline itself against Dijkstra once.
-	want, _ := RunSSSP(w, Scenario{Ranks: 4, Threads: 2, Detector: am.DetectorAtomic}, src, 30)
-	dij := seq.Dijkstra(w.N, w.Edges, src)
-	for v, d := range dij {
-		if d == seq.Inf {
-			continue
-		}
-		if want[v] != d {
-			t.Fatalf("fault-free SSSP disagrees with Dijkstra at %d", v)
-		}
-	}
-	for _, plan := range faultGrid("sssp") {
-		for _, sc := range scenarios(plan) {
-			base := sc
-			base.Plan = nil
-			want, _ := RunSSSP(w, base, src, 30)
-			got, _ := RunSSSP(w, sc, src, 30)
-			check(t, "SSSP", sc, got, want)
-		}
-	}
-}
-
-func TestCCUnderChaos(t *testing.T) {
-	w := workload(t, 9, 8)
-	for _, plan := range faultGrid("cc") {
-		for _, sc := range scenarios(plan) {
-			base := sc
-			base.Plan = nil
-			want, _ := RunCC(w, base)
-			got, _ := RunCC(w, sc)
-			check(t, "CC", sc, got, want)
-		}
-	}
-}
+func TestBFSUnderChaos(t *testing.T)  { Rows(t, underChaos(BFS, workload(9, 8), "bfs")) }
+func TestSSSPUnderChaos(t *testing.T) { Rows(t, underChaos(SSSPDelta, workload(9, 8), "sssp")) }
+func TestCCUnderChaos(t *testing.T)   { Rows(t, underChaos(CC, workload(9, 8), "cc")) }
 
 // TestCorruptionUnderChaos drops 5% and corrupts 15% of payloads in flight:
 // the checksum must catch corruption and retransmits must recover exact
 // results for BFS, SSSP and CC on both detectors.
 func TestCorruptionUnderChaos(t *testing.T) {
-	corruptionGrid(t, &am.FaultPlan{
+	Rows(t, corruptionGrid(&am.FaultPlan{
 		Seed:    harness.DeriveSeed(baseSeed, "corrupt"),
 		Drop:    0.05,
 		Corrupt: 0.15,
-	})
+	}))
 }
 
 // TestWireCodecsUnderChaos adds duplication and reordering to corruption:
 // drop+dup+delay+corrupt, for BFS, SSSP and CC on both detectors.
 func TestWireCodecsUnderChaos(t *testing.T) {
-	corruptionGrid(t, &am.FaultPlan{
+	Rows(t, corruptionGrid(&am.FaultPlan{
 		Seed:    harness.DeriveSeed(baseSeed, "wirecodec"),
 		Drop:    0.05,
 		Dup:     0.10,
 		Delay:   0.10,
 		Corrupt: 0.10,
-	})
+	}))
 }
 
-// corruptionGrid runs BFS, SSSP and CC under plan on both detectors. Every
-// envelope that crosses a link is the fixed codec's bytes: in every cell the
-// checksum must catch corruption, and retransmits must recover results
-// bit-identical to the trusted fault-free run.
-func corruptionGrid(t *testing.T, plan *am.FaultPlan) {
-	t.Helper()
-	w := workload(t, 8, 6)
-	src := distgraph.Vertex(3)
-	algos := []struct {
-		name string
-		run  func(Scenario) ([]int64, am.Snapshot)
-	}{
-		{"BFS", func(sc Scenario) ([]int64, am.Snapshot) { return RunBFS(w, sc, src) }},
-		{"SSSP", func(sc Scenario) ([]int64, am.Snapshot) { return RunSSSP(w, sc, src, 30) }},
-		{"CC", func(sc Scenario) ([]int64, am.Snapshot) { return RunCC(w, sc) }},
-	}
+// corruptionGrid is BFS, SSSP and CC under plan on 3 ranks × 1 thread, both
+// detectors. Every envelope that crosses a link is the fixed codec's bytes,
+// so in every cell the checksum must catch corruption.
+func corruptionGrid(plan *am.FaultPlan) []Cell {
+	w := workload(8, 6)
+	var cells []Cell
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		sc := Scenario{Ranks: 3, Threads: 1, Coalesce: 4, Detector: det, Plan: plan}
-		base := sc
-		base.Plan = nil
-		for _, a := range algos {
-			want, _ := a.run(base)
-			got, stats := a.run(sc)
-			check(t, a.name, sc, got, want)
-			if stats.CorruptionsDetected == 0 {
-				t.Fatalf("%s under %s: no corruptions detected at %g%% corruption", a.name, sc, 100*plan.Corrupt)
-			}
+		for _, k := range []Kernel{BFS, SSSPDelta, CC} {
+			cells = append(cells, Cell{Name: k.Name + "/" + det.String(), Kernel: k, W: w, Plan: pattern.DefaultPlanOptions(),
+				Scenario: Scenario{Ranks: 3, Threads: 1, Batch: 4, Detector: det, Faults: plan}})
 		}
 	}
+	return cells
 }
 
-// TestChaosResultsDeterministic runs the same faulty scenario twice and
-// requires bit-identical results — the reliable protocol makes the
-// *outcome* a pure function of (workload, seed), even though scheduling
-// varies between runs.
+// TestChaosResultsDeterministic runs SSSP twice in one universe at 20%
+// drop: the reliable protocol makes the outcome a pure function of
+// (workload, seed) although scheduling varies between runs, and the second
+// solve starts from tables that must have forgotten the first, so both
+// answers equal the oracle.
 func TestChaosResultsDeterministic(t *testing.T) {
-	w := workload(t, 9, 8)
-	plan := faultGrid("determinism")[2] // 20% drop
-	for _, sc := range scenarios(plan) {
-		a, _ := RunSSSP(w, sc, 7, 25)
-		b, _ := RunSSSP(w, sc, 7, 25)
-		check(t, "SSSP(rerun)", sc, a, b)
+	w := workload(9, 8)
+	w.Src = 7
+	cells := underChaos(SSSPDelta, w, "determinism")[4:] // 20% drop
+	for i := range cells {
+		cells[i].Runs = 2
 	}
+	Rows(t, cells)
+}
+
+// engagedAcrossDimensions is k's shipped plan where the chaos row sets run:
+// the trusted baseline, a lossy network and Unix sockets with flapping links.
+func engagedAcrossDimensions(k Kernel, label string) []Cell {
+	w := workload(9, 8)
+	rows := []Cell{
+		{Name: "baseline", Scenario: Scenario{Ranks: 4, Threads: 2, Batch: 4}},
+		{Name: "faults", Scenario: Scenario{Ranks: 4, Threads: 2, Batch: 4, Faults: &am.FaultPlan{
+			Seed: harness.DeriveSeed(baseSeed, label+"/faults"), Drop: 0.05, Dup: 0.10, Delay: 0.10}}},
+		{Name: "unix+flaky", Scenario: Scenario{Ranks: 3, Threads: 2, Batch: 4, Transport: "unix", SockFaults: flakySockFaults()}},
+	}
+	for i := range rows {
+		rows[i].Kernel, rows[i].W, rows[i].Plan = k, w, pattern.DefaultPlanOptions()
+	}
+	return rows
+}
+
+// TestFilterEngagedAcrossDimensions: every chaos row set runs the engine as
+// shipped, send-side filter on, so their oracle equality is a statement
+// about filtered runs — provided the filter engages. These rows pin that it
+// does for BFS on a lossy network and on flapping sockets, and that the
+// co-resident baseline applies its relaxations in place and filters nothing.
+func TestFilterEngagedAcrossDimensions(t *testing.T) {
+	if !pattern.DefaultPlanOptions().Filter {
+		t.Fatal("the shipped plan options no longer filter: the chaos row sets stopped covering the send-side filter")
+	}
+	Rows(t, engagedAcrossDimensions(BFS, "filter"))
+}
+
+// TestCoalesceEngagedAcrossDimensions: likewise for coalesced
+// re-invocation. Fixed-point SSSP improves a vertex often enough for
+// requests to meet: on the trusted baseline the applying thread requests the
+// re-run, on a lossy network a dropped and retransmitted entry clears its
+// word late and every request in between merges into it.
+func TestCoalesceEngagedAcrossDimensions(t *testing.T) {
+	if !pattern.DefaultPlanOptions().Coalesce {
+		t.Fatal("the shipped plan options no longer coalesce: the chaos row sets stopped covering coalesced re-invocation")
+	}
+	Rows(t, engagedAcrossDimensions(SSSPFixedPoint, "coalesce"))
 }
