@@ -27,8 +27,9 @@
 // so the committed BENCH_*.json carries both the microbenchmark baseline and
 // the end-to-end table.
 //
-// With -baseline every embedded matrix is gated on correctness: a cell of any
-// matrix that reads wrong != 0 fails the run. An E21 matrix is gated further,
+// With -baseline the E20 and E21 matrices are gated on correctness: a cell
+// that reads wrong != 0 fails the run (E22's records carry no such column).
+// An E21 matrix is gated further,
 // cell by (algo, detector, transport) cell: a cell the baseline also has may
 // not exceed the baseline's msgs or retransmits (both lower-is-better) by more
 // than -tolerance's "msgs" and "retransmits" budgets plus -slack. Both counts
@@ -192,7 +193,6 @@ type e21Cell struct {
 	Transport   string  `json:"transport"`
 	Msgs        float64 `json:"msgs"`
 	Retransmits float64 `json:"retransmits"`
-	Wrong       int     `json:"wrong"`
 }
 
 func (c e21Cell) key() string { return c.Algo + "/" + c.Detector + "/" + c.Transport }
@@ -216,9 +216,6 @@ func compareE21(current, baseline json.RawMessage, tol tolerances, slack float64
 	var bad []string
 	matched := 0
 	for _, c := range cur {
-		if c.Wrong != 0 {
-			bad = append(bad, fmt.Sprintf("e21 %s: wrong = %d, want 0", c.key(), c.Wrong))
-		}
 		was, ok := base[c.key()]
 		if !ok {
 			continue // new cell: no baseline yet
@@ -242,7 +239,7 @@ func compareE21(current, baseline json.RawMessage, tol tolerances, slack float64
 
 // wrongCells gates an embedded matrix on correctness: every cell that reads
 // wrong != 0 is a violation, named by whichever of its algo, detector, codec
-// and transport fields it has. (compareE21 applies the same rule to E21.)
+// and transport fields it has.
 func wrongCells(id string, matrix json.RawMessage) ([]string, error) {
 	var cells []map[string]any
 	if err := json.Unmarshal(matrix, &cells); err != nil {
@@ -284,7 +281,7 @@ func readInto(rep *Report, path string) error {
 
 func main() {
 	in := flag.String("in", "", "bench output file (default: stdin)")
-	matrix := flag.String("matrix", "", "record file written by experiments -json to embed in the report (with -baseline every cell must read wrong 0, and E21's counts are gated)")
+	matrix := flag.String("matrix", "", "record file written by experiments -json to embed in the report (with -baseline every E20 and E21 cell must read wrong 0, and E21's counts are gated)")
 	jsonOut := flag.String("json", "", "write the parsed report to this file")
 	baseline := flag.String("baseline", "", "compare against this committed report")
 	filter := flag.String("filter", "fixed", "substring of benchmark names to gate")
@@ -330,7 +327,7 @@ func main() {
 		for _, m := range []struct {
 			id     string
 			matrix json.RawMessage
-		}{{"e20", rep.E20}, {"e22", rep.E22}} {
+		}{{"e20", rep.E20}, {"e21", rep.E21}} {
 			if m.matrix == nil {
 				continue
 			}

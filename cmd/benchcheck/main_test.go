@@ -107,6 +107,11 @@ func TestCompareE21(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		wrong, err := wrongCells("e21", []byte(cur)) // main gates both
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		bad = append(bad, wrong...)
 		if len(bad) != want {
 			t.Fatalf("%s: %d violations, want %d: %v", name, len(bad), want, bad)
 		}
@@ -173,6 +178,11 @@ func TestReadMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		bad, err := compareE21(cur.E21, ref.E21, tol, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrongBad, err := wrongCells("e21", cur.E21)
+		bad = append(bad, wrongBad...)
 		if err != nil || len(bad) != wrong {
 			t.Fatalf("one cell with wrong = %d: violations %v, err %v", wrong, bad, err)
 		}

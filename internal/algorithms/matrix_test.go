@@ -11,7 +11,7 @@ import (
 // The plan-option rows of the oracle matrix (internal/chaos): each cell of
 // chaos.TestOracleMatrix, which runs the shipped plan, again with one option
 // off wherever that option can engage, held to the same oracle and
-// predicates by chaos.Check. Run under -race in CI, like the matrix.
+// predicates by its checker. Run under -race in CI, like the matrix.
 
 func without(off func(*pattern.PlanOptions)) pattern.PlanOptions {
 	o := pattern.DefaultPlanOptions()

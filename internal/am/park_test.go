@@ -256,3 +256,105 @@ func TestIdleRankDoesNotSpin(t *testing.T) {
 		}
 	}
 }
+
+// TestHandlerFlushAcrossThreads: on a parking universe with several handler
+// threads per rank, one thread's handlers leave replies in the rank's
+// coalescing buffers while another thread takes an ack off the inbox and
+// finds it empty. Whichever thread empties the inbox after a user batch must
+// ship those replies: left buffered while the rank main sleeps they never
+// ship, a socket's retransmit clock disarms once nothing is unacknowledged,
+// and the epoch hangs. The scripted row plays both threads as facets of one
+// rank; the unix rows run the race for real (a flag kept per thread hung
+// them under -race).
+func TestHandlerFlushAcrossThreads(t *testing.T) {
+	t.Run("scripted", func(t *testing.T) {
+		u := newUniverse(config{Ranks: 2, ThreadsPerRank: 0, CoalesceSize: 4}) // the row plays the threads
+		if !u.park {
+			t.Fatalf("configuration does not park")
+		}
+		reply := Register(u, "reply", func(r *Rank, m int64) {})
+		if err := u.Run(func(r *Rank) {
+			r.Epoch(func(ep *Epoch) {
+				if r.ID() != 1 {
+					return
+				}
+				a, b := r.facet(), r.facet() // two handler threads of rank 1
+				reply.SendTo(a, 0, 7)        // a's batch buffers a reply
+				r.inbox.Push(envelope{typeID: ackTypeID})
+				a.flushBeforeBlocking(true) // an ack is queued: a does not flush
+				if got := u.Stats.Envelopes(); got != 0 {
+					t.Errorf("a flushed with an ack queued: %d envelopes", got)
+				}
+				if _, ok := b.inbox.TryPop(); !ok {
+					t.Error("the queued ack is gone")
+					return
+				}
+				b.flushBeforeBlocking(false) // b took the ack and emptied the inbox
+				if got := u.Stats.Envelopes(); got != 1 {
+					t.Errorf("after b emptied the inbox: %d envelopes shipped, want a's reply in 1", got)
+				}
+				reply.SendTo(a, 0, 8)
+				b.flushBeforeBlocking(false) // acks alone ship nothing
+				if got := u.Stats.Envelopes(); got != 1 {
+					t.Errorf("a flush after acks alone: %d envelopes, want 1", got)
+				}
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const pings = 10 // envelopes of 4, 4 and 2 each way: two replies stay buffered
+	epochs := 300
+	if testing.Short() {
+		epochs /= 4
+	}
+	timeout := time.Duration(raceTimingScale) * 30 * time.Second
+	for _, threads := range []int{2, 3} {
+		t.Run(fmt.Sprintf("unix/2x%d", threads), func(t *testing.T) {
+			requireLoopback(t)
+			u := newUniverse(config{Ranks: 2, ThreadsPerRank: threads, CoalesceSize: 4,
+				Transport: SockTransport(fastSockOptions("unix"))})
+			if !u.park {
+				t.Fatalf("configuration does not park")
+			}
+			var pongs, epoch atomic.Int64
+			pong := Register(u, "pong", func(r *Rank, m int64) { pongs.Add(1) })
+			noise := Register(u, "noise", func(r *Rank, m int64) {})
+			ping := Register(u, "ping", func(r *Rank, m int64) {
+				pong.SendTo(r, 0, m)
+				runtime.Gosched() // an ack for an earlier reply may arrive meanwhile
+			})
+			errc := make(chan error, 1)
+			go func() {
+				errc <- u.Run(func(r *Rank) {
+					for e := 1; e <= epochs; e++ {
+						epoch.Store(int64(e))
+						r.Epoch(func(ep *Epoch) {
+							// Rank 1's own sends draw a stream of acks that
+							// its handler threads take between the pings.
+							for i := 0; i < 4*pings; i++ {
+								if r.ID() == 0 && i < pings {
+									ping.SendTo(r, 1, int64(i))
+								}
+								if r.ID() == 1 {
+									noise.SendTo(r, 0, int64(i))
+								}
+							}
+						})
+						if got := pongs.Load(); got != int64(e*pings) {
+							t.Errorf("rank %d after epoch %d: %d replies handled, want %d", r.ID(), e, got, e*pings)
+						}
+					}
+				})
+			}()
+			select {
+			case err := <-errc:
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+			case <-time.After(timeout):
+				t.Fatalf("hung in epoch %d of %d (%d replies handled)", epoch.Load(), epochs, pongs.Load())
+			}
+		})
+	}
+}

@@ -328,8 +328,9 @@ type rankState struct {
 	activeH atomic.Int32
 
 	// crashed marks the rank dead for the current epoch (crash-stop after a
-	// contained handler panic, rankfault.go).
-	crashed atomic.Bool
+	// contained handler panic, rankfault.go); unflushed, flushBeforeBlocking.
+	crashed   atomic.Bool
+	unflushed atomic.Bool
 
 	// epoch-body bookkeeping (see epoch.go).
 	idleBodies  atomic.Int32
@@ -495,25 +496,15 @@ func (u *Universe) Run(body func(r *Rank)) error {
 			workers.Add(1)
 			go func(r *Rank) {
 				defer workers.Done()
-				r = r.facet()      // this worker's own lineage context
-				delivered := false // a user batch since this thread last flushed
+				r = r.facet() // this worker's own lineage context
 				for {
 					e, ok := r.inbox.Pop()
 					if !ok {
 						return
 					}
 					r.deliverEnvelope(e)
-					delivered = delivered || e.typeID != ackTypeID
-					if u.park && delivered && r.inbox.Len() == 0 {
-						// Flush before blocking once a user batch ran since the
-						// last flush: a handler's message left buffered while
-						// its rank sleeps would never ship. An ack sends nothing,
-						// and a flush after one cuts the body's buffers short.
-						// It polls links and may settle (relAdd), so activeH counts it.
-						delivered = false
-						r.activeH.Add(1)
-						r.flushAll()
-						r.activeH.Add(-1)
+					if u.park {
+						r.flushBeforeBlocking(e.typeID != ackTypeID)
 					}
 				}
 			}(r)
@@ -549,7 +540,7 @@ func (u *Universe) Run(body func(r *Rank)) error {
 	// have returned nothing can send or retransmit: the reliable-delivery
 	// layer's retransmits and delayed-envelope releases are poll-driven from
 	// flushAll (bodies, progress loops and, on a parking universe, handler
-	// threads after a delivery), and both detectors require
+	// threads that empty the inbox after a batch), and both detectors require
 	// totalRelPending() == 0 before ending an epoch, so no retransmit can fire
 	// after the last epoch ends. The retransmit clock of a parking reliable
 	// universe only wakes mains and sends nothing; it stops here, before the
@@ -570,6 +561,25 @@ func (u *Universe) Run(body func(r *Rank)) error {
 	}
 	workers.Wait()
 	return u.runError()
+}
+
+// flushBeforeBlocking runs on a parking universe's handler thread after each
+// delivery (user: a batch, not an ack). A handler's message left buffered
+// while the rank sleeps never ships, so with the inbox empty it flushes the
+// rank's buffers if any thread of the rank ran a batch since the last flush:
+// the flag is the rank's, as the thread that empties the inbox may have taken
+// only an ack while another's batch filled them. Acks alone send nothing, and
+// a flush after them cuts the body's buffers short. The flush may settle
+// (relAdd), so activeH counts it.
+func (r *Rank) flushBeforeBlocking(user bool) {
+	if user {
+		r.unflushed.Store(true)
+	}
+	if r.inbox.Len() == 0 && r.unflushed.CompareAndSwap(true, false) {
+		r.activeH.Add(1)
+		r.flushAll()
+		r.activeH.Add(-1)
+	}
 }
 
 // deliverEnvelope runs the handlers for every message in e on rank r. A

@@ -190,8 +190,8 @@ var (
 	}}
 )
 
-// Kernels is the matrix's kernel axis.
-var Kernels = []Kernel{BFS, SSSPFixedPoint, SSSPDelta, SSSPDeltaDistributed, SSSPDeltaLightHeavy, Widest, CC, PageRank}
+// kernels is the matrix's kernel axis.
+var kernels = []Kernel{BFS, SSSPFixedPoint, SSSPDelta, SSSPDeltaDistributed, SSSPDeltaLightHeavy, Widest, CC, PageRank}
 
 func bindPageRank(u *am.Universe, eng *pattern.Engine, _ *pmap.LockMap) bound {
 	pr := algorithms.NewPageRank(eng, algorithms.PageRankPush)
@@ -269,7 +269,7 @@ var gridWorkload = sync.OnceValue(func() *Workload {
 // kernel/deployment/RxT.
 func Grid(plan pattern.PlanOptions, deps ...string) []Cell {
 	var cells []Cell
-	for _, k := range Kernels {
+	for _, k := range kernels {
 		for _, dep := range deps {
 			for _, ranks := range []int{1, 2, 4} {
 				for _, threads := range []int{1, 2} {
@@ -290,7 +290,7 @@ func Rows(t *testing.T, cells []Cell) {
 	for _, c := range cells {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			Check(t, c)
+			check(t, c)
 		})
 	}
 }
@@ -300,7 +300,7 @@ func Rows(t *testing.T, cells []Cell) {
 // claim is lock-synchronized, PageRank accumulates).
 var filtered = map[string]bool{"bfs": true, "relax": true, "widen": true, "cc_link": true}
 
-// Check runs c (its kernel Runs times in one universe) and holds it to the
+// check runs c (its kernel Runs times in one universe) and holds it to the
 // oracle and to the matrix's predicates:
 //   - every answer equals the internal/seq reference (PageRank: its one
 //     trusted 1 × 1 paper-plan run);
@@ -320,7 +320,7 @@ var filtered = map[string]bool{"bfs": true, "relax": true, "widen": true, "cc_li
 //
 // A kernel marked unsure may take no direct or filtered hop where one could
 // engage.
-func Check(t *testing.T, c Cell) {
+func check(t *testing.T, c Cell) {
 	t.Helper()
 	if c.socket() {
 		requireLoopback(t)
