@@ -55,16 +55,17 @@ type Engine struct {
 	opts    PlanOptions
 	msg     *am.MsgType[hopMsg]
 	actions []*BoundAction
-	// filters is the send-side filter state of every vertex-word map a bound
-	// action writes (filter.go).
+	// filters is the filter state of every vertex-word map a bound action
+	// writes, and slots[rank] the rank's run-local bound tables (filter.go).
 	filters map[*pmap.VertexWord]*filter
+	slots   [][boundSlots]boundSlot
 }
 
 // NewEngine creates a pattern engine. lm provides §IV-B's lock map (used for
 // multi-value conditions); opts selects the §IV planning optimizations.
 func NewEngine(u *am.Universe, g *distgraph.Graph, lm *pmap.LockMap, opts PlanOptions) *Engine {
 	e := &Engine{u: u, g: g, lm: lm, dist: g.Dist(), nv: g.NumVertices(), site: newSiteFn(g.Dist()), opts: opts,
-		filters: map[*pmap.VertexWord]*filter{}}
+		filters: map[*pmap.VertexWord]*filter{}, slots: make([][boundSlots]boundSlot, u.Ranks())}
 	e.msg = am.RegisterBatch(u, "pattern-step", e.dispatchBatch).
 		WithAddresser(func(m hopMsg) int { return g.Owner(m.Dest) })
 	u.RegisterCheckpointer(e)
@@ -403,8 +404,11 @@ type cursor struct {
 	out [][]hopMsg // staged sends, by destination rank
 	// stamp is the running rank's am epoch-attempt stamp, read once per run:
 	// the key of everything the engine remembers within one attempt (the
-	// filter's offers, the pending words). A run never spans two attempts.
+	// filter's tables, the pending words). A run never spans two attempts.
 	stamp uint64
+	// slot holds the run's local bound table once it has used one
+	// (Engine.localBounds); release frees it.
+	slot *boundSlot
 }
 
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
@@ -447,6 +451,10 @@ func (ba *BoundAction) release(r *am.Rank, c *cursor) {
 			st.Add(id, d)
 			c.n[id] = 0
 		}
+	}
+	if c.slot != nil {
+		c.slot.busy.Store(false)
+		c.slot = nil
 	}
 	cursorPool.Put(c)
 }
@@ -520,11 +528,12 @@ func (p *program) bind(m *patMsg, w distgraph.Vertex, slot uint32) {
 // once per entry — v's word in this rank's shard, the window of an edge word
 // from slot0, a constant — and per item loads them into registers, computes
 // the value there and makes run's decisions about the one atomic eval hop in
-// run's order: refuse a vertex outside the graph; apply here, or directly in
-// a co-resident owner's shard and fire; or ask the filter with the value,
-// then pack and stage. v's word is reloaded per item: an earlier item (a
-// self-loop) can change it. The cursor is never written, and the counters are
-// added once per entry.
+// run's order: refuse a vertex outside the graph; answer false an attempt the
+// run's bound table shows would fail; apply here, or directly in a
+// co-resident owner's shard, and fire; or ask the filter with the value, then
+// pack and stage. v's word is reloaded per item: an earlier item (a
+// self-loop) can change it. The cursor's item is never written, and the
+// counters are added once per entry.
 func (ba *BoundAction) loop(r *am.Rank, c *cursor, at site, nbrs []distgraph.Vertex, slot0 uint32) {
 	e, p := ba.eng, ba.prog
 	ri, st := p.relax, &p.conds[0].steps[0]
@@ -542,12 +551,21 @@ func (ba *BoundAction) loop(r *am.Rank, c *cursor, at site, nbrs []distgraph.Ver
 			src[j] = o.k[:]
 		}
 	}
-	f := st.filter
-	if f != nil && f.kind == syncLock {
-		f = nil
+	// f is the hop's filter and lb the run's bound table, whose entries and
+	// flip the loop holds in registers.
+	f := st.on()
+	var gen uint64
+	var lb *localBounds
+	var best []int64
+	var flip Word
+	if f != nil {
+		gen = f.vw.Gen()
+		if lb = e.localBounds(c, rank, f, gen); lb != nil {
+			best, flip = lb.best, lb.flip
+		}
 	}
 	op, hasPre, pre := ri.op, ri.hasPre, ri.pre
-	var changed, unchanged, failed, direct, filtered int64
+	var changed, unchanged, failed, direct, filtered, skipped int64
 	for i, w := range nbrs {
 		x0 := atomic.LoadInt64(&src[0][i*step[0]])
 		x1 := atomic.LoadInt64(&src[1][i*step[1]])
@@ -563,10 +581,14 @@ func (ba *BoundAction) loop(r *am.Rank, c *cursor, at site, nbrs []distgraph.Ver
 			continue
 		}
 		val := relaxValue(op, x0, x1)
+		if lb != nil && val^flip >= best[w] {
+			skipped++
+			continue
+		}
 		wat := e.site(w)
 		if wat.rank != rank {
 			if !st.direct || !r.Coresident(wat.rank) {
-				if f != nil && !f.offer(rank, c.stamp, w, val) {
+				if f != nil && !f.offer(rank, c.stamp, gen, w, val) {
 					filtered++
 					continue
 				}
@@ -580,15 +602,30 @@ func (ba *BoundAction) loop(r *am.Rank, c *cursor, at site, nbrs []distgraph.Ver
 			}
 			direct++
 		}
-		if !st.atomic(val, w, wat) {
+		if lb != nil {
+			if !lb.apply(val, w, wat) {
+				unchanged++
+				continue
+			}
+		} else if !st.atomic(val, w, wat) {
 			unchanged++
 			continue
 		}
 		changed++
 		if st.mods[0].fires {
 			ba.fire(r, c, w, wat)
+			if f != nil && ba.work != nil { // the hook may have written the map
+				gen = f.vw.Gen()
+				if lb = e.localBounds(c, rank, f, gen); lb != nil {
+					best, flip = lb.best, lb.flip
+				}
+			}
 		}
 	}
+	if lb != nil {
+		lb.skipped += skipped
+	}
+	unchanged += skipped
 	c.n[sItems] += int64(len(nbrs))
 	c.n[sTestsTrue] += changed
 	c.n[sTestsFalse] += failed + filtered + unchanged
@@ -617,9 +654,11 @@ func (ba *BoundAction) item(r *am.Rank, c *cursor, at site) {
 // single-word operation against the owner's shard and carries on here. Any
 // other step is staged in c for its owner as one message — unless it is a
 // filtered eval hop that cannot beat what this rank already sent the vertex,
-// which is answered false here (filter.go). A mailed step packs only its
-// carried words (hop.go). resumed: the position arrived in a message, whose
-// sender has checked the step's early-exit test already.
+// which is answered false here. Before any of that, a filtered eval hop that
+// the run's bound table shows would fail is answered false (filter.go). A
+// mailed step packs only its carried words (hop.go). resumed: the position
+// arrived in a message, whose sender has checked the step's early-exit test
+// already.
 func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 	e := ba.eng
 	m := &c.m
@@ -649,10 +688,30 @@ func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 			ci, hi = pc.nextFalse, 0
 			continue
 		}
+		// A filtered eval hop (an atomic min or max) computes its value
+		// first and asks the run's bound table, wherever dest lives: an
+		// attempt that cannot beat a bound is answered false here.
+		f := st.on()
+		var lb *localBounds
+		var rhs Word
+		var gen uint64
+		if f != nil {
+			rhs, gen = st.mods[0].rhs(m), f.vw.Gen()
+			if lb = c.bounds(f, gen); lb == nil { // the call only on a miss
+				lb = e.localBounds(c, rank, f, gen)
+			}
+			if lb != nil && lb.fails(rhs, dest) {
+				lb.skipped++
+				c.n[sModsUnchanged]++
+				c.n[sTestsFalse]++
+				ci, hi = pc.nextFalse, 0
+				continue
+			}
+		}
 		at := e.site(dest)
 		if at.rank != rank {
 			if !st.direct || !r.Coresident(at.rank) {
-				if f := st.filter; f != nil && f.kind != syncLock && !f.offer(r.ID(), c.stamp, dest, st.mods[0].rhs(m)) {
+				if f != nil && !f.offer(rank, c.stamp, gen, dest, rhs) {
 					c.n[sFilteredHops]++
 					c.n[sTestsFalse]++
 					ci, hi = pc.nextFalse, 0
@@ -672,7 +731,12 @@ func (ba *BoundAction) run(r *am.Rank, c *cursor, ci, hi int, resumed bool) {
 		case stepAtomic:
 			// The condition's outcome is whether the update moved the value
 			// (for the detected relax shape: whether it improved it).
-			if held = st.atomic(st.mods[0].rhs(m), dest, at); held {
+			if lb != nil {
+				held = lb.apply(rhs, dest, at)
+			} else {
+				held = st.atomic(st.mods[0].rhs(m), dest, at)
+			}
+			if held {
 				c.n[sModsChanged]++
 				c.n[sTestsTrue]++
 				if st.mods[0].fires {

@@ -482,6 +482,14 @@ func (mod *progMod) apply(m *patMsg, dest distgraph.Vertex, at site) bool {
 	rhs := mod.rhs(m)
 	switch {
 	case mod.vw != nil:
+		// min and max are the map's monotone writers: they leave its write
+		// generation alone, where SetAt bumps it (filter.go).
+		switch mod.op {
+		case OpAssignMin:
+			return mod.vw.MinAt(at.rank, at.li, rhs)
+		case OpAssignMax:
+			return mod.vw.MaxAt(at.rank, at.li, rhs)
+		}
 		old := mod.vw.GetAt(at.rank, at.li)
 		nv := modValue(mod.op, old, rhs)
 		if nv == old {

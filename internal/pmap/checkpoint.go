@@ -37,6 +37,7 @@ func (m *VertexWord) SnapshotRank(rank int) []byte {
 
 // RestoreRank decodes a snapshot over rank's shard (am.Checkpointer).
 func (m *VertexWord) RestoreRank(rank int, b []byte) error {
+	defer m.wrote()
 	return ckpt.Apply(b, func(d *ckpt.Dec, write bool) { words(d, m.shards[rank], write) })
 }
 

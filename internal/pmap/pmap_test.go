@@ -127,6 +127,44 @@ func TestVertexWordAddCASSwap(t *testing.T) {
 	}
 }
 
+// TestVertexWordGenCountsOutOfBandWrites: every writer but the engine's
+// single-word instructions (MinAt, MaxAt, AddAt) makes
+// Gen report a value it has not reported before; those leave it alone, and so
+// does a write that no Gen has observed since the last one.
+func TestVertexWordGenCountsOutOfBandWrites(t *testing.T) {
+	d := distgraph.NewBlockDist(4, 2)
+	m := NewVertexWord(d, 5)
+	snap := m.SnapshotRank(1)
+	seen := map[uint64]bool{m.Gen(): true}
+	for name, write := range map[string]func(){
+		"Set":          func() { m.Set(0, 1, 3) },
+		"SetAt":        func() { m.SetAt(0, 1, 3) },
+		"SetIfChanged": func() { m.SetIfChanged(0, 1, 9) },
+		"SetRelaxed":   func() { m.SetRelaxed(0, 1, 9) },
+		"Min":          func() { m.Min(0, 1, 2) },
+		"Max":          func() { m.Max(0, 1, 8) },
+		"Add":          func() { m.Add(0, 1, 1) },
+		"CAS":          func() { m.CAS(0, 1, 0, 1) },
+		"Fill":         func() { m.Fill(1, 7) },
+		"RestoreRank":  func() { _ = m.RestoreRank(1, snap) },
+	} {
+		write()
+		write() // unobserved: no second bump is needed
+		g := m.Gen()
+		if seen[g] {
+			t.Errorf("%s: Gen reports %d again", name, g)
+		}
+		seen[g] = true
+	}
+	g := m.Gen()
+	m.MinAt(0, 1, -1)
+	m.MaxAt(0, 1, 100)
+	m.AddAt(0, 1, 1)
+	if got := m.Gen(); got != g {
+		t.Errorf("the engine's instructions moved Gen from %d to %d", g, got)
+	}
+}
+
 func TestEdgeWordWeightAlias(t *testing.T) {
 	d := distgraph.NewBlockDist(4, 2)
 	g := distgraph.Build(d, []distgraph.Edge{

@@ -20,9 +20,17 @@ import (
 // check nothing: they are for a caller that has already resolved
 // (owner, local index) from the map's distribution, once, for several
 // accesses.
+//
+// The map counts its out-of-band writes in a write generation (Gen): every
+// writer bumps it except MinAt, MaxAt and AddAt, the single-word instructions
+// the pattern engine applies for its bound actions.
 type VertexWord struct {
 	dist   distgraph.Distribution
 	shards [][]int64
+	// gen is the write generation, odd once Gen has reported it: a write
+	// moves an odd value to the next even one, so writes nobody has observed
+	// since the last bump cost one load each.
+	gen atomic.Uint64
 }
 
 // NewVertexWord allocates a vertex word map over dist with every value init.
@@ -50,6 +58,28 @@ func (m *VertexWord) slot(rank int, v distgraph.Vertex) *int64 {
 	return &m.shards[rank][m.dist.Local(v)]
 }
 
+// Gen returns the map's write generation. A write other than MinAt, MaxAt or
+// AddAt that happens before a call to Gen makes it return a value no call
+// before that write returned: the pattern engine keys what it remembers about
+// the map's words on it (pattern/filter.go).
+func (m *VertexWord) Gen() uint64 {
+	for {
+		g := m.gen.Load()
+		if g&1 != 0 || m.gen.CompareAndSwap(g, g|1) {
+			return g | 1
+		}
+	}
+}
+
+// wrote bumps the write generation past every value Gen has returned. It
+// follows the write: a Gen that returns the bumped value is ordered after
+// the write.
+func (m *VertexWord) wrote() {
+	if g := m.gen.Load(); g&1 != 0 {
+		m.gen.CompareAndSwap(g, g+1) // losing means another write bumped it
+	}
+}
+
 // Get atomically loads v's value on its owner rank.
 func (m *VertexWord) Get(rank int, v distgraph.Vertex) int64 {
 	return atomic.LoadInt64(m.slot(rank, v))
@@ -58,12 +88,14 @@ func (m *VertexWord) Get(rank int, v distgraph.Vertex) int64 {
 // Set atomically stores x as v's value on its owner rank.
 func (m *VertexWord) Set(rank int, v distgraph.Vertex, x int64) {
 	atomic.StoreInt64(m.slot(rank, v), x)
+	m.wrote()
 }
 
 // SetIfChanged stores x and reports whether the stored value changed.
 func (m *VertexWord) SetIfChanged(rank int, v distgraph.Vertex, x int64) bool {
 	p := m.slot(rank, v)
 	old := atomic.SwapInt64(p, x)
+	m.wrote()
 	return old != x
 }
 
@@ -95,29 +127,40 @@ func atomicMax(p *int64, x int64) bool {
 
 // Min atomically lowers v's value to x; reports whether it decreased.
 func (m *VertexWord) Min(rank int, v distgraph.Vertex, x int64) bool {
-	return atomicMin(m.slot(rank, v), x)
+	ok := atomicMin(m.slot(rank, v), x)
+	m.wrote()
+	return ok
 }
 
 // Max atomically raises v's value to x; reports whether it increased.
 func (m *VertexWord) Max(rank int, v distgraph.Vertex, x int64) bool {
-	return atomicMax(m.slot(rank, v), x)
+	ok := atomicMax(m.slot(rank, v), x)
+	m.wrote()
+	return ok
 }
 
 // Add atomically adds x to v's value and returns the new value.
 func (m *VertexWord) Add(rank int, v distgraph.Vertex, x int64) int64 {
-	return atomic.AddInt64(m.slot(rank, v), x)
+	nv := atomic.AddInt64(m.slot(rank, v), x)
+	m.wrote()
+	return nv
 }
 
 // CAS atomically replaces old with new at v; reports success.
 func (m *VertexWord) CAS(rank int, v distgraph.Vertex, old, new int64) bool {
-	return atomic.CompareAndSwapInt64(m.slot(rank, v), old, new)
+	ok := atomic.CompareAndSwapInt64(m.slot(rank, v), old, new)
+	m.wrote()
+	return ok
 }
 
 // GetAt atomically loads the value at local index li of owner's shard.
 func (m *VertexWord) GetAt(owner, li int) int64 { return atomic.LoadInt64(&m.shards[owner][li]) }
 
 // SetAt atomically stores x at local index li of owner's shard.
-func (m *VertexWord) SetAt(owner, li int, x int64) { atomic.StoreInt64(&m.shards[owner][li], x) }
+func (m *VertexWord) SetAt(owner, li int, x int64) {
+	atomic.StoreInt64(&m.shards[owner][li], x)
+	m.wrote()
+}
 
 // MinAt atomically lowers the value at local index li of owner's shard to x;
 // reports whether it decreased.
@@ -140,6 +183,7 @@ func (m *VertexWord) Fill(rank int, x int64) {
 	for i := range s {
 		atomic.StoreInt64(&s[i], x)
 	}
+	m.wrote()
 }
 
 // Shard returns rank's words, indexed by local index, for a caller that has
@@ -156,6 +200,7 @@ func (m *VertexWord) GetRelaxed(rank int, v distgraph.Vertex) int64 {
 // SetRelaxed stores without atomicity; same discipline as GetRelaxed.
 func (m *VertexWord) SetRelaxed(rank int, v distgraph.Vertex, x int64) {
 	*m.slot(rank, v) = x
+	m.wrote()
 }
 
 // ForEachLocal visits every vertex owned by rank with its current value.
